@@ -26,7 +26,9 @@
 // -addr with port 0 binds an ephemeral port; the bound address is logged
 // and, with -port-file, written to a file (for scripts and CI). On
 // SIGTERM/SIGINT the daemon drains: /healthz flips to 503, new compiles
-// are refused, in-flight requests get -drain-timeout to finish.
+// are refused, and in-flight requests, compilations that outlived their
+// request and artifacts still being written to the persistent tiers get
+// -drain-timeout to finish.
 //
 // Fleet mode: give every daemon the same -peers list (each member's
 // advertised base URL) and its own entry as -self-url, and the processes
@@ -98,7 +100,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "queued requests before 429 (default 4x max-inflight)")
 	timeout := flag.Duration("timeout", 0, "per-request compile deadline (default 60s)")
 	compileWorkers := flag.Int("compile-workers", 0, "worker pool per compilation (default GOMAXPROCS)")
-	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on shutdown")
+	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests and pending cache writes on shutdown")
 	portFile := flag.String("port-file", "", "write the bound host:port to this file once listening")
 	selfURL := flag.String("self-url", "", "fleet: this node's advertised base URL (required with -peers)")
 	peers := flag.String("peers", "", "fleet: comma-separated base URLs of every member, self included")
@@ -217,6 +219,9 @@ func main() {
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			logger.Error("drain incomplete", "err", err)
 			os.Exit(1)
+		}
+		if err := srv.Close(ctx); err != nil {
+			os.Exit(1) // Close logged what was abandoned
 		}
 		st := srv.Stats()
 		logger.Info("drained cleanly",

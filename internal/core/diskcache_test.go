@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,24 +45,15 @@ func artifactFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// waitDiskWrites blocks until the service has persisted `writes` artifacts:
-// the disk store is written off the compile critical path, after waiters
-// are released, so tests must rendezvous with it.
-func waitDiskWrites(t *testing.T, s *core.Service, writes int64) {
+// flush waits for everything the service still has running in the
+// background: the persistent tiers are written off the response path,
+// after waiters are released, so tests rendezvous with them here.
+func flush(t *testing.T, s *core.Service) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.Stats()
-		if st.DiskErrors > 0 {
-			t.Fatalf("disk write failed: %+v", st)
-		}
-		if st.DiskWrites >= writes {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("disk write did not complete: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -81,7 +74,7 @@ func TestServiceWarmStartsFromDisk(t *testing.T) {
 	if len(c1.Stages) == 0 {
 		t.Fatal("cold compile carries no stage provenance")
 	}
-	waitDiskWrites(t, cold, 1)
+	flush(t, cold)
 	if st := cold.Stats(); st.Misses != 1 || st.DiskWrites != 1 || st.DiskHits != 0 {
 		t.Fatalf("cold service stats %+v", st)
 	}
@@ -119,8 +112,9 @@ func TestServiceWarmStartsFromDisk(t *testing.T) {
 	}
 }
 
-// TestServiceDiskVersionMismatch: entries written by another format version
-// are misses, recompiled, and overwritten with the current version.
+// TestServiceDiskVersionMismatch: an entry another format version wrote
+// under this key is an upgrade path, not corruption — a miss, recompiled,
+// and overwritten with the current version rather than quarantined.
 func TestServiceDiskVersionMismatch(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -129,7 +123,7 @@ func TestServiceDiskVersionMismatch(t *testing.T) {
 	if _, err := s1.Compile(ctx, cacheGraph(t, "ver"), cacheOpts()); err != nil {
 		t.Fatal(err)
 	}
-	waitDiskWrites(t, s1, 1)
+	flush(t, s1)
 	files := artifactFiles(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("%d artifacts on disk", len(files))
@@ -145,14 +139,20 @@ func TestServiceDiskVersionMismatch(t *testing.T) {
 	if err := os.WriteFile(files[0], []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// As the other version's own writer would have left it: the sidecar
+	// vouches for the bytes, so only their format number is wrong.
+	sum := sha256.Sum256([]byte(stale))
+	if err := os.WriteFile(files[0]+".sha256", []byte(hex.EncodeToString(sum[:])), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := core.NewService(core.ServiceConfig{CacheDir: dir})
 	if _, err := s2.Compile(ctx, cacheGraph(t, "ver"), cacheOpts()); err != nil {
 		t.Fatal(err)
 	}
-	waitDiskWrites(t, s2, 1)
-	if st := s2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 {
-		t.Fatalf("stale-version entry not recompiled+overwritten: %+v", st)
+	flush(t, s2)
+	if st := s2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 || st.CorruptQuarantined != 0 {
+		t.Fatalf("stale-version entry not recompiled+overwritten in place: %+v", st)
 	}
 	// The overwrite restored a current-version entry: a third service hits.
 	s3 := core.NewService(core.ServiceConfig{CacheDir: dir})
@@ -165,8 +165,8 @@ func TestServiceDiskVersionMismatch(t *testing.T) {
 }
 
 // TestServiceDiskTruncatedRecovery: a truncated (crash-torn would be
-// impossible given write-rename, but operators do strange things) entry is
-// a miss, recompiled, and overwritten.
+// impossible given write-rename, but operators do strange things) entry no
+// longer matches its sidecar: it is quarantined, recompiled, and rewritten.
 func TestServiceDiskTruncatedRecovery(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -175,7 +175,7 @@ func TestServiceDiskTruncatedRecovery(t *testing.T) {
 	if _, err := s1.Compile(ctx, cacheGraph(t, "trunc"), cacheOpts()); err != nil {
 		t.Fatal(err)
 	}
-	waitDiskWrites(t, s1, 1)
+	flush(t, s1)
 	files := artifactFiles(t, dir)
 	data, err := os.ReadFile(files[0])
 	if err != nil {
@@ -190,9 +190,9 @@ func TestServiceDiskTruncatedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDiskWrites(t, s2, 1)
-	if st := s2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 {
-		t.Fatalf("truncated entry not recompiled+overwritten: %+v", st)
+	flush(t, s2)
+	if st := s2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 || st.CorruptQuarantined != 1 {
+		t.Fatalf("truncated entry not quarantined+recompiled+rewritten: %+v", st)
 	}
 	if len(c.Stages) == 0 {
 		t.Error("recompiled result carries no stage provenance")

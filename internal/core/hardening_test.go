@@ -6,30 +6,19 @@ package core_test
 // cleanly past them.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
+	"streammap/internal/artifact"
 	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
 )
-
-// waitStat polls one service-stat accessor until it reaches want.
-func waitStat(t *testing.T, name string, get func() int64, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for get() < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s did not reach %d (at %d)", name, want, get())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // TestServiceTornWriteRecovery is the satellite acceptance test: truncate
 // a disk-tier entry AND its shared-store twin mid-file, restart the
@@ -46,8 +35,10 @@ func TestServiceTornWriteRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStat(t, "diskWrites", func() int64 { return s1.Stats().DiskWrites }, 1)
-	waitStat(t, "storeWrites", func() int64 { return s1.Stats().StoreWrites }, 1)
+	flush(t, s1)
+	if st := s1.Stats(); st.DiskWrites != 1 || st.StoreWrites != 1 {
+		t.Fatalf("original not persisted to both tiers: %+v", st)
+	}
 
 	// Tear both persistent copies mid-file, as a crash mid-write (or a
 	// filesystem that lied about durability) would.
@@ -79,10 +70,9 @@ func TestServiceTornWriteRecovery(t *testing.T) {
 	if err := driver.Equivalent(c1, c2); err != nil {
 		t.Fatalf("recompiled result differs from original: %v", err)
 	}
-	waitStat(t, "diskWrites", func() int64 { return s2.Stats().DiskWrites }, 1)
-	waitStat(t, "storeWrites", func() int64 { return s2.Stats().StoreWrites }, 1)
+	flush(t, s2)
 	st := s2.Stats()
-	if st.DiskHits != 0 || st.StoreHits != 0 || st.Misses != 1 {
+	if st.DiskHits != 0 || st.StoreHits != 0 || st.Misses != 1 || st.DiskWrites != 1 || st.StoreWrites != 1 {
 		t.Fatalf("torn entries were served, not skipped: %+v", st)
 	}
 	if st.CorruptQuarantined != 2 {
@@ -118,7 +108,10 @@ func TestServiceInjectedTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // the tier is best-effort: the compile itself succeeds
 	}
-	waitStat(t, "diskErrors", func() int64 { return s1.Stats().DiskErrors }, 1)
+	flush(t, s1)
+	if st := s1.Stats(); st.DiskErrors != 1 {
+		t.Fatalf("torn write not counted: %+v", st)
+	}
 	if n := len(artifactFiles(t, dir)); n != 0 {
 		t.Fatalf("torn write committed %d artifacts; destination must stay untouched", n)
 	}
@@ -132,7 +125,7 @@ func TestServiceInjectedTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDiskWrites(t, s2, 1)
+	flush(t, s2)
 	if err := driver.Equivalent(c1, c2); err != nil {
 		t.Fatalf("recompile differs: %v", err)
 	}
@@ -152,8 +145,8 @@ func TestDirStoreQuarantine(t *testing.T) {
 	if err := store.Quarantine(key); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := store.Get(key); ok {
-		t.Fatal("quarantined entry still readable under its key")
+	if data, err := store.Get(key); data != nil || err != nil {
+		t.Fatalf("quarantined entry still readable under its key: %q, %v", data, err)
 	}
 	evidence := filepath.Join(store.Dir(), key+".artifact.json.corrupt")
 	if b, err := os.ReadFile(evidence); err != nil || string(b) != "junk" {
@@ -177,11 +170,170 @@ func TestDirStoreInjectedENOSPC(t *testing.T) {
 	if err := store.Put(key, []byte("data")); !errors.Is(err, faultinject.ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace, got %v", err)
 	}
-	if _, ok := store.Get(key); ok {
+	if data, _ := store.Get(key); data != nil {
 		t.Fatal("failed Put still committed an entry")
 	}
 	ents, _ := os.ReadDir(store.Dir())
 	if len(ents) != 0 {
 		t.Fatalf("ENOSPC left %d files behind", len(ents))
+	}
+}
+
+// encodedOf answers (g, opts) through the server's face of the service.
+func encodedOf(t *testing.T, s *core.Service, name string) []byte {
+	t.Helper()
+	g, opts := cacheGraph(t, name), cacheOpts()
+	hash, err := core.HashOf(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Encoded(context.Background(), hash, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestServiceDamagedEntries: a disk-tier hit is served on the sidecar's
+// word alone, so the sidecar check is the whole defence. An entry or a
+// sidecar that was truncated or had one byte flipped is quarantined once
+// (both files to *.corrupt), counted once, and the request is answered by
+// a recompile equivalent to the original whose bytes then repair the tier.
+// An entry with no sidecar at all is not evidence of anything: a plain
+// miss, overwritten in place.
+func TestServiceDamagedEntries(t *testing.T) {
+	truncate := func(t *testing.T, path string) {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := func(t *testing.T, path string) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name        string
+		damage      func(t *testing.T, entry string)
+		quarantined int64
+	}{
+		{"entry truncated", func(t *testing.T, e string) { truncate(t, e) }, 1},
+		{"entry byte flipped", func(t *testing.T, e string) { flip(t, e) }, 1},
+		{"sidecar truncated", func(t *testing.T, e string) { truncate(t, e+".sha256") }, 1},
+		{"sidecar byte flipped", func(t *testing.T, e string) { flip(t, e+".sha256") }, 1},
+		{"sidecar absent", func(t *testing.T, e string) {
+			if err := os.Remove(e + ".sha256"); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1 := core.NewService(core.ServiceConfig{CacheDir: dir})
+			original := encodedOf(t, s1, "damaged")
+			flush(t, s1)
+			files := artifactFiles(t, dir)
+			if len(files) != 1 {
+				t.Fatalf("%d artifacts on disk, want 1", len(files))
+			}
+			tc.damage(t, files[0])
+
+			s2 := core.NewService(core.ServiceConfig{CacheDir: dir})
+			recompiled := encodedOf(t, s2, "damaged")
+			flush(t, s2)
+			st := s2.Stats()
+			if st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 || st.CorruptQuarantined != tc.quarantined {
+				t.Fatalf("damaged entry: stats %+v, want a recompile and %d quarantined", st, tc.quarantined)
+			}
+			for _, f := range []string{files[0], files[0] + ".sha256"} {
+				_, err := os.Stat(f + ".corrupt")
+				if kept := err == nil; kept != (tc.quarantined == 1) {
+					t.Errorf("%s.corrupt kept = %v", filepath.Base(f), kept)
+				}
+			}
+			want, err := artifact.Decode(original)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := artifact.Decode(recompiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := driver.EquivalentArtifacts(want, got); err != nil {
+				t.Fatalf("recompile differs from the original: %v", err)
+			}
+
+			s3 := core.NewService(core.ServiceConfig{CacheDir: dir})
+			if repaired := encodedOf(t, s3, "damaged"); !bytes.Equal(repaired, recompiled) {
+				t.Error("repaired tier does not serve the recompile's bytes")
+			}
+			if st := s3.Stats(); st.DiskHits != 1 || st.Misses != 0 || st.CorruptQuarantined != 0 {
+				t.Fatalf("repaired entry not served clean: %+v", st)
+			}
+		})
+	}
+}
+
+// gatedStore is an ArtifactStore whose Put blocks until released.
+type gatedStore struct {
+	*fleet.DirStore
+	gate chan struct{}
+}
+
+func (g gatedStore) Put(key string, data []byte) error {
+	<-g.gate
+	return g.DirStore.Put(key, data)
+}
+
+// TestServiceFlushAndClose: background work has an owner. A compile is
+// answered before its artifact is persisted; Flush is the barrier that
+// waits for the write (and says so when it cannot), a compilation whose
+// caller gave up still finishes under it, and Close refuses new work.
+func TestServiceFlushAndClose(t *testing.T) {
+	store := gatedStore{fleet.NewDirStore(t.TempDir()), make(chan struct{})}
+	s := core.NewService(core.ServiceConfig{Shared: store})
+	ctx := context.Background()
+	if _, err := s.Compile(ctx, cacheGraph(t, "owned"), cacheOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Pending(); n != 1 {
+		t.Fatalf("%d background tasks after an answered compile with its persist gated, want 1", n)
+	}
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := s.Flush(expired); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Flush over a gated persist returned %v, want the context's error", err)
+	}
+
+	// A second compile whose caller is already gone runs detached.
+	if _, err := s.Compile(expired, cacheGraph(t, "abandoned"), cacheOpts()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller got %v", err)
+	}
+	close(store.gate)
+	flush(t, s)
+	if st := s.Stats(); st.Misses != 2 || st.StoreWrites != 2 || st.Entries != 2 || s.Pending() != 0 {
+		t.Fatalf("after Flush: %+v, pending %d; want both compiles finished and persisted", st, s.Pending())
+	}
+	if _, err := s.Compile(ctx, cacheGraph(t, "abandoned"), cacheOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Misses != 2 {
+		t.Fatalf("abandoned compile did not fill the table: %+v", st)
+	}
+
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compile(ctx, cacheGraph(t, "owned"), cacheOpts()); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("Compile after Close returned %v, want ErrClosed", err)
 	}
 }

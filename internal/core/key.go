@@ -4,64 +4,85 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"strconv"
 
 	"streammap/internal/artifact"
 	"streammap/internal/driver"
 	"streammap/internal/sdf"
 )
 
-// The canonical cache identity. One compilation has one name everywhere:
-// the serving layer's request coalescing, the ring that decides which
-// fleet node owns it, the disk tier's filename and the shared store's key
-// all derive from CanonicalKey/KeyHash, so "the same compile" can never
-// mean different things on different nodes.
+// The cache identity. One compilation has one name everywhere: the
+// service's table, the persistent stores' filenames, the ring that decides
+// which fleet node owns it and the /v1/artifact/{key} peer-fetch route all
+// use KeyHash(KeyOf(g, opts)), computed once where the request enters and
+// passed down.
 
-// CanonicalKey names a compilation: the graph fingerprint plus the
-// canonical (deterministically marshalled) wire form of its normalized
-// options — exactly the identity the artifact itself records.
-func CanonicalKey(fingerprint uint64, w artifact.Options) (string, error) {
-	b, err := json.Marshal(w)
+// KeyOf names a compilation: the artifact format version, the SHA-256 of
+// the graph's canonical structure (memoized on the graph) and the
+// deterministically marshalled wire form of the normalized options — so a
+// zero-value request and its explicit-default twin share one identity,
+// Workers never splits it, and bytes written by another format version are
+// never looked up.
+func KeyOf(g *sdf.Graph, opts Options) (string, error) {
+	b, err := keyBytes(g, opts)
+	return string(b), err
+}
+
+func keyBytes(g *sdf.Graph, opts Options) ([]byte, error) {
+	ob, err := json.Marshal(driver.ExportOptions(driver.Normalized(opts)))
+	if err != nil {
+		return nil, err
+	}
+	d := g.Digest()
+	b := make([]byte, 0, 8+2*len(d)+len(ob))
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, artifact.FormatVersion, 10)
+	b = append(b, '|')
+	b = hex.AppendEncode(b, d[:])
+	b = append(b, '|')
+	return append(b, ob...), nil
+}
+
+// KeyHash is the content address of a key: 32 hex characters, filesystem-
+// and URL-safe.
+func KeyHash(key string) string { return keyHash([]byte(key)) }
+
+// HashOf is KeyHash(KeyOf(g, opts)) without the key's round trip through a
+// string: what a caller that only routes by the hash asks for.
+func HashOf(g *sdf.Graph, opts Options) (string, error) {
+	b, err := keyBytes(g, opts)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%016x|%s", fingerprint, b), nil
+	return keyHash(b), nil
 }
 
-// KeyOf is CanonicalKey for a live (graph, options) pair, normalizing the
-// options first so a zero-value request and its explicit-default twin
-// share one identity.
-func KeyOf(g *sdf.Graph, opts Options) (string, error) {
-	return CanonicalKey(g.Fingerprint(), driver.ExportOptions(driver.Normalized(opts)))
+func keyHash(key []byte) string {
+	sum := sha256.Sum256(key)
+	var out [32]byte
+	hex.Encode(out[:], sum[:16])
+	return string(out[:])
 }
 
-// KeyHash is the content address of a canonical key: 32 hex characters,
-// filesystem- and URL-safe. It names disk-tier files, shared-store
-// entries and the /v1/artifact/{key} peer-fetch route.
-func KeyHash(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:16])
-}
-
-// ArtifactStore is the seam for the shared, fleet-wide artifact tier: a
-// content-addressed blob store consulted after the local tiers miss and
-// written after every successful compilation. fleet.DirStore is the
-// local-filesystem implementation; any keyed blob service satisfies it.
-// Implementations must be safe for concurrent use and must make Put
-// atomic with respect to Get (no torn reads). The tier is best-effort:
-// Get misses fall through to a compile, Put failures are counted
-// (ServiceStats.StoreErrors) and dropped.
+// ArtifactStore is a persistent tier of the compile cache: a
+// content-addressed blob store keyed by KeyHash, consulted in order after
+// the in-memory table misses and written after every successful
+// compilation. fleet.DirStore is the implementation for both the node's
+// private disk tier and the fleet-wide shared store. Implementations must
+// be safe for concurrent use by many processes. Every tier is best-effort:
+// a miss falls through to the next tier, a failed Put is counted and
+// dropped.
 type ArtifactStore interface {
-	Get(key string) (data []byte, ok bool)
+	// Get returns the bytes stored under key exactly as Put received them,
+	// or (nil, nil) when there is no usable entry. A non-nil error means
+	// the store held an entry that failed its integrity check and has set
+	// it aside.
+	Get(key string) ([]byte, error)
+	// Put stores data under key; a concurrent Get sees the complete value
+	// or a miss, never a prefix.
 	Put(key string, data []byte) error
-}
-
-// Quarantiner is the optional ArtifactStore extension for sidelining an
-// entry that failed validation instead of silently overwriting it: the
-// implementation moves the bytes out of the keyed namespace (e.g. rename
-// to *.corrupt) so the evidence survives for inspection and the next Put
-// starts clean. The service type-asserts for it; stores without it simply
-// leave the bad entry in place to be overwritten.
-type Quarantiner interface {
+	// Quarantine sets aside an entry whose bytes verified but do not decode
+	// to the requested compilation, preserving it for inspection and
+	// freeing the key. A missing entry is not an error.
 	Quarantine(key string) error
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -10,8 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streammap/internal/artifact"
 	"streammap/internal/driver"
 	"streammap/internal/faultinject"
+	"streammap/internal/fleet"
 	"streammap/internal/obs"
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -19,35 +22,34 @@ import (
 
 // ServiceConfig tunes a compile service.
 type ServiceConfig struct {
-	// MaxEntries bounds the LRU result cache (default 256).
+	// MaxEntries bounds the in-memory table (default 256).
 	MaxEntries int
-	// MaxConcurrent bounds compilations running at once; further requests
-	// queue (default GOMAXPROCS).
+	// MaxConcurrent bounds pipeline runs (compiles, remaps) in progress at
+	// once (default GOMAXPROCS). Hits and joiners never take a slot.
 	MaxConcurrent int
-	// CacheDir, when set, enables the second cache tier: a content-addressed
-	// on-disk store of encoded compile artifacts. LRU misses consult it
-	// before compiling, so a restarted service warm-starts from disk;
-	// successful compilations are written back atomically. Corrupt,
-	// truncated or format-version-mismatched entries are ignored and
-	// overwritten. Empty disables the tier.
+	// MaxQueue bounds the runs waiting for a slot; one more fails with
+	// ErrBusy. Zero means unbounded: library callers queue, the network
+	// server sheds load.
+	MaxQueue int
+	// CacheDir, when set, enables the private disk tier: a
+	// content-addressed directory of encoded artifacts (fleet.DirStore).
+	// Table misses consult it before compiling, so a restarted service
+	// warm-starts from disk; successful compilations are written back.
 	CacheDir string
-	// Shared, when set, enables the third cache tier: a fleet-wide
-	// content-addressed artifact store (typically fleet.DirStore on a
-	// shared filesystem) consulted after both local tiers miss and written
-	// after every successful compilation. A freshly started node
-	// warm-starts from it, so joining a fleet never means cold compiles
-	// for keys the fleet already knows. Hits are write-through cached into
-	// CacheDir. Nil disables the tier.
+	// Shared, when set, enables the fleet-wide tier (typically a
+	// fleet.DirStore on a shared filesystem), consulted after the disk
+	// tier and written after every successful compilation. A freshly
+	// started node warm-starts from it; hits are written through into
+	// CacheDir.
 	Shared ArtifactStore
 	// Faults, when non-nil, threads deterministic fault injection through
 	// the disk tier's writes (torn writes, silent corruption, ENOSPC).
 	// Chaos-tier testing only; nil in production, where every seam is a
 	// no-op.
 	Faults *faultinject.Injector
-	// Metrics, when non-nil, registers the service's cache and pipeline
-	// metrics (tier probe latencies, per-stage durations, the ServiceStats
-	// counters) on this registry — internal/server passes its own so one
-	// /metrics exposition covers the whole node. Nil leaves every
+	// Metrics, when non-nil, registers the service's cache, admission and
+	// pipeline metrics on this registry — internal/server passes its own
+	// so one /metrics exposition covers the whole node. Nil leaves every
 	// instrument a no-op.
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives the service's structured log records
@@ -69,26 +71,32 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 // are part of the serving wire format: internal/server's /stats endpoint
 // embeds this struct verbatim.
 type ServiceStats struct {
-	Hits        int64 `json:"hits"`        // requests served from the in-memory tier (incl. join-in-flight)
+	Hits        int64 `json:"hits"`        // requests answered from the in-memory table (incl. join-in-flight)
 	Misses      int64 `json:"misses"`      // requests that ran a full compilation
-	Evictions   int64 `json:"evictions"`   // LRU entries dropped by the MaxEntries bound
-	DiskHits    int64 `json:"diskHits"`    // requests served from the disk tier without compiling
+	Evictions   int64 `json:"evictions"`   // table entries dropped by the MaxEntries bound
+	DiskHits    int64 `json:"diskHits"`    // requests answered from the disk tier without compiling
 	DiskWrites  int64 `json:"diskWrites"`  // artifacts persisted to the disk tier
 	DiskErrors  int64 `json:"diskErrors"`  // failed disk-tier writes (the tier is best-effort)
-	StoreHits   int64 `json:"storeHits"`   // requests served from the shared store without compiling
+	StoreHits   int64 `json:"storeHits"`   // requests answered from the shared store without compiling
 	StoreWrites int64 `json:"storeWrites"` // artifacts persisted to the shared store
 	StoreErrors int64 `json:"storeErrors"` // failed shared-store writes (the tier is best-effort)
 	// CorruptQuarantined counts persistent-tier entries that failed
 	// validation and were moved aside to *.corrupt instead of being
-	// silently overwritten (version-mismatched entries are exempt — those
-	// are an upgrade path, not corruption).
+	// served or silently overwritten.
 	CorruptQuarantined int64 `json:"corruptQuarantined"`
-	Entries            int   `json:"entries"` // entries currently in the in-memory tier
+	Entries            int   `json:"entries"` // entries currently in the in-memory table
 
 	// Engine aggregates the estimation-engine memo counters over every
-	// compilation this service actually ran (cache and disk hits don't
-	// contribute — no pipeline pass ran for them).
+	// compilation this service actually ran (hits don't contribute — no
+	// pipeline pass ran for them).
 	Engine EngineStats `json:"engine"`
+
+	// The admission and flight gauges below are reported by
+	// internal/server at the top level of /stats, not here.
+	Coalesced int64 `json:"-"` // requests that joined another request's in-flight run (also in Hits when it was a compile)
+	Encodes   int64 `json:"-"` // artifact export+encode runs
+	InFlight  int64 `json:"-"` // runs holding a slot
+	Queued    int64 `json:"-"` // runs waiting for a slot
 }
 
 // EngineStats is the wire form of the estimation engine's memo counters —
@@ -112,62 +120,56 @@ func EngineStatsOf(s pee.Stats) EngineStats {
 	}
 }
 
-// cacheKey identifies a compilation result: graph structure, device,
-// topology and every option that influences the outcome. Workers is
-// deliberately excluded — it changes wall-clock, never the result.
-type cacheKey struct {
-	graph       uint64
-	device      string
-	topo        string
-	fragIters   int
-	partitioner PartitionerKind
-	mapper      MapperKind
-	ilpMax      int
-	ilpBudget   time.Duration
-	forceILP    bool
-	mlThreshold int
-}
+var (
+	// ErrBusy reports that MaxQueue runs were already waiting for a slot.
+	ErrBusy = errors.New("core: compile queue full")
+	// ErrClosed reports a request made after Close.
+	ErrClosed = errors.New("core: service closed")
+)
 
-func keyOf(g *sdf.Graph, opts Options) cacheKey {
-	// Normalize first so a zero-value request and its explicit-default
-	// twin (e.g. Topo nil vs PairedTree(1), FragmentIters 0 vs 512) share
-	// one cache entry.
-	opts = driver.Normalized(opts)
-	return cacheKey{
-		graph:       g.Fingerprint(),
-		device:      fmt.Sprintf("%+v", opts.Device),
-		topo:        opts.Topo.Key(),
-		fragIters:   opts.FragmentIters,
-		partitioner: opts.Partitioner,
-		mapper:      opts.Mapper,
-		ilpMax:      opts.MapOptions.ILPMaxParts,
-		ilpBudget:   opts.MapOptions.TimeBudget,
-		forceILP:    opts.MapOptions.ForceILP,
-		mlThreshold: opts.MultilevelThreshold,
-	}
-}
-
-// entry is one cached (possibly in-flight) compilation.
+// entry is one slot of the table: in flight until done closes, then either
+// failed (err) or the encoded artifact, with the live *Compiled beside it
+// once a library caller has needed one.
 type entry struct {
-	done chan struct{} // closed when c/err are final
-	c    *Compiled
+	key  string
+	done chan struct{}
+	data []byte
 	err  error
+
+	once sync.Once // guards rehydrating c from data
+	c    *Compiled
+	cerr error
 }
 
-// Service compiles many stream graphs concurrently, deduplicating identical
-// in-flight requests and caching results in up to three tiers keyed by
-// (graph fingerprint, device, topology, options): an in-memory LRU of live
-// results, optionally (ServiceConfig.CacheDir) a content-addressed on-disk
-// store of encoded compile artifacts that survives restarts, and optionally
-// (ServiceConfig.Shared) a fleet-wide shared artifact store that survives
-// the node itself. It is safe for concurrent use.
+// tier is one persistent store with its counters and instruments.
+type tier struct {
+	name  string // "disk" or "store": the metrics label
+	span  string
+	store ArtifactStore
+	probe *obs.Histogram // probe latency, hit or miss
+
+	hits, writes, errors atomic.Int64
+}
+
+// Service answers compile requests from one table keyed by KeyHash. An
+// entry is a run in flight (concurrent duplicates join it) or a finished
+// compilation's encoded artifact; a miss walks the persistent tiers — the
+// private disk directory (ServiceConfig.CacheDir), then the fleet-wide
+// shared store (ServiceConfig.Shared) — and only then takes an admission
+// slot and runs the pipeline. The encoding produced by a fresh compile is
+// the one every later hit, every store and every peer is handed. It is
+// safe for concurrent use.
 //
-// The cache returns the same *Compiled to every caller with an equal key;
+// Compile returns the same *Compiled to every caller with an equal key;
 // treat compiled results as immutable (copy the Plan before mutating it, as
 // the experiments do).
 type Service struct {
 	cfg ServiceConfig
 	sem chan struct{}
+
+	disk, shared tier
+	tiers        []*tier // the configured ones, in probe order
+	private      int     // tiers[:private] are this node's own; peer bytes are written there
 
 	// compileFn runs one compilation; driver.Compile in production, a seam
 	// for tests that need a compile to block or fail on cue.
@@ -177,39 +179,23 @@ type Service struct {
 	// requests may share one *Graph, and Graph.Steady mutates it.
 	steadyMu sync.Mutex
 
-	mu     sync.Mutex
-	lru    *list.List // of *lruItem, most recent at front
-	byKey  map[cacheKey]*list.Element
-	byHash map[string]*list.Element // same entries, keyed by KeyHash (fleet lookups)
+	mu      sync.Mutex
+	lru     *list.List // of *entry, most recent at front
+	table   map[string]*list.Element
+	closed  bool
+	pending int           // detached runs and persists not yet finished
+	idle    chan struct{} // closed when pending drops to zero; nil unless a Flush waits
 
-	hits               atomic.Int64
-	misses             atomic.Int64
-	evictions          atomic.Int64
-	diskHits           atomic.Int64
-	diskWrites         atomic.Int64
-	diskErrors         atomic.Int64
-	storeHits          atomic.Int64
-	storeWrites        atomic.Int64
-	storeErrors        atomic.Int64
-	corruptQuarantined atomic.Int64
-
-	engQueries    atomic.Int64
-	engMisses     atomic.Int64
-	engCollisions atomic.Int64
+	hits, misses, evictions, coalesced, encodes atomic.Int64
+	corruptQuarantined, queued, inFlight        atomic.Int64
+	engQueries, engMisses, engCollisions        atomic.Int64
 
 	// Observability (nil-safe: a service built without ServiceConfig.Metrics
 	// pays a nil check per observation and nothing else).
-	log        *slog.Logger
-	probeDisk  *obs.Histogram    // disk-tier probe latency, hit or miss
-	probeStore *obs.Histogram    // shared-store probe latency, hit or miss
-	compileDur *obs.Histogram    // full pipeline wall-clock, fresh compiles only
-	stageDur   *obs.HistogramVec // per-stage wall-clock by stage name
-}
-
-type lruItem struct {
-	key  cacheKey
-	hash string // KeyHash of the canonical key
-	e    *entry
+	log           *slog.Logger
+	admissionWait *obs.Histogram    // time runs spent waiting for a slot, rejections included
+	compileDur    *obs.Histogram    // full pipeline wall-clock, fresh compiles only
+	stageDur      *obs.HistogramVec // per-stage wall-clock by stage name
 }
 
 // NewService returns a compile service.
@@ -220,12 +206,22 @@ func NewService(cfg ServiceConfig) *Service {
 		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		compileFn: driver.Compile,
 		lru:       list.New(),
-		byKey:     map[cacheKey]*list.Element{},
-		byHash:    map[string]*list.Element{},
+		table:     map[string]*list.Element{},
 		log:       cfg.Logger,
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
+	}
+	s.disk.name, s.disk.span = "disk", "cache.disk"
+	s.shared.name, s.shared.span = "store", "cache.store"
+	if cfg.CacheDir != "" {
+		s.disk.store = fleet.NewDirStore(cfg.CacheDir).WithFaults(cfg.Faults)
+		s.tiers = append(s.tiers, &s.disk)
+		s.private = 1
+	}
+	if cfg.Shared != nil {
+		s.shared.store = cfg.Shared
+		s.tiers = append(s.tiers, &s.shared)
 	}
 	s.registerMetrics(cfg.Metrics)
 	return s
@@ -233,40 +229,43 @@ func NewService(cfg ServiceConfig) *Service {
 
 // registerMetrics puts the service's counters and latency histograms on
 // reg (a nil registry registers nothing and leaves every instrument a
-// no-op). The existing ServiceStats atomics stay the source of truth —
-// they are bridged in at scrape time — so /stats and /metrics can never
+// no-op). The atomics behind ServiceStats stay the source of truth — they
+// are bridged in at scrape time — so /stats and /metrics can never
 // disagree.
 func (s *Service) registerMetrics(reg *obs.Registry) {
-	s.probeDisk = reg.Histogram("streammap_cache_probe_seconds",
-		"Cache tier probe latency by tier, hit or miss.", nil, obs.Label{Key: "tier", Value: "disk"})
-	s.probeStore = reg.Histogram("streammap_cache_probe_seconds",
-		"Cache tier probe latency by tier, hit or miss.", nil, obs.Label{Key: "tier", Value: "store"})
+	s.admissionWait = reg.Histogram("streammap_admission_wait_seconds",
+		"Time runs spent waiting for a compile slot, rejections included.", nil)
 	s.compileDur = reg.Histogram("streammap_compile_seconds",
 		"Full pipeline wall-clock for fresh compiles (cache hits excluded).", nil)
 	s.stageDur = reg.HistogramVec("streammap_stage_duration_seconds",
 		"Pipeline stage wall-clock by stage name.", "stage", nil)
 
-	bridge := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
+	counter := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
 		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
 	}
-	bridge("streammap_cache_hits_total", "Cache hits by tier.", &s.hits, obs.Label{Key: "tier", Value: "memory"})
-	bridge("streammap_cache_hits_total", "Cache hits by tier.", &s.diskHits, obs.Label{Key: "tier", Value: "disk"})
-	bridge("streammap_cache_hits_total", "Cache hits by tier.", &s.storeHits, obs.Label{Key: "tier", Value: "store"})
-	bridge("streammap_cache_misses_total", "Requests that ran a full compilation.", &s.misses)
-	bridge("streammap_cache_evictions_total", "In-memory LRU entries evicted.", &s.evictions)
-	bridge("streammap_cache_writes_total", "Artifacts persisted by tier.", &s.diskWrites, obs.Label{Key: "tier", Value: "disk"})
-	bridge("streammap_cache_writes_total", "Artifacts persisted by tier.", &s.storeWrites, obs.Label{Key: "tier", Value: "store"})
-	bridge("streammap_cache_errors_total", "Failed persistent-tier writes by tier.", &s.diskErrors, obs.Label{Key: "tier", Value: "disk"})
-	bridge("streammap_cache_errors_total", "Failed persistent-tier writes by tier.", &s.storeErrors, obs.Label{Key: "tier", Value: "store"})
-	bridge("streammap_corrupt_quarantined_total", "Persistent-tier entries quarantined after failing validation.", &s.corruptQuarantined)
-	bridge("streammap_engine_queries_total", "Estimation-engine memo queries across fresh compiles.", &s.engQueries)
-	bridge("streammap_engine_misses_total", "Estimation-engine memo misses across fresh compiles.", &s.engMisses)
-	bridge("streammap_engine_collisions_total", "Estimation-engine memo collisions across fresh compiles.", &s.engCollisions)
-	reg.GaugeFunc("streammap_cache_entries", "Entries in the in-memory tier.", func() float64 {
-		s.mu.Lock()
-		n := s.lru.Len()
-		s.mu.Unlock()
-		return float64(n)
+	gauge := func(name, help string, v *atomic.Int64) {
+		reg.GaugeFunc(name, help, func() float64 { return float64(v.Load()) })
+	}
+	counter("streammap_cache_hits_total", "Cache hits by tier.", &s.hits, obs.Label{Key: "tier", Value: "memory"})
+	for _, t := range []*tier{&s.disk, &s.shared} {
+		label := obs.Label{Key: "tier", Value: t.name}
+		t.probe = reg.Histogram("streammap_cache_probe_seconds", "Cache tier probe latency by tier, hit or miss.", nil, label)
+		counter("streammap_cache_hits_total", "Cache hits by tier.", &t.hits, label)
+		counter("streammap_cache_writes_total", "Artifacts persisted by tier.", &t.writes, label)
+		counter("streammap_cache_errors_total", "Failed persistent-tier writes by tier.", &t.errors, label)
+	}
+	counter("streammap_cache_misses_total", "Requests that ran a full compilation.", &s.misses)
+	counter("streammap_cache_evictions_total", "In-memory table entries evicted.", &s.evictions)
+	counter("streammap_corrupt_quarantined_total", "Persistent-tier entries quarantined after failing validation.", &s.corruptQuarantined)
+	counter("streammap_coalesced_total", "Requests that joined another request's in-flight run.", &s.coalesced)
+	counter("streammap_artifact_encodes_total", "Artifact export+encode runs (hits serve the stored bytes).", &s.encodes)
+	counter("streammap_engine_queries_total", "Estimation-engine memo queries across fresh compiles.", &s.engQueries)
+	counter("streammap_engine_misses_total", "Estimation-engine memo misses across fresh compiles.", &s.engMisses)
+	counter("streammap_engine_collisions_total", "Estimation-engine memo collisions across fresh compiles.", &s.engCollisions)
+	gauge("streammap_in_flight", "Runs holding a compile slot.", &s.inFlight)
+	gauge("streammap_queued", "Runs waiting for a compile slot.", &s.queued)
+	reg.GaugeFunc("streammap_cache_entries", "Entries in the in-memory table.", func() float64 {
+		return float64(s.Stats().Entries)
 	})
 }
 
@@ -279,12 +278,12 @@ func (s *Service) Stats() ServiceStats {
 		Hits:               s.hits.Load(),
 		Misses:             s.misses.Load(),
 		Evictions:          s.evictions.Load(),
-		DiskHits:           s.diskHits.Load(),
-		DiskWrites:         s.diskWrites.Load(),
-		DiskErrors:         s.diskErrors.Load(),
-		StoreHits:          s.storeHits.Load(),
-		StoreWrites:        s.storeWrites.Load(),
-		StoreErrors:        s.storeErrors.Load(),
+		DiskHits:           s.disk.hits.Load(),
+		DiskWrites:         s.disk.writes.Load(),
+		DiskErrors:         s.disk.errors.Load(),
+		StoreHits:          s.shared.hits.Load(),
+		StoreWrites:        s.shared.writes.Load(),
+		StoreErrors:        s.shared.errors.Load(),
 		CorruptQuarantined: s.corruptQuarantined.Load(),
 		Entries:            entries,
 		Engine: EngineStatsOf(pee.Stats{
@@ -292,122 +291,283 @@ func (s *Service) Stats() ServiceStats {
 			Misses:     s.engMisses.Load(),
 			Collisions: s.engCollisions.Load(),
 		}),
+		Coalesced: s.coalesced.Load(),
+		Encodes:   s.encodes.Load(),
+		InFlight:  s.inFlight.Load(),
+		Queued:    s.queued.Load(),
 	}
 }
 
-// Compile returns the compilation of g under opts, serving repeats from
-// the cache tiers — the in-memory LRU, then the on-disk artifact store,
-// then the shared fleet store — and joining concurrent duplicates onto one
-// in-flight compilation. Failed compilations are not cached. Results
-// served from the persistent tiers carry empty Stages provenance: no
-// pipeline pass ran for them.
+// Compile returns the compilation of g under opts. A repeat is answered
+// from the table, a concurrent duplicate joins the run in flight, a
+// restarted service finds the artifact in its persistent tiers; failed
+// compilations are not cached. A result that did not come from a pipeline
+// run in this process — a persistent-tier hit, bytes a server request or a
+// peer left in the table — is rebuilt from its encoding on first use and
+// carries empty Stages provenance.
 func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.ensureSteady(g); err != nil {
-		return nil, err
-	}
-	key := keyOf(g, opts)
-	// The canonical hash names this compilation in the persistent tiers
-	// and the fleet ring; its cost (one options marshal) is on par with
-	// keyOf's own normalization.
-	ck, err := KeyOf(g, opts)
+	hash, err := HashOf(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	hash := KeyHash(ck)
-
-	_, memSpan := obs.StartSpan(ctx, "cache.memory")
-	s.mu.Lock()
-	if el, ok := s.byKey[key]; ok {
-		s.lru.MoveToFront(el)
-		e := el.Value.(*lruItem).e
-		s.mu.Unlock()
-		memSpan.SetNote("hit")
-		memSpan.End()
-		s.hits.Add(1)
-		select {
-		case <-e.done:
-			return e.c, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	e, err := s.resolve(ctx, hash, g, opts, true)
+	if err != nil {
+		return nil, err
 	}
-	e := &entry{done: make(chan struct{})}
-	el := s.lru.PushFront(&lruItem{key: key, hash: hash, e: e})
-	s.byKey[key] = el
-	s.byHash[hash] = el
-	s.evictLocked()
-	s.mu.Unlock()
-	memSpan.SetNote("miss")
-	memSpan.End()
+	e.once.Do(func() {
+		if e.c == nil {
+			e.c, e.cerr = s.rehydrate(e.data, g, opts)
+		}
+	})
+	if e.cerr != nil {
+		s.drop(e)
+	}
+	return e.c, e.cerr
+}
 
-	// The compilation runs detached from the requesting context: other
-	// callers may have joined this entry, and one caller's cancellation
-	// must not poison theirs. The originator still returns promptly on its
-	// own ctx; an abandoned compilation finishes and populates the cache.
-	// WithoutCancel keeps the context's values — the leader's trace — so
-	// tier probes and pipeline stages still land in the right trace (the
-	// trace drops them if the request already finished without them).
-	dctx := context.WithoutCancel(ctx)
-	go func() {
-		s.sem <- struct{}{}
-		var persist *Compiled
-		if c, ok := s.probeDiskTier(dctx, hash, g, opts); ok {
-			// Disk tier hit: the artifact is rehydrated (partitions
-			// re-extracted, estimates/PDG/assignment restored verbatim, plan
-			// reassembled) without running any pipeline stage.
-			s.diskHits.Add(1)
-			e.c = c
-		} else if c, ok := s.probeStoreTier(dctx, hash, g, opts); ok {
-			// Shared-store hit: some fleet node compiled this key before;
-			// rehydrate it here the same way, again with no pipeline stage.
-			s.storeHits.Add(1)
-			e.c = c
-		} else {
-			s.misses.Add(1)
-			cstart := time.Now()
-			cctx, span := obs.StartSpan(dctx, "compile")
-			e.c, e.err = s.compileFn(cctx, g, opts)
-			span.End()
-			if e.err == nil {
-				s.compileDur.ObserveSince(cstart)
-				persist = e.c
-				for _, st := range e.c.Stages {
-					s.stageDur.With(st.Name).Observe(st.Duration.Seconds())
-				}
-				// Fold this compilation's estimation-engine counters into the
-				// service-wide aggregate. Only fresh compiles contribute: a
-				// disk hit rehydrates with an untouched engine, and a memory
-				// hit re-serves a result already counted.
-				if e.c.Engine != nil {
-					es := e.c.Engine.Stats()
-					s.engQueries.Add(es.Queries)
-					s.engMisses.Add(es.Misses)
-					s.engCollisions.Add(es.Collisions)
-				}
+// Encoded is Compile for callers that want the bytes: it returns the
+// encoded artifact of g under opts, identical for every caller of hash and
+// for every tier it is later read from. hash is HashOf(g, opts),
+// which the caller has already derived to route the request.
+func (s *Service) Encoded(ctx context.Context, hash string, g *sdf.Graph, opts Options) ([]byte, error) {
+	e, err := s.resolve(ctx, hash, g, opts, false)
+	if err != nil {
+		return nil, err
+	}
+	return e.data, nil
+}
+
+// resolve returns hash's finished entry. library marks a caller that will
+// want the *Compiled: a run it leads keeps the pipeline's own result and
+// only accepts stored bytes it can rebuild one from.
+func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, opts Options, library bool) (*entry, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	e, hit, err := s.lookup(ctx, hash, true)
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		go s.run(ctx, e, true, func(ctx context.Context) ([]byte, *Compiled, int, error) {
+			return s.fill(ctx, hash, g, opts, library)
+		})
+	}
+	return s.await(ctx, e, hit)
+}
+
+// Flight runs fn once for all concurrent callers of key, under the same
+// admission bound as a compile, and hands every caller its result. Nothing
+// is retained once it finishes — this is the coalescing half of the table
+// without the cache, for work (remaps) whose input is not a cache key. key
+// must not be a KeyHash.
+func (s *Service) Flight(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+	e, hit, err := s.lookup(ctx, key, false)
+	if err != nil {
+		return nil, err
+	}
+	if !hit {
+		go s.run(ctx, e, false, func(ctx context.Context) ([]byte, *Compiled, int, error) {
+			release, err := s.admit(ctx)
+			if err != nil {
+				return nil, nil, 0, err
 			}
+			defer release()
+			data, err := fn(ctx)
+			return data, nil, 0, err
+		})
+	}
+	if e, err = s.await(ctx, e, hit); err != nil {
+		return nil, err
+	}
+	return e.data, nil
+}
+
+// lookup returns key's table entry. When there is none (hit false) it
+// creates one, and the caller leads: it must start the entry's run. cached
+// says key names a compilation, so finding its entry is a cache hit rather
+// than only an overlap with another caller.
+func (s *Service) lookup(ctx context.Context, key string, cached bool) (e *entry, hit bool, err error) {
+	var span *obs.Span
+	if cached {
+		_, span = obs.StartSpan(ctx, "cache.memory")
+		defer span.End()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, ErrClosed
+	}
+	if el, ok := s.table[key]; ok {
+		s.lru.MoveToFront(el)
+		span.SetNote("hit")
+		if cached {
+			s.hits.Add(1)
 		}
-		<-s.sem
-		if e.err != nil {
-			s.drop(key, el)
-		}
-		close(e.done)
-		// Persist after waiters are released: the persistent tiers are
-		// best-effort and must never sit on the compile critical path.
-		// Compiled results are immutable once published, so encoding after
-		// close is safe.
-		if persist != nil {
-			s.persistEncoded(hash, persist)
-		}
-	}()
+		return el.Value.(*entry), true, nil
+	}
+	span.SetNote("miss")
+	e = &entry{key: key, done: make(chan struct{})}
+	s.table[key] = s.lru.PushFront(e)
+	s.evictLocked()
+	s.pending++
+	return e, false, nil
+}
+
+// await blocks until e is final or ctx ends. A caller that has to wait on
+// a run it found already going is coalesced onto it.
+func (s *Service) await(ctx context.Context, e *entry, hit bool) (*entry, error) {
 	select {
 	case <-e.done:
-		return e.c, e.err
+		return e, e.err
+	default:
+	}
+	if hit {
+		s.coalesced.Add(1)
+		_, span := obs.StartSpan(ctx, "coalesce.join")
+		defer span.End()
+	}
+	select {
+	case <-e.done:
+		return e, e.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// evictLocked enforces MaxEntries; the caller holds s.mu. In-flight entries
+// can be evicted — their waiters still complete, the result just is not
+// retained.
+func (s *Service) evictLocked() {
+	for s.lru.Len() > s.cfg.MaxEntries {
+		s.removeLocked(s.lru.Back().Value.(*entry))
+		s.evictions.Add(1)
+	}
+}
+
+// run is the detached body of one entry's flight. It is detached from the
+// requesting context because other callers may have joined the entry, and
+// one caller's cancellation must not poison theirs: every caller returns
+// promptly on its own ctx, and an abandoned run still finishes and fills
+// the table. WithoutCancel keeps the context's values — the leader's trace
+// — so tier probes and pipeline stages land in the right trace (the trace
+// drops them if the request already finished).
+//
+// work returns the encoded result, the live compilation if the entry should
+// keep it, and how many leading tiers to write the bytes to. Persisting
+// happens after the waiters are released: the tiers are best-effort and
+// never sit on the response path.
+func (s *Service) run(ctx context.Context, e *entry, retain bool, work func(context.Context) ([]byte, *Compiled, int, error)) {
+	defer s.finished()
+	var upto int
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("core: run for %s panicked: %v", e.key, r)
+			}
+		}()
+		e.data, e.c, upto, e.err = work(context.WithoutCancel(ctx))
+	}()
+	if e.err != nil || !retain {
+		s.drop(e)
+	}
+	close(e.done)
+	if e.err == nil {
+		s.persist(e.key, e.data, s.tiers[:upto])
+	}
+}
+
+// fill produces hash's bytes for a run: the first persistent tier holding
+// them, else a compilation under an admission slot.
+func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, opts Options, library bool) ([]byte, *Compiled, int, error) {
+	var c *Compiled
+	accept := func([]byte) error { return nil }
+	if library {
+		accept = func(data []byte) (err error) {
+			c, err = s.rehydrate(data, g, opts)
+			return err
+		}
+	}
+	if data, i := s.probe(ctx, hash, accept); data != nil {
+		return data, c, i, nil // write through into the tiers in front of the one that hit
+	}
+	if err := s.ensureSteady(g); err != nil {
+		return nil, nil, 0, err
+	}
+	release, err := s.admit(ctx)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer release()
+
+	s.misses.Add(1)
+	start := time.Now()
+	cctx, span := obs.StartSpan(ctx, "compile")
+	c, err = s.compileFn(cctx, g, opts)
+	span.End()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	s.compileDur.ObserveSince(start)
+	for _, st := range c.Stages {
+		s.stageDur.With(st.Name).Observe(st.Duration.Seconds())
+	}
+	// Only fresh compiles fold their estimation-engine counters into the
+	// service-wide aggregate: a hit re-serves a result already counted.
+	if c.Engine != nil {
+		es := c.Engine.Stats()
+		s.engQueries.Add(es.Queries)
+		s.engMisses.Add(es.Misses)
+		s.engCollisions.Add(es.Collisions)
+	}
+	data, err := s.Encode(ctx, c)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if !library {
+		c = nil // a server never asks for it; the bytes are the entry
+	}
+	return data, c, len(s.tiers), nil
+}
+
+// Encode exports and encodes one compilation, counted in
+// ServiceStats.Encodes.
+func (s *Service) Encode(ctx context.Context, c *Compiled) ([]byte, error) {
+	_, span := obs.StartSpan(ctx, "artifact.encode")
+	defer span.End()
+	s.encodes.Add(1)
+	a, err := c.Artifact()
+	if err != nil {
+		return nil, err
+	}
+	return a.Encode()
+}
+
+// admit takes a pipeline slot, queueing behind the MaxConcurrent running
+// ones; with MaxQueue set, one waiter too many is refused with ErrBusy. The
+// returned release must be called exactly once.
+func (s *Service) admit(ctx context.Context) (release func(), err error) {
+	start := time.Now()
+	_, span := obs.StartSpan(ctx, "admission.wait")
+	defer func() {
+		span.End()
+		s.admissionWait.ObserveSince(start)
+	}()
+	// The queued gauge counts waiters including those about to take a free
+	// slot, so the bound is approximate by design: admission stays one
+	// atomic, not a lock around the semaphore.
+	if s.queued.Add(1) > int64(s.cfg.MaxQueue) && s.cfg.MaxQueue > 0 {
+		s.queued.Add(-1)
+		span.SetNote("not admitted")
+		return nil, ErrBusy
+	}
+	s.sem <- struct{}{}
+	s.queued.Add(-1)
+	s.inFlight.Add(1)
+	return func() {
+		s.inFlight.Add(-1)
+		<-s.sem
+	}, nil
 }
 
 // ensureSteady lazily computes g's steady state under the service's lock:
@@ -422,36 +582,83 @@ func (s *Service) ensureSteady(g *sdf.Graph) error {
 	return g.Steady()
 }
 
-// drop removes a failed or abandoned entry so later requests retry.
-func (s *Service) drop(key cacheKey, el *list.Element) {
+// rehydrate decodes an encoded artifact and rebuilds a Compiled from it —
+// partitions re-extracted, estimates/PDG/assignment restored verbatim, plan
+// reassembled — without running any pipeline stage. FromArtifact rejects
+// bytes compiled from another graph or under other options.
+func (s *Service) rehydrate(data []byte, g *sdf.Graph, opts Options) (*Compiled, error) {
+	if err := s.ensureSteady(g); err != nil {
+		return nil, err
+	}
+	a, err := artifact.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return driver.FromArtifact(g, a, opts)
+}
+
+// drop removes a failed or unretained entry so later requests run afresh.
+func (s *Service) drop(e *entry) {
 	s.mu.Lock()
-	if cur, ok := s.byKey[key]; ok && cur == el {
-		s.removeLocked(el)
+	s.removeLocked(e)
+	s.mu.Unlock()
+}
+
+// removeLocked unlinks e if it is still the entry under its key; the
+// caller holds s.mu.
+func (s *Service) removeLocked(e *entry) {
+	if el, ok := s.table[e.key]; ok && el.Value == e {
+		s.lru.Remove(el)
+		delete(s.table, e.key)
+	}
+}
+
+// finished retires one unit of background work.
+func (s *Service) finished() {
+	s.mu.Lock()
+	s.pending--
+	if s.pending == 0 && s.idle != nil {
+		close(s.idle)
+		s.idle = nil
 	}
 	s.mu.Unlock()
 }
 
-// evictLocked enforces MaxEntries; the caller holds s.mu. In-flight entries
-// can be evicted — their waiters still complete, the result just is not
-// retained.
-func (s *Service) evictLocked() {
-	for s.lru.Len() > s.cfg.MaxEntries {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		s.removeLocked(back)
-		s.evictions.Add(1)
+// Flush waits until every detached run and every pending persistent-tier
+// write has finished, or ctx ends. Work started while it waits is waited
+// for too.
+func (s *Service) Flush(ctx context.Context) error {
+	s.mu.Lock()
+	if s.pending == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	idle := s.idle
+	s.mu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("core: flush: %d background tasks unfinished: %w", s.Pending(), ctx.Err())
 	}
 }
 
-// removeLocked unlinks one entry from the LRU and both indexes; the
-// caller holds s.mu.
-func (s *Service) removeLocked(el *list.Element) {
-	it := el.Value.(*lruItem)
-	s.lru.Remove(el)
-	delete(s.byKey, it.key)
-	if it.hash != "" && s.byHash[it.hash] == el {
-		delete(s.byHash, it.hash)
-	}
+// Pending reports the detached runs and persists not yet finished.
+func (s *Service) Pending() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pending
+}
+
+// Close refuses new requests (ErrClosed) and flushes. It is the shutdown
+// barrier: after a nil return nothing the service started is still running
+// and every artifact it answered with is in the persistent tiers.
+func (s *Service) Close(ctx context.Context) error {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	return s.Flush(ctx)
 }

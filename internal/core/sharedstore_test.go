@@ -1,35 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/fleet"
 )
-
-// waitStoreWrites blocks until the service has persisted `writes` artifacts
-// to the shared store (written off the compile critical path, like the
-// disk tier).
-func waitStoreWrites(t *testing.T, s *core.Service, writes int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.Stats()
-		if st.StoreErrors > 0 {
-			t.Fatalf("shared-store write failed: %+v", st)
-		}
-		if st.StoreWrites >= writes {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shared-store write did not complete: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 // TestServiceWarmStartsFromSharedStore is the fleet-join acceptance check
 // at the core layer: a brand-new node (fresh LRU, empty private disk dir)
@@ -46,7 +25,7 @@ func TestServiceWarmStartsFromSharedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitStoreWrites(t, a, 1)
+	flush(t, a)
 	if st := a.Stats(); st.Misses != 1 || st.StoreWrites != 1 || st.StoreHits != 0 {
 		t.Fatalf("node A stats %+v", st)
 	}
@@ -67,6 +46,7 @@ func TestServiceWarmStartsFromSharedStore(t *testing.T) {
 	if err := driver.Equivalent(c1, c2); err != nil {
 		t.Fatalf("store-served result differs from node A's compile: %v", err)
 	}
+	flush(t, b)
 	if n := len(artifactFiles(t, bDir)); n != 1 {
 		t.Fatalf("shared-store hit was not write-through cached to disk (%d files)", n)
 	}
@@ -92,7 +72,7 @@ func TestServiceTierOrder(t *testing.T) {
 	if _, err := s1.Compile(ctx, cacheGraph(t, "tiers"), cacheOpts()); err != nil {
 		t.Fatal(err)
 	}
-	waitStoreWrites(t, s1, 1)
+	flush(t, s1)
 
 	s2 := core.NewService(core.ServiceConfig{CacheDir: dir, Shared: shared})
 	if _, err := s2.Compile(ctx, cacheGraph(t, "tiers"), cacheOpts()); err != nil {
@@ -104,69 +84,81 @@ func TestServiceTierOrder(t *testing.T) {
 }
 
 // TestEncodedByHashAndIngest: the hash-keyed peer-serving face — a node
-// can export any cached compile as raw bytes, and another node can ingest
-// those bytes into its own tiers and serve them as a memory hit.
+// hands out any cached compile's bytes by hash alone, from the table or a
+// persistent tier, and another node ingests those bytes and serves them as
+// a hit: the same bytes to a server caller, a rebuilt *Compiled to a
+// library caller.
 func TestEncodedByHashAndIngest(t *testing.T) {
 	ctx := context.Background()
 	g := cacheGraph(t, "peerbytes")
 	opts := cacheOpts()
-	ck, err := core.KeyOf(g, opts)
+	hash, err := core.HashOf(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash := core.KeyHash(ck)
 
-	owner := core.NewService(core.ServiceConfig{CacheDir: t.TempDir()})
-	if _, err := owner.Compile(ctx, g, opts); err != nil {
+	dir := t.TempDir()
+	owner := core.NewService(core.ServiceConfig{CacheDir: dir})
+	c, err := owner.Compile(ctx, g, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok := owner.CompiledByHash(hash)
-	if !ok || c == nil {
+	data, ok := owner.EncodedByHash(ctx, hash)
+	if !ok || len(data) == 0 {
 		t.Fatal("owner cannot look up its own compile by hash")
 	}
-	a, err := c.Artifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := a.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The persistent tiers answer by hash too (disk write is async).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := owner.EncodedFromTiers(hash); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("EncodedFromTiers never served the persisted entry")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if _, ok := owner.CompiledByHash("feedfeedfeedfeedfeedfeedfeedfeed"); ok {
+	if _, ok := owner.EncodedByHash(ctx, "feedfeedfeedfeedfeedfeedfeedfeed"); ok {
 		t.Fatal("unknown hash reported a hit")
 	}
+	// The persistent tiers answer by hash too, with the same bytes.
+	flush(t, owner)
+	restarted := core.NewService(core.ServiceConfig{CacheDir: dir})
+	if fromDisk, ok := restarted.EncodedByHash(ctx, hash); !ok || !bytes.Equal(fromDisk, data) {
+		t.Fatal("restarted owner does not serve the persisted bytes by hash")
+	}
+	if st := restarted.Stats(); st.DiskHits != 1 || st.Entries != 1 {
+		t.Fatalf("disk-tier answer not counted or not kept in the table: %+v", st)
+	}
 
-	// A fetching node ingests the bytes: memory tier hit, no compile.
-	fetcher := core.NewService(core.ServiceConfig{})
+	// A fetching node ingests the bytes: table hit, no compile, and its
+	// own disk tier now holds them.
+	fetchDir := t.TempDir()
+	fetcher := core.NewService(core.ServiceConfig{CacheDir: fetchDir})
+	fetcher.Ingest(hash, data)
 	g2 := cacheGraph(t, "peerbytes")
-	if err := fetcher.IngestEncoded(g2, opts, data); err != nil {
-		t.Fatal(err)
+	served, err := fetcher.Encoded(ctx, hash, g2, opts)
+	if err != nil || !bytes.Equal(served, data) {
+		t.Fatalf("ingested bytes not served as they came: %v", err)
 	}
 	c2, err := fetcher.Compile(ctx, g2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := fetcher.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("ingested artifact not served from memory: %+v", st)
+	if st := fetcher.Stats(); st.Hits != 2 || st.Misses != 0 || st.Encodes != 0 {
+		t.Fatalf("ingested artifact not served from the table: %+v", st)
 	}
 	if err := driver.Equivalent(c, c2); err != nil {
 		t.Fatalf("ingested result differs: %v", err)
 	}
-
-	// Ingest refuses bytes for a different graph.
-	other := cacheGraph(t, "different-name")
-	if err := fetcher.IngestEncoded(other, opts, data); err == nil {
-		t.Fatal("IngestEncoded accepted an artifact for a different graph")
+	flush(t, fetcher)
+	if n := len(artifactFiles(t, fetchDir)); n != 1 {
+		t.Fatalf("ingested bytes not written to the private disk tier (%d files)", n)
 	}
+
+	// Bytes in the table under a key they were not compiled for are refused
+	// when a library caller needs the compilation — FromArtifact checks
+	// graph and options — and the poisoned entry is dropped, not kept.
+	other := cacheGraph(t, "different-name")
+	otherHash, err := core.HashOf(other, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetcher.Ingest(otherHash, data)
+	if _, err := fetcher.Compile(ctx, other, opts); err == nil {
+		t.Fatal("Compile rebuilt a result from another graph's artifact")
+	}
+	if _, err := fetcher.Compile(ctx, other, opts); err != nil {
+		t.Fatalf("dropped entry not recompiled: %v", err)
+	}
+	flush(t, fetcher)
 }

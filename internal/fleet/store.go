@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,35 +13,21 @@ import (
 	"streammap/internal/faultinject"
 )
 
-// Store is a shared content-addressed artifact store: the fleet-wide
-// third cache tier behind every node's memory LRU and private disk dir.
-// Keys are content-address hashes (hex, core.KeyHash); values are encoded
-// artifact bytes. Implementations must be safe for concurrent use by many
-// processes and must never return a partially written value — readers
-// validate content (artifact.Decode + fingerprint check) but rely on the
-// store for write atomicity.
+// DirStore is the directory-backed artifact store behind both persistent
+// cache tiers (core.ArtifactStore): a node's private disk tier and, on a
+// shared filesystem, the fleet-wide store every node warm-starts from.
+// Keys are content-address hashes (hex, core.KeyHash); a value lives in
+// <key>.artifact.json as the bare bytes Put received, beside a
+// <key>.artifact.json.sha256 sidecar holding their SHA-256 in hex.
 //
-// The store is best-effort by contract: a Get miss falls through to a
-// compile, a Put failure is counted and dropped. Nothing in the serving
-// path may block on it beyond a single read or write.
-type Store interface {
-	// Get returns the value for key, or ok=false on any miss (absent,
-	// unreadable — the caller cannot distinguish and must not need to).
-	Get(key string) (data []byte, ok bool)
-	// Put durably stores value under key, atomically: a concurrent Get
-	// sees either the complete value or a miss, never a prefix. Replays
-	// of the same content-addressed key are idempotent overwrites.
-	Put(key string, data []byte) error
-}
-
-// DirStore is the local-directory Store: one file per key under a root
-// directory, written with the same durable atomic discipline as the
-// service's disk cache tier (exclusive temp file, fsync, rename, fsync of
-// the parent directory). Pointing every node of a fleet at one DirStore
-// on a shared filesystem gives the fleet a common backing store; rename
-// is atomic on POSIX filesystems, so cross-process readers never observe
-// torn entries, and the directory fsync means a committed entry survives
-// a crash.
+// Put writes the sidecar, then the entry, each with the durable atomic
+// recipe (exclusive temp file, fsync, rename, fsync of the directory), so
+// an entry is never visible before its sidecar and a committed entry
+// survives a crash. Get returns bytes only when they hash to the sidecar:
+// one read and one hash vouch for the value, so callers can serve it
+// without decoding it. An entry without a sidecar (written by a build that
+// predates them, or half of an interrupted quarantine) is a miss the next
+// Put overwrites; an entry that contradicts its sidecar is quarantined.
 type DirStore struct {
 	dir    string
 	faults *faultinject.Injector
@@ -50,8 +39,8 @@ func NewDirStore(dir string) *DirStore { return &DirStore{dir: dir} }
 
 // WithFaults returns a view of the store whose writes go through fi's
 // torn-write/corruption/ENOSPC schedule — the chaos tier's seam into the
-// shared store. A nil injector returns s unchanged, so callers thread the
-// result through unconditionally.
+// persistent tiers. A nil injector returns s unchanged, so callers thread
+// the result through unconditionally.
 func (s *DirStore) WithFaults(fi *faultinject.Injector) *DirStore {
 	if fi == nil {
 		return s
@@ -62,8 +51,10 @@ func (s *DirStore) WithFaults(fi *faultinject.Injector) *DirStore {
 // Dir returns the store's root directory.
 func (s *DirStore) Dir() string { return s.dir }
 
-// path maps a key to its file. Keys are hex content hashes; anything else
-// is rejected by validKey before touching the filesystem.
+const sidecarExt = ".sha256"
+
+// path maps a key to its entry file. Keys are hex content hashes; anything
+// else is rejected by validKey before touching the filesystem.
 func (s *DirStore) path(key string) string {
 	return filepath.Join(s.dir, key+".artifact.json")
 }
@@ -83,39 +74,63 @@ func validKey(key string) bool {
 	return true
 }
 
-// Get implements Store.
-func (s *DirStore) Get(key string) ([]byte, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+func hexSum(data []byte) []byte {
+	sum := sha256.Sum256(data)
+	return hex.AppendEncode(make([]byte, 0, 2*len(sum)), sum[:])
 }
 
-// Put implements Store with a durable atomic write: exclusive temp file,
-// fsync, rename, fsync of the store directory.
+// Get returns the verified bytes stored under key, (nil, nil) on a miss
+// (absent, unreadable, no sidecar), or an error after quarantining an
+// entry that does not hash to its sidecar.
+func (s *DirStore) Get(key string) ([]byte, error) {
+	if !validKey(key) {
+		return nil, nil
+	}
+	p := s.path(key)
+	want, err := os.ReadFile(p + sidecarExt)
+	if err != nil {
+		return nil, nil
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		return nil, nil
+	}
+	if !bytes.Equal(hexSum(data), want) {
+		err := fmt.Errorf("fleet: entry %s (%d bytes) does not match its sidecar", key, len(data))
+		if qerr := s.Quarantine(key); qerr != nil {
+			err = fmt.Errorf("%w; quarantine failed: %v", err, qerr)
+		}
+		return nil, err
+	}
+	return data, nil
+}
+
+// Put durably stores data under key: sidecar first, so the entry is never
+// in place without it. Replays of a key are overwrites.
 func (s *DirStore) Put(key string, data []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("fleet: invalid store key %q", key)
 	}
-	return atomicfile.Write(s.path(key), data, s.faults, "store")
+	p := s.path(key)
+	if err := atomicfile.Write(p+sidecarExt, hexSum(data), s.faults, "store"); err != nil {
+		return err
+	}
+	return atomicfile.Write(p, data, s.faults, "store")
 }
 
-// Quarantine moves an entry that failed validation aside as
-// <key>.artifact.json.corrupt: the evidence survives for inspection and
-// the keyed path is free for the next clean Put. A missing entry is not
-// an error — another node racing the same corrupt bytes may have
-// quarantined it first.
+// Quarantine moves an entry and its sidecar aside as *.corrupt: the
+// evidence survives for inspection and the key is free for the next clean
+// Put. Missing files are not an error — another node racing the same
+// corrupt bytes may have quarantined them first.
 func (s *DirStore) Quarantine(key string) error {
 	if !validKey(key) {
 		return fmt.Errorf("fleet: invalid store key %q", key)
 	}
 	p := s.path(key)
-	if err := os.Rename(p, p+".corrupt"); err != nil && !os.IsNotExist(err) {
-		return err
+	for _, f := range []string{p, p + sidecarExt} {
+		if err := os.Rename(f, f+".corrupt"); err != nil && !os.IsNotExist(err) {
+			return err
+		}
 	}
 	return nil
 }

@@ -13,16 +13,16 @@ import (
 func TestDirStoreRoundTrip(t *testing.T) {
 	s := NewDirStore(t.TempDir())
 	key := strings.Repeat("ab", 16)
-	if _, ok := s.Get(key); ok {
-		t.Fatal("Get on empty store reported a hit")
+	if got, err := s.Get(key); got != nil || err != nil {
+		t.Fatalf("Get on empty store = %q, %v", got, err)
 	}
 	want := []byte(`{"format":1}`)
 	if err := s.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(key)
-	if !ok || !bytes.Equal(got, want) {
-		t.Fatalf("Get = %q, %v; want %q, true", got, ok, want)
+	got, err := s.Get(key)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Get = %q, %v; want %q", got, err, want)
 	}
 	// Content-addressed overwrite is idempotent.
 	if err := s.Put(key, want); err != nil {
@@ -40,7 +40,7 @@ func TestDirStoreRejectsHostileKeys(t *testing.T) {
 		if err := s.Put(key, []byte("x")); err == nil {
 			t.Errorf("Put(%q) accepted a non-hash key", key)
 		}
-		if _, ok := s.Get(key); ok {
+		if got, _ := s.Get(key); got != nil {
 			t.Errorf("Get(%q) reported a hit for a non-hash key", key)
 		}
 	}
@@ -70,8 +70,8 @@ func TestDirStoreNoTornReads(t *testing.T) {
 		}()
 	}
 	for time.Now().Before(stop) {
-		if got, ok := s.Get(key); ok && !bytes.Equal(got, val) {
-			t.Fatalf("torn read: %d bytes, want %d", len(got), len(val))
+		if got, err := s.Get(key); err != nil || (got != nil && !bytes.Equal(got, val)) {
+			t.Fatalf("torn read: %d bytes, want %d (%v)", len(got), len(val), err)
 		}
 	}
 	wg.Wait()
@@ -91,4 +91,97 @@ func TestDirStoreLazyDir(t *testing.T) {
 	if _, err := os.Stat(root); err != nil {
 		t.Fatalf("Put did not create the store dir: %v", err)
 	}
+}
+
+// TestDirStoreSidecar pins the integrity contract Get's callers serve
+// bytes on: the entry is never in place without its sidecar, an entry
+// that contradicts its sidecar — either file damaged — is quarantined
+// with the evidence kept, and an entry with no sidecar is a plain miss the
+// next Put overwrites.
+func TestDirStoreSidecar(t *testing.T) {
+	key := strings.Repeat("0a", 16)
+	val := []byte(`{"format":1,"body":"streammap-artifact-bytes"}`)
+	entry := func(s *DirStore) string { return filepath.Join(s.Dir(), key+".artifact.json") }
+
+	damage := map[string]func(t *testing.T, s *DirStore){
+		"entry truncated": func(t *testing.T, s *DirStore) {
+			if err := os.Truncate(entry(s), int64(len(val)/2)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"entry byte flipped": func(t *testing.T, s *DirStore) {
+			bad := append([]byte(nil), val...)
+			bad[len(bad)/2] ^= 1
+			if err := os.WriteFile(entry(s), bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"sidecar truncated": func(t *testing.T, s *DirStore) {
+			if err := os.Truncate(entry(s)+".sha256", 10); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"sidecar byte flipped": func(t *testing.T, s *DirStore) {
+			side, err := os.ReadFile(entry(s) + ".sha256")
+			if err != nil {
+				t.Fatal(err)
+			}
+			side[3] ^= 1
+			if err := os.WriteFile(entry(s)+".sha256", side, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, do := range damage {
+		t.Run(name, func(t *testing.T) {
+			s := NewDirStore(t.TempDir())
+			if err := s.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+			do(t, s)
+			if got, err := s.Get(key); got != nil || err == nil {
+				t.Fatalf("damaged entry: Get = %q, %v; want an integrity error", got, err)
+			}
+			for _, f := range []string{entry(s), entry(s) + ".sha256"} {
+				if _, err := os.Stat(f); !os.IsNotExist(err) {
+					t.Errorf("%s still in place after quarantine", filepath.Base(f))
+				}
+				if _, err := os.Stat(f + ".corrupt"); err != nil {
+					t.Errorf("evidence %s.corrupt missing: %v", filepath.Base(f), err)
+				}
+			}
+			// Quarantined once: the key is now simply absent, and free.
+			if got, err := s.Get(key); got != nil || err != nil {
+				t.Fatalf("second Get = %q, %v; want a plain miss", got, err)
+			}
+			if err := s.Put(key, val); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s.Get(key); err != nil || !bytes.Equal(got, val) {
+				t.Fatalf("repaired entry: Get = %q, %v", got, err)
+			}
+		})
+	}
+
+	t.Run("sidecar absent", func(t *testing.T) {
+		s := NewDirStore(t.TempDir())
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(entry(s) + ".sha256"); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get(key); got != nil || err != nil {
+			t.Fatalf("unvouched entry: Get = %q, %v; want a plain miss", got, err)
+		}
+		if _, err := os.Stat(entry(s) + ".corrupt"); !os.IsNotExist(err) {
+			t.Error("an entry without a sidecar was quarantined")
+		}
+		if err := s.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get(key); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("overwritten entry: Get = %q, %v", got, err)
+		}
+	})
 }

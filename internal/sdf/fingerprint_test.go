@@ -1,0 +1,92 @@
+package sdf
+
+import "testing"
+
+// identityCases is the sensitivity table for the graph's structural
+// identity: one mutation per field the canonical walk covers. Each case
+// builds specGraph's twin with exactly that field changed.
+var identityCases = []struct {
+	name   string
+	mutate func(spec *GraphSpec)
+}{
+	{"graph name", func(s *GraphSpec) { s.Name = "spec2" }},
+	{"filter name", func(s *GraphSpec) { s.Nodes[1].Filter.Name = "win2" }},
+	{"filter kind", func(s *GraphSpec) { s.Nodes[2].Filter.Kind = int(KindSplitter) }},
+	{"pipe", func(s *GraphSpec) { s.Nodes[2].Pipe = 7 }},
+	{"ops", func(s *GraphSpec) { s.Nodes[0].Filter.Ops++ }},
+	{"zero copy", func(s *GraphSpec) { s.Nodes[2].Filter.ZeroCopy = false }},
+	{"pop and push rate", func(s *GraphSpec) {
+		// Rates live on both the filter and the edge; ImportGraph demands
+		// they agree, so the mutation moves both ends of edge 1 (win -> zc).
+		s.Nodes[1].Filter.Outputs = []int{4}
+		s.Nodes[2].Filter.Inputs = []PortSpec{{Pop: 4, Peek: 4}}
+		s.Nodes[2].Filter.Outputs = []int{4}
+		s.Nodes[3].Filter.Inputs = []PortSpec{{Pop: 12, Peek: 12}}
+		s.Edges[1].Push, s.Edges[1].Pop, s.Edges[1].Peek = 4, 4, 4
+		s.Edges[2].Push, s.Edges[2].Pop, s.Edges[2].Peek = 4, 12, 12
+	}},
+	{"peek", func(s *GraphSpec) {
+		s.Nodes[1].Filter.Inputs = []PortSpec{{Pop: 1, Peek: 3}}
+		s.Edges[0].Peek = 3
+	}},
+	{"filter init state", func(s *GraphSpec) { s.Nodes[1].Filter.Init = []Token{1, 3} }},
+	{"filter init length", func(s *GraphSpec) { s.Nodes[1].Filter.Init = []Token{1, 2, 0} }},
+	{"edge delay tokens", func(s *GraphSpec) { s.Edges[0].Initial = []Token{9, 8, 6} }},
+	{"edge delay length", func(s *GraphSpec) { s.Edges[0].Initial = []Token{9, 8, 7, 0} }},
+}
+
+// mutated returns specGraph's twin with one identityCases mutation
+// applied, rebuilt through ImportGraph so it is a valid graph.
+func mutated(t *testing.T, mutate func(*GraphSpec)) *Graph {
+	t.Helper()
+	spec := ExportGraph(specGraph(t))
+	mutate(&spec)
+	g, err := ImportGraph(spec)
+	if err != nil {
+		t.Fatalf("mutation does not import: %v", err)
+	}
+	return g
+}
+
+// TestIdentitySensitivity: Fingerprint and Digest hash one canonical walk,
+// so both must move with every field it covers, agree between a graph and
+// its structural twin, and answer the same on a second (memoized) call.
+func TestIdentitySensitivity(t *testing.T) {
+	base, twin := specGraph(t), mutated(t, func(*GraphSpec) {})
+	if base.Fingerprint() != twin.Fingerprint() || base.Digest() != twin.Digest() {
+		t.Fatal("structural twins disagree on identity")
+	}
+	if base.Fingerprint() != base.Fingerprint() || base.Digest() != base.Digest() {
+		t.Fatal("memoized identity differs from the first walk")
+	}
+	seen := map[[32]byte]string{base.Digest(): "base"}
+	for _, tc := range identityCases {
+		g := mutated(t, tc.mutate)
+		if g.Fingerprint() == base.Fingerprint() {
+			t.Errorf("%s: Fingerprint did not change", tc.name)
+		}
+		if prev, dup := seen[g.Digest()]; dup {
+			t.Errorf("%s: Digest equals that of %s", tc.name, prev)
+		}
+		seen[g.Digest()] = tc.name
+	}
+}
+
+// TestIdentityTracksBuilder: the memo is guarded by the graph's shape, so a
+// builder that fingerprints a half-built graph does not freeze its identity.
+func TestIdentityTracksBuilder(t *testing.T) {
+	b := NewBuilder("grow")
+	src := &Filter{Name: "src", Outputs: []int{1}, Ops: 1, Kind: KindSource}
+	sink := &Filter{Name: "sink", Inputs: []InRate{{Pop: 1, Peek: 1}}, Ops: 1, Kind: KindSink}
+	n0 := b.AddNode(src, -1)
+	early := b.g.Fingerprint()
+	n1 := b.AddNode(sink, -1)
+	b.Connect(n0, 0, n1, 0)
+	g, err := b.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Fingerprint() == early {
+		t.Fatal("identity memoized on a half-built graph survived its completion")
+	}
+}

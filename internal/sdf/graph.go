@@ -62,7 +62,8 @@ type Graph struct {
 
 	rep []int64 // repetition vector; nil until Steady succeeds
 
-	adjCache adjPointer // lazily built CSR adjacency index (csr.go)
+	adjCache   adjPointer   // lazily built CSR adjacency index (csr.go)
+	identCache identPointer // memoized Fingerprint/Digest (fingerprint.go)
 }
 
 // NumNodes returns the node count.

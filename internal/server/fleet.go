@@ -13,10 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"streammap/internal/artifact"
-	"streammap/internal/core"
 	"streammap/internal/obs"
-	"streammap/internal/sdf"
 )
 
 // Fleet serving: how N servers act as one cache. Ownership of a compile
@@ -30,8 +27,8 @@ import (
 //     clients that opted into following it;
 //  3. a peer artifact fetch: GET {owner}/v1/artifact/{hash} returns raw
 //     encoded artifact bytes if the owner has them cached in any tier.
-//     The body is verified by content hash on receipt and ingested into
-//     the local caches;
+//     The body is accepted on its mandatory SHA-256 content-hash header
+//     alone — never decoded — and ingested into the local caches;
 //  4. a one-hop proxy of the full compile request to the owner, marked
 //     with headerForwarded so it can never cycle; the owner compiles
 //     (and persists to the shared store), this node caches the response;
@@ -49,8 +46,10 @@ const (
 	// one hop, never a cycle — and are excluded from the owner's latency
 	// window, which records them under the proxying node instead.
 	headerForwarded = "X-Streammap-Forwarded"
-	// headerContentHash carries the SHA-256 of a /v1/artifact response
-	// body; the fetching peer verifies it before trusting the bytes.
+	// headerContentHash carries the SHA-256 of an artifact body sent to a
+	// peer (/v1/artifact responses, forwarded compile responses). It is
+	// mandatory: the receiving peer accepts the bytes on it alone, and
+	// treats a wrong or absent hash as peerBadBytes.
 	headerContentHash = "X-Streammap-Content-Hash"
 	// headerProbe marks a /healthz request from a fleet peer. A probed
 	// node answers its own state without probing ITS peers — otherwise
@@ -66,33 +65,18 @@ func contentHash(body []byte) string {
 }
 
 // handleArtifact serves the raw encoded artifact bytes for a key hash
-// from this node's caches — memory (re-using the response memo), disk,
-// then shared store — without ever running a pipeline stage. 404 means
-// "not cached here", which a fetching peer treats as "proxy the compile
-// instead". Serving continues while draining: the route is read-only and
-// peers may be mid-fetch.
+// from this node's caches — the table, then the persistent tiers — without
+// ever running a pipeline stage. 404 means "not cached here", which a
+// fetching peer treats as "proxy the compile instead". Serving continues
+// while draining: the route is read-only and peers may be mid-fetch.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.localEncoded(r.PathValue("key"))
+	body, ok := s.svc.EncodedByHash(r.Context(), r.PathValue("key"))
 	if !ok {
 		http.Error(w, "artifact not cached on this node", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(headerContentHash, contentHash(body))
-	w.Write(body)
-}
-
-// localEncoded returns the encoded artifact for a key hash from this
-// node's caches: the live in-memory result (through the response-byte
-// memo, so repeated fetches of a hot key cost a map lookup), then the
-// persistent tiers.
-func (s *Server) localEncoded(hash string) ([]byte, bool) {
-	if c, ok := s.svc.CompiledByHash(hash); ok {
-		if body, err := s.encodedResponse(c); err == nil {
-			return body, true
-		}
-	}
-	return s.svc.EncodedFromTiers(hash)
+	s.writeArtifact(r.Context(), w, body, time.Time{})
 }
 
 // routeToOwner answers a compile request whose key belongs to owner. It
@@ -104,23 +88,20 @@ func (s *Server) localEncoded(hash string) ([]byte, bool) {
 // within the breaker's bounded budget with decorrelated-jitter backoff;
 // exhausting the budget feeds the per-peer circuit breaker, and only an
 // opening circuit marks the owner down in the ring — one flaky response
-// never rebuilds the ring. Integrity failures (bad hash, undecodable
-// body) are counted as peerBadBytes and fall through; they never mark the
+// never rebuilds the ring. Integrity failures (wrong or absent content
+// hash) are counted as peerBadBytes and fall through; they never mark the
 // owner down. Every peer hop below shares one context deadline derived
 // from the request's timeout budget.
 func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, key string, g *sdf.Graph, opts core.Options, rawBody []byte) bool {
-	hash := core.KeyHash(key)
-
+	owner, hash string, rawBody []byte) bool {
 	// Local read-through: a previously fetched or proxied hot key is
 	// served from this node's own caches, owner untouched.
-	_, localSpan := obs.StartSpan(r.Context(), "fleet.local")
-	if body, ok := s.localEncoded(hash); ok {
+	lctx, localSpan := obs.StartSpan(r.Context(), "fleet.local")
+	if body, ok := s.svc.EncodedByHash(lctx, hash); ok {
 		localSpan.SetNote("hit")
 		localSpan.End()
 		s.localHits.Add(1)
-		s.writeArtifact(w, body)
-		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
+		s.writeArtifact(r.Context(), w, body, start)
 		return true
 	}
 	localSpan.SetNote("miss")
@@ -152,12 +133,11 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 
 	fctx, fetchSpan := obs.StartSpan(ctx, "fleet.fetch")
 	fetchSpan.SetNote(owner)
-	if body, ok, ownerUp := s.peerFetch(fctx, owner, hash, g, opts); ok {
+	if body, ok, ownerUp := s.peerFetch(fctx, owner, hash); ok {
 		fetchSpan.End()
 		s.breaker.Success(owner)
 		s.peerHits.Add(1)
-		s.writeArtifact(w, body)
-		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
+		s.writeArtifact(r.Context(), w, body, start)
 		return true
 	} else if !ownerUp {
 		fetchSpan.Notef("%s unreachable", owner)
@@ -174,7 +154,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 	s.breaker.Success(owner)
 	pctx, proxySpan := obs.StartSpan(ctx, "fleet.proxy")
 	proxySpan.SetNote(owner)
-	handled := s.proxyCompile(w, r.WithContext(pctx), start, owner, hash, g, opts, rawBody)
+	handled := s.proxyCompile(w, r.WithContext(pctx), start, owner, hash, rawBody)
 	proxySpan.End()
 	return handled
 }
@@ -204,11 +184,22 @@ func (s *Server) retrySleep(ctx context.Context) bool {
 	}
 }
 
-// writeArtifact writes a cache-served artifact body.
-func (s *Server) writeArtifact(w http.ResponseWriter, body []byte) {
+// writeArtifact writes a cache-served artifact body (see writeBody).
+func (s *Server) writeArtifact(ctx context.Context, w http.ResponseWriter, body []byte, start time.Time) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	s.writeBody(ctx, w, http.StatusOK, body, start)
+}
+
+// verifiedPeerBody reports whether a peer's artifact body matches the
+// content hash the peer declared for it; a wrong or absent hash is counted
+// as peerBadBytes (never a liveness signal). The hash is the whole check:
+// the bytes are not decoded on this side of the fleet.
+func (s *Server) verifiedPeerBody(resp *http.Response, body []byte) bool {
+	if resp.Header.Get(headerContentHash) != contentHash(body) {
+		s.peerBadBytes.Add(1)
+		return false
+	}
+	return true
 }
 
 // peerFetch asks owner for the encoded artifact of a key hash, retrying
@@ -217,9 +208,9 @@ func (s *Server) writeArtifact(w http.ResponseWriter, body []byte) {
 // HTTP on any attempt (as opposed to answering 404/500, which is a
 // healthy owner without the bytes, or answering with bytes that failed
 // verification, which is a healthy owner counted under peerBadBytes).
-func (s *Server) peerFetch(ctx context.Context, owner, hash string, g *sdf.Graph, opts core.Options) (body []byte, ok, ownerUp bool) {
+func (s *Server) peerFetch(ctx context.Context, owner, hash string) (body []byte, ok, ownerUp bool) {
 	for attempt := 0; ; attempt++ {
-		data, ok, up := s.peerFetchOnce(ctx, owner, hash, g, opts)
+		data, ok, up := s.peerFetchOnce(ctx, owner, hash)
 		if ok || up {
 			return data, ok, true
 		}
@@ -230,7 +221,7 @@ func (s *Server) peerFetch(ctx context.Context, owner, hash string, g *sdf.Graph
 	}
 }
 
-func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string, g *sdf.Graph, opts core.Options) (body []byte, ok, ownerUp bool) {
+func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string) (body []byte, ok, ownerUp bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/artifact/"+hash, nil)
 	if err != nil {
 		return nil, false, true
@@ -249,23 +240,10 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string, g *sdf.G
 		// both are a miss from a peer that did answer HTTP.
 		return nil, false, true
 	}
-	// Trust nothing off the wire: the transport hash must match when the
-	// peer sent one, and the bytes must decode to an artifact for exactly
-	// the graph this request is about. IngestEncoded re-validates and
-	// installs it in the local caches. Verification failures are
-	// peerBadBytes, never a liveness signal.
-	if want := resp.Header.Get(headerContentHash); want != "" && want != contentHash(data) {
-		s.peerBadBytes.Add(1)
+	if !s.verifiedPeerBody(resp, data) {
 		return nil, false, true
 	}
-	if a, err := artifact.Decode(data); err != nil || a.Fingerprint != g.Fingerprint() {
-		s.peerBadBytes.Add(1)
-		return nil, false, true
-	}
-	if err := s.svc.IngestEncoded(g, opts, data); err != nil {
-		s.peerBadBytes.Add(1)
-		return nil, false, true
-	}
+	s.svc.Ingest(hash, data)
 	return data, true, true
 }
 
@@ -273,13 +251,13 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string, g *sdf.G
 // relays its response, caching a 200 body locally so the next request for
 // this key is a local hit. Transport failures are retried within the
 // breaker's budget; exhausting it feeds the breaker (and marks the owner
-// down only if the circuit opened). A 200 body is verified — content hash
-// when the owner stamped one, then artifact decode + fingerprint — before
-// it reaches the client: a corrupted relay is peerBadBytes plus a local
-// fallback, never a served poison. Reports false (nothing written) when
-// the caller should serve locally.
+// down only if the circuit opened). A 200 body is verified against the
+// content hash the owner stamps on forwarded responses before it reaches
+// the client: a corrupted relay is peerBadBytes plus a local fallback,
+// never a served poison. Reports false (nothing written) when the caller
+// should serve locally.
 func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, hash string, g *sdf.Graph, opts core.Options, rawBody []byte) bool {
+	owner, hash string, rawBody []byte) bool {
 	var resp *http.Response
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/compile", bytes.NewReader(rawBody))
@@ -308,26 +286,17 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time
 	if err != nil {
 		// The owner accepted the request and then the stream died — likely
 		// mid-compile. Retrying a possibly expensive compile from scratch is
-		// worse than falling back locally (the flight table coalesces).
+		// worse than falling back locally (the service coalesces).
 		s.peerFailed(r.Context(), owner)
 		return false
 	}
 	s.breaker.Success(owner)
 	if resp.StatusCode == http.StatusOK {
-		// Verify before relaying: the owner stamps forwarded 200 responses
-		// with a content hash, and the bytes must be an artifact for exactly
-		// this request's graph.
-		if want := resp.Header.Get(headerContentHash); want != "" && want != contentHash(body) {
-			s.peerBadBytes.Add(1)
+		if !s.verifiedPeerBody(resp, body) {
 			return false
 		}
-		if a, err := artifact.Decode(body); err != nil || a.Fingerprint != g.Fingerprint() {
-			s.peerBadBytes.Add(1)
-			return false
-		}
-		// Best-effort replication: an ingest failure just means the next
-		// request for this key proxies again.
-		s.svc.IngestEncoded(g, opts, body)
+		// Replicate: the next request for this key is a local hit.
+		s.svc.Ingest(hash, body)
 	}
 	s.proxied.Add(1)
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
@@ -336,13 +305,12 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(body)
 	// The proxied request is recorded here, under the node the client
 	// actually talked to; the owner skips it (headerForwarded).
-	if resp.StatusCode != http.StatusTooManyRequests {
-		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
+	if resp.StatusCode == http.StatusTooManyRequests {
+		start = time.Time{}
 	}
+	s.writeBody(r.Context(), w, resp.StatusCode, body, start)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
+	"streammap/internal/topology"
 )
 
 // fleetNode is one in-process fleet member.
@@ -57,7 +60,7 @@ func startFleetNodes(t *testing.T, n int, mutate func(i int, cfg *server.Config)
 		srv := server.New(cfg)
 		tss[i].Config.Handler = srv.Handler()
 		tss[i].Start()
-		t.Cleanup(tss[i].Close)
+		t.Cleanup(func() { stopServer(t, srv, tss[i]) })
 		nodes[i] = &fleetNode{srv: srv, ts: tss[i], url: urls[i], cl: client.New(urls[i])}
 	}
 	return nodes
@@ -83,11 +86,11 @@ func fleetRing(t *testing.T, nodes []*fleetNode) *fleet.Membership {
 // identity the server derives, since Workers never enters the key.
 func keyHashOf(t *testing.T, g *sdf.Graph, opts driver.Options) string {
 	t.Helper()
-	key, err := core.KeyOf(g, opts)
+	hash, err := core.HashOf(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.KeyHash(key)
+	return hash
 }
 
 // graphOwnedBy scans graph sizes until one's key lands on nodes[want],
@@ -473,4 +476,134 @@ func TestFleetStatsShapeSingleNode(t *testing.T) {
 	if st.Fleet != nil {
 		t.Fatalf("single-node /stats JSON grew a fleet block: %+v", st.Fleet)
 	}
+}
+
+// TestFleetPeerBodiesNeedTheirHash: a peer's artifact body is accepted on
+// its content-hash header alone, so the header is mandatory. An owner that
+// answers the fetch and the proxied compile with well-formed artifact bytes
+// but a wrong or absent hash is healthy (no breaker trip, not marked down)
+// and not believed: each bad body is counted as peerBadBytes and the
+// request is compiled locally instead.
+func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
+	for name, stamp := range map[string]func(h http.Header){
+		"absent": func(http.Header) {},
+		"wrong":  func(h http.Header) { h.Set("X-Streammap-Content-Hash", strings.Repeat("0", 64)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			// A real artifact for the stub owner to serve: only its hash
+			// header is at fault.
+			g0 := appGraph(t, "DES", 4)
+			c, err := driver.Compile(context.Background(), g0, testOpts(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := c.Artifact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wellFormed, err := a.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fetches, proxies atomic.Int64
+			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case strings.HasPrefix(r.URL.Path, "/v1/artifact/"):
+					fetches.Add(1)
+				case r.URL.Path == "/v1/compile":
+					proxies.Add(1)
+				default:
+					http.NotFound(w, r)
+					return
+				}
+				stamp(w.Header())
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(wellFormed)
+			}))
+			t.Cleanup(owner.Close)
+
+			ts := httptest.NewUnstartedServer(nil)
+			self := "http://" + ts.Listener.Addr().String()
+			srv := server.New(server.Config{Fleet: fleet.Config{
+				SelfURL: self, Peers: []string{self, owner.URL}, DownCooldown: time.Hour}})
+			ts.Config.Handler = srv.Handler()
+			ts.Start()
+			t.Cleanup(func() { stopServer(t, srv, ts) })
+
+			nodes := []*fleetNode{{url: self}, {url: owner.URL}}
+			g, opts := graphOwnedBy(t, nodes, 1)
+			served, err := client.New(self).Compile(context.Background(), server.NewRequest(g, opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served.Fingerprint != g.Fingerprint() {
+				t.Fatal("the unverified peer body reached the client")
+			}
+			st := srv.Stats()
+			if fetches.Load() != 1 || proxies.Load() != 1 || st.Fleet.PeerBadBytes != 2 {
+				t.Fatalf("owner saw %d fetches / %d proxies, node counted %d bad bodies; want 1 / 1 / 2",
+					fetches.Load(), proxies.Load(), st.Fleet.PeerBadBytes)
+			}
+			if st.Fleet.Fallbacks != 1 || st.Service.Misses != 1 || st.Fleet.PeerHits != 0 || st.Fleet.Proxied != 0 {
+				t.Fatalf("expected a local-compile fallback: %+v / %+v", st.Fleet, st.Service)
+			}
+			if st.Fleet.PeersAlive != 2 || st.Fleet.BreakerOpens != 0 {
+				t.Fatalf("an integrity failure was treated as a liveness failure: %+v", st.Fleet)
+			}
+		})
+	}
+}
+
+// TestArtifactResponsesDeclareLength: every route that answers with an
+// artifact has the whole body in hand and says how long it is — compile
+// (postCompile checks it wherever it is used), remap, the peer-fetch
+// route, and a proxied relay.
+func TestArtifactResponsesDeclareLength(t *testing.T) {
+	nodes := startFleetNodes(t, 2, nil)
+	g, opts := graphOwnedBy(t, nodes, 0)
+	body, err := json.Marshal(server.NewRequest(g, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := func(what string, resp *http.Response, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: status %d, Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				what, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+		return got
+	}
+
+	// Cold key at the non-owner: the answer is a relay of the owner's.
+	relayed := postCompile(t, nodes[1].url, body)
+	if st := nodes[1].srv.Stats(); st.Fleet.Proxied != 1 {
+		t.Fatalf("expected a proxied relay: %+v", st.Fleet)
+	}
+	resp, err := http.Get(nodes[0].url + "/v1/artifact/" + keyHashOf(t, g, opts))
+	if fetched := declared("artifact route", resp, err); !bytes.Equal(fetched, relayed) {
+		t.Error("the peer-fetch route and the relay disagree on the bytes")
+	}
+
+	a, err := artifact.Decode(relayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rreq, err := server.NewRemapRequest(a, topology.Degradation{RemoveGPUs: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rbody, err := json.Marshal(rreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(nodes[0].url+"/v1/remap", "application/json", bytes.NewReader(rbody))
+	declared("remap", resp, err)
 }

@@ -196,11 +196,9 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 			return nil, fmt.Errorf("chaos: scenario %d: %w", i, err)
 		}
 		reqs[i] = server.NewRequest(g, sc.Opts)
-		key, err := core.KeyOf(g, sc.Opts)
-		if err != nil {
+		if hashes[i], err = core.HashOf(g, sc.Opts); err != nil {
 			return nil, err
 		}
-		hashes[i] = core.KeyHash(key)
 		if refs[i], err = localArtifact(ctx, reqs[i]); err != nil {
 			return nil, fmt.Errorf("chaos: reference compile %d: %w", i, err)
 		}

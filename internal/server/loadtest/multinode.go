@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -145,8 +144,14 @@ func (n *mnNode) start(cfg server.Config, addr string) error {
 	return nil
 }
 
+// kill closes the listener and waits for what the node still had running
+// in the background (detached compiles, persistent-tier writes), so
+// nothing of it touches the directories after kill returns.
 func (n *mnNode) kill() {
 	n.hs.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_ = n.srv.Close(ctx) // past the deadline the node is abandoned, which is what kill means
 	n.alive = false
 }
 
@@ -185,11 +190,9 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 			return nil, fmt.Errorf("multinode: scenario %d: %w", i, err)
 		}
 		reqs[i] = server.NewRequest(g, sc.Opts)
-		key, err := core.KeyOf(g, sc.Opts)
-		if err != nil {
+		if hashes[i], err = core.HashOf(g, sc.Opts); err != nil {
 			return nil, err
 		}
-		hashes[i] = core.KeyHash(key)
 	}
 
 	// Listeners first, so every node's config can name every URL. The
@@ -336,8 +339,12 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 	if res.Warmup.Errors > 0 {
 		return res, fmt.Errorf("multinode: warm-up failed: %s", res.Warmup.FirstError)
 	}
-	if err := waitStoreFiles(storeDir, p.HotKeys, 30*time.Second); err != nil {
-		return res, err
+	// Store writes happen off the response path, and the rejoin check is
+	// meaningless before they land.
+	for _, n := range nodes {
+		if err := n.srv.Service().Flush(ctx); err != nil {
+			return res, err
+		}
 	}
 
 	// Steady state: known keys across every node — the fleet must answer
@@ -403,29 +410,6 @@ func fleetCompiles(nodes []*mnNode) int64 {
 		total += n.srv.Stats().Service.Misses
 	}
 	return total
-}
-
-// waitStoreFiles waits for the shared store to hold n artifacts — store
-// writes happen off the compile critical path, and the rejoin check is
-// meaningless before they land.
-func waitStoreFiles(dir string, n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		entries, _ := os.ReadDir(dir)
-		count := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".artifact.json") {
-				count++
-			}
-		}
-		if count >= n {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("multinode: shared store has %d/%d artifacts after %s", count, n, timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // Fprint renders the run report.

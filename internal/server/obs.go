@@ -25,11 +25,6 @@ type serverMetrics struct {
 	durCompile *obs.Histogram
 	durRemap   *obs.Histogram
 
-	// admissionWait is the time a leader spent waiting for a compile slot,
-	// rejected and cancelled leaders included — shed load is exactly when
-	// the wait matters.
-	admissionWait *obs.Histogram
-
 	// respClass counts responses by route and status class; keys are
 	// "route/class" over the fixed route and class sets.
 	respClass map[string]*obs.Counter
@@ -52,8 +47,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "compile"}),
 		durRemap: reg.Histogram("streammap_request_duration_seconds",
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "remap"}),
-		admissionWait: reg.Histogram("streammap_admission_wait_seconds",
-			"Time leaders spent waiting for a compile slot, rejections included.", nil),
 		respClass: map[string]*obs.Counter{},
 	}
 	for _, route := range []string{"compile", "remap", "artifact"} {
@@ -67,14 +60,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	bridge := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
 		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
 	}
-	bridge("streammap_coalesced_total", "Requests that joined another request's flight.", &s.coalesced)
 	bridge("streammap_rejected_total", "Requests shed with 429.", &s.rejected)
 	bridge("streammap_errors_total", "Requests answered with a non-429 error status.", &s.errs)
-	bridge("streammap_artifact_encodes_total", "Artifact export+encode runs (hits serve memoized bytes).", &s.encodes)
-	reg.GaugeFunc("streammap_in_flight", "Leaders holding a compile slot.",
-		func() float64 { return float64(s.inFlight.Load()) })
-	reg.GaugeFunc("streammap_queued", "Leaders waiting for a compile slot.",
-		func() float64 { return float64(s.queued.Load()) })
 	reg.GaugeFunc("streammap_draining", "1 while the node refuses new work ahead of shutdown.",
 		func() float64 {
 			if s.draining.Load() {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"streammap/internal/core"
 	"streammap/internal/obs"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
@@ -86,7 +88,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	expect("streammap_cache_misses_total", 1)
 	expect("streammap_cache_hits_total", 2, obs.Label{Key: "tier", Value: "memory"})
 	expect("streammap_compile_seconds_count", 1)
-	expect("streammap_admission_wait_seconds_count", 3) // every leader admits; the cache probe is behind the slot
+	expect("streammap_admission_wait_seconds_count", 1) // only the run that compiled took a slot; hits return before admission
 
 	// The fresh compile must have landed per-stage durations.
 	stages := 0.0
@@ -242,8 +244,18 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 		t.Errorf("entry node recorded a compilation it proxied away (spans: %v)", names)
 	}
 
-	// The owner served the forwarded compile under the same trace ID.
-	snap1 := debugTraces(t, nodes[1].url)
+	// The owner served the forwarded compile under the same trace ID. Its
+	// handler finishes the trace after writing the response, on a
+	// connection this test does not share, so the owner's listener is
+	// closed first — which waits for its handlers — and the snapshot is
+	// taken from the handler directly.
+	nodes[1].ts.Close()
+	rec := httptest.NewRecorder()
+	nodes[1].srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	var snap1 obs.TracesSnapshot
+	if err := json.NewDecoder(rec.Body).Decode(&snap1); err != nil {
+		t.Fatalf("decoding the owner's /debug/traces: %v", err)
+	}
 	var forwarded *obs.TraceRecord
 	for _, tr := range snap1.Recent {
 		if tr.ID == entry.ID && tr.Name == "compile" {
@@ -316,4 +328,56 @@ func TestFleetMetricsPerNode(t *testing.T) {
 	if v, _ := sm1.Get("streammap_fleet_forwarded_total"); v != 1 {
 		t.Errorf("owner forwarded_total = %g, want 1", v)
 	}
+}
+
+// spanSequence returns a trace's spans in the order they ended, root and
+// per-stage spans left out — the request's layers, in request order.
+func spanSequence(tr *obs.TraceRecord) []string {
+	var seq []string
+	for _, sp := range tr.Spans[:len(tr.Spans)-1] { // the root span is appended last
+		if !strings.HasPrefix(sp.Name, "stage.") {
+			seq = append(seq, sp.Name+"/"+sp.Note)
+		}
+	}
+	return seq
+}
+
+// TestSpanSequencePerOutcome pins which layers a request passes through,
+// and in what order, for the three ways a compile is answered — presence
+// and order only, no wall-clock. A fresh compile probes the table and the
+// disk tier, waits for a slot, runs the pipeline and encodes once; a table
+// hit and a disk-tier hit after a restart touch neither admission nor the
+// pipeline nor the encoder.
+func TestSpanSequencePerOutcome(t *testing.T) {
+	dir := t.TempDir()
+	g := appGraph(t, "DES", 8)
+	body, err := json.Marshal(server.NewRequest(g, testOpts(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := func(baseURL string) []string {
+		t.Helper()
+		return spanSequence(debugTraces(t, baseURL).Recent[0])
+	}
+	expect := func(what string, got, want []string) {
+		t.Helper()
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s spans:\n got %v\nwant %v", what, got, want)
+		}
+	}
+	head := []string{"request.decode/", "graph.import/", "key/"}
+
+	srv1 := server.New(server.Config{Service: core.ServiceConfig{CacheDir: dir}})
+	ts1 := httptest.NewServer(srv1.Handler())
+	t.Cleanup(func() { stopServer(t, srv1, ts1) })
+	postCompile(t, ts1.URL, body)
+	expect("fresh compile", newest(ts1.URL), append(head[:3:3],
+		"cache.memory/miss", "cache.disk/miss", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
+	postCompile(t, ts1.URL, body)
+	expect("table hit", newest(ts1.URL), append(head[:3:3], "cache.memory/hit", "response.write/"))
+	stopServer(t, srv1, ts1)
+
+	_, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
+	postCompile(t, cl.BaseURL, body)
+	expect("disk hit", newest(cl.BaseURL), append(head[:3:3], "cache.memory/miss", "cache.disk/hit", "response.write/"))
 }

@@ -2,19 +2,16 @@
 // over core.Service, shaped for heavy traffic rather than demos. A request
 // is a CompileRequest (graph spec + topology spec + normalized options);
 // a response is the versioned artifact encoding — the wire format IS the
-// artifact format, so a disk-cache hit is served without touching the
-// pipeline and a client round-trips through artifact.Decode.
+// artifact format, and the bytes a request is answered with are the bytes
+// the service's table, its persistent tiers and its fleet peers hold for
+// that key.
 //
-// The request path is admission → coalesce → cache → pipeline:
-//
-//   - Admission control bounds the compiles in flight (MaxInFlight) and
-//     the queue behind them (MaxQueue); beyond that the server sheds load
-//     with 429 + Retry-After instead of collapsing.
-//   - Coalescing singleflights identical requests on the same key the
-//     cache uses, so a thundering herd of one graph costs one compile and
-//     one artifact encode.
-//   - core.Service then applies its cache tiers (memory LRU, disk
-//     artifacts, optional shared store) before the pipeline runs.
+// The handler decodes the request, derives its key once, and hands both to
+// core.Service, which owns the rest of the path: a known key is answered
+// from the table or a persistent tier with the stored bytes, concurrent
+// duplicates join one run, and only a run that will execute the pipeline
+// queues for one of the MaxInFlight slots — beyond MaxQueue waiters the
+// server sheds load with 429 + Retry-After instead of collapsing.
 //
 // In fleet mode (Config.Fleet) N servers act as one cache: a
 // consistent-hash ring assigns every key an owner, non-owned requests
@@ -28,7 +25,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,7 +34,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,17 +44,17 @@ import (
 	"streammap/internal/fleet"
 	"streammap/internal/obs"
 	"streammap/internal/sdf"
-	"streammap/internal/topology"
 )
 
 // Config tunes a compile server.
 type Config struct {
-	// Service configures the underlying two-tier compile cache.
+	// Service configures the underlying compile service. Its MaxConcurrent
+	// and MaxQueue are set from MaxInFlight and MaxQueue below.
 	Service core.ServiceConfig
-	// MaxInFlight bounds requests holding a compile slot (default
-	// GOMAXPROCS). Coalesced joiners don't consume slots.
+	// MaxInFlight bounds the pipeline runs in progress (default
+	// GOMAXPROCS). Hits and coalesced joiners don't consume slots.
 	MaxInFlight int
-	// MaxQueue bounds requests waiting for a slot; beyond it requests are
+	// MaxQueue bounds runs waiting for a slot; beyond it requests are
 	// rejected with 429 (default 4*MaxInFlight).
 	MaxQueue int
 	// RequestTimeout caps one request's wall-clock from admission to
@@ -113,34 +108,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flightCall is one in-flight compile+encode shared by every coalesced
-// request with the same key. The response triple is immutable once done
-// closes.
-type flightCall struct {
-	done        chan struct{}
-	status      int
-	contentType string
-	body        []byte
-}
-
 // Server serves compile requests over HTTP. Create with New, mount with
-// Handler, drain with SetDraining before shutdown.
+// Handler, and shut down with SetDraining, http.Server.Shutdown, then Close.
 type Server struct {
 	cfg   Config
 	svc   *core.Service
 	start time.Time
-
-	slots chan struct{}
-
-	flightMu sync.Mutex
-	flight   map[string]*flightCall
-
-	// The encoded-response memo (see encodedResponse): artifact bytes by
-	// result identity, LRU-bounded to the service cache's entry count.
-	respMu    sync.Mutex
-	respLRU   *list.List // of *respItem, most recent at front
-	respByPtr map[*core.Compiled]*list.Element
-	respBound int
 
 	// Fleet state: nil membership means single-node serving.
 	fleetM       *fleet.Membership
@@ -156,16 +129,12 @@ type Server struct {
 	peerRetries  atomic.Int64
 	breakerSkips atomic.Int64
 
-	requests  atomic.Int64
-	remaps    atomic.Int64
-	inFlight  atomic.Int64
-	queued    atomic.Int64
-	coalesced atomic.Int64
-	rejected  atomic.Int64
-	errs      atomic.Int64
-	encodes   atomic.Int64
-	draining  atomic.Bool
-	lat       latencyRing
+	requests atomic.Int64
+	remaps   atomic.Int64
+	rejected atomic.Int64
+	errs     atomic.Int64
+	draining atomic.Bool
+	lat      latencyRing
 
 	// Observability: one registry and tracer per server, threaded down
 	// into the service and across fleet hops. See DESIGN.md S19.
@@ -173,12 +142,6 @@ type Server struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 	met    *serverMetrics
-}
-
-// respItem is one memoized response body.
-type respItem struct {
-	c    *core.Compiled
-	body []byte
 }
 
 // New returns a compile server over a fresh core.Service. An invalid
@@ -208,22 +171,15 @@ func New(cfg Config) *Server {
 	if cfg.Service.Logger == nil {
 		cfg.Service.Logger = log
 	}
-	respBound := cfg.Service.MaxEntries
-	if respBound <= 0 {
-		respBound = 256 // core.ServiceConfig's own default
-	}
+	// One admission bound for the node: the service owns the slots.
+	cfg.Service.MaxConcurrent, cfg.Service.MaxQueue = cfg.MaxInFlight, cfg.MaxQueue
 	s := &Server{
-		cfg:       cfg,
-		svc:       core.NewService(cfg.Service),
-		start:     time.Now(),
-		slots:     make(chan struct{}, cfg.MaxInFlight),
-		flight:    map[string]*flightCall{},
-		respLRU:   list.New(),
-		respByPtr: map[*core.Compiled]*list.Element{},
-		respBound: respBound,
-		reg:       reg,
-		tracer:    obs.NewTracer(obs.TracerConfig{Node: node}),
-		log:       log,
+		cfg:    cfg,
+		svc:    core.NewService(cfg.Service),
+		start:  time.Now(),
+		reg:    reg,
+		tracer: obs.NewTracer(obs.TracerConfig{Node: node}),
+		log:    log,
 	}
 	if cfg.Fleet.Enabled() {
 		m, err := fleet.NewMembership(cfg.Fleet)
@@ -270,6 +226,22 @@ func (s *Server) Service() *core.Service { return s.svc }
 // http.Server.Shutdown, which already waits for them.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
+// Close is the last step of a shutdown, after the listener has stopped
+// handing it requests: it closes the service, waiting — until ctx ends —
+// for compilations that outlived their request and for artifacts still on
+// their way to the persistent tiers, and logs what was drained or
+// abandoned.
+func (s *Server) Close(ctx context.Context) error {
+	s.SetDraining(true)
+	pending := s.svc.Pending()
+	if err := s.svc.Close(ctx); err != nil {
+		s.log.Warn("background work abandoned at shutdown", "pending", s.svc.Pending(), "err", err)
+		return err
+	}
+	s.log.Info("background work drained", "pending", pending)
+	return nil
+}
+
 // Handler returns the server's routes:
 //
 //	POST /v1/compile         CompileRequest -> encoded artifact
@@ -293,18 +265,19 @@ func (s *Server) Handler() http.Handler {
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
+	svc := s.svc.Stats()
 	st := Stats{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Requests:      s.requests.Load(),
 		Remaps:        s.remaps.Load(),
-		InFlight:      s.inFlight.Load(),
-		Queued:        s.queued.Load(),
-		Coalesced:     s.coalesced.Load(),
+		InFlight:      svc.InFlight,
+		Queued:        svc.Queued,
+		Coalesced:     svc.Coalesced,
 		Rejected:      s.rejected.Load(),
 		Errors:        s.errs.Load(),
-		Encodes:       s.encodes.Load(),
+		Encodes:       svc.Encodes,
 		Latency:       s.lat.snapshot(),
-		Service:       s.svc.Stats(),
+		Service:       svc,
 	}
 	if s.fleetM != nil {
 		st.Fleet = &FleetStats{
@@ -364,7 +337,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	start := time.Now()
 	// A request proxied here by a peer is recorded in the proxying node's
-	// latency window, not double-counted in ours (see finish).
+	// latency window, not double-counted in ours (see respond).
 	forwarded := r.Header.Get(headerForwarded) != ""
 	if forwarded {
 		s.forwarded.Add(1)
@@ -378,28 +351,37 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// The body is buffered rather than stream-decoded: a request this
 	// node does not own may need to travel on, verbatim, to the key's
 	// owner.
+	_, span := obs.StartSpan(r.Context(), "request.decode")
 	rawBody, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return
-	}
 	var req CompileRequest
-	if err := json.Unmarshal(rawBody, &req); err != nil {
+	if err == nil {
+		err = json.Unmarshal(rawBody, &req)
+	}
+	span.End()
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	_, span = obs.StartSpan(r.Context(), "graph.import")
 	g, err := sdf.ImportGraph(req.Graph)
+	var opts core.Options
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("importing graph: %w", err))
-		return
+		err = fmt.Errorf("importing graph: %w", err)
+	} else if opts, err = driver.ImportOptions(req.Options); err != nil {
+		err = fmt.Errorf("importing options: %w", err)
 	}
-	opts, err := driver.ImportOptions(req.Options)
+	span.End()
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("importing options: %w", err))
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	opts.Workers = s.cfg.CompileWorkers
-	key, err := core.KeyOf(g, opts)
+	// The request's one identity, derived here and passed down: it routes
+	// the request through the ring and names it in the service's table,
+	// the persistent tiers and the peer-fetch route.
+	_, span = obs.StartSpan(r.Context(), "key")
+	hash, err := core.HashOf(g, opts)
+	span.End()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -409,8 +391,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// the local cache, fetched from the owner, proxied, or redirected —
 	// unless it was already forwarded once (one hop, never a cycle).
 	if s.fleetM != nil && !forwarded {
-		if owner := s.fleetM.Owner(core.KeyHash(key)); owner != s.fleetM.Self() {
-			if s.routeToOwner(w, r, start, owner, key, g, opts, rawBody) {
+		if owner := s.fleetM.Owner(hash); owner != s.fleetM.Self() {
+			if s.routeToOwner(w, r, start, owner, hash, rawBody) {
 				return
 			}
 			// Owner unreachable: serve locally rather than fail. The result
@@ -421,13 +403,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.serveFlight(w, r, start, key, forwarded, func(ctx context.Context) (int, string, []byte) {
-		return s.compile(ctx, g, opts)
-	})
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	body, err := s.svc.Encoded(ctx, hash, g, opts)
+	s.respond(w, r, start, forwarded, body, err)
 }
 
 // handleRemap re-targets a previously compiled artifact onto a degraded
-// topology. It rides the same admission and coalescing path as compile —
+// topology. It rides the same admission bound and coalescing as compile —
 // a fleet event takes out a device under many clients at once, and their
 // identical (artifact, degradation) requests must cost one remap, not a
 // stampede — but bypasses the compile cache: the artifact is the input,
@@ -461,244 +444,88 @@ func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := remapKey(a, req.Degradation)
+	key, err := remapKey(req)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.serveFlight(w, r, start, key, false, func(ctx context.Context) (int, string, []byte) {
-		return s.remap(ctx, a, degraded, gpuMap)
-	})
-}
-
-// serveFlight answers one request through the flight table: joiners ride
-// an existing flight for key, otherwise this request leads — it passes
-// admission, runs run under the request timeout, and resolves the flight
-// for every joiner. Coalescing happens before admission: joiners never
-// consume a slot or queue space, so a thundering herd of one key can
-// never trip its own backpressure. forwarded marks a request proxied here
-// by a peer: its latency is recorded at the proxying node instead, and
-// its 200 body is stamped with a content hash so the proxying node can
-// verify the relay.
-func (s *Server) serveFlight(w http.ResponseWriter, r *http.Request, start time.Time, key string,
-	forwarded bool, run func(ctx context.Context) (status int, contentType string, body []byte)) {
-	s.flightMu.Lock()
-	if call, ok := s.flight[key]; ok {
-		s.flightMu.Unlock()
-		s.coalesced.Add(1)
-		_, span := obs.StartSpan(r.Context(), "coalesce.join")
-		select {
-		case <-call.done:
-			span.End()
-			s.finish(w, call, start, forwarded)
-		case <-r.Context().Done():
-			// Client gone; nothing useful to write.
-			span.SetNote("client gone")
-			span.End()
-		}
-		return
-	}
-	call := &flightCall{done: make(chan struct{})}
-	s.flight[key] = call
-	s.flightMu.Unlock()
-
-	// Leader: the flight must always be resolved and retired on every exit
-	// path — including a panic below (net/http recovers it): an unresolved
-	// flight would strand coalesced joiners forever, and a leaked slot
-	// would shrink MaxInFlight for the rest of the process's life.
-	resolve := func(status int, contentType string, body []byte) {
-		call.status, call.contentType, call.body = status, contentType, body
-		close(call.done)
-	}
-	defer func() {
-		s.flightMu.Lock()
-		delete(s.flight, key)
-		s.flightMu.Unlock()
-	}()
-	defer func() {
-		select {
-		case <-call.done:
-		default:
-			resolve(http.StatusInternalServerError, "text/plain; charset=utf-8",
-				[]byte("internal error: request handler aborted\n"))
-		}
-	}()
-
-	admitStart := time.Now()
-	_, admitSpan := obs.StartSpan(r.Context(), "admission.wait")
-	release, ok := s.admit(r.Context())
-	s.met.admissionWait.ObserveSince(admitStart)
-	if !ok {
-		admitSpan.SetNote("not admitted")
-		admitSpan.End()
-		if r.Context().Err() != nil {
-			// The leader's client vanished while queued — that's not
-			// backpressure. Joiners get a retryable 503, not a 429.
-			resolve(http.StatusServiceUnavailable, "text/plain; charset=utf-8",
-				[]byte("leading request cancelled while queued; retry\n"))
-		} else {
-			resolve(http.StatusTooManyRequests, "text/plain; charset=utf-8",
-				[]byte(fmt.Sprintf("compile queue full (%d in flight, %d queued)\n",
-					s.cfg.MaxInFlight, s.cfg.MaxQueue)))
-		}
-		s.finish(w, call, start, forwarded)
-		return
-	}
-	admitSpan.End()
-	defer release()
-
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	status, contentType, payload := run(ctx)
-	resolve(status, contentType, payload)
-	s.finish(w, call, start, forwarded)
-}
-
-// admit takes a compile slot, queueing up to MaxQueue requests behind the
-// MaxInFlight running ones. It returns ok=false when the queue is full or
-// the caller's context ends first; on ok the returned release must be
-// called exactly once.
-func (s *Server) admit(ctx context.Context) (release func(), ok bool) {
-	// The queued gauge counts waiters including those about to take a free
-	// slot, so the bound is approximate by design: admission must stay one
-	// atomic, not a lock around the semaphore.
-	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
-		s.queued.Add(-1)
-		return nil, false
-	}
-	select {
-	case s.slots <- struct{}{}:
-		s.queued.Add(-1)
-		s.inFlight.Add(1)
-		return func() {
-			s.inFlight.Add(-1)
-			<-s.slots
-		}, true
-	case <-ctx.Done():
-		s.queued.Add(-1)
-		return nil, false
-	}
-}
-
-// compile runs one admitted compilation to its response triple.
-func (s *Server) compile(ctx context.Context, g *sdf.Graph, opts core.Options) (status int, contentType string, body []byte) {
-	c, err := s.svc.Compile(ctx, g, opts)
-	if err != nil {
-		return errorResponse(err)
-	}
-	body, err = s.encodedResponse(c)
-	if err != nil {
-		return http.StatusInternalServerError, "text/plain; charset=utf-8", []byte(err.Error() + "\n")
-	}
-	return http.StatusOK, "application/json", body
-}
-
-// remap runs one admitted remap to its response triple. No response memo:
-// remaps are rare fleet events whose herds the flight table already
-// coalesces, and the input artifact — not a service cache entry — is the
-// identity, so there is no *core.Compiled to memoize under.
-func (s *Server) remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, gpuMap []int) (status int, contentType string, body []byte) {
-	c, err := driver.Remap(ctx, a, degraded, driver.RemapOptions{Workers: s.cfg.CompileWorkers, GPUMap: gpuMap})
-	if err != nil {
-		return errorResponse(err)
-	}
-	ra, err := c.Artifact()
-	if err != nil {
-		return http.StatusInternalServerError, "text/plain; charset=utf-8", []byte(err.Error() + "\n")
-	}
-	s.encodes.Add(1)
-	body, err = ra.Encode()
-	if err != nil {
-		return http.StatusInternalServerError, "text/plain; charset=utf-8", []byte(err.Error() + "\n")
-	}
-	return http.StatusOK, "application/json", body
-}
-
-// errorResponse maps a pipeline error to its response triple. Deadline
-// expiry is the request timeout (504). Cancellation means the leader's
-// client vanished mid-run; any coalesced joiners should retry (a detached
-// compile is still populating the cache), not report a server error.
-func errorResponse(err error) (int, string, []byte) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		status = http.StatusServiceUnavailable
-	}
-	return status, "text/plain; charset=utf-8", []byte(err.Error() + "\n")
-}
-
-// encodedResponse returns the artifact encoding of a compilation,
-// memoizing by result identity: the service hands every caller with an
-// equal key the same immutable *Compiled, so its bytes (Stages provenance
-// included) can never go stale under this key, and a cache-hit request
-// costs a map lookup instead of a full artifact export + JSON marshal.
-// A recompile after LRU eviction yields a new pointer, hence fresh bytes.
-func (s *Server) encodedResponse(c *core.Compiled) ([]byte, error) {
-	s.respMu.Lock()
-	if el, ok := s.respByPtr[c]; ok {
-		s.respLRU.MoveToFront(el)
-		body := el.Value.(*respItem).body
-		s.respMu.Unlock()
-		return body, nil
-	}
-	s.respMu.Unlock()
-
-	s.encodes.Add(1)
-	a, err := c.Artifact()
-	if err != nil {
-		return nil, err
-	}
-	body, err := a.Encode()
-	if err != nil {
-		return nil, err
-	}
-
-	s.respMu.Lock()
-	if _, ok := s.respByPtr[c]; !ok {
-		s.respByPtr[c] = s.respLRU.PushFront(&respItem{c: c, body: body})
-		for s.respLRU.Len() > s.respBound {
-			back := s.respLRU.Back()
-			s.respLRU.Remove(back)
-			delete(s.respByPtr, back.Value.(*respItem).c)
+	out, err := s.svc.Flight(ctx, key, func(ctx context.Context) ([]byte, error) {
+		c, err := driver.Remap(ctx, a, degraded, driver.RemapOptions{Workers: s.cfg.CompileWorkers, GPUMap: gpuMap})
+		if err != nil {
+			return nil, err
 		}
-	}
-	s.respMu.Unlock()
-	return body, nil
+		return s.svc.Encode(ctx, c)
+	})
+	s.respond(w, r, start, false, out, err)
 }
 
-// finish writes a resolved flight to one requester and records the
-// request's latency and error counters. forwarded marks a request a peer
-// proxied here: the proxying node records the client-observed latency
-// (recording it again at the owner would double-count every proxied
-// request), and the 200 body is stamped with headerContentHash so the
-// relay back through the proxying node is integrity-checked end to end —
-// only on forwarded requests, so directly served traffic never pays the
-// hash.
-func (s *Server) finish(w http.ResponseWriter, call *flightCall, start time.Time, forwarded bool) {
+// respond answers one compile or remap request with the service's verdict
+// and records its latency and error counters. Service errors map to
+// statuses: a full queue is 429 + Retry-After, the request deadline 504, a
+// closing service or a cancelled request 503 (retryable — a compilation
+// that outlives its request still fills the cache), anything else 500.
+// forwarded marks a request a peer proxied here: the proxying node records
+// the client-observed latency (recording it again at the owner would
+// double-count every proxied request), and the 200 body is stamped with
+// headerContentHash so the proxying node can verify the relay.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, forwarded bool, body []byte, err error) {
+	status := http.StatusOK
 	switch {
-	case call.status == http.StatusTooManyRequests:
+	case err == nil:
+		w.Header().Set("Content-Type", "application/json")
+		if forwarded {
+			w.Header().Set(headerContentHash, contentHash(body))
+		}
+	case r.Context().Err() != nil:
+		return // client gone; nothing useful to write
+	case errors.Is(err, core.ErrBusy):
+		status = http.StatusTooManyRequests
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-	case call.status != http.StatusOK:
-		s.errs.Add(1)
+		err = fmt.Errorf("compile queue full (%d in flight, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled), errors.Is(err, core.ErrClosed):
+		status = http.StatusServiceUnavailable
+	default:
+		status = http.StatusInternalServerError
 	}
-	if forwarded && call.status == http.StatusOK {
-		w.Header().Set(headerContentHash, contentHash(call.body))
+	if err != nil {
+		if status != http.StatusTooManyRequests {
+			s.errs.Add(1)
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		body = []byte(err.Error() + "\n")
 	}
-	w.Header().Set("Content-Type", call.contentType)
-	w.WriteHeader(call.status)
-	w.Write(call.body)
 	// Rejected requests enter the window too: a 429's admission wait is
 	// latency the client observed, and a window that hides shed load
 	// reports p99s that look better the worse the overload gets.
-	if !forwarded {
-		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
+	if forwarded {
+		start = time.Time{}
 	}
+	s.writeBody(r.Context(), w, status, body, start)
 }
 
-// fail answers a request that never reached a flight (malformed input).
+// writeBody writes a response whose whole body is in hand, so its length
+// is declared instead of leaving net/http to chunk it. A non-zero start
+// enters the request in the latency window, before the write: with the
+// length declared the client holds the complete response as soon as it is
+// written, ahead of this handler's return, and whoever reads /stats next
+// must already find the request there.
+func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, status int, body []byte, start time.Time) {
+	if !start.IsZero() {
+		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
+	}
+	_, span := obs.StartSpan(ctx, "response.write")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
+	span.End()
+}
+
+// fail answers a request that never reached the service (malformed input).
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	s.errs.Add(1)
 	http.Error(w, err.Error(), status)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"streammap/internal/artifact"
 	"streammap/internal/core"
 	"streammap/internal/driver"
+	"streammap/internal/fleet"
 	"streammap/internal/mapping"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
@@ -29,8 +31,47 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *client.Clien
 	t.Helper()
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { stopServer(t, srv, ts) })
 	return srv, client.New(ts.URL)
+}
+
+// stopServer shuts one test server down the way streammapd does: stop
+// the listener, then wait for the service's background work, so nothing
+// is still writing a cache directory when the test (or its TempDir
+// cleanup) moves on. Safe to call twice.
+func stopServer(t *testing.T, srv *server.Server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Close(ctx); err != nil {
+		t.Errorf("server close: %v", err)
+	}
+}
+
+// postCompile posts one marshalled compile request and returns the raw
+// response body, holding the response to the artifact-route contract: 200,
+// JSON, and a declared Content-Length (the body is a known []byte; chunked
+// encoding would mean the server forgot it).
+func postCompile(t *testing.T, baseURL string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(baseURL+"/v1/compile", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile answered %d: %s", resp.StatusCode, got)
+	}
+	if resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("compile response: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+			resp.ContentLength, resp.TransferEncoding, len(got))
+	}
+	return got
 }
 
 func appGraph(t *testing.T, name string, n int) *sdf.Graph {
@@ -146,8 +187,10 @@ func TestServerCoalescesThunderingHerd(t *testing.T) {
 	if st.Rejected != 0 {
 		t.Errorf("%d identical requests were throttled; the herd must coalesce, not trip backpressure", st.Rejected)
 	}
-	if st.Coalesced+st.Service.Hits != N-1 {
-		t.Errorf("coalesced %d + memory hits %d, want %d joiners accounted for", st.Coalesced, st.Service.Hits, N-1)
+	// Every other request was answered from the table: it joined the run in
+	// flight (coalesced) or arrived after it finished, and both are hits.
+	if st.Service.Hits != N-1 || st.Coalesced > st.Service.Hits {
+		t.Errorf("table hits %d (coalesced %d), want %d joiners accounted for", st.Service.Hits, st.Coalesced, N-1)
 	}
 }
 
@@ -211,37 +254,78 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	}
 }
 
-// TestServerDiskTierAcrossRestart: a second server sharing the first's
-// cache directory serves the artifact from disk — provenance-empty Stages,
-// one disk hit, zero pipeline compiles.
+// TestServerDiskTierAcrossRestart is the byte-identity referee of the
+// serving path: for one key, the fresh response, a table hit, a disk-tier
+// hit after a restart, a shared-store hit on a second node and a peer
+// fetch through a fleet are the same bytes — the one encoding the one
+// fresh compile produced. The tier counters, not missing provenance, say
+// that no pipeline ran: exactly one compile and one encode happen over
+// the whole test.
 func TestServerDiskTierAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	g := appGraph(t, "FFT", 16)
-	req := server.NewRequest(g, testOpts(2))
-
-	_, cl1 := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
-	first, err := cl1.Compile(context.Background(), req)
+	dir, storeDir := t.TempDir(), t.TempDir()
+	// The fleet comes up first so the key can be chosen by owner: node 0
+	// owns it and shares the restarted server's cache directory.
+	nodes := startFleetNodes(t, 2, func(i int, cfg *server.Config) {
+		if i == 0 {
+			cfg.Service.CacheDir = dir
+		}
+	})
+	g, opts := graphOwnedBy(t, nodes, 0)
+	body, err := json.Marshal(server.NewRequest(g, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(first.Stages) == 0 {
+	var all []*server.Server
+
+	first := server.New(server.Config{Service: core.ServiceConfig{CacheDir: dir, Shared: fleet.NewDirStore(storeDir)}})
+	ts := httptest.NewServer(first.Handler())
+	all = append(all, first)
+	fresh := postCompile(t, ts.URL, body)
+	a, err := artifact.Decode(fresh)
+	if err != nil {
+		t.Fatalf("fresh response does not decode: %v", err)
+	}
+	if len(a.Stages) == 0 {
 		t.Fatal("fresh compile served without stage provenance")
 	}
+	answers := map[string][]byte{"table hit": postCompile(t, ts.URL, body)}
+	// The restart: Close is the barrier that puts the artifact on disk.
+	stopServer(t, first, ts)
 
-	srv2, cl2 := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
-	second, err := cl2.Compile(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	restarted, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
+	all = append(all, restarted)
+	answers["disk hit after restart"] = postCompile(t, cl.BaseURL, body)
+	if st := restarted.Stats().Service; st.DiskHits != 1 || st.Misses != 0 {
+		t.Errorf("restarted server stats %+v, want 1 disk hit / 0 compiles", st)
 	}
-	if len(second.Stages) != 0 {
-		t.Errorf("disk-served artifact carries %d stages; empty Stages is the no-pipeline provenance signal", len(second.Stages))
+
+	second, cl := startServer(t, server.Config{Service: core.ServiceConfig{
+		CacheDir: t.TempDir(), Shared: fleet.NewDirStore(storeDir)}})
+	all = append(all, second)
+	answers["store hit on a second node"] = postCompile(t, cl.BaseURL, body)
+	if st := second.Stats().Service; st.StoreHits != 1 || st.Misses != 0 {
+		t.Errorf("second node stats %+v, want 1 store hit / 0 compiles", st)
 	}
-	if err := driver.EquivalentArtifacts(first, second); err != nil {
-		t.Errorf("disk-served artifact differs: %v", err)
+
+	answers["peer fetch"] = postCompile(t, nodes[1].url, body)
+	if st := nodes[1].srv.Stats(); st.Fleet.PeerHits != 1 {
+		t.Errorf("non-owner fleet stats %+v, want 1 peer hit", st.Fleet)
 	}
-	st := srv2.Stats()
-	if st.Service.DiskHits != 1 || st.Service.Misses != 0 {
-		t.Errorf("restarted server stats %+v, want 1 disk hit / 0 compiles", st.Service)
+	all = append(all, nodes[0].srv, nodes[1].srv)
+
+	for how, got := range answers {
+		if !bytes.Equal(got, fresh) {
+			t.Errorf("%s: %d bytes differ from the fresh response's %d", how, len(got), len(fresh))
+		}
+	}
+	var compiles, encodes int64
+	for _, srv := range all {
+		st := srv.Stats()
+		compiles += st.Service.Misses
+		encodes += st.Encodes
+	}
+	if compiles != 1 || encodes != 1 {
+		t.Errorf("%d compiles and %d encodes across five ways to be answered, want 1 and 1", compiles, encodes)
 	}
 }
 
@@ -327,11 +411,11 @@ func TestServerStatsEndpoint(t *testing.T) {
 	if st.Requests != 3 {
 		t.Errorf("requests %d, want 3", st.Requests)
 	}
-	if st.Service.Misses != 1 || st.Service.Hits+st.Coalesced != 2 {
-		t.Errorf("stats %+v, want 1 compile and 2 cached/coalesced serves", st)
+	if st.Service.Misses != 1 || st.Service.Hits != 2 {
+		t.Errorf("stats %+v, want 1 compile and 2 table hits", st)
 	}
 	if st.Encodes != 1 {
-		t.Errorf("%d artifact encodes for 3 identical requests, want 1 (hits must serve memoized bytes)", st.Encodes)
+		t.Errorf("%d artifact encodes for 3 identical requests, want 1 (hits must serve the stored bytes)", st.Encodes)
 	}
 	if st.Latency.Count == 0 || st.Latency.P50MS <= 0 {
 		t.Errorf("latency window empty after 3 requests: %+v", st.Latency)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 
 	"streammap/internal/artifact"
-	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
@@ -50,20 +49,16 @@ func NewRemapRequest(a *artifact.Artifact, d topology.Degradation) (RemapRequest
 	return RemapRequest{Artifact: b, Degradation: d}, nil
 }
 
-// remapKey is the coalescing identity of a remap: the artifact's compile
-// identity (core.CanonicalKey — fingerprint + normalized options, the
-// exact identity compile flights, the cache and the fleet ring all share)
-// plus the canonical wire form of the degradation. The "remap|" prefix
-// keeps the keyspace disjoint from compile flights, whose keys start with
-// bare fingerprint hex — both kinds share one flight table.
-func remapKey(a *artifact.Artifact, d topology.Degradation) (string, error) {
-	ck, err := core.CanonicalKey(a.Fingerprint, a.Options)
+// remapKey is the coalescing identity of a remap: the SHA-256 of the
+// artifact's bytes as sent plus the canonical wire form of the
+// degradation. Clients that feed one compile response back through one
+// fleet event send identical bytes, so they share a run. The "remap|"
+// prefix keeps the keyspace disjoint from compile keys (bare hex) in the
+// service's table.
+func remapKey(req RemapRequest) (string, error) {
+	db, err := json.Marshal(req.Degradation)
 	if err != nil {
 		return "", err
 	}
-	db, err := json.Marshal(d)
-	if err != nil {
-		return "", err
-	}
-	return "remap|" + ck + "|" + string(db), nil
+	return "remap|" + contentHash(req.Artifact) + "|" + string(db), nil
 }

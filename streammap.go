@@ -164,9 +164,11 @@ func CompileCtx(ctx context.Context, g *Graph, opts Options) (*Compiled, error) 
 
 // NewService returns a concurrent compile service: many goroutines may
 // Compile through it at once; identical in-flight requests are deduplicated
-// and results cached in an LRU keyed by (graph fingerprint, device,
-// topology, options), backed — when ServiceConfig.CacheDir is set — by a
-// content-addressed on-disk artifact store that survives restarts.
+// and results cached in an LRU keyed by the compilation's identity (graph
+// structure and normalized options), backed — when ServiceConfig.CacheDir
+// is set — by a content-addressed on-disk artifact store that survives
+// restarts. Artifacts are persisted after the caller is answered: Close (or
+// Flush) the service before exiting to wait for them.
 func NewService(cfg ServiceConfig) *Service {
 	return core.NewService(cfg)
 }
