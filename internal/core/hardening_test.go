@@ -18,6 +18,7 @@ import (
 	"streammap/internal/driver"
 	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
+	"streammap/internal/sdf"
 )
 
 // TestServiceTornWriteRecovery is the satellite acceptance test: truncate
@@ -179,15 +180,16 @@ func TestDirStoreInjectedENOSPC(t *testing.T) {
 	}
 }
 
-// encodedOf answers (g, opts) through the server's face of the service.
+// encodedOf answers (g, opts) through the server's face of the service:
+// keyed from the wire form, the graph built only if the service asks.
 func encodedOf(t *testing.T, s *core.Service, name string) []byte {
 	t.Helper()
-	g, opts := cacheGraph(t, name), cacheOpts()
-	hash, err := core.HashOf(g, opts)
+	spec, opts := sdf.ExportGraph(cacheGraph(t, name)), cacheOpts()
+	hash, err := core.HashOfSpec(&spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := s.Encoded(context.Background(), hash, g, opts)
+	data, err := s.Encoded(context.Background(), hash, func() (*sdf.Graph, error) { return sdf.ImportGraph(spec) }, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

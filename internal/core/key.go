@@ -15,7 +15,9 @@ import (
 // service's table, the persistent stores' filenames, the ring that decides
 // which fleet node owns it and the /v1/artifact/{key} peer-fetch route all
 // use KeyHash(KeyOf(g, opts)), computed once where the request enters and
-// passed down.
+// passed down. A library caller derives it from the graph in hand (HashOf),
+// the server from the request's wire form (HashOfSpec); both go through
+// keyBytes, and sdf's identity referee holds the two digests equal.
 
 // KeyOf names a compilation: the artifact format version, the SHA-256 of
 // the graph's canonical structure (memoized on the graph) and the
@@ -24,21 +26,22 @@ import (
 // Workers never splits it, and bytes written by another format version are
 // never looked up.
 func KeyOf(g *sdf.Graph, opts Options) (string, error) {
-	b, err := keyBytes(g, opts)
+	b, err := keyBytes(g.Digest(), opts)
 	return string(b), err
 }
 
-func keyBytes(g *sdf.Graph, opts Options) ([]byte, error) {
+// keyBytes is the one key function: digest is the graph's structural
+// identity, from sdf.Graph.Digest or sdf.SpecDigest.
+func keyBytes(digest [sha256.Size]byte, opts Options) ([]byte, error) {
 	ob, err := json.Marshal(driver.ExportOptions(driver.Normalized(opts)))
 	if err != nil {
 		return nil, err
 	}
-	d := g.Digest()
-	b := make([]byte, 0, 8+2*len(d)+len(ob))
+	b := make([]byte, 0, 8+2*len(digest)+len(ob))
 	b = append(b, 'v')
 	b = strconv.AppendInt(b, artifact.FormatVersion, 10)
 	b = append(b, '|')
-	b = hex.AppendEncode(b, d[:])
+	b = hex.AppendEncode(b, digest[:])
 	b = append(b, '|')
 	return append(b, ob...), nil
 }
@@ -50,11 +53,21 @@ func KeyHash(key string) string { return keyHash([]byte(key)) }
 // HashOf is KeyHash(KeyOf(g, opts)) without the key's round trip through a
 // string: what a caller that only routes by the hash asks for.
 func HashOf(g *sdf.Graph, opts Options) (string, error) {
-	b, err := keyBytes(g, opts)
+	return hashed(keyBytes(g.Digest(), opts))
+}
+
+// HashOfSpec is HashOf for a graph still in its wire form: the hash
+// ImportGraph(*spec) would key to, without building it. A spec ImportGraph
+// rejects hashes to a key no compilation has.
+func HashOfSpec(spec *sdf.GraphSpec, opts Options) (string, error) {
+	return hashed(keyBytes(sdf.SpecDigest(spec), opts))
+}
+
+func hashed(key []byte, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return keyHash(b), nil
+	return keyHash(key), nil
 }
 
 func keyHash(key []byte) string {

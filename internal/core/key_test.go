@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streammap/internal/apps"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/mapping"
 	"streammap/internal/sdf"
@@ -21,7 +22,36 @@ func hashOf(t *testing.T, g *sdf.Graph, opts Options) string {
 	if key, _ := KeyOf(g, opts); KeyHash(key) != hash {
 		t.Fatalf("HashOf %s disagrees with KeyHash(KeyOf) %s", hash, KeyHash(key))
 	}
+	// The server's derivation, from the wire form alone, is the same key.
+	spec := sdf.ExportGraph(g)
+	if fromSpec, err := HashOfSpec(&spec, opts); err != nil || fromSpec != hash {
+		t.Fatalf("HashOfSpec %s (%v) disagrees with HashOf %s", fromSpec, err, hash)
+	}
 	return hash
+}
+
+// TestHashOfSpecMatchesHashOf: a library caller keys by the graph, a server
+// by the request's spec and imported options; for zero-value options, their
+// explicit-default twin and the options as they come back off the wire, all
+// of them must name one compilation.
+func TestHashOfSpecMatchesHashOf(t *testing.T) {
+	app, _ := apps.ByName("FMRadio")
+	g, err := apps.BuildGraph(app, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := Options{Topo: topology.PairedTree(2)}
+	want := hashOf(t, g, zero)
+	if hashOf(t, g, driver.Normalized(zero)) != want {
+		t.Error("explicit defaults key differently from the zero value")
+	}
+	wire, err := driver.ImportOptions(driver.ExportOptions(zero))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashOf(t, g, wire) != want {
+		t.Error("options that crossed the wire key differently")
+	}
 }
 
 // TestKeyHashSensitivity: the one cache identity moves with the graph's
@@ -100,7 +130,8 @@ func TestMemoryHitAllocations(t *testing.T) {
 	}
 	hash := hashOf(t, g, opts)
 
-	if n := testing.AllocsPerRun(200, func() { s.Encoded(ctx, hash, g, opts) }); n > 1 {
+	source := func() (*sdf.Graph, error) { return g, nil }
+	if n := testing.AllocsPerRun(200, func() { s.Encoded(ctx, hash, source, opts) }); n > 1 {
 		t.Errorf("a table hit with the key in hand allocates %.0f times, want at most 1", n)
 	}
 	if n := testing.AllocsPerRun(200, func() { s.Compile(ctx, g, opts) }); n > 9 {

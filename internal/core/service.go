@@ -310,7 +310,7 @@ func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Com
 	if err != nil {
 		return nil, err
 	}
-	e, err := s.resolve(ctx, hash, g, opts, true)
+	e, err := s.resolve(ctx, hash, g, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -325,22 +325,37 @@ func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Com
 	return e.c, e.cerr
 }
 
+// GraphSource builds the graph a key names. A known key never needs one, so
+// a caller that holds only a wire form (a server with a request's spec)
+// hands the service the means to build it and pays for the build only when
+// the pipeline will run. Its error is the caller's own and is returned
+// unchanged to everyone waiting on the run.
+type GraphSource func() (*sdf.Graph, error)
+
 // Encoded is Compile for callers that want the bytes: it returns the
-// encoded artifact of g under opts, identical for every caller of hash and
-// for every tier it is later read from. hash is HashOf(g, opts),
-// which the caller has already derived to route the request.
-func (s *Service) Encoded(ctx context.Context, hash string, g *sdf.Graph, opts Options) ([]byte, error) {
-	e, err := s.resolve(ctx, hash, g, opts, false)
+// encoded artifact of source's graph under opts, identical for every
+// caller of hash and for every tier it is later read from. hash is the
+// HashOf (or HashOfSpec) of that graph and opts, which the caller has
+// already derived to route the request.
+//
+// source is called at most once, by the run this call starts when the table
+// and every persistent tier have missed; a call that finds the key, or
+// joins a run, drops it. The run is detached, so it may call source after
+// a call whose ctx ended has returned — but never after a return with ctx
+// still live, which means the run is over.
+func (s *Service) Encoded(ctx context.Context, hash string, source GraphSource, opts Options) ([]byte, error) {
+	e, err := s.resolve(ctx, hash, nil, source, opts)
 	if err != nil {
 		return nil, err
 	}
 	return e.data, nil
 }
 
-// resolve returns hash's finished entry. library marks a caller that will
-// want the *Compiled: a run it leads keeps the pipeline's own result and
-// only accepts stored bytes it can rebuild one from.
-func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, opts Options, library bool) (*entry, error) {
+// resolve returns hash's finished entry. The graph comes one of two ways: g
+// in hand marks a library caller, who will want the *Compiled — a run it
+// leads keeps the pipeline's own result and only accepts stored bytes it
+// can rebuild one from; otherwise source builds it if the run must compile.
+func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts Options) (*entry, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -350,7 +365,7 @@ func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, opts O
 	}
 	if !hit {
 		go s.run(ctx, e, true, func(ctx context.Context) ([]byte, *Compiled, int, error) {
-			return s.fill(ctx, hash, g, opts, library)
+			return s.fill(ctx, hash, g, source, opts)
 		})
 	}
 	return s.await(ctx, e, hit)
@@ -478,9 +493,12 @@ func (s *Service) run(ctx context.Context, e *entry, retain bool, work func(cont
 }
 
 // fill produces hash's bytes for a run: the first persistent tier holding
-// them, else a compilation under an admission slot.
-func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, opts Options, library bool) ([]byte, *Compiled, int, error) {
+// them, else a compilation under an admission slot. A library caller's g
+// vets what the tiers return; without one the graph is built from source,
+// and only for the compilation.
+func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts Options) ([]byte, *Compiled, int, error) {
 	var c *Compiled
+	library := g != nil
 	accept := func([]byte) error { return nil }
 	if library {
 		accept = func(data []byte) (err error) {
@@ -490,6 +508,15 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, opts Opti
 	}
 	if data, i := s.probe(ctx, hash, accept); data != nil {
 		return data, c, i, nil // write through into the tiers in front of the one that hit
+	}
+	if !library {
+		_, span := obs.StartSpan(ctx, "graph.import")
+		var err error
+		g, err = source()
+		span.End()
+		if err != nil {
+			return nil, nil, 0, err
+		}
 	}
 	if err := s.ensureSteady(g); err != nil {
 		return nil, nil, 0, err

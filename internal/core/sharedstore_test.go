@@ -8,6 +8,7 @@ import (
 	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/fleet"
+	"streammap/internal/sdf"
 )
 
 // TestServiceWarmStartsFromSharedStore is the fleet-join acceptance check
@@ -126,7 +127,10 @@ func TestEncodedByHashAndIngest(t *testing.T) {
 	fetcher := core.NewService(core.ServiceConfig{CacheDir: fetchDir})
 	fetcher.Ingest(hash, data)
 	g2 := cacheGraph(t, "peerbytes")
-	served, err := fetcher.Encoded(ctx, hash, g2, opts)
+	served, err := fetcher.Encoded(ctx, hash, func() (*sdf.Graph, error) {
+		t.Error("a table hit built its graph")
+		return g2, nil
+	}, opts)
 	if err != nil || !bytes.Equal(served, data) {
 		t.Fatalf("ingested bytes not served as they came: %v", err)
 	}

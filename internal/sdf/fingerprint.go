@@ -24,59 +24,132 @@ type identity struct {
 // graph.go's struct stays readable.
 type identPointer = atomic.Pointer[identity]
 
+// canon is the canonical structural encoding under construction: integers
+// are 8-byte little-endian, strings and token lists length-prefixed, floats
+// by bit pattern, flags one byte. Every field is fixed-width or carries its
+// length, so the encoding is injective — two different structures never
+// share one byte string.
+type canon []byte
+
+func (c *canon) i64(v int64) { *c = binary.LittleEndian.AppendUint64(*c, uint64(v)) }
+
+func (c *canon) int(v int) { c.i64(int64(v)) }
+
+func (c *canon) str(s string) {
+	c.int(len(s))
+	*c = append(*c, s...)
+}
+
+func (c *canon) flag(v bool) {
+	if v {
+		*c = append(*c, 1)
+	} else {
+		*c = append(*c, 0)
+	}
+}
+
+func (c *canon) toks(ts []Token) {
+	c.int(len(ts))
+	for _, tok := range ts {
+		*c = binary.LittleEndian.AppendUint64(*c, math.Float64bits(tok))
+	}
+}
+
 // canonical appends the graph's canonical structural encoding to buf: its
 // name, every node's filter signature (name, rates, ops, kind, flags,
 // initial state), pipeline grouping, and every edge with its endpoints,
-// ports, rates and delay tokens. Integers are 8-byte little-endian,
-// strings length-prefixed, floats by bit pattern.
+// ports, rates and delay tokens.
 func (g *Graph) canonical(buf []byte) []byte {
-	i := func(v int) { buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v))) }
-	str := func(s string) {
-		i(len(s))
-		buf = append(buf, s...)
-	}
-	toks := func(ts []Token) {
-		i(len(ts))
-		for _, tok := range ts {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(tok))
-		}
-	}
-	str(g.Name)
-	i(len(g.Nodes))
+	c := canon(buf)
+	c.str(g.Name)
+	c.int(len(g.Nodes))
 	for _, n := range g.Nodes {
 		f := n.Filter
-		str(f.Name)
-		i(int(f.Kind))
-		i(n.Pipe)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Ops))
-		if f.ZeroCopy {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		i(len(f.Inputs))
+		c.str(f.Name)
+		c.int(int(f.Kind))
+		c.int(n.Pipe)
+		c.i64(f.Ops)
+		c.flag(f.ZeroCopy)
+		c.int(len(f.Inputs))
 		for _, in := range f.Inputs {
-			i(in.Pop)
-			i(in.Peek)
+			c.int(in.Pop)
+			c.int(in.Peek)
 		}
-		i(len(f.Outputs))
+		c.int(len(f.Outputs))
 		for _, push := range f.Outputs {
-			i(push)
+			c.int(push)
 		}
-		toks(f.Init)
+		c.toks(f.Init)
 	}
-	i(len(g.Edges))
+	c.int(len(g.Edges))
 	for _, e := range g.Edges {
-		i(int(e.Src))
-		i(e.SrcPort)
-		i(int(e.Dst))
-		i(e.DstPort)
-		i(e.Push)
-		i(e.Pop)
-		i(e.Peek)
-		toks(e.Initial)
+		c.int(int(e.Src))
+		c.int(e.SrcPort)
+		c.int(int(e.Dst))
+		c.int(e.DstPort)
+		c.int(e.Push)
+		c.int(e.Pop)
+		c.int(e.Peek)
+		c.toks(e.Initial)
 	}
-	return buf
+	return c
+}
+
+// canonical is the same walk over a graph's wire form: the spec carries
+// exactly the fields Graph.canonical hashes, in the same order, so a spec
+// and the graph ImportGraph builds from it encode to the same bytes.
+// TestSpecDigestMatchesGraph and FuzzSpecDigest hold the two walks equal.
+func (spec *GraphSpec) canonical(buf []byte) []byte {
+	c := canon(buf)
+	c.str(spec.Name)
+	c.int(len(spec.Nodes))
+	for i := range spec.Nodes {
+		n := &spec.Nodes[i]
+		f := &n.Filter
+		c.str(f.Name)
+		c.int(f.Kind)
+		c.int(n.Pipe)
+		c.i64(f.Ops)
+		c.flag(f.ZeroCopy)
+		c.int(len(f.Inputs))
+		for _, in := range f.Inputs {
+			c.int(in.Pop)
+			c.int(in.Peek)
+		}
+		c.int(len(f.Outputs))
+		for _, push := range f.Outputs {
+			c.int(push)
+		}
+		c.toks(f.Init)
+	}
+	c.int(len(spec.Edges))
+	for i := range spec.Edges {
+		e := &spec.Edges[i]
+		c.int(e.Src)
+		c.int(e.SrcPort)
+		c.int(e.Dst)
+		c.int(e.DstPort)
+		c.int(e.Push)
+		c.int(e.Pop)
+		c.int(e.Peek)
+		c.toks(e.Initial)
+	}
+	return c
+}
+
+// SpecDigest is Graph.Digest computed from the wire form, without building
+// the graph: SpecDigest(&spec) == g.Digest() for every g that
+// ImportGraph(spec) returns. It validates nothing — a spec ImportGraph
+// would reject still has a digest, one that no graph shares (the encoding
+// is injective), so it can only ever miss a cache keyed by digests of
+// compiled graphs.
+func SpecDigest(spec *GraphSpec) [sha256.Size]byte {
+	bp := canonBufs.Get().(*[]byte)
+	buf := spec.canonical((*bp)[:0])
+	sum := sha256.Sum256(buf)
+	*bp = buf
+	canonBufs.Put(bp)
+	return sum
 }
 
 // ident returns the memoized identity with at least the asked-for hash
@@ -109,8 +182,8 @@ func (g *Graph) ident(fnv bool) *identity {
 }
 
 // canonBufs recycles the canonical-encoding buffers: a server derives one
-// digest per request from a freshly imported graph, and the encoding (~100
-// bytes per node) is garbage as soon as it is hashed.
+// digest per request from the request's spec, and the encoding (~100 bytes
+// per node) is garbage as soon as it is hashed.
 var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Fingerprint returns a stable 64-bit structural hash (FNV-1a) of the

@@ -35,9 +35,9 @@ var identityCases = []struct {
 	{"edge delay length", func(s *GraphSpec) { s.Edges[0].Initial = []Token{9, 8, 7, 0} }},
 }
 
-// mutated returns specGraph's twin with one identityCases mutation
-// applied, rebuilt through ImportGraph so it is a valid graph.
-func mutated(t *testing.T, mutate func(*GraphSpec)) *Graph {
+// mutated returns specGraph's wire form with one identityCases mutation
+// applied, and its twin rebuilt through ImportGraph so it is a valid graph.
+func mutated(t *testing.T, mutate func(*GraphSpec)) (GraphSpec, *Graph) {
 	t.Helper()
 	spec := ExportGraph(specGraph(t))
 	mutate(&spec)
@@ -45,30 +45,64 @@ func mutated(t *testing.T, mutate func(*GraphSpec)) *Graph {
 	if err != nil {
 		t.Fatalf("mutation does not import: %v", err)
 	}
-	return g
+	return spec, g
 }
 
-// TestIdentitySensitivity: Fingerprint and Digest hash one canonical walk,
-// so both must move with every field it covers, agree between a graph and
-// its structural twin, and answer the same on a second (memoized) call.
+// TestIdentitySensitivity: Fingerprint and Digest hash one canonical walk
+// of the graph and SpecDigest the same walk of its wire form, so all three
+// must move with every field the walk covers; Digest and SpecDigest must
+// agree on every case, structural twins must agree, and a second
+// (memoized) call must answer the same.
 func TestIdentitySensitivity(t *testing.T) {
-	base, twin := specGraph(t), mutated(t, func(*GraphSpec) {})
+	base := specGraph(t)
+	spec, twin := mutated(t, func(*GraphSpec) {})
 	if base.Fingerprint() != twin.Fingerprint() || base.Digest() != twin.Digest() {
 		t.Fatal("structural twins disagree on identity")
 	}
 	if base.Fingerprint() != base.Fingerprint() || base.Digest() != base.Digest() {
 		t.Fatal("memoized identity differs from the first walk")
 	}
+	if SpecDigest(&spec) != base.Digest() {
+		t.Fatal("a graph and its wire form disagree on identity")
+	}
 	seen := map[[32]byte]string{base.Digest(): "base"}
 	for _, tc := range identityCases {
-		g := mutated(t, tc.mutate)
+		spec, g := mutated(t, tc.mutate)
 		if g.Fingerprint() == base.Fingerprint() {
 			t.Errorf("%s: Fingerprint did not change", tc.name)
 		}
 		if prev, dup := seen[g.Digest()]; dup {
 			t.Errorf("%s: Digest equals that of %s", tc.name, prev)
 		}
+		if SpecDigest(&spec) != g.Digest() {
+			t.Errorf("%s: SpecDigest of the wire form differs from the Digest of the graph built from it", tc.name)
+		}
 		seen[g.Digest()] = tc.name
+	}
+}
+
+// TestSpecDigestNilAndEmptyAgree: the wire form omits empty lists, so a
+// decoder may hand SpecDigest nil where an exporter handed it an empty
+// slice; the two are one structure and must digest the same.
+func TestSpecDigestNilAndEmptyAgree(t *testing.T) {
+	spec := ExportGraph(specGraph(t))
+	withNil, withEmpty := spec, spec
+	withNil.Nodes = append([]NodeSpec(nil), spec.Nodes...)
+	withEmpty.Nodes = append([]NodeSpec(nil), spec.Nodes...)
+	withNil.Edges = append([]EdgeSpec(nil), spec.Edges...)
+	withEmpty.Edges = append([]EdgeSpec(nil), spec.Edges...)
+	// The source has no inputs and no state, the sink no outputs, edge 1 no
+	// delay tokens.
+	src, sink := 0, len(spec.Nodes)-1
+	withNil.Nodes[src].Filter.Inputs, withEmpty.Nodes[src].Filter.Inputs = nil, []PortSpec{}
+	withNil.Nodes[src].Filter.Init, withEmpty.Nodes[src].Filter.Init = nil, []Token{}
+	withNil.Nodes[sink].Filter.Outputs, withEmpty.Nodes[sink].Filter.Outputs = nil, []int{}
+	withNil.Edges[1].Initial, withEmpty.Edges[1].Initial = nil, []Token{}
+	if SpecDigest(&withNil) != SpecDigest(&withEmpty) {
+		t.Fatal("nil and empty lists digest differently")
+	}
+	if SpecDigest(&withNil) != specGraph(t).Digest() {
+		t.Fatal("dropping empty lists changed the identity")
 	}
 }
 

@@ -93,7 +93,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // owner down. Every peer hop below shares one context deadline derived
 // from the request's timeout budget.
 func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, hash string, rawBody []byte) bool {
+	owner, hash string, call *compileCall) bool {
 	// Local read-through: a previously fetched or proxied hot key is
 	// served from this node's own caches, owner untouched.
 	lctx, localSpan := obs.StartSpan(r.Context(), "fleet.local")
@@ -154,7 +154,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 	s.breaker.Success(owner)
 	pctx, proxySpan := obs.StartSpan(ctx, "fleet.proxy")
 	proxySpan.SetNote(owner)
-	handled := s.proxyCompile(w, r.WithContext(pctx), start, owner, hash, rawBody)
+	handled := s.proxyCompile(w, r.WithContext(pctx), start, owner, hash, call)
 	proxySpan.End()
 	return handled
 }
@@ -257,10 +257,13 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string) (body []
 // never a served poison. Reports false (nothing written) when the caller
 // should serve locally.
 func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, hash string, rawBody []byte) bool {
+	owner, hash string, call *compileCall) bool {
+	// A transport may still be reading a request body after its response
+	// has arrived, so this one is never reused.
+	call.shared = true
 	var resp *http.Response
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/compile", bytes.NewReader(rawBody))
+		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/compile", bytes.NewReader(call.body))
 		if err != nil {
 			return false
 		}

@@ -3,6 +3,7 @@ package server
 import (
 	"log/slog"
 	"net/http"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -24,6 +25,10 @@ type serverMetrics struct {
 
 	durCompile *obs.Histogram
 	durRemap   *obs.Histogram
+
+	// decodeFallback counts compile bodies the request scanner declined and
+	// json.Unmarshal decoded: the share of traffic off the fast path.
+	decodeFallback *obs.Counter
 
 	// respClass counts responses by route and status class; keys are
 	// "route/class" over the fixed route and class sets.
@@ -47,6 +52,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "compile"}),
 		durRemap: reg.Histogram("streammap_request_duration_seconds",
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "remap"}),
+		decodeFallback: reg.Counter("streammap_request_decode_fallback_total",
+			"Compile request bodies decoded by encoding/json because the request scanner declined them."),
 		respClass: map[string]*obs.Counter{},
 	}
 	for _, route := range []string{"compile", "remap", "artifact"} {
@@ -69,6 +76,21 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return 0
 		})
+
+	// Garbage and collector work per request, readable from two scrapes:
+	// the process totals, from runtime/metrics (no stop-the-world).
+	runtimeCounter := func(name, help, sample string) {
+		reg.CounterFunc(name, help, func() float64 {
+			v := []metrics.Sample{{Name: sample}}
+			metrics.Read(v)
+			if v[0].Value.Kind() != metrics.KindUint64 {
+				return 0
+			}
+			return float64(v[0].Value.Uint64())
+		})
+	}
+	runtimeCounter("go_memstats_alloc_bytes_total", "Bytes allocated on the heap, freed or not.", "/gc/heap/allocs:bytes")
+	runtimeCounter("go_gc_cycles_total", "Completed garbage collection cycles.", "/gc/cycles/total:gc-cycles")
 
 	if s.fleetM != nil {
 		bridge("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.", &s.proxied)

@@ -51,11 +51,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	ctx := context.Background()
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if _, err := cl.Compile(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The third arrives in a spelling only encoding/json takes (a member no
+	// decoder knows): same key, same hit, counted as a decode fallback.
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postCompile(t, cl.BaseURL, append([]byte(`{"note":"x",`), body[1:]...))
 
 	resp, err := http.Get(cl.BaseURL + "/metrics")
 	if err != nil {
@@ -89,6 +96,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	expect("streammap_cache_hits_total", 2, obs.Label{Key: "tier", Value: "memory"})
 	expect("streammap_compile_seconds_count", 1)
 	expect("streammap_admission_wait_seconds_count", 1) // only the run that compiled took a slot; hits return before admission
+	expect("streammap_request_decode_fallback_total", 1)
+	// Garbage and GC cycles per request are two scrapes of these apart.
+	if v, ok := sm.Get("go_memstats_alloc_bytes_total"); !ok || v <= 0 {
+		t.Errorf("go_memstats_alloc_bytes_total = %g, %v; want a positive count", v, ok)
+	}
+	if _, ok := sm.Get("go_gc_cycles_total"); !ok {
+		t.Error("go_gc_cycles_total absent from /metrics")
+	}
 
 	// The fresh compile must have landed per-stage durations.
 	stages := 0.0
@@ -345,9 +360,9 @@ func spanSequence(tr *obs.TraceRecord) []string {
 // TestSpanSequencePerOutcome pins which layers a request passes through,
 // and in what order, for the three ways a compile is answered — presence
 // and order only, no wall-clock. A fresh compile probes the table and the
-// disk tier, waits for a slot, runs the pipeline and encodes once; a table
-// hit and a disk-tier hit after a restart touch neither admission nor the
-// pipeline nor the encoder.
+// disk tier, builds its graph, waits for a slot, runs the pipeline and
+// encodes once; a table hit and a disk-tier hit after a restart touch
+// neither the graph nor admission nor the pipeline nor the encoder.
 func TestSpanSequencePerOutcome(t *testing.T) {
 	dir := t.TempDir()
 	g := appGraph(t, "DES", 8)
@@ -365,19 +380,19 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 			t.Errorf("%s spans:\n got %v\nwant %v", what, got, want)
 		}
 	}
-	head := []string{"request.decode/", "graph.import/", "key/"}
+	head := []string{"request.decode/scan", "key/"}
 
 	srv1 := server.New(server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	ts1 := httptest.NewServer(srv1.Handler())
 	t.Cleanup(func() { stopServer(t, srv1, ts1) })
 	postCompile(t, ts1.URL, body)
-	expect("fresh compile", newest(ts1.URL), append(head[:3:3],
-		"cache.memory/miss", "cache.disk/miss", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
+	expect("fresh compile", newest(ts1.URL), append(head[:2:2],
+		"cache.memory/miss", "cache.disk/miss", "graph.import/", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
 	postCompile(t, ts1.URL, body)
-	expect("table hit", newest(ts1.URL), append(head[:3:3], "cache.memory/hit", "response.write/"))
+	expect("table hit", newest(ts1.URL), append(head[:2:2], "cache.memory/hit", "response.write/"))
 	stopServer(t, srv1, ts1)
 
 	_, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	postCompile(t, cl.BaseURL, body)
-	expect("disk hit", newest(cl.BaseURL), append(head[:3:3], "cache.memory/miss", "cache.disk/hit", "response.write/"))
+	expect("disk hit", newest(cl.BaseURL), append(head[:2:2], "cache.memory/miss", "cache.disk/hit", "response.write/"))
 }

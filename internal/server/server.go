@@ -6,12 +6,14 @@
 // the service's table, its persistent tiers and its fleet peers hold for
 // that key.
 //
-// The handler decodes the request, derives its key once, and hands both to
-// core.Service, which owns the rest of the path: a known key is answered
-// from the table or a persistent tier with the stored bytes, concurrent
-// duplicates join one run, and only a run that will execute the pipeline
-// queues for one of the MaxInFlight slots — beyond MaxQueue waiters the
-// server sheds load with 429 + Retry-After instead of collapsing.
+// The handler decodes the request into reused memory (decode.go), derives
+// its key once from the wire form, and hands the key and the means to build
+// the graph to core.Service, which owns the rest of the path: a known key
+// is answered from the table or a persistent tier with the stored bytes,
+// concurrent duplicates join one run, and only a run that will execute the
+// pipeline builds the graph and queues for one of the MaxInFlight slots —
+// beyond MaxQueue waiters the server sheds load with 429 + Retry-After
+// instead of collapsing.
 //
 // In fleet mode (Config.Fleet) N servers act as one cache: a
 // consistent-hash ring assigns every key an owner, non-owned requests
@@ -29,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -43,7 +44,6 @@ import (
 	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
 	"streammap/internal/obs"
-	"streammap/internal/sdf"
 )
 
 // Config tunes a compile server.
@@ -350,37 +350,37 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// The body is buffered rather than stream-decoded: a request this
 	// node does not own may need to travel on, verbatim, to the key's
-	// owner.
+	// owner. Buffer and decoded request are the previous request's memory,
+	// and go back to the pool unless something that outlives this handler
+	// was handed them (call.shared).
+	call := callPool.Get().(*compileCall)
+	defer call.release()
 	_, span := obs.StartSpan(r.Context(), "request.decode")
-	rawBody, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	var req CompileRequest
-	if err == nil {
-		err = json.Unmarshal(rawBody, &req)
-	}
-	span.End()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	_, span = obs.StartSpan(r.Context(), "graph.import")
-	g, err := sdf.ImportGraph(req.Graph)
+	how, err := call.decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
 	var opts core.Options
 	if err != nil {
-		err = fmt.Errorf("importing graph: %w", err)
-	} else if opts, err = driver.ImportOptions(req.Options); err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else if opts, err = driver.ImportOptions(call.req.Options); err != nil {
 		err = fmt.Errorf("importing options: %w", err)
 	}
+	span.SetNote(how)
 	span.End()
+	if how == byFallback {
+		s.met.decodeFallback.Inc()
+	}
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	opts.Workers = s.cfg.CompileWorkers
-	// The request's one identity, derived here and passed down: it routes
-	// the request through the ring and names it in the service's table,
-	// the persistent tiers and the peer-fetch route.
+	// The request's one identity, derived from its wire form and passed
+	// down: it routes the request through the ring and names it in the
+	// service's table, the persistent tiers and the peer-fetch route. No
+	// graph is built for it, and none is validated: a spec that keys to
+	// bytes the node holds is one that was built and compiled before, and
+	// any other is checked where the service builds it (call.graph).
 	_, span = obs.StartSpan(r.Context(), "key")
-	hash, err := core.HashOf(g, opts)
+	hash, err := core.HashOfSpec(&call.req.Graph, opts)
 	span.End()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -392,7 +392,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// unless it was already forwarded once (one hop, never a cycle).
 	if s.fleetM != nil && !forwarded {
 		if owner := s.fleetM.Owner(hash); owner != s.fleetM.Self() {
-			if s.routeToOwner(w, r, start, owner, hash, rawBody) {
+			if s.routeToOwner(w, r, start, owner, hash, call) {
 				return
 			}
 			// Owner unreachable: serve locally rather than fail. The result
@@ -405,7 +405,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	body, err := s.svc.Encoded(ctx, hash, g, opts)
+	body, err := s.svc.Encoded(ctx, hash, call.graph, opts)
+	if ctx.Err() != nil {
+		// Encoded may have returned ahead of a run this request leads, which
+		// is detached and will still import from call.
+		call.shared = true
+	}
 	s.respond(w, r, start, forwarded, body, err)
 }
 
@@ -463,9 +468,11 @@ func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
 
 // respond answers one compile or remap request with the service's verdict
 // and records its latency and error counters. Service errors map to
-// statuses: a full queue is 429 + Retry-After, the request deadline 504, a
-// closing service or a cancelled request 503 (retryable — a compilation
-// that outlives its request still fills the cache), anything else 500.
+// statuses: a graph the service could not build from the request is 400
+// like any other malformed input, a full queue is 429 + Retry-After, the
+// request deadline 504, a closing service or a cancelled request 503
+// (retryable — a compilation that outlives its request still fills the
+// cache), anything else 500.
 // forwarded marks a request a peer proxied here: the proxying node records
 // the client-observed latency (recording it again at the owner would
 // double-count every proxied request), and the 200 body is stamped with
@@ -480,6 +487,8 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 		}
 	case r.Context().Err() != nil:
 		return // client gone; nothing useful to write
+	case errors.As(err, new(importError)):
+		status = http.StatusBadRequest
 	case errors.Is(err, core.ErrBusy):
 		status = http.StatusTooManyRequests
 		s.rejected.Add(1)

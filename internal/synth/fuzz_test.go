@@ -54,6 +54,39 @@ func FuzzBuildGraph(f *testing.F) {
 	})
 }
 
+// FuzzSpecDigest: for any parameter draw, the generated graph and its wire
+// form must agree on identity (see specDigestAgrees), and so must the twin
+// ImportGraph rebuilds from that wire form. Checked-in seeds are
+// FuzzBuildGraph's, in testdata/fuzz/FuzzSpecDigest.
+func FuzzSpecDigest(f *testing.F) {
+	f.Add(uint64(1), uint16(8), uint8(4), uint8(3), uint8(6), uint8(0))
+	f.Add(uint64(0xDEADBEEF), uint16(64), uint8(2), uint8(1), uint8(1), uint8(1))
+	f.Add(uint64(42), uint16(300), uint8(5), uint8(4), uint8(16), uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, filters uint16, width, depth, rate, flags uint8) {
+		g, err := BuildGraph(GraphParams{
+			Seed:     seed,
+			Filters:  1 + int(filters%512),
+			MaxWidth: 2 + int(width%6),
+			MaxDepth: 1 + int(depth%5),
+			MaxRate:  1 + int(rate%24),
+			SkewWork: flags&1 != 0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := specDigestAgrees(g); err != nil {
+			t.Fatal(err)
+		}
+		twin, err := sdf.ImportGraph(sdf.ExportGraph(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := specDigestAgrees(twin); err != nil {
+			t.Fatalf("imported twin: %v", err)
+		}
+	})
+}
+
 // FuzzCompileDifferential: for any small scenario draw, the serial and
 // pipelined flows must agree exactly (or agree to fail). Checked-in seeds
 // live in testdata/fuzz/FuzzCompileDifferential.
