@@ -5,7 +5,11 @@ package streammap
 // BenchmarkMultilevelCompile the full coarsen->partition->refine compile
 // (including PDG, mapping and plan) at 10^4 filters — the regime where the
 // exact Try-Merge flow has already left interactive latency.
-// bench_compile_baseline.json records a reference run.
+// BenchmarkDeltaDescent is the mapper's inner loop alone: one budgeted
+// delta descent over that compile's 1406-partition PDG from a cold seed.
+// (The partitioner's inner loop, the kernel-parameter sweep, has its
+// BenchmarkSweep in internal/pee.) bench_compile_baseline.json records a
+// reference run.
 
 import (
 	"context"
@@ -13,6 +17,7 @@ import (
 
 	"streammap/internal/core"
 	"streammap/internal/gpu"
+	"streammap/internal/mapping"
 	"streammap/internal/partition"
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -71,5 +76,27 @@ func BenchmarkMultilevelCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(c.Parts.Parts)), "partitions")
+	}
+}
+
+func BenchmarkDeltaDescent(b *testing.B) {
+	g := benchSynthGraph(b, 10000)
+	opts := benchCompileOptions(0)
+	opts.Partitioner = core.MultilevelPart
+	c, err := core.CompileCtx(context.Background(), g, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Local search's round-robin seed: the topological order dealt over
+	// the GPUs.
+	seed := make([]int, c.PDG.NumParts())
+	for pos, pi := range c.PDG.Topo {
+		seed[pi] = pos % c.Problem.Topo.NumGPUs()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := mapping.Refine(context.Background(), c.Problem, seed)
+		b.ReportMetric(a.Objective, "objective_us")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"streammap/internal/obs"
 	"streammap/internal/pdg"
 	"streammap/internal/topology"
 )
@@ -120,18 +121,52 @@ func Evaluate(p *Problem, gpuOf []int, method string) *Assignment {
 			addRoute(t.Route(gpuOf[i], topology.Host), hb)
 		}
 	}
-	obj := 0.0
-	for _, gt := range a.GPUTimes {
-		obj = math.Max(obj, gt)
-	}
+	obj := gpuMax(a.GPUTimes)
 	for l, load := range a.LinkLoads {
 		if load > 0 {
-			a.LinkTimes[l] = t.LinkLatencyUS(l) + float64(load)/(t.LinkBandwidthGBs(l)*1e3)
-			obj = math.Max(obj, a.LinkTimes[l])
+			a.LinkTimes[l] = linkTimeUS(t, l, load)
+			obj = fmax(obj, a.LinkTimes[l])
 		}
 	}
 	a.Objective = obj
 	return a
+}
+
+// fmax is max(a, b) by plain comparison. Every fold of the objective starts
+// from +0 and runs over finite values (GPU sums are ≥ minus a rounding
+// residue, loaded links' times are > 0), where this returns the same bits as
+// math.Max — without the NaN and signed-zero handling that keeps math.Max
+// from inlining into the descents' inner loops.
+func fmax(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
+
+// gpuMax is the compute part of Tmax: the largest per-GPU time, at least 0.
+// It is a lower bound of the objective that needs no link load.
+func gpuMax(gpuT []float64) float64 {
+	obj := 0.0
+	for _, gt := range gpuT {
+		obj = fmax(obj, gt)
+	}
+	return obj
+}
+
+// linkTimeUS is T_comm of Eq. III.3 for a loaded link.
+func linkTimeUS(t *topology.Tree, l int, load int64) float64 {
+	return t.LinkLatencyUS(l) + float64(load)/(t.LinkBandwidthGBs(l)*1e3)
+}
+
+// linkMax folds the loaded links' times into obj, completing Tmax.
+func linkMax(t *topology.Tree, loads []int64, obj float64) float64 {
+	for l, load := range loads {
+		if load > 0 {
+			obj = fmax(obj, linkTimeUS(t, l, load))
+		}
+	}
+	return obj
 }
 
 // Greedy is longest-processing-time-first on the exact objective: partitions
@@ -155,7 +190,7 @@ func Greedy(p *Problem) *Assignment {
 		best, bestObj := 0, math.Inf(1)
 		for k := 0; k < p.Topo.NumGPUs(); k++ {
 			gpuOf[pi] = k
-			obj := ev.objective(gpuOf)
+			obj := ev.objective(gpuOf, bestObj)
 			if obj < bestObj {
 				best, bestObj = k, obj
 			}
@@ -181,6 +216,7 @@ type evaluator struct {
 	times []float64 // PartTimeUS table
 	gpuT  []float64
 	loads []int64
+	cuts  int // objective calls answered by the GPU-time bound alone
 }
 
 func newEvaluator(p *Problem) *evaluator {
@@ -197,20 +233,29 @@ func newEvaluator(p *Problem) *evaluator {
 }
 
 // objective returns Evaluate(p, gpuOf, ...).Objective without building an
-// Assignment, skipping partitions assigned -1.
-func (ev *evaluator) objective(gpuOf []int) float64 {
+// Assignment, skipping partitions assigned -1 — unless the per-GPU times
+// alone already reach cut, in which case it returns that lower bound (≥ cut)
+// and never walks the edges. Every caller only asks whether the objective
+// is below its cut, so the answer is the same either way; math.Inf(1)
+// always yields the exact objective.
+func (ev *evaluator) objective(gpuOf []int, cut float64) float64 {
 	p, t := ev.p, ev.p.Topo
 	for i := range ev.gpuT {
 		ev.gpuT[i] = 0
-	}
-	for i := range ev.loads {
-		ev.loads[i] = 0
 	}
 	B := int64(p.FragmentIters)
 	for i, k := range gpuOf {
 		if k >= 0 {
 			ev.gpuT[k] += ev.times[i]
 		}
+	}
+	obj := gpuMax(ev.gpuT)
+	if obj >= cut {
+		ev.cuts++
+		return obj
+	}
+	for i := range ev.loads {
+		ev.loads[i] = 0
 	}
 	for _, e := range p.PDG.Edges {
 		gs, gd := gpuOf[e.From], gpuOf[e.To]
@@ -243,16 +288,7 @@ func (ev *evaluator) objective(gpuOf []int) float64 {
 			}
 		}
 	}
-	obj := 0.0
-	for _, gt := range ev.gpuT {
-		obj = math.Max(obj, gt)
-	}
-	for l, load := range ev.loads {
-		if load > 0 {
-			obj = math.Max(obj, t.LinkLatencyUS(l)+float64(load)/(t.LinkBandwidthGBs(l)*1e3))
-		}
-	}
-	return obj
+	return linkMax(t, ev.loads, obj)
 }
 
 // deltaEvalMinParts is the partition count above which local-search descents
@@ -273,29 +309,43 @@ const deltaEvalMinParts = 512
 // full sweeps, which is where nearly all of the improvement lands.
 const deltaDescendEvalBudget = 8_000_000
 
-// deltaEvaluator maintains per-GPU times and per-link loads under
-// single-partition moves. A move costs O(deg(i)); the objective read is
-// O(gpus + links). Loads are exact (int64); gpuT is float and accumulates
-// rounding residue across rejected candidates, so descents rebuild (reset)
-// on every accepted improvement — drift never crosses an accept, and the
-// final assignment is re-scored by Evaluate anyway.
+// deltaEvaluator scores single-partition moves incrementally. It holds the
+// per-GPU times and per-link loads of one assignment (gpuOf) and splits a
+// move into its two independent halves: moveTime, O(1), and reroute,
+// O(deg(i)·route), which a descent applies to a scratch copy of the loads so
+// a rejected candidate leaves nothing to undo there. Loads are exact
+// (int64); gpuT is float and accumulates rounding residue across rejected
+// candidates, so descents rebuild (reset) on every accepted improvement —
+// drift never crosses an accept. Right after reset the state is Evaluate's
+// own (same summation order, exact loads), so objective() then returns
+// Evaluate's Objective bit for bit.
 type deltaEvaluator struct {
 	p        *Problem
 	times    []float64
 	gpuT     []float64
 	loads    []int64
+	trial    []int64   // loads of the candidate being scored
 	incident [][]int32 // partition -> indices into PDG.Edges
 	gpuOf    []int
+
+	// The route between GPUs gs and gd under p.ViaHost, at [gs*gpus+gd]
+	// (nil on the diagonal: co-located partitions transfer nothing).
+	gpus   int
+	routes [][]int
 }
 
 func newDeltaEvaluator(p *Problem) *deltaEvaluator {
+	t, g := p.Topo, p.Topo.NumGPUs()
 	de := &deltaEvaluator{
 		p:        p,
 		times:    make([]float64, p.PDG.NumParts()),
-		gpuT:     make([]float64, p.Topo.NumGPUs()),
-		loads:    make([]int64, p.Topo.NumLinks()),
+		gpuT:     make([]float64, g),
+		loads:    make([]int64, t.NumLinks()),
+		trial:    make([]int64, t.NumLinks()),
 		incident: make([][]int32, p.PDG.NumParts()),
 		gpuOf:    make([]int, p.PDG.NumParts()),
+		gpus:     g,
+		routes:   make([][]int, g*g),
 	}
 	for i := range de.times {
 		de.times[i] = p.PartTimeUS(i)
@@ -303,6 +353,17 @@ func newDeltaEvaluator(p *Problem) *deltaEvaluator {
 	for ei, e := range p.PDG.Edges {
 		de.incident[e.From] = append(de.incident[e.From], int32(ei))
 		de.incident[e.To] = append(de.incident[e.To], int32(ei))
+	}
+	for gs := 0; gs < g; gs++ {
+		for gd := 0; gd < g; gd++ {
+			switch {
+			case gs == gd:
+			case p.ViaHost:
+				de.routes[gs*g+gd] = t.RouteViaHost(gs, gd)
+			default:
+				de.routes[gs*g+gd] = t.Route(gs, gd)
+			}
+		}
 	}
 	return de
 }
@@ -322,91 +383,85 @@ func (de *deltaEvaluator) reset(gpuOf []int) {
 		de.gpuT[k] += de.times[i]
 	}
 	for _, e := range p.PDG.Edges {
-		de.addEdge(e.From, e.To, de.gpuOf[e.From], de.gpuOf[e.To], e.Bytes*B)
+		addLoad(de.loads, de.routes[de.gpuOf[e.From]*de.gpus+de.gpuOf[e.To]], e.Bytes*B)
 	}
 	for i, k := range de.gpuOf {
 		if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
-			de.addLoad(t.Route(topology.Host, k), hb)
+			addLoad(de.loads, t.Route(topology.Host, k), hb)
 		}
 		if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
-			de.addLoad(t.Route(k, topology.Host), hb)
+			addLoad(de.loads, t.Route(k, topology.Host), hb)
 		}
 	}
 }
 
-func (de *deltaEvaluator) addLoad(route []int, bytes int64) {
+// addLoad adds bytes (negative to subtract) to every link of a route.
+func addLoad(loads []int64, route []int, bytes int64) {
 	for _, l := range route {
-		de.loads[l] += bytes
+		loads[l] += bytes
 	}
 }
 
-// addEdge adds (bytes may be negative to subtract) the transfer of one PDG
-// edge under the given endpoint placements.
-func (de *deltaEvaluator) addEdge(from, to, gs, gd int, bytes int64) {
-	if gs == gd {
-		return
-	}
-	if de.p.ViaHost {
-		de.addLoad(de.p.Topo.RouteViaHost(gs, gd), bytes)
-	} else {
-		de.addLoad(de.p.Topo.Route(gs, gd), bytes)
-	}
+// moveTime is the per-GPU half of a move: partition i's time leaves GPU
+// from and lands on GPU to.
+func (de *deltaEvaluator) moveTime(i, from, to int) {
+	de.gpuT[from] -= de.times[i]
+	de.gpuT[to] += de.times[i]
 }
 
-// move reassigns partition i to GPU k, updating only what i touches.
-func (de *deltaEvaluator) move(i, k int) {
-	old := de.gpuOf[i]
-	if old == k {
-		return
-	}
-	p, t := de.p, de.p.Topo
+// reroute is the link half of a move: it adds to loads the change when
+// partition i goes from GPU from to GPU to, its incident transfers and host
+// I/O re-routed, every other partition placed as gpuOf says. gpuOf itself is
+// the caller's to update.
+func (de *deltaEvaluator) reroute(loads []int64, i, from, to int) {
+	p, t, g := de.p, de.p.Topo, de.gpus
 	B := int64(p.FragmentIters)
-	de.gpuT[old] -= de.times[i]
-	de.gpuT[k] += de.times[i]
 	for _, ei := range de.incident[i] {
 		e := &p.PDG.Edges[ei]
 		bytes := e.Bytes * B
 		if e.From == i {
 			o := de.gpuOf[e.To]
-			de.addEdge(e.From, e.To, old, o, -bytes)
-			de.addEdge(e.From, e.To, k, o, bytes)
+			addLoad(loads, de.routes[from*g+o], -bytes)
+			addLoad(loads, de.routes[to*g+o], bytes)
 		} else {
 			o := de.gpuOf[e.From]
-			de.addEdge(e.From, e.To, o, old, -bytes)
-			de.addEdge(e.From, e.To, o, k, bytes)
+			addLoad(loads, de.routes[o*g+from], -bytes)
+			addLoad(loads, de.routes[o*g+to], bytes)
 		}
 	}
 	if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
-		de.addLoad(t.Route(topology.Host, old), -hb)
-		de.addLoad(t.Route(topology.Host, k), hb)
+		addLoad(loads, t.Route(topology.Host, from), -hb)
+		addLoad(loads, t.Route(topology.Host, to), hb)
 	}
 	if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
-		de.addLoad(t.Route(old, topology.Host), -hb)
-		de.addLoad(t.Route(k, topology.Host), hb)
+		addLoad(loads, t.Route(from, topology.Host), -hb)
+		addLoad(loads, t.Route(to, topology.Host), hb)
 	}
-	de.gpuOf[i] = k
 }
 
 // objective reads the current Tmax in O(gpus + links).
 func (de *deltaEvaluator) objective() float64 {
-	t := de.p.Topo
-	obj := 0.0
-	for _, gt := range de.gpuT {
-		obj = math.Max(obj, gt)
-	}
-	for l, load := range de.loads {
-		if load > 0 {
-			obj = math.Max(obj, t.LinkLatencyUS(l)+float64(load)/(t.LinkBandwidthGBs(l)*1e3))
+	return linkMax(de.p.Topo, de.loads, gpuMax(de.gpuT))
+}
+
+// linksBelow reports whether every loaded link's time is below thr — with
+// gpuMax below thr too, that the objective is — stopping at the first that
+// is not.
+func linksBelow(t *topology.Tree, loads []int64, thr float64) bool {
+	for l, load := range loads {
+		if load > 0 && !(linkTimeUS(t, l, load) < thr) {
+			return false
 		}
 	}
-	return obj
+	return true
 }
 
 // LocalSearch refines an assignment with single-partition moves and pairwise
 // swaps until a local optimum of the exact objective, then returns the best
 // of several deterministic seeds.
 func LocalSearch(p *Problem) *Assignment {
-	return localSearchCtx(context.Background(), p, 1, nil)
+	best, _ := localSearchCtx(context.Background(), p, 1, nil)
+	return best
 }
 
 // localSearchCtx is LocalSearch with the seed descents run on up to workers
@@ -414,54 +469,59 @@ func LocalSearch(p *Problem) *Assignment {
 // fixed seed order, so the parallel result is identical to the serial one.
 // Cancelling the context returns the best assignment found so far. A
 // non-nil greedy supplies the precomputed first seed (SolveCtx reuses the
-// portfolio's greedy leg instead of recomputing it).
-func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assignment) *Assignment {
-	n := p.PDG.NumParts()
-	g := p.Topo.NumGPUs()
+// portfolio's greedy leg instead of recomputing it). The second result
+// names the seed whose descent won.
+func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assignment) (*Assignment, string) {
 	descend := descender(ctx, p, false)
-
-	var seeds [][]int
 	if greedy == nil {
 		greedy = Greedy(p)
 	}
-	seeds = append(seeds, greedy.GPUOf)
-	// Topological round-robin and block seeds.
-	rr := make([]int, n)
-	for pos, pi := range p.PDG.Topo {
-		rr[pi] = pos % g
-	}
-	seeds = append(seeds, rr)
-	blk := make([]int, n)
-	for pos, pi := range p.PDG.Topo {
-		blk[pi] = pos * g / n
-	}
-	seeds = append(seeds, blk)
+	seeds := coldSeeds(p, greedy.GPUOf)
 
-	results := make([]*Assignment, len(seeds))
+	var results [len(seedNames)]*Assignment
 	if workers > 1 {
 		var wg sync.WaitGroup
 		for i := range seeds {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i] = descend(seeds[i])
+				results[i] = descend(seedNames[i], seeds[i])
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := range seeds {
-			results[i] = descend(seeds[i])
+			results[i] = descend(seedNames[i], seeds[i])
 		}
 	}
 
-	var best *Assignment
-	for _, r := range results {
-		if best == nil || r.Objective < best.Objective {
-			best = r
+	win := 0
+	for i, r := range results {
+		if r.Objective < results[win].Objective {
+			win = i
 		}
 	}
-	best.Method = "local"
-	return best
+	results[win].Method = "local"
+	return results[win], seedNames[win]
+}
+
+// seedNames names local search's cold seeds, in descent (and tie-break)
+// order.
+var seedNames = [...]string{"greedy", "round-robin", "block"}
+
+// coldSeeds returns local search's starting assignments: the greedy
+// placement, and the topological order dealt round-robin and cut into
+// contiguous blocks.
+func coldSeeds(p *Problem, greedy []int) [len(seedNames)][]int {
+	n := p.PDG.NumParts()
+	g := p.Topo.NumGPUs()
+	rr := make([]int, n)
+	blk := make([]int, n)
+	for pos, pi := range p.PDG.Topo {
+		rr[pi] = pos % g
+		blk[pi] = pos * g / n
+	}
+	return [...][]int{greedy, rr, blk}
 }
 
 // Refine descends from a caller-supplied seed to a local optimum with
@@ -475,138 +535,207 @@ func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assign
 // seeds this with the pre-failure assignment projected onto the surviving
 // devices.
 func Refine(ctx context.Context, p *Problem, seed []int) *Assignment {
-	a := descender(ctx, p, true)(seed)
+	a := descender(ctx, p, true)("warm", seed)
 	a.Method = "local"
 	return a
 }
 
+// descentStats is what one descent reports on its map.descent span.
+type descentStats struct {
+	candidates   int  // moves and swaps scored
+	timeRejected int  // of those, rejected by the per-GPU time bound alone
+	accepts      int  // improvements adopted
+	budgetCut    bool // stopped by deltaDescendEvalBudget, not by convergence
+}
+
 // descender returns the descent routine for a problem: the exact-objective
-// move/swap descent below, the delta-scored variant above
-// deltaEvalMinParts (or always, when forceDelta). Both share neighborhood,
-// scan order and acceptance threshold and re-score accepted assignments
-// exactly; which one filters candidates can differ only in float rounding
-// of rejected scores.
-func descender(ctx context.Context, p *Problem, forceDelta bool) func([]int) *Assignment {
+// move/swap descent below deltaEvalMinParts, the delta-scored variant above
+// it (or always, when forceDelta). Both share neighborhood, scan order and
+// acceptance threshold and re-score accepted assignments exactly; which one
+// filters candidates can differ only in float rounding of rejected scores.
+// Each run is recorded as a map.descent span under ctx's current span.
+func descender(ctx context.Context, p *Problem, forceDelta bool) func(seed string, gpuOf []int) *Assignment {
+	run := descend
+	if forceDelta || p.PDG.NumParts() > deltaEvalMinParts {
+		run = descendDelta
+	}
+	return func(seed string, gpuOf []int) *Assignment {
+		_, span := obs.StartSpan(ctx, "map.descent")
+		a, st := run(ctx, p, gpuOf)
+		span.Notef("seed=%s candidates=%d time_rejected=%d accepts=%d budget_cut=%t",
+			seed, st.candidates, st.timeRejected, st.accepts, st.budgetCut)
+		span.End()
+		return a
+	}
+}
+
+// descend is the sub-threshold descent: every candidate is scored from
+// scratch with the reusable evaluator (identical floats to Evaluate, no
+// allocation, cached routes, edges skipped when the GPU times alone reject
+// it); only accepted improvements re-run the full Evaluate, so cur is always
+// a completely populated assignment.
+func descend(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
 	n := p.PDG.NumParts()
 	g := p.Topo.NumGPUs()
+	var st descentStats
+	ev := newEvaluator(p)
+	cur := Evaluate(p, gpuOf, "local")
+	cand := append([]int(nil), cur.GPUOf...)
+	// improves scores cand against the acceptance threshold and adopts it
+	// when it wins.
+	improves := func() bool {
+		st.candidates++
+		thr := cur.Objective - 1e-9
+		if !(ev.objective(cand, thr) < thr) {
+			return false
+		}
+		st.accepts++
+		cur = Evaluate(p, cand, "local")
+		copy(cand, cur.GPUOf)
+		return true
+	}
+	for ctx.Err() == nil {
+		improved := false
+		// Moves.
+		for i := 0; i < n; i++ {
+			for k := 0; k < g; k++ {
+				if k == cur.GPUOf[i] {
+					continue
+				}
+				cand[i] = k
+				if improves() {
+					improved = true
+				} else {
+					cand[i] = cur.GPUOf[i]
+				}
+			}
+		}
+		// Swaps.
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if cur.GPUOf[i] == cur.GPUOf[j] {
+					continue
+				}
+				cand[i], cand[j] = cand[j], cand[i]
+				if improves() {
+					improved = true
+				} else {
+					cand[i], cand[j] = cur.GPUOf[i], cur.GPUOf[j]
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	st.timeRejected = ev.cuts
+	return cur, st
+}
 
-	// Candidates are scored with the reusable evaluator (identical floats,
-	// no allocation, cached routes); only accepted improvements re-run the
-	// full Evaluate, so cur is always a completely populated assignment.
-	descend := func(gpuOf []int) *Assignment {
-		ev := newEvaluator(p)
-		cur := Evaluate(p, gpuOf, "local")
-		cand := append([]int(nil), cur.GPUOf...)
-		accept := func() {
-			cur = Evaluate(p, cand, "local")
-			copy(cand, cur.GPUOf)
+// descendDelta is the same neighborhood, scan order and acceptance threshold
+// scored incrementally, under the deltaDescendEvalBudget allowance. A
+// candidate is tried in two steps: its O(1) per-GPU time updates first —
+// the largest GPU time is a lower bound of the objective, so one at or above
+// the threshold rejects the candidate before any link load is computed — and
+// only for survivors the O(deg·route) re-routing, on a scratch copy of the
+// loads, and the link terms. A rejected candidate's time updates are undone
+// in the order a whole-move undo would apply them, survivor or not: the
+// rounding residue they leave in gpuT is what later candidates are scored
+// against. Every candidate counts against the budget, filtered or not. The
+// descent therefore visits exactly the assignments an unfiltered one would;
+// DESIGN.md S5 has the argument, the test-only descendDeltaUnfiltered is
+// the referee.
+func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
+	n := p.PDG.NumParts()
+	g := p.Topo.NumGPUs()
+	var st descentStats
+	de := newDeltaEvaluator(p)
+	de.reset(gpuOf)
+	cur := de.objective() // the exact objective: see deltaEvaluator
+	accept := func() {
+		st.accepts++
+		de.reset(de.gpuOf)
+		cur = de.objective()
+	}
+	finish := func(cut bool) (*Assignment, descentStats) {
+		st.budgetCut = cut
+		return Evaluate(p, de.gpuOf, "local"), st
+	}
+	for ctx.Err() == nil {
+		improved := false
+		// Moves.
+		for i := 0; i < n; i++ {
+			for k := 0; k < g; k++ {
+				old := de.gpuOf[i]
+				if k == old {
+					continue
+				}
+				st.candidates++
+				thr := cur - 1e-9
+				de.moveTime(i, old, k)
+				if gpuMax(de.gpuT) >= thr {
+					st.timeRejected++
+					de.moveTime(i, k, old)
+					continue
+				}
+				copy(de.trial, de.loads)
+				de.reroute(de.trial, i, old, k)
+				de.gpuOf[i] = k
+				if linksBelow(p.Topo, de.trial, thr) {
+					accept()
+					improved = true
+				} else {
+					de.gpuOf[i] = old
+					de.moveTime(i, k, old)
+				}
+			}
 		}
-		for {
+		// Swaps.
+		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
-				return cur
+				return finish(false)
 			}
-			improved := false
-			// Moves.
-			for i := 0; i < n; i++ {
-				for k := 0; k < g; k++ {
-					if k == cur.GPUOf[i] {
-						continue
-					}
-					cand[i] = k
-					if ev.objective(cand) < cur.Objective-1e-9 {
-						accept()
-						improved = true
-					} else {
-						cand[i] = cur.GPUOf[i]
-					}
+			if st.candidates > deltaDescendEvalBudget {
+				return finish(true)
+			}
+			for j := i + 1; j < n; j++ {
+				gi, gj := de.gpuOf[i], de.gpuOf[j]
+				if gi == gj {
+					continue
 				}
-			}
-			// Swaps.
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if cur.GPUOf[i] == cur.GPUOf[j] {
-						continue
-					}
-					cand[i], cand[j] = cand[j], cand[i]
-					if ev.objective(cand) < cur.Objective-1e-9 {
-						accept()
-						improved = true
-					} else {
-						cand[i], cand[j] = cur.GPUOf[i], cur.GPUOf[j]
-					}
+				st.candidates++
+				thr := cur - 1e-9
+				de.moveTime(i, gi, gj)
+				de.moveTime(j, gj, gi)
+				if gpuMax(de.gpuT) >= thr {
+					st.timeRejected++
+					de.moveTime(j, gi, gj)
+					de.moveTime(i, gj, gi)
+					continue
 				}
-			}
-			if !improved {
-				return cur
+				copy(de.trial, de.loads)
+				de.reroute(de.trial, i, gi, gj)
+				de.gpuOf[i] = gj // j's transfers with i route to i's new GPU
+				de.reroute(de.trial, j, gj, gi)
+				de.gpuOf[j] = gi
+				if linksBelow(p.Topo, de.trial, thr) {
+					accept()
+					improved = true
+				} else {
+					de.gpuOf[i], de.gpuOf[j] = gi, gj
+					de.moveTime(j, gi, gj)
+					de.moveTime(i, gj, gi)
+				}
 			}
 		}
-	}
-
-	// Same neighborhood, same scan order, same acceptance threshold —
-	// scored incrementally. Only reachable above deltaEvalMinParts, so the
-	// sub-threshold descent's float arithmetic is untouched.
-	descendDelta := func(gpuOf []int) *Assignment {
-		de := newDeltaEvaluator(p)
-		cur := Evaluate(p, gpuOf, "local")
-		de.reset(cur.GPUOf)
-		accept := func() {
-			cur = Evaluate(p, de.gpuOf, "local")
-			de.reset(cur.GPUOf)
+		if !improved {
+			return finish(false)
 		}
-		evals := 0
-		for {
-			if ctx.Err() != nil {
-				return cur
-			}
-			improved := false
-			// Moves.
-			for i := 0; i < n; i++ {
-				for k := 0; k < g; k++ {
-					old := de.gpuOf[i]
-					if k == old {
-						continue
-					}
-					evals++
-					de.move(i, k)
-					if de.objective() < cur.Objective-1e-9 {
-						accept()
-						improved = true
-					} else {
-						de.move(i, old)
-					}
-				}
-			}
-			// Swaps.
-			for i := 0; i < n; i++ {
-				if ctx.Err() != nil || evals > deltaDescendEvalBudget {
-					return cur
-				}
-				for j := i + 1; j < n; j++ {
-					gi, gj := de.gpuOf[i], de.gpuOf[j]
-					if gi == gj {
-						continue
-					}
-					evals++
-					de.move(i, gj)
-					de.move(j, gi)
-					if de.objective() < cur.Objective-1e-9 {
-						accept()
-						improved = true
-					} else {
-						de.move(j, gj)
-						de.move(i, gi)
-					}
-				}
-			}
-			if !improved || evals > deltaDescendEvalBudget {
-				return cur
-			}
+		if st.candidates > deltaDescendEvalBudget {
+			return finish(true)
 		}
 	}
-	if forceDelta || n > deltaEvalMinParts {
-		return descendDelta
-	}
-	return descend
+	return finish(false)
 }
 
 // PrevWork is the previous work's mapper: workload balancing only (LPT on

@@ -291,7 +291,8 @@ func TestEncodeFeasibleQuick(t *testing.T) {
 // TestEvaluatorMatchesEvaluate pins the local search's allocation-free
 // scorer against the full Evaluate: identical objectives (bit for bit) on
 // every assignment of a brute-forceable instance, with and without via-host
-// staging, plus the partial (-1) form against placements Greedy explores.
+// staging, the early return under a cut, plus the partial (-1) form against
+// placements Greedy explores.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	p := synth(t,
 		[]float64{9, 7, 5, 3, 2},
@@ -308,8 +309,15 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 		rec = func(i int) {
 			if i == n {
 				want := Evaluate(&q, gpuOf, "ref").Objective
-				if got := ev.objective(gpuOf); got != want {
+				if got := ev.objective(gpuOf, math.Inf(1)); got != want {
 					t.Fatalf("viaHost=%v %v: evaluator %v != Evaluate %v", viaHost, gpuOf, got, want)
+				}
+				// Under a cut the value may be the GPU-time bound instead,
+				// but "below the cut" must answer as the exact objective does.
+				for _, cut := range []float64{want, want + 1e-9, want / 2, 0} {
+					if got := ev.objective(gpuOf, cut); (got < cut) != (want < cut) || got > want {
+						t.Fatalf("viaHost=%v %v cut %v: evaluator %v, exact %v", viaHost, gpuOf, cut, got, want)
+					}
 				}
 				return
 			}
@@ -332,7 +340,7 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				gpuOf[i] = -1
 			}
 		}
-		obj := ev.objective(gpuOf)
+		obj := ev.objective(gpuOf, math.Inf(1))
 		if math.IsNaN(obj) || obj < 0 {
 			t.Fatalf("partial objective invalid: %v", obj)
 		}
@@ -344,8 +352,8 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				full[i] = 0
 			}
 		}
-		if ev.objective(full) < obj-1e-12 {
-			t.Fatalf("completing a placement lowered the objective: %v -> %v", obj, ev.objective(full))
+		if ev.objective(full, math.Inf(1)) < obj-1e-12 {
+			t.Fatalf("completing a placement lowered the objective: %v -> %v", obj, ev.objective(full, math.Inf(1)))
 		}
 	}
 }
@@ -390,7 +398,10 @@ func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
 		}
 		de.reset(gpuOf)
 		for step := 0; step < 500; step++ {
-			de.move(rnd(n), rnd(4))
+			i, k := rnd(n), rnd(4)
+			de.moveTime(i, de.gpuOf[i], k)
+			de.reroute(de.loads, i, de.gpuOf[i], k)
+			de.gpuOf[i] = k
 			want := Evaluate(&q, de.gpuOf, "ref").Objective
 			got := de.objective()
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {

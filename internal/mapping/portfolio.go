@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"streammap/internal/obs"
 )
 
 // LPT is the communication-blind baseline: longest-processing-time-first
@@ -47,7 +49,11 @@ func LPT(p *Problem) *Assignment {
 // return the same assignment for the same problem. The extra racers only
 // decide the answer when the context is cancelled mid-solve, where SolveCtx
 // degrades to the best feasible assignment found so far instead of failing.
-func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error) {
+//
+// Under a traced context the span SolveCtx runs in (the driver's stage.map)
+// is noted with the winning method and which seed's descent local search
+// kept; the descents themselves are map.descent child spans.
+func SolveCtx(ctx context.Context, p *Problem, opts Options) (a *Assignment, err error) {
 	opts = opts.withDefaults()
 	if p.PDG.NumParts() == 0 {
 		return nil, fmt.Errorf("mapping: empty PDG")
@@ -56,6 +62,13 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error
 		gpuOf := make([]int, p.PDG.NumParts())
 		return Evaluate(p, gpuOf, "single-gpu"), nil
 	}
+	var heur *Assignment
+	var seed string // whose descent heur is
+	defer func() {
+		if a != nil {
+			obs.SpanFrom(ctx).Notef("winner=%s local_seed=%s objective_us=%g", a.Method, seed, a.Objective)
+		}
+	}()
 
 	var lpt *Assignment
 	lptDone := make(chan struct{})
@@ -63,7 +76,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error
 
 	// Greedy is both a racer and local search's first seed — computed once.
 	greedy := Greedy(p)
-	heur := localSearchCtx(ctx, p, opts.Workers, greedy)
+	heur, seed = localSearchCtx(ctx, p, opts.Workers, greedy)
 	<-lptDone
 
 	if ctx.Err() != nil {
@@ -81,14 +94,14 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error
 	if ilpOpts.TimeBudget <= 0 {
 		return heur, nil
 	}
-	a, err := solveILP(p, heur, ilpOpts)
+	ilp, err := solveILP(p, heur, ilpOpts)
 	if err != nil {
 		return heur, nil // solver trouble: fall back to the heuristic
 	}
-	if heur.Objective < a.Objective-1e-9 {
+	if heur.Objective < ilp.Objective-1e-9 {
 		return heur, nil
 	}
-	return a, nil
+	return ilp, nil
 }
 
 // anytimeBest picks the lowest-objective assignment, preferring earlier

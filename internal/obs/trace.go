@@ -174,6 +174,7 @@ type traceCtxKey struct{}
 type traceCtx struct {
 	t    *Trace
 	span string
+	cur  *Span // nil directly under the request's root
 }
 
 // StartSpan opens a span under ctx's trace, returning a context whose
@@ -191,7 +192,15 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		name:   name,
 		start:  time.Now(),
 	}
-	return context.WithValue(ctx, traceCtxKey{}, traceCtx{t: tc.t, span: sp.id}), sp
+	return context.WithValue(ctx, traceCtxKey{}, traceCtx{t: tc.t, span: sp.id, cur: sp}), sp
+}
+
+// SpanFrom returns the span ctx runs under, so a callee can annotate the
+// span its caller opened with what only the callee knows. Nil (every method
+// a no-op) on a traceless context and directly under a request's root.
+func SpanFrom(ctx context.Context) *Span {
+	tc, _ := ctx.Value(traceCtxKey{}).(traceCtx)
+	return tc.cur
 }
 
 // TraceIDFrom returns ctx's trace ID ("" when untraced) — what log

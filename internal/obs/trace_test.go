@@ -16,7 +16,13 @@ func TestTraceSpanNesting(t *testing.T) {
 		t.Fatal("no trace ID minted")
 	}
 	ctx2, outer := StartSpan(ctx, "admission.wait")
-	_, inner := StartSpan(ctx2, "cache.memory")
+	ctx3, inner := StartSpan(ctx2, "cache.memory")
+	// A callee sees the span its caller opened — and nothing above it:
+	// directly under the root, and without a trace, there is none to note.
+	if SpanFrom(ctx3) != inner || SpanFrom(ctx2) != outer || SpanFrom(ctx) != nil || SpanFrom(context.Background()) != nil {
+		t.Error("SpanFrom does not return the innermost open span of its context")
+	}
+	SpanFrom(context.Background()).SetNote("no-op on nil")
 	inner.SetNote("miss")
 	inner.End()
 	outer.End()

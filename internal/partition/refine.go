@@ -346,7 +346,11 @@ func (m *mlState) addConvex(q *quotient, qq *mlPart, u int32) bool {
 // materialize turns the surviving mlParts into the exact path's Result form:
 // graph-capacity bitsets, extracted subgraphs, topological partition order.
 func (m *mlState) materialize() (*Result, error) {
-	res := &Result{Graph: m.g, ML: &m.stats}
+	// The result gets its own copy of the stats: a pointer into m would keep
+	// the whole working state — hierarchy, unit sets, scratch — alive for as
+	// long as the compilation is held.
+	stats := m.stats
+	res := &Result{Graph: m.g, ML: &stats}
 	var parts []*Partition
 	for _, p := range m.parts {
 		if p.dead {

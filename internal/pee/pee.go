@@ -341,7 +341,7 @@ type nodeCost struct {
 
 // appendCandidates accumulates one member's candidate S value: its firing
 // rate when it fits in a block, else the largest warp-aligned S.
-func appendCandidates(sVals []int, f int64, d gpu.Device) []int {
+func appendCandidates(sVals []int, f int64, d *gpu.Device) []int {
 	if f < int64(d.MaxThreadsPerBlock) {
 		return append(sVals, int(f))
 	}
@@ -351,7 +351,7 @@ func appendCandidates(sVals []int, f int64, d gpu.Device) []int {
 // finishCandidates adds the warp-multiple candidates, then sorts,
 // deduplicates and range-filters in place — the same candidate set the
 // older map-backed construction produced, without the per-call map.
-func finishCandidates(sVals []int, d gpu.Device) []int {
+func finishCandidates(sVals []int, d *gpu.Device) []int {
 	sVals = append(sVals, 1)
 	for s := d.WarpSize; s <= d.MaxThreadsPerBlock/2; s *= 2 {
 		sVals = append(sVals, s)
@@ -370,67 +370,105 @@ func finishCandidates(sVals []int, d gpu.Device) []int {
 	return out
 }
 
+// modelCycles evaluates III.8–III.12 in cycles for one (S, W, F): c1D and
+// c2D are C1·D and C2·D with D the kernel's I/O bytes over all W executions,
+// ws is W·S. Every candidate of the sweep and the winner's reported terms go
+// through this one expression, so they round identically.
+func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64) {
+	tdt = c1D / float64(F)
+	tdb = c2D / float64(F+ws)
+	texec = tc
+	if tdt > texec {
+		texec = tdt
+	}
+	texec += tdb
+	return tdt, tdb, texec, texec / float64(W)
+}
+
 // sweep runs the parameter selection (S, W, F) and performance model over
 // the prepared cost table. It is the shared core of EstimateSubgraph and
 // the engine's view-based scoring.
+//
+// The selection is the minimum of T (III.12) over every (S, W, F), ties
+// going to the first candidate in S-then-W-then-F order. F is not scanned:
+// for fixed (S, W) every floating-point operation of
+//
+//	t(F) = (max(Tcomp, C1·D/F) + C2·D/(F+W·S)) / W
+//
+// is monotone non-increasing in F, so the minimum over F is at the largest
+// warp multiple and the first F attaining it is found by binary search —
+// and only for an (S, W) that beats the incumbent. This needs C1, C2 and
+// dBytes non-negative, which every profile of a device model satisfies.
+// DESIGN.md S3 has the argument.
 func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) (*Estimate, error) {
-	d := prof.Device
-	maxW := int(d.SharedMemPerSM / smBytes)
-	if maxW < 1 {
-		return nil, fmt.Errorf("%w: need %d bytes, have %d", ErrInfeasible, smBytes, d.SharedMemPerSM)
+	d := &prof.Device
+	// A partition with no shared-memory demand (zero-copy filters only) is
+	// bounded by the thread cap alone: the W·S break below ends the loop.
+	maxW := d.MaxThreadsPerBlock
+	if smBytes > 0 {
+		if maxW = int(d.SharedMemPerSM / smBytes); maxW < 1 {
+			return nil, fmt.Errorf("%w: need %d bytes, have %d", ErrInfeasible, smBytes, d.SharedMemPerSM)
+		}
 	}
-	tcomp := func(S int) float64 {
-		var c float64
+
+	maxThreads, warp := d.MaxThreadsPerBlock, d.WarpSize
+	var best Params
+	var bestTc float64
+	bestT := -1.0 // cycles; < 0 until a candidate exists
+	for _, S := range sVals {
+		var tc float64 // Tcomp(S), III.9
 		for _, nc := range costs {
 			par := nc.f
 			if int64(S) < par {
 				par = int64(S)
 			}
-			c += nc.cycles / float64(par)
+			tc += nc.cycles / float64(par)
 		}
-		return c
-	}
-
-	best := Estimate{TUS: -1}
-	bestCycles := -1.0
-	for _, S := range sVals {
-		tc := tcomp(S)
 		for W := 1; W <= maxW; W++ {
-			if W*S >= d.MaxThreadsPerBlock {
+			ws := W * S
+			if ws >= maxThreads {
 				break
 			}
-			maxF := d.MaxThreadsPerBlock - W*S
-			for F := d.WarpSize; F <= maxF; F += d.WarpSize {
-				D := float64(dBytes) * float64(W)
-				tdt := prof.C1 * D / float64(F)
-				tdb := prof.C2 * D / float64(F+W*S)
-				texec := tc
-				if tdt > texec {
-					texec = tdt
-				}
-				texec += tdb
-				t := texec / float64(W)
-				if bestCycles < 0 || t < bestCycles {
-					bestCycles = t
-					best = Estimate{
-						Params:  Params{S: S, W: W, F: F},
-						SMBytes: smBytes,
-						DBytes:  dBytes,
-						TcompUS: d.CyclesToUS(tc),
-						TdtUS:   d.CyclesToUS(tdt),
-						TdbUS:   d.CyclesToUS(tdb),
-						TexecUS: d.CyclesToUS(texec),
-						TUS:     d.CyclesToUS(t),
-					}
+			nF := (maxThreads - ws) / warp // F = k·warp, k in 1..nF
+			if nF < 1 {
+				continue
+			}
+			D := float64(dBytes) * float64(W)
+			c1D, c2D := prof.C1*D, prof.C2*D
+			_, _, _, tmin := modelCycles(tc, c1D, c2D, nF*warp, ws, W)
+			if bestT >= 0 && !(tmin < bestT) {
+				continue
+			}
+			// Smallest k with t(k) == tmin: t is non-increasing in k, so
+			// t(k) <= tmin is false below the plateau and true on it.
+			lo, hi := 1, nF
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if _, _, _, t := modelCycles(tc, c1D, c2D, mid*warp, ws, W); t <= tmin {
+					hi = mid
+				} else {
+					lo = mid + 1
 				}
 			}
+			best, bestTc, bestT = Params{S: S, W: W, F: lo * warp}, tc, tmin
 		}
 	}
-	if bestCycles < 0 {
+	if bestT < 0 {
 		return nil, fmt.Errorf("%w: no feasible thread configuration", ErrInfeasible)
 	}
-	best.LaunchUS = d.KernelLaunchUS
-	return &best, nil
+	D := float64(dBytes) * float64(best.W)
+	tdt, tdb, texec, t := modelCycles(bestTc, prof.C1*D, prof.C2*D, best.F, best.W*best.S, best.W)
+	return &Estimate{
+		Params:   best,
+		SMBytes:  smBytes,
+		DBytes:   dBytes,
+		TcompUS:  d.CyclesToUS(bestTc),
+		TdtUS:    d.CyclesToUS(tdt),
+		TdbUS:    d.CyclesToUS(tdb),
+		TexecUS:  d.CyclesToUS(texec),
+		TUS:      d.CyclesToUS(t),
+		LaunchUS: d.KernelLaunchUS,
+	}, nil
 }
 
 // estimateView scores the induced subgraph a view describes, reusing the
@@ -438,7 +476,7 @@ func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) 
 // (both ascend by parent id), so the cost summation — and with it every
 // float of the model — matches EstimateSubgraph on the extracted form.
 func estimateView(v *sdf.SubView, prof *Profile, sc *estScratch) (*Estimate, error) {
-	d := prof.Device
+	d := &prof.Device
 	smBytes, err := smreq.PeakBytesView(v)
 	if err != nil {
 		return nil, err
@@ -462,7 +500,7 @@ func estimateView(v *sdf.SubView, prof *Profile, sc *estScratch) (*Estimate, err
 // instead (same numbers, no extraction); this entry point remains for
 // callers that already hold a Subgraph.
 func EstimateSubgraph(s *sdf.Subgraph, prof *Profile) (*Estimate, error) {
-	d := prof.Device
+	d := &prof.Device
 	lay, err := smreq.Analyze(s)
 	if err != nil {
 		return nil, err

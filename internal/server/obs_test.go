@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -345,16 +346,56 @@ func TestFleetMetricsPerNode(t *testing.T) {
 	}
 }
 
-// spanSequence returns a trace's spans in the order they ended, root and
-// per-stage spans left out — the request's layers, in request order.
+// spanSequence returns a trace's spans in the order they ended, the root
+// and the compiler's interior (per-stage spans and the mapper's descents,
+// which end in scheduling order) left out — the request's layers, in
+// request order.
 func spanSequence(tr *obs.TraceRecord) []string {
 	var seq []string
 	for _, sp := range tr.Spans[:len(tr.Spans)-1] { // the root span is appended last
-		if !strings.HasPrefix(sp.Name, "stage.") {
+		if !strings.HasPrefix(sp.Name, "stage.") && !strings.HasPrefix(sp.Name, "map.") {
 			seq = append(seq, sp.Name+"/"+sp.Note)
 		}
 	}
 	return seq
+}
+
+// mapperSpans checks the mapper's interior on a fresh compile's trace: one
+// map.descent span per cold seed, each a child of stage.map and noted with
+// its counts, and stage.map noted with the winner.
+func mapperSpans(t *testing.T, tr *obs.TraceRecord) {
+	t.Helper()
+	var stageMap *obs.SpanRecord
+	for i := range tr.Spans {
+		if tr.Spans[i].Name == "stage.map" {
+			stageMap = &tr.Spans[i]
+		}
+	}
+	if stageMap == nil {
+		t.Fatal("fresh compile left no stage.map span")
+	}
+	if !strings.HasPrefix(stageMap.Note, "winner=") || !strings.Contains(stageMap.Note, " local_seed=") {
+		t.Errorf("stage.map note %q does not name the winner", stageMap.Note)
+	}
+	var seeds []string
+	for _, sp := range tr.Spans {
+		if sp.Name != "map.descent" {
+			continue
+		}
+		if sp.Parent != stageMap.ID {
+			t.Errorf("map.descent %q is not a child of stage.map", sp.Note)
+		}
+		for _, field := range []string{" candidates=", " time_rejected=", " accepts=", " budget_cut="} {
+			if !strings.Contains(sp.Note, field) {
+				t.Errorf("map.descent note %q lacks%s", sp.Note, field)
+			}
+		}
+		seeds = append(seeds, strings.Fields(sp.Note)[0])
+	}
+	sort.Strings(seeds)
+	if got, want := strings.Join(seeds, " "), "seed=block seed=greedy seed=round-robin"; got != want {
+		t.Errorf("map.descent spans for %q, want %q", got, want)
+	}
 }
 
 // TestSpanSequencePerOutcome pins which layers a request passes through,
@@ -388,6 +429,7 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 	postCompile(t, ts1.URL, body)
 	expect("fresh compile", newest(ts1.URL), append(head[:2:2],
 		"cache.memory/miss", "cache.disk/miss", "graph.import/", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
+	mapperSpans(t, debugTraces(t, ts1.URL).Recent[0])
 	postCompile(t, ts1.URL, body)
 	expect("table hit", newest(ts1.URL), append(head[:2:2], "cache.memory/hit", "response.write/"))
 	stopServer(t, srv1, ts1)

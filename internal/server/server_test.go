@@ -371,6 +371,46 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServerCompilesZeroSharedMemoryGraph: a zero-copy source feeding a
+// sink — expressible on the wire — needs no shared memory, which once
+// divided by zero inside the partitioner's workers and took the process
+// with it. The daemon must answer it with an artifact and stay up.
+func TestServerCompilesZeroSharedMemoryGraph(t *testing.T) {
+	_, cl := startServer(t, server.Config{})
+	src := sdf.NewSource("ZeroCopySource", 4, 4, nil)
+	src.ZeroCopy = true
+	g, err := sdf.Flatten("zero-sm", sdf.Pipe("p", sdf.F(src), sdf.F(sdf.NewSink("Sink", 4, 4, nil))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(server.NewRequest(g, testOpts(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"zeroCopy":true`)) {
+		t.Fatalf("request does not carry the zero-copy flag: %s", body)
+	}
+	a, err := artifact.Decode(postCompile(t, cl.BaseURL, body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := false
+	for _, p := range a.Partitions {
+		zero = zero || p.Est.SMBytes == 0
+	}
+	if !zero {
+		t.Error("no partition with zero shared-memory demand: the request no longer exercises the case")
+	}
+	resp, err := http.Get(cl.BaseURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the compile answered %d", resp.StatusCode)
+	}
+}
+
 // TestServerHealthzAndDrain: /healthz flips 200 -> 503 when draining and
 // new compile requests are refused, which is how a load balancer is told
 // to stop routing here before shutdown.

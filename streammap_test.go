@@ -176,3 +176,41 @@ func TestServiceConcurrentIdenticalPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroSharedMemoryGraphCompiles: a zero-copy source feeding a sink needs
+// no shared memory at all (the producer's buffer is compiled away and there
+// is no primary I/O), which once divided by zero in the parameter sweep.
+// The estimator bounds such a partition by the thread cap instead, so the
+// graph compiles and executes.
+func TestZeroSharedMemoryGraphCompiles(t *testing.T) {
+	src := sdf.NewSource("ZeroCopySource", 4, 4, func(w *Work) {
+		for i := range w.Out[0] {
+			w.Out[0][i] = Token(i)
+		}
+	})
+	src.ZeroCopy = true
+	sink := sdf.NewSink("Sink", 4, 4, func(*Work) {})
+	g, err := Flatten("zero-sm", Pipe("p", F(src), F(sink)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(g, Options{Topo: PairedTree(2), FragmentIters: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := false
+	for _, p := range c.Parts.Parts {
+		if p.Est.SMBytes == 0 {
+			whole = true
+			if w, s, f := p.Est.Params.W, p.Est.Params.S, p.Est.Params.F; w < 1 || s < 1 || f < 1 || w*s+f > c.Options.Device.MaxThreadsPerBlock {
+				t.Errorf("zero-shared-memory partition got parameters S=%d W=%d F=%d", s, w, f)
+			}
+		}
+	}
+	if !whole {
+		t.Error("no partition with zero shared-memory demand: the graph no longer exercises the case")
+	}
+	if _, err := c.Execute(nil, 4); err != nil {
+		t.Fatal(err)
+	}
+}
