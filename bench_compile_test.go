@@ -1,8 +1,8 @@
 package streammap
 
-// Compile-path guardrail: BenchmarkCompile_Serial measures the monolithic
-// serial reference flow, BenchmarkCompile_Pipeline the staged concurrent
-// pass-pipeline, on the largest internal/apps workload (DES N=32: ~224
+// Compile-path guardrail: BenchmarkCompile_Serial measures the pass-pipeline
+// at Workers 1 (the serial reference), BenchmarkCompile_Pipeline the same
+// pipeline at GOMAXPROCS workers, on the largest internal/apps workload (DES N=32: ~224
 // partitions, the heaviest partition+map passes of the suite). Their ratio
 // is the compile-path speedup; bench_compile_baseline.json records a
 // reference run so future PRs can track regressions.
@@ -15,7 +15,6 @@ import (
 
 	"streammap/internal/apps"
 	"streammap/internal/core"
-	"streammap/internal/driver"
 	"streammap/internal/mapping"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
@@ -48,7 +47,7 @@ func BenchmarkCompile_Serial(b *testing.B) {
 	g := benchCompileWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := driver.CompileSerial(g, benchCompileOptions(1))
+		c, err := core.CompileCtx(context.Background(), g, benchCompileOptions(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ package streammap
 // the convexity check are expected to stay allocation-free.
 
 import (
+	"context"
 	"testing"
 
 	"streammap/internal/apps"
@@ -32,7 +33,7 @@ func benchScoringFixture(b *testing.B) (*sdf.Graph, *pee.Engine, sdf.NodeSet) {
 		b.Fatal(err)
 	}
 	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
-	res, err := partition.Run(g, eng)
+	res, err := partition.RunCtx(context.Background(), g, eng, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package streammap
 // cmd/experiments prints the full tables at full scale.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -182,7 +183,7 @@ func BenchmarkPartitionerDES16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := pee.NewEngine(g, pee.ProfileGraph(g, M2090()))
-		if _, err := partition.Run(g, eng); err != nil {
+		if _, err := partition.RunCtx(context.Background(), g, eng, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +198,7 @@ func BenchmarkILPMapping12x4(b *testing.B) {
 	prob := newSynthProblem(work, edges, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mapping.Solve(prob, mapping.Options{ForceILP: true, TimeBudget: 5 * time.Second}); err != nil {
+		if _, err := mapping.SolveCtx(context.Background(), prob, mapping.Options{ForceILP: true, TimeBudget: 5 * time.Second}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,8 +41,8 @@
 //
 // Synth mode compiles a seeded corpus of randomly generated stream graphs
 // on randomly generated PCIe topologies through the compile service; with
-// -synth-check every scenario also runs the differential harness (serial
-// reference flow vs. concurrent pipeline, plus structural invariants).
+// -synth-check every scenario also runs the differential harness (the
+// pipeline at one worker vs. concurrent, plus structural invariants).
 //
 // Examples:
 //
@@ -91,7 +91,7 @@ func main() {
 	synthSeed := flag.String("synth-seed", "1", "corpus seed for -synth (decimal or 0x hex)")
 	synthFilters := flag.Int("synth-filters", 28, "max filters per generated graph in -synth mode")
 	synthGPUs := flag.Int("synth-gpus", 8, "max GPUs per generated topology in -synth mode")
-	synthCheck := flag.Bool("synth-check", false, "run the serial-vs-pipeline differential harness on every generated scenario")
+	synthCheck := flag.Bool("synth-check", false, "run the differential harness (one worker vs. concurrent) on every generated scenario")
 	stats := flag.Bool("stats", false, "print estimation-engine cache counters and per-stage timings as JSON after compiling (same shape as streammapd's /stats engine section)")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()

@@ -24,8 +24,8 @@ type synthFlags struct {
 // runSynth generates a seeded corpus of (graph, topology, options)
 // scenarios and compiles it concurrently through one core.Service, printing
 // a per-scenario line and the service's cache statistics. With -synth-check
-// each scenario additionally runs the differential harness: serial flow vs.
-// concurrent pipeline plus all structural invariants — the command-line
+// each scenario additionally runs the differential harness: the pipeline at
+// one worker vs. at two plus all structural invariants — the command-line
 // entry point to the same machinery the test suite runs on its fixed
 // corpus.
 func runSynth(f synthFlags) error {
@@ -133,7 +133,7 @@ func runSynth(f synthFlags) error {
 		if failures > 0 {
 			return fmt.Errorf("%d of %d scenarios failed the differential check", failures, len(corpus))
 		}
-		fmt.Printf("differential: all %d scenarios passed (serial == pipeline, invariants hold)\n", len(corpus))
+		fmt.Printf("differential: all %d scenarios passed (Workers=1 == Workers=2, invariants hold)\n", len(corpus))
 	}
 	return nil
 }

@@ -69,13 +69,6 @@ func CompileCtx(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, err
 	return driver.Compile(ctx, g, opts)
 }
 
-// CompileSerial is the monolithic serial reference flow kept as the golden
-// fidelity baseline; the synthetic differential harness and the scaling
-// experiments compare the pipeline against it.
-func CompileSerial(g *sdf.Graph, opts Options) (*Compiled, error) {
-	return driver.CompileSerial(g, opts)
-}
-
 // Equivalent reports the first artifact difference between two
 // compilations of the same graph under the same options (nil when they are
 // identical) — the machine-checkable form of the serial/pipeline fidelity

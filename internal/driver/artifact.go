@@ -226,16 +226,8 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 		Engine:  pee.NewEngine(g, prof),
 		Parts:   parts,
 		PDG:     dg,
+		Problem: mappingProblem(opts, dg, parts.Parts),
 		Assign:  assign,
-	}
-	c.Problem = &mapping.Problem{
-		PDG:           dg,
-		Topo:          opts.Topo,
-		FragmentIters: opts.FragmentIters,
-		NumSMs:        opts.Device.NumSMs,
-		LaunchUS:      opts.Device.KernelLaunchUS,
-		ViaHost:       opts.Mapper == PrevWorkMap,
-		TimesUS:       fragmentTimes(parts.Parts, opts),
 	}
 	c.Plan = buildPlan(g, opts, prof, parts.Parts, dg, assign.GPUOf)
 	if a.Remap != nil {

@@ -235,16 +235,13 @@ func TestOptionsValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want mention of %q", tc.name, err, tc.want)
 		}
-		// The same rejection must happen at every compile entry point.
+		// The same rejection must happen at the compile entry point.
 		g, err2 := apps.BuildGraph(mustApp(t, "DES"), 4)
 		if err2 != nil {
 			t.Fatal(err2)
 		}
 		if _, cerr := driver.Compile(context.Background(), g, tc.opts); cerr == nil {
 			t.Errorf("%s: Compile accepted invalid options", tc.name)
-		}
-		if _, serr := driver.CompileSerial(g, tc.opts); serr == nil {
-			t.Errorf("%s: CompileSerial accepted invalid options", tc.name)
 		}
 	}
 	if err := (driver.Options{}).Validate(); err != nil {

@@ -9,8 +9,9 @@
 // Try-Merge candidates on a worker pool (package partition) against a
 // concurrency-safe estimation engine (package pee), and the mapper races a
 // portfolio of solvers under the ILP budget (package mapping). Both commit
-// deterministically, so the pipeline's artifacts are bit-identical to the
-// serial reference flow kept in CompileSerial (see DESIGN.md S9).
+// deterministically, so the artifacts are bit-identical at any worker count:
+// Workers=1 is the serial reference the differential harness compares
+// against (see DESIGN.md S9, S10).
 //
 // Package core re-exports this package's types; core.Service adds the
 // caching compile service on top.
@@ -126,7 +127,7 @@ func Normalized(opts Options) Options { return opts.withDefaults() }
 // letting them fail deep inside a pipeline pass. Zero values are fine —
 // they select defaults — but negatives, unknown kinds, invalid devices and
 // malformed topologies are rejected here. Every withDefaults call site
-// (Compile, CompileSerial, the compile service) validates first.
+// (Compile, the compile service) validates first.
 func (o Options) Validate() error {
 	if o.FragmentIters < 0 {
 		return fmt.Errorf("driver: FragmentIters %d is negative; it is B, the parent iterations per fragment (0 selects the default 512)", o.FragmentIters)
@@ -283,8 +284,7 @@ func stageProfile(_ context.Context, c *Compiled) error {
 
 // multilevelSelected reports whether the multilevel path serves this
 // compile: forced by MultilevelPart, or an Alg1 request on a graph at or
-// above the size threshold. Compile and CompileSerial share it so the
-// differential harness stays meaningful at every size.
+// above the size threshold.
 func multilevelSelected(opts Options, g *sdf.Graph) bool {
 	switch opts.Partitioner {
 	case MultilevelPart:
@@ -327,29 +327,41 @@ func stagePDG(_ context.Context, c *Compiled) error {
 // stageMap solves the partition-to-GPU assignment; the communication-aware
 // mapper races its solver portfolio under the ILP budget.
 func stageMap(ctx context.Context, c *Compiled) error {
-	c.Problem = &mapping.Problem{
-		PDG:           c.PDG,
-		Topo:          c.Options.Topo,
-		FragmentIters: c.Options.FragmentIters,
-		NumSMs:        c.Options.Device.NumSMs,
-		LaunchUS:      c.Options.Device.KernelLaunchUS,
-		ViaHost:       c.Options.Mapper == PrevWorkMap,
-		TimesUS:       fragmentTimes(c.Parts.Parts, c.Options),
-	}
+	c.Problem = mappingProblem(c.Options, c.PDG, c.Parts.Parts)
 	var err error
-	switch c.Options.Mapper {
-	case ILPMapper:
-		mo := c.Options.MapOptions
-		if mo.Workers == 0 {
-			mo.Workers = c.Options.Workers
-		}
-		c.Assign, err = mapping.SolveCtx(ctx, c.Problem, mo)
-	case PrevWorkMap:
-		c.Assign = mapping.PrevWork(c.Problem)
-	default:
-		err = fmt.Errorf("driver: unknown mapper %d", c.Options.Mapper)
-	}
+	c.Assign, err = solveMapping(ctx, c.Options, c.Problem)
 	return err
+}
+
+// mappingProblem assembles the mapping instance of a partitioning: the one
+// place a compile, a remap, a re-merge candidate and a rehydrated artifact
+// build theirs.
+func mappingProblem(opts Options, dg *pdg.PDG, parts []*partition.Partition) *mapping.Problem {
+	return &mapping.Problem{
+		PDG:           dg,
+		Topo:          opts.Topo,
+		FragmentIters: opts.FragmentIters,
+		NumSMs:        opts.Device.NumSMs,
+		LaunchUS:      opts.Device.KernelLaunchUS,
+		ViaHost:       opts.Mapper == PrevWorkMap,
+		TimesUS:       fragmentTimes(parts, opts),
+	}
+}
+
+// solveMapping dispatches the selected mapper on a problem. The pipeline's
+// worker bound reaches the mapper's portfolio here and nowhere else.
+func solveMapping(ctx context.Context, opts Options, p *mapping.Problem) (*mapping.Assignment, error) {
+	switch opts.Mapper {
+	case ILPMapper:
+		mo := opts.MapOptions
+		if mo.Workers == 0 {
+			mo.Workers = opts.Workers
+		}
+		return mapping.SolveCtx(ctx, p, mo)
+	case PrevWorkMap:
+		return mapping.PrevWork(p), nil
+	}
+	return nil, fmt.Errorf("driver: unknown mapper %d", opts.Mapper)
 }
 
 // stagePlan lowers the compilation to the simulator's self-contained
@@ -362,7 +374,7 @@ func stagePlan(_ context.Context, c *Compiled) error {
 }
 
 // buildPlan is the one place compiler structures are lowered to an
-// executable gpusim.Plan; Compile, CompileSerial and FromArtifact share it.
+// executable gpusim.Plan; Compile, Remap and FromArtifact share it.
 func buildPlan(g *sdf.Graph, opts Options, prof *pee.Profile, parts []*partition.Partition, dg *pdg.PDG, gpuOf []int) *gpusim.Plan {
 	kernels := make([]*gpusim.Kernel, len(parts))
 	for i, p := range parts {

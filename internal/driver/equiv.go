@@ -9,9 +9,9 @@ import (
 // Equivalent reports (as an error) the first difference between the
 // artifacts of two compilations of the same graph under the same options.
 // It is the machine-checkable form of the pipeline's fidelity contract
-// (DESIGN.md S10): CompileSerial and the concurrent Compile must agree on
+// (DESIGN.md S10): Compile at one worker and at many must agree on
 // partitions, the partition dependence graph, the assignment and its cost —
-// not approximately, but exactly, since both flows commit deterministically.
+// not approximately, but exactly, since every pass commits deterministically.
 func Equivalent(a, b *Compiled) error {
 	if len(a.Parts.Parts) != len(b.Parts.Parts) {
 		return fmt.Errorf("partition count %d != %d", len(a.Parts.Parts), len(b.Parts.Parts))

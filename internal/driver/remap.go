@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"streammap/internal/artifact"
@@ -32,10 +31,10 @@ type RemapOptions struct {
 	// the artifact's assignment is projected onto the survivors (displaced
 	// partitions re-placed longest-first onto the least-loaded device) and
 	// refined by local-search descents from that seed and a greedy reseed
-	// — the incremental path that makes remap an order of magnitude
-	// cheaper than a cold compile. When
-	// nil, the full mapper portfolio re-runs, which reproduces a cold
-	// compile's assignment exactly but re-pays its mapping cost.
+	// — the incremental path that makes remap several times cheaper than
+	// a cold compile. When nil, the full mapper portfolio re-runs, which
+	// reproduces a cold compile's assignment exactly but re-pays its
+	// mapping cost.
 	GPUMap []int
 }
 
@@ -108,7 +107,7 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 
 	start := time.Now()
 	rctx, span := obs.StartSpan(ctx, "stage.remap")
-	c.Problem = remapProblem(dopts, dg, parts.Parts)
+	c.Problem = mappingProblem(dopts, dg, parts.Parts)
 	mode := "portfolio"
 	if opts.GPUMap != nil && dopts.Mapper == ILPMapper {
 		mode = "warm"
@@ -201,23 +200,10 @@ func warmRemap(ctx context.Context, p *mapping.Problem, a *artifact.Artifact, gp
 			seed[i] = ng
 			load[ng] += p.PartTimeUS(i)
 		} else {
-			seed[i] = -1
 			displaced = append(displaced, i)
 		}
 	}
-	sort.SliceStable(displaced, func(x, y int) bool {
-		return p.PartTimeUS(displaced[x]) > p.PartTimeUS(displaced[y])
-	})
-	for _, i := range displaced {
-		best := 0
-		for k := 1; k < newG; k++ {
-			if load[k] < load[best] {
-				best = k
-			}
-		}
-		seed[i] = best
-		load[best] += p.PartTimeUS(i)
-	}
+	mapping.PlaceLongestFirst(p, displaced, seed, load)
 	// A greedy reseed — the strongest leg of the cold portfolio — guards
 	// against the projected seed descending into a poor local optimum on a
 	// reshaped topology. Both descents are deterministic and both complete
@@ -235,36 +221,6 @@ func warmRemap(ctx context.Context, p *mapping.Problem, a *artifact.Artifact, gp
 		return gre, nil
 	}
 	return warm, nil
-}
-
-// remapProblem assembles the mapping problem stageMap would build, from
-// rehydrated stage products.
-func remapProblem(opts Options, dg *pdg.PDG, parts []*partition.Partition) *mapping.Problem {
-	return &mapping.Problem{
-		PDG:           dg,
-		Topo:          opts.Topo,
-		FragmentIters: opts.FragmentIters,
-		NumSMs:        opts.Device.NumSMs,
-		LaunchUS:      opts.Device.KernelLaunchUS,
-		ViaHost:       opts.Mapper == PrevWorkMap,
-		TimesUS:       fragmentTimes(parts, opts),
-	}
-}
-
-// solveMapping runs the artifact's mapper on a problem, exactly as stageMap
-// dispatches it.
-func solveMapping(ctx context.Context, opts Options, p *mapping.Problem) (*mapping.Assignment, error) {
-	switch opts.Mapper {
-	case ILPMapper:
-		mo := opts.MapOptions
-		if mo.Workers == 0 {
-			mo.Workers = opts.Workers
-		}
-		return mapping.SolveCtx(ctx, p, mo)
-	case PrevWorkMap:
-		return mapping.PrevWork(p), nil
-	}
-	return nil, fmt.Errorf("driver: unknown mapper %d", opts.Mapper)
 }
 
 // remergeInfo reports how the re-merge candidate fared, for stage provenance.
@@ -306,7 +262,7 @@ func (c *Compiled) tryRemerge(ctx context.Context, g *sdf.Graph) (remergeInfo, e
 	if err != nil {
 		return info, err
 	}
-	problem := remapProblem(c.Options, dgM, merged)
+	problem := mappingProblem(c.Options, dgM, merged)
 	assign, err := solveMapping(ctx, c.Options, problem)
 	if err != nil {
 		return info, err

@@ -14,7 +14,7 @@ import (
 )
 
 // scalingExactCap is the largest filter count at which the exact Algorithm 1
-// legs (serial and pipelined) still run: beyond it Try-Merge's quadratic
+// legs (one worker and concurrent) still run: beyond it Try-Merge's quadratic
 // candidate scan dominates the sweep, and the multilevel path is the only
 // column.
 const scalingExactCap = 2000
@@ -25,7 +25,7 @@ type ScalingRow struct {
 	Nodes      int // actual flattened node count
 	GPUs       int
 	Partitions int     // exact path (0 when the exact legs are skipped)
-	SerialMS   float64 // CompileSerial wall clock
+	SerialMS   float64 // Compile wall clock at Workers 1
 	PipeMS     float64 // concurrent pipeline wall clock
 	Speedup    float64 // SerialMS / PipeMS
 	TmaxUS     float64 // mapping objective
@@ -39,8 +39,8 @@ type ScalingRow struct {
 }
 
 // ScalingSweep compiles a family of generated stream graphs of growing size
-// onto machines of growing GPU count and reports compile latency (serial
-// reference vs. concurrent pipeline vs. multilevel) and simulated
+// onto machines of growing GPU count and reports compile latency (the
+// pipeline at Workers 1 vs. at its default vs. multilevel) and simulated
 // throughput. Graphs come from the synth generator under fixed seeds;
 // topologies are the paper's paired PCIe trees so the GPU-count axis varies
 // only in width. Cells run serially — unlike the paper-figure experiments —
@@ -48,7 +48,7 @@ type ScalingRow struct {
 // cells.
 //
 // Up to scalingExactCap filters each cell is differential three ways: the
-// pipeline's artifacts must be identical to the serial flow's, and the
+// concurrent run's artifacts must be identical to the one-worker run's, and the
 // multilevel plan's simulated throughput is reported as a ratio against the
 // exact plan's. Beyond the cap only the multilevel column runs — that is the
 // regime the multilevel path exists for — up to cfg.ScaleMax filters
@@ -100,7 +100,7 @@ func ScalingSweep(cfg Config) (*Table, []ScalingRow, error) {
 		Header: []string{"filters", "nodes", "gpus", "parts", "serial(ms)", "pipeline(ms)", "speedup", "us/frag", "ml-parts", "ml(ms)", "ml-alloc(MB)", "ml-us/frag", "ratio"},
 		Notes: []string{
 			"graphs: synth.BuildGraph (seeded, skewed work); topology: PairedTree",
-			fmt.Sprintf("exact legs (serial, pipeline) run up to %d filters and assert pipeline == serial artifacts", scalingExactCap),
+			fmt.Sprintf("exact legs (serial = Workers 1, pipeline = default workers) run up to %d filters and assert identical artifacts", scalingExactCap),
 			"ml columns: forced multilevel coarsen->partition->refine path; ratio = ml-us/frag / us/frag",
 		},
 	}
@@ -150,7 +150,9 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 			return ScalingRow{}, err
 		}
 		t0 := time.Now()
-		serial, err := core.CompileSerial(gSerial, exactOpts)
+		serialOpts := exactOpts
+		serialOpts.Workers = 1
+		serial, err := core.Compile(gSerial, serialOpts)
 		if err != nil {
 			return ScalingRow{}, err
 		}

@@ -246,12 +246,12 @@ func sameDescent(t *testing.T, what string, p *Problem, seed []int) descentStats
 	return st
 }
 
-// TestDescendDeltaMatchesUnfiltered is the delta descent's referee. Above
-// deltaEvalMinParts every cold seed, peer-to-peer and via-host, on an
-// instance whose descents all converge inside the evaluation budget and on
-// one where the budget cuts a descent — the cut must fall on the same
-// candidate — and, at any size, the remap path: Refine from an assignment
-// projected onto fewer GPUs.
+// TestDescendDeltaMatchesUnfiltered is the referee of the descent's
+// candidate filter. Every cold seed, peer-to-peer and via-host, on a
+// 600-partition instance whose descents all converge inside the evaluation
+// budget and on one where the budget cuts a descent — the cut must fall on
+// the same candidate — and the remap path, small and large: Refine from an
+// assignment projected onto fewer GPUs.
 func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 	// mixed reports whether descents, taken together, both rejected
 	// candidates on the time bound and scored survivors' links.
@@ -272,7 +272,7 @@ func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 	}{{"p2p", false, 10, 100.0 / 15}, {"via-host", true, 30, 30}} {
 		t.Run(m.name, func(t *testing.T) {
 			t.Parallel()
-			converges := descentProblem(t, deltaEvalMinParts+88, 4, m.convergesMaxUS, 0xD15C)
+			converges := descentProblem(t, 600, 4, m.convergesMaxUS, 0xD15C)
 			converges.ViaHost = m.viaHost
 			var sts []descentStats
 			for s, seed := range coldSeeds(converges, Greedy(converges).GPUOf) {
@@ -304,12 +304,12 @@ func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 
 			// The remap path: a 4-GPU local optimum folded onto 2 GPUs, small
 			// and large.
-			for _, n := range []int{40, deltaEvalMinParts + 88} {
+			for _, n := range []int{40, 600} {
 				full := descentProblem(t, n, 4, m.convergesMaxUS, 0x2E3A9)
 				full.ViaHost = m.viaHost
 				half := *full
 				half.Topo = topology.PairedTree(2)
-				projected := append([]int(nil), LocalSearch(full).GPUOf...)
+				projected := append([]int(nil), localSearch(full).GPUOf...)
 				for i := range projected {
 					projected[i] %= 2
 				}

@@ -12,7 +12,6 @@ package mapping
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -190,7 +189,7 @@ func Greedy(p *Problem) *Assignment {
 		best, bestObj := 0, math.Inf(1)
 		for k := 0; k < p.Topo.NumGPUs(); k++ {
 			gpuOf[pi] = k
-			obj := ev.objective(gpuOf, bestObj)
+			obj := ev.reset(gpuOf, bestObj)
 			if obj < bestObj {
 				best, bestObj = k, obj
 			}
@@ -200,128 +199,30 @@ func Greedy(p *Problem) *Assignment {
 	return Evaluate(p, gpuOf, "greedy")
 }
 
-// evaluator computes the exact objective of an assignment with zero
-// allocation per call: per-GPU time and per-link load buffers are reused,
-// partition times are read from a precomputed table, and routes come from
-// the topology's route cache. It performs bit for bit the same float
-// arithmetic, in the same order, as Evaluate — candidate scans score with
-// objective and only the accepted assignment is re-scored by Evaluate for
-// its fully populated form.
-//
-// Unassigned partitions (gpuOf[i] == -1) and the transfers touching them
-// are skipped, which also subsumes the old evalPartial. Not safe for
-// concurrent use; each local-search descent owns one.
-type evaluator struct {
-	p     *Problem
-	times []float64 // PartTimeUS table
-	gpuT  []float64
-	loads []int64
-	cuts  int // objective calls answered by the GPU-time bound alone
-}
-
-func newEvaluator(p *Problem) *evaluator {
-	ev := &evaluator{
-		p:     p,
-		times: make([]float64, p.PDG.NumParts()),
-		gpuT:  make([]float64, p.Topo.NumGPUs()),
-		loads: make([]int64, p.Topo.NumLinks()),
-	}
-	for i := range ev.times {
-		ev.times[i] = p.PartTimeUS(i)
-	}
-	return ev
-}
-
-// objective returns Evaluate(p, gpuOf, ...).Objective without building an
-// Assignment, skipping partitions assigned -1 — unless the per-GPU times
-// alone already reach cut, in which case it returns that lower bound (≥ cut)
-// and never walks the edges. Every caller only asks whether the objective
-// is below its cut, so the answer is the same either way; math.Inf(1)
-// always yields the exact objective.
-func (ev *evaluator) objective(gpuOf []int, cut float64) float64 {
-	p, t := ev.p, ev.p.Topo
-	for i := range ev.gpuT {
-		ev.gpuT[i] = 0
-	}
-	B := int64(p.FragmentIters)
-	for i, k := range gpuOf {
-		if k >= 0 {
-			ev.gpuT[k] += ev.times[i]
-		}
-	}
-	obj := gpuMax(ev.gpuT)
-	if obj >= cut {
-		ev.cuts++
-		return obj
-	}
-	for i := range ev.loads {
-		ev.loads[i] = 0
-	}
-	for _, e := range p.PDG.Edges {
-		gs, gd := gpuOf[e.From], gpuOf[e.To]
-		if gs < 0 || gd < 0 || gs == gd {
-			continue
-		}
-		bytes := e.Bytes * B
-		var route []int
-		if p.ViaHost {
-			route = t.RouteViaHost(gs, gd)
-		} else {
-			route = t.Route(gs, gd)
-		}
-		for _, l := range route {
-			ev.loads[l] += bytes
-		}
-	}
-	for i, k := range gpuOf {
-		if k < 0 {
-			continue
-		}
-		if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
-			for _, l := range t.Route(topology.Host, k) {
-				ev.loads[l] += hb
-			}
-		}
-		if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
-			for _, l := range t.Route(k, topology.Host) {
-				ev.loads[l] += hb
-			}
-		}
-	}
-	return linkMax(t, ev.loads, obj)
-}
-
-// deltaEvalMinParts is the partition count above which local-search descents
-// score candidates with the incremental evaluator instead of full rescans.
-// Every instance the exact flow produces (paper apps, differential corpus)
-// stays below it and keeps the original arithmetic bit for bit; above it —
-// the multilevel regime, thousands of partitions — the O(n²) swap sweep
-// times an O(n+E) rescan per candidate was a minutes-long wall, and the
-// incremental path turns each candidate into an O(deg) update.
-const deltaEvalMinParts = 512
-
-// deltaDescendEvalBudget caps candidate evaluations per delta-scored descent.
-// Unlike the sub-threshold descent — which runs to a true local optimum —
-// the large regime's swap neighborhood is millions of candidates per sweep
-// and the sweep count until quiescence is unbounded, so each seed gets a
-// fixed evaluation allowance (a count, not a clock: the result stays
-// deterministic and machine-independent). At ~2k partitions this is a few
-// full sweeps, which is where nearly all of the improvement lands.
+// deltaDescendEvalBudget caps candidate evaluations per descent. Small
+// instances converge long before it; in the multilevel regime the swap
+// neighborhood is millions of candidates per sweep and the sweep count until
+// quiescence is unbounded, so each seed gets a fixed evaluation allowance (a
+// count, not a clock: the result stays deterministic and
+// machine-independent). At ~2k partitions this is a few full sweeps, which
+// is where nearly all of the improvement lands.
 const deltaDescendEvalBudget = 8_000_000
 
-// deltaEvaluator scores single-partition moves incrementally. It holds the
-// per-GPU times and per-link loads of one assignment (gpuOf) and splits a
-// move into its two independent halves: moveTime, O(1), and reroute,
-// O(deg(i)·route), which a descent applies to a scratch copy of the loads so
-// a rejected candidate leaves nothing to undo there. Loads are exact
-// (int64); gpuT is float and accumulates rounding residue across rejected
-// candidates, so descents rebuild (reset) on every accepted improvement —
-// drift never crosses an accept. Right after reset the state is Evaluate's
-// own (same summation order, exact loads), so objective() then returns
-// Evaluate's Objective bit for bit.
-type deltaEvaluator struct {
+// evaluator is the mappers' working scorer: it holds the per-GPU times and
+// per-link loads of one assignment (gpuOf), rebuilt from scratch by reset
+// and updated incrementally by the two independent halves of a
+// single-partition move: moveTime, O(1), and reroute, O(deg(i)·route), which
+// a descent applies to a scratch copy of the loads so a rejected candidate
+// leaves nothing to undo there. Loads are exact (int64); gpuT is float and
+// accumulates rounding residue across rejected candidates, so descents
+// rebuild (reset) on every accepted improvement — drift never crosses an
+// accept. Right after reset the state is Evaluate's own (same summation
+// order, exact loads), so the objective reset returns is Evaluate's
+// Objective bit for bit; Evaluate stays the allocating oracle that results
+// are re-scored by. Not safe for concurrent use; each descent owns one.
+type evaluator struct {
 	p        *Problem
-	times    []float64
+	times    []float64 // PartTimeUS table
 	gpuT     []float64
 	loads    []int64
 	trial    []int64   // loads of the candidate being scored
@@ -334,9 +235,9 @@ type deltaEvaluator struct {
 	routes [][]int
 }
 
-func newDeltaEvaluator(p *Problem) *deltaEvaluator {
+func newEvaluator(p *Problem) *evaluator {
 	t, g := p.Topo, p.Topo.NumGPUs()
-	de := &deltaEvaluator{
+	ev := &evaluator{
 		p:        p,
 		times:    make([]float64, p.PDG.NumParts()),
 		gpuT:     make([]float64, g),
@@ -347,52 +248,70 @@ func newDeltaEvaluator(p *Problem) *deltaEvaluator {
 		gpus:     g,
 		routes:   make([][]int, g*g),
 	}
-	for i := range de.times {
-		de.times[i] = p.PartTimeUS(i)
+	for i := range ev.times {
+		ev.times[i] = p.PartTimeUS(i)
 	}
 	for ei, e := range p.PDG.Edges {
-		de.incident[e.From] = append(de.incident[e.From], int32(ei))
-		de.incident[e.To] = append(de.incident[e.To], int32(ei))
+		ev.incident[e.From] = append(ev.incident[e.From], int32(ei))
+		ev.incident[e.To] = append(ev.incident[e.To], int32(ei))
 	}
 	for gs := 0; gs < g; gs++ {
 		for gd := 0; gd < g; gd++ {
 			switch {
 			case gs == gd:
 			case p.ViaHost:
-				de.routes[gs*g+gd] = t.RouteViaHost(gs, gd)
+				ev.routes[gs*g+gd] = t.RouteViaHost(gs, gd)
 			default:
-				de.routes[gs*g+gd] = t.Route(gs, gd)
+				ev.routes[gs*g+gd] = t.Route(gs, gd)
 			}
 		}
 	}
-	return de
+	return ev
 }
 
-// reset rebuilds the state for an assignment from scratch.
-func (de *deltaEvaluator) reset(gpuOf []int) {
-	copy(de.gpuOf, gpuOf)
-	for i := range de.gpuT {
-		de.gpuT[i] = 0
+// reset rebuilds the state for an assignment from scratch and returns its
+// objective. Partitions assigned -1, and the transfers touching them, are
+// skipped (Greedy scores partial placements). When the per-GPU times alone
+// already reach cut it returns that lower bound (≥ cut) instead and never
+// walks the edges, leaving the loads stale: a caller with a finite cut only
+// asks whether the objective is below it, and one that goes on to move
+// partitions passes math.Inf(1), which always yields the exact objective.
+func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
+	copy(ev.gpuOf, gpuOf)
+	for i := range ev.gpuT {
+		ev.gpuT[i] = 0
 	}
-	for i := range de.loads {
-		de.loads[i] = 0
+	for i, k := range ev.gpuOf {
+		if k >= 0 {
+			ev.gpuT[k] += ev.times[i]
+		}
 	}
-	p, t := de.p, de.p.Topo
+	obj := gpuMax(ev.gpuT)
+	if obj >= cut {
+		return obj
+	}
+	for i := range ev.loads {
+		ev.loads[i] = 0
+	}
+	p, t := ev.p, ev.p.Topo
 	B := int64(p.FragmentIters)
-	for i, k := range de.gpuOf {
-		de.gpuT[k] += de.times[i]
-	}
 	for _, e := range p.PDG.Edges {
-		addLoad(de.loads, de.routes[de.gpuOf[e.From]*de.gpus+de.gpuOf[e.To]], e.Bytes*B)
+		if gs, gd := ev.gpuOf[e.From], ev.gpuOf[e.To]; gs >= 0 && gd >= 0 {
+			addLoad(ev.loads, ev.routes[gs*ev.gpus+gd], e.Bytes*B)
+		}
 	}
-	for i, k := range de.gpuOf {
+	for i, k := range ev.gpuOf {
+		if k < 0 {
+			continue
+		}
 		if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
-			addLoad(de.loads, t.Route(topology.Host, k), hb)
+			addLoad(ev.loads, t.Route(topology.Host, k), hb)
 		}
 		if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
-			addLoad(de.loads, t.Route(k, topology.Host), hb)
+			addLoad(ev.loads, t.Route(k, topology.Host), hb)
 		}
 	}
+	return linkMax(t, ev.loads, obj)
 }
 
 // addLoad adds bytes (negative to subtract) to every link of a route.
@@ -404,29 +323,29 @@ func addLoad(loads []int64, route []int, bytes int64) {
 
 // moveTime is the per-GPU half of a move: partition i's time leaves GPU
 // from and lands on GPU to.
-func (de *deltaEvaluator) moveTime(i, from, to int) {
-	de.gpuT[from] -= de.times[i]
-	de.gpuT[to] += de.times[i]
+func (ev *evaluator) moveTime(i, from, to int) {
+	ev.gpuT[from] -= ev.times[i]
+	ev.gpuT[to] += ev.times[i]
 }
 
 // reroute is the link half of a move: it adds to loads the change when
 // partition i goes from GPU from to GPU to, its incident transfers and host
 // I/O re-routed, every other partition placed as gpuOf says. gpuOf itself is
 // the caller's to update.
-func (de *deltaEvaluator) reroute(loads []int64, i, from, to int) {
-	p, t, g := de.p, de.p.Topo, de.gpus
+func (ev *evaluator) reroute(loads []int64, i, from, to int) {
+	p, t, g := ev.p, ev.p.Topo, ev.gpus
 	B := int64(p.FragmentIters)
-	for _, ei := range de.incident[i] {
+	for _, ei := range ev.incident[i] {
 		e := &p.PDG.Edges[ei]
 		bytes := e.Bytes * B
 		if e.From == i {
-			o := de.gpuOf[e.To]
-			addLoad(loads, de.routes[from*g+o], -bytes)
-			addLoad(loads, de.routes[to*g+o], bytes)
+			o := ev.gpuOf[e.To]
+			addLoad(loads, ev.routes[from*g+o], -bytes)
+			addLoad(loads, ev.routes[to*g+o], bytes)
 		} else {
-			o := de.gpuOf[e.From]
-			addLoad(loads, de.routes[o*g+from], -bytes)
-			addLoad(loads, de.routes[o*g+to], bytes)
+			o := ev.gpuOf[e.From]
+			addLoad(loads, ev.routes[o*g+from], -bytes)
+			addLoad(loads, ev.routes[o*g+to], bytes)
 		}
 	}
 	if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
@@ -437,11 +356,6 @@ func (de *deltaEvaluator) reroute(loads []int64, i, from, to int) {
 		addLoad(loads, t.Route(from, topology.Host), -hb)
 		addLoad(loads, t.Route(to, topology.Host), hb)
 	}
-}
-
-// objective reads the current Tmax in O(gpus + links).
-func (de *deltaEvaluator) objective() float64 {
-	return linkMax(de.p.Topo, de.loads, gpuMax(de.gpuT))
 }
 
 // linksBelow reports whether every loaded link's time is below thr — with
@@ -456,26 +370,15 @@ func linksBelow(t *topology.Tree, loads []int64, thr float64) bool {
 	return true
 }
 
-// LocalSearch refines an assignment with single-partition moves and pairwise
-// swaps until a local optimum of the exact objective, then returns the best
-// of several deterministic seeds.
-func LocalSearch(p *Problem) *Assignment {
-	best, _ := localSearchCtx(context.Background(), p, 1, nil)
-	return best
-}
-
-// localSearchCtx is LocalSearch with the seed descents run on up to workers
-// goroutines. Each descent is deterministic and the winner is selected in
-// fixed seed order, so the parallel result is identical to the serial one.
-// Cancelling the context returns the best assignment found so far. A
-// non-nil greedy supplies the precomputed first seed (SolveCtx reuses the
-// portfolio's greedy leg instead of recomputing it). The second result
-// names the seed whose descent won.
+// localSearchCtx refines an assignment with single-partition moves and
+// pairwise swaps (descendDelta) from several deterministic seeds, on up to
+// workers goroutines, and returns the best. Each descent is deterministic
+// and the winner is selected in fixed seed order, so the result is the same
+// at any worker count. Cancelling the context returns the best assignment
+// found so far. greedy is the first seed (SolveCtx passes the portfolio's
+// greedy leg instead of computing it twice). The second result names the
+// seed whose descent won.
 func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assignment) (*Assignment, string) {
-	descend := descender(ctx, p, false)
-	if greedy == nil {
-		greedy = Greedy(p)
-	}
 	seeds := coldSeeds(p, greedy.GPUOf)
 
 	var results [len(seedNames)]*Assignment
@@ -485,13 +388,13 @@ func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assign
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				results[i] = descend(seedNames[i], seeds[i])
+				results[i] = descent(ctx, p, seedNames[i], seeds[i])
 			}(i)
 		}
 		wg.Wait()
 	} else {
 		for i := range seeds {
-			results[i] = descend(seedNames[i], seeds[i])
+			results[i] = descent(ctx, p, seedNames[i], seeds[i])
 		}
 	}
 
@@ -524,18 +427,14 @@ func coldSeeds(p *Problem, greedy []int) [len(seedNames)][]int {
 	return [...][]int{greedy, rr, blk}
 }
 
-// Refine descends from a caller-supplied seed to a local optimum with
-// LocalSearch's neighborhood, scan order and acceptance threshold — only
-// the multi-seed fan-out is skipped, which is what makes a warm start
-// cheap: from a near-optimal seed the descent converges in a round or two
-// instead of re-exploring from three cold seeds. Candidates are always
-// scored with the incremental (delta) evaluator regardless of instance
-// size; accepted assignments are re-scored exactly, so the returned
-// Objective is the exact evaluation either way. The driver's remap flow
-// seeds this with the pre-failure assignment projected onto the surviving
-// devices.
+// Refine descends from a caller-supplied seed to a local optimum with local
+// search's own descent — only the multi-seed fan-out is skipped, which is
+// what makes a warm start cheap: from a near-optimal seed the descent
+// converges in a round or two instead of re-exploring from three cold seeds.
+// The driver's remap flow seeds this with the pre-failure assignment
+// projected onto the surviving devices.
 func Refine(ctx context.Context, p *Problem, seed []int) *Assignment {
-	a := descender(ctx, p, true)("warm", seed)
+	a := descent(ctx, p, "warm", seed)
 	a.Method = "local"
 	return a
 }
@@ -548,145 +447,72 @@ type descentStats struct {
 	budgetCut    bool // stopped by deltaDescendEvalBudget, not by convergence
 }
 
-// descender returns the descent routine for a problem: the exact-objective
-// move/swap descent below deltaEvalMinParts, the delta-scored variant above
-// it (or always, when forceDelta). Both share neighborhood, scan order and
-// acceptance threshold and re-score accepted assignments exactly; which one
-// filters candidates can differ only in float rounding of rejected scores.
-// Each run is recorded as a map.descent span under ctx's current span.
-func descender(ctx context.Context, p *Problem, forceDelta bool) func(seed string, gpuOf []int) *Assignment {
-	run := descend
-	if forceDelta || p.PDG.NumParts() > deltaEvalMinParts {
-		run = descendDelta
-	}
-	return func(seed string, gpuOf []int) *Assignment {
-		_, span := obs.StartSpan(ctx, "map.descent")
-		a, st := run(ctx, p, gpuOf)
-		span.Notef("seed=%s candidates=%d time_rejected=%d accepts=%d budget_cut=%t",
-			seed, st.candidates, st.timeRejected, st.accepts, st.budgetCut)
-		span.End()
-		return a
-	}
+// descent runs descendDelta from one seed, recorded as a map.descent span
+// under ctx's current span.
+func descent(ctx context.Context, p *Problem, seed string, gpuOf []int) *Assignment {
+	_, span := obs.StartSpan(ctx, "map.descent")
+	a, st := descendDelta(ctx, p, gpuOf)
+	span.Notef("seed=%s candidates=%d time_rejected=%d accepts=%d budget_cut=%t",
+		seed, st.candidates, st.timeRejected, st.accepts, st.budgetCut)
+	span.End()
+	return a
 }
 
-// descend is the sub-threshold descent: every candidate is scored from
-// scratch with the reusable evaluator (identical floats to Evaluate, no
-// allocation, cached routes, edges skipped when the GPU times alone reject
-// it); only accepted improvements re-run the full Evaluate, so cur is always
-// a completely populated assignment.
-func descend(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
-	n := p.PDG.NumParts()
-	g := p.Topo.NumGPUs()
-	var st descentStats
-	ev := newEvaluator(p)
-	cur := Evaluate(p, gpuOf, "local")
-	cand := append([]int(nil), cur.GPUOf...)
-	// improves scores cand against the acceptance threshold and adopts it
-	// when it wins.
-	improves := func() bool {
-		st.candidates++
-		thr := cur.Objective - 1e-9
-		if !(ev.objective(cand, thr) < thr) {
-			return false
-		}
-		st.accepts++
-		cur = Evaluate(p, cand, "local")
-		copy(cand, cur.GPUOf)
-		return true
-	}
-	for ctx.Err() == nil {
-		improved := false
-		// Moves.
-		for i := 0; i < n; i++ {
-			for k := 0; k < g; k++ {
-				if k == cur.GPUOf[i] {
-					continue
-				}
-				cand[i] = k
-				if improves() {
-					improved = true
-				} else {
-					cand[i] = cur.GPUOf[i]
-				}
-			}
-		}
-		// Swaps.
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if cur.GPUOf[i] == cur.GPUOf[j] {
-					continue
-				}
-				cand[i], cand[j] = cand[j], cand[i]
-				if improves() {
-					improved = true
-				} else {
-					cand[i], cand[j] = cur.GPUOf[i], cur.GPUOf[j]
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	st.timeRejected = ev.cuts
-	return cur, st
-}
-
-// descendDelta is the same neighborhood, scan order and acceptance threshold
-// scored incrementally, under the deltaDescendEvalBudget allowance. A
-// candidate is tried in two steps: its O(1) per-GPU time updates first —
-// the largest GPU time is a lower bound of the objective, so one at or above
-// the threshold rejects the candidate before any link load is computed — and
-// only for survivors the O(deg·route) re-routing, on a scratch copy of the
-// loads, and the link terms. A rejected candidate's time updates are undone
-// in the order a whole-move undo would apply them, survivor or not: the
-// rounding residue they leave in gpuT is what later candidates are scored
-// against. Every candidate counts against the budget, filtered or not. The
-// descent therefore visits exactly the assignments an unfiltered one would;
-// DESIGN.md S5 has the argument, the test-only descendDeltaUnfiltered is
-// the referee.
+// descendDelta is the mapper's one descent, at every instance size: rounds
+// of single-partition moves, then pairwise swaps, each candidate accepted
+// when it lowers the objective by more than 1e-9, scored incrementally under
+// the deltaDescendEvalBudget allowance. A candidate is tried in two steps:
+// its O(1) per-GPU time updates first — the largest GPU time is a lower
+// bound of the objective, so one at or above the threshold rejects the
+// candidate before any link load is computed — and only for survivors the
+// O(deg·route) re-routing, on a scratch copy of the loads, and the link
+// terms. A rejected candidate's time updates are undone in the order a
+// whole-move undo would apply them, survivor or not: the rounding residue
+// they leave in gpuT is what later candidates are scored against. Every
+// candidate counts against the budget, filtered or not. The descent
+// therefore visits exactly the assignments an unfiltered one would;
+// DESIGN.md S5 has the argument and what the residue can and cannot move,
+// the test-only descendDeltaUnfiltered and descendRescan are the referees.
 func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
 	n := p.PDG.NumParts()
 	g := p.Topo.NumGPUs()
 	var st descentStats
-	de := newDeltaEvaluator(p)
-	de.reset(gpuOf)
-	cur := de.objective() // the exact objective: see deltaEvaluator
+	ev := newEvaluator(p)
+	cur := ev.reset(gpuOf, math.Inf(1)) // the exact objective: see evaluator
 	accept := func() {
 		st.accepts++
-		de.reset(de.gpuOf)
-		cur = de.objective()
+		cur = ev.reset(ev.gpuOf, math.Inf(1))
 	}
 	finish := func(cut bool) (*Assignment, descentStats) {
 		st.budgetCut = cut
-		return Evaluate(p, de.gpuOf, "local"), st
+		return Evaluate(p, ev.gpuOf, "local"), st
 	}
 	for ctx.Err() == nil {
 		improved := false
 		// Moves.
 		for i := 0; i < n; i++ {
 			for k := 0; k < g; k++ {
-				old := de.gpuOf[i]
+				old := ev.gpuOf[i]
 				if k == old {
 					continue
 				}
 				st.candidates++
 				thr := cur - 1e-9
-				de.moveTime(i, old, k)
-				if gpuMax(de.gpuT) >= thr {
+				ev.moveTime(i, old, k)
+				if gpuMax(ev.gpuT) >= thr {
 					st.timeRejected++
-					de.moveTime(i, k, old)
+					ev.moveTime(i, k, old)
 					continue
 				}
-				copy(de.trial, de.loads)
-				de.reroute(de.trial, i, old, k)
-				de.gpuOf[i] = k
-				if linksBelow(p.Topo, de.trial, thr) {
+				copy(ev.trial, ev.loads)
+				ev.reroute(ev.trial, i, old, k)
+				ev.gpuOf[i] = k
+				if linksBelow(p.Topo, ev.trial, thr) {
 					accept()
 					improved = true
 				} else {
-					de.gpuOf[i] = old
-					de.moveTime(i, k, old)
+					ev.gpuOf[i] = old
+					ev.moveTime(i, k, old)
 				}
 			}
 		}
@@ -699,32 +525,32 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 				return finish(true)
 			}
 			for j := i + 1; j < n; j++ {
-				gi, gj := de.gpuOf[i], de.gpuOf[j]
+				gi, gj := ev.gpuOf[i], ev.gpuOf[j]
 				if gi == gj {
 					continue
 				}
 				st.candidates++
 				thr := cur - 1e-9
-				de.moveTime(i, gi, gj)
-				de.moveTime(j, gj, gi)
-				if gpuMax(de.gpuT) >= thr {
+				ev.moveTime(i, gi, gj)
+				ev.moveTime(j, gj, gi)
+				if gpuMax(ev.gpuT) >= thr {
 					st.timeRejected++
-					de.moveTime(j, gi, gj)
-					de.moveTime(i, gj, gi)
+					ev.moveTime(j, gi, gj)
+					ev.moveTime(i, gj, gi)
 					continue
 				}
-				copy(de.trial, de.loads)
-				de.reroute(de.trial, i, gi, gj)
-				de.gpuOf[i] = gj // j's transfers with i route to i's new GPU
-				de.reroute(de.trial, j, gj, gi)
-				de.gpuOf[j] = gi
-				if linksBelow(p.Topo, de.trial, thr) {
+				copy(ev.trial, ev.loads)
+				ev.reroute(ev.trial, i, gi, gj)
+				ev.gpuOf[i] = gj // j's transfers with i route to i's new GPU
+				ev.reroute(ev.trial, j, gj, gi)
+				ev.gpuOf[j] = gi
+				if linksBelow(p.Topo, ev.trial, thr) {
 					accept()
 					improved = true
 				} else {
-					de.gpuOf[i], de.gpuOf[j] = gi, gj
-					de.moveTime(j, gi, gj)
-					de.moveTime(i, gj, gi)
+					ev.gpuOf[i], ev.gpuOf[j] = gi, gj
+					ev.moveTime(j, gi, gj)
+					ev.moveTime(i, gj, gi)
 				}
 			}
 		}
@@ -745,31 +571,10 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 func PrevWork(p *Problem) *Assignment {
 	q := *p
 	q.ViaHost = true
-	n := q.PDG.NumParts()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return q.PartTimeUS(order[a]) > q.PartTimeUS(order[b])
-	})
-	gpuT := make([]float64, q.Topo.NumGPUs())
-	gpuOf := make([]int, n)
-	for _, pi := range order {
-		best := 0
-		for k := 1; k < len(gpuT); k++ {
-			if gpuT[k] < gpuT[best] {
-				best = k
-			}
-		}
-		gpuOf[pi] = best
-		gpuT[best] += q.PartTimeUS(pi)
-	}
-	a := Evaluate(&q, gpuOf, "prevwork")
-	return a
+	return Evaluate(&q, lptPlacement(p), "prevwork")
 }
 
-// Options tunes Solve.
+// Options tunes SolveCtx.
 type Options struct {
 	// ILPMaxParts caps the instance size handed to the exact solver; larger
 	// instances use local search only (see DESIGN.md S5). Default 24.
@@ -779,8 +584,8 @@ type Options struct {
 	TimeBudget time.Duration
 	// ForceILP runs the ILP regardless of size.
 	ForceILP bool
-	// Workers bounds the portfolio solver's concurrency (SolveCtx); 0 or 1
-	// keeps the seed descents serial.
+	// Workers bounds the portfolio solver's concurrency; 0 or 1 keeps the
+	// seed descents serial.
 	Workers int
 }
 
@@ -797,30 +602,4 @@ func (o Options) withDefaults() Options {
 		o.TimeBudget = 10 * time.Second
 	}
 	return o
-}
-
-// Solve is the communication-aware mapper: the ILP formulation when the
-// instance is within reach of the built-in solver, seeded and backed by
-// local search.
-func Solve(p *Problem, opts Options) (*Assignment, error) {
-	opts = opts.withDefaults()
-	if p.PDG.NumParts() == 0 {
-		return nil, fmt.Errorf("mapping: empty PDG")
-	}
-	if p.Topo.NumGPUs() == 1 {
-		gpuOf := make([]int, p.PDG.NumParts())
-		return Evaluate(p, gpuOf, "single-gpu"), nil
-	}
-	heur := LocalSearch(p)
-	if p.PDG.NumParts() > opts.ILPMaxParts && !opts.ForceILP {
-		return heur, nil
-	}
-	a, err := solveILP(p, heur, opts)
-	if err != nil {
-		return heur, nil // solver trouble: fall back to the heuristic
-	}
-	if heur.Objective < a.Objective-1e-9 {
-		return heur, nil
-	}
-	return a, nil
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,17 @@ func synth(t *testing.T, work []float64, edges []pdg.Edge, hostIn, hostOut []int
 		FragmentIters: 1,
 		LaunchUS:      0,
 	}
+}
+
+// solve is SolveCtx under a live context.
+func solve(p *Problem, opts Options) (*Assignment, error) {
+	return SolveCtx(context.Background(), p, opts)
+}
+
+// localSearch is the multi-seed local search at one worker.
+func localSearch(p *Problem) *Assignment {
+	a, _ := localSearchCtx(context.Background(), p, 1, Greedy(p))
+	return a
 }
 
 // bruteForce enumerates every assignment and returns the best exact
@@ -94,7 +106,7 @@ func TestEvaluateCommBound(t *testing.T) {
 
 func TestSingleGPUTrivial(t *testing.T) {
 	p := synth(t, []float64{10, 20, 30}, nil, nil, nil, 1)
-	a, err := Solve(p, Options{})
+	a, err := solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +123,7 @@ func TestSingleGPUTrivial(t *testing.T) {
 func TestSolveBalancesIndependentWork(t *testing.T) {
 	// Four equal independent heavy partitions on 4 GPUs: perfect split.
 	p := synth(t, []float64{1000, 1000, 1000, 1000}, nil, nil, nil, 4)
-	a, err := Solve(p, Options{ForceILP: true, TimeBudget: 5 * time.Second})
+	a, err := solve(p, Options{ForceILP: true, TimeBudget: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestSolveCommunicationAware(t *testing.T) {
 		{From: 2, To: 3, Bytes: 8_000_000},
 	}
 	p := synth(t, work, edges, nil, nil, 2)
-	a, err := Solve(p, Options{ForceILP: true, TimeBudget: 5 * time.Second})
+	a, err := solve(p, Options{ForceILP: true, TimeBudget: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +171,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 	p := synth(t, work, edges, []int64{100_000, 0, 0, 0, 0}, []int64{0, 0, 0, 0, 150_000}, 2)
 	want, _ := bruteForce(p)
-	a, err := Solve(p, Options{ForceILP: true, TimeBudget: 10 * time.Second})
+	a, err := solve(p, Options{ForceILP: true, TimeBudget: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestLocalSearchNotWorseThanGreedy(t *testing.T) {
 	}
 	p := synth(t, work, edges, nil, nil, 4)
 	g := Greedy(p)
-	l := LocalSearch(p)
+	l := localSearch(p)
 	if l.Objective > g.Objective+1e-9 {
 		t.Errorf("local search %v worse than greedy %v", l.Objective, g.Objective)
 	}
@@ -245,7 +257,7 @@ func TestSolveQuality(t *testing.T) {
 			return false
 		}
 		p := &Problem{PDG: g, Topo: topology.PairedTree(3), FragmentIters: 2, LaunchUS: 5}
-		a, err := Solve(p, Options{TimeBudget: 2 * time.Second})
+		a, err := solve(p, Options{TimeBudget: 2 * time.Second})
 		if err != nil {
 			return false
 		}
@@ -288,11 +300,11 @@ func TestEncodeFeasibleQuick(t *testing.T) {
 	}
 }
 
-// TestEvaluatorMatchesEvaluate pins the local search's allocation-free
-// scorer against the full Evaluate: identical objectives (bit for bit) on
-// every assignment of a brute-forceable instance, with and without via-host
-// staging, the early return under a cut, plus the partial (-1) form against
-// placements Greedy explores.
+// TestEvaluatorMatchesEvaluate pins the mappers' allocation-free scorer,
+// rebuilt from scratch, against the full Evaluate: identical objectives (bit
+// for bit) on every assignment of a brute-forceable instance, with and
+// without via-host staging, the early return under a cut, plus the partial
+// (-1) form against placements Greedy explores.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	p := synth(t,
 		[]float64{9, 7, 5, 3, 2},
@@ -309,13 +321,13 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 		rec = func(i int) {
 			if i == n {
 				want := Evaluate(&q, gpuOf, "ref").Objective
-				if got := ev.objective(gpuOf, math.Inf(1)); got != want {
+				if got := ev.reset(gpuOf, math.Inf(1)); got != want {
 					t.Fatalf("viaHost=%v %v: evaluator %v != Evaluate %v", viaHost, gpuOf, got, want)
 				}
 				// Under a cut the value may be the GPU-time bound instead,
 				// but "below the cut" must answer as the exact objective does.
 				for _, cut := range []float64{want, want + 1e-9, want / 2, 0} {
-					if got := ev.objective(gpuOf, cut); (got < cut) != (want < cut) || got > want {
+					if got := ev.reset(gpuOf, cut); (got < cut) != (want < cut) || got > want {
 						t.Fatalf("viaHost=%v %v cut %v: evaluator %v, exact %v", viaHost, gpuOf, cut, got, want)
 					}
 				}
@@ -340,7 +352,7 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				gpuOf[i] = -1
 			}
 		}
-		obj := ev.objective(gpuOf, math.Inf(1))
+		obj := ev.reset(gpuOf, math.Inf(1))
 		if math.IsNaN(obj) || obj < 0 {
 			t.Fatalf("partial objective invalid: %v", obj)
 		}
@@ -352,14 +364,14 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 				full[i] = 0
 			}
 		}
-		if ev.objective(full, math.Inf(1)) < obj-1e-12 {
-			t.Fatalf("completing a placement lowered the objective: %v -> %v", obj, ev.objective(full, math.Inf(1)))
+		if ev.reset(full, math.Inf(1)) < obj-1e-12 {
+			t.Fatalf("completing a placement lowered the objective: %v -> %v", obj, ev.reset(full, math.Inf(1)))
 		}
 	}
 }
 
-// TestDeltaEvaluatorMatchesEvaluate drives the incremental evaluator through
-// a deterministic pseudo-random move sequence and checks it against the
+// TestDeltaEvaluatorMatchesEvaluate drives the evaluator's incremental half
+// through a deterministic pseudo-random move sequence and checks it against the
 // from-scratch Evaluate after every step. Link loads are integral, so only
 // the float GPU sums can drift; the tolerance is far below the local-search
 // acceptance threshold.
@@ -391,19 +403,19 @@ func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
 	for _, viaHost := range []bool{false, true} {
 		q := *p
 		q.ViaHost = viaHost
-		de := newDeltaEvaluator(&q)
+		de := newEvaluator(&q)
 		gpuOf := make([]int, n)
 		for i := range gpuOf {
 			gpuOf[i] = rnd(4)
 		}
-		de.reset(gpuOf)
+		de.reset(gpuOf, math.Inf(1))
 		for step := 0; step < 500; step++ {
 			i, k := rnd(n), rnd(4)
 			de.moveTime(i, de.gpuOf[i], k)
 			de.reroute(de.loads, i, de.gpuOf[i], k)
 			de.gpuOf[i] = k
 			want := Evaluate(&q, de.gpuOf, "ref").Objective
-			got := de.objective()
+			got := linkMax(q.Topo, de.loads, gpuMax(de.gpuT))
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 				t.Fatalf("viaHost=%v step %d: delta %v != Evaluate %v", viaHost, step, got, want)
 			}
@@ -411,11 +423,11 @@ func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestLocalSearchLargeInstance exercises the delta-scored descent (the
-// >deltaEvalMinParts path) end to end: the result must be a valid
-// assignment no worse than greedy's.
+// TestLocalSearchLargeInstance exercises local search end to end at a size
+// where a sweep is ~10^5 candidates: the result must be a valid assignment
+// no worse than greedy's.
 func TestLocalSearchLargeInstance(t *testing.T) {
-	n := deltaEvalMinParts + 64
+	const n = 576
 	work := make([]float64, n)
 	var edges []pdg.Edge
 	state := uint64(0xFEED)
@@ -431,7 +443,7 @@ func TestLocalSearchLargeInstance(t *testing.T) {
 	}
 	p := synth(t, work, edges, nil, nil, 4)
 	greedy := Greedy(p)
-	a := LocalSearch(p)
+	a := localSearch(p)
 	if len(a.GPUOf) != n {
 		t.Fatalf("assignment covers %d of %d parts", len(a.GPUOf), n)
 	}

@@ -9,25 +9,18 @@ import (
 	"streammap/internal/obs"
 )
 
-// LPT is the communication-blind baseline: longest-processing-time-first
-// balancing of T_i across GPUs, ignoring every transfer. It is the previous
-// work's mapping policy evaluated under the current execution model, and one
-// leg of the portfolio solver.
-func LPT(p *Problem) *Assignment {
-	n := p.PDG.NumParts()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return p.PartTimeUS(order[a]) > p.PartTimeUS(order[b])
+// PlaceLongestFirst is the balancing loop LPT, PrevWork and the driver's
+// warm remap share: the listed partitions, longest T_i first (parts is
+// sorted in place, stable on ties), each go to the GPU whose load is
+// currently least (the lowest index on ties). gpuOf and load are updated in
+// place, so a caller may start from a partial placement and its loads.
+func PlaceLongestFirst(p *Problem, parts, gpuOf []int, load []float64) {
+	sort.SliceStable(parts, func(a, b int) bool {
+		return p.PartTimeUS(parts[a]) > p.PartTimeUS(parts[b])
 	})
-	g := p.Topo.NumGPUs()
-	load := make([]float64, g)
-	gpuOf := make([]int, n)
-	for _, pi := range order {
+	for _, pi := range parts {
 		best := 0
-		for k := 1; k < g; k++ {
+		for k := 1; k < len(load); k++ {
 			if load[k] < load[best] {
 				best = k
 			}
@@ -35,20 +28,41 @@ func LPT(p *Problem) *Assignment {
 		gpuOf[pi] = best
 		load[best] += p.PartTimeUS(pi)
 	}
-	return Evaluate(p, gpuOf, "lpt")
 }
 
-// SolveCtx is the portfolio form of Solve: it races the greedy placer, the
-// communication-blind LPT baseline, the multi-seed local search (its seed
-// descents themselves parallel under opts.Workers) and — once the local
-// optimum is in hand as the incumbent — the exact ILP, all under the ILP
-// time budget and the context.
+// lptPlacement balances every partition's T_i across the GPUs, ignoring
+// every transfer.
+func lptPlacement(p *Problem) []int {
+	parts := make([]int, p.PDG.NumParts())
+	for i := range parts {
+		parts[i] = i
+	}
+	gpuOf := make([]int, len(parts))
+	PlaceLongestFirst(p, parts, gpuOf, make([]float64, p.Topo.NumGPUs()))
+	return gpuOf
+}
+
+// LPT is the communication-blind baseline: longest-processing-time-first
+// balancing of T_i across GPUs, ignoring every transfer. It is the previous
+// work's mapping policy evaluated under the current execution model, and one
+// leg of the portfolio solver.
+func LPT(p *Problem) *Assignment {
+	return Evaluate(p, lptPlacement(p), "lpt")
+}
+
+// SolveCtx is the communication-aware mapper: the ILP formulation when the
+// instance is within reach of the built-in solver, seeded and backed by
+// local search. It races the greedy placer, the communication-blind LPT
+// baseline, the multi-seed local search (its seed descents themselves
+// parallel under opts.Workers) and — once the local optimum is in hand as
+// the incumbent — the exact ILP, all under the ILP time budget and the
+// context.
 //
-// Determinism: when the context stays live the final selection is exactly
-// Solve's (local search vs ILP with the same seed), so SolveCtx and Solve
-// return the same assignment for the same problem. The extra racers only
-// decide the answer when the context is cancelled mid-solve, where SolveCtx
-// degrades to the best feasible assignment found so far instead of failing.
+// Determinism: when the context stays live the final selection is local
+// search vs the ILP seeded with it, whatever opts.Workers is — workers only
+// change wall-clock time. The extra racers only decide the answer when the
+// context is cancelled mid-solve, where SolveCtx degrades to the best
+// feasible assignment found so far instead of failing.
 //
 // Under a traced context the span SolveCtx runs in (the driver's stage.map)
 // is noted with the winning method and which seed's descent local search

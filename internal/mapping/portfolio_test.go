@@ -26,19 +26,19 @@ func synthProblem(t *testing.T, nParts, gpus int) *Problem {
 	return &Problem{PDG: g, Topo: topology.PairedTree(gpus), FragmentIters: 4}
 }
 
-// TestSolveCtxMatchesSolve: with a live context the portfolio must commit
-// exactly the serial Solve selection.
+// TestSolveCtxMatchesSolve: with a live context the portfolio at eight
+// workers must commit exactly the selection it commits at one.
 func TestSolveCtxMatchesSolve(t *testing.T) {
 	for _, nParts := range []int{6, 14, 30} {
 		p := synthProblem(t, nParts, 4)
 		// ILPMaxParts keeps the exact solver on the n=6 instance only,
 		// where it proves optimality in milliseconds: a budget-truncated
 		// branch-and-bound returns a wall-clock-dependent incumbent, so
-		// asserting bit-equality across two independent solves (serial and
-		// portfolio) is only sound when both run to completion. n=14 and
-		// n=30 cover the deterministic local-search selection path.
-		opts := Options{TimeBudget: 2 * time.Second, ILPMaxParts: 8}
-		serial, err := Solve(p, opts)
+		// asserting bit-equality across two independent solves is only sound
+		// when both run to completion. n=14 and n=30 cover the deterministic
+		// local-search selection path.
+		opts := Options{TimeBudget: 2 * time.Second, ILPMaxParts: 8, Workers: 1}
+		serial, err := SolveCtx(context.Background(), p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,9 @@
 // The partitioner stays deterministic by construction: workers only *score*
 // candidate merges speculatively (filling the estimation engine's memo), and
 // independent pipeline chains are windowed concurrently; every commit
-// decision is then replayed by the same serial scan the plain Run performs,
-// in the same candidate order. RunCtx(ctx, g, eng, 1) and Run(g, eng) are
-// bit-identical; RunCtx with workers > 1 produces the same Result, faster.
+// decision is then made by one serial scan, in the same candidate order at
+// any worker count. RunCtx with workers > 1 produces the Result of
+// RunCtx(ctx, g, eng, 1), faster.
 package partition
 
 import (
@@ -20,9 +20,9 @@ import (
 )
 
 // RunCtx executes Algorithm 1 with a worker pool of the given width for
-// candidate scoring. workers <= 0 selects GOMAXPROCS; workers == 1 is the
-// exact serial path of Run. The context cancels the run between phases and
-// between merge rounds.
+// candidate scoring. workers <= 0 selects GOMAXPROCS; workers == 1 scores
+// every candidate on the calling goroutine. The context cancels the run
+// between phases and between merge rounds.
 func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -34,9 +34,6 @@ func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) (*R
 
 // cancelled reports a context cancellation, if any.
 func (p *partitioner) cancelled() error {
-	if p.ctx == nil {
-		return nil
-	}
 	if err := p.ctx.Err(); err != nil {
 		return fmt.Errorf("partition: cancelled: %w", err)
 	}
@@ -67,7 +64,7 @@ func (p *partitioner) scatter(n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				if p.ctx != nil && p.ctx.Err() != nil {
+				if p.ctx.Err() != nil {
 					return
 				}
 				i := take()
@@ -124,10 +121,11 @@ func (p *partitioner) prewarmUnions(sets []sdf.NodeSet) {
 	})
 }
 
-// windowsOfChain computes phase 1's merge windows for one pipeline chain
-// without touching shared partitioner state; chains are node-disjoint, so
-// RunCtx windows them concurrently and installs the results in chain order,
-// which is exactly the serial install order.
+// windowsOfChain computes phase 1's merge windows for one pipeline chain —
+// grow a window from the head; on the first failed merge, restart a fresh
+// window at the failing node (Algorithm 1 lines 2-10) — without touching
+// shared partitioner state; chains are node-disjoint, so phase1 windows them
+// concurrently and installs the results in chain order.
 func (p *partitioner) windowsOfChain(chain []sdf.NodeID) ([]*Partition, error) {
 	var out []*Partition
 	i := 0
@@ -167,9 +165,12 @@ func (p *partitioner) windowsOfChain(chain []sdf.NodeID) ([]*Partition, error) {
 	return out, nil
 }
 
-// phase1Parallel windows all chains concurrently, then installs each chain's
-// windows serially in chain order (the serial phase 1 install order).
-func (p *partitioner) phase1Parallel() error {
+// phase1 merges filters within each innermost pipeline: it windows all
+// chains on the worker pool, then installs each chain's windows serially in
+// chain order. Singleton estimates are prewarmed first so every window grows
+// against a hot memo.
+func (p *partitioner) phase1() error {
+	p.prewarmSingletons()
 	chains := p.pipelineChains()
 	wins := make([][]*Partition, len(chains))
 	errs := make([]error, len(chains))

@@ -10,7 +10,8 @@ import (
 )
 
 // TestRunCtxMatchesSerial asserts the chain-parallel, speculatively scored
-// run commits exactly the serial result on real benchmark graphs.
+// run at eight workers commits exactly the one-worker (serial) result on
+// real benchmark graphs.
 func TestRunCtxMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		app string
@@ -25,7 +26,7 @@ func TestRunCtxMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		prof := pee.ProfileGraph(g, gpu.M2090())
-		serial, err := Run(g, pee.NewEngine(g, prof))
+		serial, err := RunCtx(context.Background(), g, pee.NewEngine(g, prof), 1)
 		if err != nil {
 			t.Fatalf("%s serial: %v", tc.app, err)
 		}

@@ -79,8 +79,8 @@ type partitioner struct {
 	g   *sdf.Graph
 	eng *pee.Engine
 
-	// Concurrency knobs (see parallel.go). ctx == nil, workers <= 1 is the
-	// plain serial path.
+	// Concurrency knobs (see parallel.go); workers == 1 runs every pass
+	// serially.
 	ctx     context.Context
 	workers int
 
@@ -119,12 +119,6 @@ func (p *partitioner) isConvex(set sdf.NodeSet) bool {
 	ok := c.IsConvex(set)
 	p.convexPool.Put(c)
 	return ok
-}
-
-// Run executes Algorithm 1 over the profiled graph serially.
-func Run(g *sdf.Graph, eng *pee.Engine) (*Result, error) {
-	p := &partitioner{g: g, eng: eng, workers: 1, assigned: make([]int, g.NumNodes())}
-	return p.run()
 }
 
 // run drives the five phases, checking for cancellation between them.
@@ -172,17 +166,6 @@ func (p *partitioner) run() (*Result, error) {
 	}
 	sortParts(p.g, res.Parts)
 	return res, nil
-}
-
-// phase1 dispatches between the serial and chain-parallel phase 1; both
-// produce identical partitions in identical order. Singleton estimates are
-// prewarmed first so every window grows against a hot memo.
-func (p *partitioner) phase1() error {
-	p.prewarmSingletons()
-	if p.workers > 1 {
-		return p.phase1Parallel()
-	}
-	return p.phase1Pipelines()
 }
 
 // makePartition estimates a node set and wraps it (no subgraph extraction;
@@ -299,48 +282,6 @@ func (p *partitioner) phase0SCC() error {
 			return fmt.Errorf("partition: feedback loop %v does not fit in shared memory: %w", set, err)
 		}
 		p.install(part)
-	}
-	return nil
-}
-
-// phase1Pipelines merges filters within each innermost pipeline: grow a
-// window from the head; on the first failed merge, restart a fresh window at
-// the failing node (Algorithm 1 lines 2-10).
-func (p *partitioner) phase1Pipelines() error {
-	for _, chain := range p.pipelineChains() {
-		i := 0
-		for i < len(chain) {
-			if p.assigned[chain[i]] != -1 {
-				i++
-				continue
-			}
-			cur, err := p.addSingleton(chain[i])
-			if err != nil {
-				return err
-			}
-			j := i + 1
-			for j < len(chain) && p.assigned[chain[j]] == -1 {
-				if err := p.cancelled(); err != nil {
-					return err
-				}
-				curP := p.parts[cur]
-				single, err := p.makePartition(sdf.SingletonSet(p.g.NumNodes(), chain[j]))
-				if err != nil {
-					return err
-				}
-				union := p.borrowSet()
-				union.CopyFrom(curP.Set)
-				union.Add(chain[j])
-				merged := p.tryMergeSets(union, curP.TWus()+single.TWus())
-				p.returnSet(union)
-				if merged == nil {
-					break
-				}
-				cur = p.install(merged, cur)
-				j++
-			}
-			i = j
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func runAlg1(t *testing.T, name string, s sdf.Stream) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, engineFor(t, g))
+	res, err := RunCtx(context.Background(), g, engineFor(t, g), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFeedbackLoopAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, engineFor(t, g))
+	res, err := RunCtx(context.Background(), g, engineFor(t, g), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestPrevWorkIgnoresComputeBoundedness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ours, err := Run(g, eng)
+	ours, err := RunCtx(context.Background(), g, eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestSinglePartitionInfeasibleForHugeGraph(t *testing.T) {
 		t.Fatal("expected infeasibility for 48KB-exceeding single partition")
 	}
 	// Algorithm 1 must still find a valid multi-partition answer.
-	res, err := Run(g, eng)
+	res, err := RunCtx(context.Background(), g, eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestRunInvariantsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Run(g, pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090())))
+		res, err := RunCtx(context.Background(), g, pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090())), 1)
 		if err != nil {
 			return false
 		}

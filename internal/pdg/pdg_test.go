@@ -1,6 +1,7 @@
 package pdg
 
 import (
+	"context"
 	"testing"
 
 	"streammap/internal/gpu"
@@ -16,7 +17,7 @@ func buildParts(t *testing.T, s sdf.Stream) (*sdf.Graph, []*partition.Partition)
 		t.Fatal(err)
 	}
 	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
-	res, err := partition.Run(g, eng)
+	res, err := partition.RunCtx(context.Background(), g, eng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
-// Differential harness: for any scenario, the serial reference flow and the
-// concurrent pass-pipeline must produce identical compilations, and the
-// compilation itself must satisfy the structural invariants of a valid
-// mapping. Running this over seeded corpora turns the repository's
-// correctness story from six golden applications into an unbounded family.
+// Differential harness: for any scenario, the pass-pipeline at one worker
+// (the serial reference) and at the scenario's worker count must produce
+// identical compilations, and the compilation itself must satisfy the
+// structural invariants of a valid mapping. Running this over seeded
+// corpora turns the repository's correctness story from six golden
+// applications into an unbounded family.
 package synth
 
 import (
@@ -16,14 +17,14 @@ import (
 	"streammap/internal/topology"
 )
 
-// Check compiles the scenario through driver.CompileSerial and the
-// pipelined driver.Compile and asserts full equivalence — identical
-// partitions, PDG, assignment, cost and simulated throughput — plus every
-// structural invariant (CheckInvariants). The two flows compile
-// independently regenerated twin graphs, which additionally cross-checks
-// generator determinism. A scenario on which *both* flows fail identically
-// (e.g. a single-partition compilation that cannot fit in shared memory) is
-// an agreement, not a divergence.
+// Check compiles the scenario through driver.Compile twice — serially, at
+// Workers 1, and concurrently, at the scenario's own worker count — and
+// asserts full equivalence — identical partitions, PDG, assignment, cost
+// and simulated throughput — plus every structural invariant
+// (CheckInvariants). The two runs compile independently regenerated twin
+// graphs, which additionally cross-checks generator determinism. A scenario
+// on which *both* runs fail identically (e.g. a single-partition compilation
+// that cannot fit in shared memory) is an agreement, not a divergence.
 func Check(ctx context.Context, sc *Scenario) error {
 	fail := func(stage string, err error) error {
 		return fmt.Errorf("synth: scenario %s: %s: %w", sc.Name, stage, err)
@@ -46,7 +47,7 @@ func Check(ctx context.Context, sc *Scenario) error {
 		return fail("topology", fmt.Errorf("twin topologies from one seed have different keys"))
 	}
 
-	serial, serr := driver.CompileSerial(ga, sc.Opts)
+	serial, serr := driver.Compile(ctx, ga, serialOpts(sc.Opts))
 	pipe, perr := driver.Compile(ctx, gb, sc.Opts)
 	switch {
 	case serr != nil && perr != nil:
@@ -70,6 +71,13 @@ func Check(ctx context.Context, sc *Scenario) error {
 		return fail("invariants", err)
 	}
 	return nil
+}
+
+// serialOpts is opts with every pass pinned to one worker: the serial
+// reference the concurrent compilation is compared against.
+func serialOpts(opts driver.Options) driver.Options {
+	opts.Workers = 1
+	return opts
 }
 
 // CheckInvariants asserts the structural properties any valid compilation

@@ -55,7 +55,7 @@ func TestCheckRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := driver.CompileSerial(g, cand.Opts)
+		cc, err := driver.Compile(context.Background(), g, cand.Opts)
 		if err != nil {
 			continue
 		}
@@ -94,7 +94,7 @@ func TestCheckRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := driver.CompileSerial(g2, sc.Opts)
+	c2, err := driver.Compile(context.Background(), g2, sc.Opts)
 	if err != nil {
 		t.Skipf("alternate scenario did not compile: %v", err)
 	}

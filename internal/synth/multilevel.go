@@ -21,8 +21,8 @@ const MLQualityBound = 1.05
 // CheckMultilevel compiles the scenario through the exact Algorithm 1 flow
 // (size switch disabled) and through the forced multilevel path, and asserts:
 //
-//   - the multilevel serial and pipelined flows agree bit for bit, like the
-//     exact flows do (the path is deterministic regardless of entry point);
+//   - the multilevel path at one worker and at the scenario's worker count
+//     agrees bit for bit, like the exact path does;
 //   - both paths agree on rejection: infeasible scenarios fail identically;
 //   - the multilevel compilation satisfies every structural invariant
 //     (CheckInvariants) and carries its MLStats provenance;
@@ -53,10 +53,10 @@ func CheckMultilevel(ctx context.Context, sc *Scenario, bound float64) error {
 	mlOpts.Partitioner = driver.MultilevelPart
 
 	exact, eerr := driver.Compile(ctx, ga, exactOpts)
-	mls, serr := driver.CompileSerial(gb, mlOpts)
+	mls, serr := driver.Compile(ctx, gb, serialOpts(mlOpts))
 	mlp, perr := driver.Compile(ctx, gc, mlOpts)
 
-	// The multilevel path itself must be entry-point deterministic.
+	// The multilevel path itself must be worker-count deterministic.
 	switch {
 	case serr != nil && perr != nil:
 		if serr.Error() != perr.Error() {

@@ -7,8 +7,8 @@
 //
 // The package exists to widen correctness checking beyond the paper's six
 // benchmark applications: the differential harness (diff.go) compiles every
-// generated scenario through both driver.CompileSerial and the concurrent
-// pass-pipeline and asserts identical artifacts plus the structural
+// generated scenario through the pass-pipeline serially (Workers 1) and
+// concurrently and asserts identical artifacts plus the structural
 // invariants any valid compilation must satisfy. See DESIGN.md S11.
 package synth
 
