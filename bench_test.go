@@ -16,6 +16,7 @@ package streammap
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,7 +24,6 @@ import (
 	"streammap/internal/core"
 	"streammap/internal/experiments"
 	"streammap/internal/gpusim"
-	"streammap/internal/ilp"
 	"streammap/internal/mapping"
 	"streammap/internal/partition"
 	"streammap/internal/pee"
@@ -204,6 +204,41 @@ func BenchmarkILPMapping12x4(b *testing.B) {
 	}
 }
 
+// BenchmarkExactMap is the mapper — local search, then the exact arm seeded
+// with it — on two compiler-produced problems: MatMul2 N=8 on 4 GPUs (10
+// partitions; the instance the old LP search spent a second proving) and
+// MatMul3 N=7 on 8 GPUs (17 partitions; the exact arm finds and proves a
+// mapping local search misses).
+func BenchmarkExactMap(b *testing.B) {
+	for _, bc := range []struct {
+		app     string
+		n, gpus int
+	}{{"MatMul2", 8, 4}, {"MatMul3", 7, 8}} {
+		b.Run(fmt.Sprintf("%s-%dx%d", bc.app, bc.n, bc.gpus), func(b *testing.B) {
+			app, _ := apps.ByName(bc.app)
+			g, err := apps.BuildGraph(app, bc.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(bc.gpus), Mapper: core.PrevWorkMap})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prob := *c.Problem
+			prob.ViaHost = false
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, err := mapping.SolveCtx(context.Background(), &prob, mapping.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(a.Objective, "objective_us")
+			}
+		})
+	}
+}
+
 func BenchmarkSimulatorDES16x4GPU(b *testing.B) {
 	app, _ := apps.ByName("DES")
 	g, err := apps.BuildGraph(app, 16)
@@ -243,20 +278,5 @@ func BenchmarkInterpFFT256(b *testing.B) {
 			b.Fatal(err)
 		}
 		it.Drain(0)
-	}
-}
-
-func BenchmarkILPSolverKnapsack30(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := ilp.NewModel("knap")
-		terms := make([]ilp.Term, 30)
-		for j := 0; j < 30; j++ {
-			v := m.AddBinary(-float64((j*37)%23+1), "x")
-			terms[j] = ilp.Term{Var: v, Coef: float64((j*53)%17 + 1)}
-		}
-		m.AddConstr(terms, ilp.LE, 80, "cap")
-		if s := m.Solve(ilp.Options{TimeBudget: 5 * time.Second}); s.Status != ilp.Optimal {
-			b.Fatalf("status %v", s.Status)
-		}
 	}
 }

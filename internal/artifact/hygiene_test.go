@@ -20,7 +20,6 @@ var forbidden = []string{
 	"streammap/internal/partition",
 	"streammap/internal/pdg",
 	"streammap/internal/mapping",
-	"streammap/internal/ilp",
 	"streammap/internal/smreq",
 	"streammap/internal/driver",
 	"streammap/internal/core",

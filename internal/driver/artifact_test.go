@@ -40,8 +40,7 @@ func compileApp(t *testing.T, name string, n, gpus int) (*sdf.Graph, *driver.Com
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ILPMaxParts 8 keeps large instances on the deterministic local-search
-	// portfolio instead of a truncated (wall-clock-bound) ILP solve.
+	// ILPMaxParts 8 keeps large instances on the local-search portfolio.
 	c, err := driver.Compile(context.Background(), g, driver.Options{
 		Topo:       topology.PairedTree(gpus),
 		MapOptions: mapping.Options{ILPMaxParts: 8},

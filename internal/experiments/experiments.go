@@ -41,11 +41,9 @@ type Config struct {
 	ScaleMax int
 	// Workers bounds how many independent table/figure cells run
 	// concurrently. 0 selects GOMAXPROCS; 1 is fully serial. Cell results
-	// are collected by index, so row order never depends on scheduling;
-	// cell *values* are deterministic except where a mapping ILP hits its
-	// wall-clock budget, where CPU contention can change how far the
-	// branch-and-bound gets (true of any timed solve, serial ones
-	// included).
+	// are collected by index, so row order never depends on scheduling,
+	// and cell *values* are deterministic: the exact mapper's budget is a
+	// node count, not a clock.
 	Workers int
 }
 

@@ -134,10 +134,7 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 	opts := core.Options{
 		Device: gpu.M2090(),
 		Topo:   topology.PairedTree(gpus),
-		// Same deterministic ILP regime as the differential corpus: only
-		// instances the branch-and-bound solves to proven optimality may
-		// use the exact solver, or a budget-truncated incumbent could make
-		// the serial-vs-pipeline assertion wall-clock dependent.
+		// The differential corpus's mapping options.
 		MapOptions: mapping.Options{TimeBudget: cfg.ILPBudget, ILPMaxParts: 4},
 	}
 	row := ScalingRow{Filters: filters, GPUs: gpus}

@@ -276,30 +276,6 @@ func TestSolveQuality(t *testing.T) {
 	}
 }
 
-// Property: the ILP encoding of any complete assignment is feasible in the
-// model.
-func TestEncodeFeasibleQuick(t *testing.T) {
-	work := []float64{100, 250, 60, 300}
-	edges := []pdg.Edge{
-		{From: 0, To: 1, Bytes: 500_000},
-		{From: 1, To: 2, Bytes: 200_000},
-		{From: 2, To: 3, Bytes: 800_000},
-	}
-	g, err := pdg.Synthetic(work, edges, []int64{90_000, 0, 0, 0}, []int64{0, 0, 0, 40_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &Problem{PDG: g, Topo: topology.FourGPUTree(), FragmentIters: 3, LaunchUS: 2}
-	m, lay := buildILP(p)
-	f := func(a, b, c, d uint8) bool {
-		gpuOf := []int{int(a) % 4, int(b) % 4, int(c) % 4, int(d) % 4}
-		return m.Feasible(lay.encode(m, p, gpuOf))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestEvaluatorMatchesEvaluate pins the mappers' allocation-free scorer,
 // rebuilt from scratch, against the full Evaluate: identical objectives (bit
 // for bit) on every assignment of a brute-forceable instance, with and

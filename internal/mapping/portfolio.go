@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"streammap/internal/obs"
 )
@@ -50,23 +49,25 @@ func LPT(p *Problem) *Assignment {
 	return Evaluate(p, lptPlacement(p), "lpt")
 }
 
-// SolveCtx is the communication-aware mapper: the ILP formulation when the
-// instance is within reach of the built-in solver, seeded and backed by
-// local search. It races the greedy placer, the communication-blind LPT
-// baseline, the multi-seed local search (its seed descents themselves
-// parallel under opts.Workers) and — once the local optimum is in hand as
-// the incumbent — the exact ILP, all under the ILP time budget and the
-// context.
+// SolveCtx is the communication-aware mapper: local search, then — when the
+// instance is within the exact-size threshold — the exact branch-and-bound
+// seeded with the local optimum as its incumbent. It races the greedy
+// placer, the communication-blind LPT baseline and the multi-seed local
+// search (its seed descents themselves parallel under opts.Workers); the
+// exact arm runs last, under its node budget and the context.
 //
 // Determinism: when the context stays live the final selection is local
-// search vs the ILP seeded with it, whatever opts.Workers is — workers only
-// change wall-clock time. The extra racers only decide the answer when the
-// context is cancelled mid-solve, where SolveCtx degrades to the best
-// feasible assignment found so far instead of failing.
+// search vs the exact arm seeded with it, whatever opts.Workers is — workers
+// only change wall-clock time, and the exact arm stops on a node count, so
+// even a truncated search is a function of the problem and the options. The
+// extra racers only decide the answer when the context is cancelled
+// mid-solve, where SolveCtx degrades to the best feasible assignment found
+// so far instead of failing.
 //
 // Under a traced context the span SolveCtx runs in (the driver's stage.map)
 // is noted with the winning method and which seed's descent local search
-// kept; the descents themselves are map.descent child spans.
+// kept; the descents are map.descent child spans and the exact arm a
+// map.exact one, noted with its node counts and whether it closed.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (a *Assignment, err error) {
 	opts = opts.withDefaults()
 	if p.PDG.NumParts() == 0 {
@@ -99,23 +100,11 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (a *Assignment, err
 	if p.PDG.NumParts() > opts.ILPMaxParts && !opts.ForceILP {
 		return heur, nil
 	}
-	ilpOpts := opts
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem < ilpOpts.TimeBudget {
-			ilpOpts.TimeBudget = rem
-		}
+	exact := solveExact(ctx, p, heur, opts)
+	if ctx.Err() != nil {
+		return anytimeBest(exact, heur, greedy, lpt), nil
 	}
-	if ilpOpts.TimeBudget <= 0 {
-		return heur, nil
-	}
-	ilp, err := solveILP(p, heur, ilpOpts)
-	if err != nil {
-		return heur, nil // solver trouble: fall back to the heuristic
-	}
-	if heur.Objective < ilp.Objective-1e-9 {
-		return heur, nil
-	}
-	return ilp, nil
+	return anytimeBest(exact, heur), nil
 }
 
 // anytimeBest picks the lowest-objective assignment, preferring earlier

@@ -31,12 +31,8 @@ func synthProblem(t *testing.T, nParts, gpus int) *Problem {
 func TestSolveCtxMatchesSolve(t *testing.T) {
 	for _, nParts := range []int{6, 14, 30} {
 		p := synthProblem(t, nParts, 4)
-		// ILPMaxParts keeps the exact solver on the n=6 instance only,
-		// where it proves optimality in milliseconds: a budget-truncated
-		// branch-and-bound returns a wall-clock-dependent incumbent, so
-		// asserting bit-equality across two independent solves is only sound
-		// when both run to completion. n=14 and n=30 cover the deterministic
-		// local-search selection path.
+		// ILPMaxParts keeps the exact solver on the n=6 instance only;
+		// n=14 and n=30 cover the local-search selection path.
 		opts := Options{TimeBudget: 2 * time.Second, ILPMaxParts: 8, Workers: 1}
 		serial, err := SolveCtx(context.Background(), p, opts)
 		if err != nil {

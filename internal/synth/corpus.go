@@ -62,12 +62,11 @@ func (p CorpusParams) withDefaults() CorpusParams {
 // to the corpus size), a generated graph spec, a generated topology and a
 // draw over devices, partitioners, mappers and fragment sizes.
 //
-// Mapping options are pinned to a regime where every solver leg is
-// deterministic: the exact ILP only runs on instances small enough
-// (ILPMaxParts 8) to be solved to proven optimality well inside the time
-// budget, larger instances take the (deterministic) local-search portfolio
-// — so serial and pipelined compilations are comparable bit for bit, which
-// is the whole point of the corpus.
+// Mapping options pin the exact solver to instances of at most four
+// partitions (ILPMaxParts 4); larger instances take the local-search
+// portfolio. Every solver leg is deterministic — the exact solver's budget
+// is a node count — so serial and pipelined compilations are comparable bit
+// for bit, which is the whole point of the corpus.
 func Corpus(p CorpusParams) ([]*Scenario, error) {
 	p = p.withDefaults()
 	r := newRNG(p.Seed)
@@ -128,11 +127,9 @@ func Corpus(p CorpusParams) ([]*Scenario, error) {
 				FragmentIters: fragIters,
 				Partitioner:   part,
 				Mapper:        mapper,
-				// The exact ILP is only allowed on instances small enough
-				// that the built-in branch-and-bound finishes (and proves
-				// optimality) in well under the budget: a truncated solve
-				// returns a wall-clock-dependent incumbent, which would
-				// make serial-vs-pipeline comparison flaky by design.
+				// The pin dates from an exact solver that stopped on the
+				// wall clock; it stays because these options are in every
+				// scenario's key and recorded golden.
 				MapOptions: mapping.Options{
 					ILPMaxParts: 4,
 					TimeBudget:  60 * time.Second,
