@@ -4,7 +4,7 @@ package streammap
 // at Workers 1 (the serial reference), BenchmarkCompile_Pipeline the same
 // pipeline at GOMAXPROCS workers, on the largest internal/apps workload (DES N=32: ~224
 // partitions, the heaviest partition+map passes of the suite). Their ratio
-// is the compile-path speedup; bench_compile_baseline.json records a
+// is what the worker pools buy; bench_compile_baseline.json records a
 // reference run so future PRs can track regressions.
 
 import (
@@ -20,15 +20,14 @@ import (
 	"streammap/internal/topology"
 )
 
-// benchCompileWorkload builds the heaviest compile instance of the app
-// suite.
-func benchCompileWorkload(b *testing.B) *sdf.Graph {
+// benchCompileWorkload builds one app-suite compile instance.
+func benchCompileWorkload(b *testing.B, name string, n int) *sdf.Graph {
 	b.Helper()
-	app, ok := apps.ByName("DES")
+	app, ok := apps.ByName(name)
 	if !ok {
-		b.Fatal("DES not registered")
+		b.Fatalf("%s not registered", name)
 	}
-	g, err := apps.BuildGraph(app, 32)
+	g, err := apps.BuildGraph(app, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,7 +43,7 @@ func benchCompileOptions(workers int) core.Options {
 }
 
 func BenchmarkCompile_Serial(b *testing.B) {
-	g := benchCompileWorkload(b)
+	g := benchCompileWorkload(b, "DES", 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := core.CompileCtx(context.Background(), g, benchCompileOptions(1))
@@ -56,7 +55,18 @@ func BenchmarkCompile_Serial(b *testing.B) {
 }
 
 func BenchmarkCompile_Pipeline(b *testing.B) {
-	g := benchCompileWorkload(b)
+	benchCompilePipeline(b, benchCompileWorkload(b, "DES", 32))
+}
+
+// BenchmarkCompile_PipelineBitonicRec64 is the pipeline on the suite's
+// heaviest exact Try-Merge instance: few pipeline chains, so phases 2-4's
+// serial scan is nearly the whole partition pass. DES N=32 spends its time
+// in phase 1 and the mapper and cannot see a change to that scan.
+func BenchmarkCompile_PipelineBitonicRec64(b *testing.B) {
+	benchCompilePipeline(b, benchCompileWorkload(b, "BitonicRec", 64))
+}
+
+func benchCompilePipeline(b *testing.B, g *sdf.Graph) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,7 +85,7 @@ func BenchmarkCompile_Pipeline(b *testing.B) {
 // loop: constructing a topology costs ~200 allocations, none of them the
 // service's.
 func BenchmarkCompile_ServiceCached(b *testing.B) {
-	g := benchCompileWorkload(b)
+	g := benchCompileWorkload(b, "DES", 32)
 	svc := NewService(ServiceConfig{})
 	opts := benchCompileOptions(0)
 	if _, err := svc.Compile(context.Background(), g, opts); err != nil {

@@ -43,7 +43,7 @@ func BenchmarkCoarsen(b *testing.B) {
 	g := benchSynthGraph(b, 100000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{})
+		c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,13 +5,14 @@
 //
 // Each pass is a named, timed, cancellable stage sharing one
 // context.Context; per-stage wall-clock metrics are recorded on the result.
-// The two hot passes are parallel: the partitioner speculatively scores
-// Try-Merge candidates on a worker pool (package partition) against a
-// concurrency-safe estimation engine (package pee), and the mapper races a
-// portfolio of solvers under the ILP budget (package mapping). Both commit
-// deterministically, so the artifacts are bit-identical at any worker count:
-// Workers=1 is the serial reference the differential harness compares
-// against (see DESIGN.md S9, S10).
+// The two hot passes are parallel in their independent units only: the
+// partitioner windows phase 1's node-disjoint pipeline chains on a worker
+// pool (package partition) against a concurrency-safe estimation engine
+// (package pee), and the mapper runs local search's seed descents side by
+// side (package mapping). Both commit serially in a fixed order, so the
+// artifacts are bit-identical at any worker count: Workers=1 is the serial
+// reference the differential harness compares against (see DESIGN.md S9,
+// S10).
 //
 // Package core re-exports this package's types; core.Service adds the
 // caching compile service on top.
@@ -70,7 +71,7 @@ type MapperKind int
 // Mappers.
 const (
 	// ILPMapper is the communication-aware ILP of §3.2.2 (with local-search
-	// seeding/fallback, raced as a portfolio in the pipeline).
+	// seeding/fallback).
 	ILPMapper MapperKind = iota
 	// PrevWorkMap is workload-only balancing with host-staged transfers.
 	PrevWorkMap
@@ -93,7 +94,8 @@ type Options struct {
 	// and artifact options.
 	MultilevelThreshold int
 
-	// Workers bounds the worker pools of the parallel passes. 0 selects
+	// Workers bounds the worker pools of the parallel passes (the
+	// partitioner's phase-1 chains, the mapper's seed descents). 0 selects
 	// GOMAXPROCS; 1 runs every pass serially. The result is identical
 	// either way — workers only change wall-clock time.
 	Workers int
@@ -295,8 +297,8 @@ func multilevelSelected(opts Options, g *sdf.Graph) bool {
 	return false
 }
 
-// stagePartition runs the selected partitioner; Algorithm 1 scores its
-// Try-Merge candidates on the worker pool.
+// stagePartition runs the selected partitioner; Algorithm 1 windows its
+// phase-1 chains on the worker pool.
 func stagePartition(ctx context.Context, c *Compiled) error {
 	var err error
 	switch {
@@ -325,7 +327,7 @@ func stagePDG(_ context.Context, c *Compiled) error {
 }
 
 // stageMap solves the partition-to-GPU assignment; the communication-aware
-// mapper races its solver portfolio under the ILP budget.
+// mapper runs local search, then the exact arm under its budget.
 func stageMap(ctx context.Context, c *Compiled) error {
 	c.Problem = mappingProblem(c.Options, c.PDG, c.Parts.Parts)
 	var err error

@@ -217,6 +217,9 @@ func warmRemap(ctx context.Context, p *mapping.Problem, a *artifact.Artifact, gp
 	}()
 	warm := mapping.Refine(ctx, p, seed)
 	<-greDone
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("driver: remap: cancelled: %w", err) // the descents were cut short
+	}
 	if gre.Objective < warm.Objective-1e-9 {
 		return gre, nil
 	}
@@ -290,11 +293,9 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 	}
 	live := append([]*partition.Partition(nil), parts...)
 	mergedAny := false
-	// Pair estimates are memoized across rounds: merging one pair leaves
-	// every other union unchanged, so the scan re-pays the engine only for
-	// pairs touching the freshly merged partition. A nil entry records an
-	// infeasible union.
-	estCache := make(map[string]*pee.Estimate)
+	// The engine memoizes verdicts and errors per set: merging one pair
+	// leaves every other union unchanged, so a round re-pays only for pairs
+	// touching the freshly merged partition.
 	for len(live) > target {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -311,18 +312,9 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 				if !g.IsConvex(union) {
 					continue
 				}
-				key := union.Key()
-				est, known := estCache[key]
-				if !known {
-					var err error
-					est, err = eng.EstimateSet(union)
-					if err != nil {
-						est = nil // SM violation or unschedulable: pair infeasible
-					}
-					estCache[key] = est
-				}
-				if est == nil {
-					continue
+				est, err := eng.EstimateSet(union)
+				if err != nil {
+					continue // SM violation or unschedulable: pair infeasible
 				}
 				if tw := est.TUS * float64(eng.ScaleOf(union)); tw < bestTW {
 					bi, bj, bestEst, bestTW = i, j, est, tw

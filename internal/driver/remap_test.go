@@ -3,6 +3,7 @@ package driver_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -446,5 +447,18 @@ func TestRemapErrors(t *testing.T) {
 	bad.Fingerprint++
 	if _, err := driver.Remap(context.Background(), &bad, topology.FourGPUTree(), driver.RemapOptions{}); err == nil {
 		t.Error("fingerprint mismatch accepted")
+	}
+	// A cancelled remap is an error on both mapping paths, never the plan
+	// the cut-short descents had reached.
+	degraded, gpuMap, err := driver.Degrade(a, topology.Degradation{RemoveGPUs: []int{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range []driver.RemapOptions{{}, {GPUMap: gpuMap}} {
+		if c, err := driver.Remap(ctx, a, degraded, opts); !errors.Is(err, context.Canceled) || c != nil {
+			t.Errorf("cancelled remap (warm=%t) returned %v, %v; want nil, context.Canceled", opts.GPUMap != nil, c, err)
+		}
 	}
 }

@@ -100,8 +100,8 @@ func Ablations(cfg Config) (*Table, []AblationRow, error) {
 
 // commBlindLPT balances T_i across GPUs ignoring all communication. The
 // exchange sort is kept verbatim from the seed implementation: its tie
-// ordering differs from the stable sort in mapping.LPT, and the ablation's
-// reference numbers depend on it.
+// ordering differs from mapping.PlaceLongestFirst's stable sort, and the
+// ablation's reference numbers depend on it.
 func commBlindLPT(dg *pdg.PDG, prob *mapping.Problem) []int {
 	n := dg.NumParts()
 	order := make([]int, n)

@@ -2,6 +2,7 @@ package mapping_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -385,30 +386,23 @@ func (c *pollCtx) Err() error {
 }
 
 // TestSolveCtxCancelledInExactArm: a context cancelled while the exact arm
-// is searching stops it at its next poll, and SolveCtx still answers — with
-// the arm's best so far among the candidates, never worse than local search.
+// is searching stops it at its next poll, and SolveCtx reports the
+// cancellation instead of the arm's best so far.
 func TestSolveCtxCancelledInExactArm(t *testing.T) {
 	p := truncatedProblem(t)
 	// 300k nodes: the arm polls four times (every 2^16 nodes) before its
 	// budget ends, and SolveCtx once more after it.
 	opts := mapping.Options{TimeBudget: 300_000 * 100}
 	live := &pollCtx{Context: context.Background()}
-	want, err := mapping.SolveCtx(live, p, opts)
-	if err != nil {
+	if _, err := mapping.SolveCtx(live, p, opts); err != nil {
 		t.Fatal(err)
 	}
 	cut := &pollCtx{Context: context.Background(), cancelAt: live.polls - 3} // the arm's second poll
 	got, err := mapping.SolveCtx(cut, p, opts)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("cancelled solve returned %v, %v; want nil, context.Canceled", got, err)
 	}
 	if cut.polls >= live.polls {
 		t.Errorf("cancelled solve polled %d times, the live one %d: the exact arm did not stop early", cut.polls, live.polls)
-	}
-	if got.Method != "ilp" || got.Objective > mapping.LocalSearch(p).Objective {
-		t.Errorf("cancelled solve: method %q objective %v; live solve %q %v", got.Method, got.Objective, want.Method, want.Objective)
-	}
-	if re := mapping.Evaluate(p, got.GPUOf, got.Method); re.Objective != got.Objective {
-		t.Errorf("cancelled solve reports %v, re-scores to %v", got.Objective, re.Objective)
 	}
 }

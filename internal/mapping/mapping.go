@@ -382,10 +382,9 @@ func linksBelow(t *topology.Tree, loads []int64, thr float64) bool {
 // pairwise swaps (descendDelta) from several deterministic seeds, on up to
 // workers goroutines, and returns the best. Each descent is deterministic
 // and the winner is selected in fixed seed order, so the result is the same
-// at any worker count. Cancelling the context returns the best assignment
-// found so far. greedy is the first seed (SolveCtx passes the portfolio's
-// greedy leg instead of computing it twice). The second result names the
-// seed whose descent won.
+// at any worker count. Cancelling the context cuts the descents short
+// (SolveCtx then reports the cancellation). greedy is the first seed. The
+// second result names the seed whose descent won.
 func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assignment) (*Assignment, string) {
 	seeds := coldSeeds(p, greedy.GPUOf)
 
@@ -595,8 +594,8 @@ type Options struct {
 	TimeBudget time.Duration
 	// ForceILP runs the exact solver regardless of size.
 	ForceILP bool
-	// Workers bounds the portfolio solver's concurrency; 0 or 1 keeps the
-	// seed descents serial.
+	// Workers bounds local search's concurrency; 0 or 1 keeps the seed
+	// descents serial.
 	Workers int
 }
 

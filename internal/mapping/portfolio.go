@@ -8,8 +8,8 @@ import (
 	"streammap/internal/obs"
 )
 
-// PlaceLongestFirst is the balancing loop LPT, PrevWork and the driver's
-// warm remap share: the listed partitions, longest T_i first (parts is
+// PlaceLongestFirst is the balancing loop PrevWork and the driver's warm
+// remap share: the listed partitions, longest T_i first (parts is
 // sorted in place, stable on ties), each go to the GPU whose load is
 // currently least (the lowest index on ties). gpuOf and load are updated in
 // place, so a caller may start from a partial placement and its loads.
@@ -41,34 +41,24 @@ func lptPlacement(p *Problem) []int {
 	return gpuOf
 }
 
-// LPT is the communication-blind baseline: longest-processing-time-first
-// balancing of T_i across GPUs, ignoring every transfer. It is the previous
-// work's mapping policy evaluated under the current execution model, and one
-// leg of the portfolio solver.
-func LPT(p *Problem) *Assignment {
-	return Evaluate(p, lptPlacement(p), "lpt")
-}
-
-// SolveCtx is the communication-aware mapper: local search, then — when the
-// instance is within the exact-size threshold — the exact branch-and-bound
-// seeded with the local optimum as its incumbent. It races the greedy
-// placer, the communication-blind LPT baseline and the multi-seed local
-// search (its seed descents themselves parallel under opts.Workers); the
-// exact arm runs last, under its node budget and the context.
+// SolveCtx is the communication-aware mapper: multi-seed local search (its
+// seed descents parallel under opts.Workers), then — when the instance is
+// within the exact-size threshold — the exact branch-and-bound seeded with
+// the local optimum as its incumbent, under its node budget.
 //
-// Determinism: when the context stays live the final selection is local
-// search vs the exact arm seeded with it, whatever opts.Workers is — workers
-// only change wall-clock time, and the exact arm stops on a node count, so
-// even a truncated search is a function of the problem and the options. The
-// extra racers only decide the answer when the context is cancelled
-// mid-solve, where SolveCtx degrades to the best feasible assignment found
-// so far instead of failing.
+// Determinism: the selection is local search vs the exact arm seeded with
+// it, whatever opts.Workers is — workers only change wall-clock time, and
+// the exact arm stops on a node count, so even a truncated search is a
+// function of the problem and the options. A context cancelled mid-solve
+// cuts the descents and the exact arm short; what they had reached is a
+// function of when the cancellation landed, so SolveCtx returns the
+// context's error instead of it.
 //
 // Under a traced context the span SolveCtx runs in (the driver's stage.map)
 // is noted with the winning method and which seed's descent local search
 // kept; the descents are map.descent child spans and the exact arm a
 // map.exact one, noted with its node counts and whether it closed.
-func SolveCtx(ctx context.Context, p *Problem, opts Options) (a *Assignment, err error) {
+func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error) {
 	opts = opts.withDefaults()
 	if p.PDG.NumParts() == 0 {
 		return nil, fmt.Errorf("mapping: empty PDG")
@@ -77,47 +67,17 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (a *Assignment, err
 		gpuOf := make([]int, p.PDG.NumParts())
 		return Evaluate(p, gpuOf, "single-gpu"), nil
 	}
-	var heur *Assignment
-	var seed string // whose descent heur is
-	defer func() {
-		if a != nil {
-			obs.SpanFrom(ctx).Notef("winner=%s local_seed=%s objective_us=%g", a.Method, seed, a.Objective)
-		}
-	}()
-
-	var lpt *Assignment
-	lptDone := make(chan struct{})
-	go func() { defer close(lptDone); lpt = LPT(p) }()
-
-	// Greedy is both a racer and local search's first seed — computed once.
-	greedy := Greedy(p)
-	heur, seed = localSearchCtx(ctx, p, opts.Workers, greedy)
-	<-lptDone
-
-	if ctx.Err() != nil {
-		return anytimeBest(heur, greedy, lpt), nil
-	}
-	if p.PDG.NumParts() > opts.ILPMaxParts && !opts.ForceILP {
-		return heur, nil
-	}
-	exact := solveExact(ctx, p, heur, opts)
-	if ctx.Err() != nil {
-		return anytimeBest(exact, heur, greedy, lpt), nil
-	}
-	return anytimeBest(exact, heur), nil
-}
-
-// anytimeBest picks the lowest-objective assignment, preferring earlier
-// candidates on ties so the choice is deterministic.
-func anytimeBest(cands ...*Assignment) *Assignment {
-	var best *Assignment
-	for _, c := range cands {
-		if c == nil {
-			continue
-		}
-		if best == nil || c.Objective < best.Objective-1e-9 {
-			best = c
+	best, seed := localSearchCtx(ctx, p, opts.Workers, Greedy(p))
+	if ctx.Err() == nil && (p.PDG.NumParts() <= opts.ILPMaxParts || opts.ForceILP) {
+		// The exact arm re-scores its incumbent, so it loses only to a local
+		// optimum more than the tolerance below what it found; ties go to it.
+		if exact := solveExact(ctx, p, best, opts); exact.Objective <= best.Objective+1e-9 {
+			best = exact
 		}
 	}
-	return best
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mapping: cancelled: %w", err)
+	}
+	obs.SpanFrom(ctx).Notef("winner=%s local_seed=%s objective_us=%g", best.Method, seed, best.Objective)
+	return best, nil
 }

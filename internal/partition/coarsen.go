@@ -16,11 +16,14 @@ import (
 	"streammap/internal/sdf"
 )
 
-// Coarsening defaults; see CoarsenOptions.
+// Coarsening constants.
 const (
-	DefaultCoreSize     = 2048
+	DefaultCoreSize = 2048
+	// DefaultMaxUnitNodes caps how many original nodes one supernode may
+	// absorb.
 	DefaultMaxUnitNodes = 64
-	DefaultMaxLevels    = 32
+	// DefaultMaxLevels is a safety cap on hierarchy depth.
+	DefaultMaxLevels = 32
 )
 
 // CoarsenOptions bound the contraction.
@@ -28,27 +31,11 @@ type CoarsenOptions struct {
 	// CoreSize stops coarsening once a level has at most this many units
 	// (default 2048 — a size the coarse Try-Merge handles in seconds).
 	CoreSize int
-	// MaxUnitNodes caps how many original nodes one supernode may absorb
-	// (default 64).
-	MaxUnitNodes int
-	// MaxUnitBytes caps a supernode's estimated per-iteration internal
-	// buffer bytes, the proxy for its shared-memory footprint. 0 means
-	// uncapped here; Multilevel defaults it to the device's shared memory so
-	// seed units stay schedulable.
-	MaxUnitBytes int64
-	// MaxLevels is a safety cap on hierarchy depth (default 32).
-	MaxLevels int
 }
 
 func (o CoarsenOptions) withDefaults() CoarsenOptions {
 	if o.CoreSize <= 0 {
 		o.CoreSize = DefaultCoreSize
-	}
-	if o.MaxUnitNodes <= 0 {
-		o.MaxUnitNodes = DefaultMaxUnitNodes
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = DefaultMaxLevels
 	}
 	return o
 }
@@ -113,7 +100,6 @@ func (l *CoarseLevel) buildMembers() {
 // coarsest.
 type Coarsening struct {
 	G      *sdf.Graph
-	Opts   CoarsenOptions
 	Levels []*CoarseLevel
 }
 
@@ -121,17 +107,20 @@ type Coarsening struct {
 func (c *Coarsening) Coarsest() *CoarseLevel { return c.Levels[len(c.Levels)-1] }
 
 // BuildCoarsening contracts g level by level until the unit count reaches
-// opts.CoreSize, no contraction applies, or opts.MaxLevels is hit. The graph
+// opts.CoreSize, no contraction applies, or DefaultMaxLevels is hit.
+// maxUnitBytes caps a supernode's estimated per-iteration internal buffer
+// bytes, the proxy for its shared-memory footprint (0: uncapped); Multilevel
+// passes the device's shared memory so seed units stay schedulable. The graph
 // must have a steady state.
-func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions) (*Coarsening, error) {
+func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions, maxUnitBytes int64) (*Coarsening, error) {
 	opts = opts.withDefaults()
-	c := &Coarsening{G: g, Opts: opts, Levels: []*CoarseLevel{sccLevel(g)}}
-	for len(c.Levels) < opts.MaxLevels {
+	c := &Coarsening{G: g, Levels: []*CoarseLevel{sccLevel(g)}}
+	for len(c.Levels) < DefaultMaxLevels {
 		cur := c.Coarsest()
 		if cur.NumUnits <= opts.CoreSize {
 			break
 		}
-		next, err := contract(g, cur, opts)
+		next, err := contract(g, cur, maxUnitBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +181,7 @@ func sccLevel(g *sdf.Graph) *CoarseLevel {
 // contract runs one diamond-then-chains matching round over the level's
 // quotient graph and returns the next coarser level, or nil when nothing
 // contracted.
-func contract(g *sdf.Graph, cur *CoarseLevel, opts CoarsenOptions) (*CoarseLevel, error) {
+func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel, error) {
 	q, err := buildQuotient(g, cur.UnitOf, cur.NumUnits)
 	if err != nil {
 		return nil, err
@@ -207,10 +196,10 @@ func contract(g *sdf.Graph, cur *CoarseLevel, opts CoarsenOptions) (*CoarseLevel
 	// fits applies the supernode caps: original-node count and the
 	// shared-memory proxy (internal bytes per normalized unit iteration).
 	fits := func(nodes, by, sc int64) bool {
-		if nodes > int64(opts.MaxUnitNodes) {
+		if nodes > DefaultMaxUnitNodes {
 			return false
 		}
-		if opts.MaxUnitBytes > 0 && sc > 0 && by/sc > opts.MaxUnitBytes {
+		if maxUnitBytes > 0 && sc > 0 && by/sc > maxUnitBytes {
 			return false
 		}
 		return true

@@ -47,7 +47,7 @@ func TestCoarseningPreservesInvariants(t *testing.T) {
 		{1, 200}, {2, 1500}, {3, 12000},
 	} {
 		g := synthGraph(t, tc.seed, tc.filters)
-		c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{})
+		c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{}, 0)
 		if err != nil {
 			t.Fatalf("filters=%d: %v", tc.filters, err)
 		}
@@ -144,7 +144,7 @@ func TestCoarseningPreservesInvariants(t *testing.T) {
 // that lets quotient-level reasoning stand in for node-level reasoning.
 func TestCoarseningUnitsConvexConnected(t *testing.T) {
 	g := synthGraph(t, 7, 900)
-	c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{CoreSize: 64})
+	c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{CoreSize: 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

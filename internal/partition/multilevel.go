@@ -28,10 +28,18 @@ import (
 	"streammap/internal/sdf"
 )
 
-// Multilevel defaults; see MLOptions.
+// Multilevel constants.
 const (
-	DefaultRefinePasses  = 2
-	DefaultRefineBudget  = 4096
+	// DefaultRefinePasses is the number of boundary sweeps per uncoarsening
+	// level.
+	DefaultRefinePasses = 2
+	// DefaultRefineBudget caps candidate-move evaluations per level; each
+	// evaluation costs at most two uncached estimates.
+	DefaultRefineBudget = 4096
+	// DefaultRefineUnitCap skips refinement at levels with more units than
+	// this: on million-node graphs the finest levels are too large to sweep,
+	// while at differential-corpus sizes every level — including level 0 —
+	// is refined.
 	DefaultRefineUnitCap = 16384
 
 	// mlFullValidateCap bounds the graph size up to which the final result
@@ -46,34 +54,6 @@ const (
 // sized for the 10^5–10^6 node target.
 type MLOptions struct {
 	Coarsen CoarsenOptions
-	// RefinePasses is the number of boundary sweeps per uncoarsening level
-	// (default 2).
-	RefinePasses int
-	// RefineBudget caps candidate-move evaluations per level (default 4096);
-	// each evaluation costs at most two uncached estimates.
-	RefineBudget int
-	// RefineUnitCap skips refinement at levels with more units than this
-	// (default 16384): on million-node graphs the finest levels are too
-	// large to sweep, while at differential-corpus sizes every level —
-	// including level 0 — is refined.
-	RefineUnitCap int
-}
-
-func (o MLOptions) withDefaults(eng *pee.Engine) MLOptions {
-	o.Coarsen = o.Coarsen.withDefaults()
-	if o.Coarsen.MaxUnitBytes == 0 {
-		o.Coarsen.MaxUnitBytes = eng.Prof.Device.SharedMemPerSM
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = DefaultRefinePasses
-	}
-	if o.RefineBudget <= 0 {
-		o.RefineBudget = DefaultRefineBudget
-	}
-	if o.RefineUnitCap <= 0 {
-		o.RefineUnitCap = DefaultRefineUnitCap
-	}
-	return o
 }
 
 // MLStats is the multilevel run's provenance, attached to Result.ML and
@@ -116,7 +96,6 @@ type mlState struct {
 	ctx   context.Context
 	g     *sdf.Graph
 	eng   *pee.Engine
-	opts  MLOptions
 	c     *Coarsening
 	stats MLStats
 
@@ -136,11 +115,10 @@ type mlState struct {
 // provenance).
 func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptions) (*Result, error) {
 	m := &mlState{ctx: ctx, g: g, eng: eng}
-	m.opts = opts.withDefaults(eng)
 	if err := m.cancelled(); err != nil {
 		return nil, err
 	}
-	c, err := BuildCoarsening(g, m.opts.Coarsen)
+	c, err := BuildCoarsening(g, opts.Coarsen, eng.Prof.Device.SharedMemPerSM)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +172,7 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 	afterAll := m.liveCount()
 
 	for level := seedLevel; level >= 0; level-- {
-		if m.c.Levels[level].NumUnits > m.opts.RefineUnitCap {
+		if m.c.Levels[level].NumUnits > DefaultRefineUnitCap {
 			continue
 		}
 		if err := m.refine(level); err != nil {

@@ -1,11 +1,11 @@
-// Parallel candidate scoring for Algorithm 1.
+// The one concurrent pass of Algorithm 1.
 //
-// The partitioner stays deterministic by construction: workers only *score*
-// candidate merges speculatively (filling the estimation engine's memo), and
-// independent pipeline chains are windowed concurrently; every commit
-// decision is then made by one serial scan, in the same candidate order at
-// any worker count. RunCtx with workers > 1 produces the Result of
-// RunCtx(ctx, g, eng, 1), faster.
+// Phase 1 windows the pipeline chains on a worker pool: chains are
+// node-disjoint, so each worker does exactly the merges the serial scan would
+// do for its chain, and the windows are installed serially in chain order.
+// Phases 2-4 are the paper's serial greedy scan at any worker count. RunCtx
+// with workers > 1 therefore produces the Result of RunCtx(ctx, g, eng, 1)
+// from the same engine queries.
 package partition
 
 import (
@@ -20,9 +20,9 @@ import (
 )
 
 // RunCtx executes Algorithm 1 with a worker pool of the given width for
-// candidate scoring. workers <= 0 selects GOMAXPROCS; workers == 1 scores
-// every candidate on the calling goroutine. The context cancels the run
-// between phases and between merge rounds.
+// phase 1's chains. workers <= 0 selects GOMAXPROCS; workers == 1 runs
+// everything on the calling goroutine. The context cancels the run between
+// phases and between merge rounds.
 func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -78,49 +78,6 @@ func (p *partitioner) scatter(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// prewarmSingletons speculatively scores the singleton set of every
-// still-unassigned node (phase 1 and 2 consume these estimates).
-func (p *partitioner) prewarmSingletons() {
-	if p.workers <= 1 {
-		return
-	}
-	var ids []sdf.NodeID
-	for _, n := range p.g.Nodes {
-		if p.assigned[n.ID] == -1 {
-			ids = append(ids, n.ID)
-		}
-	}
-	p.scatter(len(ids), func(i int) {
-		p.eng.EstimateSet(sdf.SingletonSet(p.g.NumNodes(), ids[i]))
-	})
-}
-
-// prewarmUnions speculatively scores candidate union sets, skipping sets the
-// engine has already memoized and — mirroring tryMergeSets — sets that are
-// not convex (the serial scan never estimates those either). Dedup is by
-// 64-bit hash: a collision merely skips a speculative warm-up, which the
-// serial commit scan then scores on demand.
-func (p *partitioner) prewarmUnions(sets []sdf.NodeSet) {
-	if p.workers <= 1 || len(sets) == 0 {
-		return
-	}
-	seen := make(map[uint64]bool, len(sets))
-	todo := sets[:0:0]
-	for _, s := range sets {
-		k := s.Hash()
-		if seen[k] || p.eng.Cached(s) {
-			continue
-		}
-		seen[k] = true
-		todo = append(todo, s)
-	}
-	p.scatter(len(todo), func(i int) {
-		if p.isConvex(todo[i]) {
-			p.eng.EstimateSet(todo[i])
-		}
-	})
-}
-
 // windowsOfChain computes phase 1's merge windows for one pipeline chain —
 // grow a window from the head; on the first failed merge, restart a fresh
 // window at the failing node (Algorithm 1 lines 2-10) — without touching
@@ -167,10 +124,8 @@ func (p *partitioner) windowsOfChain(chain []sdf.NodeID) ([]*Partition, error) {
 
 // phase1 merges filters within each innermost pipeline: it windows all
 // chains on the worker pool, then installs each chain's windows serially in
-// chain order. Singleton estimates are prewarmed first so every window grows
-// against a hot memo.
+// chain order.
 func (p *partitioner) phase1() error {
-	p.prewarmSingletons()
 	chains := p.pipelineChains()
 	wins := make([][]*Partition, len(chains))
 	errs := make([]error, len(chains))

@@ -79,8 +79,8 @@ type partitioner struct {
 	g   *sdf.Graph
 	eng *pee.Engine
 
-	// Concurrency knobs (see parallel.go); workers == 1 runs every pass
-	// serially.
+	// Concurrency knobs (see parallel.go); workers == 1 runs phase 1's
+	// chains serially too.
 	ctx     context.Context
 	workers int
 
@@ -89,8 +89,8 @@ type partitioner struct {
 
 	// Scratch pools: candidate unions are built in borrowed NodeSets and
 	// convexity checks reuse traversal buffers, so the Try-Merge scan
-	// allocates only for accepted merges. sync.Pools because the speculative
-	// scorers (parallel.go) run on worker goroutines.
+	// allocates only for accepted merges. sync.Pools because phase 1 windows
+	// its chains (parallel.go) on worker goroutines.
 	setPool    sync.Pool // sdf.NodeSet of capacity NumNodes
 	convexPool sync.Pool // *sdf.ConvexChecker
 	idScratch  []sdf.NodeID
@@ -334,17 +334,7 @@ func (p *partitioner) phase2Remaining() error {
 		}
 		for {
 			mergedAny := false
-			curP := p.parts[cur]
-			neighbors := p.unassignedNeighbors(curP)
-			if p.workers > 1 {
-				cands := make([]sdf.NodeSet, 0, len(neighbors))
-				for _, k := range neighbors {
-					u := curP.Set.Clone()
-					u.Add(k)
-					cands = append(cands, u)
-				}
-				p.prewarmUnions(cands)
-			}
+			neighbors := p.unassignedNeighbors(p.parts[cur])
 			for _, k := range neighbors {
 				if err := p.cancelled(); err != nil {
 					return err
@@ -406,27 +396,6 @@ func (p *partitioner) phase3BoundMerging() error {
 			sort.Slice(cands, func(a, b int) bool {
 				return p.parts[cands[a]].TWus() < p.parts[cands[b]].TWus()
 			})
-			if p.workers > 1 {
-				// Speculatively score every eligible pair this round; the
-				// engine memo makes repeat rounds nearly free, and the serial
-				// scan below then commits deterministically from warm cache.
-				allPartners := p.liveIndices(func(pt *Partition) bool {
-					return !spec.partnerIO || !pt.ComputeBound()
-				})
-				var unions []sdf.NodeSet
-				for _, ci := range cands {
-					for _, pi := range allPartners {
-						if pi == ci {
-							continue
-						}
-						a, b := p.parts[ci], p.parts[pi]
-						if p.connected(a, b) {
-							unions = append(unions, a.Set.Union(b.Set))
-						}
-					}
-				}
-				p.prewarmUnions(unions)
-			}
 			for _, ci := range cands {
 				if p.parts[ci] == nil {
 					continue
@@ -493,22 +462,6 @@ func (p *partitioner) phase4Simultaneous() error {
 		}
 		mergedAny := false
 		live := p.liveIndices(func(*Partition) bool { return true })
-		if p.workers > 1 {
-			var unions []sdf.NodeSet
-			for _, ci := range live {
-				if p.parts[ci] == nil {
-					continue
-				}
-				neigh := p.neighborPartitions(ci)
-				for x := 0; x < len(neigh); x++ {
-					for y := x + 1; y < len(neigh); y++ {
-						a, b, c := p.parts[ci], p.parts[neigh[x]], p.parts[neigh[y]]
-						unions = append(unions, a.Set.Union(b.Set).Union(c.Set))
-					}
-				}
-			}
-			p.prewarmUnions(unions)
-		}
 		for _, ci := range live {
 			if p.parts[ci] == nil {
 				continue

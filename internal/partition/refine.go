@@ -11,7 +11,7 @@ import (
 )
 
 // refine re-expresses the live partitions in level's units and runs up to
-// RefinePasses boundary sweeps under the per-level evaluation budget.
+// DefaultRefinePasses boundary sweeps under the per-level evaluation budget.
 func (m *mlState) refine(level int) error {
 	lvl := m.c.Levels[level]
 	U := lvl.NumUnits
@@ -48,8 +48,8 @@ func (m *mlState) refine(level int) error {
 		p.maxPos = max32(p.maxPos, q.topoPos[u])
 	}
 
-	budget := m.opts.RefineBudget
-	for pass := 0; pass < m.opts.RefinePasses && budget > 0; pass++ {
+	budget := DefaultRefineBudget
+	for pass := 0; pass < DefaultRefinePasses && budget > 0; pass++ {
 		moves := 0
 		for u := int32(0); u < int32(U) && budget > 0; u++ {
 			if err := m.cancelled(); err != nil {

@@ -3,7 +3,7 @@ package pee_test
 // Differential property test for the hash-keyed memo: over synthetic graphs
 // from the same generator the corpus uses, the engine's hash-keyed,
 // view-scored EstimateSet must return byte-identical estimates to a
-// reference memo keyed on the collision-free NodeSet.Key string and scored
+// reference memo keyed on the collision-free NodeSet.String form and scored
 // through Extract + EstimateSubgraph — the pre-refactor path. A divergence
 // would mean either the view scoring drifted from the materialized scoring
 // or a hash collision misattributed a memo entry.
@@ -32,7 +32,7 @@ type refEntry struct {
 }
 
 func (r *refEstimate) estimate(set sdf.NodeSet) (*pee.Estimate, error) {
-	key := set.Key()
+	key := set.String()
 	if e, ok := r.memo[key]; ok {
 		return e.est, e.err
 	}

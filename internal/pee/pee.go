@@ -116,13 +116,14 @@ type Estimate struct {
 func (e *Estimate) ComputeBound() bool { return e.TcompUS >= e.TdtUS }
 
 // memoShards is the number of independently locked memo shards. Sharding
-// keeps concurrent Try-Merge scoring from serializing on one mutex.
+// keeps the partitioner's concurrent phase-1 chains from serializing on one
+// mutex.
 const memoShards = 64
 
 // Engine estimates subgraphs against one profile, memoizing by node set.
 // It is safe for concurrent use: the memo is sharded by the set's 64-bit
-// hash and the counters are atomic, so the partitioner's worker pool and
-// core.Service can share one engine per graph.
+// hash and the counters are atomic, so the partitioner's phase-1 chain
+// workers share the compile's one engine.
 //
 // The hot path is allocation-lean: queries key on sdf.NodeSet.Hash (no
 // string key is built), hits return after a word-compare against the stored
@@ -254,17 +255,6 @@ func bucketFind(bucket []*memoEntry, set sdf.NodeSet) *memoEntry {
 		}
 	}
 	return nil
-}
-
-// Cached reports whether the verdict for set is already memoized, without
-// counting a query. Speculative scorers use it to skip warm candidates.
-func (e *Engine) Cached(set sdf.NodeSet) bool {
-	h := setHash(set)
-	sh := &e.shards[h%memoShards]
-	sh.mu.RLock()
-	m := bucketFind(sh.memo[h], set)
-	sh.mu.RUnlock()
-	return m != nil
 }
 
 // EstimateSet estimates the partition given as a node set of the parent

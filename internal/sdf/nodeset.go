@@ -142,24 +142,6 @@ func (s NodeSet) AppendMembers(dst []NodeID) []NodeID {
 // Members returns the member ids in ascending order.
 func (s NodeSet) Members() []NodeID { return s.AppendMembers(nil) }
 
-// Key returns a canonical string key (for memoization maps). The scoring hot
-// path keys on Hash instead; Key survives as the collision-free reference
-// identity used by differential tests.
-func (s NodeSet) Key() string {
-	var b strings.Builder
-	for _, w := range s.words {
-		b.WriteByte(byte(w))
-		b.WriteByte(byte(w >> 8))
-		b.WriteByte(byte(w >> 16))
-		b.WriteByte(byte(w >> 24))
-		b.WriteByte(byte(w >> 32))
-		b.WriteByte(byte(w >> 40))
-		b.WriteByte(byte(w >> 48))
-		b.WriteByte(byte(w >> 56))
-	}
-	return b.String()
-}
-
 // String renders the set as {a,b,c} for debugging.
 func (s NodeSet) String() string {
 	ms := s.Members()

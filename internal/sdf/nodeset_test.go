@@ -93,25 +93,6 @@ func TestNodeSetMembersQuick(t *testing.T) {
 	}
 }
 
-// Property: Key is injective for distinct sets of the same capacity.
-func TestNodeSetKeyQuick(t *testing.T) {
-	f := func(raw1, raw2 []uint8) bool {
-		const capN = 200
-		mk := func(raw []uint8) NodeSet {
-			s := NewNodeSet(capN)
-			for _, r := range raw {
-				s.Add(NodeID(int(r) % capN))
-			}
-			return s
-		}
-		a, b := mk(raw1), mk(raw2)
-		return (a.Key() == b.Key()) == a.Equal(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestIsConnected(t *testing.T) {
 	// a -> b -> c, plus isolated-in-set check
 	g := mustGraph(t, "pipe", Pipe("p", F(addOne()), F(double()), F(addOne())))
