@@ -6,13 +6,16 @@ package streammap
 // (including PDG, mapping and plan) at 10^4 filters — the regime where the
 // exact Try-Merge flow has already left interactive latency.
 // BenchmarkDeltaDescent is the mapper's inner loop alone: one budgeted
-// delta descent over that compile's 1406-partition PDG from a cold seed.
+// delta descent over that compile's 1406-partition PDG from a cold seed,
+// and BenchmarkExtractPartition the materialization of one of those
+// partitions.
 // (The partitioner's inner loop, the kernel-parameter sweep, has its
 // BenchmarkSweep in internal/pee.) bench_compile_baseline.json records a
 // reference run.
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"streammap/internal/core"
@@ -62,6 +65,30 @@ func BenchmarkMultilevelPartition(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(len(res.Parts)), "partitions")
+	}
+}
+
+// BenchmarkExtractPartition materializes one mid-sized partition of the
+// 10^4-filter graph — what the multilevel path does once per surviving
+// partition — so the cost must follow the partition, not the parent.
+func BenchmarkExtractPartition(b *testing.B) {
+	g := benchSynthGraph(b, 10000)
+	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
+	res, err := partition.Multilevel(context.Background(), g, eng, partition.MLOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := res.Parts
+	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Set.Len() < parts[j].Set.Len() })
+	set := parts[len(parts)/2].Set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sub, err := g.Extract(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(sub.Sub.NumNodes()), "nodes")
 	}
 }
 

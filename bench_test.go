@@ -31,15 +31,9 @@ import (
 	"streammap/internal/topology"
 )
 
-func benchCfg() experiments.Config {
-	c := experiments.Tiny()
-	c.ILPBudget = 300 * time.Millisecond
-	return c
-}
-
 func BenchmarkFig41_EstimationAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, res, err := experiments.Fig41(benchCfg())
+		_, res, err := experiments.Fig41(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -50,7 +44,7 @@ func BenchmarkFig41_EstimationAccuracy(b *testing.B) {
 
 func BenchmarkFig42_Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Fig42(benchCfg())
+		_, rows, err := experiments.Fig42(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +64,7 @@ func BenchmarkFig42_Scalability(b *testing.B) {
 
 func BenchmarkFig43_SOSPComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Fig43(benchCfg())
+		_, rows, err := experiments.Fig43(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +78,7 @@ func BenchmarkFig43_SOSPComparison(b *testing.B) {
 
 func BenchmarkFig44_SOSPValidity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Fig44(benchCfg())
+		_, rows, err := experiments.Fig44(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +94,7 @@ func BenchmarkFig44_SOSPValidity(b *testing.B) {
 
 func BenchmarkTable51_SplitterElim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Table51(benchCfg())
+		_, rows, err := experiments.Table51(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +110,7 @@ func BenchmarkTable51_SplitterElim(b *testing.B) {
 
 func BenchmarkAblation_MappingChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Ablations(benchCfg())
+		_, rows, err := experiments.Ablations(experiments.Tiny())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,6 @@ func main() {
 	exp := flag.String("exp", "all", "which experiment: all, fig4.1, fig4.2, fig4.3, fig4.4, table5.1, ablation, scaling, loadtest")
 	quick := flag.Bool("quick", false, "trim N sweeps to three sizes per app")
 	fragments := flag.Int("fragments", 0, "override fragments per measurement")
-	budget := flag.Duration("ilp-budget", 0, "override ILP time budget per mapping solve")
 	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; 1000000 needs a few GB)")
 	serverURL := flag.String("server-url", "", "loadtest: target server (empty = start one in-process)")
 	requests := flag.Int("requests", 200, "loadtest: total requests")
@@ -135,9 +134,6 @@ func main() {
 	}
 	if *fragments > 0 {
 		cfg.Fragments = *fragments
-	}
-	if *budget > 0 {
-		cfg.ILPBudget = *budget
 	}
 	if *scaleMax > 0 {
 		cfg.ScaleMax = *scaleMax

@@ -44,7 +44,7 @@ func Ablations(cfg Config) (*Table, []AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		c, err := compileApp(g, cs.gpus, core.Alg1, core.ILPMapper, gpu.M2090(), cfg.ILPBudget)
+		c, err := compileApp(g, cs.gpus, core.Alg1, core.ILPMapper, gpu.M2090())
 		if err != nil {
 			return AblationRow{}, err
 		}

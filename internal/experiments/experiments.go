@@ -13,13 +13,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"streammap/internal/apps"
 	"streammap/internal/core"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
-	"streammap/internal/mapping"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
 )
@@ -33,8 +31,6 @@ type Config struct {
 	Quick bool
 	// Tiny trims further to the two smallest sweep points (unit tests).
 	Tiny bool
-	// ILPBudget bounds each exact mapping solve.
-	ILPBudget time.Duration
 	// ScaleMax caps the scaling sweep's large-graph cells by filter count
 	// (default 1e5; set 1e6 for the million-filter cell, which needs a few
 	// GB of memory for graph generation alone).
@@ -98,7 +94,7 @@ func parMap[T any](cfg Config, n int, cell func(i int) (T, error)) ([]T, error) 
 // timing-only, so the fragment count can comfortably exceed the pipeline
 // fill depth.
 func Default() Config {
-	return Config{Fragments: 64, ILPBudget: 2 * time.Second}
+	return Config{Fragments: 64}
 }
 
 // Quick returns the trimmed configuration.
@@ -114,7 +110,6 @@ func Tiny() Config {
 	c.Quick = true
 	c.Tiny = true
 	c.Fragments = 48
-	c.ILPBudget = 500 * time.Millisecond
 	return c
 }
 
@@ -210,13 +205,12 @@ func input(n int64, mod int) []sdf.Token {
 // per-compile worker pool under every concurrent cell would oversubscribe
 // the CPU without adding coverage.
 func compileApp(g *sdf.Graph, gpus int, part core.PartitionerKind, mapper core.MapperKind,
-	dev gpu.Device, budget time.Duration) (*core.Compiled, error) {
+	dev gpu.Device) (*core.Compiled, error) {
 	return core.Compile(g, core.Options{
 		Device:      dev,
 		Topo:        topology.PairedTree(gpus),
 		Partitioner: part,
 		Mapper:      mapper,
-		MapOptions:  mapping.Options{TimeBudget: budget},
 		Workers:     1,
 	})
 }

@@ -50,7 +50,7 @@ func Fig41(cfg Config) (*Table, *Fig41Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090(), cfg.ILPBudget)
+		c, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090())
 		if err != nil {
 			return nil, fmt.Errorf("fig4.1 %s N=%d: %w", app.Name, n, err)
 		}

@@ -52,7 +52,7 @@ func Fig42(cfg Config) (*Table, []Fig42Row, error) {
 		row := Fig42Row{App: app.Name, N: n}
 		var base float64
 		for gpus := 1; gpus <= 4; gpus++ {
-			c, err := compileApp(g, gpus, core.Alg1, core.ILPMapper, gpu.M2090(), cfg.ILPBudget)
+			c, err := compileApp(g, gpus, core.Alg1, core.ILPMapper, gpu.M2090())
 			if err != nil {
 				return row, fmt.Errorf("fig4.2 %s N=%d G=%d: %w", app.Name, n, gpus, err)
 			}
@@ -66,7 +66,7 @@ func Fig42(cfg Config) (*Table, []Fig42Row, error) {
 			}
 			row.SpeedupG[gpus] = base / t
 		}
-		if pc, err := compileApp(g, 1, core.PrevWorkPart, core.PrevWorkMap, gpu.M2090(), cfg.ILPBudget); err == nil {
+		if pc, err := compileApp(g, 1, core.PrevWorkPart, core.PrevWorkMap, gpu.M2090()); err == nil {
 			row.PrevParts = len(pc.Parts.Parts)
 		}
 		return row, nil

@@ -51,7 +51,7 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 		var sosp [2]float64
 		var spsgT [2]float64
 		for di, dev := range devices {
-			sc, err := core.Compile(g, optionsFor(dev, 1, core.SinglePart, cfg))
+			sc, err := core.Compile(g, optionsFor(dev, 1, core.SinglePart))
 			if err != nil {
 				return cellResult{}, nil // SPSG infeasible: skip the row
 			}
@@ -59,7 +59,7 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 			if err != nil {
 				return cellResult{}, err
 			}
-			mc, err := core.Compile(g, optionsFor(dev, 4, core.Alg1, cfg))
+			mc, err := core.Compile(g, optionsFor(dev, 4, core.Alg1))
 			if err != nil {
 				return cellResult{}, err
 			}
@@ -108,13 +108,12 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 	return t, rows, nil
 }
 
-func optionsFor(dev gpu.Device, gpus int, part core.PartitionerKind, cfg Config) core.Options {
+func optionsFor(dev gpu.Device, gpus int, part core.PartitionerKind) core.Options {
 	return core.Options{
 		Device:      dev,
 		Topo:        topologyFor(gpus),
 		Partitioner: part,
 		Mapper:      core.ILPMapper,
-		MapOptions:  mapOptions(cfg),
 		Workers:     1, // cell-granular parallelism; see compileApp
 	}
 }

@@ -135,7 +135,7 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 		Device: gpu.M2090(),
 		Topo:   topology.PairedTree(gpus),
 		// The differential corpus's mapping options.
-		MapOptions: mapping.Options{TimeBudget: cfg.ILPBudget, ILPMaxParts: 4},
+		MapOptions: mapping.Options{ILPMaxParts: 4},
 	}
 	row := ScalingRow{Filters: filters, GPUs: gpus}
 

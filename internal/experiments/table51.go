@@ -2,25 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"streammap/internal/apps"
 	"streammap/internal/core"
 	"streammap/internal/gpu"
-	"streammap/internal/mapping"
 	"streammap/internal/sjopt"
 	"streammap/internal/topology"
 )
 
 func topologyFor(gpus int) *topology.Tree { return topology.PairedTree(gpus) }
-
-func mapOptions(cfg Config) mapping.Options {
-	b := cfg.ILPBudget
-	if b == 0 {
-		b = 2 * time.Second
-	}
-	return mapping.Options{TimeBudget: b}
-}
 
 // Table51Row is one original-vs-enhanced measurement.
 type Table51Row struct {
@@ -73,7 +63,7 @@ func Table51(cfg Config) (*Table, []Table51Row, error) {
 		if err != nil {
 			return Table51Row{}, err
 		}
-		co, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090(), cfg.ILPBudget)
+		co, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090())
 		if err != nil {
 			return Table51Row{}, err
 		}
@@ -81,7 +71,7 @@ func Table51(cfg Config) (*Table, []Table51Row, error) {
 		if err != nil {
 			return Table51Row{}, err
 		}
-		ce, err := compileApp(enh, 1, core.Alg1, core.ILPMapper, gpu.M2090(), cfg.ILPBudget)
+		ce, err := compileApp(enh, 1, core.Alg1, core.ILPMapper, gpu.M2090())
 		if err != nil {
 			return Table51Row{}, err
 		}

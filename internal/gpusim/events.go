@@ -122,11 +122,10 @@ type remoteEdge struct {
 
 // timingOutput mirrors the Result timing fields.
 type timingOutput struct {
-	kernelEnd [][]float64
-	fragEnd   []float64
-	gpuBusy   []float64
-	linkBusy  []float64
-	makespan  float64
+	fragEnd  []float64
+	gpuBusy  []float64
+	linkBusy []float64
+	makespan float64
 }
 
 // simulateTiming runs the event loop, checking the context periodically so
@@ -148,7 +147,6 @@ func simulateTiming(in timingInput) (timingOutput, error) {
 	// previous instance's completion — the double-buffer rotation — after).
 	deps := make([][]int, P)
 	ready := make([][]float64, P)
-	kernelEnd := make([][]float64, P)
 	outLocal := make([][]int, P)
 	outRemote := make([][]remoteEdge, P)
 	for q := 0; q < P; q++ {
@@ -162,7 +160,6 @@ func simulateTiming(in timingInput) (timingOutput, error) {
 	for p := 0; p < P; p++ {
 		deps[p] = make([]int, NF)
 		ready[p] = make([]float64, NF)
-		kernelEnd[p] = make([]float64, NF)
 		base := len(in.inLocal[p]) + len(in.inRemote[p]) + 1 // +1 release
 		for n := 0; n < NF; n++ {
 			d := base
@@ -275,7 +272,6 @@ func simulateTiming(in timingInput) (timingOutput, error) {
 		switch e.kind {
 		case evKernelDone:
 			p, n := e.kernel.part, e.kernel.frag
-			kernelEnd[p][n] = e.time
 			if e.time > fragEnd[n] {
 				fragEnd[n] = e.time
 			}
@@ -318,10 +314,9 @@ func simulateTiming(in timingInput) (timingOutput, error) {
 	}
 
 	out := timingOutput{
-		kernelEnd: kernelEnd,
-		fragEnd:   fragEnd,
-		gpuBusy:   gpuBusy,
-		linkBusy:  linkBusy,
+		fragEnd:  fragEnd,
+		gpuBusy:  gpuBusy,
+		linkBusy: linkBusy,
 	}
 	for _, fe := range fragEnd {
 		out.makespan = math.Max(out.makespan, fe)

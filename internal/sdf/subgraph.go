@@ -2,7 +2,7 @@ package sdf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BoundaryEdge ties an original cut edge to the primary port it became in
@@ -12,29 +12,32 @@ type BoundaryEdge struct {
 	Port PortRef // primary port in the subgraph
 }
 
-// Subgraph is the result of extracting an induced, convex node set from a
-// parent graph. It is what a partition becomes: the subgraph is a standalone
-// Graph whose primary ports are the cut edges plus any of the parent's
-// primary ports that fell inside the set.
+// Subgraph is the result of extracting an induced node set from a parent
+// graph. It is what a partition becomes: Sub is a standalone Graph whose
+// primary ports are the cut edges plus any of the parent's primary ports
+// that fell inside the set. It carries only what its consumers read — the
+// estimator, the SM layout, code generation and the simulator's port
+// binding: the node map back to the parent and the two cut-edge lists.
 type Subgraph struct {
-	Parent *Graph
-	Sub    *Graph
-	Set    NodeSet
+	Sub *Graph
+	Set NodeSet
 
-	NodeOf  []NodeID          // sub node id -> parent node id
-	SubOf   map[NodeID]NodeID // parent node id -> sub node id
-	EdgeOf  []EdgeID          // sub edge id -> parent edge id
-	CutIn   []BoundaryEdge    // parent edges entering the set
-	CutOut  []BoundaryEdge    // parent edges leaving the set
-	PrimIn  []PortRef         // parent primary input ports inside the set (sub coordinates)
-	PrimOut []PortRef         // parent primary output ports inside the set (sub coordinates)
-	Scale   int64             // parent reps = Scale * sub reps for member nodes
+	NodeOf []NodeID       // sub node id -> parent node id
+	CutIn  []BoundaryEdge // parent edges entering the set, ascending parent edge id
+	CutOut []BoundaryEdge // parent edges leaving the set, ascending parent edge id
+	Scale  int64          // parent reps = Scale * sub reps for member nodes
 }
 
 // Extract builds the induced subgraph over set. The parent graph must have a
 // steady state. The sub repetition vector is the parent's restricted vector
 // divided by its gcd, so one sub iteration is the minimal self-consistent
 // unit of work; Scale records the ratio.
+//
+// The cost is the members and their own ports, not the parent: internal and
+// cut edges are read off each member's adjacency slice and then sorted by
+// parent edge id. That order — the order a scan of the parent's edge list
+// would produce — numbers Sub.Edges and orders CutIn/CutOut, and SM layouts,
+// artifact bytes and the simulator's port binding all depend on it.
 func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 	members := set.Members()
 	if len(members) == 0 {
@@ -43,12 +46,11 @@ func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 	if !g.HasSteady() {
 		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
 	}
-	s := &Subgraph{
-		Parent: g,
-		Set:    set.Clone(),
-		SubOf:  make(map[NodeID]NodeID, len(members)),
-	}
+	s := &Subgraph{Set: set.Clone(), NodeOf: members}
 	sub := &Graph{Name: g.Name + set.String()}
+	subOf := make(map[NodeID]NodeID, len(members))
+	adj := g.adj()
+	var internal, cutOut, cutIn []EdgeID
 	for _, pid := range members {
 		pn := g.Nodes[pid]
 		id := NodeID(len(sub.Nodes))
@@ -61,54 +63,53 @@ func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 			n.out[i] = -1
 		}
 		sub.Nodes = append(sub.Nodes, n)
-		s.NodeOf = append(s.NodeOf, pid)
-		s.SubOf[pid] = id
-	}
-	// Internal edges, in parent edge order for determinism.
-	for _, e := range g.Edges {
-		if set.Has(e.Src) && set.Has(e.Dst) {
-			ne := &Edge{
-				ID:  EdgeID(len(sub.Edges)),
-				Src: s.SubOf[e.Src], SrcPort: e.SrcPort, Push: e.Push,
-				Dst: s.SubOf[e.Dst], DstPort: e.DstPort, Pop: e.Pop, Peek: e.Peek,
-				Initial: append([]Token(nil), e.Initial...),
+		subOf[pid] = id
+		for _, eid := range adj.outEdgesOf(pid) {
+			if set.Has(g.Edges[eid].Dst) {
+				internal = append(internal, eid)
+			} else {
+				cutOut = append(cutOut, eid)
 			}
-			sub.Nodes[ne.Src].out[ne.SrcPort] = ne.ID
-			sub.Nodes[ne.Dst].in[ne.DstPort] = ne.ID
-			sub.Edges = append(sub.Edges, ne)
-			s.EdgeOf = append(s.EdgeOf, e.ID)
 		}
+		for _, eid := range adj.inEdgesOf(pid) {
+			if !set.Has(g.Edges[eid].Src) {
+				cutIn = append(cutIn, eid)
+			}
+		}
+	}
+	slices.Sort(internal)
+	slices.Sort(cutOut)
+	slices.Sort(cutIn)
+	for _, eid := range internal {
+		e := g.Edges[eid]
+		ne := &Edge{
+			ID:  EdgeID(len(sub.Edges)),
+			Src: subOf[e.Src], SrcPort: e.SrcPort, Push: e.Push,
+			Dst: subOf[e.Dst], DstPort: e.DstPort, Pop: e.Pop, Peek: e.Peek,
+			Initial: append([]Token(nil), e.Initial...),
+		}
+		sub.Nodes[ne.Src].out[ne.SrcPort] = ne.ID
+		sub.Nodes[ne.Dst].in[ne.DstPort] = ne.ID
+		sub.Edges = append(sub.Edges, ne)
 	}
 	// Cut edges become primary ports of the subgraph.
-	for _, e := range g.Edges {
-		srcIn, dstIn := set.Has(e.Src), set.Has(e.Dst)
-		if srcIn && !dstIn {
-			s.CutOut = append(s.CutOut, BoundaryEdge{Orig: e.ID, Port: PortRef{s.SubOf[e.Src], e.SrcPort}})
-		} else if !srcIn && dstIn {
-			s.CutIn = append(s.CutIn, BoundaryEdge{Orig: e.ID, Port: PortRef{s.SubOf[e.Dst], e.DstPort}})
-		}
+	for _, eid := range cutOut {
+		e := g.Edges[eid]
+		s.CutOut = append(s.CutOut, BoundaryEdge{Orig: eid, Port: PortRef{subOf[e.Src], e.SrcPort}})
 	}
-	// Parent primary ports inside the set.
-	for _, p := range g.InputPorts() {
-		if set.Has(p.Node) {
-			s.PrimIn = append(s.PrimIn, PortRef{s.SubOf[p.Node], p.Port})
-		}
-	}
-	for _, p := range g.OutputPorts() {
-		if set.Has(p.Node) {
-			s.PrimOut = append(s.PrimOut, PortRef{s.SubOf[p.Node], p.Port})
-		}
+	for _, eid := range cutIn {
+		e := g.Edges[eid]
+		s.CutIn = append(s.CutIn, BoundaryEdge{Orig: eid, Port: PortRef{subOf[e.Dst], e.DstPort}})
 	}
 	// Restricted repetition vector, gcd-normalized.
-	reps := make([]int64, len(members))
+	rep := make([]int64, len(members))
 	var gcd int64
 	for i, pid := range members {
-		reps[i] = g.Rep(pid)
-		gcd = gcd64(gcd, reps[i])
+		rep[i] = g.Rep(pid)
+		gcd = gcd64(gcd, rep[i])
 	}
-	rep := make([]int64, len(members))
-	for i := range reps {
-		rep[i] = reps[i] / gcd
+	for i := range rep {
+		rep[i] /= gcd
 	}
 	sub.rep = rep
 	s.Scale = gcd
@@ -150,24 +151,6 @@ func (s *Subgraph) IOBytesPerIteration() int64 {
 	return tokens * TokenBytes
 }
 
-// InBytesPerIteration returns primary-input bytes per sub iteration.
-func (s *Subgraph) InBytesPerIteration() int64 {
-	var tokens int64
-	for _, p := range s.Sub.InputPorts() {
-		tokens += s.Sub.PortTokens(p, true)
-	}
-	return tokens * TokenBytes
-}
-
-// OutBytesPerIteration returns primary-output bytes per sub iteration.
-func (s *Subgraph) OutBytesPerIteration() int64 {
-	var tokens int64
-	for _, p := range s.Sub.OutputPorts() {
-		tokens += s.Sub.PortTokens(p, false)
-	}
-	return tokens * TokenBytes
-}
-
 // CutInPorts returns, sorted by subgraph port order, the set of sub primary
 // input ports that correspond to cut edges (as opposed to inherited parent
 // primary inputs).
@@ -186,14 +169,4 @@ func (s *Subgraph) CutOutPorts() map[PortRef]EdgeID {
 		m[b.Port] = b.Orig
 	}
 	return m
-}
-
-// SortPorts orders port refs deterministically (node, then port).
-func SortPorts(ps []PortRef) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Node != ps[j].Node {
-			return ps[i].Node < ps[j].Node
-		}
-		return ps[i].Port < ps[j].Port
-	})
 }

@@ -1,6 +1,10 @@
 package sdf
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 func TestExtractPipelineMiddle(t *testing.T) {
 	g := mustGraph(t, "pipe", Pipe("p", F(addOne()), F(double()), F(addOne())))
@@ -126,5 +130,173 @@ func TestExtractPreservesInitialTokens(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("delay tokens lost in extraction")
+	}
+}
+
+// extractWholeGraph is Extract as it was before it walked the members' own
+// ports: two passes over every edge of the parent, testing both endpoints
+// for membership. It is kept as the oracle for the edge order the adjacency
+// walk must reproduce.
+func extractWholeGraph(g *Graph, set NodeSet) (*Subgraph, error) {
+	members := set.Members()
+	if len(members) == 0 {
+		return nil, fmt.Errorf("sdf: Extract: empty set")
+	}
+	if !g.HasSteady() {
+		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
+	}
+	s := &Subgraph{Set: set.Clone()}
+	subOf := make(map[NodeID]NodeID, len(members))
+	sub := &Graph{Name: g.Name + set.String()}
+	for _, pid := range members {
+		pn := g.Nodes[pid]
+		id := NodeID(len(sub.Nodes))
+		n := &Node{ID: id, Filter: pn.Filter, Pipe: pn.Pipe,
+			in: make([]EdgeID, len(pn.in)), out: make([]EdgeID, len(pn.out))}
+		for i := range n.in {
+			n.in[i] = -1
+		}
+		for i := range n.out {
+			n.out[i] = -1
+		}
+		sub.Nodes = append(sub.Nodes, n)
+		s.NodeOf = append(s.NodeOf, pid)
+		subOf[pid] = id
+	}
+	for _, e := range g.Edges {
+		if set.Has(e.Src) && set.Has(e.Dst) {
+			ne := &Edge{
+				ID:  EdgeID(len(sub.Edges)),
+				Src: subOf[e.Src], SrcPort: e.SrcPort, Push: e.Push,
+				Dst: subOf[e.Dst], DstPort: e.DstPort, Pop: e.Pop, Peek: e.Peek,
+				Initial: append([]Token(nil), e.Initial...),
+			}
+			sub.Nodes[ne.Src].out[ne.SrcPort] = ne.ID
+			sub.Nodes[ne.Dst].in[ne.DstPort] = ne.ID
+			sub.Edges = append(sub.Edges, ne)
+		}
+	}
+	for _, e := range g.Edges {
+		srcIn, dstIn := set.Has(e.Src), set.Has(e.Dst)
+		if srcIn && !dstIn {
+			s.CutOut = append(s.CutOut, BoundaryEdge{Orig: e.ID, Port: PortRef{subOf[e.Src], e.SrcPort}})
+		} else if !srcIn && dstIn {
+			s.CutIn = append(s.CutIn, BoundaryEdge{Orig: e.ID, Port: PortRef{subOf[e.Dst], e.DstPort}})
+		}
+	}
+	reps := make([]int64, len(members))
+	var gcd int64
+	for i, pid := range members {
+		reps[i] = g.Rep(pid)
+		gcd = gcd64(gcd, reps[i])
+	}
+	rep := make([]int64, len(members))
+	for i := range reps {
+		rep[i] = reps[i] / gcd
+	}
+	sub.rep = rep
+	s.Scale = gcd
+	s.Sub = sub
+	if err := sub.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// sameExtraction compares every field of two extractions a consumer can
+// observe, in order: names, node map, sub edges, cut lists, reps and scale.
+func sameExtraction(got, want *Subgraph) error {
+	if got.Sub.Name != want.Sub.Name {
+		return fmt.Errorf("name %q, want %q", got.Sub.Name, want.Sub.Name)
+	}
+	if !got.Set.Equal(want.Set) {
+		return fmt.Errorf("set %v, want %v", got.Set, want.Set)
+	}
+	if !slices.Equal(got.NodeOf, want.NodeOf) {
+		return fmt.Errorf("NodeOf %v, want %v", got.NodeOf, want.NodeOf)
+	}
+	if !slices.Equal(got.CutIn, want.CutIn) {
+		return fmt.Errorf("CutIn %v, want %v", got.CutIn, want.CutIn)
+	}
+	if !slices.Equal(got.CutOut, want.CutOut) {
+		return fmt.Errorf("CutOut %v, want %v", got.CutOut, want.CutOut)
+	}
+	if got.Scale != want.Scale || !slices.Equal(got.Sub.rep, want.Sub.rep) {
+		return fmt.Errorf("scale %d reps %v, want %d %v", got.Scale, got.Sub.rep, want.Scale, want.Sub.rep)
+	}
+	if len(got.Sub.Nodes) != len(want.Sub.Nodes) {
+		return fmt.Errorf("%d sub nodes, want %d", len(got.Sub.Nodes), len(want.Sub.Nodes))
+	}
+	for i, n := range got.Sub.Nodes {
+		w := want.Sub.Nodes[i]
+		if n.ID != w.ID || n.Filter != w.Filter || n.Pipe != w.Pipe ||
+			!slices.Equal(n.in, w.in) || !slices.Equal(n.out, w.out) {
+			return fmt.Errorf("sub node %d: %+v, want %+v", i, *n, *w)
+		}
+	}
+	if len(got.Sub.Edges) != len(want.Sub.Edges) {
+		return fmt.Errorf("%d sub edges, want %d", len(got.Sub.Edges), len(want.Sub.Edges))
+	}
+	for i, e := range got.Sub.Edges {
+		w := want.Sub.Edges[i]
+		if e.ID != w.ID || e.Src != w.Src || e.SrcPort != w.SrcPort || e.Push != w.Push ||
+			e.Dst != w.Dst || e.DstPort != w.DstPort || e.Pop != w.Pop || e.Peek != w.Peek ||
+			!slices.Equal(e.Initial, w.Initial) {
+			return fmt.Errorf("sub edge %d: %+v, want %+v", i, *e, *w)
+		}
+	}
+	return nil
+}
+
+// TestExtractMatchesWholeGraphWalk holds the adjacency walk to the
+// whole-graph oracle on the view graphs plus a feedback loop and a
+// multi-edge, over every contiguous window and every two-node set — most of
+// the latter non-convex or disconnected, some cutting the loop's delay edge
+// — demanding the same error or the same extraction.
+func TestExtractMatchesWholeGraphWalk(t *testing.T) {
+	acc := NewFilter("Acc", 2, 2, 0, 3, func(w *Work) {
+		s := w.In[0][0] + w.In[0][1]
+		w.Out[0][0], w.Out[0][1] = s, s
+	})
+	loop := mustGraph(t, "loop", Pipe("p", F(addOne()),
+		LoopOf("acc", RoundRobinJoiner([]int{1, 1}), F(acc), RoundRobinSplitter([]int{1, 1}), F(double()), []Token{0, 0}),
+		F(downsample2())))
+	// Two parallel edges between one node pair, wired against port order so
+	// the members' adjacency slices disagree with parent edge-id order.
+	b := NewBuilder("multi")
+	src, split := b.AddNode(addOne(), -1), b.AddNode(RoundRobinSplitter([]int{1, 1}), -1)
+	join, dst := b.AddNode(RoundRobinJoiner([]int{1, 1}), -1), b.AddNode(double(), -1)
+	b.Connect(join, 0, dst, 0)
+	b.Connect(split, 1, join, 1)
+	b.Connect(split, 0, join, 0)
+	b.Connect(src, 0, split, 0)
+	multi, err := b.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range append(viewGraphs(t), loop, multi) {
+		sets := enumerateSets(t, g)
+		for a := 0; a < g.NumNodes(); a++ {
+			for b := a + 1; b < g.NumNodes(); b++ {
+				pair := NewNodeSet(g.NumNodes())
+				pair.Add(NodeID(a))
+				pair.Add(NodeID(b))
+				sets = append(sets, pair)
+			}
+		}
+		sets = append(sets, NewNodeSet(g.NumNodes())) // empty: both refuse
+		for _, set := range sets {
+			got, gotErr := g.Extract(set)
+			want, wantErr := extractWholeGraph(g, set)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s %v: error %v, oracle %v", g.Name, set, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if err := sameExtraction(got, want); err != nil {
+				t.Fatalf("%s %v: %v", g.Name, set, err)
+			}
+		}
 	}
 }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"streammap/internal/artifact"
@@ -76,28 +74,24 @@ func DefaultChaosSpec(seed uint64) faultinject.Spec {
 	}
 }
 
-func (p ChaosParams) withDefaults() ChaosParams {
-	if p.Nodes <= 0 {
-		p.Nodes = 3
+// fleet is the run's fleet shape in the form the shared rig takes.
+func (p ChaosParams) fleet() MultiNodeParams {
+	return MultiNodeParams{
+		Seed: p.Seed, Nodes: p.Nodes, HotKeys: p.HotKeys, RequestsPerPhase: p.RequestsPerPhase,
+		Workers: p.Workers, Timeout: p.Timeout, MaxFilters: p.MaxFilters, MaxGPUs: p.MaxGPUs, Dir: p.Dir,
 	}
+}
+
+// withDefaults fills chaos's own defaults, then the fleet shape's.
+func (p ChaosParams) withDefaults() ChaosParams {
 	if p.HotKeys <= 0 {
 		p.HotKeys = 6
 	}
 	if p.RequestsPerPhase <= 0 {
 		p.RequestsPerPhase = 50
 	}
-	if p.Workers <= 0 {
-		p.Workers = 8
-	}
-	if p.Timeout <= 0 {
-		p.Timeout = 30 * time.Second
-	}
-	if p.MaxFilters <= 0 {
-		p.MaxFilters = 16
-	}
-	if p.MaxGPUs <= 0 {
-		p.MaxGPUs = 4
-	}
+	f := p.fleet().withDefaults()
+	p.Nodes, p.Workers, p.Timeout, p.MaxFilters, p.MaxGPUs = f.Nodes, f.Workers, f.Timeout, f.MaxFilters, f.MaxGPUs
 	if !p.Spec.Enabled() {
 		p.Spec = DefaultChaosSpec(p.Seed)
 	}
@@ -164,75 +158,34 @@ type ChaosResult struct {
 // checked bit-equivalent to the clean reference.
 func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 	p = p.withDefaults()
-	if p.Dir == "" {
-		d, err := os.MkdirTemp("", "streammap-chaos-*")
-		if err != nil {
-			return nil, err
-		}
-		p.Dir = d
-	}
-	res := &ChaosResult{Params: p, Spec: p.Spec}
 	start := time.Now()
-
-	// The corpus and, per key, the clean reference artifact — compiled
-	// locally before any injector exists, so the references cannot be
-	// touched by the chaos tier.
-	corpus, err := synth.Corpus(synth.CorpusParams{
-		Seed:       p.Seed,
-		Scenarios:  p.HotKeys,
-		MaxFilters: p.MaxFilters,
-		MaxGPUs:    p.MaxGPUs,
-		Workers:    2,
-	})
+	rig, err := newFleetRig(ctx, "chaos", p.fleet())
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]server.CompileRequest, p.HotKeys)
-	hashes := make([]string, p.HotKeys)
+	p.Dir = rig.dir
+	res := &ChaosResult{Params: p, Spec: p.Spec}
+	nodes, victim, storeDir := rig.nodes, rig.victim, rig.storeDir
+
+	// Per key, the clean reference artifact — compiled locally before any
+	// injector exists, so the references cannot be touched by the chaos
+	// tier.
 	refs := make([]*artifact.Artifact, p.HotKeys)
-	for i, sc := range corpus {
-		g, err := sc.BuildGraph()
-		if err != nil {
-			return nil, fmt.Errorf("chaos: scenario %d: %w", i, err)
-		}
-		reqs[i] = server.NewRequest(g, sc.Opts)
-		if hashes[i], err = core.HashOf(g, sc.Opts); err != nil {
-			return nil, err
-		}
-		if refs[i], err = localArtifact(ctx, reqs[i]); err != nil {
+	for i, req := range rig.reqs {
+		if refs[i], err = localArtifact(ctx, req); err != nil {
 			return nil, fmt.Errorf("chaos: reference compile %d: %w", i, err)
 		}
-	}
-
-	// Listeners first, so every node's config can name every URL (the
-	// first listen reserves each port; the node rebinds it in start).
-	addrs := make([]string, p.Nodes)
-	urls := make([]string, p.Nodes)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		urls[i] = "http://" + addrs[i]
-		ln.Close()
 	}
 
 	// One injector per node, schedule seeds decorrelated by node index.
 	// Restarting a node reuses its injector: the schedule continues, it
 	// does not replay.
-	storeDir := filepath.Join(p.Dir, "store")
 	injs := make([]*faultinject.Injector, p.Nodes)
 	for i := range injs {
 		spec := p.Spec
 		spec.Seed = p.Seed*0x9E3779B97F4A7C15 + uint64(i+1)
 		injs[i] = faultinject.New(spec)
 	}
-	nodes := make([]*mnNode, p.Nodes)
-	// Per-node client transports, so the victim's stale keep-alive
-	// connections can be flushed after its restart — a real client re-dials
-	// a crashed-and-restarted node; a pooled dead conn EOFs instead.
-	trs := make([]*http.Transport, p.Nodes)
 	nodeCfg := func(i int, cacheDir string) server.Config {
 		return server.Config{
 			Service: core.ServiceConfig{
@@ -240,8 +193,8 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 				Shared:   fleet.NewDirStore(storeDir).WithFaults(injs[i]),
 			},
 			Fleet: fleet.Config{
-				SelfURL: urls[i],
-				Peers:   urls,
+				SelfURL: rig.urls[i],
+				Peers:   rig.urls,
 				// Short cooldown so breaker reopen/half-open and ring
 				// revival all cycle within the run, under skewed clocks.
 				DownCooldown: 750 * time.Millisecond,
@@ -250,118 +203,51 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 			Faults: injs[i],
 		}
 	}
-	for i := range nodes {
-		trs[i] = &http.Transport{}
-		nodes[i] = &mnNode{
-			url:    urls[i],
-			cacheD: filepath.Join(p.Dir, fmt.Sprintf("node%d-disk", i)),
-			cl:     &client.Client{BaseURL: urls[i], HTTP: &http.Client{Transport: trs[i]}},
-		}
-		if err := nodes[i].start(nodeCfg(i, nodes[i].cacheD), addrs[i]); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		for _, n := range nodes {
-			if n.alive {
-				n.kill()
-			}
-		}
-	}()
-
-	// The victim: the node owning the most hot keys — its crash and torn
-	// restart hit the largest share of the keyspace.
-	ring, err := fleet.NewMembership(fleet.Config{SelfURL: urls[0], Peers: urls})
-	if err != nil {
+	defer rig.stop()
+	if err := rig.start(nodeCfg); err != nil {
 		return nil, err
 	}
-	owned := make([][]int, p.Nodes)
-	for k, h := range hashes {
-		for i, u := range urls {
-			if ring.Owner(h) == u {
-				owned[i] = append(owned[i], k)
-			}
-		}
-	}
-	victim := 0
-	for i := range owned {
-		if len(owned[i]) > len(owned[victim]) {
-			victim = i
-		}
+	// Per-node client transports, so the victim's stale keep-alive
+	// connections can be flushed after its restart — a real client re-dials
+	// a crashed-and-restarted node; a pooled dead conn EOFs instead.
+	trs := make([]*http.Transport, p.Nodes)
+	for i, n := range nodes {
+		trs[i] = &http.Transport{}
+		n.cl = &client.Client{BaseURL: n.url, HTTP: &http.Client{Transport: trs[i]}}
 	}
 
-	// Phase driver: like multinode's, plus the equivalence check — every
-	// 200's artifact must match the clean reference bit for bit.
-	type pick struct{ node, key int }
-	var eqMu sync.Mutex
+	// Every 200's artifact must match the clean reference bit for bit.
 	runPhase := func(name string, n int, draw func(r int) (node, key int)) ChaosPhase {
 		ph := ChaosPhase{Name: name, Requests: n}
-		picks := make([]pick, n)
-		for r := range picks {
-			picks[r].node, picks[r].key = draw(r)
-		}
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		feed := make(chan pick)
-		for w := 0; w < p.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pk := range feed {
-					rctx, cancel := context.WithTimeout(ctx, p.Timeout)
-					a, err := nodes[pk.node].cl.Compile(rctx, reqs[pk.key])
-					cancel()
-					if err == nil {
-						if eqErr := driver.EquivalentArtifacts(refs[pk.key], a); eqErr != nil {
-							eqMu.Lock()
-							res.EquivalenceFailures = append(res.EquivalenceFailures,
-								fmt.Sprintf("%s: key %d via node %d: %v", name, pk.key, pk.node, eqErr))
-							eqMu.Unlock()
-						}
-					}
-					mu.Lock()
-					switch {
-					case err == nil:
-						ph.OK++
-					default:
-						if _, ok := client.IsThrottled(err); ok {
-							ph.Throttled++
-						} else {
-							ph.Errors++
-							if ph.FirstError == "" {
-								ph.FirstError = err.Error()
-							}
-						}
-					}
-					mu.Unlock()
+		for _, rs := range rig.phase(n, draw) {
+			if rs.err == nil {
+				ph.OK++
+				if eqErr := driver.EquivalentArtifacts(refs[rs.key], rs.a); eqErr != nil {
+					res.EquivalenceFailures = append(res.EquivalenceFailures,
+						fmt.Sprintf("%s: key %d via node %d: %v", name, rs.key, rs.node, eqErr))
 				}
-			}()
+			} else if _, ok := client.IsThrottled(rs.err); ok {
+				ph.Throttled++
+			} else {
+				ph.Errors++
+				if ph.FirstError == "" {
+					ph.FirstError = rs.err.Error()
+				}
+			}
 		}
-		for _, pk := range picks {
-			feed <- pk
-		}
-		close(feed)
-		wg.Wait()
 		return ph
 	}
 	rng := synth.NewRand(p.Seed ^ 0xC4A05C4A05C4A05)
+	anyNode := rig.toAnyAlive(rng) // every node is alive whenever chaos draws
 
 	// Warm-up: every hot key offered once to a non-owner, so the fleet
 	// paths (fetch, proxy, store write) run under injection from the very
 	// first request.
-	res.Warmup = runPhase("warmup", p.HotKeys, func(r int) (int, int) {
-		ni := rng.Intn(p.Nodes)
-		if urls[ni] == ring.Owner(hashes[r]) {
-			ni = (ni + 1) % p.Nodes
-		}
-		return ni, r
-	})
+	res.Warmup = runPhase("warmup", p.HotKeys, rig.toNonOwner(rng))
 
 	// Chaos steady state: known keys across every node while the injectors
 	// refuse, delay, corrupt, tear and skew.
-	res.Chaos = runPhase("chaos", p.RequestsPerPhase, func(int) (int, int) {
-		return rng.Intn(p.Nodes), rng.Intn(p.HotKeys)
-	})
+	res.Chaos = runPhase("chaos", p.RequestsPerPhase, anyNode)
 
 	// Crash: kill the victim, tear its disk tier and half the shared store
 	// mid-file — the on-disk picture a real crash leaves — and restart it
@@ -377,7 +263,7 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 	if res.TruncatedStore, err = truncateEntries(storeDir, 2); err != nil {
 		return res, fmt.Errorf("chaos: tearing store: %w", err)
 	}
-	if err := nodes[victim].start(nodeCfg(victim, nodes[victim].cacheD), addrs[victim]); err != nil {
+	if err := nodes[victim].start(nodeCfg(victim, nodes[victim].cacheD)); err != nil {
 		return res, fmt.Errorf("chaos: restarting victim: %w", err)
 	}
 	// Drop connections pooled against the dead listener: a POST on one
@@ -392,7 +278,7 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 		if r < p.HotKeys {
 			return victim, r
 		}
-		return rng.Intn(p.Nodes), rng.Intn(p.HotKeys)
+		return anyNode(r)
 	})
 
 	stats := []server.Stats{crashStats}

@@ -4,17 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"os"
 	"path/filepath"
-	"sync"
+	"slices"
 	"time"
 
 	"streammap/internal/core"
 	"streammap/internal/fleet"
 	"streammap/internal/server"
-	"streammap/internal/server/client"
 	"streammap/internal/synth"
 )
 
@@ -119,193 +115,52 @@ type MultiNodeResult struct {
 	Duration time.Duration
 }
 
-// mnNode is one in-process fleet member with a real TCP listener, so
-// peers reach it over HTTP exactly as separate processes would, and it
-// can be killed (listener and server closed) and re-added on the same
-// address mid-run.
-type mnNode struct {
-	url    string
-	cacheD string
-	srv    *server.Server
-	hs     *http.Server
-	cl     *client.Client
-	alive  bool
-}
-
-func (n *mnNode) start(cfg server.Config, addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	n.srv = server.New(cfg)
-	n.hs = &http.Server{Handler: n.srv.Handler()}
-	go n.hs.Serve(ln)
-	n.alive = true
-	return nil
-}
-
-// kill closes the listener and waits for what the node still had running
-// in the background (detached compiles, persistent-tier writes), so
-// nothing of it touches the directories after kill returns.
-func (n *mnNode) kill() {
-	n.hs.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	_ = n.srv.Close(ctx) // past the deadline the node is abandoned, which is what kill means
-	n.alive = false
-}
-
 // RunMultiNode brings up a fleet of in-process compile servers over one
 // shared store, replays known-key traffic through warm-up, steady state
 // and node churn, then re-adds the killed node cold and checks it
 // warm-starts from the store.
 func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, error) {
 	p = p.withDefaults()
-	if p.Dir == "" {
-		d, err := os.MkdirTemp("", "streammap-multinode-*")
-		if err != nil {
-			return nil, err
-		}
-		p.Dir = d
-	}
-	res := &MultiNodeResult{Params: p}
 	start := time.Now()
-
-	// The request corpus: HotKeys known scenarios.
-	corpus, err := synth.Corpus(synth.CorpusParams{
-		Seed:       p.Seed,
-		Scenarios:  p.HotKeys,
-		MaxFilters: p.MaxFilters,
-		MaxGPUs:    p.MaxGPUs,
-		Workers:    2,
-	})
+	rig, err := newFleetRig(ctx, "multinode", p)
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]server.CompileRequest, p.HotKeys)
-	hashes := make([]string, p.HotKeys)
-	for i, sc := range corpus {
-		g, err := sc.BuildGraph()
-		if err != nil {
-			return nil, fmt.Errorf("multinode: scenario %d: %w", i, err)
-		}
-		reqs[i] = server.NewRequest(g, sc.Opts)
-		if hashes[i], err = core.HashOf(g, sc.Opts); err != nil {
-			return nil, err
-		}
-	}
+	p.Dir = rig.dir
+	res := &MultiNodeResult{Params: p}
+	nodes, victim := rig.nodes, rig.victim
 
-	// Listeners first, so every node's config can name every URL. The
-	// first listen reserves each port; the node then rebinds it in start
-	// (SO_REUSEADDR makes the quick rebind safe).
-	addrs := make([]string, p.Nodes)
-	urls := make([]string, p.Nodes)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		urls[i] = "http://" + addrs[i]
-		ln.Close()
-	}
-	storeDir := filepath.Join(p.Dir, "store")
-	nodes := make([]*mnNode, p.Nodes)
 	nodeCfg := func(i int, cacheDir string) server.Config {
 		return server.Config{
 			Service: core.ServiceConfig{
 				CacheDir: cacheDir,
-				Shared:   fleet.NewDirStore(storeDir),
+				Shared:   fleet.NewDirStore(rig.storeDir),
 			},
 			Fleet: fleet.Config{
-				SelfURL:      urls[i],
-				Peers:        urls,
+				SelfURL:      rig.urls[i],
+				Peers:        rig.urls,
 				DownCooldown: 5 * time.Second,
 			},
 		}
 	}
-	for i := range nodes {
-		nodes[i] = &mnNode{
-			url:    urls[i],
-			cacheD: filepath.Join(p.Dir, fmt.Sprintf("node%d-disk", i)),
-			cl:     client.New(urls[i]),
-		}
-		if err := nodes[i].start(nodeCfg(i, nodes[i].cacheD), addrs[i]); err != nil {
-			return nil, err
-		}
-	}
-	defer func() {
-		for _, n := range nodes {
-			if n.alive {
-				n.kill()
-			}
-		}
-	}()
-
-	// The full ring, for picking the victim: the node owning the most hot
-	// keys (always at least one, by pigeonhole) — killing it maximizes the
-	// keyspace the survivors must cover, and its owned keys are the ones
-	// the rejoin phase can only answer from the shared store.
-	ring, err := fleet.NewMembership(fleet.Config{SelfURL: urls[0], Peers: urls})
-	if err != nil {
+	defer rig.stop()
+	if err := rig.start(nodeCfg); err != nil {
 		return nil, err
 	}
-	owned := make([][]int, p.Nodes)
-	for k, h := range hashes {
-		for i, u := range urls {
-			if ring.Owner(h) == u {
-				owned[i] = append(owned[i], k)
-			}
-		}
-	}
-	victim := 0
-	for i := range owned {
-		if len(owned[i]) > len(owned[victim]) {
-			victim = i
-		}
-	}
 
-	// Phase driver: replay n known-key requests across the alive nodes.
-	// The full (node, key) sequence is drawn up front on this goroutine —
-	// synth's pinned generator is not safe for concurrent draws — and the
-	// workers only consume it.
-	type pick struct{ node, key int }
 	runPhase := func(name string, n int, draw func(r int) (node, key int)) MultiNodePhase {
 		ph := MultiNodePhase{Name: name, Requests: n}
-		picks := make([]pick, n)
-		for r := range picks {
-			picks[r].node, picks[r].key = draw(r)
-		}
 		before := fleetCompiles(nodes)
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		feed := make(chan pick)
-		for w := 0; w < p.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pk := range feed {
-					rctx, cancel := context.WithTimeout(ctx, p.Timeout)
-					_, err := nodes[pk.node].cl.Compile(rctx, reqs[pk.key])
-					cancel()
-					mu.Lock()
-					if err == nil {
-						ph.OK++
-					} else {
-						ph.Errors++
-						if ph.FirstError == "" {
-							ph.FirstError = err.Error()
-						}
-					}
-					mu.Unlock()
+		for _, rs := range rig.phase(n, draw) {
+			if rs.err == nil {
+				ph.OK++
+			} else {
+				ph.Errors++
+				if ph.FirstError == "" {
+					ph.FirstError = rs.err.Error()
 				}
-			}()
+			}
 		}
-		for _, pk := range picks {
-			feed <- pk
-		}
-		close(feed)
-		wg.Wait()
 		ph.Compiles = fleetCompiles(nodes) - before
 		if n > 0 {
 			ph.HitRate = float64(n-int(ph.Compiles)) / float64(n)
@@ -316,26 +171,9 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 		return ph
 	}
 	rng := synth.NewRand(p.Seed ^ 0x5EED5EED5EED5EED)
-	aliveIdx := func() []int {
-		var idx []int
-		for i, n := range nodes {
-			if n.alive {
-				idx = append(idx, i)
-			}
-		}
-		return idx
-	}
 
-	// Warm-up: every hot key once, each offered to a node that does NOT
-	// own it, so the fleet path (proxy or fetch) populates the owner AND
-	// the shared store in one pass.
-	res.Warmup = runPhase("warmup", p.HotKeys, func(r int) (int, int) {
-		ni := rng.Intn(p.Nodes)
-		if urls[ni] == ring.Owner(hashes[r]) {
-			ni = (ni + 1) % p.Nodes
-		}
-		return ni, r
-	})
+	// Warm-up: every hot key once, through the fleet path.
+	res.Warmup = runPhase("warmup", p.HotKeys, rig.toNonOwner(rng))
 	if res.Warmup.Errors > 0 {
 		return res, fmt.Errorf("multinode: warm-up failed: %s", res.Warmup.FirstError)
 	}
@@ -349,28 +187,22 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 
 	// Steady state: known keys across every node — the fleet must answer
 	// all of it without a single pipeline stage.
-	res.Steady = runPhase("steady", p.RequestsPerPhase, func(int) (int, int) {
-		idx := aliveIdx()
-		return idx[rng.Intn(len(idx))], rng.Intn(p.HotKeys)
-	})
+	res.Steady = runPhase("steady", p.RequestsPerPhase, rig.toAnyAlive(rng))
 
 	// Churn: kill the victim, keep the same traffic on the survivors.
 	nodes[victim].kill()
-	res.Churn = runPhase("churn", p.RequestsPerPhase, func(int) (int, int) {
-		idx := aliveIdx()
-		return idx[rng.Intn(len(idx))], rng.Intn(p.HotKeys)
-	})
+	res.Churn = runPhase("churn", p.RequestsPerPhase, rig.toAnyAlive(rng))
 
 	// Rejoin: the victim restarts cold — same URL, fresh private disk,
 	// empty memory — and must answer its first request for a key it owns
 	// from the shared store, not a compile.
 	rejoinDisk := filepath.Join(p.Dir, fmt.Sprintf("node%d-disk-rejoin", victim))
-	if err := nodes[victim].start(nodeCfg(victim, rejoinDisk), addrs[victim]); err != nil {
+	if err := nodes[victim].start(nodeCfg(victim, rejoinDisk)); err != nil {
 		return res, fmt.Errorf("multinode: re-adding node: %w", err)
 	}
 	nodes[victim].cacheD = rejoinDisk
 	rctx, cancel := context.WithTimeout(ctx, p.Timeout)
-	_, rejoinErr := nodes[victim].cl.Compile(rctx, reqs[owned[victim][0]])
+	_, rejoinErr := nodes[victim].cl.Compile(rctx, rig.reqs[slices.Index(rig.owner, victim)])
 	cancel()
 	st := nodes[victim].srv.Stats()
 	res.RejoinStoreHits = st.Service.StoreHits

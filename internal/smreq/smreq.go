@@ -365,13 +365,3 @@ func allocate(lay *Layout) error {
 	}
 	return nil
 }
-
-// Requirement is a convenience wrapper returning just the per-execution SM
-// requirement in bytes.
-func Requirement(s *sdf.Subgraph) (int64, error) {
-	lay, err := Analyze(s)
-	if err != nil {
-		return 0, err
-	}
-	return lay.PeakBytes, nil
-}
