@@ -31,10 +31,9 @@
 // artifact is also written out, ready for -exec or streammapd's
 // /v1/remap.
 //
-// -stats prints, as one JSON line matching the shape streammapd's /stats
-// endpoint serves, the estimation engine's memo counters (queries, hits,
-// misses, hit rate, hash collisions) and the per-stage wall-clock of the
-// compilation before the emitted output.
+// -stats prints, as one JSON line, the estimation engine's memo counters
+// (queries, hits, misses, hit rate, hash collisions) and the per-stage
+// wall-clock of the compilation before the emitted output.
 //
 // To serve compile requests over HTTP instead of compiling one-shot, run
 // the streammapd daemon (cmd/streammapd).
@@ -92,7 +91,7 @@ func main() {
 	synthFilters := flag.Int("synth-filters", 28, "max filters per generated graph in -synth mode")
 	synthGPUs := flag.Int("synth-gpus", 8, "max GPUs per generated topology in -synth mode")
 	synthCheck := flag.Bool("synth-check", false, "run the differential harness (one worker vs. concurrent) on every generated scenario")
-	stats := flag.Bool("stats", false, "print estimation-engine cache counters and per-stage timings as JSON after compiling (same shape as streammapd's /stats engine section)")
+	stats := flag.Bool("stats", false, "print estimation-engine cache counters and per-stage timings as JSON after compiling")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -234,9 +233,8 @@ func main() {
 }
 
 // emitStats prints the compilation's counters as one machine-readable
-// JSON line: the estimation engine section in the exact shape streammapd's
-// /stats serves it (core.EngineStats), plus the per-stage wall-clock in
-// the artifact's Stage wire shape.
+// JSON line: the estimation engine section (core.EngineStats), plus the
+// per-stage wall-clock in the artifact's Stage wire shape.
 func emitStats(c *core.Compiled) error {
 	type stage struct {
 		Name       string `json:"name"`

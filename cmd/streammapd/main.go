@@ -19,8 +19,8 @@
 //	POST /v1/remap           artifact + degradation -> re-targeted artifact
 //	GET  /v1/artifact/{key}  raw artifact bytes by key hash (fleet peer fetch)
 //	GET  /healthz            liveness (503 while draining; fleet peer states)
-//	GET  /stats              cache/admission/latency counters as JSON
-//	GET  /metrics            Prometheus text exposition (see DESIGN.md S19)
+//	GET  /metrics            every counter and latency histogram of the node,
+//	                         Prometheus text exposition (see DESIGN.md S19)
 //	GET  /debug/traces       recent + slowest request traces as JSON
 //
 // -addr with port 0 binds an ephemeral port; the bound address is logged
@@ -223,11 +223,13 @@ func main() {
 		if err := srv.Close(ctx); err != nil {
 			os.Exit(1) // Close logged what was abandoned
 		}
-		st := srv.Stats()
+		m := srv.Metrics() // keyed by series as /metrics spells them
+		n := func(series string) int64 { return int64(m[series]) }
 		logger.Info("drained cleanly",
-			"requests", st.Requests, "compiles", st.Service.Misses,
-			"cacheHits", st.Service.Hits+st.Service.DiskHits,
-			"coalesced", st.Coalesced, "rejected", st.Rejected)
+			"requests", n(`streammap_http_requests_total{route="compile"}`)+n(`streammap_http_requests_total{route="remap"}`),
+			"compiles", n("streammap_cache_misses_total"),
+			"cacheHits", n(`streammap_cache_hits_total{tier="memory"}`)+n(`streammap_cache_hits_total{tier="disk"}`),
+			"coalesced", n("streammap_coalesced_total"), "rejected", n("streammap_rejected_total"))
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
 			fatalf("serve: %v", err)

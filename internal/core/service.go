@@ -47,10 +47,10 @@ type ServiceConfig struct {
 	// Chaos-tier testing only; nil in production, where every seam is a
 	// no-op.
 	Faults *faultinject.Injector
-	// Metrics, when non-nil, registers the service's cache, admission and
-	// pipeline metrics on this registry — internal/server passes its own
-	// so one /metrics exposition covers the whole node. Nil leaves every
-	// instrument a no-op.
+	// Metrics is the registry the service's cache, admission and pipeline
+	// counters live on — internal/server passes its own so one /metrics
+	// exposition covers the whole node. A nil one is replaced by a private
+	// registry: Stats reads the same counters either way.
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives the service's structured log records
 	// (quarantine events, persistent-tier write failures). Nil discards.
@@ -64,43 +64,43 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
+	}
 	return c
 }
 
-// ServiceStats is a snapshot of a service's counters. The JSON field names
-// are part of the serving wire format: internal/server's /stats endpoint
-// embeds this struct verbatim.
+// ServiceStats is the library's typed snapshot of a service's counters,
+// read from the registry series a scrape of the node would show.
 type ServiceStats struct {
-	Hits        int64 `json:"hits"`        // requests answered from the in-memory table (incl. join-in-flight)
-	Misses      int64 `json:"misses"`      // requests that ran a full compilation
-	Evictions   int64 `json:"evictions"`   // table entries dropped by the MaxEntries bound
-	DiskHits    int64 `json:"diskHits"`    // requests answered from the disk tier without compiling
-	DiskWrites  int64 `json:"diskWrites"`  // artifacts persisted to the disk tier
-	DiskErrors  int64 `json:"diskErrors"`  // failed disk-tier writes (the tier is best-effort)
-	StoreHits   int64 `json:"storeHits"`   // requests answered from the shared store without compiling
-	StoreWrites int64 `json:"storeWrites"` // artifacts persisted to the shared store
-	StoreErrors int64 `json:"storeErrors"` // failed shared-store writes (the tier is best-effort)
+	Hits        int64 // requests answered from the in-memory table (incl. join-in-flight)
+	Misses      int64 // requests that ran a full compilation
+	Evictions   int64 // table entries dropped by the MaxEntries bound
+	DiskHits    int64 // requests answered from the disk tier without compiling
+	DiskWrites  int64 // artifacts persisted to the disk tier
+	DiskErrors  int64 // failed disk-tier writes (the tier is best-effort)
+	StoreHits   int64 // requests answered from the shared store without compiling
+	StoreWrites int64 // artifacts persisted to the shared store
+	StoreErrors int64 // failed shared-store writes (the tier is best-effort)
 	// CorruptQuarantined counts persistent-tier entries that failed
 	// validation and were moved aside to *.corrupt instead of being
 	// served or silently overwritten.
-	CorruptQuarantined int64 `json:"corruptQuarantined"`
-	Entries            int   `json:"entries"` // entries currently in the in-memory table
+	CorruptQuarantined int64
+	Entries            int // entries currently in the in-memory table
 
 	// Engine aggregates the estimation-engine memo counters over every
 	// compilation this service actually ran (hits don't contribute — no
 	// pipeline pass ran for them).
-	Engine EngineStats `json:"engine"`
+	Engine EngineStats
 
-	// The admission and flight gauges below are reported by
-	// internal/server at the top level of /stats, not here.
-	Coalesced int64 `json:"-"` // requests that joined another request's in-flight run (also in Hits when it was a compile)
-	Encodes   int64 `json:"-"` // artifact export+encode runs
-	InFlight  int64 `json:"-"` // runs holding a slot
-	Queued    int64 `json:"-"` // runs waiting for a slot
+	Coalesced int64 // requests that joined another request's in-flight run (also in Hits when it was a compile)
+	Encodes   int64 // artifact export+encode runs
+	InFlight  int64 // runs holding a slot
+	Queued    int64 // runs waiting for a slot
 }
 
 // EngineStats is the wire form of the estimation engine's memo counters —
-// the shape /stats serves and `streammap -stats` emits.
+// the shape `streammap -stats` emits.
 type EngineStats struct {
 	Queries    int64   `json:"queries"`
 	Hits       int64   `json:"hits"`
@@ -141,14 +141,14 @@ type entry struct {
 	cerr error
 }
 
-// tier is one persistent store with its counters and instruments.
+// tier is one persistent store with its instruments.
 type tier struct {
 	name  string // "disk" or "store": the metrics label
 	span  string
 	store ArtifactStore
 	probe *obs.Histogram // probe latency, hit or miss
 
-	hits, writes, errors atomic.Int64
+	hits, writes, errors *obs.Counter
 }
 
 // Service answers compile requests from one table keyed by KeyHash. An
@@ -186,13 +186,17 @@ type Service struct {
 	pending int           // detached runs and persists not yet finished
 	idle    chan struct{} // closed when pending drops to zero; nil unless a Flush waits
 
-	hits, misses, evictions, coalesced, encodes atomic.Int64
-	corruptQuarantined, queued, inFlight        atomic.Int64
-	engQueries, engMisses, engCollisions        atomic.Int64
+	// queued is what admission branches on, and inFlight falls as well as
+	// rises; every other count is a registry series and nothing else (see
+	// instrument).
+	queued, inFlight atomic.Int64
 
-	// Observability (nil-safe: a service built without ServiceConfig.Metrics
-	// pays a nil check per observation and nothing else).
-	log           *slog.Logger
+	log *slog.Logger
+
+	hits, misses, evictions, coalesced, encodes *obs.Counter
+	corruptQuarantined                          *obs.Counter
+	engQueries, engMisses, engCollisions        *obs.Counter
+
 	admissionWait *obs.Histogram    // time runs spent waiting for a slot, rejections included
 	compileDur    *obs.Histogram    // full pipeline wall-clock, fresh compiles only
 	stageDur      *obs.HistogramVec // per-stage wall-clock by stage name
@@ -223,16 +227,14 @@ func NewService(cfg ServiceConfig) *Service {
 		s.shared.store = cfg.Shared
 		s.tiers = append(s.tiers, &s.shared)
 	}
-	s.registerMetrics(cfg.Metrics)
+	s.instrument(cfg.Metrics)
 	return s
 }
 
-// registerMetrics puts the service's counters and latency histograms on
-// reg (a nil registry registers nothing and leaves every instrument a
-// no-op). The atomics behind ServiceStats stay the source of truth — they
-// are bridged in at scrape time — so /stats and /metrics can never
-// disagree.
-func (s *Service) registerMetrics(reg *obs.Registry) {
+// instrument registers the service's counters, gauges and latency
+// histograms on reg. Each count is kept once, in its series: the request
+// path increments it, a scrape and Stats read it.
+func (s *Service) instrument(reg *obs.Registry) {
 	s.admissionWait = reg.Histogram("streammap_admission_wait_seconds",
 		"Time runs spent waiting for a compile slot, rejections included.", nil)
 	s.compileDur = reg.Histogram("streammap_compile_seconds",
@@ -240,59 +242,55 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 	s.stageDur = reg.HistogramVec("streammap_stage_duration_seconds",
 		"Pipeline stage wall-clock by stage name.", "stage", nil)
 
-	counter := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
-	}
-	gauge := func(name, help string, v *atomic.Int64) {
-		reg.GaugeFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("streammap_cache_hits_total", "Cache hits by tier.", &s.hits, obs.Label{Key: "tier", Value: "memory"})
+	s.hits = reg.Counter("streammap_cache_hits_total", "Cache hits by tier.", obs.Label{Key: "tier", Value: "memory"})
 	for _, t := range []*tier{&s.disk, &s.shared} {
 		label := obs.Label{Key: "tier", Value: t.name}
 		t.probe = reg.Histogram("streammap_cache_probe_seconds", "Cache tier probe latency by tier, hit or miss.", nil, label)
-		counter("streammap_cache_hits_total", "Cache hits by tier.", &t.hits, label)
-		counter("streammap_cache_writes_total", "Artifacts persisted by tier.", &t.writes, label)
-		counter("streammap_cache_errors_total", "Failed persistent-tier writes by tier.", &t.errors, label)
+		t.hits = reg.Counter("streammap_cache_hits_total", "Cache hits by tier.", label)
+		t.writes = reg.Counter("streammap_cache_writes_total", "Artifacts persisted by tier.", label)
+		t.errors = reg.Counter("streammap_cache_errors_total", "Failed persistent-tier writes by tier.", label)
 	}
-	counter("streammap_cache_misses_total", "Requests that ran a full compilation.", &s.misses)
-	counter("streammap_cache_evictions_total", "In-memory table entries evicted.", &s.evictions)
-	counter("streammap_corrupt_quarantined_total", "Persistent-tier entries quarantined after failing validation.", &s.corruptQuarantined)
-	counter("streammap_coalesced_total", "Requests that joined another request's in-flight run.", &s.coalesced)
-	counter("streammap_artifact_encodes_total", "Artifact export+encode runs (hits serve the stored bytes).", &s.encodes)
-	counter("streammap_engine_queries_total", "Estimation-engine memo queries across fresh compiles.", &s.engQueries)
-	counter("streammap_engine_misses_total", "Estimation-engine memo misses across fresh compiles.", &s.engMisses)
-	counter("streammap_engine_collisions_total", "Estimation-engine memo collisions across fresh compiles.", &s.engCollisions)
-	gauge("streammap_in_flight", "Runs holding a compile slot.", &s.inFlight)
-	gauge("streammap_queued", "Runs waiting for a compile slot.", &s.queued)
-	reg.GaugeFunc("streammap_cache_entries", "Entries in the in-memory table.", func() float64 {
-		return float64(s.Stats().Entries)
-	})
+	s.misses = reg.Counter("streammap_cache_misses_total", "Requests that ran a full compilation.")
+	s.evictions = reg.Counter("streammap_cache_evictions_total", "In-memory table entries evicted.")
+	s.corruptQuarantined = reg.Counter("streammap_corrupt_quarantined_total", "Persistent-tier entries quarantined after failing validation.")
+	s.coalesced = reg.Counter("streammap_coalesced_total", "Requests that joined another request's in-flight run.")
+	s.encodes = reg.Counter("streammap_artifact_encodes_total", "Artifact export+encode runs (hits serve the stored bytes).")
+	s.engQueries = reg.Counter("streammap_engine_queries_total", "Estimation-engine memo queries across fresh compiles.")
+	s.engMisses = reg.Counter("streammap_engine_misses_total", "Estimation-engine memo misses across fresh compiles.")
+	s.engCollisions = reg.Counter("streammap_engine_collisions_total", "Estimation-engine memo collisions across fresh compiles.")
+	reg.GaugeFunc("streammap_in_flight", "Runs holding a compile slot.", func() float64 { return float64(s.inFlight.Load()) })
+	reg.GaugeFunc("streammap_queued", "Runs waiting for a compile slot.", func() float64 { return float64(s.queued.Load()) })
+	reg.GaugeFunc("streammap_cache_entries", "Entries in the in-memory table.", func() float64 { return float64(s.entries()) })
+}
+
+// entries is the number of entries in the in-memory table.
+func (s *Service) entries() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lru.Len()
 }
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
-	entries := s.lru.Len()
-	s.mu.Unlock()
 	return ServiceStats{
-		Hits:               s.hits.Load(),
-		Misses:             s.misses.Load(),
-		Evictions:          s.evictions.Load(),
-		DiskHits:           s.disk.hits.Load(),
-		DiskWrites:         s.disk.writes.Load(),
-		DiskErrors:         s.disk.errors.Load(),
-		StoreHits:          s.shared.hits.Load(),
-		StoreWrites:        s.shared.writes.Load(),
-		StoreErrors:        s.shared.errors.Load(),
-		CorruptQuarantined: s.corruptQuarantined.Load(),
-		Entries:            entries,
+		Hits:               s.hits.Value(),
+		Misses:             s.misses.Value(),
+		Evictions:          s.evictions.Value(),
+		DiskHits:           s.disk.hits.Value(),
+		DiskWrites:         s.disk.writes.Value(),
+		DiskErrors:         s.disk.errors.Value(),
+		StoreHits:          s.shared.hits.Value(),
+		StoreWrites:        s.shared.writes.Value(),
+		StoreErrors:        s.shared.errors.Value(),
+		CorruptQuarantined: s.corruptQuarantined.Value(),
+		Entries:            s.entries(),
 		Engine: EngineStatsOf(pee.Stats{
-			Queries:    s.engQueries.Load(),
-			Misses:     s.engMisses.Load(),
-			Collisions: s.engCollisions.Load(),
+			Queries:    s.engQueries.Value(),
+			Misses:     s.engMisses.Value(),
+			Collisions: s.engCollisions.Value(),
 		}),
-		Coalesced: s.coalesced.Load(),
-		Encodes:   s.encodes.Load(),
+		Coalesced: s.coalesced.Value(),
+		Encodes:   s.encodes.Value(),
 		InFlight:  s.inFlight.Load(),
 		Queued:    s.queued.Load(),
 	}
@@ -417,7 +415,7 @@ func (s *Service) lookup(ctx context.Context, key string, cached bool) (e *entry
 		s.lru.MoveToFront(el)
 		span.SetNote("hit")
 		if cached {
-			s.hits.Add(1)
+			s.hits.Inc()
 		}
 		return el.Value.(*entry), true, nil
 	}
@@ -438,7 +436,7 @@ func (s *Service) await(ctx context.Context, e *entry, hit bool) (*entry, error)
 	default:
 	}
 	if hit {
-		s.coalesced.Add(1)
+		s.coalesced.Inc()
 		_, span := obs.StartSpan(ctx, "coalesce.join")
 		defer span.End()
 	}
@@ -456,7 +454,7 @@ func (s *Service) await(ctx context.Context, e *entry, hit bool) (*entry, error)
 func (s *Service) evictLocked() {
 	for s.lru.Len() > s.cfg.MaxEntries {
 		s.removeLocked(s.lru.Back().Value.(*entry))
-		s.evictions.Add(1)
+		s.evictions.Inc()
 	}
 }
 
@@ -527,7 +525,7 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source Gr
 	}
 	defer release()
 
-	s.misses.Add(1)
+	s.misses.Inc()
 	start := time.Now()
 	cctx, span := obs.StartSpan(ctx, "compile")
 	c, err = s.compileFn(cctx, g, opts)
@@ -562,7 +560,7 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source Gr
 func (s *Service) Encode(ctx context.Context, c *Compiled) ([]byte, error) {
 	_, span := obs.StartSpan(ctx, "artifact.encode")
 	defer span.End()
-	s.encodes.Add(1)
+	s.encodes.Inc()
 	a, err := c.Artifact()
 	if err != nil {
 		return nil, err

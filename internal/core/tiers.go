@@ -36,7 +36,7 @@ func (s *Service) probe(ctx context.Context, hash string, accept func([]byte) er
 			}
 		}
 		if err != nil {
-			s.corruptQuarantined.Add(1)
+			s.corruptQuarantined.Inc()
 			s.log.Warn("quarantined corrupt "+t.name+"-tier entry",
 				slog.String("hash", hash), slog.String("cause", err.Error()))
 		}
@@ -48,7 +48,7 @@ func (s *Service) probe(ctx context.Context, hash string, accept func([]byte) er
 		span.End()
 		t.probe.ObserveSince(start)
 		if data != nil {
-			t.hits.Add(1)
+			t.hits.Inc()
 			return data, i
 		}
 	}
@@ -61,10 +61,10 @@ func (s *Service) probe(ctx context.Context, hash string, accept func([]byte) er
 func (s *Service) persist(hash string, data []byte, tiers []*tier) {
 	for _, t := range tiers {
 		if err := t.store.Put(hash, data); err != nil {
-			t.errors.Add(1)
+			t.errors.Inc()
 			s.log.Warn(t.name+"-tier write failed", slog.String("hash", hash), slog.String("error", err.Error()))
 		} else {
-			t.writes.Add(1)
+			t.writes.Inc()
 		}
 	}
 }
@@ -88,7 +88,7 @@ func (s *Service) EncodedByHash(ctx context.Context, hash string) ([]byte, bool)
 			if e.err != nil {
 				return nil, false
 			}
-			s.hits.Add(1)
+			s.hits.Inc()
 			return e.data, true
 		default:
 			return nil, false // still compiling: a miss, not a wait

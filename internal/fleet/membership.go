@@ -83,7 +83,7 @@ func normURL(u string) string { return strings.TrimRight(strings.TrimSpace(u), "
 // (MarkDown) and recovers after Config.DownCooldown. Every alive-set
 // transition rebuilds the ring; the keyspace fraction that changed owners
 // is accumulated (scaled to per-mille) as the RingMoves counter, so
-// /stats can show how much of the keyspace churned, not just how often.
+// /metrics can show how much of the keyspace churned, not just how often.
 type Membership struct {
 	cfg Config
 

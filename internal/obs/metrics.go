@@ -195,9 +195,10 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for counters that already live as atomics elsewhere
-// (server.Stats, core.ServiceStats, fleet state), so one exposition
-// unifies them without rewriting their owners.
+// time: a total that something else owns and the serving path never
+// increments itself (the circuit breaker's opens, the ring's moves, the
+// runtime's allocation totals). A count the request path keeps is a Counter,
+// incremented where the event happens — it is stored nowhere else.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return
@@ -207,8 +208,9 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.family(name, help, kindCounter).addSeries(&series{labels: renderLabels(labels), fn: fn})
 }
 
-// GaugeFunc registers a gauge read from fn at scrape time (queue depths,
-// cache entry counts, liveness).
+// GaugeFunc registers a gauge read from fn at scrape time: a level the
+// code itself holds and branches on (queue depth, the drain flag) or that
+// a structure already knows (table entries, peers alive).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return

@@ -12,11 +12,13 @@ import (
 )
 
 // Prometheus text exposition (version 0.0.4): what GET /metrics serves,
-// and the parsing half the loadtest harness uses to turn two scrapes into
-// histogram deltas. The renderer is deterministic — families sorted by
-// name, series by label string, label keys sorted within a series — so a
-// golden-file test can pin the output shape byte for byte and two scrapes
-// of one server always use identical sample keys.
+// and the parsing half every reader goes through — the loadtest harness
+// and the benchmark turn two scrapes into deltas, and in-process readers
+// (server.Server.Metrics) parse the same rendering. The renderer is
+// deterministic — families sorted by name, series by label string, label
+// keys sorted within a series — so a golden-file test can pin the output
+// shape byte for byte and two scrapes of one server always use identical
+// sample keys.
 
 // WriteText renders every registered metric in Prometheus text format.
 func (r *Registry) WriteText(w io.Writer) error {

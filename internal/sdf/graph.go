@@ -137,12 +137,9 @@ func (g *Graph) PortTokens(ref PortRef, input bool) int64 {
 	return g.Rep(ref.Node) * int64(n.Filter.Outputs[ref.Port])
 }
 
-// InEdges returns the ids of edges entering node id (unconnected ports
+// OutEdges returns the ids of edges leaving node id (unconnected ports
 // skipped). The slice aliases the graph's CSR index; callers must not write
 // to it (appends are safe: the slice is capacity-clamped).
-func (g *Graph) InEdges(id NodeID) []EdgeID { return g.adj().inEdgesOf(id) }
-
-// OutEdges returns the ids of edges leaving node id. Aliasing as InEdges.
 func (g *Graph) OutEdges(id NodeID) []EdgeID { return g.adj().outEdgesOf(id) }
 
 // Succ returns the distinct successor node ids of id, ascending. The slice
@@ -283,26 +280,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// EdgeBetween returns an edge from a to b if at least one exists.
-func (g *Graph) EdgeBetween(a, b NodeID) (*Edge, bool) {
-	for _, eid := range g.OutEdges(a) {
-		if g.Edges[eid].Dst == b {
-			return g.Edges[eid], true
-		}
-	}
-	return nil, false
-}
-
-// TotalOps returns the abstract arithmetic work of one steady-state
-// iteration: sum over nodes of rep * ops.
-func (g *Graph) TotalOps() int64 {
-	var total int64
-	for _, n := range g.Nodes {
-		total += g.Rep(n.ID) * n.Filter.Ops
-	}
-	return total
 }
 
 // Builder assembles a Graph node by node. The structural API in build.go is

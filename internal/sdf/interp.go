@@ -41,8 +41,6 @@ type Interp struct {
 	outPorts []PortRef
 	inIndex  map[PortRef]int
 	outIndex map[PortRef]int
-
-	ops int64 // abstract ops executed so far
 }
 
 // NewInterp prepares an interpreter. The graph must have a steady state.
@@ -110,10 +108,6 @@ func (it *Interp) Drain(idx int) []Token {
 	return out
 }
 
-// OpsExecuted returns the cumulative abstract arithmetic ops of all firings
-// so far (rep-weighted filter Ops), used to cross-check profiling.
-func (it *Interp) OpsExecuted() int64 { return it.ops }
-
 // canFire reports whether node id can fire right now.
 func (it *Interp) canFire(id NodeID) bool {
 	n := it.g.Nodes[id]
@@ -159,7 +153,6 @@ func (it *Interp) fire(id NodeID) {
 			it.chans[eid].push(w.Out[p])
 		}
 	}
-	it.ops += n.Filter.Ops
 }
 
 // RunIterations executes `iters` steady-state iterations, consuming from the

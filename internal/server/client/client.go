@@ -253,19 +253,6 @@ func (c *Client) Metrics(ctx context.Context) (obs.Samples, error) {
 	return obs.ParseText(body)
 }
 
-// Stats fetches the server's /stats counters.
-func (c *Client) Stats(ctx context.Context) (*server.Stats, error) {
-	body, err := c.get(ctx, "/stats")
-	if err != nil {
-		return nil, err
-	}
-	st := &server.Stats{}
-	if err := json.Unmarshal(body, st); err != nil {
-		return nil, fmt.Errorf("decoding /stats: %w", err)
-	}
-	return st, nil
-}
-
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
 	if err != nil {

@@ -43,8 +43,7 @@ import (
 const (
 	// headerForwarded marks a request proxied by a fleet peer (value: the
 	// proxying node's URL). Forwarded requests are always served locally —
-	// one hop, never a cycle — and are excluded from the owner's latency
-	// window, which records them under the proxying node instead.
+	// one hop, never a cycle.
 	headerForwarded = "X-Streammap-Forwarded"
 	// headerContentHash carries the SHA-256 of an artifact body sent to a
 	// peer (/v1/artifact responses, forwarded compile responses). It is
@@ -76,7 +75,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(headerContentHash, contentHash(body))
-	s.writeArtifact(r.Context(), w, body, time.Time{})
+	s.writeArtifact(r.Context(), w, body)
 }
 
 // routeToOwner answers a compile request whose key belongs to owner. It
@@ -92,16 +91,15 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // hash) are counted as peerBadBytes and fall through; they never mark the
 // owner down. Every peer hop below shares one context deadline derived
 // from the request's timeout budget.
-func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, hash string, call *compileCall) bool {
+func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, hash string, call *compileCall) bool {
 	// Local read-through: a previously fetched or proxied hot key is
 	// served from this node's own caches, owner untouched.
 	lctx, localSpan := obs.StartSpan(r.Context(), "fleet.local")
 	if body, ok := s.svc.EncodedByHash(lctx, hash); ok {
 		localSpan.SetNote("hit")
 		localSpan.End()
-		s.localHits.Add(1)
-		s.writeArtifact(r.Context(), w, body, start)
+		s.met.localHits.Inc()
+		s.writeArtifact(r.Context(), w, body)
 		return true
 	}
 	localSpan.SetNote("miss")
@@ -110,7 +108,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 	if s.fleetM.Config().Redirect {
 		_, span := obs.StartSpan(r.Context(), "fleet.redirect")
 		span.SetNote(owner)
-		s.redirects.Add(1)
+		s.met.redirects.Inc()
 		w.Header().Set("Location", owner+"/v1/compile")
 		w.WriteHeader(http.StatusTemporaryRedirect)
 		fmt.Fprintf(w, "key %s is owned by %s\n", hash, owner)
@@ -124,7 +122,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 		_, span := obs.StartSpan(r.Context(), "fleet.breaker")
 		span.Notef("open: skipping %s", owner)
 		span.End()
-		s.breakerSkips.Add(1)
+		s.met.breakerSkips.Inc()
 		return false
 	}
 
@@ -136,8 +134,8 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 	if body, ok, ownerUp := s.peerFetch(fctx, owner, hash); ok {
 		fetchSpan.End()
 		s.breaker.Success(owner)
-		s.peerHits.Add(1)
-		s.writeArtifact(r.Context(), w, body, start)
+		s.met.peerHits.Inc()
+		s.writeArtifact(r.Context(), w, body)
 		return true
 	} else if !ownerUp {
 		fetchSpan.Notef("%s unreachable", owner)
@@ -154,7 +152,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, start time
 	s.breaker.Success(owner)
 	pctx, proxySpan := obs.StartSpan(ctx, "fleet.proxy")
 	proxySpan.SetNote(owner)
-	handled := s.proxyCompile(w, r.WithContext(pctx), start, owner, hash, call)
+	handled := s.proxyCompile(w, r.WithContext(pctx), owner, hash, call)
 	proxySpan.End()
 	return handled
 }
@@ -185,9 +183,9 @@ func (s *Server) retrySleep(ctx context.Context) bool {
 }
 
 // writeArtifact writes a cache-served artifact body (see writeBody).
-func (s *Server) writeArtifact(ctx context.Context, w http.ResponseWriter, body []byte, start time.Time) {
+func (s *Server) writeArtifact(ctx context.Context, w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	s.writeBody(ctx, w, http.StatusOK, body, start)
+	s.writeBody(ctx, w, http.StatusOK, body)
 }
 
 // verifiedPeerBody reports whether a peer's artifact body matches the
@@ -196,7 +194,7 @@ func (s *Server) writeArtifact(ctx context.Context, w http.ResponseWriter, body 
 // the bytes are not decoded on this side of the fleet.
 func (s *Server) verifiedPeerBody(resp *http.Response, body []byte) bool {
 	if resp.Header.Get(headerContentHash) != contentHash(body) {
-		s.peerBadBytes.Add(1)
+		s.met.peerBadBytes.Inc()
 		return false
 	}
 	return true
@@ -217,7 +215,7 @@ func (s *Server) peerFetch(ctx context.Context, owner, hash string) (body []byte
 		if attempt >= s.breaker.Retries() || !s.retrySleep(ctx) {
 			return nil, false, false
 		}
-		s.peerRetries.Add(1)
+		s.met.peerRetries.Inc()
 	}
 }
 
@@ -256,8 +254,7 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string) (body []
 // the client: a corrupted relay is peerBadBytes plus a local fallback,
 // never a served poison. Reports false (nothing written) when the caller
 // should serve locally.
-func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time.Time,
-	owner, hash string, call *compileCall) bool {
+func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, hash string, call *compileCall) bool {
 	// A transport may still be reading a request body after its response
 	// has arrived, so this one is never reused.
 	call.shared = true
@@ -282,7 +279,7 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time
 			s.peerFailed(r.Context(), owner)
 			return false
 		}
-		s.peerRetries.Add(1)
+		s.met.peerRetries.Inc()
 	}
 	defer resp.Body.Close()
 	body, err := readBounded(resp.Body, s.cfg.MaxBodyBytes)
@@ -301,19 +298,14 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, start time
 		// Replicate: the next request for this key is a local hit.
 		s.svc.Ingest(hash, body)
 	}
-	s.proxied.Add(1)
+	s.met.proxied.Inc()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	// The proxied request is recorded here, under the node the client
-	// actually talked to; the owner skips it (headerForwarded).
-	if resp.StatusCode == http.StatusTooManyRequests {
-		start = time.Time{}
-	}
-	s.writeBody(r.Context(), w, resp.StatusCode, body, start)
+	s.writeBody(r.Context(), w, resp.StatusCode, body)
 	return true
 }
 

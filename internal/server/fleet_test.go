@@ -18,6 +18,7 @@ import (
 	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/fleet"
+	"streammap/internal/obs"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
@@ -123,8 +124,8 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := nodes[0].srv.Stats(); st.Service.Misses != 1 || st.Fleet.Proxied != 0 {
-		t.Fatalf("owner should compile its own key locally: %+v", st)
+	if misses, proxied := counter(t, nodes[0].srv, "streammap_cache_misses_total"), counter(t, nodes[0].srv, "streammap_fleet_proxied_total"); misses != 1 || proxied != 0 {
+		t.Fatalf("owner should compile its own key locally: %d compiles, %d proxied", misses, proxied)
 	}
 
 	got, err := nodes[1].cl.Compile(ctx, req)
@@ -134,27 +135,27 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 	if err := driver.EquivalentArtifacts(want, got); err != nil {
 		t.Fatalf("peer-fetched artifact differs from owner's: %v", err)
 	}
-	st := nodes[1].srv.Stats()
-	if st.Fleet.PeerHits != 1 || st.Fleet.Proxied != 0 {
-		t.Fatalf("expected one peer hit, no proxy: %+v", st.Fleet)
+	if hits, proxied := counter(t, nodes[1].srv, "streammap_fleet_peer_hits_total"), counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); hits != 1 || proxied != 0 {
+		t.Fatalf("expected one peer hit, no proxy: %d peer hits, %d proxied", hits, proxied)
 	}
-	if st.Service.Misses != 0 {
-		t.Fatalf("non-owner ran the pipeline (%d misses) for a fleet-cached key", st.Service.Misses)
+	if misses := counter(t, nodes[1].srv, "streammap_cache_misses_total"); misses != 0 {
+		t.Fatalf("non-owner ran the pipeline (%d misses) for a fleet-cached key", misses)
 	}
 
 	// The fetched copy replicated the key: next time it's a local answer.
 	if _, err := nodes[1].cl.Compile(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if st := nodes[1].srv.Stats(); st.Fleet.LocalHits != 1 {
-		t.Fatalf("hot non-owned key not served locally: %+v", st.Fleet)
+	if hits := counter(t, nodes[1].srv, "streammap_fleet_local_hits_total"); hits != 1 {
+		t.Fatalf("hot non-owned key not served locally: %d local hits", hits)
 	}
 }
 
 // TestFleetProxyColdKey: a cold key arriving at a non-owner is proxied to
 // its owner — the owner compiles it (once), the proxying node caches the
-// answer, and the latency sample lands in the proxying node's window
-// only.
+// answer, and the owner's latency sample is told apart from a client's:
+// client-facing samples are a node's count less what peers forwarded to it,
+// so fleet-wide the request is one sample, on the node the client talked to.
 func TestFleetProxyColdKey(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 0)
@@ -164,26 +165,34 @@ func TestFleetProxyColdKey(t *testing.T) {
 	if _, err := nodes[2].cl.Compile(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	proxier, owner := nodes[2].srv.Stats(), nodes[0].srv.Stats()
-	if proxier.Fleet.Proxied != 1 || proxier.Service.Misses != 0 {
-		t.Fatalf("expected one proxied request, no local compile: %+v / %+v", proxier.Fleet, proxier.Service)
+	proxier, owner := nodes[2].srv, nodes[0].srv
+	if proxied, misses := counter(t, proxier, "streammap_fleet_proxied_total"), counter(t, proxier, "streammap_cache_misses_total"); proxied != 1 || misses != 0 {
+		t.Fatalf("expected one proxied request, no local compile: %d proxied, %d compiles", proxied, misses)
 	}
-	if owner.Service.Misses != 1 || owner.Fleet.ForwardedServed != 1 {
-		t.Fatalf("owner should have compiled the forwarded request: %+v / %+v", owner.Fleet, owner.Service)
-	}
-	if owner.Latency.Count != 0 {
-		t.Errorf("forwarded request entered the owner's latency window (count %d) — double-counted", owner.Latency.Count)
-	}
-	if proxier.Latency.Count == 0 {
-		t.Error("proxying node recorded no latency sample for the request it answered")
+	if misses, forwarded := counter(t, owner, "streammap_cache_misses_total"), counter(t, owner, "streammap_fleet_forwarded_total"); misses != 1 || forwarded != 1 {
+		t.Fatalf("owner should have compiled the forwarded request: %d compiles, %d forwarded", misses, forwarded)
 	}
 
 	// The proxied answer was ingested: the key is now local on the proxier.
 	if _, err := nodes[2].cl.Compile(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if st := nodes[2].srv.Stats(); st.Fleet.LocalHits != 1 {
-		t.Fatalf("proxied answer not cached locally: %+v", st.Fleet)
+	if hits := counter(t, proxier, "streammap_fleet_local_hits_total"); hits != 1 {
+		t.Fatalf("proxied answer not cached locally: %d local hits", hits)
+	}
+
+	// The latency record is written after the response: wait the handlers out.
+	nodes[0].ts.Close()
+	nodes[2].ts.Close()
+	clientFacing := func(srv *server.Server) int64 {
+		return counter(t, srv, "streammap_request_duration_seconds_count", route("compile")) -
+			counter(t, srv, "streammap_fleet_forwarded_total")
+	}
+	if n := clientFacing(owner); n != 0 {
+		t.Errorf("forwarded request counts as %d client-facing latency samples on the owner — double-counted", n)
+	}
+	if clientFacing(proxier) == 0 {
+		t.Error("proxying node recorded no latency sample for the request it answered")
 	}
 }
 
@@ -213,15 +222,16 @@ func TestFleetForwardedRequestsNeverHopAgain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forwarded request answered %d", resp.StatusCode)
 	}
-	st := nodes[1].srv.Stats()
-	if st.Service.Misses != 1 {
-		t.Fatalf("forwarded request was not compiled locally: %+v", st.Service)
+	srv := nodes[1].srv
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 1 {
+		t.Fatalf("forwarded request was not compiled locally: %d compiles", misses)
 	}
-	if st.Fleet.Proxied != 0 || st.Fleet.Redirects != 0 || st.Fleet.PeerHits != 0 {
-		t.Fatalf("forwarded request hopped again: %+v", st.Fleet)
+	if proxied, redirects, hits := counter(t, srv, "streammap_fleet_proxied_total"), counter(t, srv, "streammap_fleet_redirects_total"),
+		counter(t, srv, "streammap_fleet_peer_hits_total"); proxied != 0 || redirects != 0 || hits != 0 {
+		t.Fatalf("forwarded request hopped again: %d proxied, %d redirects, %d peer hits", proxied, redirects, hits)
 	}
-	if owner := nodes[0].srv.Stats(); owner.Requests != 0 {
-		t.Fatalf("owner saw %d requests for a forwarded-elsewhere key", owner.Requests)
+	if requests := counter(t, nodes[0].srv, "streammap_http_requests_total", route("compile")); requests != 0 {
+		t.Fatalf("owner saw %d requests for a forwarded-elsewhere key", requests)
 	}
 }
 
@@ -255,8 +265,8 @@ func TestFleetRedirectMode(t *testing.T) {
 	if loc := resp.Header.Get("Location"); loc != nodes[1].url+"/v1/compile" {
 		t.Fatalf("Location %q does not name the owner %q", loc, nodes[1].url)
 	}
-	if st := nodes[0].srv.Stats(); st.Fleet.Redirects != 1 {
-		t.Fatalf("redirect not counted: %+v", st.Fleet)
+	if redirects := counter(t, nodes[0].srv, "streammap_fleet_redirects_total"); redirects != 1 {
+		t.Fatalf("redirect not counted: %d redirects", redirects)
 	}
 
 	// The opt-in client follows the hop and gets the artifact.
@@ -265,8 +275,8 @@ func TestFleetRedirectMode(t *testing.T) {
 	if _, err := cl.Compile(context.Background(), req); err != nil {
 		t.Fatalf("redirect-following client failed: %v", err)
 	}
-	if st := nodes[1].srv.Stats(); st.Service.Misses != 1 {
-		t.Fatalf("owner did not serve the redirected compile: %+v", st.Service)
+	if misses := counter(t, nodes[1].srv, "streammap_cache_misses_total"); misses != 1 {
+		t.Fatalf("owner did not serve the redirected compile: %d compiles", misses)
 	}
 }
 
@@ -286,19 +296,19 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	if _, err := nodes[1].cl.Compile(context.Background(), server.NewRequest(g, opts)); err != nil {
 		t.Fatalf("request failed with one node down: %v", err)
 	}
-	st := nodes[1].srv.Stats()
-	if st.Fleet.Fallbacks != 1 || st.Service.Misses != 1 {
-		t.Fatalf("expected local-compile fallback: %+v / %+v", st.Fleet, st.Service)
+	fleet := func(series string) int64 { return counter(t, nodes[1].srv, "streammap_fleet_"+series) }
+	if fallbacks, misses := fleet("fallbacks_total"), counter(t, nodes[1].srv, "streammap_cache_misses_total"); fallbacks != 1 || misses != 1 {
+		t.Fatalf("expected local-compile fallback: %d fallbacks, %d compiles", fallbacks, misses)
 	}
-	if st.Fleet.PeersAlive != 2 {
-		t.Fatalf("dead owner still in the alive set: %+v", st.Fleet)
+	if alive := fleet("peers_alive"); alive != 2 {
+		t.Fatalf("dead owner still in the alive set: %d alive", alive)
 	}
-	if st.Fleet.BreakerOpens != 1 || st.Fleet.PeerRetries != 0 {
-		t.Fatalf("breaker counters wrong: %+v", st.Fleet)
+	if opens, retries := fleet("breaker_opens_total"), fleet("peer_retries_total"); opens != 1 || retries != 0 {
+		t.Fatalf("breaker counters wrong: %d opens, %d retries", opens, retries)
 	}
 	// A third of a 3-node keyspace changed owners (within sampling slack).
-	if st.Fleet.RingMoves < 200 || st.Fleet.RingMoves > 500 {
-		t.Fatalf("ringMoves %d outside ~1/3 keyspace for one lost node of three", st.Fleet.RingMoves)
+	if moves := fleet("ring_moves_permille"); moves < 200 || moves > 500 {
+		t.Fatalf("ring moves %d outside ~1/3 keyspace for one lost node of three", moves)
 	}
 }
 
@@ -336,18 +346,17 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 			t.Fatalf("request %d failed: %v", i, err)
 		}
 	}
-	st := nodes[1].srv.Stats()
-	if st.Fleet.Fallbacks != 2 || st.Fleet.PeersAlive != 3 || st.Fleet.BreakerOpens != 0 || st.Fleet.RingMoves != 0 {
-		t.Fatalf("breaker tripped early: %+v", st.Fleet)
+	fleet := func(series string) int64 { return counter(t, nodes[1].srv, "streammap_fleet_"+series) }
+	if fallbacks, alive, opens, moves := fleet("fallbacks_total"), fleet("peers_alive"), fleet("breaker_opens_total"), fleet("ring_moves_permille"); fallbacks != 2 || alive != 3 || opens != 0 || moves != 0 {
+		t.Fatalf("breaker tripped early: %d fallbacks, %d alive, %d opens, %d ring moves", fallbacks, alive, opens, moves)
 	}
 
 	// Third consecutive failure opens the circuit and marks the peer down.
 	if _, err := nodes[1].cl.Compile(ctx, server.NewRequest(graphs[2], opts)); err != nil {
 		t.Fatal(err)
 	}
-	st = nodes[1].srv.Stats()
-	if st.Fleet.BreakerOpens != 1 || st.Fleet.PeersAlive != 2 {
-		t.Fatalf("third failure did not open the circuit: %+v", st.Fleet)
+	if opens, alive := fleet("breaker_opens_total"), fleet("peers_alive"); opens != 1 || alive != 2 {
+		t.Fatalf("third failure did not open the circuit: %d opens, %d alive", opens, alive)
 	}
 
 	// With the circuit open and the dead node out of the ring, its old key
@@ -358,9 +367,8 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 	if _, err := nodes[1].cl.Compile(ctx, server.NewRequest(graphs[3], opts)); err != nil {
 		t.Fatal(err)
 	}
-	st = nodes[1].srv.Stats()
-	if st.Fleet.BreakerOpens != 1 {
-		t.Fatalf("extra breaker transition after open: %+v", st.Fleet)
+	if opens := fleet("breaker_opens_total"); opens != 1 {
+		t.Fatalf("extra breaker transition after open: %d opens", opens)
 	}
 }
 
@@ -462,19 +470,21 @@ func TestFleetArtifactEndpoint(t *testing.T) {
 	}
 }
 
-// TestFleetStatsShapeSingleNode: without fleet config the stats payload
-// has no fleet block — single-node deployments are unchanged.
-func TestFleetStatsShapeSingleNode(t *testing.T) {
+// TestFleetSeriesAbsentSingleNode: without fleet config the exposition has
+// no streammap_fleet_* series — single-node deployments are unchanged —
+// in process and over the wire.
+func TestFleetSeriesAbsentSingleNode(t *testing.T) {
 	srv, cl := startServer(t, server.Config{})
-	if st := srv.Stats(); st.Fleet != nil {
-		t.Fatalf("single-node stats grew a fleet block: %+v", st.Fleet)
-	}
-	st, err := cl.Stats(context.Background())
+	scraped, err := cl.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Fleet != nil {
-		t.Fatalf("single-node /stats JSON grew a fleet block: %+v", st.Fleet)
+	for how, m := range map[string]obs.Samples{"Metrics()": srv.Metrics(), "GET /metrics": scraped} {
+		for series := range m {
+			if strings.HasPrefix(series, "streammap_fleet_") {
+				t.Errorf("single-node %s grew a fleet series: %s", how, series)
+			}
+		}
 	}
 }
 
@@ -539,16 +549,16 @@ func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 			if served.Fingerprint != g.Fingerprint() {
 				t.Fatal("the unverified peer body reached the client")
 			}
-			st := srv.Stats()
-			if fetches.Load() != 1 || proxies.Load() != 1 || st.Fleet.PeerBadBytes != 2 {
+			fleet := func(series string) int64 { return counter(t, srv, "streammap_fleet_"+series) }
+			if bad := fleet("peer_bad_bytes_total"); fetches.Load() != 1 || proxies.Load() != 1 || bad != 2 {
 				t.Fatalf("owner saw %d fetches / %d proxies, node counted %d bad bodies; want 1 / 1 / 2",
-					fetches.Load(), proxies.Load(), st.Fleet.PeerBadBytes)
+					fetches.Load(), proxies.Load(), bad)
 			}
-			if st.Fleet.Fallbacks != 1 || st.Service.Misses != 1 || st.Fleet.PeerHits != 0 || st.Fleet.Proxied != 0 {
-				t.Fatalf("expected a local-compile fallback: %+v / %+v", st.Fleet, st.Service)
+			if fallbacks, misses, hits, proxied := fleet("fallbacks_total"), counter(t, srv, "streammap_cache_misses_total"), fleet("peer_hits_total"), fleet("proxied_total"); fallbacks != 1 || misses != 1 || hits != 0 || proxied != 0 {
+				t.Fatalf("expected a local-compile fallback: %d fallbacks, %d compiles, %d peer hits, %d proxied", fallbacks, misses, hits, proxied)
 			}
-			if st.Fleet.PeersAlive != 2 || st.Fleet.BreakerOpens != 0 {
-				t.Fatalf("an integrity failure was treated as a liveness failure: %+v", st.Fleet)
+			if alive, opens := fleet("peers_alive"), fleet("breaker_opens_total"); alive != 2 || opens != 0 {
+				t.Fatalf("an integrity failure was treated as a liveness failure: %d alive, %d opens", alive, opens)
 			}
 		})
 	}
@@ -584,8 +594,8 @@ func TestArtifactResponsesDeclareLength(t *testing.T) {
 
 	// Cold key at the non-owner: the answer is a relay of the owner's.
 	relayed := postCompile(t, nodes[1].url, body)
-	if st := nodes[1].srv.Stats(); st.Fleet.Proxied != 1 {
-		t.Fatalf("expected a proxied relay: %+v", st.Fleet)
+	if proxied := counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); proxied != 1 {
+		t.Fatalf("expected a proxied relay: %d proxied", proxied)
 	}
 	resp, err := http.Get(nodes[0].url + "/v1/artifact/" + keyHashOf(t, g, opts))
 	if fetched := declared("artifact route", resp, err); !bytes.Equal(fetched, relayed) {

@@ -105,8 +105,8 @@ func TestLateImportErrorsAreBadRequests(t *testing.T) {
 				t.Errorf("%s: answered %d %q, want 400 importing graph: ...", tc.name, rec.Code, rec.Body.String())
 			}
 		}
-		if st := s.Stats(); st.Service.Entries != 0 || st.Service.Misses != 0 || st.Encodes != 0 {
-			t.Errorf("%s: a rejected graph left a table entry or reached the pipeline: %+v", tc.name, st.Service)
+		if st := s.svc.Stats(); st.Entries != 0 || st.Misses != 0 || st.Encodes != 0 {
+			t.Errorf("%s: a rejected graph left a table entry or reached the pipeline: %+v", tc.name, st)
 		}
 	}
 	if got := s.met.respClass["compile/4xx"].Value(); got != int64(posts) {
@@ -199,7 +199,7 @@ func TestAbandonedRunKeepsItsRequest(t *testing.T) {
 	}
 	stopHits()
 
-	st := s.Stats().Service
+	st := s.svc.Stats()
 	if st.Misses != 1 {
 		t.Fatalf("the abandoned run compiled %d times, want once: %+v", st.Misses, st)
 	}
@@ -207,7 +207,7 @@ func TestAbandonedRunKeepsItsRequest(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("the repeat answered %d, want a hit on what the abandoned run left: %s", rec.Code, rec.Body)
 	}
-	if after := s.Stats().Service; after.Misses != 1 || after.Hits != st.Hits+1 {
+	if after := s.svc.Stats(); after.Misses != 1 || after.Hits != st.Hits+1 {
 		t.Errorf("the repeat was not a table hit: %+v -> %+v", st, after)
 	}
 	// What the run compiled is the graph the request named, not whatever a
@@ -280,8 +280,8 @@ func TestMemoryHitGarbageBudget(t *testing.T) {
 	if perHit > 100<<10 {
 		t.Errorf("a memory hit allocates %d bytes, budget 100 KB", perHit)
 	}
-	if st := s.Stats(); st.Service.Misses != 1 || st.Service.Hits != n+20 || s.met.decodeFallback.Value() != 0 {
-		t.Errorf("the measured requests were not all scanned table hits: %+v", st.Service)
+	if st := s.svc.Stats(); st.Misses != 1 || st.Hits != n+20 || s.met.decodeFallback.Value() != 0 {
+		t.Errorf("the measured requests were not all scanned table hits: %+v", st)
 	}
 }
 
@@ -299,7 +299,7 @@ func BenchmarkServeHit(b *testing.B) {
 		serveHit(h, rd, body, w)
 	}
 	b.StopTimer()
-	if st := s.Stats(); st.Service.Misses != 1 {
-		b.Fatalf("hits recompiled: %+v", st.Service)
+	if st := s.svc.Stats(); st.Misses != 1 {
+		b.Fatalf("hits recompiled: %+v", st)
 	}
 }

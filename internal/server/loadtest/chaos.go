@@ -16,6 +16,7 @@ import (
 	"streammap/internal/driver"
 	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
+	"streammap/internal/obs"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
 	"streammap/internal/synth"
@@ -256,7 +257,7 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 	nodes[victim].kill()
 	// The restart replaces the victim's server object, so bank its
 	// pre-crash counters now.
-	crashStats := nodes[victim].srv.Stats()
+	scrapes := []obs.Samples{nodes[victim].srv.Metrics()}
 	if res.TruncatedDisk, err = truncateEntries(nodes[victim].cacheD, 1); err != nil {
 		return res, fmt.Errorf("chaos: tearing disk tier: %w", err)
 	}
@@ -281,24 +282,21 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 		return anyNode(r)
 	})
 
-	stats := []server.Stats{crashStats}
 	for _, n := range nodes {
-		stats = append(stats, n.srv.Stats())
+		scrapes = append(scrapes, n.srv.Metrics())
 	}
 	for i := range injs {
 		res.Faults.Add(injs[i].Stats())
 	}
-	for _, st := range stats {
-		res.Quarantined += st.Service.CorruptQuarantined
-		res.Compiles += st.Service.Misses
-		if st.Fleet != nil {
-			res.Fallbacks += st.Fleet.Fallbacks
-			res.BreakerOpens += st.Fleet.BreakerOpens
-			res.BreakerSkips += st.Fleet.BreakerSkips
-			res.PeerRetries += st.Fleet.PeerRetries
-			res.PeerBadBytes += st.Fleet.PeerBadBytes
-			res.RingMoves += st.Fleet.RingMoves
-		}
+	for _, m := range scrapes {
+		res.Quarantined += count(m, "streammap_corrupt_quarantined_total")
+		res.Compiles += count(m, "streammap_cache_misses_total")
+		res.Fallbacks += count(m, "streammap_fleet_fallbacks_total")
+		res.BreakerOpens += count(m, "streammap_fleet_breaker_opens_total")
+		res.BreakerSkips += count(m, "streammap_fleet_breaker_skips_total")
+		res.PeerRetries += count(m, "streammap_fleet_peer_retries_total")
+		res.PeerBadBytes += count(m, "streammap_fleet_peer_bad_bytes_total")
+		res.RingMoves += count(m, "streammap_fleet_ring_moves_permille")
 	}
 	sort.Strings(res.EquivalenceFailures)
 	res.Duration = time.Since(start)

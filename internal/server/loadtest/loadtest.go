@@ -30,6 +30,7 @@ import (
 	"streammap/internal/artifact"
 	"streammap/internal/driver"
 	"streammap/internal/obs"
+	"streammap/internal/pee"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
@@ -110,15 +111,11 @@ type Result struct {
 	P95MS       float64
 	P99MS       float64
 
-	// Before/After are the server's /stats snapshots around the run (nil
-	// when the endpoint was unreachable); their deltas attribute every
-	// request to a serving layer.
-	Before, After *server.Stats
-
 	// MetricsBefore/MetricsAfter are the server's /metrics scrapes around
-	// the run (nil when the endpoint was unreachable). Their delta carries
-	// what /stats cannot: server-side latency histograms per route and per
-	// cache tier, reported by Fprint's metrics block.
+	// the run (nil when the endpoint was unreachable). Their delta
+	// attributes every request to a serving layer and carries the
+	// server-side latency histograms per route and per cache tier; Fprint
+	// reports both.
 	MetricsBefore, MetricsAfter obs.Samples
 
 	// Remaps counts remap requests issued after the simulated device
@@ -203,9 +200,6 @@ func Run(ctx context.Context, cl *client.Client, p Params) (*Result, error) {
 	}
 
 	res := &Result{Params: p, Unique: len(reqs)}
-	if st, err := cl.Stats(ctx); err == nil {
-		res.Before = st
-	}
 	if m, err := cl.Metrics(ctx); err == nil {
 		res.MetricsBefore = m
 	}
@@ -302,9 +296,6 @@ feedLoop:
 	if n := len(latencies); n > 0 {
 		rank := func(q float64) float64 { return latencies[int(q*float64(n-1)+0.5)] }
 		res.P50MS, res.P95MS, res.P99MS = rank(0.50), rank(0.95), rank(0.99)
-	}
-	if st, err := cl.Stats(ctx); err == nil {
-		res.After = st
 	}
 	if m, err := cl.Metrics(ctx); err == nil {
 		res.MetricsAfter = m
@@ -411,14 +402,6 @@ func (r *Result) Fprint(w io.Writer) {
 	if r.Params.Mix == MixNodeLoss {
 		fmt.Fprintf(w, "  nodeloss: %d remaps issued after device failure, %d valid degraded plans\n", r.Remaps, r.RemapOK)
 	}
-	if r.Before != nil && r.After != nil {
-		b, a := r.Before.Service, r.After.Service
-		fmt.Fprintf(w, "  server: +%d compiles, +%d memory hits, +%d disk hits, +%d coalesced, +%d rejected\n",
-			a.Misses-b.Misses, a.Hits-b.Hits, a.DiskHits-b.DiskHits,
-			r.After.Coalesced-r.Before.Coalesced, r.After.Rejected-r.Before.Rejected)
-		fmt.Fprintf(w, "  engine: %d queries at %.1f%% hit rate, %d collisions\n",
-			a.Engine.Queries, a.Engine.HitRate*100, a.Engine.Collisions)
-	}
 	r.fprintMetrics(w)
 	if r.FirstError != "" {
 		fmt.Fprintf(w, "  first error: %s\n", r.FirstError)
@@ -431,17 +414,39 @@ func (r *Result) Fprint(w io.Writer) {
 	}
 }
 
-// fprintMetrics renders the server-side latency view of the run from the
-// /metrics delta: p50/p99 per request route and per cache tier, plus
-// admission wait. These are the server's own histograms, so they include
-// work the client never timed (coalesced joiners, detached compiles) and
-// exclude network time — the complement of the client-side percentiles
-// above.
+// count reads one counter sample as the integer it is; an absent series
+// counts zero.
+func count(m obs.Samples, name string, labels ...obs.Label) int64 {
+	v, _ := m.Get(name, labels...)
+	return int64(v)
+}
+
+func routeLabel(v string) obs.Label { return obs.Label{Key: "route", Value: v} }
+func tierLabel(v string) obs.Label  { return obs.Label{Key: "tier", Value: v} }
+
+// fprintMetrics renders the server's view of the run from the /metrics
+// delta, so every number is this run's and not the daemon's lifetime:
+// which layer answered, what the estimation engine did, and p50/p99 per
+// request route and per cache tier, plus admission wait. The latencies are
+// the server's own histograms, so they include work the client never timed
+// (coalesced joiners, detached compiles) and exclude network time — the
+// complement of the client-side percentiles above.
 func (r *Result) fprintMetrics(w io.Writer) {
 	if r.MetricsBefore == nil || r.MetricsAfter == nil {
 		return
 	}
 	d := r.MetricsAfter.Delta(r.MetricsBefore)
+	fmt.Fprintf(w, "  server: +%d compiles, +%d memory hits, +%d disk hits, +%d coalesced, +%d rejected\n",
+		count(d, "streammap_cache_misses_total"),
+		count(d, "streammap_cache_hits_total", tierLabel("memory")), count(d, "streammap_cache_hits_total", tierLabel("disk")),
+		count(d, "streammap_coalesced_total"), count(d, "streammap_rejected_total"))
+	engine := pee.Stats{
+		Queries:    count(d, "streammap_engine_queries_total"),
+		Misses:     count(d, "streammap_engine_misses_total"),
+		Collisions: count(d, "streammap_engine_collisions_total"),
+	}
+	fmt.Fprintf(w, "  engine: %d queries at %.1f%% hit rate, %d collisions\n",
+		engine.Queries, engine.HitRate()*100, engine.Collisions)
 	line := func(label, name string, labels ...obs.Label) {
 		n, _ := d.Get(name+"_count", labels...)
 		if n <= 0 {
@@ -452,10 +457,10 @@ func (r *Result) fprintMetrics(w io.Writer) {
 		fmt.Fprintf(w, "    %-16s %6.0f obs  p50 %8.2fms  p99 %8.2fms\n", label, n, p50*1e3, p99*1e3)
 	}
 	fmt.Fprintf(w, "  metrics (server-side, this run):\n")
-	line("route compile", "streammap_request_duration_seconds", obs.Label{Key: "route", Value: "compile"})
-	line("route remap", "streammap_request_duration_seconds", obs.Label{Key: "route", Value: "remap"})
+	line("route compile", "streammap_request_duration_seconds", routeLabel("compile"))
+	line("route remap", "streammap_request_duration_seconds", routeLabel("remap"))
 	line("admission wait", "streammap_admission_wait_seconds")
-	line("tier disk", "streammap_cache_probe_seconds", obs.Label{Key: "tier", Value: "disk"})
-	line("tier store", "streammap_cache_probe_seconds", obs.Label{Key: "tier", Value: "store"})
+	line("tier disk", "streammap_cache_probe_seconds", tierLabel("disk"))
+	line("tier store", "streammap_cache_probe_seconds", tierLabel("store"))
 	line("compile (fresh)", "streammap_compile_seconds")
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"streammap/internal/obs"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
 	"streammap/internal/server/loadtest"
@@ -55,6 +56,26 @@ func TestReportDeterministic(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("quiet report drifted:\n got: %q\nwant: %q", got, want)
 	}
+
+	// The server and engine lines are this run's: the delta of the two
+	// scrapes, not the totals of a daemon that served other runs before.
+	quiet.MetricsBefore = obs.Samples{
+		"streammap_cache_misses_total": 7, `streammap_cache_hits_total{tier="memory"}`: 90,
+		"streammap_engine_queries_total": 1000, "streammap_engine_misses_total": 400, "streammap_engine_collisions_total": 2,
+	}
+	quiet.MetricsAfter = obs.Samples{
+		"streammap_cache_misses_total": 10, `streammap_cache_hits_total{tier="memory"}`: 97, "streammap_coalesced_total": 1,
+		"streammap_engine_queries_total": 1500, "streammap_engine_misses_total": 450, "streammap_engine_collisions_total": 2,
+	}
+	buf.Reset()
+	quiet.Fprint(&buf)
+	want += `  server: +3 compiles, +7 memory hits, +0 disk hits, +1 coalesced, +0 rejected
+  engine: 500 queries at 90.0% hit rate, 0 collisions
+  metrics (server-side, this run):
+`
+	if got := buf.String(); got != want {
+		t.Errorf("report over two scrapes drifted:\n got: %q\nwant: %q", got, want)
+	}
 }
 
 // TestNodeLossMix is the degraded-serving acceptance run: hot traffic
@@ -98,12 +119,14 @@ func TestNodeLossMix(t *testing.T) {
 	if res.RemapOK != res.Remaps {
 		t.Errorf("only %d of %d remaps returned a valid degraded plan", res.RemapOK, res.Remaps)
 	}
-	st := srv.Stats()
-	if st.Remaps != int64(res.Remaps) {
-		t.Errorf("server counted %d remap requests, clients issued %d", st.Remaps, res.Remaps)
+	m := srv.Metrics()
+	remaps, _ := m.Get("streammap_http_requests_total", obs.Label{Key: "route", Value: "remap"})
+	compiles, _ := m.Get("streammap_http_requests_total", obs.Label{Key: "route", Value: "compile"})
+	if int(remaps) != res.Remaps {
+		t.Errorf("server counted %g remap requests, clients issued %d", remaps, res.Remaps)
 	}
-	if st.Requests != int64(res.Sent+res.Remaps) {
-		t.Errorf("server counted %d requests for %d compiles + %d remaps", st.Requests, res.Sent, res.Remaps)
+	if int(compiles+remaps) != res.Sent+res.Remaps {
+		t.Errorf("server counted %g requests for %d compiles + %d remaps", compiles+remaps, res.Sent, res.Remaps)
 	}
 }
 

@@ -204,30 +204,27 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 	rctx, cancel := context.WithTimeout(ctx, p.Timeout)
 	_, rejoinErr := nodes[victim].cl.Compile(rctx, rig.reqs[slices.Index(rig.owner, victim)])
 	cancel()
-	st := nodes[victim].srv.Stats()
-	res.RejoinStoreHits = st.Service.StoreHits
-	res.RejoinCompiles = st.Service.Misses
+	m := nodes[victim].srv.Metrics()
+	res.RejoinStoreHits = count(m, "streammap_cache_hits_total", tierLabel("store"))
+	res.RejoinCompiles = count(m, "streammap_cache_misses_total")
 	res.RejoinOK = rejoinErr == nil && res.RejoinCompiles == 0 && res.RejoinStoreHits >= 1
 
 	for i, n := range nodes {
-		st := n.srv.Stats()
-		mn := MultiNodeNode{
-			URL:      n.url,
-			Requests: st.Requests,
-			Compiles: st.Service.Misses,
-			MemHits:  st.Service.Hits,
-			DiskHits: st.Service.DiskHits,
-
-			StoreHits: st.Service.StoreHits,
+		m := n.srv.Metrics()
+		res.Nodes = append(res.Nodes, MultiNodeNode{
+			URL: n.url,
+			Requests: count(m, "streammap_http_requests_total", routeLabel("compile")) +
+				count(m, "streammap_http_requests_total", routeLabel("remap")),
+			Compiles:  count(m, "streammap_cache_misses_total"),
+			MemHits:   count(m, "streammap_cache_hits_total", tierLabel("memory")),
+			DiskHits:  count(m, "streammap_cache_hits_total", tierLabel("disk")),
+			StoreHits: count(m, "streammap_cache_hits_total", tierLabel("store")),
+			PeerHits:  count(m, "streammap_fleet_peer_hits_total"),
+			LocalHits: count(m, "streammap_fleet_local_hits_total"),
+			Proxied:   count(m, "streammap_fleet_proxied_total"),
+			Fallbacks: count(m, "streammap_fleet_fallbacks_total"),
 			Killed:    i == victim,
-		}
-		if st.Fleet != nil {
-			mn.PeerHits = st.Fleet.PeerHits
-			mn.LocalHits = st.Fleet.LocalHits
-			mn.Proxied = st.Fleet.Proxied
-			mn.Fallbacks = st.Fleet.Fallbacks
-		}
-		res.Nodes = append(res.Nodes, mn)
+		})
 	}
 	res.Duration = time.Since(start)
 	return res, nil
@@ -239,7 +236,7 @@ func RunMultiNode(ctx context.Context, p MultiNodeParams) (*MultiNodeResult, err
 func fleetCompiles(nodes []*mnNode) int64 {
 	var total int64
 	for _, n := range nodes {
-		total += n.srv.Stats().Service.Misses
+		total += count(n.srv.Metrics(), "streammap_cache_misses_total")
 	}
 	return total
 }

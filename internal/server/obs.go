@@ -1,21 +1,20 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime/metrics"
-	"sync/atomic"
 	"time"
 
 	"streammap/internal/obs"
 )
 
 // The server half of the node's observability (see DESIGN.md S19): every
-// request gets a trace (GET /debug/traces) and lands in the per-route
-// metrics (GET /metrics). The existing /stats atomics remain the source
-// of truth for their counters — they are bridged into the exposition at
-// scrape time, so /stats and /metrics can never disagree — and only the
-// new latency histograms are recorded directly.
+// request gets a trace (GET /debug/traces) and is counted on the node's
+// one registry, which GET /metrics renders. Each count is kept once, in
+// its series: the request path increments it and a scrape reads it.
 
 // serverMetrics holds the instruments the request path records into.
 type serverMetrics struct {
@@ -26,6 +25,9 @@ type serverMetrics struct {
 	durCompile *obs.Histogram
 	durRemap   *obs.Histogram
 
+	rejected *obs.Counter // requests shed with 429
+	errs     *obs.Counter // requests answered with a non-429 error status
+
 	// decodeFallback counts compile bodies the request scanner declined and
 	// json.Unmarshal decoded: the share of traffic off the fast path.
 	decodeFallback *obs.Counter
@@ -33,12 +35,17 @@ type serverMetrics struct {
 	// respClass counts responses by route and status class; keys are
 	// "route/class" over the fixed route and class sets.
 	respClass map[string]*obs.Counter
+
+	// How this node answered requests for keys another member owns, and
+	// what its peers cost it. Nil (no-ops) outside fleet mode.
+	proxied, redirects, peerHits, localHits, forwarded *obs.Counter
+	fallbacks, peerBadBytes, peerRetries, breakerSkips *obs.Counter
 }
 
 var respClasses = []string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
-// newServerMetrics registers the server's metrics on s.reg and bridges
-// the /stats atomics in. Call once from New, after the fleet state exists.
+// newServerMetrics registers the server's metrics on s.reg. Call once
+// from New, after the fleet state exists.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := s.reg
 	m := &serverMetrics{
@@ -52,6 +59,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "compile"}),
 		durRemap: reg.Histogram("streammap_request_duration_seconds",
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "remap"}),
+		rejected: reg.Counter("streammap_rejected_total", "Requests shed with 429."),
+		errs:     reg.Counter("streammap_errors_total", "Requests answered with a non-429 error status."),
 		decodeFallback: reg.Counter("streammap_request_decode_fallback_total",
 			"Compile request bodies decoded by encoding/json because the request scanner declined them."),
 		respClass: map[string]*obs.Counter{},
@@ -63,12 +72,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 				obs.Label{Key: "route", Value: route}, obs.Label{Key: "class", Value: class})
 		}
 	}
-
-	bridge := func(name, help string, v *atomic.Int64, labels ...obs.Label) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) }, labels...)
-	}
-	bridge("streammap_rejected_total", "Requests shed with 429.", &s.rejected)
-	bridge("streammap_errors_total", "Requests answered with a non-429 error status.", &s.errs)
 	reg.GaugeFunc("streammap_draining", "1 while the node refuses new work ahead of shutdown.",
 		func() float64 {
 			if s.draining.Load() {
@@ -76,6 +79,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 			}
 			return 0
 		})
+	start := float64(time.Now().UnixNano()) / 1e9
+	reg.GaugeFunc("process_start_time_seconds", "Start time of the process since unix epoch in seconds.",
+		func() float64 { return start })
 
 	// Garbage and collector work per request, readable from two scrapes:
 	// the process totals, from runtime/metrics (no stop-the-world).
@@ -93,15 +99,17 @@ func newServerMetrics(s *Server) *serverMetrics {
 	runtimeCounter("go_gc_cycles_total", "Completed garbage collection cycles.", "/gc/cycles/total:gc-cycles")
 
 	if s.fleetM != nil {
-		bridge("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.", &s.proxied)
-		bridge("streammap_fleet_redirects_total", "Non-owned requests answered 307.", &s.redirects)
-		bridge("streammap_fleet_peer_hits_total", "Non-owned requests served via peer artifact fetch.", &s.peerHits)
-		bridge("streammap_fleet_local_hits_total", "Non-owned requests served from this node's own caches.", &s.localHits)
-		bridge("streammap_fleet_forwarded_total", "Requests a peer proxied here.", &s.forwarded)
-		bridge("streammap_fleet_fallbacks_total", "Non-owned requests compiled locally because the owner was unreachable.", &s.fallbacks)
-		bridge("streammap_fleet_peer_bad_bytes_total", "Peer responses that failed integrity verification.", &s.peerBadBytes)
-		bridge("streammap_fleet_peer_retries_total", "Extra peer attempts after a first transport failure.", &s.peerRetries)
-		bridge("streammap_fleet_breaker_skips_total", "Non-owned requests that skipped peer I/O on an open circuit.", &s.breakerSkips)
+		m.proxied = reg.Counter("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.")
+		m.redirects = reg.Counter("streammap_fleet_redirects_total", "Non-owned requests answered 307.")
+		m.peerHits = reg.Counter("streammap_fleet_peer_hits_total", "Non-owned requests served via peer artifact fetch.")
+		m.localHits = reg.Counter("streammap_fleet_local_hits_total", "Non-owned requests served from this node's own caches.")
+		m.forwarded = reg.Counter("streammap_fleet_forwarded_total", "Requests a peer proxied here.")
+		m.fallbacks = reg.Counter("streammap_fleet_fallbacks_total", "Non-owned requests compiled locally because the owner was unreachable.")
+		m.peerBadBytes = reg.Counter("streammap_fleet_peer_bad_bytes_total", "Peer responses that failed integrity verification.")
+		m.peerRetries = reg.Counter("streammap_fleet_peer_retries_total", "Extra peer attempts after a first transport failure.")
+		m.breakerSkips = reg.Counter("streammap_fleet_breaker_skips_total", "Non-owned requests that skipped peer I/O on an open circuit.")
+		// The breaker and the membership own the rest; they are read, not
+		// copied.
 		reg.CounterFunc("streammap_fleet_breaker_opens_total", "Circuit-open transitions across all peers.",
 			func() float64 { return float64(s.breaker.Opens()) })
 		reg.CounterFunc("streammap_fleet_ring_moves_permille", "Accumulated keyspace fraction that changed owners, in 1/1000ths.",
@@ -112,6 +120,20 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func() float64 { return float64(len(s.fleetM.Peers()) + 1) })
 	}
 	return m
+}
+
+// Metrics is the in-process scrape: the registry rendered as GET /metrics
+// renders it, and parsed. The load-test rigs read a killed node's frozen
+// counters through it, and tests their assertions — the same bytes a
+// scrape returns, so there is no second read path.
+func (s *Server) Metrics() obs.Samples {
+	var buf bytes.Buffer
+	s.reg.WriteText(&buf)
+	sm, err := obs.ParseText(buf.Bytes())
+	if err != nil {
+		panic(fmt.Sprintf("server: own exposition does not parse: %v", err))
+	}
+	return sm
 }
 
 // request increments the per-route request counter.

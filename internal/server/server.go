@@ -22,8 +22,8 @@
 // DESIGN.md S17.
 //
 // /healthz reports liveness (503 while draining) and, in a fleet,
-// per-peer reachability; /stats serves the Stats counters. See
-// DESIGN.md S14.
+// per-peer reachability; /metrics is the node's one read-out of its
+// counters. See DESIGN.md S14 and S19.
 package server
 
 import (
@@ -111,30 +111,15 @@ func (c Config) withDefaults() Config {
 // Server serves compile requests over HTTP. Create with New, mount with
 // Handler, and shut down with SetDraining, http.Server.Shutdown, then Close.
 type Server struct {
-	cfg   Config
-	svc   *core.Service
-	start time.Time
+	cfg Config
+	svc *core.Service
 
 	// Fleet state: nil membership means single-node serving.
-	fleetM       *fleet.Membership
-	breaker      *fleet.Breaker
-	peerHTTP     *http.Client
-	proxied      atomic.Int64
-	redirects    atomic.Int64
-	peerHits     atomic.Int64
-	localHits    atomic.Int64
-	forwarded    atomic.Int64
-	fallbacks    atomic.Int64
-	peerBadBytes atomic.Int64
-	peerRetries  atomic.Int64
-	breakerSkips atomic.Int64
+	fleetM   *fleet.Membership
+	breaker  *fleet.Breaker
+	peerHTTP *http.Client
 
-	requests atomic.Int64
-	remaps   atomic.Int64
-	rejected atomic.Int64
-	errs     atomic.Int64
 	draining atomic.Bool
-	lat      latencyRing
 
 	// Observability: one registry and tracer per server, threaded down
 	// into the service and across fleet hops. See DESIGN.md S19.
@@ -176,7 +161,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		svc:    core.NewService(cfg.Service),
-		start:  time.Now(),
 		reg:    reg,
 		tracer: obs.NewTracer(obs.TracerConfig{Node: node}),
 		log:    log,
@@ -248,7 +232,6 @@ func (s *Server) Close(ctx context.Context) error {
 //	POST /v1/remap           RemapRequest -> encoded artifact for the degraded machine
 //	GET  /v1/artifact/{key}  raw encoded artifact bytes by key hash (peer fetch)
 //	GET  /healthz            liveness (503 while draining; fleet peer states)
-//	GET  /stats              Stats counters
 //	GET  /metrics            Prometheus text exposition
 //	GET  /debug/traces       retained request traces (recent + slowest)
 func (s *Server) Handler() http.Handler {
@@ -257,47 +240,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/remap", s.traced("remap", s.handleRemap))
 	mux.HandleFunc("GET /v1/artifact/{key}", s.traced("artifact", s.handleArtifact))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
 	return mux
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() Stats {
-	svc := s.svc.Stats()
-	st := Stats{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      s.requests.Load(),
-		Remaps:        s.remaps.Load(),
-		InFlight:      svc.InFlight,
-		Queued:        svc.Queued,
-		Coalesced:     svc.Coalesced,
-		Rejected:      s.rejected.Load(),
-		Errors:        s.errs.Load(),
-		Encodes:       svc.Encodes,
-		Latency:       s.lat.snapshot(),
-		Service:       svc,
-	}
-	if s.fleetM != nil {
-		st.Fleet = &FleetStats{
-			Self:            s.fleetM.Self(),
-			PeersTotal:      len(s.fleetM.Peers()) + 1,
-			PeersAlive:      len(s.fleetM.Alive()),
-			Proxied:         s.proxied.Load(),
-			Redirects:       s.redirects.Load(),
-			PeerHits:        s.peerHits.Load(),
-			LocalHits:       s.localHits.Load(),
-			ForwardedServed: s.forwarded.Load(),
-			Fallbacks:       s.fallbacks.Load(),
-			RingMoves:       s.fleetM.RingMoves(),
-			PeerBadBytes:    s.peerBadBytes.Load(),
-			PeerRetries:     s.peerRetries.Load(),
-			BreakerOpens:    s.breaker.Opens(),
-			BreakerSkips:    s.breakerSkips.Load(),
-		}
-	}
-	return st
 }
 
 // handleHealthz reports this node's serving state. Single-node: "ok" or
@@ -329,21 +274,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	start := time.Now()
-	// A request proxied here by a peer is recorded in the proxying node's
-	// latency window, not double-counted in ours (see respond).
 	forwarded := r.Header.Get(headerForwarded) != ""
 	if forwarded {
-		s.forwarded.Add(1)
+		s.met.forwarded.Inc()
 	}
 	if s.draining.Load() {
-		s.errs.Add(1)
+		s.met.errs.Inc()
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -392,12 +329,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// unless it was already forwarded once (one hop, never a cycle).
 	if s.fleetM != nil && !forwarded {
 		if owner := s.fleetM.Owner(hash); owner != s.fleetM.Self() {
-			if s.routeToOwner(w, r, start, owner, hash, call) {
+			if s.routeToOwner(w, r, owner, hash, call) {
 				return
 			}
 			// Owner unreachable: serve locally rather than fail. The result
 			// still lands in the shared store, so the fleet converges.
-			s.fallbacks.Add(1)
+			s.met.fallbacks.Inc()
 			s.log.LogAttrs(r.Context(), slog.LevelWarn, "owner unreachable; compiling locally",
 				slog.String("owner", owner), obs.TraceAttr(r.Context()))
 		}
@@ -411,7 +348,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// is detached and will still import from call.
 		call.shared = true
 	}
-	s.respond(w, r, start, forwarded, body, err)
+	s.respond(w, r, forwarded, body, err)
 }
 
 // handleRemap re-targets a previously compiled artifact onto a degraded
@@ -421,11 +358,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // stampede — but bypasses the compile cache: the artifact is the input,
 // not a cache key.
 func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.remaps.Add(1)
-	start := time.Now()
 	if s.draining.Load() {
-		s.errs.Add(1)
+		s.met.errs.Inc()
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -463,21 +397,19 @@ func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
 		}
 		return s.svc.Encode(ctx, c)
 	})
-	s.respond(w, r, start, false, out, err)
+	s.respond(w, r, false, out, err)
 }
 
 // respond answers one compile or remap request with the service's verdict
-// and records its latency and error counters. Service errors map to
+// and counts a rejection or an error. Service errors map to
 // statuses: a graph the service could not build from the request is 400
 // like any other malformed input, a full queue is 429 + Retry-After, the
 // request deadline 504, a closing service or a cancelled request 503
 // (retryable — a compilation that outlives its request still fills the
 // cache), anything else 500.
-// forwarded marks a request a peer proxied here: the proxying node records
-// the client-observed latency (recording it again at the owner would
-// double-count every proxied request), and the 200 body is stamped with
-// headerContentHash so the proxying node can verify the relay.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, forwarded bool, body []byte, err error) {
+// forwarded marks a request a peer proxied here: the 200 body is stamped
+// with headerContentHash so the proxying node can verify the relay.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, forwarded bool, body []byte, err error) {
 	status := http.StatusOK
 	switch {
 	case err == nil:
@@ -491,7 +423,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 		status = http.StatusBadRequest
 	case errors.Is(err, core.ErrBusy):
 		status = http.StatusTooManyRequests
-		s.rejected.Add(1)
+		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 		err = fmt.Errorf("compile queue full (%d in flight, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
 	case errors.Is(err, context.DeadlineExceeded):
@@ -503,30 +435,17 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 	}
 	if err != nil {
 		if status != http.StatusTooManyRequests {
-			s.errs.Add(1)
+			s.met.errs.Inc()
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		body = []byte(err.Error() + "\n")
 	}
-	// Rejected requests enter the window too: a 429's admission wait is
-	// latency the client observed, and a window that hides shed load
-	// reports p99s that look better the worse the overload gets.
-	if forwarded {
-		start = time.Time{}
-	}
-	s.writeBody(r.Context(), w, status, body, start)
+	s.writeBody(r.Context(), w, status, body)
 }
 
 // writeBody writes a response whose whole body is in hand, so its length
-// is declared instead of leaving net/http to chunk it. A non-zero start
-// enters the request in the latency window, before the write: with the
-// length declared the client holds the complete response as soon as it is
-// written, ahead of this handler's return, and whoever reads /stats next
-// must already find the request there.
-func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, status int, body []byte, start time.Time) {
-	if !start.IsZero() {
-		s.lat.record(float64(time.Since(start).Microseconds()) / 1e3)
-	}
+// is declared instead of leaving net/http to chunk it.
+func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, status int, body []byte) {
 	_, span := obs.StartSpan(ctx, "response.write")
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
@@ -536,7 +455,7 @@ func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, status in
 
 // fail answers a request that never reached the service (malformed input).
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
-	s.errs.Add(1)
+	s.met.errs.Inc()
 	http.Error(w, err.Error(), status)
 }
 

@@ -19,6 +19,7 @@ import (
 	"streammap/internal/driver"
 	"streammap/internal/fleet"
 	"streammap/internal/mapping"
+	"streammap/internal/obs"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
@@ -42,12 +43,36 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *client.Clien
 func stopServer(t *testing.T, srv *server.Server, ts *httptest.Server) {
 	t.Helper()
 	ts.Close()
+	closeNow(t, srv)
+}
+
+// closeNow is stopServer for a server that has no listener (any more).
+func closeNow(t *testing.T, srv *server.Server) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Close(ctx); err != nil {
 		t.Errorf("server close: %v", err)
 	}
 }
+
+// counter reads one series of srv's exposition (see Server.Metrics) as the
+// integer it is; a series that is not there fails the test. Response-side
+// series — streammap_http_responses_total, streammap_request_duration_seconds
+// — are recorded after the handler has written its response, so read those
+// only once the handlers have returned (stopServer, or a request driven
+// through srv.Handler() directly).
+func counter(t *testing.T, srv *server.Server, name string, labels ...obs.Label) int64 {
+	t.Helper()
+	v, ok := srv.Metrics().Get(name, labels...)
+	if !ok {
+		t.Fatalf("%s%v absent from the exposition", name, labels)
+	}
+	return int64(v)
+}
+
+func route(v string) obs.Label { return obs.Label{Key: "route", Value: v} }
+func tier(v string) obs.Label  { return obs.Label{Key: "tier", Value: v} }
 
 // postCompile posts one marshalled compile request and returns the raw
 // response body, holding the response to the artifact-route contract: 200,
@@ -180,25 +205,30 @@ func TestServerCoalescesThunderingHerd(t *testing.T) {
 			t.Fatalf("identical request %d failed: %v", i, err)
 		}
 	}
-	st := srv.Stats()
-	if st.Service.Misses != 1 {
-		t.Errorf("%d pipeline compiles ran for one graph, want 1", st.Service.Misses)
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 1 {
+		t.Errorf("%d pipeline compiles ran for one graph, want 1", misses)
 	}
-	if st.Rejected != 0 {
-		t.Errorf("%d identical requests were throttled; the herd must coalesce, not trip backpressure", st.Rejected)
+	if rejected := counter(t, srv, "streammap_rejected_total"); rejected != 0 {
+		t.Errorf("%d identical requests were throttled; the herd must coalesce, not trip backpressure", rejected)
 	}
 	// Every other request was answered from the table: it joined the run in
 	// flight (coalesced) or arrived after it finished, and both are hits.
-	if st.Service.Hits != N-1 || st.Coalesced > st.Service.Hits {
-		t.Errorf("table hits %d (coalesced %d), want %d joiners accounted for", st.Service.Hits, st.Coalesced, N-1)
+	hits, coalesced := counter(t, srv, "streammap_cache_hits_total", tier("memory")), counter(t, srv, "streammap_coalesced_total")
+	if hits != N-1 || coalesced > hits {
+		t.Errorf("table hits %d (coalesced %d), want %d joiners accounted for", hits, coalesced, N-1)
 	}
 }
 
 // TestServerShedsLoadWith429: distinct requests beyond MaxInFlight +
 // MaxQueue are rejected with 429 and a Retry-After hint rather than piling
-// up, and the survivors still compile correctly.
+// up, and the survivors still compile correctly. A 429 is latency the client
+// observed (its admission wait), so the shed requests are in the latency
+// record too: it holds every request received, not just the ones served.
 func TestServerShedsLoadWith429(t *testing.T) {
-	srv, cl := startServer(t, server.Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second})
+	srv := server.New(server.Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { stopServer(t, srv, ts) })
+	cl := client.New(ts.URL)
 	corpus, err := synth.Corpus(synth.CorpusParams{Seed: 7, Scenarios: 12, MaxFilters: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -249,8 +279,13 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	if retry != 3*time.Second {
 		t.Errorf("Retry-After hint %s, want the configured 3s", retry)
 	}
-	if st := srv.Stats(); st.Rejected != int64(throttled) {
-		t.Errorf("stats report %d rejected, clients saw %d", st.Rejected, throttled)
+	if rejected := counter(t, srv, "streammap_rejected_total"); rejected != int64(throttled) {
+		t.Errorf("the server counted %d rejected, clients saw %d", rejected, throttled)
+	}
+	stopServer(t, srv, ts) // the latency record is written after the response
+	requests := counter(t, srv, "streammap_http_requests_total", route("compile"))
+	if timed := counter(t, srv, "streammap_request_duration_seconds_count", route("compile")); timed != requests {
+		t.Errorf("latency record holds %d samples for %d requests; 429s must be recorded too", timed, requests)
 	}
 }
 
@@ -295,21 +330,21 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 	restarted, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	all = append(all, restarted)
 	answers["disk hit after restart"] = postCompile(t, cl.BaseURL, body)
-	if st := restarted.Stats().Service; st.DiskHits != 1 || st.Misses != 0 {
-		t.Errorf("restarted server stats %+v, want 1 disk hit / 0 compiles", st)
+	if hits, misses := counter(t, restarted, "streammap_cache_hits_total", tier("disk")), counter(t, restarted, "streammap_cache_misses_total"); hits != 1 || misses != 0 {
+		t.Errorf("restarted server: %d disk hits / %d compiles, want 1 / 0", hits, misses)
 	}
 
 	second, cl := startServer(t, server.Config{Service: core.ServiceConfig{
 		CacheDir: t.TempDir(), Shared: fleet.NewDirStore(storeDir)}})
 	all = append(all, second)
 	answers["store hit on a second node"] = postCompile(t, cl.BaseURL, body)
-	if st := second.Stats().Service; st.StoreHits != 1 || st.Misses != 0 {
-		t.Errorf("second node stats %+v, want 1 store hit / 0 compiles", st)
+	if hits, misses := counter(t, second, "streammap_cache_hits_total", tier("store")), counter(t, second, "streammap_cache_misses_total"); hits != 1 || misses != 0 {
+		t.Errorf("second node: %d store hits / %d compiles, want 1 / 0", hits, misses)
 	}
 
 	answers["peer fetch"] = postCompile(t, nodes[1].url, body)
-	if st := nodes[1].srv.Stats(); st.Fleet.PeerHits != 1 {
-		t.Errorf("non-owner fleet stats %+v, want 1 peer hit", st.Fleet)
+	if hits := counter(t, nodes[1].srv, "streammap_fleet_peer_hits_total"); hits != 1 {
+		t.Errorf("non-owner counted %d peer hits, want 1", hits)
 	}
 	all = append(all, nodes[0].srv, nodes[1].srv)
 
@@ -320,9 +355,8 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 	}
 	var compiles, encodes int64
 	for _, srv := range all {
-		st := srv.Stats()
-		compiles += st.Service.Misses
-		encodes += st.Encodes
+		compiles += counter(t, srv, "streammap_cache_misses_total")
+		encodes += counter(t, srv, "streammap_artifact_encodes_total")
 	}
 	if compiles != 1 || encodes != 1 {
 		t.Errorf("%d compiles and %d encodes across five ways to be answered, want 1 and 1", compiles, encodes)
@@ -357,8 +391,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp := post(string(payload)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown mapper answered %d, want 400", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.Service.Misses != 0 {
-		t.Errorf("a bad request reached the pipeline: %+v", st.Service)
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 0 {
+		t.Errorf("a bad request reached the pipeline: %d compiles", misses)
 	}
 	// GET on a POST route is a routing error, not a server error.
 	resp, err := http.Get(base + "/v1/compile")
@@ -433,10 +467,14 @@ func TestServerHealthzAndDrain(t *testing.T) {
 	}
 }
 
-// TestServerStatsEndpoint: /stats decodes into server.Stats and its
-// counters account for the requests made.
+// TestServerStatsEndpoint: /stats is gone — /metrics is the node's only
+// read-out — and everything it used to report accounts, on the registry,
+// for the requests made.
 func TestServerStatsEndpoint(t *testing.T) {
-	_, cl := startServer(t, server.Config{})
+	srv := server.New(server.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { stopServer(t, srv, ts) })
+	cl := client.New(ts.URL)
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
 	for i := 0; i < 3; i++ {
@@ -444,32 +482,41 @@ func TestServerStatsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := cl.Stats(context.Background())
+	resp, err := http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests != 3 {
-		t.Errorf("requests %d, want 3", st.Requests)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats answered %d, want 404", resp.StatusCode)
 	}
-	if st.Service.Misses != 1 || st.Service.Hits != 2 {
-		t.Errorf("stats %+v, want 1 compile and 2 table hits", st)
+	if requests := counter(t, srv, "streammap_http_requests_total", route("compile")); requests != 3 {
+		t.Errorf("requests %d, want 3", requests)
 	}
-	if st.Encodes != 1 {
-		t.Errorf("%d artifact encodes for 3 identical requests, want 1 (hits must serve the stored bytes)", st.Encodes)
+	if misses, hits := counter(t, srv, "streammap_cache_misses_total"), counter(t, srv, "streammap_cache_hits_total", tier("memory")); misses != 1 || hits != 2 {
+		t.Errorf("%d compiles and %d table hits, want 1 and 2", misses, hits)
 	}
-	if st.Latency.Count == 0 || st.Latency.P50MS <= 0 {
-		t.Errorf("latency window empty after 3 requests: %+v", st.Latency)
+	if encodes := counter(t, srv, "streammap_artifact_encodes_total"); encodes != 1 {
+		t.Errorf("%d artifact encodes for 3 identical requests, want 1 (hits must serve the stored bytes)", encodes)
 	}
-	if st.Service.Engine.Queries == 0 {
-		t.Errorf("engine aggregate empty after a fresh compile: %+v", st.Service.Engine)
+	if queries := counter(t, srv, "streammap_engine_queries_total"); queries == 0 {
+		t.Error("engine aggregate empty after a fresh compile")
+	}
+	if start, ok := srv.Metrics().Get("process_start_time_seconds"); !ok || time.Since(time.Unix(int64(start), 0)) > time.Hour {
+		t.Errorf("process_start_time_seconds = %g, %v; want a moment ago (uptime is now minus it)", start, ok)
+	}
+	stopServer(t, srv, ts) // the latency record is written after the response
+	p50, ok := srv.Metrics().Quantile("streammap_request_duration_seconds", 0.50, route("compile"))
+	if timed := counter(t, srv, "streammap_request_duration_seconds_count", route("compile")); timed != 3 || !ok || p50 <= 0 {
+		t.Errorf("latency record after 3 requests: %d samples, p50 %gs (%v)", timed, p50, ok)
 	}
 }
 
 // TestEndToEndLoadTest is the acceptance run: >= 200 requests of mixed
 // hot-key/unique traffic against a live server must complete with zero
 // non-429 errors, the pipeline must run at most once per unique graph
-// (coalesced and cached repeats never recompile — checked via /stats
-// deltas), and every served artifact must be EquivalentArtifacts-identical
+// (coalesced and cached repeats never recompile — checked on the server's
+// own counters), and every served artifact must be EquivalentArtifacts-identical
 // to a local compile.
 func TestEndToEndLoadTest(t *testing.T) {
 	if testing.Short() {
@@ -505,10 +552,9 @@ func TestEndToEndLoadTest(t *testing.T) {
 	if res.OK+res.Throttled != res.Sent {
 		t.Errorf("accounting: %d ok + %d throttled != %d sent", res.OK, res.Throttled, res.Sent)
 	}
-	st := srv.Stats()
-	if st.Service.Misses > int64(res.Unique) {
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses > int64(res.Unique) {
 		t.Errorf("pipeline ran %d times for %d unique graphs: a coalesced or cached request recompiled",
-			st.Service.Misses, res.Unique)
+			misses, res.Unique)
 	}
 	if res.Verified == 0 {
 		t.Error("verification covered zero artifacts")
@@ -516,7 +562,7 @@ func TestEndToEndLoadTest(t *testing.T) {
 	if len(res.VerifyErrors) > 0 {
 		t.Errorf("%d served artifacts differ from local compiles: %v", len(res.VerifyErrors), res.VerifyErrors[0])
 	}
-	if res.Throttled > 0 && st.Rejected == 0 {
+	if res.Throttled > 0 && counter(t, srv, "streammap_rejected_total") == 0 {
 		t.Errorf("clients saw %d throttles but the server counted none", res.Throttled)
 	}
 }
@@ -604,12 +650,11 @@ func TestServerRemapEndpoint(t *testing.T) {
 		t.Errorf("garbage artifact answered %d, want 400", raw.StatusCode)
 	}
 
-	st := srv.Stats()
-	if st.Remaps != 5 {
-		t.Errorf("server counted %d remap requests, want 5", st.Remaps)
+	if remaps := counter(t, srv, "streammap_http_requests_total", route("remap")); remaps != 5 {
+		t.Errorf("server counted %d remap requests, want 5", remaps)
 	}
-	if st.Service.Misses != 1 {
-		t.Errorf("remapping ran %d pipeline compiles, want the 1 original", st.Service.Misses)
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 1 {
+		t.Errorf("remapping ran %d pipeline compiles, want the 1 original", misses)
 	}
 }
 
