@@ -25,7 +25,7 @@
 // on every seam (peer transport, disk tier, shared store, clocks),
 // crashes one node, tears its persistent entries mid-file and restarts
 // it — then exits nonzero unless every response was a 200 or 429 and
-// every served artifact was bit-equivalent to a clean local compile
+// every served body was byte for byte a clean local compile's encoding
 // (-fault-spec overrides the default fault mix). These mixes are
 // excluded from -exp all: they benchmark the serving layer, not the paper.
 package main

@@ -234,7 +234,7 @@ func main() {
 
 // emitStats prints the compilation's counters as one machine-readable
 // JSON line: the estimation engine section (core.EngineStats), plus the
-// per-stage wall-clock in the artifact's Stage wire shape.
+// per-stage wall-clock (name, durationNS, info).
 func emitStats(c *core.Compiled) error {
 	type stage struct {
 		Name       string `json:"name"`

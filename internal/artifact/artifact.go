@@ -22,8 +22,10 @@
 //
 // The encoding is deterministic JSON: no maps, struct fields in declaration
 // order, float64 values round-tripping exactly through Go's shortest-form
-// formatting. Equal artifacts encode to equal bytes, so byte equality is a
-// complete round-trip check.
+// formatting. It holds nothing that depends on the run that produced it —
+// no clock, no counter, no worker count — so a key determines its bytes:
+// any two compilations of one (graph, device, topology, options) encode
+// identically, and byte equality (Equal) is the one comparison there is.
 package artifact
 
 import (
@@ -37,7 +39,7 @@ import (
 // FormatVersion is the current encoding version. Bump it on any change to
 // the wire schema or to the meaning of an existing field; decoders reject
 // artifacts from other versions, and the disk cache recompiles over them.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Options is the wire form of the normalized compile options that produced
 // the artifact. Workers is deliberately absent: it changes wall-clock,
@@ -53,10 +55,8 @@ type Options struct {
 	ForceILP      bool          `json:"forceILP,omitempty"`
 
 	// MultilevelThreshold is the normalized node-count threshold at which
-	// Alg1 compiles switch to the multilevel path (-1 = never). Absent
-	// (zero) only in artifacts written before the field existed; those fail
-	// the options cross-check and recompile, which is correct — the switch
-	// changes the result for large graphs.
+	// Alg1 compiles switch to the multilevel path (-1 = never); normalized
+	// options never hold zero, so every format-2 artifact carries it.
 	MultilevelThreshold int `json:"multilevelThreshold,omitempty"`
 }
 
@@ -155,9 +155,12 @@ type Plan struct {
 	ViaHost       bool `json:"viaHost,omitempty"`
 }
 
-// Stage records one compile pass's wall-clock provenance. Info carries
-// optional pass detail (the partition pass reports the estimation engine's
-// cache counters); absent in older artifacts, which decode unchanged.
+// Stage was one compile pass's wall-clock provenance on the wire until
+// format 2. Nothing fills or encodes it; it stays declared only because
+// bench/ (frozen by BENCHMARK.json) still assigns Artifact.Stages, and the
+// next benchmark PR drops the type and the field together. Pass timings live
+// in driver.Compiled.Stages, streammap_stage_duration_seconds and the
+// stage.* spans.
 type Stage struct {
 	Name       string `json:"name"`
 	DurationNS int64  `json:"durationNS"`
@@ -166,8 +169,8 @@ type Stage struct {
 
 // RemapInfo is the degraded-operation provenance of a remapped artifact:
 // which machine the compilation originally targeted and what was reused.
-// driver.Remap stamps it; a cold compilation never carries one. Additive and
-// omitempty, so FormatVersion is unchanged and pre-remap decoders ignore it.
+// driver.Remap stamps it; a cold compilation never carries one, so its
+// presence is what tells a remapped artifact from a compiled one.
 type RemapInfo struct {
 	// FromTopo is the healthy topology the artifact was first compiled for.
 	FromTopo topology.Spec `json:"fromTopo"`
@@ -196,10 +199,8 @@ type Artifact struct {
 	Assignment Assignment  `json:"assignment"`
 	Plan       Plan        `json:"plan"`
 
-	// Stages is the pipeline provenance of the compilation that produced
-	// the artifact. Empty on results served from a cache without running
-	// any pass.
-	Stages []Stage `json:"stages,omitempty"`
+	// Stages is not part of the encoding (see Stage).
+	Stages []Stage `json:"-"`
 
 	// Remap is present iff this artifact was produced by remapping an
 	// earlier compilation onto a degraded topology (see RemapInfo).

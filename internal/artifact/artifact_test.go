@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"streammap/internal/artifact"
@@ -26,7 +27,9 @@ func readGolden(t *testing.T) []byte {
 // executing. If a schema change breaks this test, bump FormatVersion and
 // regenerate the golden file (go run ./cmd/streammap -app DES -n 4 -gpus 2
 // -emit artifact -artifact-out internal/artifact/testdata/des4x2.artifact.json)
-// — never silently reinterpret old bytes.
+// — never silently reinterpret old bytes. The command reproduces the file
+// byte for byte on any machine (a key determines its bytes), and CI holds it
+// to that with cmp: a change that moves the compilation shows up there.
 func TestGoldenArtifactDecodes(t *testing.T) {
 	a, err := artifact.Decode(readGolden(t))
 	if err != nil {
@@ -83,8 +86,85 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEqualNamesTheDifferingLine: Equal is byte equality of the two
+// encodings, so it sees every field — a link load and a layout offset as
+// much as an assignment entry — and says where the first difference is.
+func TestEqualNamesTheDifferingLine(t *testing.T) {
+	golden := readGolden(t)
+	decode := func() *artifact.Artifact {
+		a, err := artifact.Decode(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	ref := decode()
+	for _, tc := range []struct {
+		name    string
+		perturb func(a *artifact.Artifact)
+		want    string // what the report must name, besides the line
+	}{
+		{"gpuOf entry", func(a *artifact.Artifact) { a.Assignment.GPUOf[0] ^= 1 }, `"gpuOf": [`},
+		{"link load", func(a *artifact.Artifact) { a.Assignment.LinkLoads[0]++ }, `"linkLoads": [`},
+		{"layout offset", func(a *artifact.Artifact) {
+			bufs := a.Partitions[0].Layout.Buffers
+			bufs[len(bufs)-1].Offset += 4
+		}, `"offset": `},
+	} {
+		b := decode()
+		tc.perturb(b)
+		err := artifact.Equal(ref, b)
+		if err == nil {
+			t.Errorf("%s: perturbed artifact compares equal", tc.name)
+			continue
+		}
+		t.Logf("%s: %v", tc.name, err)
+		for _, w := range []string{tc.want, "line "} {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: report %q does not mention %q", tc.name, err, w)
+			}
+		}
+	}
+	if bytes.Contains(golden, []byte(`"stages"`)) {
+		t.Error("the golden encoding carries a stages key")
+	}
+}
+
+// TestEqualSharedPair: Encode only reads its receiver, so one reference
+// artifact can be compared from many goroutines (bench's concurrent clients
+// do exactly that). Run under -race.
+func TestEqualSharedPair(t *testing.T) {
+	a, err := artifact.Decode(readGolden(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := artifact.Decode(readGolden(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An artifact built in place has no Format yet; Encode stamps the
+	// encoding, not the receiver.
+	a.Format = 0
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 4; j++ {
+				if err := artifact.Equal(a, b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if a.Format != 0 {
+		t.Errorf("Encode wrote format %d into its receiver", a.Format)
+	}
+}
+
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	data := bytes.Replace(readGolden(t), []byte(`"format": 1`), []byte(`"format": 999`), 1)
+	data := bytes.Replace(readGolden(t), []byte(`"format": 2`), []byte(`"format": 999`), 1)
 	_, err := artifact.Decode(data)
 	if err == nil {
 		t.Fatal("expected version-mismatch error")

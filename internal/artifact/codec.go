@@ -12,14 +12,16 @@ import (
 var ErrVersion = errors.New("artifact: format version mismatch")
 
 // Encode serializes the artifact deterministically: equal artifacts encode
-// to equal bytes. The artifact's Format field is stamped with
-// FormatVersion.
+// to equal bytes. The encoding carries FormatVersion whatever a.Format
+// says; the receiver is only read, so one artifact may be encoded (and
+// compared, see Equal) from many goroutines at once.
 func (a *Artifact) Encode() ([]byte, error) {
-	a.Format = FormatVersion
-	if err := a.Validate(); err != nil {
+	stamped := *a
+	stamped.Format = FormatVersion
+	if err := stamped.Validate(); err != nil {
 		return nil, fmt.Errorf("artifact: refusing to encode an inconsistent artifact: %w", err)
 	}
-	data, err := json.MarshalIndent(a, "", " ")
+	data, err := json.MarshalIndent(&stamped, "", " ")
 	if err != nil {
 		return nil, err
 	}

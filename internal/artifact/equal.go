@@ -5,76 +5,36 @@ import (
 	"fmt"
 )
 
-// Equal reports (as an error) the first difference between two artifacts —
-// the artifact-level form of driver.Equivalent, used to machine-check
-// round-trip fidelity. It is exact: float fields must match bit for bit,
-// which Encode/Decode preserves.
+// Equal reports (as an error) the first difference between two artifacts,
+// and nil when they are the same artifact. The encoding is deterministic and
+// complete, so there is nothing to compare but its bytes: float fields match
+// bit for bit or not at all, and no section is exempt. A mismatch names the
+// first line of the indented JSON that differs.
 func Equal(a, b *Artifact) error {
-	if a.Format != b.Format {
-		return fmt.Errorf("format %d != %d", a.Format, b.Format)
-	}
-	if a.Fingerprint != b.Fingerprint {
-		return fmt.Errorf("fingerprint %016x != %016x", a.Fingerprint, b.Fingerprint)
-	}
-	if len(a.Partitions) != len(b.Partitions) {
-		return fmt.Errorf("partition count %d != %d", len(a.Partitions), len(b.Partitions))
-	}
-	for i := range a.Partitions {
-		ap, bp := &a.Partitions[i], &b.Partitions[i]
-		if !intsEqual(ap.Nodes, bp.Nodes) {
-			return fmt.Errorf("partition %d: node sets %v != %v", i, ap.Nodes, bp.Nodes)
-		}
-		if ap.Scale != bp.Scale {
-			return fmt.Errorf("partition %d: scale %d != %d", i, ap.Scale, bp.Scale)
-		}
-		if ap.Est != bp.Est {
-			return fmt.Errorf("partition %d: estimate %+v != %+v", i, ap.Est, bp.Est)
-		}
-	}
-	if len(a.PDG.Edges) != len(b.PDG.Edges) {
-		return fmt.Errorf("pdg edge count %d != %d", len(a.PDG.Edges), len(b.PDG.Edges))
-	}
-	for i := range a.PDG.Edges {
-		ae, be := a.PDG.Edges[i], b.PDG.Edges[i]
-		if ae.From != be.From || ae.To != be.To || ae.Bytes != be.Bytes {
-			return fmt.Errorf("pdg edge %d: (%d->%d, %dB) != (%d->%d, %dB)",
-				i, ae.From, ae.To, ae.Bytes, be.From, be.To, be.Bytes)
-		}
-	}
-	if a.Assignment.Objective != b.Assignment.Objective {
-		return fmt.Errorf("assignment cost %v != %v", a.Assignment.Objective, b.Assignment.Objective)
-	}
-	if !intsEqual(a.Assignment.GPUOf, b.Assignment.GPUOf) {
-		return fmt.Errorf("assignments %v != %v", a.Assignment.GPUOf, b.Assignment.GPUOf)
-	}
-
-	// Everything driver.Equivalent checks agrees; fall through to full byte
-	// equality so no field — options, profile, layouts, link loads — can
-	// drift silently. Stages (provenance, not content) are exempt.
-	ax, bx := *a, *b
-	ax.Stages, bx.Stages = nil, nil
-	ae, err := ax.Encode()
+	ae, err := a.Encode()
 	if err != nil {
 		return fmt.Errorf("encoding first artifact: %w", err)
 	}
-	be, err := bx.Encode()
+	be, err := b.Encode()
 	if err != nil {
 		return fmt.Errorf("encoding second artifact: %w", err)
 	}
-	if !bytes.Equal(ae, be) {
-		return fmt.Errorf("artifacts differ outside the compared sections (options/profile/layout/link loads)")
+	if bytes.Equal(ae, be) {
+		return nil
 	}
-	return nil
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+	// Neither encoding is a prefix of the other (both close the top-level
+	// object on their last line), so line i exists on both sides.
+	al, bl := bytes.Split(ae, []byte("\n")), bytes.Split(be, []byte("\n"))
+	i := 0
+	for bytes.Equal(al[i], bl[i]) {
+		i++
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	// A bare array element says little; the nearest keyed line at or above
+	// it (`"gpuOf": [`) says which array.
+	k := i
+	for k > 0 && !bytes.Contains(al[k], []byte(`":`)) {
+		k--
 	}
-	return true
+	return fmt.Errorf("encodings differ at line %d (last key %s): %s != %s",
+		i+1, bytes.TrimSpace(al[k]), bytes.TrimSpace(al[i]), bytes.TrimSpace(bl[i]))
 }

@@ -301,8 +301,8 @@ func (s *Service) Stats() ServiceStats {
 // restarted service finds the artifact in its persistent tiers; failed
 // compilations are not cached. A result that did not come from a pipeline
 // run in this process — a persistent-tier hit, bytes a server request or a
-// peer left in the table — is rebuilt from its encoding on first use and
-// carries empty Stages provenance.
+// peer left in the table — is rebuilt from its encoding on first use; its
+// Stages are empty, since no pass ran here and the encoding carries none.
 func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
 	hash, err := HashOf(g, opts)
 	if err != nil {

@@ -136,10 +136,11 @@ func ImportOptions(w artifact.Options) (Options, error) {
 // Artifact exports the compilation as a versioned, self-contained,
 // serializable artifact: the graph's structural description, the normalized
 // options, and every stage product (partitions with kernel parameters, PDG,
-// assignment with cost and link loads, plan parameters, profile, stage
-// timings) in wire form, with no reference into compiler internals. The
-// artifact round-trips through Encode/Decode and executes on the simulator
-// without recompiling.
+// assignment with cost and link loads, plan parameters, profile) in wire
+// form, with no reference into compiler internals. Nothing of the run —
+// c.Stages, the worker count — is exported: two compilations of one key
+// export the same artifact. The artifact round-trips through Encode/Decode
+// and executes on the simulator without recompiling.
 func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 	parts, err := partition.ExportResult(c.Parts)
 	if err != nil {
@@ -159,9 +160,6 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 			FragmentIters: opts.FragmentIters,
 			ViaHost:       opts.Mapper == PrevWorkMap,
 		},
-	}
-	for _, s := range c.Stages {
-		a.Stages = append(a.Stages, artifact.Stage{Name: s.Name, DurationNS: s.Duration.Nanoseconds(), Info: s.Info})
 	}
 	if c.RemapInfo != nil {
 		info := *c.RemapInfo
@@ -237,11 +235,8 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 	return c, nil
 }
 
-// EquivalentArtifacts is the artifact-level comparator paired with
-// Equivalent: it reports the first difference between two artifacts, and
-// nil when they are identical (including bit-identical float fields). It is
-// how round-trip fidelity — DecodeArtifact(Encode(c.Artifact())) ==
-// c.Artifact() — is machine-checked.
+// EquivalentArtifacts is artifact.Equal under the name bench/ (frozen by
+// BENCHMARK.json) calls it by.
 func EquivalentArtifacts(a, b *artifact.Artifact) error {
 	return artifact.Equal(a, b)
 }

@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -105,12 +106,14 @@ func TestArtifactRoundTripPaperApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(a.Stages) == 0 {
-				t.Error("compiled artifact carries no stage provenance")
-			}
 			data, err := a.Encode()
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The run's timings stay on the Compiled; none reach the wire.
+			if len(c.Stages) == 0 || a.Stages != nil || bytes.Contains(data, []byte(`"stages"`)) {
+				t.Errorf("stage provenance: %d on the compilation, %d exported, the encoding must have no stages key",
+					len(c.Stages), len(a.Stages))
 			}
 			b, err := artifact.Decode(data)
 			if err != nil {

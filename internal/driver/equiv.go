@@ -3,62 +3,29 @@ package driver
 import (
 	"fmt"
 
+	"streammap/internal/artifact"
 	"streammap/internal/gpusim"
 )
 
-// Equivalent reports (as an error) the first difference between the
-// artifacts of two compilations of the same graph under the same options.
-// It is the machine-checkable form of the pipeline's fidelity contract
-// (DESIGN.md S10): Compile at one worker and at many must agree on
-// partitions, the partition dependence graph, the assignment and its cost —
-// not approximately, but exactly, since every pass commits deterministically.
+// Equivalent reports (as an error) the first difference between two
+// compilations, and nil when they are the same compilation. It is the
+// machine-checkable form of the pipeline's fidelity contract (DESIGN.md
+// S10): Compile at one worker and at many, a rehydrated artifact and the
+// compilation it was exported from, must agree — not approximately, but
+// exactly, since every pass commits deterministically. A compilation is what
+// it exports, so this is artifact.Equal of the two exports: options,
+// profile, partitions with their layouts, PDG, assignment with its link
+// loads, plan and remap provenance, byte for byte.
 func Equivalent(a, b *Compiled) error {
-	if len(a.Parts.Parts) != len(b.Parts.Parts) {
-		return fmt.Errorf("partition count %d != %d", len(a.Parts.Parts), len(b.Parts.Parts))
+	aa, err := a.Artifact()
+	if err != nil {
+		return fmt.Errorf("exporting first compilation: %w", err)
 	}
-	for i, ap := range a.Parts.Parts {
-		bp := b.Parts.Parts[i]
-		if !ap.Set.Equal(bp.Set) {
-			return fmt.Errorf("partition %d: node sets %v != %v", i, ap.Set, bp.Set)
-		}
-		if ap.Est.Params != bp.Est.Params {
-			return fmt.Errorf("partition %d: kernel params %+v != %+v", i, ap.Est.Params, bp.Est.Params)
-		}
-		if ap.Est.TUS != bp.Est.TUS || ap.Est.SMBytes != bp.Est.SMBytes {
-			return fmt.Errorf("partition %d: estimate (T=%v, SM=%d) != (T=%v, SM=%d)",
-				i, ap.Est.TUS, ap.Est.SMBytes, bp.Est.TUS, bp.Est.SMBytes)
-		}
-		if ap.Sub.Scale != bp.Sub.Scale {
-			return fmt.Errorf("partition %d: scale %d != %d", i, ap.Sub.Scale, bp.Sub.Scale)
-		}
+	ba, err := b.Artifact()
+	if err != nil {
+		return fmt.Errorf("exporting second compilation: %w", err)
 	}
-
-	if len(a.PDG.Edges) != len(b.PDG.Edges) {
-		return fmt.Errorf("pdg edge count %d != %d", len(a.PDG.Edges), len(b.PDG.Edges))
-	}
-	for i, ae := range a.PDG.Edges {
-		be := b.PDG.Edges[i]
-		if ae.From != be.From || ae.To != be.To || ae.Bytes != be.Bytes {
-			return fmt.Errorf("pdg edge %d: (%d->%d, %dB) != (%d->%d, %dB)",
-				i, ae.From, ae.To, ae.Bytes, be.From, be.To, be.Bytes)
-		}
-	}
-	for i := range a.PDG.HostInBytes {
-		if a.PDG.HostInBytes[i] != b.PDG.HostInBytes[i] || a.PDG.HostOutBytes[i] != b.PDG.HostOutBytes[i] {
-			return fmt.Errorf("pdg host I/O differs at partition %d", i)
-		}
-	}
-
-	if a.Assign.Objective != b.Assign.Objective {
-		return fmt.Errorf("assignment cost %v != %v", a.Assign.Objective, b.Assign.Objective)
-	}
-	for i := range a.Assign.GPUOf {
-		if a.Assign.GPUOf[i] != b.Assign.GPUOf[i] {
-			return fmt.Errorf("assignment differs at partition %d: gpu %d != %d",
-				i, a.Assign.GPUOf[i], b.Assign.GPUOf[i])
-		}
-	}
-	return nil
+	return artifact.Equal(aa, ba)
 }
 
 // SameThroughput runs both plans timing-only and compares the simulated

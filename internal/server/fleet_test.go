@@ -312,6 +312,35 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	}
 }
 
+// TestFleetColdNodesAgreeOnBytes: a key determines its bytes. With no
+// shared store and no cache directory, the key's owner and — once the owner
+// is gone — the node that falls back to compiling it itself each run the
+// pipeline cold, at different worker counts, and answer with the same
+// bytes: a client cannot tell which node compiled.
+func TestFleetColdNodesAgreeOnBytes(t *testing.T) {
+	nodes := startFleetNodes(t, 2, func(i int, cfg *server.Config) {
+		cfg.CompileWorkers = 1 + 7*i
+		cfg.Fleet.BreakerFailures = 1
+		cfg.Fleet.PeerRetries = -1
+	})
+	g, opts := graphOwnedBy(t, nodes, 0)
+	body, err := json.Marshal(server.NewRequest(g, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromOwner := postCompile(t, nodes[0].url, body)
+	nodes[0].ts.Close()
+	fromSurvivor := postCompile(t, nodes[1].url, body)
+	for i, n := range nodes {
+		if misses := counter(t, n.srv, "streammap_cache_misses_total"); misses != 1 {
+			t.Fatalf("node %d ran %d compiles, want its own cold one", i, misses)
+		}
+	}
+	if !bytes.Equal(fromOwner, fromSurvivor) {
+		t.Errorf("two cold nodes answered one key with different bytes (%d vs %d)", len(fromOwner), len(fromSurvivor))
+	}
+}
+
 // TestFleetBreakerAbsorbsFailures: with the default tolerance, early
 // transport failures retry and fall back locally WITHOUT marking the
 // owner down — only the configured consecutive-failure count opens the

@@ -11,9 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"streammap/internal/artifact"
 	"streammap/internal/core"
-	"streammap/internal/driver"
 	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
 	"streammap/internal/obs"
@@ -28,8 +26,9 @@ import (
 // corrupts disk and store writes, and skews the membership clocks — then
 // one node is crashed, its persistent entries are truncated mid-file, and
 // it restarts on the same directories. The acceptance bar is absolute:
-// every response is either a 200 whose artifact is bit-equivalent to a
-// clean local compile, or a 429 — never an error, never wrong bytes.
+// every response is either a 200 whose body is, byte for byte, the
+// encoding of a clean local compile, or a 429 — never an error, never
+// wrong bytes.
 // Like multinode it owns its servers, so it runs through RunChaos.
 const MixChaos Mix = "chaos"
 
@@ -99,8 +98,8 @@ func (p ChaosParams) withDefaults() ChaosParams {
 	return p
 }
 
-// ChaosPhase reports one traffic phase. OK responses have all passed the
-// bit-equivalence check against the clean reference — mismatches land in
+// ChaosPhase reports one traffic phase. OK responses have all been held to
+// the clean reference's bytes — mismatches land in
 // ChaosResult.EquivalenceFailures, not here.
 type ChaosPhase struct {
 	Name       string
@@ -142,8 +141,8 @@ type ChaosResult struct {
 	PeerBadBytes int64
 	RingMoves    int64
 
-	// EquivalenceFailures lists every 200 response whose artifact was not
-	// bit-equivalent to the clean local compile of the same request.
+	// EquivalenceFailures lists every 200 response whose body was not the
+	// encoding of the clean local compile of the same request.
 	// Non-empty means the hardening leaked wrong bytes to a client.
 	EquivalenceFailures []string
 
@@ -155,8 +154,8 @@ type ChaosResult struct {
 // injection threaded through every seam (peer transport, disk tier,
 // shared store, membership clocks), replays known-key traffic, crashes
 // one node and truncates its persistent entries mid-file, restarts it on
-// the same directories, and keeps the traffic coming. Every 200 is
-// checked bit-equivalent to the clean reference.
+// the same directories, and keeps the traffic coming. Every 200's body is
+// compared with the clean reference's bytes.
 func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 	p = p.withDefaults()
 	start := time.Now()
@@ -168,10 +167,10 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 	res := &ChaosResult{Params: p, Spec: p.Spec}
 	nodes, victim, storeDir := rig.nodes, rig.victim, rig.storeDir
 
-	// Per key, the clean reference artifact — compiled locally before any
-	// injector exists, so the references cannot be touched by the chaos
-	// tier.
-	refs := make([]*artifact.Artifact, p.HotKeys)
+	// Per key, the clean reference bytes — compiled and encoded locally
+	// before any injector exists, so the references cannot be touched by
+	// the chaos tier.
+	refs := make([][]byte, p.HotKeys)
 	for i, req := range rig.reqs {
 		if refs[i], err = localArtifact(ctx, req); err != nil {
 			return nil, fmt.Errorf("chaos: reference compile %d: %w", i, err)
@@ -217,13 +216,13 @@ func RunChaos(ctx context.Context, p ChaosParams) (*ChaosResult, error) {
 		n.cl = &client.Client{BaseURL: n.url, HTTP: &http.Client{Transport: trs[i]}}
 	}
 
-	// Every 200's artifact must match the clean reference bit for bit.
+	// Every 200's body must be the clean reference, byte for byte.
 	runPhase := func(name string, n int, draw func(r int) (node, key int)) ChaosPhase {
 		ph := ChaosPhase{Name: name, Requests: n}
 		for _, rs := range rig.phase(n, draw) {
 			if rs.err == nil {
 				ph.OK++
-				if eqErr := driver.EquivalentArtifacts(refs[rs.key], rs.a); eqErr != nil {
+				if eqErr := sameBytes(refs[rs.key], rs.body); eqErr != nil {
 					res.EquivalenceFailures = append(res.EquivalenceFailures,
 						fmt.Sprintf("%s: key %d via node %d: %v", name, rs.key, rs.node, eqErr))
 				}

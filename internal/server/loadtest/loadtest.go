@@ -19,9 +19,12 @@
 package loadtest
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,8 +69,8 @@ type Params struct {
 	MaxGPUs    int
 
 	// Verify locally compiles every distinct scenario that was served and
-	// checks the served artifact is EquivalentArtifacts-identical. Costs
-	// one local compile per unique key.
+	// checks the served body is the local encoding, byte for byte. Costs one
+	// local compile per unique key.
 	Verify bool
 }
 
@@ -220,7 +223,7 @@ func Run(ctx context.Context, cl *client.Client, p Params) (*Result, error) {
 	var (
 		mu        sync.Mutex
 		latencies []float64
-		served    = map[int]*artifact.Artifact{}
+		served    = map[int][]byte{}
 	)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -231,7 +234,7 @@ func Run(ctx context.Context, cl *client.Client, p Params) (*Result, error) {
 			for i := range feed {
 				rctx, cancel := context.WithTimeout(ctx, p.Timeout)
 				t0 := time.Now()
-				a, err := cl.Compile(rctx, reqs[i])
+				body, err := compileBody(rctx, cl, reqs[i])
 				ms := float64(time.Since(t0).Microseconds()) / 1e3
 				cancel()
 				mu.Lock()
@@ -241,7 +244,7 @@ func Run(ctx context.Context, cl *client.Client, p Params) (*Result, error) {
 					res.OK++
 					latencies = append(latencies, ms)
 					if _, ok := served[i]; !ok {
-						served[i] = a
+						served[i] = body
 					}
 				default:
 					if _, ok := client.IsThrottled(err); ok {
@@ -254,8 +257,8 @@ func Run(ctx context.Context, cl *client.Client, p Params) (*Result, error) {
 					}
 				}
 				mu.Unlock()
-				if err == nil && deviceDown.Load() && len(a.Options.Topo.GPUNodes) >= 2 {
-					remapServed(ctx, cl, a, p.Timeout, &mu, res)
+				if gpus := len(reqs[i].Options.Topo.GPUNodes); err == nil && deviceDown.Load() && gpus >= 2 {
+					remapServed(ctx, cl, body, gpus, p.Timeout, &mu, res)
 				}
 			}
 		}()
@@ -300,16 +303,31 @@ feedLoop:
 	if m, err := cl.Metrics(ctx); err == nil {
 		res.MetricsAfter = m
 	}
+	// A remap re-targets a plan; it never re-runs the pipeline. Each fresh
+	// compile adds one observation per stage to the server's histogram, so
+	// a partition or map pass beyond the run's compiles is a remap's.
+	if res.Remaps > 0 && res.MetricsBefore != nil && res.MetricsAfter != nil {
+		d := res.MetricsAfter.Delta(res.MetricsBefore)
+		compiles := count(d, "streammap_compile_seconds_count")
+		for _, st := range []string{"partition", "map"} {
+			if n := count(d, "streammap_stage_duration_seconds_count", obs.Label{Key: "stage", Value: st}); n > compiles {
+				res.Errors++
+				if res.FirstError == "" {
+					res.FirstError = fmt.Sprintf("remap: %d %s passes ran for %d fresh compiles", n, st, compiles)
+				}
+			}
+		}
+	}
 
 	if p.Verify {
 		res.Verified = len(served)
-		for i, a := range served {
+		for i, body := range served {
 			local, err := localArtifact(ctx, reqs[i])
 			if err != nil {
 				res.VerifyErrors = append(res.VerifyErrors, fmt.Sprintf("scenario %d: local compile: %v", i, err))
 				continue
 			}
-			if err := driver.EquivalentArtifacts(local, a); err != nil {
+			if err := sameBytes(local, body); err != nil {
 				res.VerifyErrors = append(res.VerifyErrors, fmt.Sprintf("scenario %d: served artifact differs: %v", i, err))
 			}
 		}
@@ -318,20 +336,68 @@ feedLoop:
 	return res, nil
 }
 
-// remapServed feeds one served artifact back through /v1/remap with its
-// last GPU removed and records the outcome under mu. Every response must
-// be a valid plan for the degraded machine with pure remap provenance.
-func remapServed(ctx context.Context, cl *client.Client, a *artifact.Artifact, timeout time.Duration, mu *sync.Mutex, res *Result) {
-	d := topology.Degradation{RemoveGPUs: []int{len(a.Options.Topo.GPUNodes) - 1}}
-	req, err := server.NewRemapRequest(a, d)
-	var ra *artifact.Artifact
-	if err == nil {
-		rctx, cancel := context.WithTimeout(ctx, timeout)
-		ra, err = cl.Remap(rctx, req)
-		cancel()
+// compileBody posts req to cl's server over cl's transport and returns the
+// response body as served: the referees hold it to a reference encoding
+// with sameBytes, so nothing decodes it. Failures take the client's shapes
+// (a 429 is *client.Throttled).
+func compileBody(ctx context.Context, cl *client.Client, req server.CompileRequest) ([]byte, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/v1/compile", bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hc := cl.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil || resp.StatusCode == http.StatusOK:
+		return body, err
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return nil, &client.Throttled{Message: string(body)}
+	default:
+		return nil, &client.StatusError{Status: resp.StatusCode, Message: string(body)}
+	}
+}
+
+// sameBytes holds a served body to its reference encoding: a key determines
+// its bytes, so equality is bytes.Equal and neither side is decoded. A
+// mismatch is placed by byte and by line of the indented JSON.
+func sameBytes(ref, body []byte) error {
+	if bytes.Equal(ref, body) {
+		return nil
+	}
+	i := 0
+	for i < len(ref) && i < len(body) && ref[i] == body[i] {
+		i++
+	}
+	return fmt.Errorf("the %d bytes served part from the reference's %d at byte %d (line %d)",
+		len(body), len(ref), i, 1+bytes.Count(ref[:i], []byte("\n")))
+}
+
+// remapServed feeds one compile response, as served, back through
+// /v1/remap with the last of its machine's gpus removed and records the
+// outcome under mu. Every response must be a valid plan for the degraded
+// machine with remap provenance.
+func remapServed(ctx context.Context, cl *client.Client, body []byte, gpus int, timeout time.Duration, mu *sync.Mutex, res *Result) {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
+	ra, err := cl.Remap(rctx, server.RemapRequest{
+		Artifact:    body,
+		Degradation: topology.Degradation{RemoveGPUs: []int{gpus - 1}},
+	})
+	cancel()
 	if err == nil {
-		err = validRemap(a, ra)
+		err = validRemap(gpus, ra)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -351,31 +417,27 @@ func remapServed(ctx context.Context, cl *client.Client, a *artifact.Artifact, t
 	}
 }
 
-// validRemap checks a remapped artifact against the original it was
-// derived from: remap provenance present and pointing back at the healthy
-// topology, no pipeline stage re-run, one device gone. (artifact.Decode
-// already validated the plan's internal consistency client-side.)
-func validRemap(orig, ra *artifact.Artifact) error {
+// validRemap checks a remapped artifact against the gpus-device machine its
+// original was compiled for: remap provenance present and pointing back at
+// that machine, one device gone. (artifact.Decode already validated the
+// plan's internal consistency client-side; that no pipeline stage re-ran is
+// read off the server's stage histogram once the run is over.)
+func validRemap(gpus int, ra *artifact.Artifact) error {
 	if ra.Remap == nil {
 		return fmt.Errorf("remapped artifact carries no remap provenance")
 	}
-	if got, want := len(ra.Remap.FromTopo.GPUNodes), len(orig.Options.Topo.GPUNodes); got != want {
-		return fmt.Errorf("remap provenance records a %d-GPU origin, want %d", got, want)
+	if got := len(ra.Remap.FromTopo.GPUNodes); got != gpus {
+		return fmt.Errorf("remap provenance records a %d-GPU origin, want %d", got, gpus)
 	}
-	for _, s := range ra.Stages {
-		if s.Name != "remap" && s.Name != "remap-merge" {
-			return fmt.Errorf("remapped artifact re-ran pipeline stage %q", s.Name)
-		}
-	}
-	if got, want := len(ra.Options.Topo.GPUNodes), len(orig.Options.Topo.GPUNodes)-1; got != want {
-		return fmt.Errorf("remapped topology has %d GPUs, want %d", got, want)
+	if got := len(ra.Options.Topo.GPUNodes); got != gpus-1 {
+		return fmt.Errorf("remapped topology has %d GPUs, want %d", got, gpus-1)
 	}
 	return nil
 }
 
-// localArtifact compiles a wire request locally — the fidelity reference
-// the served artifact must match bit for bit (Stages excepted).
-func localArtifact(ctx context.Context, req server.CompileRequest) (*artifact.Artifact, error) {
+// localArtifact compiles a wire request locally and encodes it — the bytes
+// a server must answer that request with.
+func localArtifact(ctx context.Context, req server.CompileRequest) ([]byte, error) {
 	g, err := sdf.ImportGraph(req.Graph)
 	if err != nil {
 		return nil, err
@@ -389,7 +451,11 @@ func localArtifact(ctx context.Context, req server.CompileRequest) (*artifact.Ar
 	if err != nil {
 		return nil, err
 	}
-	return c.Artifact()
+	a, err := c.Artifact()
+	if err != nil {
+		return nil, err
+	}
+	return a.Encode()
 }
 
 // Fprint renders the run report.

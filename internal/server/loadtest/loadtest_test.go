@@ -82,8 +82,9 @@ func TestReportDeterministic(t *testing.T) {
 // against a live server, a device failure halfway through, and every
 // compile served after the failure re-targeted through /v1/remap. No
 // request — compile or remap, in flight at the failure or after it — may
-// fail, and every remap must come back a valid plan for the smaller
-// machine with pure remap provenance.
+// fail, every remap must come back a valid plan for the smaller machine
+// with remap provenance, and the server's stage histogram must show no
+// partition or map pass beyond the run's fresh compiles.
 func TestNodeLossMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("node-loss load test skipped in -short mode")
@@ -135,8 +136,10 @@ func TestNodeLossMix(t *testing.T) {
 // and truncated peer bodies, torn/corrupted/ENOSPC writes, skewed
 // clocks), plus a mid-run crash that tears the victim's disk tier and
 // half the shared store before restarting it on the same directories.
-// The bar: every response is a 200 or a 429, every 200's artifact is
-// bit-equivalent to a clean local compile, and the run must prove faults
+// The bar: every response is a 200 or a 429, every 200's body is byte for
+// byte the reference encoding RunChaos compiled cleanly for its key — ten
+// or so independent compiles across three nodes, one encoding — and the
+// run must prove faults
 // actually fired and torn entries were actually quarantined — "zero
 // errors" under silence would test nothing.
 func TestChaosMix(t *testing.T) {

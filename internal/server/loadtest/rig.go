@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"streammap/internal/artifact"
 	"streammap/internal/core"
 	"streammap/internal/fleet"
 	"streammap/internal/server"
@@ -203,7 +202,7 @@ func (r *fleetRig) toAnyAlive(rng *synth.Rand) func(int) (node, key int) {
 // fleetResponse is one replayed request and what came back.
 type fleetResponse struct {
 	node, key int
-	a         *artifact.Artifact
+	body      []byte // as served, undecoded
 	err       error
 }
 
@@ -225,7 +224,7 @@ func (r *fleetRig) phase(n int, draw func(i int) (node, key int)) []fleetRespons
 			defer wg.Done()
 			for rq := range feed {
 				rctx, cancel := context.WithTimeout(r.ctx, r.timeout)
-				rq.a, rq.err = r.nodes[rq.node].cl.Compile(rctx, r.reqs[rq.key])
+				rq.body, rq.err = compileBody(rctx, r.nodes[rq.node].cl, r.reqs[rq.key])
 				cancel()
 			}
 		}()

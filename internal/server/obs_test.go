@@ -33,6 +33,32 @@ func debugTraces(t *testing.T, baseURL string) obs.TracesSnapshot {
 	return snap
 }
 
+// handlerTraces is debugTraces without a listener: srv's own snapshot, for
+// a server that was just stopped or whose requests went through Handler()
+// directly — either way every handler has finished its trace.
+func handlerTraces(t *testing.T, srv *server.Server) obs.TracesSnapshot {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	var snap obs.TracesSnapshot
+	if err := json.NewDecoder(rec.Body).Decode(&snap); err != nil {
+		t.Fatalf("decoding /debug/traces: %v", err)
+	}
+	return snap
+}
+
+// stageSpans is spanNames restricted to the driver's stage.* spans: which
+// passes a request ran, now that no artifact says.
+func stageSpans(tr *obs.TraceRecord) map[string]int {
+	out := spanNames(tr)
+	for n := range out {
+		if !strings.HasPrefix(n, "stage.") {
+			delete(out, n)
+		}
+	}
+	return out
+}
+
 // spanNames collects a trace's span names (the root span included).
 func spanNames(tr *obs.TraceRecord) map[string]int {
 	out := map[string]int{}
@@ -219,12 +245,7 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 	// closed first — which waits for its handlers — and the snapshot is
 	// taken from the handler directly.
 	nodes[1].ts.Close()
-	rec := httptest.NewRecorder()
-	nodes[1].srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
-	var snap1 obs.TracesSnapshot
-	if err := json.NewDecoder(rec.Body).Decode(&snap1); err != nil {
-		t.Fatalf("decoding the owner's /debug/traces: %v", err)
-	}
+	snap1 := handlerTraces(t, nodes[1].srv)
 	var forwarded *obs.TraceRecord
 	for _, tr := range snap1.Recent {
 		if tr.ID == entry.ID && tr.Name == "compile" {

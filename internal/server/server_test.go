@@ -120,11 +120,9 @@ func testOpts(gpus int) driver.Options {
 }
 
 // TestWireGoldenRoundTrip is the wire-format contract: an artifact that
-// travelled client -> server -> artifact.Decode must be identical (module
-// Stages provenance, which EquivalentArtifacts exempts) to a local
-// compile's artifact — over the paper apps and a handful of synthetic
-// scenarios, including its byte-level encoding of options, profile,
-// layouts and link loads.
+// travelled client -> server -> artifact.Decode must encode to the bytes a
+// local compile's artifact does — over the paper apps and a handful of
+// synthetic scenarios.
 func TestWireGoldenRoundTrip(t *testing.T) {
 	_, cl := startServer(t, server.Config{})
 	ctx := context.Background()
@@ -316,16 +314,24 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 	ts := httptest.NewServer(first.Handler())
 	all = append(all, first)
 	fresh := postCompile(t, ts.URL, body)
-	a, err := artifact.Decode(fresh)
-	if err != nil {
+	if _, err := artifact.Decode(fresh); err != nil {
 		t.Fatalf("fresh response does not decode: %v", err)
-	}
-	if len(a.Stages) == 0 {
-		t.Fatal("fresh compile served without stage provenance")
 	}
 	answers := map[string][]byte{"table hit": postCompile(t, ts.URL, body)}
 	// The restart: Close is the barrier that puts the artifact on disk.
 	stopServer(t, first, ts)
+	// The bytes do not say which answer ran the pipeline; the traces do.
+	// Newest first: the table hit, then the fresh compile.
+	recent := handlerTraces(t, first).Recent
+	if len(recent) != 2 {
+		t.Fatalf("first server retained %d traces for two requests", len(recent))
+	}
+	for i, wantStages := range []bool{false, true} {
+		if got := stageSpans(recent[i])["stage.partition"] == 1; got != wantStages {
+			t.Errorf("trace %d (newest first) has a stage.partition span: %v, want %v (spans: %v)",
+				i, got, wantStages, spanNames(recent[i]))
+		}
+	}
 
 	restarted, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	all = append(all, restarted)
@@ -516,8 +522,8 @@ func TestServerStatsEndpoint(t *testing.T) {
 // hot-key/unique traffic against a live server must complete with zero
 // non-429 errors, the pipeline must run at most once per unique graph
 // (coalesced and cached repeats never recompile — checked on the server's
-// own counters), and every served artifact must be EquivalentArtifacts-identical
-// to a local compile.
+// own counters), and every served body must be byte-identical to a local
+// compile's encoding.
 func TestEndToEndLoadTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
@@ -569,8 +575,9 @@ func TestEndToEndLoadTest(t *testing.T) {
 
 // TestServerRemapEndpoint: a served artifact fed back through /v1/remap
 // with a device removed and a link throttled comes back as a valid plan
-// for the degraded machine, identical to a local warm remap, with pure
-// remap provenance; malformed or stale degradations answer 400.
+// for the degraded machine — the bytes of a local warm remap — having run
+// the remap stage and no pipeline stage; malformed or stale degradations
+// answer 400.
 func TestServerRemapEndpoint(t *testing.T) {
 	srv, cl := startServer(t, server.Config{})
 	ctx := context.Background()
@@ -588,7 +595,23 @@ func TestServerRemapEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := cl.Remap(ctx, req)
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stageRuns := func(stage string) int64 {
+		return counter(t, srv, "streammap_stage_duration_seconds_count", obs.Label{Key: "stage", Value: stage})
+	}
+	partitions, maps := stageRuns("partition"), stageRuns("map")
+	// Through the handler, which returns only once the request's trace is
+	// finished; a client holds the response before that.
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/remap", bytes.NewReader(payload)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("remap answered %d: %s", rec.Code, rec.Body)
+	}
+	served := rec.Body.Bytes()
+	ra, err := artifact.Decode(served)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,14 +624,17 @@ func TestServerRemapEndpoint(t *testing.T) {
 	if got := len(ra.Remap.FromTopo.GPUNodes); got != 4 {
 		t.Errorf("remap provenance records a %d-GPU origin, want 4", got)
 	}
-	for _, s := range ra.Stages {
-		if s.Name != "remap" && s.Name != "remap-merge" {
-			t.Errorf("served remap re-ran pipeline stage %q", s.Name)
-		}
+	if p, m := stageRuns("partition"), stageRuns("map"); p != partitions || m != maps {
+		t.Errorf("served remap re-ran pipeline stages: partition %d -> %d, map %d -> %d observations", partitions, p, maps, m)
+	}
+	stages := stageSpans(handlerTraces(t, srv).Recent[0]) // newest first: the remap
+	delete(stages, "stage.remap-merge")
+	if len(stages) != 1 || stages["stage.remap"] != 1 {
+		t.Errorf("served remap's trace has stage spans %v, want stage.remap alone", stages)
 	}
 
 	// The server must take the warm path: its answer is the local warm
-	// remap, bit for bit (Stages provenance exempted).
+	// remap, byte for byte.
 	degraded, gpuMap, err := driver.Degrade(a, deg)
 	if err != nil {
 		t.Fatal(err)
@@ -621,8 +647,8 @@ func TestServerRemapEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := driver.EquivalentArtifacts(local, ra); err != nil {
-		t.Errorf("served remap differs from local warm remap: %v", err)
+	if want, err := local.Encode(); err != nil || !bytes.Equal(want, served) {
+		t.Errorf("served remap is not the local warm remap's bytes (encode: %v): %v", err, driver.EquivalentArtifacts(local, ra))
 	}
 
 	// Stale or impossible degradations are the client's error, not a 500.
