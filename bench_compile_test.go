@@ -4,8 +4,9 @@ package streammap
 // at Workers 1 (the serial reference), BenchmarkCompile_Pipeline the same
 // pipeline at GOMAXPROCS workers, on the largest internal/apps workload (DES N=32: ~224
 // partitions, the heaviest partition+map passes of the suite). Their ratio
-// is what the worker pools buy; bench_compile_baseline.json records a
-// reference run so future PRs can track regressions.
+// is what the mapper's side-by-side seed descents buy;
+// bench_compile_baseline.json records a reference run so future PRs can
+// track regressions.
 
 import (
 	"context"

@@ -3,7 +3,7 @@ package streammap
 // Try-Merge scoring microbenchmarks: the partitioner's hot path is scoring
 // candidate unions against the estimation engine. EstimateSet_Cold measures
 // a miss (view construction + SM analysis + parameter sweep), Warm the
-// memoized hit path (hash + shard lookup), and TryMergeScore the repeated
+// memoized hit path (hash + memo lookup), and TryMergeScore the repeated
 // phase-3 scan step (convexity check + warm estimate + workload compare).
 // bench_compile_baseline.json records reference numbers; the hit path and
 // the convexity check are expected to stay allocation-free.

@@ -64,7 +64,7 @@ func Compile(g *sdf.Graph, opts Options) (*Compiled, error) {
 }
 
 // CompileCtx is Compile under a context: cancellation aborts between
-// pipeline stages and inside the parallel passes.
+// pipeline stages and inside the partition and map passes.
 func CompileCtx(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
 	return driver.Compile(ctx, g, opts)
 }

@@ -5,14 +5,13 @@
 //
 // Each pass is a named, timed, cancellable stage sharing one
 // context.Context; per-stage wall-clock metrics are recorded on the result.
-// The two hot passes are parallel in their independent units only: the
-// partitioner windows phase 1's node-disjoint pipeline chains on a worker
-// pool (package partition) against a concurrency-safe estimation engine
-// (package pee), and the mapper runs local search's seed descents side by
-// side (package mapping). Both commit serially in a fixed order, so the
-// artifacts are bit-identical at any worker count: Workers=1 is the serial
-// reference the differential harness compares against (see DESIGN.md S9,
-// S10).
+// One pass is parallel, in its independent units only: the mapper runs
+// local search's seed descents side by side (package mapping) and commits
+// serially in a fixed order, so the artifacts are bit-identical at any
+// worker count: Workers=1 is the serial reference the differential harness
+// compares against (see DESIGN.md S9, S10). The partitioner (package
+// partition) runs Algorithm 1 on the calling goroutine against the
+// compile's own estimation engine (package pee).
 //
 // Package core re-exports this package's types; core.Service adds the
 // caching compile service on top.
@@ -94,10 +93,10 @@ type Options struct {
 	// and artifact options.
 	MultilevelThreshold int
 
-	// Workers bounds the worker pools of the parallel passes (the
-	// partitioner's phase-1 chains, the mapper's seed descents). 0 selects
-	// GOMAXPROCS; 1 runs every pass serially. The result is identical
-	// either way — workers only change wall-clock time.
+	// Workers bounds the worker pool of the mapper's seed descents, the
+	// one parallel pass. 0 selects GOMAXPROCS; 1 runs every pass serially.
+	// The result is identical either way — workers only change wall-clock
+	// time.
 	Workers int
 }
 
@@ -231,8 +230,8 @@ func pipeline() []stage {
 }
 
 // Compile runs the whole flow on a stream graph through the pass-pipeline.
-// The context cancels the run between stages and inside the parallel
-// passes.
+// The context cancels the run between stages and inside the partition and
+// map passes.
 func Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -297,8 +296,7 @@ func multilevelSelected(opts Options, g *sdf.Graph) bool {
 	return false
 }
 
-// stagePartition runs the selected partitioner; Algorithm 1 windows its
-// phase-1 chains on the worker pool.
+// stagePartition runs the selected partitioner on the calling goroutine.
 func stagePartition(ctx context.Context, c *Compiled) error {
 	var err error
 	switch {
@@ -308,7 +306,7 @@ func stagePartition(ctx context.Context, c *Compiled) error {
 	}
 	switch c.Options.Partitioner {
 	case Alg1:
-		c.Parts, err = partition.RunCtx(ctx, c.Graph, c.Engine, c.Options.Workers)
+		c.Parts, err = partition.RunCtx(ctx, c.Graph, c.Engine, 1)
 	case PrevWorkPart:
 		c.Parts, err = partition.PrevWork(c.Graph, c.Engine, c.Options.Device)
 	case SinglePart:

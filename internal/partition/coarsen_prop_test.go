@@ -197,8 +197,8 @@ func TestMultilevelRestoresNodeSet(t *testing.T) {
 }
 
 // TestMultilevelCancelledContext: a cancelled context aborts both the exact
-// concurrent path and the multilevel path before they commit to long merge
-// scans (the regression for the in-loop cancellation checks).
+// path and the multilevel path before they commit to long merge scans (the
+// regression for the in-loop cancellation checks).
 func TestMultilevelCancelledContext(t *testing.T) {
 	g := synthGraph(t, 5, 400)
 	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
@@ -207,10 +207,7 @@ func TestMultilevelCancelledContext(t *testing.T) {
 	if _, err := partition.Multilevel(ctx, g, eng, partition.MLOptions{}); err == nil {
 		t.Error("Multilevel ran to completion under a cancelled context")
 	}
-	if _, err := partition.RunCtx(ctx, g, eng, 2); err == nil {
-		t.Error("RunCtx ran to completion under a cancelled context")
-	}
 	if _, err := partition.RunCtx(ctx, g, eng, 1); err == nil {
-		t.Error("serial RunCtx ran to completion under a cancelled context")
+		t.Error("RunCtx ran to completion under a cancelled context")
 	}
 }

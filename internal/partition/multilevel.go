@@ -189,17 +189,7 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 	return res, nil
 }
 
-func (m *mlState) cancelled() error {
-	if m.ctx == nil {
-		return nil
-	}
-	select {
-	case <-m.ctx.Done():
-		return m.ctx.Err()
-	default:
-		return nil
-	}
-}
+func (m *mlState) cancelled() error { return m.ctx.Err() }
 
 // estimateMembers scores a sorted member list through the engine's uncached
 // path, staging it in the shared node-capacity scratch set.

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -78,70 +77,39 @@ func (r *Result) TotalTWus() float64 {
 type partitioner struct {
 	g   *sdf.Graph
 	eng *pee.Engine
-
-	// Concurrency knobs (see parallel.go); workers == 1 runs phase 1's
-	// chains serially too.
-	ctx     context.Context
-	workers int
+	ctx context.Context
 
 	parts    []*Partition // live partitions (nil holes compacted lazily)
 	assigned []int        // node -> index into parts, -1 if none
 
-	// Scratch pools: candidate unions are built in borrowed NodeSets and
-	// convexity checks reuse traversal buffers, so the Try-Merge scan
-	// allocates only for accepted merges. sync.Pools because phase 1 windows
-	// its chains (parallel.go) on worker goroutines.
-	setPool    sync.Pool // sdf.NodeSet of capacity NumNodes
-	convexPool sync.Pool // *sdf.ConvexChecker
-	idScratch  []sdf.NodeID
+	// Scratch reused by every Try-Merge: each candidate union is built in
+	// the one union set and convexity checks reuse the checker's traversal
+	// buffers, so the scan allocates only for accepted merges.
+	union     sdf.NodeSet
+	convex    *sdf.ConvexChecker
+	idScratch []sdf.NodeID
 }
 
-// borrowSet returns an empty scratch set of graph capacity.
-func (p *partitioner) borrowSet() sdf.NodeSet {
-	if v := p.setPool.Get(); v != nil {
-		s := v.(sdf.NodeSet)
-		s.Reset()
-		return s
-	}
-	return sdf.NewNodeSet(p.g.NumNodes())
-}
-
-func (p *partitioner) returnSet(s sdf.NodeSet) { p.setPool.Put(s) }
-
-// isConvex runs the convexity check with pooled traversal buffers.
-func (p *partitioner) isConvex(set sdf.NodeSet) bool {
-	var c *sdf.ConvexChecker
-	if v := p.convexPool.Get(); v != nil {
-		c = v.(*sdf.ConvexChecker)
-	} else {
-		c = p.g.NewConvexChecker()
-	}
-	ok := c.IsConvex(set)
-	p.convexPool.Put(c)
-	return ok
-}
-
-// run drives the five phases, checking for cancellation between them.
-func (p *partitioner) run() (*Result, error) {
+// RunCtx executes Algorithm 1 on the calling goroutine: the paper's greedy
+// scan restarts on the first profitable merge, so it has no independent
+// units to spread. The context cancels the run between phases and between
+// merge rounds. The last argument is unused; it survives only because the
+// frozen bench/compile.go passes it, and the next benchmark PR drops it.
+func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, _ int) (*Result, error) {
+	n := g.NumNodes()
+	p := &partitioner{g: g, eng: eng, ctx: ctx, assigned: make([]int, n),
+		union: sdf.NewNodeSet(n), convex: g.NewConvexChecker()}
 	for i := range p.assigned {
 		p.assigned[i] = -1
 	}
-	res := &Result{Graph: p.g}
+	res := &Result{Graph: g}
 
-	phases := []struct {
-		run func() error
-	}{
-		{p.phase0SCC},
-		{p.phase1},
-		{p.phase2Remaining},
-		{p.phase3BoundMerging},
-		{p.phase4Simultaneous},
-	}
-	for i, ph := range phases {
+	phases := []func() error{p.phase0SCC, p.phase1, p.phase2Remaining, p.phase3BoundMerging, p.phase4Simultaneous}
+	for i, phase := range phases {
 		if err := p.cancelled(); err != nil {
 			return nil, err
 		}
-		if err := ph.run(); err != nil {
+		if err := phase(); err != nil {
 			return nil, err
 		}
 		res.CountAfterPhase[i] = len(p.compact())
@@ -168,6 +136,14 @@ func (p *partitioner) run() (*Result, error) {
 	return res, nil
 }
 
+// cancelled reports a context cancellation, if any.
+func (p *partitioner) cancelled() error {
+	if err := p.ctx.Err(); err != nil {
+		return fmt.Errorf("partition: cancelled: %w", err)
+	}
+	return nil
+}
+
 // makePartition estimates a node set and wraps it (no subgraph extraction;
 // see Partition); infeasible sets return an error. The set is referenced,
 // not copied — callers passing scratch sets must pass a durable clone.
@@ -181,11 +157,10 @@ func (p *partitioner) makePartition(set sdf.NodeSet) (*Partition, error) {
 
 // tryMergeSets evaluates the merge criterion on a candidate union given the
 // combined TW of its constituents. It returns the merged partition when the
-// merge is profitable, nil otherwise. union is borrowed scratch: the
-// returned partition owns an independent clone, so callers recycle union
-// either way.
+// merge is profitable, nil otherwise. union may be the p.union scratch: the
+// returned partition owns an independent clone.
 func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *Partition {
-	if !p.isConvex(union) {
+	if !p.convex.IsConvex(union) {
 		return nil
 	}
 	est, err := p.eng.EstimateSet(union)
@@ -240,18 +215,15 @@ func (p *partitioner) install(merged *Partition, victims ...int) int {
 	return idx
 }
 
-// addSingleton creates a partition for one unassigned node.
-func (p *partitioner) addSingleton(id sdf.NodeID) (int, error) {
+// singleton estimates one unassigned node alone, the seed of a merge window;
+// a node that does not fit on the device by itself fails the run.
+func (p *partitioner) singleton(id sdf.NodeID) (*Partition, error) {
 	part, err := p.makePartition(sdf.SingletonSet(p.g.NumNodes(), id))
 	if err != nil {
-		return -1, fmt.Errorf("partition: node %d (%s) does not fit on the device alone: %w",
+		return nil, fmt.Errorf("partition: node %d (%s) does not fit on the device alone: %w",
 			id, p.g.Nodes[id].Filter.Name, err)
 	}
-	p.computeBoundary(part)
-	p.parts = append(p.parts, part)
-	idx := len(p.parts) - 1
-	p.assigned[id] = idx
-	return idx, nil
+	return part, nil
 }
 
 // compact returns the live partitions.
@@ -282,6 +254,46 @@ func (p *partitioner) phase0SCC() error {
 			return fmt.Errorf("partition: feedback loop %v does not fit in shared memory: %w", set, err)
 		}
 		p.install(part)
+	}
+	return nil
+}
+
+// phase1 merges filters within each innermost pipeline, chain by chain
+// (Algorithm 1 lines 2-10): grow a window from the head; on the first failed
+// merge, install the window and restart a fresh one at the failing node.
+func (p *partitioner) phase1() error {
+	for _, chain := range p.pipelineChains() {
+		i := 0
+		for i < len(chain) {
+			if p.assigned[chain[i]] != -1 {
+				i++
+				continue
+			}
+			cur, err := p.singleton(chain[i])
+			if err != nil {
+				return err
+			}
+			j := i + 1
+			for j < len(chain) && p.assigned[chain[j]] == -1 {
+				if err := p.cancelled(); err != nil {
+					return err
+				}
+				single, err := p.makePartition(sdf.SingletonSet(p.g.NumNodes(), chain[j]))
+				if err != nil {
+					return err
+				}
+				p.union.CopyFrom(cur.Set)
+				p.union.Add(chain[j])
+				merged := p.tryMergeSets(p.union, cur.TWus()+single.TWus())
+				if merged == nil {
+					break
+				}
+				cur = merged
+				j++
+			}
+			p.install(cur)
+			i = j
+		}
 	}
 	return nil
 }
@@ -328,10 +340,11 @@ func (p *partitioner) phase2Remaining() error {
 		if p.assigned[n.ID] != -1 {
 			continue
 		}
-		cur, err := p.addSingleton(n.ID)
+		seed, err := p.singleton(n.ID)
 		if err != nil {
 			return err
 		}
+		cur := p.install(seed)
 		for {
 			mergedAny := false
 			neighbors := p.unassignedNeighbors(p.parts[cur])
@@ -343,12 +356,9 @@ func (p *partitioner) phase2Remaining() error {
 				if err != nil {
 					return err
 				}
-				union := p.borrowSet()
-				union.CopyFrom(p.parts[cur].Set)
-				union.Add(k)
-				merged := p.tryMergeSets(union, p.parts[cur].TWus()+single.TWus())
-				p.returnSet(union)
-				if merged != nil {
+				p.union.CopyFrom(p.parts[cur].Set)
+				p.union.Add(k)
+				if merged := p.tryMergeSets(p.union, p.parts[cur].TWus()+single.TWus()); merged != nil {
 					cur = p.install(merged, cur)
 					mergedAny = true
 				}
@@ -417,12 +427,9 @@ func (p *partitioner) phase3BoundMerging() error {
 					if !p.connected(a, b) {
 						continue
 					}
-					union := p.borrowSet()
-					union.CopyFrom(a.Set)
-					union.UnionWith(b.Set)
-					merged := p.tryMergeSets(union, a.TWus()+b.TWus())
-					p.returnSet(union)
-					if merged != nil {
+					p.union.CopyFrom(a.Set)
+					p.union.UnionWith(b.Set)
+					if merged := p.tryMergeSets(p.union, a.TWus()+b.TWus()); merged != nil {
 						p.install(merged, ci, pi)
 						mergedAny = true
 						break
@@ -477,13 +484,10 @@ func (p *partitioner) phase4Simultaneous() error {
 						continue
 					}
 					a, b, c := p.parts[ci], p.parts[qi], p.parts[ri]
-					union := p.borrowSet()
-					union.CopyFrom(a.Set)
-					union.UnionWith(b.Set)
-					union.UnionWith(c.Set)
-					merged := p.tryMergeSets(union, a.TWus()+b.TWus()+c.TWus())
-					p.returnSet(union)
-					if merged != nil {
+					p.union.CopyFrom(a.Set)
+					p.union.UnionWith(b.Set)
+					p.union.UnionWith(c.Set)
+					if merged := p.tryMergeSets(p.union, a.TWus()+b.TWus()+c.TWus()); merged != nil {
 						p.install(merged, ci, qi, ri)
 						mergedAny = true
 						break

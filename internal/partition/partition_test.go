@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"streammap/internal/apps"
 	"streammap/internal/gpu"
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -286,5 +287,56 @@ func TestRunInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// appGraph builds one paper app at size n.
+func appGraph(t *testing.T, name string, n int) *sdf.Graph {
+	t.Helper()
+	app, ok := apps.ByName(name)
+	if !ok {
+		t.Fatalf("unknown app %s", name)
+	}
+	g, err := apps.BuildGraph(app, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestPartitionerEngineWork pins the engine work Algorithm 1 does on the
+// paper apps, exactly (the values measured before phase 1 lost its chain
+// fan-out): the scan asks the engine only what it must, so speculative
+// scoring of any kind — such as the Try-Merge prewarm PR 21 deleted —
+// moves these counts.
+func TestPartitionerEngineWork(t *testing.T) {
+	for _, tc := range []struct {
+		app  string
+		n    int
+		want pee.Stats
+	}{
+		{"DES", 32, pee.Stats{Queries: 1372, Misses: 925}},
+		{"FMRadio", 32, pee.Stats{Queries: 2255, Misses: 1706}},
+		{"DCT", 30, pee.Stats{Queries: 2351, Misses: 1989}},
+		{"BitonicRec", 64, pee.Stats{Queries: 1900, Misses: 1540}},
+	} {
+		g := appGraph(t, tc.app, tc.n)
+		eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
+		if _, err := RunCtx(context.Background(), g, eng, 1); err != nil {
+			t.Fatalf("%s-%d: %v", tc.app, tc.n, err)
+		}
+		if got := eng.Stats(); got != tc.want {
+			t.Errorf("%s-%d: the engine reads %v, want %v", tc.app, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestRunCtxCancelled verifies a cancelled context aborts the run.
+func TestRunCtxCancelled(t *testing.T) {
+	g := appGraph(t, "DES", 8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCtx(ctx, g, engineFor(t, g), 1); err == nil {
+		t.Error("cancelled run succeeded")
 	}
 }

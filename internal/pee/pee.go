@@ -23,8 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"streammap/internal/gpu"
 	"streammap/internal/sdf"
@@ -115,19 +113,13 @@ type Estimate struct {
 // data-transfer time (the classification driving partitioning phase 3).
 func (e *Estimate) ComputeBound() bool { return e.TcompUS >= e.TdtUS }
 
-// memoShards is the number of independently locked memo shards. Sharding
-// keeps the partitioner's concurrent phase-1 chains from serializing on one
-// mutex.
-const memoShards = 64
-
 // Engine estimates subgraphs against one profile, memoizing by node set.
-// It is safe for concurrent use: the memo is sharded by the set's 64-bit
-// hash and the counters are atomic, so the partitioner's phase-1 chain
-// workers share the compile's one engine.
+// It is not safe for concurrent use: each compile owns its engine and
+// queries it from one goroutine.
 //
 // The hot path is allocation-lean: queries key on sdf.NodeSet.Hash (no
 // string key is built), hits return after a word-compare against the stored
-// set, and misses score the candidate through a pooled sdf.SubView instead
+// set, and misses score the candidate through a reused sdf.SubView instead
 // of materializing the subgraph with Extract.
 type Engine struct {
 	Graph *sdf.Graph
@@ -137,20 +129,12 @@ type Engine struct {
 	// plain slices instead of calling into the graph.
 	rep []int64 // parent repetition vector, indexed by node id
 
-	shards     [memoShards]memoShard
-	queries    atomic.Int64
-	misses     atomic.Int64
-	collisions atomic.Int64
-	uncached   atomic.Int64
-
-	scratch sync.Pool // *estScratch
-}
-
-type memoShard struct {
-	mu sync.RWMutex
 	// memo buckets entries by set hash; a bucket with more than one entry is
-	// a hash collision, disambiguated by the word-compare in lookup.
-	memo map[uint64][]*memoEntry
+	// a hash collision, disambiguated by the word-compare in bucketFind.
+	memo                                  map[uint64][]*memoEntry
+	queries, misses, collisions, uncached int64
+
+	scratch estScratch
 }
 
 type memoEntry struct {
@@ -159,8 +143,8 @@ type memoEntry struct {
 	err error
 }
 
-// estScratch is the per-goroutine scoring workspace: the subgraph view plus
-// the sweep's candidate buffers.
+// estScratch is the scoring workspace: the subgraph view plus the sweep's
+// candidate buffers.
 type estScratch struct {
 	view  sdf.SubView
 	costs []nodeCost
@@ -175,21 +159,15 @@ var setHash = sdf.NodeSet.Hash
 // must have a steady state (ProfileGraph's precondition too): the engine
 // snapshots the repetition vector for the scoring hot path.
 func NewEngine(g *sdf.Graph, prof *Profile) *Engine {
-	e := &Engine{Graph: g, Prof: prof}
+	e := &Engine{Graph: g, Prof: prof, memo: map[uint64][]*memoEntry{}}
 	e.rep = make([]int64, g.NumNodes())
 	for _, n := range g.Nodes {
 		e.rep[n.ID] = g.Rep(n.ID)
 	}
-	for i := range e.shards {
-		e.shards[i].memo = map[uint64][]*memoEntry{}
-	}
-	e.scratch.New = func() interface{} { return &estScratch{} }
 	return e
 }
 
-// Stats is the engine's instrumentation snapshot. Under serial use the
-// counts are exact; under concurrent use two goroutines racing on the same
-// uncached set may both count a miss.
+// Stats is the engine's instrumentation snapshot.
 type Stats struct {
 	Queries    int64 // EstimateSet calls
 	Misses     int64 // queries that computed a fresh estimate
@@ -220,12 +198,7 @@ func (s Stats) String() string {
 
 // Stats returns the engine's instrumentation counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Queries:    e.queries.Load(),
-		Misses:     e.misses.Load(),
-		Collisions: e.collisions.Load(),
-		Uncached:   e.uncached.Load(),
-	}
+	return Stats{Queries: e.queries, Misses: e.misses, Collisions: e.collisions, Uncached: e.uncached}
 }
 
 // ScaleOf returns the granularity scale Extract would record for set: the
@@ -247,7 +220,7 @@ func (e *Engine) ScaleOf(set sdf.NodeSet) int64 {
 	return g
 }
 
-// lookup scans a bucket for the entry matching set exactly.
+// bucketFind scans a bucket for the entry matching set exactly.
 func bucketFind(bucket []*memoEntry, set sdf.NodeSet) *memoEntry {
 	for _, m := range bucket {
 		if m.set.Equal(set) {
@@ -258,35 +231,29 @@ func bucketFind(bucket []*memoEntry, set sdf.NodeSet) *memoEntry {
 }
 
 // EstimateSet estimates the partition given as a node set of the parent
-// graph. The hit path performs no allocation.
+// graph. The hit path performs no allocation. A miss scores the set through
+// the view path, which reproduces EstimateSubgraph∘Extract bit for bit: the
+// same member order drives the same cost summation, the same SM and I/O byte
+// totals feed the same parameter sweep, and the same infeasibility
+// conditions yield the same errors.
 func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
-	e.queries.Add(1)
+	e.queries++
 	h := setHash(set)
-	sh := &e.shards[h%memoShards]
-	sh.mu.RLock()
-	m := bucketFind(sh.memo[h], set)
-	sh.mu.RUnlock()
-	if m != nil {
+	if m := bucketFind(e.memo[h], set); m != nil {
 		return m.est, m.err
 	}
-	// Compute outside the lock; scoring is deterministic, so a concurrent
-	// duplicate computation yields an identical entry and the first writer
-	// wins.
-	sc := e.scratch.Get().(*estScratch)
-	est, err := e.estimateInto(sc, set)
-	e.scratch.Put(sc)
-	entry := &memoEntry{set: set.Clone(), est: est, err: err}
-	sh.mu.Lock()
-	if prev := bucketFind(sh.memo[h], set); prev != nil {
-		sh.mu.Unlock()
-		return prev.est, prev.err
+	e.misses++
+	if len(e.memo[h]) > 0 {
+		e.collisions++
 	}
-	if len(sh.memo[h]) > 0 {
-		e.collisions.Add(1)
+	entry := &memoEntry{set: set.Clone()}
+	if set.Len() == 0 {
+		entry.err = fmt.Errorf("sdf: Extract: empty set")
+	} else {
+		e.scratch.view.Fill(e.Graph, set)
+		entry.est, entry.err = estimateView(&e.scratch.view, e.Prof, &e.scratch)
 	}
-	sh.memo[h] = append(sh.memo[h], entry)
-	sh.mu.Unlock()
-	e.misses.Add(1)
+	e.memo[h] = append(e.memo[h], entry)
 	return entry.est, entry.err
 }
 
@@ -298,28 +265,12 @@ func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
 // a 10^6-capacity bitset per memo insert would dominate memory, and where
 // candidates are rarely re-queried.
 func (e *Engine) EstimateMembers(set sdf.NodeSet, members []sdf.NodeID) (*Estimate, error) {
-	e.uncached.Add(1)
+	e.uncached++
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")
 	}
-	sc := e.scratch.Get().(*estScratch)
-	sc.view.FillMembers(e.Graph, set, members)
-	est, err := estimateView(&sc.view, e.Prof, sc)
-	e.scratch.Put(sc)
-	return est, err
-}
-
-// estimateInto scores one candidate set through the view path, reusing the
-// scratch workspace. It reproduces EstimateSubgraph∘Extract bit for bit:
-// the same member order drives the same cost summation, the same SM and I/O
-// byte totals feed the same parameter sweep, and the same infeasibility
-// conditions yield the same errors.
-func (e *Engine) estimateInto(sc *estScratch, set sdf.NodeSet) (*Estimate, error) {
-	if set.Len() == 0 {
-		return nil, fmt.Errorf("sdf: Extract: empty set")
-	}
-	sc.view.Fill(e.Graph, set)
-	return estimateView(&sc.view, e.Prof, sc)
+	e.scratch.view.FillMembers(e.Graph, set, members)
+	return estimateView(&e.scratch.view, e.Prof, &e.scratch)
 }
 
 // nodeCost is one member's contribution to Tcomp: t_i in cycles and the

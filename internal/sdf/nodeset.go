@@ -209,7 +209,7 @@ func (g *Graph) IsConnected(set NodeSet) bool {
 
 // ConvexChecker answers IsConvex queries against one graph while reusing its
 // traversal buffers, so repeated checks (the partitioner's Try-Merge scan)
-// allocate nothing. Not safe for concurrent use; pool one per goroutine.
+// allocate nothing. Not safe for concurrent use; the partitioner holds one.
 type ConvexChecker struct {
 	g              *Graph
 	fromSet, toSet NodeSet

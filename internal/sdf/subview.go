@@ -9,7 +9,7 @@ package sdf
 //
 // A view borrows its Set from the caller and reuses its internal buffers
 // across Fill calls, so it is valid only until the next Fill and must not be
-// shared between goroutines. pee pools one per worker.
+// shared between goroutines. Each pee.Engine reuses one.
 type SubView struct {
 	G   *Graph
 	Set NodeSet // borrowed; do not retain past the caller's lifetime

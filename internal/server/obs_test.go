@@ -15,36 +15,36 @@ import (
 	"streammap/internal/server"
 )
 
-// debugTraces fetches and decodes one node's /debug/traces snapshot.
-func debugTraces(t *testing.T, baseURL string) obs.TracesSnapshot {
-	t.Helper()
-	resp, err := http.Get(baseURL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/traces answered %d", resp.StatusCode)
-	}
-	var snap obs.TracesSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("decoding /debug/traces: %v", err)
-	}
-	return snap
-}
-
-// handlerTraces is debugTraces without a listener: srv's own snapshot, for
-// a server that was just stopped or whose requests went through Handler()
-// directly — either way every handler has finished its trace.
+// handlerTraces reads srv's /debug/traces through the handler, for a server
+// whose listener was just closed or whose requests went through Handler()
+// directly — either way every handler has finished its trace. (Read over a
+// live listener, a trace can still be behind the client: the handler
+// finishes it after writing a length-declared response.)
 func handlerTraces(t *testing.T, srv *server.Server) obs.TracesSnapshot {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/traces answered %d", rec.Code)
+	}
 	var snap obs.TracesSnapshot
 	if err := json.NewDecoder(rec.Body).Decode(&snap); err != nil {
 		t.Fatalf("decoding /debug/traces: %v", err)
 	}
 	return snap
+}
+
+// handlerCompile posts body to srv's compile route through the handler
+// itself, so the request's trace and response metrics are final once it
+// returns; a client over a listener holds a length-declared response before
+// the handler has finished them.
+func handlerCompile(t *testing.T, srv *server.Server, body []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("compile answered %d: %s", rec.Code, rec.Body)
+	}
 }
 
 // stageSpans is spanNames restricted to the driver's stage.* spans: which
@@ -70,9 +70,8 @@ func spanNames(tr *obs.TraceRecord) map[string]int {
 
 // TestMetricsEndpoint: /metrics serves a parseable Prometheus text
 // exposition whose counters agree with the traffic sent. The requests go
-// through the handler directly, which returns only after the response's
-// class and duration are recorded; a client holds a length-declared
-// response before that.
+// through the handler directly (handlerCompile), so the responses' class
+// and duration are recorded before the scrape.
 func TestMetricsEndpoint(t *testing.T) {
 	srv, cl := startServer(t, server.Config{})
 	ctx := context.Background()
@@ -83,11 +82,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The third arrives in a spelling only encoding/json takes (a member no
 	// decoder knows): same key, same hit, counted as a decode fallback.
 	for _, b := range [][]byte{body, body, append([]byte(`{"note":"x",`), body[1:]...)} {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(b)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("compile answered %d: %s", rec.Code, rec.Body)
-		}
+		handlerCompile(t, srv, b)
 	}
 
 	resp, err := http.Get(cl.BaseURL + "/metrics")
@@ -146,16 +141,17 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestTracesEndpoint: a compile's trace lands in /debug/traces with the
 // full span story — admission wait, memory-tier probe, the compilation,
 // per-stage spans — and a repeat request's trace shows the hit instead.
+// The requests go through the handler (handlerCompile), so each trace is
+// finished before it is read.
 func TestTracesEndpoint(t *testing.T) {
-	_, cl := startServer(t, server.Config{})
-	ctx := context.Background()
-	g := appGraph(t, "DES", 8)
-	req := server.NewRequest(g, testOpts(2))
-	if _, err := cl.Compile(ctx, req); err != nil {
+	srv, _ := startServer(t, server.Config{})
+	body, err := json.Marshal(server.NewRequest(appGraph(t, "DES", 8), testOpts(2)))
+	if err != nil {
 		t.Fatal(err)
 	}
+	handlerCompile(t, srv, body)
 
-	snap := debugTraces(t, cl.BaseURL)
+	snap := handlerTraces(t, srv)
 	if len(snap.Recent) != 1 {
 		t.Fatalf("%d recent traces after one request, want 1", len(snap.Recent))
 	}
@@ -189,10 +185,8 @@ func TestTracesEndpoint(t *testing.T) {
 
 	// A repeat of the same request is a memory hit: no compile span, and
 	// the cache.memory span carries the hit note.
-	if _, err := cl.Compile(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	snap = debugTraces(t, cl.BaseURL)
+	handlerCompile(t, srv, body)
+	snap = handlerTraces(t, srv)
 	hit := snap.Recent[0] // newest first
 	hnames := spanNames(hit)
 	if hnames["compile"] != 1 { // the root span only; no compilation ran
@@ -213,7 +207,10 @@ func TestTracesEndpoint(t *testing.T) {
 // owner is one trace — the same ID appears in both nodes' /debug/traces,
 // the non-owner's trace shows the routing spans, and the owner's adopted
 // trace parents itself under the proxying node's span and carries the
-// compilation.
+// compilation. Each node finishes its trace after writing a response whose
+// length is declared, so a client can hold the whole answer first: every
+// node's listener is closed — which waits for its handlers — before its
+// snapshot is taken from the handler directly.
 func TestFleetProxySharesTraceID(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 1)
@@ -221,7 +218,8 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap0 := debugTraces(t, nodes[0].url)
+	nodes[0].ts.Close()
+	snap0 := handlerTraces(t, nodes[0].srv)
 	if len(snap0.Recent) != 1 {
 		t.Fatalf("node0 retained %d traces after one request, want 1", len(snap0.Recent))
 	}
@@ -239,11 +237,7 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 		t.Errorf("entry node recorded a compilation it proxied away (spans: %v)", names)
 	}
 
-	// The owner served the forwarded compile under the same trace ID. Its
-	// handler finishes the trace after writing the response, on a
-	// connection this test does not share, so the owner's listener is
-	// closed first — which waits for its handlers — and the snapshot is
-	// taken from the handler directly.
+	// The owner served the forwarded compile under the same trace ID.
 	nodes[1].ts.Close()
 	snap1 := handlerTraces(t, nodes[1].srv)
 	var forwarded *obs.TraceRecord
@@ -377,7 +371,9 @@ func mapperSpans(t *testing.T, tr *obs.TraceRecord) {
 // and order only, no wall-clock. A fresh compile probes the table and the
 // disk tier, builds its graph, waits for a slot, runs the pipeline and
 // encodes once; a table hit and a disk-tier hit after a restart touch
-// neither the graph nor admission nor the pipeline nor the encoder.
+// neither the graph nor admission nor the pipeline nor the encoder. The
+// requests go through the handler (handlerCompile), so each trace is
+// finished before it is read.
 func TestSpanSequencePerOutcome(t *testing.T) {
 	dir := t.TempDir()
 	g := appGraph(t, "DES", 8)
@@ -385,9 +381,9 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newest := func(baseURL string) []string {
+	newest := func(srv *server.Server) []string {
 		t.Helper()
-		return spanSequence(debugTraces(t, baseURL).Recent[0])
+		return spanSequence(handlerTraces(t, srv).Recent[0])
 	}
 	expect := func(what string, got, want []string) {
 		t.Helper()
@@ -398,17 +394,16 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 	head := []string{"request.decode/scan", "key/"}
 
 	srv1 := server.New(server.Config{Service: core.ServiceConfig{CacheDir: dir}})
-	ts1 := httptest.NewServer(srv1.Handler())
-	t.Cleanup(func() { stopServer(t, srv1, ts1) })
-	postCompile(t, ts1.URL, body)
-	expect("fresh compile", newest(ts1.URL), append(head[:2:2],
+	t.Cleanup(func() { closeNow(t, srv1) })
+	handlerCompile(t, srv1, body)
+	expect("fresh compile", newest(srv1), append(head[:2:2],
 		"cache.memory/miss", "cache.disk/miss", "graph.import/", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
-	mapperSpans(t, debugTraces(t, ts1.URL).Recent[0])
-	postCompile(t, ts1.URL, body)
-	expect("table hit", newest(ts1.URL), append(head[:2:2], "cache.memory/hit", "response.write/"))
-	stopServer(t, srv1, ts1)
+	mapperSpans(t, handlerTraces(t, srv1).Recent[0])
+	handlerCompile(t, srv1, body)
+	expect("table hit", newest(srv1), append(head[:2:2], "cache.memory/hit", "response.write/"))
+	closeNow(t, srv1)
 
-	_, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
-	postCompile(t, cl.BaseURL, body)
-	expect("disk hit", newest(cl.BaseURL), append(head[:2:2], "cache.memory/miss", "cache.disk/hit", "response.write/"))
+	srv2, _ := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
+	handlerCompile(t, srv2, body)
+	expect("disk hit", newest(srv2), append(head[:2:2], "cache.memory/miss", "cache.disk/hit", "response.write/"))
 }

@@ -66,7 +66,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxBodyBytes caps request bodies (default 32 MiB).
 	MaxBodyBytes int64
-	// CompileWorkers bounds each compilation's internal worker pools
+	// CompileWorkers bounds each compilation's internal worker pool
 	// (Options.Workers, default GOMAXPROCS). Requests cannot set it: the
 	// server owns its parallelism budget.
 	CompileWorkers int

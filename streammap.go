@@ -157,7 +157,7 @@ func Compile(g *Graph, opts Options) (*Compiled, error) {
 }
 
 // CompileCtx is Compile under a context: cancellation aborts between
-// pipeline stages and inside the parallel passes.
+// pipeline stages and inside the partition and map passes.
 func CompileCtx(ctx context.Context, g *Graph, opts Options) (*Compiled, error) {
 	return core.CompileCtx(ctx, g, opts)
 }
