@@ -79,12 +79,12 @@ func BenchmarkExtractPartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := res.Parts
-	sort.SliceStable(parts, func(i, j int) bool { return parts[i].Set.Len() < parts[j].Set.Len() })
-	set := parts[len(parts)/2].Set
+	sort.SliceStable(parts, func(i, j int) bool { return len(parts[i].Sub.NodeOf) < len(parts[j].Sub.NodeOf) })
+	members := parts[len(parts)/2].Sub.NodeOf
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub, err := g.Extract(set)
+		sub, err := g.Extract(members)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -39,11 +39,15 @@ func benchScoringFixture(b *testing.B) (*sdf.Graph, *pee.Engine, sdf.NodeSet) {
 	}
 	best := res.Parts[0]
 	for _, p := range res.Parts {
-		if p.Set.Len() > best.Set.Len() {
+		if len(p.Sub.NodeOf) > len(best.Sub.NodeOf) {
 			best = p
 		}
 	}
-	return g, eng, best.Set
+	set := sdf.NewNodeSet(g.NumNodes())
+	for _, m := range best.Sub.NodeOf {
+		set.Add(m)
+	}
+	return g, eng, set
 }
 
 func BenchmarkEstimateSet_Cold(b *testing.B) {

@@ -130,9 +130,9 @@ func BenchmarkAblation_SharedVsStaticAllocator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	all := sdf.NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		all.Add(n.ID)
+	all := make([]sdf.NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = sdf.NodeID(i)
 	}
 	sub, err := g.Extract(all)
 	if err != nil {

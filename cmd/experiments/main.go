@@ -49,7 +49,7 @@ func main() {
 	exp := flag.String("exp", "all", "which experiment: all, fig4.1, fig4.2, fig4.3, fig4.4, table5.1, ablation, scaling, loadtest")
 	quick := flag.Bool("quick", false, "trim N sweeps to three sizes per app")
 	fragments := flag.Int("fragments", 0, "override fragments per measurement")
-	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; 1000000 needs a few GB)")
+	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; the 1000000 cell allocates 1.6 GB)")
 	serverURL := flag.String("server-url", "", "loadtest: target server (empty = start one in-process)")
 	requests := flag.Int("requests", 200, "loadtest: total requests")
 	rps := flag.Float64("rps", 100, "loadtest: target request rate (0 = unpaced)")

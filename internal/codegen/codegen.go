@@ -50,7 +50,7 @@ func emitKernel(b *strings.Builder, plan *gpusim.Plan, pi int, lay *smreq.Layout
 	k := plan.Kernels[pi]
 	p := k.Params
 	fmt.Fprintf(b, "// ---- partition %d: nodes %s on GPU %d ----\n",
-		pi, k.Sub.Set, plan.GPUOf[pi])
+		pi, sdf.FormatMembers(k.Sub.NodeOf), plan.GPUOf[pi])
 	fmt.Fprintf(b, "// parameters: S=%d compute threads/execution, W=%d executions/SM, F=%d DT threads\n",
 		p.S, p.W, p.F)
 	fmt.Fprintf(b, "// shared memory: %d bytes/execution (x%d executions)\n", k.SMBytes, p.W)
@@ -176,7 +176,7 @@ func Dot(plan *gpusim.Plan) string {
 	for pi, k := range plan.Kernels {
 		g := plan.GPUOf[pi]
 		fmt.Fprintf(&b, "  subgraph cluster_p%d {\n    label=\"P%d (GPU %d)\";\n    color=gray;\n", pi, pi, g)
-		for _, m := range k.Sub.Set.Members() {
+		for _, m := range k.Sub.NodeOf {
 			n := plan.Graph.Node0(m)
 			fmt.Fprintf(&b, "    n%d [label=\"%s\\nf=%d\", fillcolor=%s];\n",
 				m, n.Filter.Name, plan.Graph.Rep(m), colors[g%len(colors)])
@@ -203,7 +203,7 @@ func Report(plan *gpusim.Plan) string {
 			bound = "compute-bound"
 		}
 		fmt.Fprintf(&b, "  P%-3d gpu=%d nodes=%-3d S=%-4d W=%-3d F=%-4d SM=%6dB D=%6dB T=%8.2fus %s\n",
-			pi, plan.GPUOf[pi], k.Sub.Set.Len(), p.S, p.W, p.F,
+			pi, plan.GPUOf[pi], len(k.Sub.NodeOf), p.S, p.W, p.F,
 			k.SMBytes, k.IOBytes, k.TUS, bound)
 	}
 	var cut int64

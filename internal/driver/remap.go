@@ -286,13 +286,25 @@ func (c *Compiled) tryRemerge(ctx context.Context, g *sdf.Graph) (remergeInfo, e
 // pairs — cheapest merged workload first — until `target` partitions remain
 // or no pair is feasible. Returns nil when no merge was possible at all.
 // The input partitions are not modified; merged partitions carry freshly
-// extracted subgraphs and engine estimates.
+// extracted subgraphs and engine estimates. Each round reads adjacency from
+// one node -> partition owner array, and every candidate union is built in
+// one scratch set and cleared again.
 func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*partition.Partition, target int) ([]*partition.Partition, error) {
 	if target < 1 {
 		target = 1
 	}
 	live := append([]*partition.Partition(nil), parts...)
 	mergedAny := false
+	owner := make([]int, g.NumNodes())
+	union := sdf.NewNodeSet(g.NumNodes())
+	convex := g.NewConvexChecker()
+	mark := func(op func(sdf.NodeID), ps ...*partition.Partition) {
+		for _, p := range ps {
+			for _, m := range p.Sub.NodeOf {
+				op(m)
+			}
+		}
+	}
 	// The engine memoizes verdicts and errors per set: merging one pair
 	// leaves every other union unchanged, so a round re-pays only for pairs
 	// touching the freshly merged partition.
@@ -300,36 +312,52 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		for i, p := range live {
+			for _, m := range p.Sub.NodeOf {
+				owner[m] = i
+			}
+		}
+		adjacent := make([]bool, len(live))
 		bi, bj := -1, -1
 		var bestEst *pee.Estimate
 		bestTW := math.Inf(1)
 		for i := 0; i < len(live); i++ {
+			clear(adjacent)
+			for _, m := range live[i].Sub.NodeOf {
+				for _, v := range g.Succ(m) {
+					adjacent[owner[v]] = true
+				}
+				for _, v := range g.Pred(m) {
+					adjacent[owner[v]] = true
+				}
+			}
 			for j := i + 1; j < len(live); j++ {
-				if !adjacentParts(g, live[i], live[j]) {
+				if !adjacent[j] {
 					continue
 				}
-				union := live[i].Set.Union(live[j].Set)
-				if !g.IsConvex(union) {
-					continue
+				mark(union.Add, live[i], live[j])
+				if convex.IsConvex(union) {
+					// An error is an SM violation or unschedulable union: the
+					// pair is infeasible.
+					if est, err := eng.EstimateSet(union); err == nil {
+						if tw := est.TUS * float64(eng.ScaleOf(union)); tw < bestTW {
+							bi, bj, bestEst, bestTW = i, j, est, tw
+						}
+					}
 				}
-				est, err := eng.EstimateSet(union)
-				if err != nil {
-					continue // SM violation or unschedulable: pair infeasible
-				}
-				if tw := est.TUS * float64(eng.ScaleOf(union)); tw < bestTW {
-					bi, bj, bestEst, bestTW = i, j, est, tw
-				}
+				mark(union.Remove, live[i], live[j])
 			}
 		}
 		if bi == -1 {
 			break
 		}
-		union := live[bi].Set.Union(live[bj].Set)
-		sub, err := g.Extract(union)
+		mark(union.Add, live[bi], live[bj])
+		sub, err := g.Extract(union.Members())
+		mark(union.Remove, live[bi], live[bj])
 		if err != nil {
 			return nil, err
 		}
-		merged := &partition.Partition{Set: union, Sub: sub, Est: bestEst}
+		merged := &partition.Partition{Sub: sub, Est: bestEst}
 		live = append(live[:bj], live[bj+1:]...)
 		live[bi] = merged
 		mergedAny = true
@@ -338,30 +366,6 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 		return nil, nil
 	}
 	return live, nil
-}
-
-// adjacentParts reports whether a stream-graph edge joins the two partitions
-// in either direction.
-func adjacentParts(g *sdf.Graph, a, b *partition.Partition) bool {
-	adjacent := false
-	a.Set.ForEach(func(m sdf.NodeID) {
-		if adjacent {
-			return
-		}
-		for _, v := range g.Succ(m) {
-			if b.Set.Has(v) {
-				adjacent = true
-				return
-			}
-		}
-		for _, v := range g.Pred(m) {
-			if b.Set.Has(v) {
-				adjacent = true
-				return
-			}
-		}
-	})
-	return adjacent
 }
 
 // Degrade is a convenience re-export: it applies a degradation to the

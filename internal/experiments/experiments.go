@@ -32,8 +32,8 @@ type Config struct {
 	// Tiny trims further to the two smallest sweep points (unit tests).
 	Tiny bool
 	// ScaleMax caps the scaling sweep's large-graph cells by filter count
-	// (default 1e5; set 1e6 for the million-filter cell, which needs a few
-	// GB of memory for graph generation alone).
+	// (default 1e5; set 1e6 for the million-filter cell, whose compile
+	// allocates 1.6 GB and holds 0.4 GB live, ~18 s on a 2-core Xeon).
 	ScaleMax int
 	// Workers bounds how many independent table/figure cells run
 	// concurrently. 0 selects GOMAXPROCS; 1 is fully serial. Cell results

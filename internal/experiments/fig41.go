@@ -10,6 +10,7 @@ import (
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/pee"
+	"streammap/internal/sdf"
 )
 
 // Fig41Point is one scatter point of the estimation-accuracy experiment.
@@ -60,7 +61,7 @@ func Fig41(cfg Config) (*Table, *Fig41Result, error) {
 			pts = append(pts, Fig41Point{
 				App:         app.Name,
 				N:           n,
-				Partition:   k.Sub.Set.String(),
+				Partition:   sdf.FormatMembers(k.Sub.NodeOf),
 				EstimatedUS: k.TUS,
 				MeasuredUS:  meas.PerExecUS,
 			})

@@ -113,7 +113,7 @@ func (p *Plan) Export() PlanSpec {
 			TUS:          k.TUS,
 			ComputeBound: k.ComputeBound,
 		}
-		for _, m := range k.Sub.Set.Members() {
+		for _, m := range k.Sub.NodeOf {
 			ks.Nodes = append(ks.Nodes, int(m))
 		}
 		spec.Kernels = append(spec.Kernels, ks)
@@ -177,11 +177,11 @@ func ImportPlan(g *sdf.Graph, m Machine, spec PlanSpec) (*Plan, error) {
 		}
 	}
 	for i, ks := range spec.Kernels {
-		set, err := sdf.NodeSetOf(g.NumNodes(), ks.Nodes)
+		members, err := sdf.MembersOf(g.NumNodes(), ks.Nodes)
 		if err != nil {
 			return nil, fmt.Errorf("gpusim: import: kernel %d: %w", i, err)
 		}
-		sub, err := g.Extract(set)
+		sub, err := g.Extract(members)
 		if err != nil {
 			return nil, fmt.Errorf("gpusim: import: kernel %d: %w", i, err)
 		}

@@ -165,7 +165,7 @@ func TestCoarseningUnitsConvexConnected(t *testing.T) {
 }
 
 // TestMultilevelRestoresNodeSet: uncoarsening must hand back every original
-// node exactly once — the union of the result's partition sets is
+// node exactly once — the union of the result's partition member lists is
 // bit-for-bit the full node set.
 func TestMultilevelRestoresNodeSet(t *testing.T) {
 	g := synthGraph(t, 9, 3000)
@@ -184,11 +184,13 @@ func TestMultilevelRestoresNodeSet(t *testing.T) {
 	union := sdf.NewNodeSet(g.NumNodes())
 	total := 0
 	for i, p := range res.Parts {
-		if union.Intersects(p.Set) {
-			t.Fatalf("partition %d overlaps an earlier one", i)
+		for _, n := range p.Sub.NodeOf {
+			if union.Has(n) {
+				t.Fatalf("partition %d overlaps an earlier one", i)
+			}
+			union.Add(n)
 		}
-		union.UnionWith(p.Set)
-		total += p.Set.Len()
+		total += len(p.Sub.NodeOf)
 	}
 	if !union.Equal(full) || total != g.NumNodes() {
 		t.Fatalf("union of %d partitions covers %d of %d nodes and differs from the full set",

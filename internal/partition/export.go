@@ -9,7 +9,7 @@ import (
 	"streammap/internal/smreq"
 )
 
-// Export returns the partition's wire form: its node set, granularity
+// Export returns the partition's wire form: its node list, granularity
 // scale, the estimator's verdict and the shared-memory layout (recomputed
 // deterministically from the subgraph — the same analysis the estimator and
 // the code generator share).
@@ -23,22 +23,22 @@ func Export(p *Partition) (artifact.Partition, error) {
 		Est:    p.Est.Export(),
 		Layout: smreq.Export(lay),
 	}
-	for _, m := range p.Set.Members() {
+	for _, m := range p.Sub.NodeOf {
 		out.Nodes = append(out.Nodes, int(m))
 	}
 	return out, nil
 }
 
 // Import rebuilds a Partition over g from its wire form. The subgraph is
-// re-extracted deterministically from the node set; the estimate is
+// re-extracted deterministically from the node list; the estimate is
 // restored verbatim (never re-estimated), so a decoded partition carries
 // exactly the kernel parameters the original compilation selected.
 func Import(g *sdf.Graph, a artifact.Partition) (*Partition, error) {
-	set, err := sdf.NodeSetOf(g.NumNodes(), a.Nodes)
+	members, err := sdf.MembersOf(g.NumNodes(), a.Nodes)
 	if err != nil {
 		return nil, fmt.Errorf("partition: import: %w", err)
 	}
-	sub, err := g.Extract(set)
+	sub, err := g.Extract(members)
 	if err != nil {
 		return nil, fmt.Errorf("partition: import: %w", err)
 	}
@@ -64,7 +64,7 @@ func Import(g *sdf.Graph, a artifact.Partition) (*Partition, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{Set: set, Sub: sub, Est: est}, nil
+	return &Partition{Sub: sub, Est: est}, nil
 }
 
 // ExportResult returns the wire form of a whole partitioning.
@@ -93,7 +93,7 @@ func ImportResult(g *sdf.Graph, parts []artifact.Partition) (*Result, error) {
 		}
 		r.Parts = append(r.Parts, p)
 	}
-	if err := validate(g, r.Parts); err != nil {
+	if err := validate(g, r.Parts, true); err != nil {
 		return nil, fmt.Errorf("partition: import: %w", err)
 	}
 	return r, nil

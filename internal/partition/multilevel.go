@@ -103,10 +103,9 @@ type mlState struct {
 	owner    []int32 // node -> parts index
 	unitPart []int32 // working-level unit -> parts index
 
-	nodeScratch sdf.NodeSet // node-capacity scratch for estimator calls
-	visit       sdf.NodeSet // unit-capacity scratch for convexity searches
-	queue       []int32
-	idxScratch  []int32
+	visit      sdf.NodeSet // unit-capacity scratch for convexity searches
+	queue      []int32
+	idxScratch []int32
 }
 
 // Multilevel partitions g through the coarsen→merge→refine flow. It is
@@ -125,7 +124,6 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 	m.c = c
 	m.stats.Levels = len(c.Levels)
 	m.stats.CoarsestUnits = c.Coarsest().NumUnits
-	m.nodeScratch = sdf.NewNodeSet(g.NumNodes())
 	m.owner = make([]int32, g.NumNodes())
 
 	// Seed at the coarsest level whose units are all individually
@@ -192,17 +190,10 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 func (m *mlState) cancelled() error { return m.ctx.Err() }
 
 // estimateMembers scores a sorted member list through the engine's uncached
-// path, staging it in the shared node-capacity scratch set.
+// path.
 func (m *mlState) estimateMembers(members []sdf.NodeID) (*pee.Estimate, error) {
 	m.stats.Estimates++
-	for _, n := range members {
-		m.nodeScratch.Add(n)
-	}
-	est, err := m.eng.EstimateMembers(m.nodeScratch, members)
-	for _, n := range members {
-		m.nodeScratch.Remove(n)
-	}
-	return est, err
+	return m.eng.EstimateMembers(members)
 }
 
 // seed builds one singleton partition per unit of lvl. It returns ok=false
@@ -230,11 +221,8 @@ func (m *mlState) seed(lvl *CoarseLevel, hard bool) (bool, error) {
 				return false, fmt.Errorf("partition: node %d (%s) does not fit on the device alone: %w",
 					id, m.g.Nodes[id].Filter.Name, err)
 			}
-			set := sdf.NewNodeSet(m.g.NumNodes())
-			for _, n := range members {
-				set.Add(n)
-			}
-			return false, fmt.Errorf("partition: feedback loop %v does not fit in shared memory: %w", set, err)
+			return false, fmt.Errorf("partition: feedback loop %s does not fit in shared memory: %w",
+				sdf.FormatMembers(members), err)
 		}
 		sc := lvl.scale[u]
 		p := &mlPart{

@@ -24,31 +24,31 @@ import (
 	"streammap/internal/sdf"
 )
 
-// Partition is one selected kernel-to-be. During partitioning Sub stays nil
-// — the workload comparison needs only the estimate and the granularity
-// scale, so candidates are scored without materializing subgraphs — and the
-// partitioner extracts every surviving partition once at the end. External
-// constructors (artifact import) populate Sub directly.
+// Partition is one selected kernel-to-be: its extracted subgraph, whose
+// ascending Sub.NodeOf is the partition's one record of its members, and
+// the estimator's verdict.
 type Partition struct {
-	Set sdf.NodeSet
 	Sub *sdf.Subgraph
 	Est *pee.Estimate
-
-	scale    int64       // Extract's Scale, known without extracting
-	boundary sdf.NodeSet // nodes adjacent to Set, outside it (partitioner-internal)
 }
 
 // TWus is the partition's estimated execution time per parent-graph
 // steady-state iteration, in microseconds.
-func (p *Partition) TWus() float64 {
-	if p.Sub != nil {
-		return p.Est.TUS * float64(p.Sub.Scale)
-	}
-	return p.Est.TUS * float64(p.scale)
+func (p *Partition) TWus() float64 { return p.Est.TUS * float64(p.Sub.Scale) }
+
+// cand is a partition during Algorithm 1's search. The workload comparison
+// needs only the estimate and the granularity scale, so candidates are
+// scored without materializing subgraphs; RunCtx extracts the survivors once
+// at the end, and no cand leaves it.
+type cand struct {
+	set      sdf.NodeSet
+	boundary sdf.NodeSet // nodes adjacent to set, outside it
+	est      *pee.Estimate
+	scale    int64 // Extract's Scale, known without extracting
 }
 
-// ComputeBound reports the compute/IO classification driving phase 3.
-func (p *Partition) ComputeBound() bool { return p.Est.ComputeBound() }
+// tw is the candidate's TWus.
+func (c *cand) tw() float64 { return c.est.TUS * float64(c.scale) }
 
 // Result is the partitioner's output.
 type Result struct {
@@ -79,8 +79,8 @@ type partitioner struct {
 	eng *pee.Engine
 	ctx context.Context
 
-	parts    []*Partition // live partitions (nil holes compacted lazily)
-	assigned []int        // node -> index into parts, -1 if none
+	parts    []*cand // live partitions (nil holes compacted lazily)
+	assigned []int   // node -> index into parts, -1 if none
 
 	// Scratch reused by every Try-Merge: each candidate union is built in
 	// the one union set and convexity checks reuse the checker's traversal
@@ -114,22 +114,18 @@ func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, _ int) (*Result,
 		}
 		res.CountAfterPhase[i] = len(p.compact())
 	}
-	res.Parts = p.compact()
 
 	// Candidates were scored without materializing subgraphs; extract the
 	// survivors once, now that the selection is final.
-	for _, pt := range res.Parts {
-		if pt.Sub != nil {
-			continue
-		}
-		sub, err := p.g.Extract(pt.Set)
+	for _, c := range p.compact() {
+		sub, err := p.g.Extract(c.set.Members())
 		if err != nil {
 			return nil, err
 		}
-		pt.Sub = sub
+		res.Parts = append(res.Parts, &Partition{Sub: sub, Est: c.est})
 	}
 
-	if err := validate(p.g, res.Parts); err != nil {
+	if err := validate(p.g, res.Parts, true); err != nil {
 		return nil, err
 	}
 	sortParts(p.g, res.Parts)
@@ -145,21 +141,21 @@ func (p *partitioner) cancelled() error {
 }
 
 // makePartition estimates a node set and wraps it (no subgraph extraction;
-// see Partition); infeasible sets return an error. The set is referenced,
-// not copied — callers passing scratch sets must pass a durable clone.
-func (p *partitioner) makePartition(set sdf.NodeSet) (*Partition, error) {
+// see cand); infeasible sets return an error. The set is referenced, not
+// copied — callers passing scratch sets must pass a durable clone.
+func (p *partitioner) makePartition(set sdf.NodeSet) (*cand, error) {
 	est, err := p.eng.EstimateSet(set)
 	if err != nil {
 		return nil, err
 	}
-	return &Partition{Set: set, Est: est, scale: p.eng.ScaleOf(set)}, nil
+	return &cand{set: set, est: est, scale: p.eng.ScaleOf(set)}, nil
 }
 
 // tryMergeSets evaluates the merge criterion on a candidate union given the
 // combined TW of its constituents. It returns the merged partition when the
 // merge is profitable, nil otherwise. union may be the p.union scratch: the
 // returned partition owns an independent clone.
-func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *Partition {
+func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *cand {
 	if !p.convex.IsConvex(union) {
 		return nil
 	}
@@ -171,31 +167,31 @@ func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *Parti
 	if est.TUS*float64(scale) >= combinedTW {
 		return nil
 	}
-	return &Partition{Set: union.Clone(), Est: est, scale: scale}
+	return &cand{set: union.Clone(), est: est, scale: scale}
 }
 
 // connected reports whether an edge links the two partitions: some node of
 // b lies on a's incrementally maintained boundary.
-func (p *partitioner) connected(a, b *Partition) bool {
-	return a.boundary.Intersects(b.Set)
+func (p *partitioner) connected(a, b *cand) bool {
+	return a.boundary.Intersects(b.set)
 }
 
 // computeBoundary fills pt.boundary: every node adjacent (either direction)
 // to a member but outside the set.
-func (p *partitioner) computeBoundary(pt *Partition) {
+func (p *partitioner) computeBoundary(pt *cand) {
 	if pt.boundary.Cap() == 0 {
 		pt.boundary = sdf.NewNodeSet(p.g.NumNodes())
 	} else {
 		pt.boundary.Reset()
 	}
-	pt.Set.ForEach(func(m sdf.NodeID) {
+	pt.set.ForEach(func(m sdf.NodeID) {
 		for _, v := range p.g.Succ(m) {
-			if !pt.Set.Has(v) {
+			if !pt.set.Has(v) {
 				pt.boundary.Add(v)
 			}
 		}
 		for _, v := range p.g.Pred(m) {
-			if !pt.Set.Has(v) {
+			if !pt.set.Has(v) {
 				pt.boundary.Add(v)
 			}
 		}
@@ -204,20 +200,20 @@ func (p *partitioner) computeBoundary(pt *Partition) {
 
 // install replaces the partitions at the given indices with the merged one,
 // deriving the new partition's boundary bitset.
-func (p *partitioner) install(merged *Partition, victims ...int) int {
+func (p *partitioner) install(merged *cand, victims ...int) int {
 	for _, v := range victims {
 		p.parts[v] = nil
 	}
 	p.computeBoundary(merged)
 	p.parts = append(p.parts, merged)
 	idx := len(p.parts) - 1
-	merged.Set.ForEach(func(n sdf.NodeID) { p.assigned[n] = idx })
+	merged.set.ForEach(func(n sdf.NodeID) { p.assigned[n] = idx })
 	return idx
 }
 
 // singleton estimates one unassigned node alone, the seed of a merge window;
 // a node that does not fit on the device by itself fails the run.
-func (p *partitioner) singleton(id sdf.NodeID) (*Partition, error) {
+func (p *partitioner) singleton(id sdf.NodeID) (*cand, error) {
 	part, err := p.makePartition(sdf.SingletonSet(p.g.NumNodes(), id))
 	if err != nil {
 		return nil, fmt.Errorf("partition: node %d (%s) does not fit on the device alone: %w",
@@ -227,8 +223,8 @@ func (p *partitioner) singleton(id sdf.NodeID) (*Partition, error) {
 }
 
 // compact returns the live partitions.
-func (p *partitioner) compact() []*Partition {
-	var out []*Partition
+func (p *partitioner) compact() []*cand {
+	var out []*cand
 	for _, pt := range p.parts {
 		if pt != nil {
 			out = append(out, pt)
@@ -282,9 +278,9 @@ func (p *partitioner) phase1() error {
 				if err != nil {
 					return err
 				}
-				p.union.CopyFrom(cur.Set)
+				p.union.CopyFrom(cur.set)
 				p.union.Add(chain[j])
-				merged := p.tryMergeSets(p.union, cur.TWus()+single.TWus())
+				merged := p.tryMergeSets(p.union, cur.tw()+single.tw())
 				if merged == nil {
 					break
 				}
@@ -356,9 +352,9 @@ func (p *partitioner) phase2Remaining() error {
 				if err != nil {
 					return err
 				}
-				p.union.CopyFrom(p.parts[cur].Set)
+				p.union.CopyFrom(p.parts[cur].set)
 				p.union.Add(k)
-				if merged := p.tryMergeSets(p.union, p.parts[cur].TWus()+single.TWus()); merged != nil {
+				if merged := p.tryMergeSets(p.union, p.parts[cur].tw()+single.tw()); merged != nil {
 					cur = p.install(merged, cur)
 					mergedAny = true
 				}
@@ -373,7 +369,7 @@ func (p *partitioner) phase2Remaining() error {
 
 // unassignedNeighbors returns the still-unassigned nodes on the partition's
 // boundary, ascending (boundary iteration order).
-func (p *partitioner) unassignedNeighbors(pt *Partition) []sdf.NodeID {
+func (p *partitioner) unassignedNeighbors(pt *cand) []sdf.NodeID {
 	out := p.idScratch[:0]
 	pt.boundary.ForEach(func(v sdf.NodeID) {
 		if p.assigned[v] == -1 {
@@ -399,22 +395,22 @@ func (p *partitioner) phase3BoundMerging() error {
 				return err
 			}
 			mergedAny := false
-			cands := p.liveIndices(func(pt *Partition) bool {
-				return !spec.candIO || !pt.ComputeBound()
+			cands := p.liveIndices(func(pt *cand) bool {
+				return !spec.candIO || !pt.est.ComputeBound()
 			})
 			// Ascending execution time: smaller workloads merge first.
 			sort.Slice(cands, func(a, b int) bool {
-				return p.parts[cands[a]].TWus() < p.parts[cands[b]].TWus()
+				return p.parts[cands[a]].tw() < p.parts[cands[b]].tw()
 			})
 			for _, ci := range cands {
 				if p.parts[ci] == nil {
 					continue
 				}
-				partners := p.liveIndices(func(pt *Partition) bool {
-					return !spec.partnerIO || !pt.ComputeBound()
+				partners := p.liveIndices(func(pt *cand) bool {
+					return !spec.partnerIO || !pt.est.ComputeBound()
 				})
 				sort.Slice(partners, func(a, b int) bool {
-					return p.parts[partners[a]].TWus() < p.parts[partners[b]].TWus()
+					return p.parts[partners[a]].tw() < p.parts[partners[b]].tw()
 				})
 				for _, pi := range partners {
 					if err := p.cancelled(); err != nil {
@@ -427,9 +423,9 @@ func (p *partitioner) phase3BoundMerging() error {
 					if !p.connected(a, b) {
 						continue
 					}
-					p.union.CopyFrom(a.Set)
-					p.union.UnionWith(b.Set)
-					if merged := p.tryMergeSets(p.union, a.TWus()+b.TWus()); merged != nil {
+					p.union.CopyFrom(a.set)
+					p.union.UnionWith(b.set)
+					if merged := p.tryMergeSets(p.union, a.tw()+b.tw()); merged != nil {
 						p.install(merged, ci, pi)
 						mergedAny = true
 						break
@@ -447,7 +443,7 @@ func (p *partitioner) phase3BoundMerging() error {
 	return nil
 }
 
-func (p *partitioner) liveIndices(keep func(*Partition) bool) []int {
+func (p *partitioner) liveIndices(keep func(*cand) bool) []int {
 	var out []int
 	for i, pt := range p.parts {
 		if pt != nil && keep(pt) {
@@ -468,7 +464,7 @@ func (p *partitioner) phase4Simultaneous() error {
 			return err
 		}
 		mergedAny := false
-		live := p.liveIndices(func(*Partition) bool { return true })
+		live := p.liveIndices(func(*cand) bool { return true })
 		for _, ci := range live {
 			if p.parts[ci] == nil {
 				continue
@@ -484,10 +480,10 @@ func (p *partitioner) phase4Simultaneous() error {
 						continue
 					}
 					a, b, c := p.parts[ci], p.parts[qi], p.parts[ri]
-					p.union.CopyFrom(a.Set)
-					p.union.UnionWith(b.Set)
-					p.union.UnionWith(c.Set)
-					if merged := p.tryMergeSets(p.union, a.TWus()+b.TWus()+c.TWus()); merged != nil {
+					p.union.CopyFrom(a.set)
+					p.union.UnionWith(b.set)
+					p.union.UnionWith(c.set)
+					if merged := p.tryMergeSets(p.union, a.tw()+b.tw()+c.tw()); merged != nil {
 						p.install(merged, ci, qi, ri)
 						mergedAny = true
 						break
@@ -512,10 +508,10 @@ func (p *partitioner) phase4Simultaneous() error {
 		}
 		var combined float64
 		for _, pt := range live {
-			combined += pt.TWus()
+			combined += pt.tw()
 		}
 		if merged := p.tryMergeSets(all, combined); merged != nil {
-			idxs := p.liveIndices(func(*Partition) bool { return true })
+			idxs := p.liveIndices(func(*cand) bool { return true })
 			p.install(merged, idxs...)
 		}
 	}
@@ -542,23 +538,32 @@ func (p *partitioner) neighborPartitions(ci int) []int {
 	return out
 }
 
-// validate checks the partitioning invariants: exact cover, convexity,
-// connectivity.
-func validate(g *sdf.Graph, parts []*Partition) error {
-	covered := sdf.NewNodeSet(g.NumNodes())
+// validate checks the partitioning invariants: exact cover and, when
+// structural, convexity and connectivity. The structural checks reuse one
+// scratch set, filled with a partition's members and cleared again.
+func validate(g *sdf.Graph, parts []*Partition, structural bool) error {
+	covered, set := sdf.NewNodeSet(g.NumNodes()), sdf.NewNodeSet(g.NumNodes())
+	convex := g.NewConvexChecker()
 	for _, p := range parts {
-		for _, m := range p.Set.Members() {
+		for _, m := range p.Sub.NodeOf {
 			if covered.Has(m) {
 				return fmt.Errorf("partition: node %d in two partitions", m)
 			}
 			covered.Add(m)
 		}
-		if !g.IsConvex(p.Set) {
-			return fmt.Errorf("partition: %v not convex", p.Set)
+		if !structural {
+			continue
 		}
-		if !g.IsConnected(p.Set) {
-			return fmt.Errorf("partition: %v not connected", p.Set)
+		for _, m := range p.Sub.NodeOf {
+			set.Add(m)
 		}
+		if !convex.IsConvex(set) {
+			return fmt.Errorf("partition: %s not convex", sdf.FormatMembers(p.Sub.NodeOf))
+		}
+		if !g.IsConnected(set) {
+			return fmt.Errorf("partition: %s not connected", sdf.FormatMembers(p.Sub.NodeOf))
+		}
+		set.Reset()
 	}
 	if covered.Len() != g.NumNodes() {
 		return fmt.Errorf("partition: %d of %d nodes covered", covered.Len(), g.NumNodes())
@@ -579,7 +584,7 @@ func sortParts(g *sdf.Graph, parts []*Partition) {
 	}
 	first := func(p *Partition) int {
 		best := len(order)
-		for _, m := range p.Set.Members() {
+		for _, m := range p.Sub.NodeOf {
 			if pos[m] < best {
 				best = pos[m]
 			}

@@ -62,7 +62,7 @@ func TestComputeBoundSplitJoinStaysSplit(t *testing.T) {
 	}
 	hot := 0
 	for _, p := range res.Parts {
-		if p.ComputeBound() {
+		if p.Est.ComputeBound() {
 			hot++
 		}
 	}
@@ -128,7 +128,7 @@ func TestFeedbackLoopAtomic(t *testing.T) {
 	// The joiner/body/splitter cycle must share one partition.
 	var loopPart *Partition
 	for _, p := range res.Parts {
-		for _, m := range p.Set.Members() {
+		for _, m := range p.Sub.NodeOf {
 			if g.Nodes[m].Filter.Name == "acc" {
 				loopPart = p
 			}
@@ -138,14 +138,14 @@ func TestFeedbackLoopAtomic(t *testing.T) {
 		t.Fatal("loop body not in any partition")
 	}
 	cnt := 0
-	for _, m := range loopPart.Set.Members() {
+	for _, m := range loopPart.Sub.NodeOf {
 		k := g.Nodes[m].Filter.Kind
 		if k == sdf.KindJoiner || k == sdf.KindSplitter || g.Nodes[m].Filter.Name == "acc" {
 			cnt++
 		}
 	}
 	if cnt < 3 {
-		t.Errorf("feedback loop split across partitions: %v", loopPart.Set)
+		t.Errorf("feedback loop split across partitions: %v", loopPart.Sub.NodeOf)
 	}
 }
 
@@ -273,13 +273,15 @@ func TestRunInvariantsQuick(t *testing.T) {
 		}
 		covered := sdf.NewNodeSet(g.NumNodes())
 		for _, p := range res.Parts {
-			for _, m := range p.Set.Members() {
+			set := sdf.NewNodeSet(g.NumNodes())
+			for _, m := range p.Sub.NodeOf {
 				if covered.Has(m) {
 					return false
 				}
 				covered.Add(m)
+				set.Add(m)
 			}
-			if !g.IsConvex(p.Set) || !g.IsConnected(p.Set) {
+			if !g.IsConvex(set) || !g.IsConnected(set) {
 				return false
 			}
 		}

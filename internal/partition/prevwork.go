@@ -29,7 +29,7 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 	fits := func(set sdf.NodeSet) bool {
 		// The previous work requires at least one execution to fit in SM.
 		// The engine's memoized view path scores the candidate without
-		// extracting it (same estimate as EstimateSubgraph∘Extract).
+		// extracting it (the estimate of the extracted subgraph).
 		est, err := eng.EstimateSet(set)
 		if err != nil {
 			return false
@@ -77,13 +77,13 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: prevwork produced unschedulable partition %v: %w", set, err)
 		}
-		sub, err := g.Extract(set)
+		sub, err := g.Extract(set.Members())
 		if err != nil {
 			return nil, err
 		}
-		res.Parts = append(res.Parts, &Partition{Set: set, Sub: sub, Est: est})
+		res.Parts = append(res.Parts, &Partition{Sub: sub, Est: est})
 	}
-	if err := validate(g, res.Parts); err != nil {
+	if err := validate(g, res.Parts, true); err != nil {
 		return nil, err
 	}
 	sortParts(g, res.Parts)
@@ -119,11 +119,11 @@ func SinglePartition(g *sdf.Graph, eng *pee.Engine) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: single-partition mapping infeasible: %w", err)
 	}
-	sub, err := g.Extract(all)
+	sub, err := g.Extract(all.Members())
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Graph: g, Parts: []*Partition{{Set: all, Sub: sub, Est: est}}}
+	res := &Result{Graph: g, Parts: []*Partition{{Sub: sub, Est: est}}}
 	for i := range res.CountAfterPhase {
 		res.CountAfterPhase[i] = 1
 	}

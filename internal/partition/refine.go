@@ -4,11 +4,7 @@
 // quality converge toward the exact result as granularity is restored.
 package partition
 
-import (
-	"fmt"
-
-	"streammap/internal/sdf"
-)
+import "streammap/internal/sdf"
 
 // refine re-expresses the live partitions in level's units and runs up to
 // DefaultRefinePasses boundary sweeps under the per-level evaluation budget.
@@ -344,7 +340,7 @@ func (m *mlState) addConvex(q *quotient, qq *mlPart, u int32) bool {
 }
 
 // materialize turns the surviving mlParts into the exact path's Result form:
-// graph-capacity bitsets, extracted subgraphs, topological partition order.
+// extracted subgraphs in topological partition order.
 func (m *mlState) materialize() (*Result, error) {
 	// The result gets its own copy of the stats: a pointer into m would keep
 	// the whole working state — hierarchy, unit sets, scratch — alive for as
@@ -356,45 +352,16 @@ func (m *mlState) materialize() (*Result, error) {
 		if p.dead {
 			continue
 		}
-		set := sdf.NewNodeSet(m.g.NumNodes())
-		for _, n := range p.members {
-			set.Add(n)
-		}
-		sub, err := m.g.Extract(set)
+		sub, err := m.g.Extract(p.members)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, &Partition{Set: set, Sub: sub, Est: p.est, scale: p.scale})
+		parts = append(parts, &Partition{Sub: sub, Est: p.est})
 	}
-	if err := mlValidate(m.g, parts); err != nil {
+	if err := validate(m.g, parts, m.g.NumNodes() <= mlFullValidateCap); err != nil {
 		return nil, err
 	}
 	sortParts(m.g, parts)
 	res.Parts = parts
 	return res, nil
-}
-
-// mlValidate runs the exact path's full validation up to mlFullValidateCap
-// nodes; above it only the exact-cover check (convexity and connectivity
-// hold by construction and were re-checked per merge and move at quotient
-// granularity).
-func mlValidate(g *sdf.Graph, parts []*Partition) error {
-	if g.NumNodes() <= mlFullValidateCap {
-		return validate(g, parts)
-	}
-	covered := sdf.NewNodeSet(g.NumNodes())
-	total := 0
-	for _, p := range parts {
-		for _, n := range p.Sub.NodeOf {
-			if covered.Has(n) {
-				return fmt.Errorf("partition: node %d in two partitions", n)
-			}
-			covered.Add(n)
-			total++
-		}
-	}
-	if total != g.NumNodes() {
-		return fmt.Errorf("partition: %d of %d nodes covered", total, g.NumNodes())
-	}
-	return nil
 }

@@ -64,7 +64,7 @@ func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 		owner[i] = -1
 	}
 	for pi, part := range parts {
-		for _, m := range part.Set.Members() {
+		for _, m := range part.Sub.NodeOf {
 			if owner[m] != -1 {
 				return nil, fmt.Errorf("pdg: node %d owned by partitions %d and %d", m, owner[m], pi)
 			}

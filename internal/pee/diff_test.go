@@ -37,7 +37,7 @@ func (r *refEstimate) estimate(set sdf.NodeSet) (*pee.Estimate, error) {
 		return e.est, e.err
 	}
 	var entry refEntry
-	sub, err := r.g.Extract(set)
+	sub, err := r.g.Extract(set.Members())
 	if err != nil {
 		entry = refEntry{nil, err}
 	} else {
@@ -135,7 +135,7 @@ func TestScaleOfMatchesExtract(t *testing.T) {
 	}
 	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
 	for _, set := range candidateSets(t, g) {
-		sub, err := g.Extract(set)
+		sub, err := g.Extract(set.Members())
 		if err != nil {
 			continue
 		}

@@ -143,9 +143,10 @@ type memoEntry struct {
 	err error
 }
 
-// estScratch is the scoring workspace: the subgraph view plus the sweep's
-// candidate buffers.
+// estScratch is the scoring workspace: a memo miss's member list, the
+// subgraph view plus the sweep's candidate buffers.
 type estScratch struct {
+	ids   []sdf.NodeID
 	view  sdf.SubView
 	costs []nodeCost
 	sVals []int
@@ -231,11 +232,11 @@ func bucketFind(bucket []*memoEntry, set sdf.NodeSet) *memoEntry {
 }
 
 // EstimateSet estimates the partition given as a node set of the parent
-// graph. The hit path performs no allocation. A miss scores the set through
-// the view path, which reproduces EstimateSubgraph∘Extract bit for bit: the
-// same member order drives the same cost summation, the same SM and I/O byte
-// totals feed the same parameter sweep, and the same infeasibility
-// conditions yield the same errors.
+// graph. The hit path performs no allocation. A miss scores the set's
+// members through the view path, which reproduces scoring the extracted
+// subgraph bit for bit: the same member order drives the same cost
+// summation, the same SM and I/O byte totals feed the same parameter sweep,
+// and the same infeasibility conditions yield the same errors.
 func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
 	e.queries++
 	h := setHash(set)
@@ -247,30 +248,21 @@ func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
 		e.collisions++
 	}
 	entry := &memoEntry{set: set.Clone()}
-	if set.Len() == 0 {
-		entry.err = fmt.Errorf("sdf: Extract: empty set")
-	} else {
-		e.scratch.view.Fill(e.Graph, set)
-		entry.est, entry.err = estimateView(&e.scratch.view, e.Prof, &e.scratch)
-	}
+	e.scratch.ids = set.AppendMembers(e.scratch.ids[:0])
+	entry.est, entry.err = e.estimate(e.scratch.ids)
 	e.memo[h] = append(e.memo[h], entry)
 	return entry.est, entry.err
 }
 
-// EstimateMembers scores set like EstimateSet but entirely outside the memo:
-// no lookup, no stored clone of the set. The caller supplies set's member
-// list in ascending order, so no full bitset scan happens either — the call
-// is O(members + incident edges) regardless of parent graph size. The
-// multilevel partitioner uses it for coarse-candidate scoring, where cloning
-// a 10^6-capacity bitset per memo insert would dominate memory, and where
-// candidates are rarely re-queried.
-func (e *Engine) EstimateMembers(set sdf.NodeSet, members []sdf.NodeID) (*Estimate, error) {
+// EstimateMembers scores an ascending member list like EstimateSet but
+// entirely outside the memo: no lookup, no stored set, no bitset at all —
+// the call is O(members + incident edges) regardless of parent graph size.
+// The multilevel partitioner uses it for coarse-candidate scoring, where
+// cloning a 10^6-capacity bitset per memo insert would dominate memory, and
+// where candidates are rarely re-queried.
+func (e *Engine) EstimateMembers(members []sdf.NodeID) (*Estimate, error) {
 	e.uncached++
-	if len(members) == 0 {
-		return nil, fmt.Errorf("sdf: Extract: empty set")
-	}
-	e.scratch.view.FillMembers(e.Graph, set, members)
-	return estimateView(&e.scratch.view, e.Prof, &e.scratch)
+	return e.estimate(members)
 }
 
 // nodeCost is one member's contribution to Tcomp: t_i in cycles and the
@@ -327,8 +319,8 @@ func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64
 }
 
 // sweep runs the parameter selection (S, W, F) and performance model over
-// the prepared cost table. It is the shared core of EstimateSubgraph and
-// the engine's view-based scoring.
+// the prepared cost table: the engine's scoring core, which the tests'
+// extracted-subgraph reference shares.
 //
 // The selection is the minimum of T (III.12) over every (S, W, F), ties
 // going to the first candidate in S-then-W-then-F order. F is not scanned:
@@ -412,12 +404,17 @@ func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) 
 	}, nil
 }
 
-// estimateView scores the induced subgraph a view describes, reusing the
-// scratch buffers. Member order equals the extracted subgraph's node order
-// (both ascend by parent id), so the cost summation — and with it every
-// float of the model — matches EstimateSubgraph on the extracted form.
-func estimateView(v *sdf.SubView, prof *Profile, sc *estScratch) (*Estimate, error) {
+// estimate scores the induced subgraph over an ascending member list through
+// the reused view and scratch buffers. Member order equals the extracted
+// subgraph's node order (both ascend by parent id), so the cost summation —
+// and with it every float of the model — matches scoring the extracted form.
+func (e *Engine) estimate(members []sdf.NodeID) (*Estimate, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("sdf: Extract: empty set")
+	}
+	sc, v, prof := &e.scratch, &e.scratch.view, e.Prof
 	d := &prof.Device
+	v.Fill(e.Graph, members)
 	smBytes, err := smreq.PeakBytesView(v)
 	if err != nil {
 		return nil, err
@@ -433,31 +430,6 @@ func estimateView(v *sdf.SubView, prof *Profile, sc *estScratch) (*Estimate, err
 	}
 	sVals = finishCandidates(sVals, d)
 	sc.costs, sc.sVals = costs, sVals
-	return sweep(prof, costs, sVals, smBytes, dBytes)
-}
-
-// EstimateSubgraph runs parameter selection and the performance model for
-// one materialized subgraph. The engine's memoized path scores views
-// instead (same numbers, no extraction); this entry point remains for
-// callers that already hold a Subgraph.
-func EstimateSubgraph(s *sdf.Subgraph, prof *Profile) (*Estimate, error) {
-	d := &prof.Device
-	lay, err := smreq.Analyze(s)
-	if err != nil {
-		return nil, err
-	}
-	smBytes := lay.PeakBytes
-	dBytes := s.IOBytesPerIteration()
-
-	costs := make([]nodeCost, 0, s.Sub.NumNodes())
-	var sVals []int
-	for _, n := range s.Sub.Nodes {
-		f := s.Sub.Rep(n.ID)
-		parent := s.NodeOf[n.ID]
-		costs = append(costs, nodeCost{cycles: float64(f) * prof.PerFiringCycles[parent], f: f})
-		sVals = appendCandidates(sVals, f, d)
-	}
-	sVals = finishCandidates(sVals, d)
 	return sweep(prof, costs, sVals, smBytes, dBytes)
 }
 

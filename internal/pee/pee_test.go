@@ -18,11 +18,11 @@ func work(name string, n int, ops int64) *sdf.Filter {
 
 func wholeSub(t *testing.T, g *sdf.Graph) *sdf.Subgraph {
 	t.Helper()
-	set := sdf.NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		set.Add(n.ID)
+	all := make([]sdf.NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = sdf.NodeID(i)
 	}
-	sub, err := g.Extract(set)
+	sub, err := g.Extract(all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +194,7 @@ func TestEstimatePositiveQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		set := sdf.NewNodeSet(2)
-		set.Add(0)
-		set.Add(1)
-		sub, err := g.Extract(set)
+		sub, err := g.Extract([]sdf.NodeID{0, 1})
 		if err != nil {
 			return false
 		}

@@ -85,7 +85,7 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 
 // sweepMembers draws a partition's cost table — n members with firing rates
 // from 1 to maxRate and a total around totalCycles — and the candidate S
-// values exactly as estimateView derives them.
+// values exactly as Engine.estimate derives them.
 func sweepMembers(rng *rand.Rand, d *gpu.Device, n int, maxRate, totalCycles float64) ([]nodeCost, []int) {
 	var costs []nodeCost
 	var sVals []int

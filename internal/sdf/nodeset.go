@@ -70,13 +70,6 @@ func (s NodeSet) UnionWith(t NodeSet) {
 	}
 }
 
-// Union returns s ∪ t as a new set.
-func (s NodeSet) Union(t NodeSet) NodeSet {
-	u := s.Clone()
-	u.UnionWith(t)
-	return u
-}
-
 // Intersects reports whether s and t share a member.
 func (s NodeSet) Intersects(t NodeSet) bool {
 	for i := range s.words {
@@ -142,11 +135,16 @@ func (s NodeSet) AppendMembers(dst []NodeID) []NodeID {
 // Members returns the member ids in ascending order.
 func (s NodeSet) Members() []NodeID { return s.AppendMembers(nil) }
 
-// String renders the set as {a,b,c} for debugging.
-func (s NodeSet) String() string {
-	ms := s.Members()
-	parts := make([]string, len(ms))
-	for i, m := range ms {
+// String renders the set as {a,b,c}; see FormatMembers.
+func (s NodeSet) String() string { return FormatMembers(s.Members()) }
+
+// FormatMembers renders a node id list as {a,b,c}, the ids sorted as
+// decimal strings ({1,10,2}) whatever their order in ids. An extracted
+// subgraph's name is its parent's name plus this form of its members, and
+// the simulator hashes that name, so the order is part of every plan.
+func FormatMembers(ids []NodeID) string {
+	parts := make([]string, len(ids))
+	for i, m := range ids {
 		parts[i] = itoa(int(m))
 	}
 	sort.Strings(parts)

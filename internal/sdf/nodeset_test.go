@@ -43,12 +43,13 @@ func TestNodeSetUnionCloneEqual(t *testing.T) {
 	a.Add(1)
 	a.Add(50)
 	b.Add(99)
-	u := a.Union(b)
+	u := a.Clone()
+	u.UnionWith(b)
 	if u.Len() != 3 || !u.Has(1) || !u.Has(50) || !u.Has(99) {
-		t.Errorf("Union wrong: %v", u)
+		t.Errorf("UnionWith wrong: %v", u)
 	}
 	if a.Len() != 2 {
-		t.Errorf("Union mutated receiver")
+		t.Errorf("UnionWith on a clone mutated the original")
 	}
 	c := a.Clone()
 	c.Add(2)

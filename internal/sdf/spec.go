@@ -1,6 +1,9 @@
 package sdf
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the sdf package's explicit export/import form: a plain-data
 // structural description of a graph that survives serialization. The spec
@@ -128,18 +131,22 @@ func ImportGraph(spec GraphSpec) (*Graph, error) {
 	return b.Graph()
 }
 
-// NodeSetOf builds a NodeSet over a graph of `size` nodes from explicit
-// member ids, rejecting out-of-range or duplicate entries.
-func NodeSetOf(size int, ids []int) (NodeSet, error) {
-	set := NewNodeSet(size)
-	for _, id := range ids {
+// MembersOf returns the ascending member list, over a graph of `size` nodes,
+// of explicit ids given in any order, rejecting out-of-range or duplicate
+// entries.
+func MembersOf(size int, ids []int) ([]NodeID, error) {
+	members := make([]NodeID, len(ids))
+	for i, id := range ids {
 		if id < 0 || id >= size {
-			return NodeSet{}, fmt.Errorf("sdf: node id %d out of range [0,%d)", id, size)
+			return nil, fmt.Errorf("sdf: node id %d out of range [0,%d)", id, size)
 		}
-		if set.Has(NodeID(id)) {
-			return NodeSet{}, fmt.Errorf("sdf: duplicate node id %d", id)
-		}
-		set.Add(NodeID(id))
+		members[i] = NodeID(id)
 	}
-	return set, nil
+	slices.Sort(members)
+	for i := 1; i < len(members); i++ {
+		if members[i] == members[i-1] {
+			return nil, fmt.Errorf("sdf: duplicate node id %d", members[i])
+		}
+	}
+	return members, nil
 }

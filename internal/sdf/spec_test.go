@@ -1,6 +1,9 @@
 package sdf
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // specGraph builds a graph exercising every serialized feature: multi-rate
 // edges, peeking (sliding window) with priming delay tokens, filter state,
@@ -74,18 +77,29 @@ func TestImportGraphRejectsCorruptSpecs(t *testing.T) {
 	}
 }
 
+// TestNodeSetOf holds MembersOf, the wire node-list reader, to what the
+// bitset reader it replaced accepted: any order, no out-of-range id, no
+// duplicate.
 func TestNodeSetOf(t *testing.T) {
-	set, err := NodeSetOf(8, []int{1, 3, 5})
-	if err != nil {
-		t.Fatal(err)
+	for _, ids := range [][]int{{1, 3, 5}, {5, 1, 3}} {
+		members, err := MembersOf(8, ids)
+		if err != nil {
+			t.Fatalf("%v: %v", ids, err)
+		}
+		if !slices.Equal(members, []NodeID{1, 3, 5}) {
+			t.Errorf("%v: members %v, want [1 3 5]", ids, members)
+		}
 	}
-	if set.Len() != 3 || !set.Has(3) || set.Has(2) {
-		t.Errorf("bad set %v", set)
-	}
-	if _, err := NodeSetOf(4, []int{4}); err == nil {
+	if _, err := MembersOf(4, []int{4}); err == nil {
 		t.Error("out-of-range id accepted")
 	}
-	if _, err := NodeSetOf(4, []int{1, 1}); err == nil {
+	if _, err := MembersOf(4, []int{-1}); err == nil {
+		t.Error("negative id accepted")
+	}
+	if _, err := MembersOf(4, []int{1, 1}); err == nil {
 		t.Error("duplicate id accepted")
+	}
+	if _, err := MembersOf(4, []int{2, 0, 2}); err == nil {
+		t.Error("unsorted duplicate id accepted")
 	}
 }

@@ -18,43 +18,55 @@ type BoundaryEdge struct {
 // that fell inside the set. It carries only what its consumers read — the
 // estimator, the SM layout, code generation and the simulator's port
 // binding: the node map back to the parent and the two cut-edge lists.
+// NodeOf ascends, so it is also the set's one record of its membership.
 type Subgraph struct {
 	Sub *Graph
-	Set NodeSet
 
-	NodeOf []NodeID       // sub node id -> parent node id
+	NodeOf []NodeID       // sub node id -> parent node id, ascending
 	CutIn  []BoundaryEdge // parent edges entering the set, ascending parent edge id
 	CutOut []BoundaryEdge // parent edges leaving the set, ascending parent edge id
 	Scale  int64          // parent reps = Scale * sub reps for member nodes
 }
 
-// Extract builds the induced subgraph over set. The parent graph must have a
-// steady state. The sub repetition vector is the parent's restricted vector
-// divided by its gcd, so one sub iteration is the minimal self-consistent
-// unit of work; Scale records the ratio.
+// Extract builds the induced subgraph over members, a strictly ascending
+// list of parent node ids; a parent node's sub id is its position in it.
+// The parent graph must have a steady state. The sub repetition vector is
+// the parent's restricted vector divided by its gcd, so one sub iteration is
+// the minimal self-consistent unit of work; Scale records the ratio.
 //
 // The cost is the members and their own ports, not the parent: internal and
 // cut edges are read off each member's adjacency slice and then sorted by
 // parent edge id. That order — the order a scan of the parent's edge list
 // would produce — numbers Sub.Edges and orders CutIn/CutOut, and SM layouts,
 // artifact bytes and the simulator's port binding all depend on it.
-func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
-	members := set.Members()
+func (g *Graph) Extract(members []NodeID) (*Subgraph, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")
 	}
 	if !g.HasSteady() {
 		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
 	}
-	s := &Subgraph{Set: set.Clone(), NodeOf: members}
-	sub := &Graph{Name: g.Name + set.String()}
-	subOf := make(map[NodeID]NodeID, len(members))
+	for i, pid := range members {
+		if pid < 0 || int(pid) >= len(g.Nodes) || i > 0 && pid <= members[i-1] {
+			return nil, fmt.Errorf("sdf: Extract: members are not ascending node ids of %s", g.Name)
+		}
+	}
+	members = slices.Clone(members)
+	has := func(pid NodeID) bool {
+		_, ok := slices.BinarySearch(members, pid)
+		return ok
+	}
+	subOf := func(pid NodeID) NodeID {
+		i, _ := slices.BinarySearch(members, pid)
+		return NodeID(i)
+	}
+	s := &Subgraph{NodeOf: members}
+	sub := &Graph{Name: g.Name + FormatMembers(members)}
 	adj := g.adj()
 	var internal, cutOut, cutIn []EdgeID
 	for _, pid := range members {
 		pn := g.Nodes[pid]
-		id := NodeID(len(sub.Nodes))
-		n := &Node{ID: id, Filter: pn.Filter, Pipe: pn.Pipe,
+		n := &Node{ID: NodeID(len(sub.Nodes)), Filter: pn.Filter, Pipe: pn.Pipe,
 			in: make([]EdgeID, len(pn.in)), out: make([]EdgeID, len(pn.out))}
 		for i := range n.in {
 			n.in[i] = -1
@@ -63,16 +75,15 @@ func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 			n.out[i] = -1
 		}
 		sub.Nodes = append(sub.Nodes, n)
-		subOf[pid] = id
 		for _, eid := range adj.outEdgesOf(pid) {
-			if set.Has(g.Edges[eid].Dst) {
+			if has(g.Edges[eid].Dst) {
 				internal = append(internal, eid)
 			} else {
 				cutOut = append(cutOut, eid)
 			}
 		}
 		for _, eid := range adj.inEdgesOf(pid) {
-			if !set.Has(g.Edges[eid].Src) {
+			if !has(g.Edges[eid].Src) {
 				cutIn = append(cutIn, eid)
 			}
 		}
@@ -84,8 +95,8 @@ func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 		e := g.Edges[eid]
 		ne := &Edge{
 			ID:  EdgeID(len(sub.Edges)),
-			Src: subOf[e.Src], SrcPort: e.SrcPort, Push: e.Push,
-			Dst: subOf[e.Dst], DstPort: e.DstPort, Pop: e.Pop, Peek: e.Peek,
+			Src: subOf(e.Src), SrcPort: e.SrcPort, Push: e.Push,
+			Dst: subOf(e.Dst), DstPort: e.DstPort, Pop: e.Pop, Peek: e.Peek,
 			Initial: append([]Token(nil), e.Initial...),
 		}
 		sub.Nodes[ne.Src].out[ne.SrcPort] = ne.ID
@@ -95,11 +106,11 @@ func (g *Graph) Extract(set NodeSet) (*Subgraph, error) {
 	// Cut edges become primary ports of the subgraph.
 	for _, eid := range cutOut {
 		e := g.Edges[eid]
-		s.CutOut = append(s.CutOut, BoundaryEdge{Orig: eid, Port: PortRef{subOf[e.Src], e.SrcPort}})
+		s.CutOut = append(s.CutOut, BoundaryEdge{Orig: eid, Port: PortRef{subOf(e.Src), e.SrcPort}})
 	}
 	for _, eid := range cutIn {
 		e := g.Edges[eid]
-		s.CutIn = append(s.CutIn, BoundaryEdge{Orig: eid, Port: PortRef{subOf[e.Dst], e.DstPort}})
+		s.CutIn = append(s.CutIn, BoundaryEdge{Orig: eid, Port: PortRef{subOf(e.Dst), e.DstPort}})
 	}
 	// Restricted repetition vector, gcd-normalized.
 	rep := make([]int64, len(members))
@@ -134,21 +145,6 @@ func gcd64(a, b int64) int64 {
 		return 1
 	}
 	return a
-}
-
-// IOBytesPerIteration returns the primary input plus output traffic, in
-// bytes, of one subgraph steady-state iteration: the paper's per-execution
-// I/O data size D. It counts cut edges and inherited primary ports alike —
-// all of them travel through GPU global memory.
-func (s *Subgraph) IOBytesPerIteration() int64 {
-	var tokens int64
-	for _, p := range s.Sub.InputPorts() {
-		tokens += s.Sub.PortTokens(p, true)
-	}
-	for _, p := range s.Sub.OutputPorts() {
-		tokens += s.Sub.PortTokens(p, false)
-	}
-	return tokens * TokenBytes
 }
 
 // CutInPorts returns, sorted by subgraph port order, the set of sub primary

@@ -6,10 +6,32 @@ import (
 	"testing"
 )
 
+// allNodes returns every node id of g, ascending.
+func allNodes(g *Graph) []NodeID {
+	all := make([]NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	return all
+}
+
+// subgraphIOBytes is the paper's per-execution I/O data size D counted on
+// the extracted graph's own primary ports — cut edges and inherited primary
+// ports alike: the reference SubView.IOBytesPerIteration is held to.
+func subgraphIOBytes(s *Subgraph) int64 {
+	var tokens int64
+	for _, p := range s.Sub.InputPorts() {
+		tokens += s.Sub.PortTokens(p, true)
+	}
+	for _, p := range s.Sub.OutputPorts() {
+		tokens += s.Sub.PortTokens(p, false)
+	}
+	return tokens * TokenBytes
+}
+
 func TestExtractPipelineMiddle(t *testing.T) {
 	g := mustGraph(t, "pipe", Pipe("p", F(addOne()), F(double()), F(addOne())))
-	set := SingletonSet(3, 1) // the Double node
-	s, err := g.Extract(set)
+	s, err := g.Extract([]NodeID{1}) // the Double node
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +44,20 @@ func TestExtractPipelineMiddle(t *testing.T) {
 	if s.Scale != 1 {
 		t.Errorf("scale = %d, want 1", s.Scale)
 	}
-	if got := s.IOBytesPerIteration(); got != 2*TokenBytes {
+	if got := subgraphIOBytes(s); got != 2*TokenBytes {
 		t.Errorf("IO bytes = %d, want %d", got, 2*TokenBytes)
+	}
+}
+
+// TestExtractRejectsUnorderedMembers: a sub id is a member's position, found
+// by binary search, so only strictly ascending in-range ids are a member
+// list.
+func TestExtractRejectsUnorderedMembers(t *testing.T) {
+	g := mustGraph(t, "pipe", Pipe("p", F(addOne()), F(double()), F(addOne())))
+	for _, members := range [][]NodeID{{1, 0}, {0, 0}, {-1}, {3}} {
+		if _, err := g.Extract(members); err == nil {
+			t.Errorf("Extract(%v) accepted", members)
+		}
 	}
 }
 
@@ -31,7 +65,7 @@ func TestExtractScale(t *testing.T) {
 	// AddOne fires 2x per Down2 firing; extracting {AddOne} alone gives
 	// rep=[1] with scale 2.
 	g := mustGraph(t, "mix", Pipe("p", F(addOne()), F(downsample2())))
-	s, err := g.Extract(SingletonSet(2, 0))
+	s, err := g.Extract([]NodeID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +88,11 @@ func TestExtractFunctionalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	front := NewNodeSet(4)
-	front.Add(0)
-	front.Add(1)
-	back := NewNodeSet(4)
-	back.Add(2)
-	back.Add(3)
-	sf, err := g.Extract(front)
+	sf, err := g.Extract([]NodeID{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := g.Extract(back)
+	sb, err := g.Extract([]NodeID{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +118,7 @@ func TestExtractFunctionalEquivalence(t *testing.T) {
 
 func TestExtractDiamondWhole(t *testing.T) {
 	g := mustGraph(t, "sj", SplitDupRR("sj", 1, []int{1, 1}, F(addOne()), F(double())))
-	all := NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		all.Add(n.ID)
-	}
-	s, err := g.Extract(all)
+	s, err := g.Extract(allNodes(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +138,7 @@ func TestExtractPreservesInitialTokens(t *testing.T) {
 	loop := LoopOf("acc", RoundRobinJoiner([]int{1, 1}), F(body),
 		RoundRobinSplitter([]int{1, 1}), nil, []Token{0})
 	g := mustGraph(t, "loop", loop)
-	all := NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		all.Add(n.ID)
-	}
-	s, err := g.Extract(all)
+	s, err := g.Extract(allNodes(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +165,7 @@ func extractWholeGraph(g *Graph, set NodeSet) (*Subgraph, error) {
 	if !g.HasSteady() {
 		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
 	}
-	s := &Subgraph{Set: set.Clone()}
+	s := &Subgraph{}
 	subOf := make(map[NodeID]NodeID, len(members))
 	sub := &Graph{Name: g.Name + set.String()}
 	for _, pid := range members {
@@ -208,9 +228,6 @@ func extractWholeGraph(g *Graph, set NodeSet) (*Subgraph, error) {
 func sameExtraction(got, want *Subgraph) error {
 	if got.Sub.Name != want.Sub.Name {
 		return fmt.Errorf("name %q, want %q", got.Sub.Name, want.Sub.Name)
-	}
-	if !got.Set.Equal(want.Set) {
-		return fmt.Errorf("set %v, want %v", got.Set, want.Set)
 	}
 	if !slices.Equal(got.NodeOf, want.NodeOf) {
 		return fmt.Errorf("NodeOf %v, want %v", got.NodeOf, want.NodeOf)
@@ -286,7 +303,7 @@ func TestExtractMatchesWholeGraphWalk(t *testing.T) {
 		}
 		sets = append(sets, NewNodeSet(g.NumNodes())) // empty: both refuse
 		for _, set := range sets {
-			got, gotErr := g.Extract(set)
+			got, gotErr := g.Extract(set.Members())
 			want, wantErr := extractWholeGraph(g, set)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 				t.Fatalf("%s %v: error %v, oracle %v", g.Name, set, gotErr, wantErr)

@@ -1,48 +1,35 @@
 package sdf
 
 // SubView is an allocation-lean stand-in for Extract: it describes the
-// induced subgraph over a node set — members, normalized repetition vector,
-// granularity scale — without copying nodes or edges into a fresh Graph.
-// The scoring hot path (pee.Engine, smreq.PeakBytesView) runs entirely on
-// views; Extract remains the materializing form used for accepted
-// partitions, code generation and the simulator.
+// induced subgraph over a member list — members, normalized repetition
+// vector, granularity scale — without copying nodes or edges into a fresh
+// Graph. The scoring hot path (pee.Engine, smreq.PeakBytesView) runs
+// entirely on views; Extract remains the materializing form used for
+// accepted partitions, code generation and the simulator.
 //
-// A view borrows its Set from the caller and reuses its internal buffers
-// across Fill calls, so it is valid only until the next Fill and must not be
-// shared between goroutines. Each pee.Engine reuses one.
+// A view borrows its member list from the caller and reuses its internal
+// buffers across Fill calls, so it is valid only until the next Fill and
+// must not be shared between goroutines. Each pee.Engine reuses one.
 type SubView struct {
-	G   *Graph
-	Set NodeSet // borrowed; do not retain past the caller's lifetime
+	G *Graph
 
-	members []NodeID
-	rep     []int64 // normalized repetition per member position
-	pos     []int32 // parent node id -> member position (members only)
-	Scale   int64   // parent reps = Scale * view reps for member nodes
+	members []NodeID // borrowed; ascending
+	rep     []int64  // normalized repetition per member position
+	pos     []int32  // parent node id -> member position (members only)
+	Scale   int64    // parent reps = Scale * view reps for member nodes
 
 	indeg []int32 // Acyclic scratch
 	queue []int32 // Acyclic scratch
 }
 
-// Fill populates the view for set over g, reusing v's buffers. The parent
-// graph must have a steady state and set must be non-empty — the same
-// preconditions Extract enforces with errors; Fill's callers (the estimation
-// engine) check them once per query.
-func (v *SubView) Fill(g *Graph, set NodeSet) {
-	v.fill(g, set, set.AppendMembers(v.members[:0]))
-}
-
-// FillMembers is Fill for callers that already hold the member list of set in
-// ascending order (the multilevel partitioner tracks partitions as sorted
-// member slices): it skips the full bitset scan AppendMembers would do, which
-// matters when the parent graph has 10^6 nodes and the set a few dozen
-// members. members is copied into the view's own buffer.
-func (v *SubView) FillMembers(g *Graph, set NodeSet, members []NodeID) {
-	v.fill(g, set, append(v.members[:0], members...))
-}
-
-func (v *SubView) fill(g *Graph, set NodeSet, members []NodeID) {
+// Fill populates the view for members, ascending parent node ids, over g,
+// reusing v's buffers; the view reads members until the next Fill. The cost
+// is the members, not the parent. The parent graph must have a steady state
+// and members must be non-empty — the same preconditions Extract enforces
+// with errors; Fill's callers (the estimation engine) check them once per
+// query.
+func (v *SubView) Fill(g *Graph, members []NodeID) {
 	v.G = g
-	v.Set = set
 	v.members = members
 	if cap(v.pos) < len(g.Nodes) {
 		v.pos = make([]int32, len(g.Nodes))
@@ -72,11 +59,16 @@ func (v *SubView) NumNodes() int { return len(v.members) }
 // view; callers must not write to it.
 func (v *SubView) Members() []NodeID { return v.members }
 
-// Has reports set membership of a parent node id.
-func (v *SubView) Has(id NodeID) bool { return v.Set.Has(id) }
+// Has reports membership of a parent node id. pos is never cleared, so a
+// non-member's entry may be left from an earlier Fill: only a member's entry
+// points back at it.
+func (v *SubView) Has(id NodeID) bool {
+	i := v.pos[id]
+	return int(i) < len(v.members) && v.members[i] == id
+}
 
 // Rep returns the normalized repetition count of parent node id, which must
-// be a member. It equals Extract(set).Sub.Rep at the member's sub id.
+// be a member. It equals Extract(members).Sub.Rep at the member's sub id.
 func (v *SubView) Rep(id NodeID) int64 { return v.rep[v.pos[id]] }
 
 // RepAt returns the normalized repetition count of the member at position i
@@ -96,7 +88,7 @@ func (v *SubView) edgeBreaksCycle(e *Edge) bool {
 
 // Acyclic reports whether the induced subgraph admits a topological order
 // under the same delay-token rule Graph.TopoOrder applies — i.e. whether
-// Extract(set).Sub.TopoOrder() would succeed.
+// Extract(members).Sub.TopoOrder() would succeed.
 func (v *SubView) Acyclic() bool {
 	n := len(v.members)
 	if cap(v.indeg) < n {
@@ -111,7 +103,7 @@ func (v *SubView) Acyclic() bool {
 	for _, pid := range v.members {
 		for _, eid := range adj.outEdgesOf(pid) {
 			e := v.G.Edges[eid]
-			if v.Set.Has(e.Dst) && !v.edgeBreaksCycle(e) {
+			if v.Has(e.Dst) && !v.edgeBreaksCycle(e) {
 				v.indeg[v.pos[e.Dst]]++
 			}
 		}
@@ -129,7 +121,7 @@ func (v *SubView) Acyclic() bool {
 		done++
 		for _, eid := range adj.outEdgesOf(v.members[i]) {
 			e := v.G.Edges[eid]
-			if !v.Set.Has(e.Dst) || v.edgeBreaksCycle(e) {
+			if !v.Has(e.Dst) || v.edgeBreaksCycle(e) {
 				continue
 			}
 			j := v.pos[e.Dst]
@@ -144,8 +136,9 @@ func (v *SubView) Acyclic() bool {
 }
 
 // IOBytesPerIteration returns the primary I/O traffic, in bytes, of one view
-// steady-state iteration — identical to Subgraph.IOBytesPerIteration on the
-// extracted form: cut edges and inherited parent primary ports alike.
+// steady-state iteration, the paper's per-execution I/O data size D: cut
+// edges and inherited parent primary ports alike, the extracted form's
+// primary ports — all of them travel through GPU global memory.
 func (v *SubView) IOBytesPerIteration() int64 {
 	var tokens int64
 	for i, pid := range v.members {
@@ -153,13 +146,13 @@ func (v *SubView) IOBytesPerIteration() int64 {
 		f := n.Filter
 		for p := range f.Inputs {
 			eid := n.In(p)
-			if eid == -1 || !v.Set.Has(v.G.Edges[eid].Src) {
+			if eid == -1 || !v.Has(v.G.Edges[eid].Src) {
 				tokens += v.rep[i] * int64(f.Inputs[p].Pop)
 			}
 		}
 		for p := range f.Outputs {
 			eid := n.Out(p)
-			if eid == -1 || !v.Set.Has(v.G.Edges[eid].Dst) {
+			if eid == -1 || !v.Has(v.G.Edges[eid].Dst) {
 				tokens += v.rep[i] * int64(f.Outputs[p])
 			}
 		}

@@ -47,11 +47,11 @@ func TestSubViewMatchesExtract(t *testing.T) {
 	for _, g := range viewGraphs(t) {
 		var v SubView
 		for _, set := range enumerateSets(t, g) {
-			sub, err := g.Extract(set)
+			sub, err := g.Extract(set.Members())
 			if err != nil {
 				t.Fatalf("%s %v: extract: %v", g.Name, set, err)
 			}
-			v.Fill(g, set)
+			v.Fill(g, set.Members())
 			if v.NumNodes() != sub.Sub.NumNodes() {
 				t.Fatalf("%s %v: view %d nodes, sub %d", g.Name, set, v.NumNodes(), sub.Sub.NumNodes())
 			}
@@ -66,7 +66,7 @@ func TestSubViewMatchesExtract(t *testing.T) {
 					t.Fatalf("%s %v: member %d rep %d, sub %d", g.Name, set, i, v.RepAt(i), sub.Sub.Rep(NodeID(i)))
 				}
 			}
-			if got, want := v.IOBytesPerIteration(), sub.IOBytesPerIteration(); got != want {
+			if got, want := v.IOBytesPerIteration(), subgraphIOBytes(sub); got != want {
 				t.Fatalf("%s %v: view IO %d, sub %d", g.Name, set, got, want)
 			}
 			_, topoErr := sub.Sub.TopoOrder()
@@ -78,7 +78,8 @@ func TestSubViewMatchesExtract(t *testing.T) {
 }
 
 // TestSubViewReuse checks that one view instance refilled across sets keeps
-// no stale state.
+// no stale state: its membership test included, which reads positions a
+// previous fill left behind.
 func TestSubViewReuse(t *testing.T) {
 	g := mustGraph(t, "pipe", Pipe("p", F(addOne()), F(downsample2()), F(double()), F(addOne())))
 	var v SubView
@@ -86,14 +87,19 @@ func TestSubViewReuse(t *testing.T) {
 	// Interleave big and small fills to stress buffer reuse.
 	for i := 0; i < len(sets); i++ {
 		for _, set := range []NodeSet{sets[i], sets[len(sets)-1-i]} {
-			sub, err := g.Extract(set)
+			sub, err := g.Extract(set.Members())
 			if err != nil {
 				t.Fatal(err)
 			}
-			v.Fill(g, set)
+			v.Fill(g, set.Members())
 			if v.Scale != sub.Scale || v.NumNodes() != sub.Sub.NumNodes() ||
-				v.IOBytesPerIteration() != sub.IOBytesPerIteration() {
+				v.IOBytesPerIteration() != subgraphIOBytes(sub) {
 				t.Fatalf("set %v: refilled view diverged from Extract", set)
+			}
+			for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+				if v.Has(id) != set.Has(id) {
+					t.Fatalf("set %v: refilled view says Has(%d) = %v", set, id, v.Has(id))
+				}
 			}
 		}
 	}

@@ -127,9 +127,9 @@ func AnalyzeShared(s *sdf.Subgraph) (*Layout, error) {
 func PeakBytesView(v *sdf.SubView) (int64, error) {
 	if !v.Acyclic() {
 		// Mirrors Analyze's error for an unschedulable subgraph: TopoOrder's
-		// message over the extracted graph's name (parent name + set).
+		// message over the extracted graph's name (parent name + members).
 		return 0, fmt.Errorf("smreq: sdf: graph %s%s has a cycle without sufficient initial tokens",
-			v.G.Name, v.Set.String())
+			v.G.Name, sdf.FormatMembers(v.Members()))
 	}
 	g := v.G
 	var total int64

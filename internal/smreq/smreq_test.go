@@ -13,12 +13,12 @@ func passthrough(name string, n int) *sdf.Filter {
 	})
 }
 
-func wholeSet(g *sdf.Graph) sdf.NodeSet {
-	s := sdf.NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		s.Add(n.ID)
+func allNodes(g *sdf.Graph) []sdf.NodeID {
+	ids := make([]sdf.NodeID, g.NumNodes())
+	for i := range ids {
+		ids[i] = sdf.NodeID(i)
 	}
-	return s
+	return ids
 }
 
 func analyzeWhole(t *testing.T, name string, st sdf.Stream) *Layout {
@@ -27,7 +27,7 @@ func analyzeWhole(t *testing.T, name string, st sdf.Stream) *Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := g.Extract(wholeSet(g))
+	sub, err := g.Extract(allNodes(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func analyzeWholeShared(t *testing.T, name string, st sdf.Stream) *Layout {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := g.Extract(wholeSet(g))
+	sub, err := g.Extract(allNodes(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestAllocationNonOverlappingQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sub, err := g.Extract(wholeSet(g))
+		sub, err := g.Extract(allNodes(g))
 		if err != nil {
 			return false
 		}
@@ -296,12 +296,12 @@ func TestPeakBytesViewMatchesAnalyze(t *testing.T) {
 			set := sdf.NewNodeSet(g.NumNodes())
 			for size := 0; start+size < len(order); size++ {
 				set.Add(order[start+size])
-				sub, err := g.Extract(set)
+				sub, err := g.Extract(set.Members())
 				if err != nil {
 					t.Fatalf("%s %v: %v", gc.name, set, err)
 				}
 				lay, layErr := Analyze(sub)
-				v.Fill(g, set)
+				v.Fill(g, set.Members())
 				peak, viewErr := PeakBytesView(&v)
 				if (layErr == nil) != (viewErr == nil) {
 					t.Fatalf("%s %v: Analyze err %v, view err %v", gc.name, set, layErr, viewErr)

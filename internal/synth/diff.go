@@ -98,20 +98,25 @@ func CheckInvariants(c *driver.Compiled) error {
 	dev := c.Options.Device
 	topo := c.Options.Topo
 
-	covered := sdf.NewNodeSet(g.NumNodes())
+	// The structural checks reuse one scratch set, filled with a partition's
+	// members and cleared again.
+	covered, set := sdf.NewNodeSet(g.NumNodes()), sdf.NewNodeSet(g.NumNodes())
+	convex := g.NewConvexChecker()
 	for i, p := range c.Parts.Parts {
-		for _, m := range p.Set.Members() {
+		for _, m := range p.Sub.NodeOf {
 			if covered.Has(m) {
 				return fmt.Errorf("node %d in more than one partition", m)
 			}
 			covered.Add(m)
+			set.Add(m)
 		}
-		if !g.IsConvex(p.Set) {
-			return fmt.Errorf("partition %d (%v) not convex", i, p.Set)
+		if !convex.IsConvex(set) {
+			return fmt.Errorf("partition %d (%s) not convex", i, sdf.FormatMembers(p.Sub.NodeOf))
 		}
-		if !g.IsConnected(p.Set) {
-			return fmt.Errorf("partition %d (%v) not connected", i, p.Set)
+		if !g.IsConnected(set) {
+			return fmt.Errorf("partition %d (%s) not connected", i, sdf.FormatMembers(p.Sub.NodeOf))
 		}
+		set.Reset()
 
 		lay, err := smreq.Analyze(p.Sub)
 		if err != nil {

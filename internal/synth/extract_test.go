@@ -14,13 +14,19 @@ import (
 // written against the public graph API: it walks every edge of the parent in
 // edge-list order — the walk Extract used to do per partition — and demands
 // that s lists exactly those internal and cut edges, in that order, over the
-// gcd-normalized restriction of the parent's repetition vector.
+// gcd-normalized restriction of the parent's repetition vector. The member
+// set is rebuilt from NodeOf, which must ascend, and the sub's name must be
+// the parent's name plus that set's String form: the simulator hashes it.
 func checkExtractionAgainstEdgeList(g *sdf.Graph, s *sdf.Subgraph) error {
-	members := s.Set.Members()
+	set := sdf.NewNodeSet(g.NumNodes())
+	for _, m := range s.NodeOf {
+		set.Add(m)
+	}
+	members := set.Members()
 	if !slices.Equal(s.NodeOf, members) {
 		return fmt.Errorf("NodeOf %v, want the set's members %v", s.NodeOf, members)
 	}
-	if want := g.Name + s.Set.String(); s.Sub.Name != want {
+	if want := g.Name + set.String(); s.Sub.Name != want {
 		return fmt.Errorf("name %q, want %q", s.Sub.Name, want)
 	}
 	if s.Sub.NumNodes() != len(members) {
@@ -48,7 +54,7 @@ func checkExtractionAgainstEdgeList(g *sdf.Graph, s *sdf.Subgraph) error {
 	var cutIn, cutOut []sdf.BoundaryEdge
 	internal := 0
 	for _, e := range g.Edges {
-		srcIn, dstIn := s.Set.Has(e.Src), s.Set.Has(e.Dst)
+		srcIn, dstIn := set.Has(e.Src), set.Has(e.Dst)
 		switch {
 		case srcIn && dstIn:
 			if internal >= len(s.Sub.Edges) {
@@ -88,14 +94,14 @@ func checkExtractionAgainstEdgeList(g *sdf.Graph, s *sdf.Subgraph) error {
 		for p := range n.Filter.Inputs {
 			if n.In(p) != -1 {
 				wired++
-			} else if pe := pn.In(p); pe != -1 && s.Set.Has(g.Edges[pe].Src) {
+			} else if pe := pn.In(p); pe != -1 && set.Has(g.Edges[pe].Src) {
 				return fmt.Errorf("sub node %d input %d is unwired but parent edge %d is internal", i, p, pe)
 			}
 		}
 		for p := range n.Filter.Outputs {
 			if n.Out(p) != -1 {
 				wired++
-			} else if pe := pn.Out(p); pe != -1 && s.Set.Has(g.Edges[pe].Dst) {
+			} else if pe := pn.Out(p); pe != -1 && set.Has(g.Edges[pe].Dst) {
 				return fmt.Errorf("sub node %d output %d is unwired but parent edge %d is internal", i, p, pe)
 			}
 		}
@@ -130,7 +136,7 @@ func TestExtractMatchesEdgeListOnCorpus(t *testing.T) {
 		}
 		for pi, p := range c.Parts.Parts {
 			if err := checkExtractionAgainstEdgeList(c.Graph, p.Sub); err != nil {
-				t.Errorf("scenario %s partition %d %v: %v", sc.Name, pi, p.Set, err)
+				t.Errorf("scenario %s partition %d %v: %v", sc.Name, pi, p.Sub.NodeOf, err)
 			}
 			parts++
 			for _, e := range p.Sub.Sub.Edges {
@@ -142,5 +148,20 @@ func TestExtractMatchesEdgeListOnCorpus(t *testing.T) {
 	}
 	if parts < corpusSize || delayed == 0 {
 		t.Errorf("vacuous: %d partitions checked, %d internal delay edges among them", parts, delayed)
+	}
+}
+
+// TestSubgraphNameOrder pins the member order inside a subgraph's name: ids
+// sort as decimal strings, so from 10 on it differs from numeric order, and
+// the name-rendering helper must agree with NodeSet.String there.
+func TestSubgraphNameOrder(t *testing.T) {
+	ids := []sdf.NodeID{1, 2, 10, 11, 100}
+	set := sdf.NewNodeSet(128)
+	for _, id := range ids {
+		set.Add(id)
+	}
+	const want = "{1,10,100,11,2}"
+	if got := sdf.FormatMembers(ids); got != want || set.String() != want {
+		t.Errorf("FormatMembers %s, NodeSet.String %s, want %s", got, set.String(), want)
 	}
 }

@@ -73,7 +73,7 @@ func compilationDigest(c *driver.Compiled, err error) string {
 	}
 	h := sha256.New()
 	for _, p := range c.Parts.Parts {
-		fmt.Fprintf(h, "part %v params %d/%d/%d t %016x sm %d scale %d\n", p.Set.Members(),
+		fmt.Fprintf(h, "part %v params %d/%d/%d t %016x sm %d scale %d\n", p.Sub.NodeOf,
 			p.Est.Params.S, p.Est.Params.W, p.Est.Params.F, math.Float64bits(p.Est.TUS), p.Est.SMBytes, p.Sub.Scale)
 	}
 	for _, e := range c.PDG.Edges {
