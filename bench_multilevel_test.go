@@ -6,7 +6,8 @@ package streammap
 // (including PDG, mapping and plan) at 10^4 filters — the regime where the
 // exact Try-Merge flow has already left interactive latency.
 // BenchmarkDeltaDescent is the mapper's inner loop alone: one budgeted
-// delta descent over that compile's 1406-partition PDG from a cold seed,
+// delta descent over that compile's 1406-partition PDG from a cold seed;
+// BenchmarkGreedy is the placement that seeds local search on the same PDG,
 // and BenchmarkExtractPartition the materialization of one of those
 // partitions.
 // (The partitioner's inner loop, the kernel-parameter sweep, has its
@@ -106,7 +107,10 @@ func BenchmarkMultilevelCompile(b *testing.B) {
 	}
 }
 
-func BenchmarkDeltaDescent(b *testing.B) {
+// benchMappingProblem is the mapping problem of the 10^4-filter multilevel
+// compile: 1406 partitions on PairedTree(4).
+func benchMappingProblem(b *testing.B) *mapping.Problem {
+	b.Helper()
 	g := benchSynthGraph(b, 10000)
 	opts := benchCompileOptions(0)
 	opts.Partitioner = core.MultilevelPart
@@ -114,16 +118,31 @@ func BenchmarkDeltaDescent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return c.Problem
+}
+
+func BenchmarkGreedy(b *testing.B) {
+	p := benchMappingProblem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := mapping.Greedy(p)
+		b.ReportMetric(a.Objective, "objective_us")
+	}
+}
+
+func BenchmarkDeltaDescent(b *testing.B) {
+	p := benchMappingProblem(b)
 	// Local search's round-robin seed: the topological order dealt over
 	// the GPUs.
-	seed := make([]int, c.PDG.NumParts())
-	for pos, pi := range c.PDG.Topo {
-		seed[pi] = pos % c.Problem.Topo.NumGPUs()
+	seed := make([]int, p.PDG.NumParts())
+	for pos, pi := range p.PDG.Topo {
+		seed[pi] = pos % p.Topo.NumGPUs()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := mapping.Refine(context.Background(), c.Problem, seed)
+		a := mapping.Refine(context.Background(), p, seed)
 		b.ReportMetric(a.Objective, "objective_us")
 	}
 }

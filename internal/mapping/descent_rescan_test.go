@@ -74,7 +74,7 @@ func descentPair(p *mapping.Problem, check func(what string, got, want *mapping.
 		q := *p
 		q.ViaHost = viaHost
 		for s, seed := range mapping.ColdSeeds(&q, mapping.Greedy(&q).GPUOf) {
-			got, cut := mapping.DescendDelta(context.Background(), &q, seed)
+			got, cut, _ := mapping.DescendDelta(context.Background(), &q, seed)
 			want := mapping.DescendRescan(context.Background(), &q, seed)
 			check(fmt.Sprintf("viaHost=%t seed %d", viaHost, s), got, want, cut)
 		}

@@ -132,7 +132,9 @@ func (de *refDeltaEvaluator) objective() float64 {
 	return obj
 }
 
-func descendDeltaUnfiltered(ctx context.Context, p *Problem, gpuOf []int) *Assignment {
+// descendDeltaUnfiltered returns the descent's result and how many
+// candidates it scored.
+func descendDeltaUnfiltered(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, int) {
 	n := p.PDG.NumParts()
 	g := p.Topo.NumGPUs()
 	de := newRefDeltaEvaluator(p)
@@ -145,7 +147,7 @@ func descendDeltaUnfiltered(ctx context.Context, p *Problem, gpuOf []int) *Assig
 	evals := 0
 	for {
 		if ctx.Err() != nil {
-			return cur
+			return cur, evals
 		}
 		improved := false
 		// Moves.
@@ -168,7 +170,7 @@ func descendDeltaUnfiltered(ctx context.Context, p *Problem, gpuOf []int) *Assig
 		// Swaps.
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil || evals > deltaDescendEvalBudget {
-				return cur
+				return cur, evals
 			}
 			for j := i + 1; j < n; j++ {
 				gi, gj := de.gpuOf[i], de.gpuOf[j]
@@ -188,9 +190,17 @@ func descendDeltaUnfiltered(ctx context.Context, p *Problem, gpuOf []int) *Assig
 			}
 		}
 		if !improved || evals > deltaDescendEvalBudget {
-			return cur
+			return cur, evals
 		}
 	}
+}
+
+// moveTime is the per-GPU half of a move: partition i's time leaves GPU from
+// and lands on GPU to. The descent does the same arithmetic in locals;
+// TestDeltaEvaluatorMatchesEvaluate drives the evaluator with it.
+func (ev *evaluator) moveTime(i, from, to int) {
+	ev.gpuT[from] -= ev.times[i]
+	ev.gpuT[to] += ev.times[i]
 }
 
 // descentProblem draws a PDG of n partitions: a chain with random shortcut
@@ -242,7 +252,8 @@ func sameAssignment(t *testing.T, what string, got, want *Assignment) {
 func sameDescent(t *testing.T, what string, p *Problem, seed []int) descentStats {
 	t.Helper()
 	got, st := descendDelta(context.Background(), p, seed)
-	sameAssignment(t, what, got, descendDeltaUnfiltered(context.Background(), p, seed))
+	want, _ := descendDeltaUnfiltered(context.Background(), p, seed)
+	sameAssignment(t, what, got, want)
 	return st
 }
 
@@ -313,8 +324,8 @@ func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 				for i := range projected {
 					projected[i] %= 2
 				}
-				sameAssignment(t, "Refine from a projected seed", Refine(context.Background(), &half, projected),
-					descendDeltaUnfiltered(context.Background(), &half, projected))
+				want, _ := descendDeltaUnfiltered(context.Background(), &half, projected)
+				sameAssignment(t, "Refine from a projected seed", Refine(context.Background(), &half, projected), want)
 			}
 		})
 	}

@@ -54,7 +54,7 @@ type exactSearch struct {
 	ctx   context.Context
 	ev    *evaluator
 	order []int   // partitions in placement order
-	thr   float64 // what a placement's objective must stay below
+	thr   float64 // what a placement's objective must stay below; ev.caps holds it as link loads
 	best  []int   // the best complete placement found; nil while the seed stands
 
 	path     [][]int32 // GPU -> its tree nodes, leaf up to the root's child
@@ -79,6 +79,7 @@ func newExactSearch(ctx context.Context, p *Problem, incumbent float64, budgetNo
 	for i := range ev.gpuOf {
 		ev.gpuOf[i] = -1
 	}
+	ev.setCaps(s.thr)
 
 	t := p.Topo
 	sig := subtreeSignatures(t)
@@ -185,6 +186,7 @@ func (s *exactSearch) place(d int) {
 	if d == len(s.order) {
 		s.best = append(s.best[:0], ev.gpuOf...)
 		s.thr = linkMax(t, ev.loads, gpuMax(ev.gpuT)) - 1e-9
+		ev.setCaps(s.thr)
 		s.st.improved = true
 		return
 	}
@@ -207,7 +209,7 @@ func (s *exactSearch) place(d int) {
 			continue
 		}
 		ev.attach(i, k, 1)
-		if linksBelow(t, ev.loads, s.thr) {
+		if under(ev.loads, ev.caps) {
 			ev.gpuOf[i] = k
 			for _, node := range s.path[k] {
 				s.placed[node]++

@@ -26,38 +26,7 @@ import (
 func exactProblem(tb testing.TB, seed uint64) *mapping.Problem {
 	tb.Helper()
 	r := rand.New(rand.NewSource(int64(seed)))
-	tree, err := synth.BuildTopology(synth.TopoParams{
-		Seed: seed, GPUs: 1 + r.Intn(5), MaxFan: 1 + r.Intn(3), MaxDepth: 1 + r.Intn(3),
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	switch r.Intn(5) {
-	case 0: // a degraded edge: both directions slower, or slower to start
-		th := topology.Throttle{Node: 1 + r.Intn(tree.NumNodes()-1), BandwidthGBs: tree.BandwidthGBs / 2, LatencyUS: -1}
-		if r.Intn(2) == 0 {
-			th = topology.Throttle{Node: th.Node, LatencyUS: tree.LatencyUS * 3}
-		}
-		if tree, _, err = tree.Degrade(topology.Degradation{Throttles: []topology.Throttle{th}}); err != nil {
-			tb.Fatal(err)
-		}
-	case 1: // one directed link unlike its reverse
-		spec := tree.Export()
-		spec.LinkBandwidthGBs = make([]float64, tree.NumLinks())
-		for l := range spec.LinkBandwidthGBs {
-			spec.LinkBandwidthGBs[l] = tree.BandwidthGBs
-		}
-		spec.LinkBandwidthGBs[r.Intn(tree.NumLinks())] /= 4
-		if tree, err = topology.Import(spec); err != nil {
-			tb.Fatal(err)
-		}
-	case 2: // a GPU fell off the bus
-		if tree.NumGPUs() > 2 {
-			if tree, _, err = tree.Degrade(topology.Degradation{RemoveGPUs: []int{r.Intn(tree.NumGPUs())}}); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
+	tree := drawTree(tb, r, seed, 1+r.Intn(5))
 
 	n := 1 + r.Intn(8)
 	for math.Pow(float64(tree.NumGPUs()), float64(n)) > 65536 {
@@ -92,6 +61,46 @@ func exactProblem(tb testing.TB, seed uint64) *mapping.Problem {
 		FragmentIters: 1 + r.Intn(3), LaunchUS: float64(r.Intn(2)) * 4,
 		ViaHost: r.Intn(2) == 0,
 	}
+}
+
+// drawTree draws a synth.BuildTopology tree of the given GPU count from r,
+// then leaves it homogeneous or degrades it: one edge throttled, one
+// directed link changed alone, or a GPU lost (while more than two remain).
+func drawTree(tb testing.TB, r *rand.Rand, seed uint64, gpus int) *topology.Tree {
+	tb.Helper()
+	tree, err := synth.BuildTopology(synth.TopoParams{
+		Seed: seed, GPUs: gpus, MaxFan: 1 + r.Intn(3), MaxDepth: 1 + r.Intn(3),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	switch r.Intn(5) {
+	case 0: // a degraded edge: both directions slower, or slower to start
+		th := topology.Throttle{Node: 1 + r.Intn(tree.NumNodes()-1), BandwidthGBs: tree.BandwidthGBs / 2, LatencyUS: -1}
+		if r.Intn(2) == 0 {
+			th = topology.Throttle{Node: th.Node, LatencyUS: tree.LatencyUS * 3}
+		}
+		if tree, _, err = tree.Degrade(topology.Degradation{Throttles: []topology.Throttle{th}}); err != nil {
+			tb.Fatal(err)
+		}
+	case 1: // one directed link unlike its reverse
+		spec := tree.Export()
+		spec.LinkBandwidthGBs = make([]float64, tree.NumLinks())
+		for l := range spec.LinkBandwidthGBs {
+			spec.LinkBandwidthGBs[l] = tree.BandwidthGBs
+		}
+		spec.LinkBandwidthGBs[r.Intn(tree.NumLinks())] /= 4
+		if tree, err = topology.Import(spec); err != nil {
+			tb.Fatal(err)
+		}
+	case 2: // a GPU fell off the bus
+		if tree.NumGPUs() > 2 {
+			if tree, _, err = tree.Degrade(topology.Degradation{RemoveGPUs: []int{r.Intn(tree.NumGPUs())}}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return tree
 }
 
 // refereeExact holds the exact arm to the exhaustive enumerator on one

@@ -5,16 +5,18 @@ import "context"
 // Hooks for the external mapping_test package, which — unlike this one —
 // may import driver and synth to draw compiler-produced problems.
 var (
-	DescendRescan  = descendRescan
-	ColdSeeds      = coldSeeds
-	DescentProblem = descentProblem
+	DescendRescan          = descendRescan
+	DescendDeltaUnfiltered = descendDeltaUnfiltered
+	GreedyRescan           = greedyRescan
+	ColdSeeds              = coldSeeds
+	DescentProblem         = descentProblem
 )
 
 // DescendDelta runs the production descent and reports whether the
-// evaluation budget cut it.
-func DescendDelta(ctx context.Context, p *Problem, seed []int) (*Assignment, bool) {
+// evaluation budget cut it and how many candidates it scored.
+func DescendDelta(ctx context.Context, p *Problem, seed []int) (*Assignment, bool, int) {
 	a, st := descendDelta(ctx, p, seed)
-	return a, st.budgetCut
+	return a, st.budgetCut, st.candidates
 }
 
 // BruteForce, LocalSearch and SubtreeSignatures let the exact arm's external

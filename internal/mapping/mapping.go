@@ -16,8 +16,10 @@ package mapping
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streammap/internal/obs"
@@ -73,12 +75,6 @@ type Assignment struct {
 	GPUTimes  []float64 // per GPU
 	LinkTimes []float64 // per directed link
 	LinkLoads []int64   // bytes per fragment per directed link
-}
-
-// Clone deep-copies the assignment vector (evaluation fields are rebuilt by
-// Evaluate).
-func (a *Assignment) Clone() *Assignment {
-	return &Assignment{GPUOf: append([]int(nil), a.GPUOf...), Method: a.Method}
 }
 
 // Evaluate scores an assignment exactly: per-GPU sums of partition times and
@@ -156,6 +152,17 @@ func gpuMax(gpuT []float64) float64 {
 	return obj
 }
 
+// reaches reports whether gpuMax(gpuT) >= thr with GPU a's time read as ta
+// and GPU b's as tb.
+func reaches(gpuT []float64, a int, ta float64, b int, tb float64, thr float64) bool {
+	for k, gt := range gpuT {
+		if gt >= thr && k != a && k != b {
+			return true
+		}
+	}
+	return ta >= thr || tb >= thr || 0 >= thr
+}
+
 // linkTimeUS is T_comm of Eq. III.3 for a loaded link.
 func linkTimeUS(t *topology.Tree, l int, load int64) float64 {
 	return t.LinkLatencyUS(l) + float64(load)/(t.LinkBandwidthGBs(l)*1e3)
@@ -173,25 +180,51 @@ func linkMax(t *topology.Tree, loads []int64, obj float64) float64 {
 
 // Greedy is longest-processing-time-first on the exact objective: partitions
 // in decreasing T_i, each placed on the GPU that minimizes the evaluated
-// Tmax so far. Deterministic.
+// Tmax so far. Deterministic. A trial scores to the bits reset would return
+// for the partial placement: the placed partitions' loads plus what attach
+// brings, and each GPU's members' T_i folded in index order, from cached
+// prefix sums.
 func Greedy(p *Problem) *Assignment {
-	gpuOf := make([]int, p.PDG.NumParts())
-	for i := range gpuOf {
-		gpuOf[i] = -1
-	}
 	ev := newEvaluator(p)
+	for i := range ev.gpuOf {
+		ev.gpuOf[i] = -1
+	}
+	members := make([][]int, ev.gpus)  // GPU -> its partitions, ascending
+	sums := make([][]float64, ev.gpus) // GPU -> [m]: T_i folded over its first m members
+	for k := range sums {
+		sums[k] = []float64{0}
+	}
 	for _, pi := range longestFirst(ev.times) {
-		best, bestObj := 0, math.Inf(1)
-		for k := 0; k < p.Topo.NumGPUs(); k++ {
-			gpuOf[pi] = k
-			obj := ev.reset(gpuOf, bestObj)
+		best, bestObj, bestPos := 0, math.Inf(1), 0
+		for k := range members {
+			pos, _ := slices.BinarySearch(members[k], pi)
+			trial := sums[k][pos] + ev.times[pi]
+			for _, m := range members[k][pos:] {
+				trial += ev.times[m]
+			}
+			obj := trial // not below GPU k's fold without pi: T_i ≥ 0, rounding is monotone
+			for _, s := range sums {
+				obj = fmax(obj, s[len(s)-1])
+			}
+			if obj >= bestObj {
+				continue
+			}
+			ev.attach(pi, k, 1)
+			obj = linkMax(p.Topo, ev.loads, obj)
+			ev.attach(pi, k, -1)
 			if obj < bestObj {
-				best, bestObj = k, obj
+				best, bestObj, bestPos = k, obj, pos
 			}
 		}
-		gpuOf[pi] = best
+		ev.attach(pi, best, 1)
+		ev.gpuOf[pi] = best
+		members[best] = slices.Insert(members[best], bestPos, pi)
+		sums[best] = append(sums[best], 0)
+		for m := bestPos; m < len(members[best]); m++ {
+			sums[best][m+1] = sums[best][m] + ev.times[members[best][m]]
+		}
 	}
-	return Evaluate(p, gpuOf, "greedy")
+	return Evaluate(p, ev.gpuOf, "greedy")
 }
 
 // longestFirst returns the partitions in decreasing T_i, ties in index
@@ -219,21 +252,21 @@ const deltaDescendEvalBudget = 8_000_000
 // evaluator is the mappers' working scorer: it holds the per-GPU times and
 // per-link loads of one assignment (gpuOf), rebuilt from scratch by reset
 // and updated incrementally by the two independent halves of a
-// single-partition move: moveTime, O(1), and reroute, O(deg(i)·route), which
-// a descent applies to a scratch copy of the loads so a rejected candidate
-// leaves nothing to undo there. Loads are exact (int64); gpuT is float and
-// accumulates rounding residue across rejected candidates, so descents
-// rebuild (reset) on every accepted improvement — drift never crosses an
-// accept. Right after reset the state is Evaluate's own (same summation
-// order, exact loads), so the objective reset returns is Evaluate's
-// Objective bit for bit; Evaluate stays the allocating oracle that results
-// are re-scored by. Not safe for concurrent use; each descent owns one.
+// single-partition move: the O(1) time update of the two GPUs, and reroute,
+// O(deg(i)·route), which the descent runs once per row of its move table,
+// not per candidate. Loads are exact (int64); gpuT is float and accumulates
+// rounding residue across rejected candidates, so descents rebuild it
+// (sumTimes) on every accepted improvement — drift never crosses an accept.
+// Right after that the state is Evaluate's own (same summation order, exact
+// loads), so the objective read from it is Evaluate's Objective bit for bit;
+// Evaluate stays the allocating oracle that results are re-scored by. Not
+// safe for concurrent use; each descent owns one.
 type evaluator struct {
 	p        *Problem
 	times    []float64 // PartTimeUS table
 	gpuT     []float64
 	loads    []int64
-	trial    []int64   // loads of the candidate being scored
+	caps     []int64   // per link: the smallest load whose time reaches the threshold (setCaps)
 	incident [][]int32 // partition -> indices into PDG.Edges
 	gpuOf    []int
 
@@ -250,7 +283,7 @@ func newEvaluator(p *Problem) *evaluator {
 		times:    make([]float64, p.PDG.NumParts()),
 		gpuT:     make([]float64, g),
 		loads:    make([]int64, t.NumLinks()),
-		trial:    make([]int64, t.NumLinks()),
+		caps:     make([]int64, t.NumLinks()),
 		incident: make([][]int32, p.PDG.NumParts()),
 		gpuOf:    make([]int, p.PDG.NumParts()),
 		gpus:     g,
@@ -278,29 +311,20 @@ func newEvaluator(p *Problem) *evaluator {
 }
 
 // reset rebuilds the state for an assignment from scratch and returns its
-// objective. Partitions assigned -1, and the transfers touching them, are
-// skipped (Greedy scores partial placements). When the per-GPU times alone
-// already reach cut it returns that lower bound (≥ cut) instead and never
-// walks the edges, leaving the loads stale: a caller with a finite cut only
-// asks whether the objective is below it, and one that goes on to move
-// partitions passes math.Inf(1), which always yields the exact objective.
+// objective, skipping partitions assigned -1 and the transfers touching
+// them (Greedy's scoring reproduces these partial bits). When the per-GPU
+// times alone already reach cut it returns that lower bound (≥ cut) instead
+// and never walks the edges, leaving the loads stale: a caller with a finite
+// cut only asks whether the objective is below it, and one that goes on to
+// move partitions passes math.Inf(1), which always yields the exact objective.
 func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
 	copy(ev.gpuOf, gpuOf)
-	for i := range ev.gpuT {
-		ev.gpuT[i] = 0
-	}
-	for i, k := range ev.gpuOf {
-		if k >= 0 {
-			ev.gpuT[k] += ev.times[i]
-		}
-	}
+	ev.sumTimes()
 	obj := gpuMax(ev.gpuT)
 	if obj >= cut {
 		return obj
 	}
-	for i := range ev.loads {
-		ev.loads[i] = 0
-	}
+	clear(ev.loads)
 	p, t := ev.p, ev.p.Topo
 	B := int64(p.FragmentIters)
 	for _, e := range p.PDG.Edges {
@@ -322,18 +346,21 @@ func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
 	return linkMax(t, ev.loads, obj)
 }
 
+// sumTimes sums each GPU's placed partitions' T_i, in index order.
+func (ev *evaluator) sumTimes() {
+	clear(ev.gpuT)
+	for i, k := range ev.gpuOf {
+		if k >= 0 {
+			ev.gpuT[k] += ev.times[i]
+		}
+	}
+}
+
 // addLoad adds bytes (negative to subtract) to every link of a route.
 func addLoad(loads []int64, route []int, bytes int64) {
 	for _, l := range route {
 		loads[l] += bytes
 	}
-}
-
-// moveTime is the per-GPU half of a move: partition i's time leaves GPU
-// from and lands on GPU to.
-func (ev *evaluator) moveTime(i, from, to int) {
-	ev.gpuT[from] -= ev.times[i]
-	ev.gpuT[to] += ev.times[i]
 }
 
 // reroute is the link half of a move: it adds to loads the change when
@@ -366,12 +393,39 @@ func (ev *evaluator) reroute(loads []int64, i, from, to int) {
 	}
 }
 
-// linksBelow reports whether every loaded link's time is below thr — with
-// gpuMax below thr too, that the objective is — stopping at the first that
-// is not.
-func linksBelow(t *topology.Tree, loads []int64, thr float64) bool {
-	for l, load := range loads {
-		if load > 0 && !(linkTimeUS(t, l, load) < thr) {
+// setCaps sets every link's cap for thr (linkCap).
+func (ev *evaluator) setCaps(thr float64) {
+	for l := range ev.caps {
+		ev.caps[l] = linkCap(ev.p.Topo, l, thr)
+	}
+}
+
+// linkCap returns the smallest load ≥ 1 whose linkTimeUS on link l reaches
+// thr (math.MaxInt64 if no smaller one does): linkTimeUS is monotone in the
+// load, so the loads below thr are a prefix. The closed-form guess, checked
+// with linkTimeUS, spares the binary search its ~63 steps on nearly every
+// call; a guess out of range or off by more than one falls back to it.
+func linkCap(t *topology.Tree, l int, thr float64) int64 {
+	below := func(load int64) bool { return linkTimeUS(t, l, load) < thr }
+	lo, hi := int64(1), int64(math.MaxInt64) // the cap is in [lo, hi]
+	guess := (thr - t.LinkLatencyUS(l)) * (t.LinkBandwidthGBs(l) * 1e3)
+	if c := int64(guess); guess >= 2 && guess < 1<<62 && below(c-1) && !below(c+1) {
+		lo, hi = c, c+1
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; below(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// under reports whether every link's load is below its cap.
+func under(loads, caps []int64) bool {
+	for l, x := range loads {
+		if x >= caps[l] {
 			return false
 		}
 	}
@@ -379,31 +433,29 @@ func linksBelow(t *topology.Tree, loads []int64, thr float64) bool {
 }
 
 // localSearchCtx refines an assignment with single-partition moves and
-// pairwise swaps (descendDelta) from several deterministic seeds, on up to
-// workers goroutines, and returns the best. Each descent is deterministic
-// and the winner is selected in fixed seed order, so the result is the same
-// at any worker count. Cancelling the context cuts the descents short
-// (SolveCtx then reports the cancellation). greedy is the first seed. The
-// second result names the seed whose descent won.
+// pairwise swaps (descendDelta) from several deterministic seeds, on
+// min(workers, seeds) goroutines (at least one) that claim seeds by index,
+// and returns the best. Each descent is deterministic and lands in its
+// seed's slot, and the winner is selected in fixed seed order, so the result
+// is the same at any worker count. Cancelling the context cuts the descents
+// short (SolveCtx then reports the cancellation). greedy is the first seed.
+// The second result names the seed whose descent won.
 func localSearchCtx(ctx context.Context, p *Problem, workers int, greedy *Assignment) (*Assignment, string) {
 	seeds := coldSeeds(p, greedy.GPUOf)
 
 	var results [len(seedNames)]*Assignment
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for i := range seeds {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for range max(1, min(workers, len(seeds))) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(seeds); i = int(next.Add(1)) - 1 {
 				results[i] = descent(ctx, p, seedNames[i], seeds[i])
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range seeds {
-			results[i] = descent(ctx, p, seedNames[i], seeds[i])
-		}
+			}
+		}()
 	}
+	wg.Wait()
 
 	win := 0
 	for i, r := range results {
@@ -467,33 +519,117 @@ func descent(ctx context.Context, p *Problem, seed string, gpuOf []int) *Assignm
 
 // descendDelta is the mapper's one descent, at every instance size: rounds
 // of single-partition moves, then pairwise swaps, each candidate accepted
-// when it lowers the objective by more than 1e-9, scored incrementally under
-// the deltaDescendEvalBudget allowance. A candidate is tried in two steps:
-// its O(1) per-GPU time updates first — the largest GPU time is a lower
-// bound of the objective, so one at or above the threshold rejects the
-// candidate before any link load is computed — and only for survivors the
-// O(deg·route) re-routing, on a scratch copy of the loads, and the link
-// terms. A rejected candidate's time updates are undone in the order a
-// whole-move undo would apply them, survivor or not: the rounding residue
-// they leave in gpuT is what later candidates are scored against. Every
-// candidate counts against the budget, filtered or not. The descent
-// therefore visits exactly the assignments an unfiltered one would;
-// DESIGN.md S5 has the argument and what the residue can and cannot move,
-// the test-only descendDeltaUnfiltered and descendRescan are the referees.
+// when it lowers the objective by more than 1e-9, under the
+// deltaDescendEvalBudget allowance. A candidate's O(1) per-GPU time updates
+// come first — the largest GPU time bounds the objective from below — and
+// only survivors have their load change, summed from the maintained move
+// rows, held to the link caps. A rejected candidate's time updates are
+// undone in the order a whole-move undo would apply them: the rounding
+// residue they leave in gpuT is what later candidates are scored against.
+// So the descent visits exactly the assignments an unfiltered one would;
+// DESIGN.md S5 has the argument, the test-only descendDeltaUnfiltered and
+// descendRescan are the referees.
 func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
 	n := p.PDG.NumParts()
 	g := p.Topo.NumGPUs()
 	var st descentStats
 	ev := newEvaluator(p)
+	L := len(ev.loads)
 	cur := ev.reset(gpuOf, math.Inf(1)) // the exact objective: see evaluator
-	accept := func() {
+	ev.setCaps(cur - 1e-9)
+	// A move between GPUs a and b changes loads only on chain[a] and
+	// chain[b], the links above the two (their routes to and from the host).
+	// Row x = i*g+k is the change when partition i moves to GPU k: on
+	// chain[gpuOf[i]] in its first C values, then on chain[k] — a link on
+	// both is counted in the first half. The table grows with the tree's
+	// depth, not its size (DESIGN.md S5).
+	chain, C := make([][]int, g), 0
+	slot := make([]int32, g*L) // [k*L+l]: l's index in chain[k], or -1
+	for k := range chain {
+		chain[k] = slices.Concat(p.Topo.Route(k, topology.Host), p.Topo.Route(topology.Host, k))
+		C = max(C, len(chain[k]))
+		for l := range L {
+			slot[k*L+l] = int32(slices.Index(chain[k], l))
+		}
+	}
+	rows := make([]int64, n*g*2*C)
+	// at returns row x's change on link l, x a move from GPU a to b.
+	at := func(x, a, b, l int) int64 {
+		if s := slot[a*L+l]; s >= 0 {
+			return rows[2*C*x+int(s)]
+		}
+		if s := slot[b*L+l]; s >= 0 {
+			return rows[2*C*x+C+int(s)]
+		}
+		return 0
+	}
+	delta := make([]int64, L) // the load change of the candidate being tried
+	addRow := func(x, a, b int) {
+		r := rows[2*C*x:][:2*C]
+		for s, l := range chain[a] {
+			delta[l] += r[s]
+		}
+		for s, l := range chain[b] {
+			delta[l] += r[C+s]
+		}
+	}
+	refresh := func(i int) {
+		a := ev.gpuOf[i]
+		for k := 0; k < g; k++ {
+			r := rows[2*C*(i*g+k):][:2*C]
+			clear(r)
+			ev.reroute(delta, i, a, k)
+			for s, l := range chain[a] {
+				r[s], delta[l] = delta[l], 0
+			}
+			for s, l := range chain[k] {
+				r[C+s], delta[l] = delta[l], 0
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		refresh(i)
+	}
+	// fits reports whether every link stays below its cap with delta added.
+	// A rejected delta is cleared, and hot becomes the link it failed on.
+	hot := 0
+	fits := func() bool {
+		for l, d := range delta {
+			if ev.loads[l]+d >= ev.caps[l] {
+				hot = l
+				clear(delta)
+				return false
+			}
+		}
+		return true
+	}
+	// accept adopts the candidate ev.gpuOf and delta now hold: after it the
+	// state is reset's, and the rows of the moved partitions and their PDG
+	// neighbours are re-routed.
+	accept := func(moved ...int) {
 		st.accepts++
-		cur = ev.reset(ev.gpuOf, math.Inf(1))
+		for l, d := range delta {
+			ev.loads[l] += d
+		}
+		clear(delta)
+		ev.sumTimes()
+		cur = linkMax(p.Topo, ev.loads, gpuMax(ev.gpuT))
+		ev.setCaps(cur - 1e-9)
+		for _, i := range moved {
+			refresh(i)
+			for _, ei := range ev.incident[i] {
+				e := &p.PDG.Edges[ei]
+				refresh(e.From + e.To - i)
+			}
+		}
 	}
 	finish := func(cut bool) (*Assignment, descentStats) {
 		st.budgetCut = cut
 		return Evaluate(p, ev.gpuOf, "local"), st
 	}
+	pair := make([]int64, n)  // bytes the outer partition exchanges with each neighbour
+	stamp := make([]int32, n) // pair[o] is current when stamp[o] == mark
+	mark := int32(0)
 	for ctx.Err() == nil {
 		improved := false
 		// Moves.
@@ -505,22 +641,18 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 				}
 				st.candidates++
 				thr := cur - 1e-9
-				ev.moveTime(i, old, k)
-				if gpuMax(ev.gpuT) >= thr {
+				// i's time leaves old for k; undone, it comes back.
+				ti := ev.times[i]
+				a, b := ev.gpuT[old]-ti, ev.gpuT[k]+ti
+				if reaches(ev.gpuT, old, a, k, b, thr) {
 					st.timeRejected++
-					ev.moveTime(i, k, old)
+				} else if addRow(i*g+k, old, k); fits() {
+					ev.gpuOf[i] = k
+					accept(i)
+					improved = true
 					continue
 				}
-				copy(ev.trial, ev.loads)
-				ev.reroute(ev.trial, i, old, k)
-				ev.gpuOf[i] = k
-				if linksBelow(p.Topo, ev.trial, thr) {
-					accept()
-					improved = true
-				} else {
-					ev.gpuOf[i] = old
-					ev.moveTime(i, k, old)
-				}
+				ev.gpuT[old], ev.gpuT[k] = a+ti, b-ti
 			}
 		}
 		// Swaps.
@@ -531,6 +663,15 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 			if st.candidates > deltaDescendEvalBudget {
 				return finish(true)
 			}
+			mark++
+			for _, ei := range ev.incident[i] {
+				e := &p.PDG.Edges[ei]
+				o := e.From + e.To - i
+				if stamp[o] != mark {
+					stamp[o], pair[o] = mark, 0
+				}
+				pair[o] += e.Bytes * int64(p.FragmentIters)
+			}
 			for j := i + 1; j < n; j++ {
 				gi, gj := ev.gpuOf[i], ev.gpuOf[j]
 				if gi == gj {
@@ -538,27 +679,31 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 				}
 				st.candidates++
 				thr := cur - 1e-9
-				ev.moveTime(i, gi, gj)
-				ev.moveTime(j, gj, gi)
-				if gpuMax(ev.gpuT) >= thr {
+				// i's time leaves gi for gj, then j's gj for gi (undone: j's
+				// first). Most survivors fail on the link the last one failed
+				// on (DESIGN.md S5 has the rates), so that link is tried first,
+				// without the neighbour correction: it only adds load.
+				ti, tj := ev.times[i], ev.times[j]
+				a, b := ev.gpuT[gi]-ti+tj, ev.gpuT[gj]+ti-tj
+				if reaches(ev.gpuT, gi, a, gj, b, thr) {
 					st.timeRejected++
-					ev.moveTime(j, gi, gj)
-					ev.moveTime(i, gj, gi)
-					continue
+				} else if ev.loads[hot]+at(i*g+gj, gi, gj, hot)+at(j*g+gi, gj, gi, hot) < ev.caps[hot] {
+					addRow(i*g+gj, gi, gj)
+					addRow(j*g+gi, gj, gi)
+					if stamp[j] == mark {
+						// Both rows took i↔j transfers off their route and
+						// routed them nowhere: put them back, and reversed.
+						addLoad(delta, ev.routes[gi*g+gj], pair[j])
+						addLoad(delta, ev.routes[gj*g+gi], pair[j])
+					}
+					if fits() {
+						ev.gpuOf[i], ev.gpuOf[j] = gj, gi
+						accept(i, j)
+						improved = true
+						continue
+					}
 				}
-				copy(ev.trial, ev.loads)
-				ev.reroute(ev.trial, i, gi, gj)
-				ev.gpuOf[i] = gj // j's transfers with i route to i's new GPU
-				ev.reroute(ev.trial, j, gj, gi)
-				ev.gpuOf[j] = gi
-				if linksBelow(p.Topo, ev.trial, thr) {
-					accept()
-					improved = true
-				} else {
-					ev.gpuOf[i], ev.gpuOf[j] = gi, gj
-					ev.moveTime(j, gi, gj)
-					ev.moveTime(i, gj, gi)
-				}
+				ev.gpuT[gi], ev.gpuT[gj] = a-tj+ti, b+tj-ti
 			}
 		}
 		if !improved {
@@ -602,9 +747,7 @@ type Options struct {
 // Normalized returns the options with every default filled in; artifact
 // export bakes normalized options into the wire form so a zero-value
 // request and its explicit-default twin export identically.
-func (o Options) Normalized() Options { return o.withDefaults() }
-
-func (o Options) withDefaults() Options {
+func (o Options) Normalized() Options {
 	if o.ILPMaxParts == 0 {
 		o.ILPMaxParts = 24
 	}

@@ -3,6 +3,7 @@ package mapping
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -342,6 +343,54 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 		}
 		if ev.reset(full, math.Inf(1)) < obj-1e-12 {
 			t.Fatalf("completing a placement lowered the objective: %v -> %v", obj, ev.reset(full, math.Inf(1)))
+		}
+	}
+}
+
+// TestLinkCapBoundary: a link's cap is the first load whose time reaches the
+// threshold — time(cap−1) < thr ≤ time(cap) — over seeded per-link
+// bandwidths and latencies (every link overridden) and thresholds drawn at,
+// just below and just above a load's own time, from one byte to 10^15; a
+// threshold at or below the latency caps at 1, one no load reaches at
+// math.MaxInt64.
+func TestLinkCapBoundary(t *testing.T) {
+	r := rand.New(rand.NewSource(0xCA95))
+	base := topology.PairedTree(4)
+	spec, n := base.Export(), base.NumLinks()
+	spec.LinkBandwidthGBs = make([]float64, n)
+	spec.LinkLatencyUS = make([]float64, n)
+	for trial := 0; trial < 200; trial++ {
+		for l := 0; l < n; l++ {
+			spec.LinkBandwidthGBs[l] = 0.05 + r.Float64()*200
+			spec.LinkLatencyUS[l] = r.Float64() * 50
+		}
+		tree, err := topology.Import(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < tree.NumLinks(); l++ {
+			timeOf := func(load int64) float64 { return linkTimeUS(tree, l, load) }
+			lat := tree.LinkLatencyUS(l)
+			for _, thr := range []float64{lat, lat - 1, math.Nextafter(lat, 0), 0} {
+				if c := linkCap(tree, l, thr); c != 1 {
+					t.Fatalf("link %d latency %v: threshold %v capped at %d, want 1", l, lat, thr, c)
+				}
+			}
+			for _, thr := range []float64{math.Inf(1), lat + 1e300, math.Nextafter(timeOf(math.MaxInt64), math.Inf(1))} {
+				if c := linkCap(tree, l, thr); c != math.MaxInt64 || !(timeOf(c-1) < thr) {
+					t.Fatalf("link %d: threshold %v beyond any load capped at %d", l, thr, c)
+				}
+			}
+			for range 20 {
+				at := timeOf(1 + r.Int63n(int64(math.Pow(10, float64(r.Intn(16))))))
+				for _, thr := range []float64{at, math.Nextafter(at, 0), math.Nextafter(at, math.Inf(1)), at * (1 + 1e-12)} {
+					c := linkCap(tree, l, thr)
+					if c < 1 || c == math.MaxInt64 || !(thr <= timeOf(c)) || c > 1 && !(timeOf(c-1) < thr) {
+						t.Fatalf("link %d (bandwidth %v GB/s, latency %v µs): threshold %v capped at %d: time(cap-1) %v, time(cap) %v",
+							l, tree.LinkBandwidthGBs(l), lat, thr, c, timeOf(c-1), timeOf(c))
+					}
+				}
+			}
 		}
 	}
 }

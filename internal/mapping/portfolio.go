@@ -59,7 +59,7 @@ func lptPlacement(p *Problem) []int {
 // kept; the descents are map.descent child spans and the exact arm a
 // map.exact one, noted with its node counts and whether it closed.
 func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Assignment, error) {
-	opts = opts.withDefaults()
+	opts = opts.Normalized()
 	if p.PDG.NumParts() == 0 {
 		return nil, fmt.Errorf("mapping: empty PDG")
 	}

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"context"
+	"math"
 
 	"streammap/internal/topology"
 )
@@ -71,6 +72,30 @@ func (ev *rescanEvaluator) objective(gpuOf []int, cut float64) float64 {
 		}
 	}
 	return linkMax(t, ev.loads, obj)
+}
+
+// greedyRescan is Greedy as it was before it scored trials by their delta:
+// every trial rebuilds the evaluator from the partial placement (reset, cut
+// at the best objective so far). It exists only as the referee
+// TestGreedyMatchesRescan holds Greedy to.
+func greedyRescan(p *Problem) *Assignment {
+	gpuOf := make([]int, p.PDG.NumParts())
+	for i := range gpuOf {
+		gpuOf[i] = -1
+	}
+	ev := newEvaluator(p)
+	for _, pi := range longestFirst(ev.times) {
+		best, bestObj := 0, math.Inf(1)
+		for k := 0; k < p.Topo.NumGPUs(); k++ {
+			gpuOf[pi] = k
+			obj := ev.reset(gpuOf, bestObj)
+			if obj < bestObj {
+				best, bestObj = k, obj
+			}
+		}
+		gpuOf[pi] = best
+	}
+	return Evaluate(p, gpuOf, "greedy")
 }
 
 func descendRescan(ctx context.Context, p *Problem, gpuOf []int) *Assignment {
