@@ -456,79 +456,32 @@ func buildQuotient(g *sdf.Graph, unitOf []int32, numUnits int) (*quotient, error
 		q.predOff[i] += q.predOff[i-1]
 	}
 
-	// Deterministic topological positions (Kahn, smallest unit first). The
-	// quotient of an SCC condensation — and of any convexity-preserving
-	// contraction of it — is acyclic; failing here means a construction bug.
+	// Topological positions (Kahn's algorithm; the order slice is its own
+	// queue). They only prune convexity searches, and any topological order
+	// keeps positions increasing along edges. The quotient of an SCC
+	// condensation — and of any convexity-preserving contraction of it — is
+	// acyclic; failing here means a construction bug.
 	indeg := make([]int32, numUnits)
-	for u := 0; u < numUnits; u++ {
-		indeg[u] = q.predOff[u+1] - q.predOff[u]
-	}
-	var heap unitHeap
+	order := make([]int32, 0, numUnits)
 	for u := int32(0); u < int32(numUnits); u++ {
-		if indeg[u] == 0 {
-			heap.push(u)
+		if indeg[u] = q.predOff[u+1] - q.predOff[u]; indeg[u] == 0 {
+			order = append(order, u)
 		}
 	}
 	q.topoPos = make([]int32, numUnits)
-	pos := int32(0)
-	for len(heap) > 0 {
-		u := heap.pop()
-		q.topoPos[u] = pos
-		pos++
+	for i := 0; i < len(order); i++ {
+		u := order[i]
+		q.topoPos[u] = int32(i)
 		for _, v := range q.succs(u) {
-			indeg[v]--
-			if indeg[v] == 0 {
-				heap.push(v)
+			if indeg[v]--; indeg[v] == 0 {
+				order = append(order, v)
 			}
 		}
 	}
-	if int(pos) != numUnits {
-		return nil, fmt.Errorf("partition: coarsening quotient has a cycle (%d of %d units ordered)", pos, numUnits)
+	if len(order) != numUnits {
+		return nil, fmt.Errorf("partition: coarsening quotient has a cycle (%d of %d units ordered)", len(order), numUnits)
 	}
 	return q, nil
-}
-
-// unitHeap is a binary min-heap of unit indices (quotient Kahn queue).
-type unitHeap []int32
-
-func (h *unitHeap) push(u int32) {
-	q := append(*h, u)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q[p] <= q[i] {
-			break
-		}
-		q[p], q[i] = q[i], q[p]
-		i = p
-	}
-	*h = q
-}
-
-func (h *unitHeap) pop() int32 {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(q) && q[l] < q[small] {
-			small = l
-		}
-		if r < len(q) && q[r] < q[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	*h = q
-	return top
 }
 
 // gcd64 returns gcd(a, b) with gcd(0, x) == x.

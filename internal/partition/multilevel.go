@@ -20,9 +20,10 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -77,12 +78,11 @@ func (s *MLStats) String() string {
 		s.RefinedLevels, s.Moves, s.MoveEvals, s.Estimates)
 }
 
-// mlPart is a partition during the multilevel flow: a set of units of the
+// mlPart is a partition during the multilevel flow: its units of the
 // current working level plus the sorted original-node member list that
 // feeds the estimator.
 type mlPart struct {
-	units   sdf.NodeSet // over the working level's units
-	unitCnt int
+	units   []int32      // the working level's units, ascending
 	members []sdf.NodeID // sorted original node ids
 	est     *pee.Estimate
 	scale   int64
@@ -99,11 +99,14 @@ type mlState struct {
 	c     *Coarsening
 	stats MLStats
 
-	parts    []*mlPart
-	owner    []int32 // node -> parts index
-	unitPart []int32 // working-level unit -> parts index
+	parts []*mlPart
+	// unitPart maps each unit of the working level to its partition's
+	// index: the one record of which partition holds a unit. It only ever
+	// names live partitions.
+	unitPart []int32
+	level    int // the working level
 
-	visit      sdf.NodeSet // unit-capacity scratch for convexity searches
+	visit      sdf.NodeSet // unit-capacity scratch for quotient searches
 	queue      []int32
 	idxScratch []int32
 }
@@ -124,7 +127,6 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 	m.c = c
 	m.stats.Levels = len(c.Levels)
 	m.stats.CoarsestUnits = c.Coarsest().NumUnits
-	m.owner = make([]int32, g.NumNodes())
 
 	// Seed at the coarsest level whose units are all individually
 	// schedulable; an infeasible supernode sends us one level finer. At
@@ -144,7 +146,7 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 		}
 		seedLevel--
 	}
-	m.stats.SeedLevel = seedLevel
+	m.stats.SeedLevel, m.level = seedLevel, seedLevel
 	m.stats.SeedParts = len(m.parts)
 
 	lvl := c.Levels[seedLevel]
@@ -206,6 +208,7 @@ func (m *mlState) seed(lvl *CoarseLevel, hard bool) (bool, error) {
 		m.unitPart = make([]int32, U)
 	}
 	m.unitPart = m.unitPart[:U]
+	units := make([]int32, U) // backs the singleton unit lists
 	for u := 0; u < U; u++ {
 		if err := m.cancelled(); err != nil {
 			return false, err
@@ -225,20 +228,15 @@ func (m *mlState) seed(lvl *CoarseLevel, hard bool) (bool, error) {
 				sdf.FormatMembers(members), err)
 		}
 		sc := lvl.scale[u]
-		p := &mlPart{
-			units:   sdf.NewNodeSet(U),
-			unitCnt: 1,
+		units[u] = int32(u)
+		m.parts = append(m.parts, &mlPart{
+			units:   units[u : u+1 : u+1],
 			members: members,
 			est:     est,
 			scale:   sc,
 			tw:      est.TUS * float64(sc),
-		}
-		p.units.Add(sdf.NodeID(u))
-		m.parts = append(m.parts, p)
-		m.unitPart[u] = int32(len(m.parts) - 1)
-		for _, n := range members {
-			m.owner[n] = int32(u)
-		}
+		})
+		m.unitPart[u] = int32(u)
 	}
 	return true, nil
 }
@@ -256,61 +254,43 @@ func (m *mlState) liveCount() int {
 // liveSorted returns indices of live partitions passing keep, ascending by
 // (TW, index) — smaller workloads merge first, as in the exact phase 3.
 func (m *mlState) liveSorted(keep func(*mlPart) bool) []int32 {
-	out := m.idxScratch[:0]
+	var out []int32
 	for i, p := range m.parts {
 		if !p.dead && keep(p) {
 			out = append(out, int32(i))
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		pa, pb := m.parts[out[a]], m.parts[out[b]]
-		if pa.tw != pb.tw {
-			return pa.tw < pb.tw
-		}
-		return out[a] < out[b]
-	})
-	m.idxScratch = out
+	m.sortByTW(out)
 	return out
 }
 
-// neighborParts returns the distinct live partitions adjacent to parts[ci]
-// in the quotient, filtered by keep, ascending by (TW, index).
-func (m *mlState) neighborParts(q *quotient, ci int32, keep func(*mlPart) bool) []int32 {
-	var out []int32
-	seen := func(idx int32) bool {
-		for _, s := range out {
-			if s == idx {
-				return true
-			}
-		}
-		return false
-	}
+// sortByTW orders partition indices ascending by (TW, index).
+func (m *mlState) sortByTW(idx []int32) {
+	slices.SortFunc(idx, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(m.parts[a].tw, m.parts[b].tw), cmp.Compare(a, b))
+	})
+}
+
+// adjacentParts returns the distinct partitions other than self that hold a
+// quotient neighbour of units, in discovery order. unitPart names only live
+// partitions, so every result is live. The slice is scratch, valid until
+// the next call.
+func (m *mlState) adjacentParts(q *quotient, units []int32, self int32) []int32 {
+	out := m.idxScratch[:0]
 	add := func(v int32) {
-		idx := m.unitPart[v]
-		if idx == ci {
-			return
+		if idx := m.unitPart[v]; idx != self && !slices.Contains(out, idx) {
+			out = append(out, idx)
 		}
-		p := m.parts[idx]
-		if p.dead || !keep(p) || seen(idx) {
-			return
-		}
-		out = append(out, idx)
 	}
-	m.parts[ci].units.ForEach(func(u sdf.NodeID) {
-		for _, v := range q.succs(int32(u)) {
+	for _, u := range units {
+		for _, v := range q.succs(u) {
 			add(v)
 		}
-		for _, v := range q.preds(int32(u)) {
+		for _, v := range q.preds(u) {
 			add(v)
 		}
-	})
-	sort.Slice(out, func(a, b int) bool {
-		pa, pb := m.parts[out[a]], m.parts[out[b]]
-		if pa.tw != pb.tw {
-			return pa.tw < pb.tw
-		}
-		return out[a] < out[b]
-	})
+	}
+	m.idxScratch = out
 	return out
 }
 
@@ -326,9 +306,9 @@ func (m *mlState) mergePhase(q *quotient) error {
 	for _, spec := range specs {
 		for {
 			merged := 0
-			order := append([]int32(nil), m.liveSorted(func(p *mlPart) bool {
+			order := m.liveSorted(func(p *mlPart) bool {
 				return !spec.candIO || !p.est.ComputeBound()
-			})...)
+			})
 			for _, ci := range order {
 				a := m.parts[ci]
 				if a.dead {
@@ -337,14 +317,14 @@ func (m *mlState) mergePhase(q *quotient) error {
 				if err := m.cancelled(); err != nil {
 					return err
 				}
-				for _, pi := range m.neighborParts(q, ci, func(p *mlPart) bool {
-					return !spec.partnerIO || !p.est.ComputeBound()
-				}) {
+				neigh := m.adjacentParts(q, a.units, ci)
+				m.sortByTW(neigh)
+				for _, pi := range neigh {
 					b := m.parts[pi]
-					if b.dead {
+					if spec.partnerIO && b.est.ComputeBound() {
 						continue
 					}
-					if m.extPath(q, a, b, nil) || m.extPath(q, b, a, nil) {
+					if m.extPath(q, ci, pi, -1) || m.extPath(q, pi, ci, -1) {
 						continue
 					}
 					union := mergeSorted(a.members, b.members)
@@ -372,56 +352,58 @@ func (m *mlState) mergePhase(q *quotient) error {
 	return nil
 }
 
-// extPath reports whether a quotient path leaves `from`, traverses only
-// units outside the candidate union, and enters `to`. All parts being
-// convex, the union is convex iff no such path exists between any ordered
-// pair of its constituents (a direct edge is plain adjacency, not a
-// violation). excl, when non-nil, is a further union member: its units are
-// inside the union, so a path entering them is not external — it is neither
-// followed nor counted as a hit (its own pair checks cover it). Topological
-// positions prune the search: along any path positions strictly increase,
-// so nothing at or beyond to's max position can reach it.
-func (m *mlState) extPath(q *quotient, from, to, excl *mlPart) bool {
-	if from.minPos >= to.maxPos {
-		return false
-	}
-	limit := to.maxPos
-	inside := func(v int32) bool {
-		return from.units.Has(sdf.NodeID(v)) || to.units.Has(sdf.NodeID(v)) ||
-			(excl != nil && excl.units.Has(sdf.NodeID(v)))
+// reaches reports whether a quotient walk from starts — along successors
+// when fwd, else predecessors — arrives at a stop unit, passing only through
+// pass units whose topological position lies strictly between lo and hi. A
+// stop unit adjacent to a start counts only when direct. Positions strictly
+// increase along every edge, so bounds set where no unit can still lead to a
+// stop prune without changing the answer. This is the one search behind
+// every quotient convexity check; stop and pass are disjoint in each.
+func (m *mlState) reaches(q *quotient, starts []int32, fwd bool, lo, hi int32, direct bool, stop, pass func(int32) bool) bool {
+	next := q.succs
+	if !fwd {
+		next = q.preds
 	}
 	m.visit.Reset()
-	queue := m.queue[:0]
-	push := func(v int32) {
-		if q.topoPos[v] >= limit || m.visit.Has(sdf.NodeID(v)) {
-			return
-		}
-		m.visit.Add(sdf.NodeID(v))
-		queue = append(queue, v)
-	}
-	from.units.ForEach(func(u sdf.NodeID) {
-		for _, v := range q.succs(int32(u)) {
-			if !inside(v) {
-				push(v)
-			}
-		}
-	})
+	stack := m.queue[:0]
 	found := false
-	for len(queue) > 0 && !found {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, v := range q.succs(u) {
-			if to.units.Has(sdf.NodeID(v)) {
-				found = true
-				break
-			}
-			if !inside(v) {
-				push(v)
-			}
+	step := func(v int32, counts bool) {
+		switch {
+		case stop(v):
+			found = found || counts
+		case pass(v) && lo < q.topoPos[v] && q.topoPos[v] < hi && !m.visit.Has(sdf.NodeID(v)):
+			m.visit.Add(sdf.NodeID(v))
+			stack = append(stack, v)
 		}
 	}
-	m.queue = queue[:0]
+	for _, s := range starts {
+		for _, v := range next(s) {
+			step(v, direct)
+		}
+	}
+	for len(stack) > 0 && !found {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range next(x) {
+			step(v, true)
+		}
+	}
+	m.queue = stack[:0]
 	return found
+}
+
+// extPath reports whether a quotient path leaves partition from, traverses
+// only units outside the candidate union, and enters partition to. All
+// parts being convex, the union is convex iff no such path exists between
+// any ordered pair of its constituents (a direct edge is plain adjacency,
+// not a violation). excl, when not -1, is a further union member: a path
+// entering it is not external — it is neither followed nor counted as a hit
+// (its own pair checks cover it). Nothing at or beyond to's max position
+// can reach to.
+func (m *mlState) extPath(q *quotient, from, to, excl int32) bool {
+	return m.reaches(q, m.parts[from].units, true, -1, m.parts[to].maxPos, false,
+		func(v int32) bool { return m.unitPart[v] == to },
+		func(v int32) bool { p := m.unitPart[v]; return p != from && p != to && p != excl })
 }
 
 // tripleConvex reports whether a ∪ b ∪ c is convex: any violating path would
@@ -429,7 +411,7 @@ func (m *mlState) extPath(q *quotient, from, to, excl *mlPart) bool {
 // back to itself is ruled out by that part's own convexity), so checking the
 // six ordered pairs — each with the third part counted as interior — is
 // exact.
-func (m *mlState) tripleConvex(q *quotient, a, b, c *mlPart) bool {
+func (m *mlState) tripleConvex(q *quotient, a, b, c int32) bool {
 	return !m.extPath(q, a, b, c) && !m.extPath(q, b, a, c) &&
 		!m.extPath(q, a, c, b) && !m.extPath(q, c, a, b) &&
 		!m.extPath(q, b, c, a) && !m.extPath(q, c, b, a)
@@ -451,17 +433,14 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 			if err := m.cancelled(); err != nil {
 				return err
 			}
-			neigh := m.neighborParts(q, ci, func(*mlPart) bool { return true })
-			sort.Slice(neigh, func(x, y int) bool { return neigh[x] < neigh[y] })
+			neigh := m.adjacentParts(q, a.units, ci)
+			slices.Sort(neigh)
 			for x := 0; x < len(neigh) && !mergedAny; x++ {
 				for y := x + 1; y < len(neigh); y++ {
+					if !m.tripleConvex(q, ci, neigh[x], neigh[y]) {
+						continue
+					}
 					b, c := m.parts[neigh[x]], m.parts[neigh[y]]
-					if b.dead || c.dead {
-						continue
-					}
-					if !m.tripleConvex(q, a, b, c) {
-						continue
-					}
 					union := mergeSorted(mergeSorted(a.members, b.members), c.members)
 					est, err := m.estimateMembers(union)
 					if err != nil {
@@ -473,8 +452,7 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 						continue
 					}
 					m.commitMerge(ci, neigh[x], union, est, sc, tw)
-					np := m.parts[len(m.parts)-1]
-					m.absorb(np, neigh[y])
+					m.absorb(m.parts[len(m.parts)-1], neigh[y])
 					m.stats.Merges++
 					mergedAny = true
 					break
@@ -490,18 +468,16 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 }
 
 // absorb folds partition pi into np (already committed as a merge of other
-// parts), extending its units, members and positions.
+// parts), extending its units and positions.
 func (m *mlState) absorb(np *mlPart, pi int32) {
 	c := m.parts[pi]
 	c.dead = true
-	np.unitCnt += c.unitCnt
-	np.minPos = min32(np.minPos, c.minPos)
-	np.maxPos = max32(np.maxPos, c.maxPos)
-	np.units.UnionWith(c.units)
+	np.units = mergeSorted(np.units, c.units)
+	np.minPos = min(np.minPos, c.minPos)
+	np.maxPos = max(np.maxPos, c.maxPos)
 	self := int32(len(m.parts) - 1)
-	c.units.ForEach(func(u sdf.NodeID) { m.unitPart[u] = self })
-	for _, n := range c.members {
-		m.owner[n] = self
+	for _, u := range c.units {
+		m.unitPart[u] = self
 	}
 }
 
@@ -509,21 +485,18 @@ func (m *mlState) commitMerge(ci, pi int32, union []sdf.NodeID, est *pee.Estimat
 	a, b := m.parts[ci], m.parts[pi]
 	a.dead, b.dead = true, true
 	np := &mlPart{
-		units:   a.units, // a is dead; reuse its bitset
-		unitCnt: a.unitCnt + b.unitCnt,
+		units:   mergeSorted(a.units, b.units),
 		members: union,
 		est:     est,
 		scale:   sc,
 		tw:      tw,
-		minPos:  min32(a.minPos, b.minPos),
-		maxPos:  max32(a.maxPos, b.maxPos),
+		minPos:  min(a.minPos, b.minPos),
+		maxPos:  max(a.maxPos, b.maxPos),
 	}
-	np.units.UnionWith(b.units)
 	m.parts = append(m.parts, np)
 	idx := int32(len(m.parts) - 1)
-	np.units.ForEach(func(u sdf.NodeID) { m.unitPart[u] = idx })
-	for _, n := range union {
-		m.owner[n] = idx
+	for _, u := range np.units {
+		m.unitPart[u] = idx
 	}
 }
 
@@ -560,40 +533,20 @@ func (m *mlState) allNodesPhase(numUnits int) error {
 	for _, p := range m.parts {
 		p.dead = true
 	}
-	units := sdf.NewNodeSet(numUnits)
-	for u := 0; u < numUnits; u++ {
-		units.Add(sdf.NodeID(u))
-	}
-	np := &mlPart{units: units, unitCnt: numUnits, members: all, est: est, scale: sc, tw: tw,
-		minPos: 0, maxPos: int32(numUnits) - 1}
-	m.parts = append(m.parts, np)
-	idx := int32(len(m.parts) - 1)
-	for u := range m.unitPart {
+	units := make([]int32, numUnits)
+	idx := int32(len(m.parts))
+	for u := range units {
+		units[u] = int32(u)
 		m.unitPart[u] = idx
 	}
-	for n := range m.owner {
-		m.owner[n] = idx
-	}
+	m.parts = append(m.parts, &mlPart{units: units, members: all, est: est, scale: sc, tw: tw,
+		minPos: 0, maxPos: int32(numUnits) - 1})
 	return nil
 }
 
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// mergeSorted merges two ascending NodeID slices into a fresh slice.
-func mergeSorted(a, b []sdf.NodeID) []sdf.NodeID {
-	out := make([]sdf.NodeID, 0, len(a)+len(b))
+// mergeSorted merges two ascending slices into a fresh slice.
+func mergeSorted[T int32 | sdf.NodeID](a, b []T) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {

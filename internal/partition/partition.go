@@ -560,7 +560,7 @@ func validate(g *sdf.Graph, parts []*Partition, structural bool) error {
 		if !convex.IsConvex(set) {
 			return fmt.Errorf("partition: %s not convex", sdf.FormatMembers(p.Sub.NodeOf))
 		}
-		if !g.IsConnected(set) {
+		if !convex.IsConnected(set) {
 			return fmt.Errorf("partition: %s not connected", sdf.FormatMembers(p.Sub.NodeOf))
 		}
 		set.Reset()

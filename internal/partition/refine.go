@@ -4,7 +4,11 @@
 // quality converge toward the exact result as granularity is restored.
 package partition
 
-import "streammap/internal/sdf"
+import (
+	"slices"
+
+	"streammap/internal/sdf"
+)
 
 // refine re-expresses the live partitions in level's units and runs up to
 // DefaultRefinePasses boundary sweeps under the per-level evaluation budget.
@@ -16,32 +20,33 @@ func (m *mlState) refine(level int) error {
 		return err
 	}
 	m.visit = sdf.NewNodeSet(U)
-	if cap(m.unitPart) < U {
-		m.unitPart = make([]int32, U)
-	}
-	m.unitPart = m.unitPart[:U]
 
-	// Partitions are unions of coarser units, which are unions of this
-	// level's units, so membership projects down exactly.
-	for _, p := range m.parts {
-		if p.dead {
-			continue
+	// Partitions are unions of working-level units, which are unions of
+	// this level's units, so membership projects down exactly: follow each
+	// unit's Parent chain up to the working level, over any skipped levels.
+	up := make([]int32, U)
+	for u := range up {
+		up[u] = int32(u)
+	}
+	for l := level + 1; l <= m.level; l++ {
+		parent := m.c.Levels[l].Parent
+		for u, v := range up {
+			up[u] = parent[v]
 		}
-		p.units = sdf.NewNodeSet(U)
-		p.unitCnt = 0
+	}
+	for u, v := range up {
+		up[u] = m.unitPart[v]
+	}
+	m.unitPart, m.level = up, level
+	for _, p := range m.parts {
+		p.units = p.units[:0]
 		p.minPos, p.maxPos = int32(U), -1
 	}
-	for n, u := range lvl.UnitOf {
-		idx := m.owner[n]
+	for u, idx := range m.unitPart {
 		p := m.parts[idx]
-		if p.units.Has(sdf.NodeID(u)) {
-			continue
-		}
-		p.units.Add(sdf.NodeID(u))
-		p.unitCnt++
-		m.unitPart[u] = idx
-		p.minPos = min32(p.minPos, q.topoPos[u])
-		p.maxPos = max32(p.maxPos, q.topoPos[u])
+		p.units = append(p.units, int32(u))
+		p.minPos = min(p.minPos, q.topoPos[u])
+		p.maxPos = max(p.maxPos, q.topoPos[u])
 	}
 
 	budget := DefaultRefineBudget
@@ -52,10 +57,12 @@ func (m *mlState) refine(level int) error {
 				return err
 			}
 			P := m.unitPart[u]
-			if m.parts[P].unitCnt < 2 {
+			if len(m.parts[P].units) < 2 {
 				continue // moving the last unit would empty the partition
 			}
-			for _, Q := range m.moveTargets(q, u, P) {
+			targets := m.adjacentParts(q, []int32{u}, P)
+			slices.Sort(targets)
+			for _, Q := range targets {
 				if budget <= 0 {
 					break
 				}
@@ -75,44 +82,13 @@ func (m *mlState) refine(level int) error {
 	return nil
 }
 
-// moveTargets returns the distinct live partitions adjacent to unit u other
-// than its own, ascending by index.
-func (m *mlState) moveTargets(q *quotient, u, P int32) []int32 {
-	out := m.idxScratch[:0]
-	add := func(v int32) {
-		idx := m.unitPart[v]
-		if idx == P || m.parts[idx].dead {
-			return
-		}
-		for _, s := range out {
-			if s == idx {
-				return
-			}
-		}
-		out = append(out, idx)
-	}
-	for _, v := range q.succs(u) {
-		add(v)
-	}
-	for _, v := range q.preds(u) {
-		add(v)
-	}
-	for i := 1; i < len(out); i++ { // insertion sort; lists are tiny
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	m.idxScratch = out
-	return out
-}
-
 // tryMove evaluates moving unit u from partition P to adjacent partition Q
 // and commits it when structurally sound and TW-profitable.
 func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
-	p, qq := m.parts[P], m.parts[Q]
-	if !m.removeOK(q, p, u) || !m.addConvex(q, qq, u) {
+	if !m.removeOK(q, P, u) || !m.addConvex(q, Q, u) {
 		return false
 	}
+	p, qq := m.parts[P], m.parts[Q]
 	umem := lvl.Members(int(u))
 	pMem := subtractSorted(p.members, umem)
 	qMem := mergeSorted(qq.members, umem)
@@ -125,11 +101,11 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 		return false
 	}
 	var scP int64
-	p.units.ForEach(func(x sdf.NodeID) {
-		if int32(x) != u {
+	for _, x := range p.units {
+		if x != u {
 			scP = gcd64(scP, lvl.scale[x])
 		}
-	})
+	}
 	scQ := gcd64(qq.scale, lvl.scale[u])
 	twP := estP.TUS * float64(scP)
 	twQ := estQ.TUS * float64(scQ)
@@ -137,58 +113,49 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 		return false
 	}
 
-	p.units.Remove(sdf.NodeID(u))
-	p.unitCnt--
+	i, _ := slices.BinarySearch(p.units, u)
+	p.units = slices.Delete(p.units, i, i+1)
 	p.members, p.est, p.scale, p.tw = pMem, estP, scP, twP
 	p.minPos, p.maxPos = int32(q.n), -1
-	p.units.ForEach(func(x sdf.NodeID) {
-		p.minPos = min32(p.minPos, q.topoPos[x])
-		p.maxPos = max32(p.maxPos, q.topoPos[x])
-	})
-	qq.units.Add(sdf.NodeID(u))
-	qq.unitCnt++
-	qq.members, qq.est, qq.scale, qq.tw = qMem, estQ, scQ, twQ
-	qq.minPos = min32(qq.minPos, q.topoPos[u])
-	qq.maxPos = max32(qq.maxPos, q.topoPos[u])
-	m.unitPart[u] = Q
-	for _, n := range umem {
-		m.owner[n] = Q
+	for _, x := range p.units {
+		p.minPos = min(p.minPos, q.topoPos[x])
+		p.maxPos = max(p.maxPos, q.topoPos[x])
 	}
+	j, _ := slices.BinarySearch(qq.units, u)
+	qq.units = slices.Insert(qq.units, j, u)
+	qq.members, qq.est, qq.scale, qq.tw = qMem, estQ, scQ, twQ
+	qq.minPos = min(qq.minPos, q.topoPos[u])
+	qq.maxPos = max(qq.maxPos, q.topoPos[u])
+	m.unitPart[u] = Q
 	return true
 }
 
-// removeOK reports whether P stays connected and convex after losing unit u.
-// Convexity: P was convex, so a new violation must route through u — it
-// exists iff u both reaches P\{u} forward and is reached from P\{u}
-// backward, through units outside P (a direct edge to/from u counts: u
-// itself is the offending intermediate).
-func (m *mlState) removeOK(q *quotient, p *mlPart, u int32) bool {
+// removeOK reports whether partition P stays connected and convex after
+// losing unit u (P has at least two units). Convexity: P was convex, so a
+// new violation must route through u — it exists iff u both reaches P\{u}
+// forward and is reached from P\{u} backward, through units outside P (a
+// direct edge to/from u counts: u itself is the offending intermediate).
+func (m *mlState) removeOK(q *quotient, P, u int32) bool {
+	p := m.parts[P]
 	// Weak connectivity of P \ {u}.
-	m.visit.Reset()
-	queue := m.queue[:0]
-	var start int32 = -1
-	p.units.ForEach(func(x sdf.NodeID) {
-		if start == -1 && int32(x) != u {
-			start = int32(x)
-		}
-	})
-	if start == -1 {
-		return false
+	start := p.units[0]
+	if start == u {
+		start = p.units[1]
 	}
+	m.visit.Reset()
 	m.visit.Add(sdf.NodeID(start))
-	queue = append(queue, start)
+	stack := append(m.queue[:0], start)
 	count := 1
-	for len(queue) > 0 {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		step := func(v int32) {
-			if v == u || !p.units.Has(sdf.NodeID(v)) || m.visit.Has(sdf.NodeID(v)) {
-				return
-			}
+	step := func(v int32) {
+		if v != u && m.unitPart[v] == P && !m.visit.Has(sdf.NodeID(v)) {
 			m.visit.Add(sdf.NodeID(v))
 			count++
-			queue = append(queue, v)
+			stack = append(stack, v)
 		}
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		for _, v := range q.succs(x) {
 			step(v)
 		}
@@ -196,147 +163,28 @@ func (m *mlState) removeOK(q *quotient, p *mlPart, u int32) bool {
 			step(v)
 		}
 	}
-	m.queue = queue[:0]
-	if count != p.unitCnt-1 {
+	m.queue = stack[:0]
+	if count != len(p.units)-1 {
 		return false
 	}
 
-	inRest := func(v int32) bool { return v != u && p.units.Has(sdf.NodeID(v)) }
-
-	// Forward: does u reach P\{u} through external units?
-	m.visit.Reset()
-	queue = m.queue[:0]
-	fwd := false
-	for _, v := range q.succs(u) {
-		if inRest(v) {
-			fwd = true
-			break
-		}
-		if !p.units.Has(sdf.NodeID(v)) && q.topoPos[v] < p.maxPos {
-			m.visit.Add(sdf.NodeID(v))
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 && !fwd {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, v := range q.succs(x) {
-			if inRest(v) {
-				fwd = true
-				break
-			}
-			if !p.units.Has(sdf.NodeID(v)) && q.topoPos[v] < p.maxPos && !m.visit.Has(sdf.NodeID(v)) {
-				m.visit.Add(sdf.NodeID(v))
-				queue = append(queue, v)
-			}
-		}
-	}
-	m.queue = queue[:0]
-	if !fwd {
-		return true
-	}
-
-	// Backward: is u reached from P\{u} through external units?
-	m.visit.Reset()
-	queue = m.queue[:0]
-	bwd := false
-	for _, v := range q.preds(u) {
-		if inRest(v) {
-			bwd = true
-			break
-		}
-		if !p.units.Has(sdf.NodeID(v)) && q.topoPos[v] > p.minPos {
-			m.visit.Add(sdf.NodeID(v))
-			queue = append(queue, v)
-		}
-	}
-	for len(queue) > 0 && !bwd {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, v := range q.preds(x) {
-			if inRest(v) {
-				bwd = true
-				break
-			}
-			if !p.units.Has(sdf.NodeID(v)) && q.topoPos[v] > p.minPos && !m.visit.Has(sdf.NodeID(v)) {
-				m.visit.Add(sdf.NodeID(v))
-				queue = append(queue, v)
-			}
-		}
-	}
-	m.queue = queue[:0]
-	return !bwd
+	in := func(v int32) bool { return m.unitPart[v] == P }
+	out := func(v int32) bool { return m.unitPart[v] != P }
+	us := []int32{u}
+	return !m.reaches(q, us, true, -1, p.maxPos, true, in, out) ||
+		!m.reaches(q, us, false, p.minPos, int32(q.n), true, in, out)
 }
 
 // addConvex reports whether Q ∪ {u} is convex: no path from u to Q or from
-// Q to u through units outside both (direct adjacency is fine).
-func (m *mlState) addConvex(q *quotient, qq *mlPart, u int32) bool {
-	external := func(v int32) bool { return v != u && !qq.units.Has(sdf.NodeID(v)) }
-
-	// u → … → Q through externals.
-	if q.topoPos[u] < qq.maxPos {
-		m.visit.Reset()
-		queue := m.queue[:0]
-		found := false
-		for _, v := range q.succs(u) {
-			if external(v) && q.topoPos[v] < qq.maxPos {
-				m.visit.Add(sdf.NodeID(v))
-				queue = append(queue, v)
-			}
-		}
-		for len(queue) > 0 && !found {
-			x := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range q.succs(x) {
-				if qq.units.Has(sdf.NodeID(v)) {
-					found = true
-					break
-				}
-				if external(v) && q.topoPos[v] < qq.maxPos && !m.visit.Has(sdf.NodeID(v)) {
-					m.visit.Add(sdf.NodeID(v))
-					queue = append(queue, v)
-				}
-			}
-		}
-		m.queue = queue[:0]
-		if found {
-			return false
-		}
-	}
-
-	// Q → … → u through externals.
-	if qq.minPos < q.topoPos[u] {
-		m.visit.Reset()
-		queue := m.queue[:0]
-		found := false
-		qq.units.ForEach(func(x sdf.NodeID) {
-			for _, v := range q.succs(int32(x)) {
-				if external(v) && q.topoPos[v] < q.topoPos[u] && !m.visit.Has(sdf.NodeID(v)) {
-					m.visit.Add(sdf.NodeID(v))
-					queue = append(queue, v)
-				}
-			}
-		})
-		for len(queue) > 0 && !found {
-			x := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range q.succs(x) {
-				if v == u {
-					found = true
-					break
-				}
-				if external(v) && q.topoPos[v] < q.topoPos[u] && !m.visit.Has(sdf.NodeID(v)) {
-					m.visit.Add(sdf.NodeID(v))
-					queue = append(queue, v)
-				}
-			}
-		}
-		m.queue = queue[:0]
-		if found {
-			return false
-		}
-	}
-	return true
+// Q to u through units outside both (direct adjacency is fine). u is not in
+// Q, and a path into u ends at u's own position.
+func (m *mlState) addConvex(q *quotient, Q, u int32) bool {
+	qq := m.parts[Q]
+	out := func(v int32) bool { return m.unitPart[v] != Q }
+	return !m.reaches(q, []int32{u}, true, -1, qq.maxPos, false,
+		func(v int32) bool { return m.unitPart[v] == Q }, out) &&
+		!m.reaches(q, qq.units, true, -1, q.topoPos[u], false,
+			func(v int32) bool { return v == u }, out)
 }
 
 // materialize turns the surviving mlParts into the exact path's Result form:

@@ -176,38 +176,13 @@ func itoa(v int) string {
 // IsConnected reports whether the members of set form a weakly connected
 // subgraph of g.
 func (g *Graph) IsConnected(set NodeSet) bool {
-	ms := set.Members()
-	if len(ms) <= 1 {
-		return len(ms) == 1
-	}
-	adj := g.adj()
-	seen := NewNodeSet(len(g.Nodes))
-	stack := []NodeID{ms[0]}
-	seen.Add(ms[0])
-	count := 1
-	visit := func(v NodeID) {
-		if set.Has(v) && !seen.Has(v) {
-			seen.Add(v)
-			count++
-			stack = append(stack, v)
-		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj.succOf(u) {
-			visit(v)
-		}
-		for _, v := range adj.predOf(u) {
-			visit(v)
-		}
-	}
-	return count == len(ms)
+	return g.NewConvexChecker().IsConnected(set)
 }
 
-// ConvexChecker answers IsConvex queries against one graph while reusing its
-// traversal buffers, so repeated checks (the partitioner's Try-Merge scan)
-// allocate nothing. Not safe for concurrent use; the partitioner holds one.
+// ConvexChecker answers IsConvex and IsConnected queries against one graph
+// while reusing its traversal buffers, so repeated checks (the partitioner's
+// Try-Merge scan, a result's validation) allocate nothing. Not safe for
+// concurrent use; the partitioner holds one.
 type ConvexChecker struct {
 	g              *Graph
 	fromSet, toSet NodeSet
@@ -273,6 +248,46 @@ func (c *ConvexChecker) IsConvex(set NodeSet) bool {
 	}
 	c.stack = stack[:0]
 	return !c.fromSet.Intersects(c.toSet)
+}
+
+// IsConnected reports whether set is weakly connected in c's graph; see
+// Graph.IsConnected.
+func (c *ConvexChecker) IsConnected(set NodeSet) bool {
+	n := set.Len()
+	if n <= 1 {
+		return n == 1
+	}
+	adj := c.g.adj()
+	first := NodeID(-1)
+	set.ForEach(func(m NodeID) {
+		if first < 0 {
+			first = m
+		}
+	})
+	seen := c.fromSet
+	seen.Reset()
+	seen.Add(first)
+	stack := append(c.stack[:0], first)
+	count := 1
+	visit := func(v NodeID) {
+		if set.Has(v) && !seen.Has(v) {
+			seen.Add(v)
+			count++
+			stack = append(stack, v)
+		}
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range adj.succOf(u) {
+			visit(v)
+		}
+		for _, v := range adj.predOf(u) {
+			visit(v)
+		}
+	}
+	c.stack = stack[:0]
+	return count == n
 }
 
 // IsConvex reports whether set is convex in g: no path between two members

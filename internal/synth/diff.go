@@ -113,7 +113,7 @@ func CheckInvariants(c *driver.Compiled) error {
 		if !convex.IsConvex(set) {
 			return fmt.Errorf("partition %d (%s) not convex", i, sdf.FormatMembers(p.Sub.NodeOf))
 		}
-		if !g.IsConnected(set) {
+		if !convex.IsConnected(set) {
 			return fmt.Errorf("partition %d (%s) not connected", i, sdf.FormatMembers(p.Sub.NodeOf))
 		}
 		set.Reset()
