@@ -66,7 +66,7 @@ func runExec(path string, fragments int) error {
 		path, a.Format, a.Graph.Name, a.Fingerprint)
 	fmt.Printf("  %s on %d GPUs, %d partitions, B=%d iterations/fragment, mapped by %s (Tmax %.1f us)\n",
 		a.Options.Device.Name, len(a.Options.Topo.GPUNodes), len(a.Partitions),
-		a.Plan.FragmentIters, a.Assignment.Method, a.Assignment.Objective)
+		a.Options.FragmentIters, a.Assignment.Method, a.Assignment.Objective)
 	fmt.Printf("  fragments: %d, makespan %.1f us, steady state %.2f us/fragment\n",
 		fragments, res.MakespanUS, res.PerFragmentUS)
 	printGPUBusy(res)

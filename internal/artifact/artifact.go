@@ -39,7 +39,7 @@ import (
 // FormatVersion is the current encoding version. Bump it on any change to
 // the wire schema or to the meaning of an existing field; decoders reject
 // artifacts from other versions, and the disk cache recompiles over them.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Options is the wire form of the normalized compile options that produced
 // the artifact. Workers is deliberately absent: it changes wall-clock,
@@ -56,7 +56,7 @@ type Options struct {
 
 	// MultilevelThreshold is the normalized node-count threshold at which
 	// Alg1 compiles switch to the multilevel path (-1 = never); normalized
-	// options never hold zero, so every format-2 artifact carries it.
+	// options never hold zero, so every artifact carries it.
 	MultilevelThreshold int `json:"multilevelThreshold,omitempty"`
 }
 
@@ -87,36 +87,13 @@ type Estimate struct {
 	ComputeBound bool `json:"computeBound"`
 }
 
-// SMBuffer is the wire form of one allocated shared-memory region.
-type SMBuffer struct {
-	Kind   string `json:"kind"` // "internal", "in", "out", "state"
-	Edge   int    `json:"edge"` // sub edge id for internal buffers, -1 otherwise
-	Node   int    `json:"node"` // sub node of the port / state owner
-	Port   int    `json:"port"`
-	Bytes  int64  `json:"bytes"`
-	Copies int    `json:"copies"`
-	Start  int    `json:"start"`
-	End    int    `json:"end"`
-	Offset int64  `json:"offset"`
-}
-
-// SMLayout is the wire form of a partition's shared-memory layout — the
-// buffer map the code generator emits.
-type SMLayout struct {
-	Schedule     []int      `json:"schedule"` // sub node ids in execution order
-	Buffers      []SMBuffer `json:"buffers"`
-	PeakBytes    int64      `json:"peakBytes"`
-	MaxLiveBytes int64      `json:"maxLiveBytes"`
-}
-
 // Partition is the wire form of one selected kernel-to-be: its node set in
-// the parent graph, its granularity scale, the estimator's verdict with the
-// chosen kernel parameters, and the shared-memory layout.
+// the parent graph and the estimator's verdict with the chosen kernel
+// parameters. The granularity scale and the shared-memory layout are
+// functions of the node set, so the decoder derives them.
 type Partition struct {
-	Nodes  []int    `json:"nodes"`
-	Scale  int64    `json:"scale"`
-	Est    Estimate `json:"est"`
-	Layout SMLayout `json:"layout"`
+	Nodes []int    `json:"nodes"`
+	Est   Estimate `json:"est"`
 }
 
 // PDGEdge is the wire form of one partition-dependence edge.
@@ -136,23 +113,13 @@ type PDG struct {
 	Topo         []int     `json:"topo"`
 }
 
-// Assignment is the wire form of the partition-to-GPU mapping with its
-// exact evaluation: the objective (Tmax) and the per-GPU and per-link
-// loads.
+// Assignment is the wire form of the partition-to-GPU mapping and the
+// objective (Tmax) it was chosen for. The per-GPU and per-link loads are an
+// evaluation of GPUOf, which the decoder re-runs and holds to Objective.
 type Assignment struct {
-	GPUOf     []int     `json:"gpuOf"`
-	Method    string    `json:"method"`
-	Objective float64   `json:"objective"`
-	GPUTimes  []float64 `json:"gpuTimes"`
-	LinkTimes []float64 `json:"linkTimes"`
-	LinkLoads []int64   `json:"linkLoads"`
-}
-
-// Plan is the wire form of the execution parameters not covered by the
-// other sections.
-type Plan struct {
-	FragmentIters int  `json:"fragmentIters"`
-	ViaHost       bool `json:"viaHost,omitempty"`
+	GPUOf     []int   `json:"gpuOf"`
+	Method    string  `json:"method"`
+	Objective float64 `json:"objective"`
 }
 
 // Stage was one compile pass's wall-clock provenance on the wire until
@@ -197,7 +164,6 @@ type Artifact struct {
 	Partitions []Partition `json:"partitions"`
 	PDG        PDG         `json:"pdg"`
 	Assignment Assignment  `json:"assignment"`
-	Plan       Plan        `json:"plan"`
 
 	// Stages is not part of the encoding (see Stage).
 	Stages []Stage `json:"-"`
@@ -247,9 +213,6 @@ func (a *Artifact) Validate() error {
 			}
 			owner[id] = i
 		}
-		if p.Scale <= 0 {
-			return fmt.Errorf("artifact: partition %d has non-positive scale %d", i, p.Scale)
-		}
 		if p.Est.S <= 0 || p.Est.W <= 0 || p.Est.F <= 0 {
 			return fmt.Errorf("artifact: partition %d has non-positive kernel parameters %+v", i, p.Est)
 		}
@@ -294,13 +257,8 @@ func (a *Artifact) Validate() error {
 			return fmt.Errorf("artifact: partition %d assigned to gpu %d of %d", pi, gi, gpus)
 		}
 	}
-	if a.Plan.FragmentIters <= 0 {
-		return fmt.Errorf("artifact: non-positive FragmentIters %d", a.Plan.FragmentIters)
-	}
-	// FragmentIters appears in both the options (cache identity) and the
-	// plan (execution); an artifact in which they disagree is corrupt.
-	if a.Options.FragmentIters != a.Plan.FragmentIters {
-		return fmt.Errorf("artifact: options say B=%d but plan says B=%d", a.Options.FragmentIters, a.Plan.FragmentIters)
+	if a.Options.FragmentIters <= 0 {
+		return fmt.Errorf("artifact: non-positive FragmentIters %d", a.Options.FragmentIters)
 	}
 	return nil
 }

@@ -87,8 +87,9 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 // TestEqualNamesTheDifferingLine: Equal is byte equality of the two
-// encodings, so it sees every field — a link load and a layout offset as
-// much as an assignment entry — and says where the first difference is.
+// encodings, so it sees every field — an objective and a partition's SM
+// bytes as much as an assignment entry — and says where the first
+// difference is.
 func TestEqualNamesTheDifferingLine(t *testing.T) {
 	golden := readGolden(t)
 	decode := func() *artifact.Artifact {
@@ -105,11 +106,8 @@ func TestEqualNamesTheDifferingLine(t *testing.T) {
 		want    string // what the report must name, besides the line
 	}{
 		{"gpuOf entry", func(a *artifact.Artifact) { a.Assignment.GPUOf[0] ^= 1 }, `"gpuOf": [`},
-		{"link load", func(a *artifact.Artifact) { a.Assignment.LinkLoads[0]++ }, `"linkLoads": [`},
-		{"layout offset", func(a *artifact.Artifact) {
-			bufs := a.Partitions[0].Layout.Buffers
-			bufs[len(bufs)-1].Offset += 4
-		}, `"offset": `},
+		{"objective", func(a *artifact.Artifact) { a.Assignment.Objective *= 2 }, `"objective": `},
+		{"SM bytes", func(a *artifact.Artifact) { a.Partitions[0].Est.SMBytes += 4 }, `"smBytes": `},
 	} {
 		b := decode()
 		tc.perturb(b)
@@ -164,7 +162,7 @@ func TestEqualSharedPair(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	data := bytes.Replace(readGolden(t), []byte(`"format": 2`), []byte(`"format": 999`), 1)
+	data := bytes.Replace(readGolden(t), []byte(`"format": 3`), []byte(`"format": 999`), 1)
 	_, err := artifact.Decode(data)
 	if err == nil {
 		t.Fatal("expected version-mismatch error")
@@ -186,7 +184,7 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 func TestDecodeRejectsCorruptSections(t *testing.T) {
 	cases := []struct{ name, old, new string }{
 		{"garbage", "{", "<"},
-		{"negative scale", `"scale": 1`, `"scale": -4`},
+		{"negative fragment size", `"fragmentIters": `, `"fragmentIters": -`},
 		{"empty partitions", `"partitions": [`, `"zzz": [`},
 	}
 	for _, c := range cases {
@@ -268,10 +266,10 @@ func TestValidateCatchesSemanticCorruption(t *testing.T) {
 		t.Error("edge-violating topo order not rejected")
 	}
 
-	// Options/plan fragment-size disagreement.
+	// A non-positive fragment size.
 	a = decode()
-	a.Plan.FragmentIters++
+	a.Options.FragmentIters = 0
 	if err := a.Validate(); err == nil {
-		t.Error("FragmentIters disagreement not rejected")
+		t.Error("zero FragmentIters not rejected")
 	}
 }

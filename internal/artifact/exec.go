@@ -9,15 +9,17 @@ import (
 	"streammap/internal/topology"
 )
 
-// planSpec lowers the artifact sections to the simulator's import form.
+// planSpec lowers the artifact sections to the simulator's import form. The
+// fragment size and the transfer model come from the options: the previous
+// work's mapper ("prev") stages every inter-GPU transfer through the host.
 func (a *Artifact) planSpec() gpusim.PlanSpec {
 	spec := gpusim.PlanSpec{
 		HostInBytes:     append([]int64(nil), a.PDG.HostInBytes...),
 		HostOutBytes:    append([]int64(nil), a.PDG.HostOutBytes...),
 		Order:           append([]int(nil), a.PDG.Topo...),
 		GPUOf:           append([]int(nil), a.Assignment.GPUOf...),
-		FragmentIters:   a.Plan.FragmentIters,
-		ViaHost:         a.Plan.ViaHost,
+		FragmentIters:   a.Options.FragmentIters,
+		ViaHost:         a.Options.Mapper == "prev",
 		PerFiringCycles: append([]float64(nil), a.Profile.PerFiringCycles...),
 	}
 	for _, p := range a.Partitions {

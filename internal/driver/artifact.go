@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"time"
 
@@ -135,31 +136,24 @@ func ImportOptions(w artifact.Options) (Options, error) {
 
 // Artifact exports the compilation as a versioned, self-contained,
 // serializable artifact: the graph's structural description, the normalized
-// options, and every stage product (partitions with kernel parameters, PDG,
-// assignment with cost and link loads, plan parameters, profile) in wire
-// form, with no reference into compiler internals. Nothing of the run —
-// c.Stages, the worker count — is exported: two compilations of one key
-// export the same artifact. The artifact round-trips through Encode/Decode
-// and executes on the simulator without recompiling.
+// options, and every stage product (profile, partitions with kernel
+// parameters, PDG, assignment with its objective) in wire form, with no
+// reference into compiler internals. Nothing the decoder derives from the
+// rest is exported — no SM layout, no scale, no plan, no per-link loads —
+// and nothing of the run either (c.Stages, the worker count): two
+// compilations of one key export the same artifact. The artifact
+// round-trips through Encode/Decode and executes on the simulator without
+// recompiling. The error is always nil.
 func (c *Compiled) Artifact() (*artifact.Artifact, error) {
-	parts, err := partition.ExportResult(c.Parts)
-	if err != nil {
-		return nil, err
-	}
-	opts := c.Options.withDefaults()
 	a := &artifact.Artifact{
 		Format:      artifact.FormatVersion,
 		Fingerprint: c.Graph.Fingerprint(),
 		Graph:       sdf.ExportGraph(c.Graph),
-		Options:     ExportOptions(opts),
+		Options:     ExportOptions(c.Options),
 		Profile:     c.Prof.Export(),
-		Partitions:  parts,
+		Partitions:  partition.ExportResult(c.Parts),
 		PDG:         c.PDG.Export(),
 		Assignment:  c.Assign.Export(),
-		Plan: artifact.Plan{
-			FragmentIters: opts.FragmentIters,
-			ViaHost:       opts.Mapper == PrevWorkMap,
-		},
 	}
 	if c.RemapInfo != nil {
 		info := *c.RemapInfo
@@ -171,9 +165,13 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 // FromArtifact rebuilds a Compiled from a decoded artifact against the
 // caller's graph — the one carrying real work functions — without running
 // any pipeline stage: partitions are re-extracted (not re-partitioned),
-// estimates, PDG and assignment are restored verbatim, and the plan is
-// reassembled. Stages is empty on the result, which is the provenance
-// signal that nothing was recompiled.
+// estimates and PDG are restored verbatim, the assignment is re-evaluated
+// from its placement, and the plan is reassembled. Two numbers the artifact
+// claims are held to what the decoder derives: each partition's SM bytes to
+// a fresh analysis of its subgraph (partition.Import), and the objective,
+// bit for bit, to the evaluation of the placement — every mapper's result is
+// such an evaluation on the same problem. Stages is empty on the result,
+// which is the provenance signal that nothing was recompiled.
 //
 // The graph must fingerprint to the artifact's compiled graph; opts are the
 // caller's options for the request being served (they must describe the
@@ -210,12 +208,10 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 	if err != nil {
 		return nil, err
 	}
-	assign, err := mapping.ImportAssignment(a.Assignment)
-	if err != nil {
-		return nil, err
-	}
-	if len(assign.GPUOf) != len(parts.Parts) {
-		return nil, fmt.Errorf("driver: artifact assignment covers %d of %d partitions", len(assign.GPUOf), len(parts.Parts))
+	problem := mappingProblem(opts, dg, parts.Parts)
+	assign := mapping.Evaluate(problem, a.Assignment.GPUOf, a.Assignment.Method)
+	if math.Float64bits(assign.Objective) != math.Float64bits(a.Assignment.Objective) {
+		return nil, fmt.Errorf("driver: artifact claims objective %v, its assignment evaluates to %v", a.Assignment.Objective, assign.Objective)
 	}
 	c := &Compiled{
 		Graph:   g,
@@ -224,7 +220,7 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 		Engine:  pee.NewEngine(g, prof),
 		Parts:   parts,
 		PDG:     dg,
-		Problem: mappingProblem(opts, dg, parts.Parts),
+		Problem: problem,
 		Assign:  assign,
 	}
 	c.Plan = buildPlan(g, opts, prof, parts.Parts, dg, assign.GPUOf)

@@ -3,6 +3,7 @@ package driver_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -287,9 +288,10 @@ func mustApp(t *testing.T, name string) apps.App {
 }
 
 // TestFromArtifactRejectsMismatches: a decoded artifact must describe the
-// compilation being served — wrong options (a misplaced cache entry) and
-// layout sections that disagree with the graph are rejected, not silently
-// returned.
+// compilation being served — wrong options (a misplaced cache entry), an
+// objective its placement does not evaluate to, and SM bytes its partition
+// does not need are rejected, not silently returned. Remap rehydrates
+// through FromArtifact, so it rejects the same artifacts.
 func TestFromArtifactRejectsMismatches(t *testing.T) {
 	g, c := compileApp(t, "DES", 4, 2)
 	a, err := c.Artifact()
@@ -300,25 +302,43 @@ func TestFromArtifactRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	decode := func() *artifact.Artifact {
+		b, err := artifact.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
 	// Same graph, different options: the entry is for another compilation.
-	b, err := artifact.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wrong := c.Options
 	wrong.FragmentIters = c.Options.FragmentIters * 2
-	if _, err := driver.FromArtifact(g, b, wrong); err == nil || !strings.Contains(err.Error(), "options") {
+	if _, err := driver.FromArtifact(g, decode(), wrong); err == nil || !strings.Contains(err.Error(), "options") {
 		t.Errorf("options mismatch not rejected: %v", err)
 	}
 
-	// A layout section that disagrees with the decoded subgraph.
-	b, err = artifact.Decode(data)
+	degraded, gpuMap, err := driver.Degrade(a, topology.Degradation{RemoveGPUs: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Partitions[0].Layout.PeakBytes++
-	if _, err := driver.FromArtifact(g, b, c.Options); err == nil || !strings.Contains(err.Error(), "layout") {
-		t.Errorf("corrupt layout not rejected: %v", err)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(b *artifact.Artifact)
+	}{
+		// One ulp off: the objective is held to its evaluation bit for bit.
+		{"objective", "objective", func(b *artifact.Artifact) {
+			b.Assignment.Objective = math.Nextafter(b.Assignment.Objective, math.Inf(1))
+		}},
+		{"placement", "objective", func(b *artifact.Artifact) { b.Assignment.GPUOf[0] ^= 1 }},
+		{"smBytes", "smBytes", func(b *artifact.Artifact) { b.Partitions[0].Est.SMBytes += 4 }},
+	} {
+		b := decode()
+		tc.corrupt(b)
+		if _, err := driver.FromArtifact(g, b, c.Options); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: corrupt artifact not rejected by FromArtifact: %v", tc.name, err)
+		}
+		if _, err := driver.Remap(context.Background(), b, degraded, driver.RemapOptions{GPUMap: gpuMap}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: corrupt artifact not rejected by Remap: %v", tc.name, err)
+		}
 	}
 }

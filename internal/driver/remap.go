@@ -60,54 +60,36 @@ type RemapOptions struct {
 // embedded spec (as in artifact.Execute): timing simulation and re-export
 // work, functional execution needs the caller's real graph.
 func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, opts RemapOptions) (*Compiled, error) {
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
 	if degraded == nil {
 		return nil, fmt.Errorf("driver: remap: nil degraded topology")
 	}
 	if err := degraded.Validate(); err != nil {
 		return nil, err
 	}
-	healthy, err := ImportOptions(a.Options)
-	if err != nil {
-		return nil, err
-	}
-	dopts := healthy
-	dopts.Topo = degraded
-	dopts.Workers = opts.Workers
-	dopts = dopts.withDefaults()
-
+	// Rehydrate the compilation over a structural twin, with every check a
+	// decoded artifact gets, then re-target it.
 	g, err := sdf.ImportGraph(a.Graph)
 	if err != nil {
 		return nil, err
 	}
-	if fp := g.Fingerprint(); fp != a.Fingerprint {
-		return nil, fmt.Errorf("driver: remap: embedded graph fingerprints to %016x, artifact claims %016x", fp, a.Fingerprint)
-	}
-	if err := g.Steady(); err != nil {
-		return nil, err
-	}
-
-	// Rehydrate the topology-independent stage products verbatim.
-	prof, err := pee.ImportProfile(dopts.Device, a.Profile, g.NumNodes())
+	healthy, err := ImportOptions(a.Options)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := partition.ImportResult(g, a.Partitions)
+	c, err := FromArtifact(g, a, healthy)
 	if err != nil {
 		return nil, err
 	}
-	dg, err := pdg.Import(g, parts.Parts, a.PDG)
-	if err != nil {
-		return nil, err
-	}
-
-	c := &Compiled{Graph: g, Options: dopts, Prof: prof, Engine: pee.NewEngine(g, prof), Parts: parts, PDG: dg}
+	from := c.Assign.Objective
+	dopts := c.Options
+	dopts.Topo = degraded
+	dopts.Workers = opts.Workers
+	dopts = dopts.withDefaults()
+	c.Options = dopts
 
 	start := time.Now()
 	rctx, span := obs.StartSpan(ctx, "stage.remap")
-	c.Problem = mappingProblem(dopts, dg, parts.Parts)
+	c.Problem = mappingProblem(dopts, c.PDG, c.Parts.Parts)
 	mode := "portfolio"
 	if opts.GPUMap != nil && dopts.Mapper == ILPMapper {
 		mode = "warm"
@@ -123,7 +105,7 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 		Name:     "remap",
 		Duration: time.Since(start),
 		Info: fmt.Sprintf("%s; gpus %d->%d; parts %d; objective %g -> %g",
-			mode, len(a.Options.Topo.GPUNodes), degraded.NumGPUs(), len(parts.Parts), a.Assignment.Objective, c.Assign.Objective),
+			mode, len(a.Options.Topo.GPUNodes), degraded.NumGPUs(), len(c.Parts.Parts), from, c.Assign.Objective),
 	}
 	span.SetNote(m.Info)
 	span.End()
@@ -135,8 +117,8 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 	// the pre-failure plan (an un-regressed plan has nothing to repair),
 	// and the scan is affordable (see remergeMaxParts).
 	remerged := false
-	if n := len(parts.Parts); n > degraded.NumGPUs() && n <= remergeMaxParts &&
-		c.Assign.Objective > a.Assignment.Objective {
+	if n := len(c.Parts.Parts); n > degraded.NumGPUs() && n <= remergeMaxParts &&
+		c.Assign.Objective > from {
 		start = time.Now()
 		mctx, span := obs.StartSpan(ctx, "stage.remap-merge")
 		info, err := c.tryRemerge(mctx, g)
@@ -150,10 +132,10 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 		c.Stages = append(c.Stages, StageMetric{Name: "remap-merge", Duration: time.Since(start), Info: info.String()})
 	}
 
-	c.Plan = buildPlan(g, dopts, prof, c.Parts.Parts, c.PDG, c.Assign.GPUOf)
+	c.Plan = buildPlan(g, dopts, c.Prof, c.Parts.Parts, c.PDG, c.Assign.GPUOf)
 	c.RemapInfo = &artifact.RemapInfo{
 		FromTopo:      a.Options.Topo,
-		FromObjective: a.Assignment.Objective,
+		FromObjective: from,
 		Remerged:      remerged,
 	}
 	return c, nil

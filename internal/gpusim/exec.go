@@ -18,9 +18,9 @@ type Machine struct {
 // Dep is one inter-kernel data dependency: Bytes per parent-graph
 // steady-state iteration flow from kernel From to kernel To.
 type Dep struct {
-	From  int   `json:"from"`
-	To    int   `json:"to"`
-	Bytes int64 `json:"bytes"`
+	From  int
+	To    int
+	Bytes int64
 }
 
 // Plan is an executable mapping: kernels, their data dependencies, their GPU
@@ -70,55 +70,27 @@ type Result struct {
 // KernelSpec is the wire form of one Kernel: the node set standing in for
 // the extracted subgraph, which ImportPlan re-derives from the graph.
 type KernelSpec struct {
-	Nodes        []int        `json:"nodes"` // parent-graph node ids
-	Params       KernelParams `json:"params"`
-	SMBytes      int64        `json:"smBytes"`
-	IOBytes      int64        `json:"ioBytes"`
-	TUS          float64      `json:"tUS"`
-	ComputeBound bool         `json:"computeBound"`
+	Nodes        []int // parent-graph node ids
+	Params       KernelParams
+	SMBytes      int64
+	IOBytes      int64
+	TUS          float64
+	ComputeBound bool
 }
 
 // PlanSpec is the explicit export/import form of a Plan: plain data with no
 // pointers into live structures. Machine and graph are supplied separately
 // at import time.
 type PlanSpec struct {
-	Kernels         []KernelSpec `json:"kernels"`
-	Deps            []Dep        `json:"deps,omitempty"`
-	HostInBytes     []int64      `json:"hostInBytes"`
-	HostOutBytes    []int64      `json:"hostOutBytes"`
-	Order           []int        `json:"order"`
-	GPUOf           []int        `json:"gpuOf"`
-	FragmentIters   int          `json:"fragmentIters"`
-	ViaHost         bool         `json:"viaHost,omitempty"`
-	PerFiringCycles []float64    `json:"perFiringCycles"`
-}
-
-// Export returns the plan's wire form.
-func (p *Plan) Export() PlanSpec {
-	spec := PlanSpec{
-		Deps:            append([]Dep(nil), p.Deps...),
-		HostInBytes:     append([]int64(nil), p.HostInBytes...),
-		HostOutBytes:    append([]int64(nil), p.HostOutBytes...),
-		Order:           append([]int(nil), p.Order...),
-		GPUOf:           append([]int(nil), p.GPUOf...),
-		FragmentIters:   p.FragmentIters,
-		ViaHost:         p.ViaHost,
-		PerFiringCycles: append([]float64(nil), p.PerFiringCycles...),
-	}
-	for _, k := range p.Kernels {
-		ks := KernelSpec{
-			Params:       k.Params,
-			SMBytes:      k.SMBytes,
-			IOBytes:      k.IOBytes,
-			TUS:          k.TUS,
-			ComputeBound: k.ComputeBound,
-		}
-		for _, m := range k.Sub.NodeOf {
-			ks.Nodes = append(ks.Nodes, int(m))
-		}
-		spec.Kernels = append(spec.Kernels, ks)
-	}
-	return spec
+	Kernels         []KernelSpec
+	Deps            []Dep
+	HostInBytes     []int64
+	HostOutBytes    []int64
+	Order           []int
+	GPUOf           []int
+	FragmentIters   int
+	ViaHost         bool
+	PerFiringCycles []float64
 }
 
 // ImportPlan rebuilds an executable Plan from its wire form against a graph

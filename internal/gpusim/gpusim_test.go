@@ -2,7 +2,6 @@ package gpusim_test
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"streammap/internal/core"
@@ -287,33 +286,5 @@ func TestDeviceScalingG1VsG2(t *testing.T) {
 	ratio := t1 / t2
 	if ratio < 1.05 || ratio > 1.6 {
 		t.Errorf("C2070/M2090 slowdown = %v, want within (1.05, 1.6)", ratio)
-	}
-}
-
-func TestPlanExportImportRoundTrip(t *testing.T) {
-	// The plan's wire form must reconstruct an execution-identical plan:
-	// Export -> ImportPlan -> Export is a fixed point, and the imported
-	// plan's simulated timing is bit-identical to the original's.
-	c := compile(t, hotSJ(), 2, core.Alg1, core.ILPMapper)
-	spec := c.Plan.Export()
-	plan2, err := gpusim.ImportPlan(c.Graph, c.Plan.Machine, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spec, plan2.Export()) {
-		t.Fatal("Export(ImportPlan(Export(p))) != Export(p)")
-	}
-	const fragments = 8
-	want, err := gpusim.RunTiming(c.Plan, fragments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := gpusim.RunTiming(plan2, fragments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.PerFragmentUS != got.PerFragmentUS || want.MakespanUS != got.MakespanUS {
-		t.Fatalf("imported plan timing (%v, %v) != original (%v, %v)",
-			got.PerFragmentUS, got.MakespanUS, want.PerFragmentUS, want.MakespanUS)
 	}
 }

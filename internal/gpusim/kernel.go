@@ -36,9 +36,9 @@ import (
 // selected: S compute threads per execution, W concurrent executions per SM,
 // F data-transfer threads.
 type KernelParams struct {
-	S int `json:"s"`
-	W int `json:"w"`
-	F int `json:"f"`
+	S int
+	W int
+	F int
 }
 
 // Kernel is one partition lowered to an executable kernel description —

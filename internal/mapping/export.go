@@ -1,36 +1,15 @@
 package mapping
 
-import (
-	"fmt"
+import "streammap/internal/artifact"
 
-	"streammap/internal/artifact"
-)
-
-// Export returns the assignment's wire form with its full exact evaluation
-// — objective, per-GPU times and per-link times/loads — so a decoded
-// artifact can be inspected and re-verified without re-running any solver.
+// Export returns the assignment's wire form: the placement, the method that
+// chose it and its objective. The per-GPU and per-link loads are not on the
+// wire; a decoder re-runs Evaluate on the placement and holds the result to
+// the objective.
 func (a *Assignment) Export() artifact.Assignment {
 	return artifact.Assignment{
 		GPUOf:     append([]int(nil), a.GPUOf...),
 		Method:    a.Method,
 		Objective: a.Objective,
-		GPUTimes:  append([]float64(nil), a.GPUTimes...),
-		LinkTimes: append([]float64(nil), a.LinkTimes...),
-		LinkLoads: append([]int64(nil), a.LinkLoads...),
 	}
-}
-
-// ImportAssignment rebuilds an Assignment from its wire form verbatim.
-func ImportAssignment(x artifact.Assignment) (*Assignment, error) {
-	if len(x.GPUOf) == 0 {
-		return nil, fmt.Errorf("mapping: import: empty assignment")
-	}
-	return &Assignment{
-		GPUOf:     append([]int(nil), x.GPUOf...),
-		Method:    x.Method,
-		Objective: x.Objective,
-		GPUTimes:  append([]float64(nil), x.GPUTimes...),
-		LinkTimes: append([]float64(nil), x.LinkTimes...),
-		LinkLoads: append([]int64(nil), x.LinkLoads...),
-	}, nil
 }

@@ -71,7 +71,7 @@ type Layout struct {
 	Schedule     []sdf.NodeID // sub node ids in execution order
 	Buffers      []Buffer
 	PeakBytes    int64 // total SM requirement per execution
-	MaxLiveBytes int64 // schedule-step lower bound on the peak
+	MaxLiveBytes int64 // schedule-step lower bound on the peak (AnalyzeShared only)
 }
 
 // Analyze computes the SM layout for one execution of the subgraph (one sub
@@ -111,6 +111,7 @@ func AnalyzeShared(s *sdf.Subgraph) (*Layout, error) {
 	if err != nil {
 		return nil, err
 	}
+	lay.MaxLiveBytes = maxLive(lay.Buffers, len(lay.Schedule))
 	if err := allocate(lay); err != nil {
 		return nil, err
 	}
@@ -256,9 +257,7 @@ func analyzeLifetimes(s *sdf.Subgraph) (*Layout, error) {
 		})
 	}
 
-	lay := &Layout{Schedule: sched, Buffers: bufs}
-	lay.MaxLiveBytes = maxLive(bufs, len(sched))
-	return lay, nil
+	return &Layout{Schedule: sched, Buffers: bufs}, nil
 }
 
 func maxLive(bufs []Buffer, steps int) int64 {

@@ -28,12 +28,13 @@
 //	c, err := svc.Compile(ctx, g, opts) // safe from any number of goroutines
 //
 // Compilations export as versioned, self-contained artifacts that outlive
-// the process: Compiled.Artifact() captures partitions, kernel parameters,
-// the partition dependence graph, the assignment with its cost and link
-// loads, and the executable plan in a stable encoding keyed by the graph
-// fingerprint and normalized options. An artifact encodes to deterministic
-// bytes, decodes on any machine, and executes on the simulator without
-// recompiling:
+// the process: Compiled.Artifact() captures the profile, partitions with
+// their kernel parameters, the partition dependence graph and the
+// assignment with its objective in a stable encoding keyed by the graph
+// fingerprint and normalized options; what follows from those (SM layouts,
+// link loads, the executable plan) is re-derived on decode. An artifact
+// encodes to deterministic bytes, decodes on any machine, and executes on
+// the simulator without recompiling:
 //
 //	a, err := c.Artifact()
 //	data, err := a.Encode()                  // persist / ship
