@@ -2,8 +2,13 @@ package streammap
 
 import (
 	"context"
+	"errors"
+	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"streammap/internal/driver"
 )
 
 // TestArtifactQuickstart exercises the public artifact surface end to end,
@@ -37,7 +42,7 @@ func TestArtifactQuickstart(t *testing.T) {
 	if b.Fingerprint != g.Fingerprint() {
 		t.Errorf("artifact fingerprint %016x != graph %016x", b.Fingerprint, g.Fingerprint())
 	}
-	res, err := b.Execute(16)
+	res, err := Execute(b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +77,56 @@ func TestArtifactQuickstart(t *testing.T) {
 	}
 	if len(warm.Stages) != 0 {
 		t.Errorf("disk-served result ran pipeline stages: %v", warm.Stages)
+	}
+}
+
+// goldenArtifact decodes the checked-in format-stability artifact (DES-4 on
+// two GPUs; see internal/artifact's TestGoldenArtifactDecodes).
+func goldenArtifact(t *testing.T) *Artifact {
+	t.Helper()
+	data, err := os.ReadFile("internal/artifact/testdata/des4x2.artifact.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := DecodeArtifact(data)
+	if err != nil {
+		t.Fatalf("decoding golden artifact: %v", err)
+	}
+	return a
+}
+
+// TestGoldenArtifactExecutes: the checked-in artifact, written by an
+// earlier build, must keep executing without recompiling.
+func TestGoldenArtifactExecutes(t *testing.T) {
+	res, err := Execute(goldenArtifact(t), 16)
+	if err != nil {
+		t.Fatalf("executing golden artifact: %v", err)
+	}
+	if res.PerFragmentUS <= 0 || res.MakespanUS <= 0 {
+		t.Errorf("golden execution produced non-positive timing: %+v", res.PerFragmentUS)
+	}
+}
+
+func TestExecuteRejectsFingerprintMismatch(t *testing.T) {
+	a := goldenArtifact(t)
+	a.Fingerprint++
+	if _, err := Execute(a, 4); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Errorf("fingerprint mismatch not caught: %v", err)
+	}
+}
+
+// TestExecuteCancellable: even a tiny simulation of a rehydrated artifact
+// (far fewer than one cancellation-check window of events) must notice an
+// already-cancelled context.
+func TestExecuteCancellable(t *testing.T) {
+	c, err := driver.Rehydrate(goldenArtifact(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := make([]Token, c.InputNeed(0, 4))
+	if _, err := c.ExecuteCtx(ctx, [][]Token{in}, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled execution returned %v, want context.Canceled", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"streammap/internal/artifact"
 	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpusim"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
@@ -46,9 +47,9 @@ func emitRequest(g *sdf.Graph, opts core.Options, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runExec decodes an artifact file and executes it on the simulator —
-// timing-only, over the structural twin embedded in the artifact — without
-// running any compilation pass.
+// runExec decodes an artifact file, rehydrates it over the structural twin
+// embedded in the artifact (driver.Rehydrate) and runs the timing
+// simulation — no compilation pass runs.
 func runExec(path string, fragments int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -58,7 +59,11 @@ func runExec(path string, fragments int) error {
 	if err != nil {
 		return err
 	}
-	res, err := a.Execute(fragments)
+	c, err := driver.Rehydrate(a)
+	if err != nil {
+		return err
+	}
+	res, err := gpusim.RunTiming(c.Plan, fragments)
 	if err != nil {
 		return err
 	}

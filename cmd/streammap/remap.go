@@ -9,6 +9,7 @@ import (
 
 	"streammap/internal/artifact"
 	"streammap/internal/driver"
+	"streammap/internal/gpusim"
 	"streammap/internal/topology"
 )
 
@@ -47,11 +48,7 @@ func runRemap(path, dropGPUs, throttles string, fragments int, outPath string) e
 	for _, s := range c.Stages {
 		fmt.Printf("  stage %-11s %8.2f ms  %s\n", s.Name, float64(s.Duration.Microseconds())/1e3, s.Info)
 	}
-	ra, err := c.Artifact()
-	if err != nil {
-		return err
-	}
-	res, err := ra.Execute(fragments)
+	res, err := gpusim.RunTiming(c.Plan, fragments)
 	if err != nil {
 		return err
 	}
@@ -60,6 +57,10 @@ func runRemap(path, dropGPUs, throttles string, fragments int, outPath string) e
 	printGPUBusy(res)
 
 	if outPath != "" && outPath != "-" {
+		ra, err := c.Artifact()
+		if err != nil {
+			return err
+		}
 		out, err := ra.Encode()
 		if err != nil {
 			return err

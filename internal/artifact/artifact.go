@@ -1,11 +1,11 @@
-// Package artifact defines the versioned, self-contained wire form of a
-// compilation: everything needed to execute, inspect, persist or ship a
-// compiled mapping, with no reference into the compiler's internal
-// structures. The package imports only the stream-graph model (sdf), the
-// device/topology models (gpu, topology) and the simulator (gpusim) —
-// never the estimation engine (pee), the partitioner (partition), the PDG
-// builder (pdg) or the mapper (mapping); those packages each grow an
-// explicit export/import form that converts to and from these wire types.
+// Package artifact defines the versioned wire form of a compilation: what
+// a decoder needs to rebuild the compiled mapping without recompiling, with
+// no reference into the compiler's internal structures. The package imports
+// only the stream-graph model (sdf) and the device/topology models (gpu,
+// topology) — never the estimation engine (pee), the partitioner
+// (partition), the PDG builder (pdg), the mapper (mapping) or the simulator
+// (gpusim); those packages each grow an explicit export/import form that
+// converts to and from these wire types.
 //
 // An Artifact is:
 //
@@ -14,11 +14,12 @@
 //   - content-addressed: the graph fingerprint and the normalized options
 //     are baked in, so a decoded artifact can be validated against the
 //     request that looks it up.
-//   - executable: Execute lowers the artifact to a gpusim.Plan — via a
-//     structural twin of the graph rebuilt from the embedded GraphSpec —
-//     and runs the timing simulation without recompiling. ExecuteWith runs
-//     functionally against a caller-supplied graph carrying the real work
-//     functions (fingerprint-checked).
+//   - minimal: it carries only what its decoder cannot derive — the graph,
+//     the options, the profile, each partition's node list and estimate,
+//     and the placement with its objective. driver.FromArtifact (and
+//     driver.Rehydrate, over a structural twin rebuilt from the embedded
+//     GraphSpec) re-extracts the partitions, rebuilds the PDG, re-evaluates
+//     the placement and lowers the plan, the same way a compile does.
 //
 // The encoding is deterministic JSON: no maps, struct fields in declaration
 // order, float64 values round-tripping exactly through Go's shortest-form
@@ -39,7 +40,7 @@ import (
 // FormatVersion is the current encoding version. Bump it on any change to
 // the wire schema or to the meaning of an existing field; decoders reject
 // artifacts from other versions, and the disk cache recompiles over them.
-const FormatVersion = 3
+const FormatVersion = 4
 
 // Options is the wire form of the normalized compile options that produced
 // the artifact. Workers is deliberately absent: it changes wall-clock,
@@ -81,36 +82,16 @@ type Estimate struct {
 	TexecUS  float64 `json:"texecUS"`
 	TUS      float64 `json:"tUS"`
 	LaunchUS float64 `json:"launchUS"`
-	// ComputeBound is the estimator's compute/IO classification, carried on
-	// the wire rather than re-derived so every consumer of the artifact
-	// applies the same rule the compiler did.
-	ComputeBound bool `json:"computeBound"`
 }
 
 // Partition is the wire form of one selected kernel-to-be: its node set in
 // the parent graph and the estimator's verdict with the chosen kernel
-// parameters. The granularity scale and the shared-memory layout are
-// functions of the node set, so the decoder derives them.
+// parameters. The granularity scale, the shared-memory layout and the
+// partition's PDG edges and host I/O are functions of the node sets, so the
+// decoder derives them.
 type Partition struct {
 	Nodes []int    `json:"nodes"`
 	Est   Estimate `json:"est"`
-}
-
-// PDGEdge is the wire form of one partition-dependence edge.
-type PDGEdge struct {
-	From      int   `json:"from"`
-	To        int   `json:"to"`
-	Bytes     int64 `json:"bytes"`
-	StreamCut []int `json:"streamCut,omitempty"`
-}
-
-// PDG is the wire form of the partition dependence graph.
-type PDG struct {
-	WorkUS       []float64 `json:"workUS"`
-	Edges        []PDGEdge `json:"edges,omitempty"`
-	HostInBytes  []int64   `json:"hostInBytes"`
-	HostOutBytes []int64   `json:"hostOutBytes"`
-	Topo         []int     `json:"topo"`
 }
 
 // Assignment is the wire form of the partition-to-GPU mapping and the
@@ -154,7 +135,7 @@ type Artifact struct {
 	// Format is the encoding version (FormatVersion at encode time).
 	Format int `json:"format"`
 	// Fingerprint is the structural hash of the compiled graph
-	// (sdf.Graph.Fingerprint); Execute and the disk cache validate it.
+	// (sdf.Graph.Fingerprint); driver.FromArtifact validates it.
 	Fingerprint uint64 `json:"fingerprint"`
 	// Graph is the structural description of the compiled stream graph.
 	Graph sdf.GraphSpec `json:"graph"`
@@ -162,7 +143,6 @@ type Artifact struct {
 	Options    Options     `json:"options"`
 	Profile    Profile     `json:"profile"`
 	Partitions []Partition `json:"partitions"`
-	PDG        PDG         `json:"pdg"`
 	Assignment Assignment  `json:"assignment"`
 
 	// Stages is not part of the encoding (see Stage).
@@ -177,7 +157,10 @@ type Artifact struct {
 func (a *Artifact) NumPartitions() int { return len(a.Partitions) }
 
 // Validate checks the artifact's internal consistency: version, section
-// sizes and index ranges. Decode calls it; importers can rely on it.
+// sizes and index ranges. Decode calls it. The partitions' node lists are
+// the decoder's to check: driver.FromArtifact re-extracts them
+// (partition.ImportResult holds their exact cover) and rebuilds the PDG over
+// them (pdg.Build rejects a cyclic quotient, so a non-convex partition).
 func (a *Artifact) Validate() error {
 	if a.Format != FormatVersion {
 		return fmt.Errorf("artifact: format version %d, this build reads %d", a.Format, FormatVersion)
@@ -193,59 +176,12 @@ func (a *Artifact) Validate() error {
 	if len(a.Profile.PerFiringCycles) != n {
 		return fmt.Errorf("artifact: %d per-firing costs for %d nodes", len(a.Profile.PerFiringCycles), n)
 	}
-	// Exact cover: every graph node in exactly one partition. This keeps the
-	// self-contained Execute path as strict as the FromArtifact path — a
-	// corrupt artifact must never silently simulate an invalid partitioning.
-	owner := make([]int, n)
-	for i := range owner {
-		owner[i] = -1
-	}
 	for i, p := range a.Partitions {
 		if len(p.Nodes) == 0 {
 			return fmt.Errorf("artifact: partition %d is empty", i)
 		}
-		for _, id := range p.Nodes {
-			if id < 0 || id >= n {
-				return fmt.Errorf("artifact: partition %d references node %d of %d", i, id, n)
-			}
-			if owner[id] != -1 {
-				return fmt.Errorf("artifact: node %d owned by partitions %d and %d", id, owner[id], i)
-			}
-			owner[id] = i
-		}
 		if p.Est.S <= 0 || p.Est.W <= 0 || p.Est.F <= 0 {
 			return fmt.Errorf("artifact: partition %d has non-positive kernel parameters %+v", i, p.Est)
-		}
-	}
-	for id, o := range owner {
-		if o == -1 {
-			return fmt.Errorf("artifact: node %d is in no partition", id)
-		}
-	}
-	if len(a.PDG.WorkUS) != P || len(a.PDG.HostInBytes) != P || len(a.PDG.HostOutBytes) != P || len(a.PDG.Topo) != P {
-		return fmt.Errorf("artifact: pdg sections sized %d/%d/%d/%d for %d partitions",
-			len(a.PDG.WorkUS), len(a.PDG.HostInBytes), len(a.PDG.HostOutBytes), len(a.PDG.Topo), P)
-	}
-	for _, e := range a.PDG.Edges {
-		if e.From < 0 || e.From >= P || e.To < 0 || e.To >= P {
-			return fmt.Errorf("artifact: pdg edge %d->%d out of range", e.From, e.To)
-		}
-	}
-	seen := make([]bool, P)
-	pos := make([]int, P)
-	for i, pi := range a.PDG.Topo {
-		if pi < 0 || pi >= P || seen[pi] {
-			return fmt.Errorf("artifact: pdg topo order is not a permutation")
-		}
-		seen[pi] = true
-		pos[pi] = i
-	}
-	// The stored order must actually topologically sort the stored edges —
-	// the same check pdg.Import applies, so the self-contained Execute path
-	// is exactly as strict as the FromArtifact path.
-	for _, e := range a.PDG.Edges {
-		if pos[e.From] >= pos[e.To] {
-			return fmt.Errorf("artifact: pdg topo order places %d after its consumer %d", e.From, e.To)
 		}
 	}
 	if len(a.Assignment.GPUOf) != P {

@@ -2,7 +2,6 @@ package artifact_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -23,8 +22,9 @@ func readGolden(t *testing.T) []byte {
 }
 
 // TestGoldenArtifactDecodes is the format-stability guardrail: the
-// checked-in artifact, written by an earlier build, must keep decoding and
-// executing. If a schema change breaks this test, bump FormatVersion and
+// checked-in artifact, written by an earlier build, must keep decoding
+// (TestGoldenArtifactExecutes in the root package holds it to executing).
+// If a schema change breaks this test, bump FormatVersion and
 // regenerate the golden file (go run ./cmd/streammap -app DES -n 4 -gpus 2
 // -emit artifact -artifact-out internal/artifact/testdata/des4x2.artifact.json)
 // — never silently reinterpret old bytes. The command reproduces the file
@@ -45,12 +45,10 @@ func TestGoldenArtifactDecodes(t *testing.T) {
 		t.Fatalf("golden artifact inconsistent: %d partitions, %d assignments",
 			len(a.Partitions), len(a.Assignment.GPUOf))
 	}
-	res, err := a.Execute(16)
-	if err != nil {
-		t.Fatalf("executing golden artifact: %v", err)
-	}
-	if res.PerFragmentUS <= 0 || res.MakespanUS <= 0 {
-		t.Errorf("golden execution produced non-positive timing: %+v", res.PerFragmentUS)
+	for _, key := range []string{`"pdg"`, `"computeBound"`} {
+		if bytes.Contains(readGolden(t), []byte(key)) {
+			t.Errorf("the golden encoding carries a %s key: the decoder derives it", key)
+		}
 	}
 }
 
@@ -162,7 +160,7 @@ func TestEqualSharedPair(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	data := bytes.Replace(readGolden(t), []byte(`"format": 3`), []byte(`"format": 999`), 1)
+	data := bytes.Replace(readGolden(t), []byte(`"format": 4`), []byte(`"format": 999`), 1)
 	_, err := artifact.Decode(data)
 	if err == nil {
 		t.Fatal("expected version-mismatch error")
@@ -195,34 +193,10 @@ func TestDecodeRejectsCorruptSections(t *testing.T) {
 	}
 }
 
-func TestExecuteCancellable(t *testing.T) {
-	a, err := artifact.Decode(readGolden(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Even a tiny simulation (far fewer than one cancellation-check window
-	// of events) must notice an already-cancelled context.
-	if _, err := a.ExecuteCtx(ctx, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled execution returned %v, want context.Canceled", err)
-	}
-}
-
-func TestExecuteRejectsFingerprintMismatch(t *testing.T) {
-	a, err := artifact.Decode(readGolden(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Fingerprint++
-	if _, err := a.Execute(4); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("fingerprint mismatch not caught: %v", err)
-	}
-}
-
 // TestValidateCatchesSemanticCorruption mutates decoded artifacts in ways
-// plain JSON parsing cannot catch and demands Validate (and therefore both
-// the Execute and the FromArtifact paths) rejects each.
+// plain JSON parsing cannot catch and demands Validate rejects each. The
+// partitions' node lists are not Validate's to check: a broken cover or a
+// non-convex partition fails in driver.FromArtifact, the one decoder.
 func TestValidateCatchesSemanticCorruption(t *testing.T) {
 	decode := func() *artifact.Artifact {
 		a, err := artifact.Decode(readGolden(t))
@@ -231,45 +205,21 @@ func TestValidateCatchesSemanticCorruption(t *testing.T) {
 		}
 		return a
 	}
-
-	// Broken exact cover: drop a node from its partition.
-	a := decode()
-	for i := range a.Partitions {
-		if len(a.Partitions[i].Nodes) > 1 {
-			a.Partitions[i].Nodes = a.Partitions[i].Nodes[1:]
-			break
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *artifact.Artifact)
+	}{
+		{"empty partition", func(a *artifact.Artifact) { a.Partitions[0].Nodes = nil }},
+		{"zero kernel parameter", func(a *artifact.Artifact) { a.Partitions[0].Est.W = 0 }},
+		{"short assignment", func(a *artifact.Artifact) { a.Assignment.GPUOf = a.Assignment.GPUOf[1:] }},
+		{"gpu out of range", func(a *artifact.Artifact) { a.Assignment.GPUOf[0] = len(a.Options.Topo.GPUNodes) }},
+		{"short profile", func(a *artifact.Artifact) { a.Profile.PerFiringCycles = a.Profile.PerFiringCycles[1:] }},
+		{"zero FragmentIters", func(a *artifact.Artifact) { a.Options.FragmentIters = 0 }},
+	} {
+		a := decode()
+		tc.corrupt(a)
+		if err := a.Validate(); err == nil {
+			t.Errorf("%s not rejected", tc.name)
 		}
-	}
-	if err := a.Validate(); err == nil {
-		t.Error("missing node not rejected")
-	}
-
-	// Duplicated node across partitions.
-	a = decode()
-	a.Partitions[1].Nodes = append(a.Partitions[1].Nodes, a.Partitions[0].Nodes[0])
-	if err := a.Validate(); err == nil {
-		t.Error("doubly-owned node not rejected")
-	}
-
-	// Topo order that contradicts the PDG edges.
-	a = decode()
-	if len(a.PDG.Edges) == 0 {
-		t.Fatal("golden artifact has no PDG edges")
-	}
-	e := a.PDG.Edges[0]
-	pos := make([]int, len(a.PDG.Topo))
-	for i, pi := range a.PDG.Topo {
-		pos[pi] = i
-	}
-	a.PDG.Topo[pos[e.From]], a.PDG.Topo[pos[e.To]] = a.PDG.Topo[pos[e.To]], a.PDG.Topo[pos[e.From]]
-	if err := a.Validate(); err == nil {
-		t.Error("edge-violating topo order not rejected")
-	}
-
-	// A non-positive fragment size.
-	a = decode()
-	a.Options.FragmentIters = 0
-	if err := a.Validate(); err == nil {
-		t.Error("zero FragmentIters not rejected")
 	}
 }

@@ -132,7 +132,7 @@ func TestServiceDiskVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := strings.Replace(string(data), `"format": 3`, `"format": 999`, 1)
+	stale := strings.Replace(string(data), `"format": 4`, `"format": 999`, 1)
 	if stale == string(data) {
 		t.Fatal("could not stamp a stale version")
 	}

@@ -136,14 +136,14 @@ func ImportOptions(w artifact.Options) (Options, error) {
 
 // Artifact exports the compilation as a versioned, self-contained,
 // serializable artifact: the graph's structural description, the normalized
-// options, and every stage product (profile, partitions with kernel
-// parameters, PDG, assignment with its objective) in wire form, with no
-// reference into compiler internals. Nothing the decoder derives from the
-// rest is exported — no SM layout, no scale, no plan, no per-link loads —
-// and nothing of the run either (c.Stages, the worker count): two
-// compilations of one key export the same artifact. The artifact
-// round-trips through Encode/Decode and executes on the simulator without
-// recompiling. The error is always nil.
+// options, the profile, the partitions with their kernel parameters and the
+// assignment with its objective, in wire form, with no reference into
+// compiler internals. Nothing the decoder derives from the rest is exported
+// — no SM layout, no scale, no PDG, no plan, no per-link loads — and nothing
+// of the run either (c.Stages, the worker count): two compilations of one
+// key export the same artifact. The artifact round-trips through
+// Encode/Decode, and FromArtifact (or Rehydrate) turns it back into a
+// Compiled without recompiling. The error is always nil.
 func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 	a := &artifact.Artifact{
 		Format:      artifact.FormatVersion,
@@ -152,7 +152,6 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 		Options:     ExportOptions(c.Options),
 		Profile:     c.Prof.Export(),
 		Partitions:  partition.ExportResult(c.Parts),
-		PDG:         c.PDG.Export(),
 		Assignment:  c.Assign.Export(),
 	}
 	if c.RemapInfo != nil {
@@ -164,14 +163,16 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 
 // FromArtifact rebuilds a Compiled from a decoded artifact against the
 // caller's graph — the one carrying real work functions — without running
-// any pipeline stage: partitions are re-extracted (not re-partitioned),
-// estimates and PDG are restored verbatim, the assignment is re-evaluated
-// from its placement, and the plan is reassembled. Two numbers the artifact
-// claims are held to what the decoder derives: each partition's SM bytes to
-// a fresh analysis of its subgraph (partition.Import), and the objective,
-// bit for bit, to the evaluation of the placement — every mapper's result is
-// such an evaluation on the same problem. Stages is empty on the result,
-// which is the provenance signal that nothing was recompiled.
+// any pipeline stage: partitions are re-extracted (not re-partitioned) and
+// their estimates restored verbatim, the PDG is built over them by
+// pdg.Build as in a compile — its acyclic quotient is the partitions'
+// convexity check — the assignment is re-evaluated from its placement, and
+// the plan is lowered by buildPlan. Two numbers the artifact claims are held
+// to what the decoder derives: each partition's SM bytes to a fresh analysis
+// of its subgraph (partition.Import), and the objective, bit for bit, to the
+// evaluation of the placement — every mapper's result is such an evaluation
+// on the same problem. Stages is empty on the result, which is the
+// provenance signal that nothing was recompiled.
 //
 // The graph must fingerprint to the artifact's compiled graph; opts are the
 // caller's options for the request being served (they must describe the
@@ -204,7 +205,7 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 	if err != nil {
 		return nil, err
 	}
-	dg, err := pdg.Import(g, parts.Parts, a.PDG)
+	dg, err := pdg.Build(g, parts.Parts)
 	if err != nil {
 		return nil, err
 	}
@@ -229,6 +230,23 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 		c.RemapInfo = &info
 	}
 	return c, nil
+}
+
+// Rehydrate is FromArtifact over a structural twin of the compiled graph,
+// rebuilt from the artifact's embedded spec, under the artifact's own
+// options: everything but functional execution (which needs the real work
+// functions, see FromArtifact) works on the result — timing simulation,
+// re-export, Remap.
+func Rehydrate(a *artifact.Artifact) (*Compiled, error) {
+	g, err := sdf.ImportGraph(a.Graph)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := ImportOptions(a.Options)
+	if err != nil {
+		return nil, err
+	}
+	return FromArtifact(g, a, opts)
 }
 
 // EquivalentArtifacts is artifact.Equal under the name bench/ (frozen by

@@ -5,15 +5,19 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"streammap"
 	"streammap/internal/apps"
 	"streammap/internal/artifact"
 	"streammap/internal/driver"
 	"streammap/internal/gpusim"
 	"streammap/internal/mapping"
+	"streammap/internal/partition"
 	"streammap/internal/sdf"
+	"streammap/internal/smreq"
 	"streammap/internal/topology"
 )
 
@@ -95,7 +99,8 @@ func TestImportOptionsRoundTrip(t *testing.T) {
 // paper's benchmark suite: DecodeArtifact(Encode(c.Artifact())) must be
 // Equivalent to the original — at artifact level, at Compiled level after
 // rehydration, and in bit-identical simulated throughput both through the
-// rehydrated plan and through Artifact.Execute's self-contained path.
+// plan rehydrated against the original graph and through the one Rehydrate
+// lowers over the embedded structural twin.
 func TestArtifactRoundTripPaperApps(t *testing.T) {
 	for _, tc := range paperApps {
 		tc := tc
@@ -147,12 +152,16 @@ func TestArtifactRoundTripPaperApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := b.Execute(fragments)
+			twin, err := driver.Rehydrate(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gpusim.RunTiming(twin.Plan, fragments)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.PerFragmentUS != got.PerFragmentUS || want.MakespanUS != got.MakespanUS {
-				t.Fatalf("Artifact.Execute throughput (%v, %v) != original (%v, %v)",
+				t.Fatalf("rehydrated twin's throughput (%v, %v) != original (%v, %v)",
 					got.PerFragmentUS, got.MakespanUS, want.PerFragmentUS, want.MakespanUS)
 			}
 		})
@@ -193,7 +202,7 @@ func TestArtifactExecuteWithFunctional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ExecuteWith(g, mkIn(), fragments)
+	got, err := streammap.ExecuteWith(b, g, mkIn(), fragments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +226,7 @@ func TestArtifactExecuteWithFunctional(t *testing.T) {
 	// Wrong graph is rejected up front.
 	other, oc := compileApp(t, "DES", 4, 2)
 	_ = oc
-	if _, err := b.ExecuteWith(other, mkIn(), fragments); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := streammap.ExecuteWith(b, other, mkIn(), fragments); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("foreign graph not rejected: %v", err)
 	}
 }
@@ -289,11 +298,71 @@ func mustApp(t *testing.T, name string) apps.App {
 
 // TestFromArtifactRejectsMismatches: a decoded artifact must describe the
 // compilation being served — wrong options (a misplaced cache entry), an
-// objective its placement does not evaluate to, and SM bytes its partition
-// does not need are rejected, not silently returned. Remap rehydrates
-// through FromArtifact, so it rejects the same artifacts.
+// objective its placement does not evaluate to, SM bytes its partition does
+// not need, a partitioning that is not an exact cover or not convex, and a
+// graph fingerprint that is not the graph's are rejected, not silently
+// returned. Remap rehydrates through FromArtifact, so it rejects the same
+// artifacts. Artifact.Validate checks none of these: FromArtifact is the one
+// place a corrupt artifact fails.
 func TestFromArtifactRejectsMismatches(t *testing.T) {
 	g, c := compileApp(t, "DES", 4, 2)
+
+	// Same graph, different options: the entry is for another compilation.
+	wrong := c.Options
+	wrong.FragmentIters = c.Options.FragmentIters * 2
+	if _, err := driver.FromArtifact(g, decoded(t, c), wrong); err == nil || !strings.Contains(err.Error(), "options") {
+		t.Errorf("options mismatch not rejected: %v", err)
+	}
+
+	rejectsCorruption(t, g, c, []corruption{
+		// One ulp off: the objective is held to its evaluation bit for bit.
+		{"objective", "objective", func(b *artifact.Artifact) {
+			b.Assignment.Objective = math.Nextafter(b.Assignment.Objective, math.Inf(1))
+		}},
+		{"placement", "objective", func(b *artifact.Artifact) { b.Assignment.GPUOf[0] ^= 1 }},
+		{"smBytes", "smBytes", func(b *artifact.Artifact) { b.Partitions[0].Est.SMBytes += 4 }},
+	})
+
+	// FFT-16's first partition is a split-join diamond: without one branch's
+	// node it stays connected, so the cover and convexity checks are what
+	// reject these. Each corrupted partition's SM bytes are re-derived, so
+	// the smBytes check passes.
+	g, c = compileApp(t, "FFT", 16, 2)
+	nodes := c.Parts.Parts[0].Sub.NodeOf
+	if len(nodes) != 4 {
+		t.Fatalf("FFT-16's first partition has %d nodes, want the 4-node split-join", len(nodes))
+	}
+	branch := int(nodes[2])
+	without := func(b *artifact.Artifact) {
+		b.Partitions[0].Nodes = slices.DeleteFunc(b.Partitions[0].Nodes, func(id int) bool { return id == branch })
+	}
+	rejectsCorruption(t, g, c, []corruption{
+		{"node dropped from its partition", "covered", without},
+		{"node owned by two partitions", "two partitions", func(b *artifact.Artifact) {
+			b.Partitions[1].Nodes = append(b.Partitions[1].Nodes, branch)
+		}},
+		// The branch moves into a partition of its own: both partitions are
+		// connected, the diamond's rest is not convex, and the quotient has
+		// the cycle rest -> branch -> rest.
+		{"non-convex partition", "cycle", func(b *artifact.Artifact) {
+			without(b)
+			b.Partitions = append(b.Partitions, artifact.Partition{Nodes: []int{branch}, Est: b.Partitions[0].Est})
+			b.Assignment.GPUOf = append(b.Assignment.GPUOf, 0)
+		}},
+		{"fingerprint", "fingerprint", func(b *artifact.Artifact) { b.Fingerprint++ }},
+	})
+}
+
+// corruption is one way to damage a decoded artifact, and the word the
+// rejection must name.
+type corruption struct {
+	name, want string
+	corrupt    func(b *artifact.Artifact)
+}
+
+// decoded returns c's artifact after an encode/decode round trip.
+func decoded(t *testing.T, c *driver.Compiled) *artifact.Artifact {
+	t.Helper()
 	a, err := c.Artifact()
 	if err != nil {
 		t.Fatal(err)
@@ -302,38 +371,45 @@ func TestFromArtifactRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func() *artifact.Artifact {
-		b, err := artifact.Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	// Same graph, different options: the entry is for another compilation.
-	wrong := c.Options
-	wrong.FragmentIters = c.Options.FragmentIters * 2
-	if _, err := driver.FromArtifact(g, decode(), wrong); err == nil || !strings.Contains(err.Error(), "options") {
-		t.Errorf("options mismatch not rejected: %v", err)
-	}
-
-	degraded, gpuMap, err := driver.Degrade(a, topology.Degradation{RemoveGPUs: []int{1}})
+	b, err := artifact.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name, want string
-		corrupt    func(b *artifact.Artifact)
-	}{
-		// One ulp off: the objective is held to its evaluation bit for bit.
-		{"objective", "objective", func(b *artifact.Artifact) {
-			b.Assignment.Objective = math.Nextafter(b.Assignment.Objective, math.Inf(1))
-		}},
-		{"placement", "objective", func(b *artifact.Artifact) { b.Assignment.GPUOf[0] ^= 1 }},
-		{"smBytes", "smBytes", func(b *artifact.Artifact) { b.Partitions[0].Est.SMBytes += 4 }},
-	} {
-		b := decode()
+	return b
+}
+
+// rejectsCorruption applies each corruption to a fresh decode of c's
+// artifact, re-derives the SM bytes of every partition whose node list it
+// changed, and demands that FromArtifact (against g) and Remap (onto c's
+// machine without GPU 1) both reject the result naming tc.want.
+func rejectsCorruption(t *testing.T, g *sdf.Graph, c *driver.Compiled, cases []corruption) {
+	t.Helper()
+	degraded, gpuMap, err := driver.Degrade(decoded(t, c), topology.Degradation{RemoveGPUs: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		b := decoded(t, c)
 		tc.corrupt(b)
+		for i := range b.Partitions {
+			p := &b.Partitions[i]
+			if i < len(c.Parts.Parts) && slices.Equal(p.Nodes, partition.Export(c.Parts.Parts[i]).Nodes) {
+				continue
+			}
+			members, err := sdf.MembersOf(g.NumNodes(), p.Nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := g.Extract(members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay, err := smreq.Analyze(sub)
+			if err != nil {
+				t.Fatalf("%s: partition %d: %v", tc.name, i, err)
+			}
+			p.Est.SMBytes = lay.PeakBytes
+		}
 		if _, err := driver.FromArtifact(g, b, c.Options); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: corrupt artifact not rejected by FromArtifact: %v", tc.name, err)
 		}

@@ -40,9 +40,10 @@ type RemapOptions struct {
 
 // Remap re-targets a compiled artifact onto a degraded topology — GPUs
 // removed, links throttled (topology.Degrade) — without recompiling. The
-// profile, partitions and PDG are reused verbatim from the artifact: both
-// are functions of the graph and the device, not of the interconnect, so a
-// device falling off the bus invalidates only the partition-to-GPU mapping.
+// profile and partitions are reused verbatim from the artifact (Rehydrate
+// rebuilds the PDG over them): they are functions of the graph and the
+// device, not of the interconnect, so a device falling off the bus
+// invalidates only the partition-to-GPU mapping.
 // Only the mapping stage re-runs against the surviving devices — warm-
 // started from the pre-failure assignment when opts.GPUMap is given, the
 // full portfolio otherwise — plus plan reassembly.
@@ -57,8 +58,8 @@ type RemapOptions struct {
 // scored), never profile/partition/pdg/map: those passes did not run.
 //
 // The result's graph is a structural twin rebuilt from the artifact's
-// embedded spec (as in artifact.Execute): timing simulation and re-export
-// work, functional execution needs the caller's real graph.
+// embedded spec (see Rehydrate): timing simulation and re-export work,
+// functional execution needs the caller's real graph.
 func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, opts RemapOptions) (*Compiled, error) {
 	if degraded == nil {
 		return nil, fmt.Errorf("driver: remap: nil degraded topology")
@@ -68,19 +69,11 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 	}
 	// Rehydrate the compilation over a structural twin, with every check a
 	// decoded artifact gets, then re-target it.
-	g, err := sdf.ImportGraph(a.Graph)
+	c, err := Rehydrate(a)
 	if err != nil {
 		return nil, err
 	}
-	healthy, err := ImportOptions(a.Options)
-	if err != nil {
-		return nil, err
-	}
-	c, err := FromArtifact(g, a, healthy)
-	if err != nil {
-		return nil, err
-	}
-	from := c.Assign.Objective
+	g, from := c.Graph, c.Assign.Objective
 	dopts := c.Options
 	dopts.Topo = degraded
 	dopts.Workers = opts.Workers

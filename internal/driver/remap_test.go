@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"streammap"
 	"streammap/internal/apps"
 	"streammap/internal/artifact"
 	"streammap/internal/driver"
@@ -317,7 +318,7 @@ func TestRemapRemerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ra.Execute(8); err != nil {
+	if _, err := streammap.Execute(ra, 8); err != nil {
 		t.Errorf("remapped artifact does not simulate: %v", err)
 	}
 }

@@ -24,10 +24,10 @@ type Dep struct {
 }
 
 // Plan is an executable mapping: kernels, their data dependencies, their GPU
-// assignment and the pipelining parameters. It is self-contained — built
-// from plain data plus the stream graph, with no reference into the
-// compiler's internal structures — so a decoded compile artifact can be
-// lowered to a Plan and executed without recompiling.
+// assignment and the pipelining parameters. It is self-contained — plain
+// data plus the stream graph, with no reference into the compiler's
+// internal structures. The driver lowers a compilation to it, whether the
+// compilation was run or rebuilt from an artifact.
 type Plan struct {
 	Graph   *sdf.Graph
 	Machine Machine
@@ -67,108 +67,6 @@ type Result struct {
 	Outputs       [][]sdf.Token
 }
 
-// KernelSpec is the wire form of one Kernel: the node set standing in for
-// the extracted subgraph, which ImportPlan re-derives from the graph.
-type KernelSpec struct {
-	Nodes        []int // parent-graph node ids
-	Params       KernelParams
-	SMBytes      int64
-	IOBytes      int64
-	TUS          float64
-	ComputeBound bool
-}
-
-// PlanSpec is the explicit export/import form of a Plan: plain data with no
-// pointers into live structures. Machine and graph are supplied separately
-// at import time.
-type PlanSpec struct {
-	Kernels         []KernelSpec
-	Deps            []Dep
-	HostInBytes     []int64
-	HostOutBytes    []int64
-	Order           []int
-	GPUOf           []int
-	FragmentIters   int
-	ViaHost         bool
-	PerFiringCycles []float64
-}
-
-// ImportPlan rebuilds an executable Plan from its wire form against a graph
-// (which must have, or be able to compute, a steady state) and a machine.
-// Subgraphs are re-extracted deterministically from the node sets; nothing
-// is re-estimated.
-func ImportPlan(g *sdf.Graph, m Machine, spec PlanSpec) (*Plan, error) {
-	if !g.HasSteady() {
-		if err := g.Steady(); err != nil {
-			return nil, err
-		}
-	}
-	P := len(spec.Kernels)
-	if P == 0 {
-		return nil, fmt.Errorf("gpusim: import: no kernels")
-	}
-	if len(spec.GPUOf) != P || len(spec.Order) != P || len(spec.HostInBytes) != P || len(spec.HostOutBytes) != P {
-		return nil, fmt.Errorf("gpusim: import: inconsistent plan sizes (%d kernels, %d gpuOf, %d order, %d/%d host I/O)",
-			P, len(spec.GPUOf), len(spec.Order), len(spec.HostInBytes), len(spec.HostOutBytes))
-	}
-	if len(spec.PerFiringCycles) != g.NumNodes() {
-		return nil, fmt.Errorf("gpusim: import: %d per-firing costs for %d nodes", len(spec.PerFiringCycles), g.NumNodes())
-	}
-	plan := &Plan{
-		Graph:           g,
-		Machine:         m,
-		PerFiringCycles: append([]float64(nil), spec.PerFiringCycles...),
-		Deps:            append([]Dep(nil), spec.Deps...),
-		HostInBytes:     append([]int64(nil), spec.HostInBytes...),
-		HostOutBytes:    append([]int64(nil), spec.HostOutBytes...),
-		Order:           append([]int(nil), spec.Order...),
-		GPUOf:           append([]int(nil), spec.GPUOf...),
-		FragmentIters:   spec.FragmentIters,
-		ViaHost:         spec.ViaHost,
-	}
-	seenInOrder := make([]bool, P)
-	orderPos := make([]int, P)
-	for i, pi := range spec.Order {
-		if pi < 0 || pi >= P || seenInOrder[pi] {
-			return nil, fmt.Errorf("gpusim: import: Order is not a permutation of the kernels")
-		}
-		seenInOrder[pi] = true
-		orderPos[pi] = i
-	}
-	for pi, gi := range spec.GPUOf {
-		if gi < 0 || gi >= m.Topo.NumGPUs() {
-			return nil, fmt.Errorf("gpusim: import: kernel %d assigned to gpu %d of %d", pi, gi, m.Topo.NumGPUs())
-		}
-	}
-	for _, d := range spec.Deps {
-		if d.From < 0 || d.From >= P || d.To < 0 || d.To >= P {
-			return nil, fmt.Errorf("gpusim: import: dep %d->%d out of range", d.From, d.To)
-		}
-		if orderPos[d.From] >= orderPos[d.To] {
-			return nil, fmt.Errorf("gpusim: import: Order places kernel %d after its consumer %d", d.From, d.To)
-		}
-	}
-	for i, ks := range spec.Kernels {
-		members, err := sdf.MembersOf(g.NumNodes(), ks.Nodes)
-		if err != nil {
-			return nil, fmt.Errorf("gpusim: import: kernel %d: %w", i, err)
-		}
-		sub, err := g.Extract(members)
-		if err != nil {
-			return nil, fmt.Errorf("gpusim: import: kernel %d: %w", i, err)
-		}
-		plan.Kernels = append(plan.Kernels, &Kernel{
-			Sub:          sub,
-			Params:       ks.Params,
-			SMBytes:      ks.SMBytes,
-			IOBytes:      ks.IOBytes,
-			TUS:          ks.TUS,
-			ComputeBound: ks.ComputeBound,
-		})
-	}
-	return plan, nil
-}
-
 // portSource describes where a kernel input port's data comes from.
 type portSource struct {
 	hostIdx int        // >= 0: index into the application's input streams
@@ -188,12 +86,6 @@ type portSink struct {
 // can run many fragments cheaply. Outputs is nil in the result.
 func RunTiming(plan *Plan, fragments int) (*Result, error) {
 	return run(context.Background(), plan, nil, fragments, false)
-}
-
-// RunTimingCtx is RunTiming under a context; cancellation aborts the event
-// loop.
-func RunTimingCtx(ctx context.Context, plan *Plan, fragments int) (*Result, error) {
-	return run(ctx, plan, nil, fragments, false)
 }
 
 // Run executes `fragments` fragments of the plan: functionally (real tokens

@@ -67,67 +67,18 @@ func (p *Problem) PartTimeUS(i int) float64 {
 	return p.PDG.WorkloadUS(i)*float64(p.FragmentIters)/float64(sms) + p.LaunchUS
 }
 
-// Assignment is a full mapping with its exact evaluation.
+// Assignment is a full mapping with its exact objective.
 type Assignment struct {
 	GPUOf     []int // partition -> GPU index
 	Method    string
-	Objective float64   // Tmax (µs per fragment)
-	GPUTimes  []float64 // per GPU
-	LinkTimes []float64 // per directed link
-	LinkLoads []int64   // bytes per fragment per directed link
+	Objective float64 // Tmax (µs per fragment)
 }
 
 // Evaluate scores an assignment exactly: per-GPU sums of partition times and
-// per-link loads with T_comm = Lat + D/BW on loaded links (Eq. III.3). The
-// returned Assignment is fully populated.
+// per-link loads with T_comm = Lat + D/BW on loaded links (Eq. III.3). It is
+// the evaluator's from-scratch rebuild (reset) under no cut.
 func Evaluate(p *Problem, gpuOf []int, method string) *Assignment {
-	t := p.Topo
-	g := t.NumGPUs()
-	a := &Assignment{
-		GPUOf:     append([]int(nil), gpuOf...),
-		Method:    method,
-		GPUTimes:  make([]float64, g),
-		LinkTimes: make([]float64, t.NumLinks()),
-		LinkLoads: make([]int64, t.NumLinks()),
-	}
-	B := int64(p.FragmentIters)
-	for i := 0; i < p.PDG.NumParts(); i++ {
-		a.GPUTimes[gpuOf[i]] += p.PartTimeUS(i)
-	}
-	addRoute := func(route []int, bytes int64) {
-		for _, l := range route {
-			a.LinkLoads[l] += bytes
-		}
-	}
-	for _, e := range p.PDG.Edges {
-		gs, gd := gpuOf[e.From], gpuOf[e.To]
-		if gs == gd {
-			continue
-		}
-		bytes := e.Bytes * B
-		if p.ViaHost {
-			addRoute(t.RouteViaHost(gs, gd), bytes)
-		} else {
-			addRoute(t.Route(gs, gd), bytes)
-		}
-	}
-	for i := 0; i < p.PDG.NumParts(); i++ {
-		if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
-			addRoute(t.Route(topology.Host, gpuOf[i]), hb)
-		}
-		if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
-			addRoute(t.Route(gpuOf[i], topology.Host), hb)
-		}
-	}
-	obj := gpuMax(a.GPUTimes)
-	for l, load := range a.LinkLoads {
-		if load > 0 {
-			a.LinkTimes[l] = linkTimeUS(t, l, load)
-			obj = fmax(obj, a.LinkTimes[l])
-		}
-	}
-	a.Objective = obj
-	return a
+	return newEvaluator(p).assignment(gpuOf, method)
 }
 
 // fmax is max(a, b) by plain comparison. Every fold of the objective starts
@@ -224,7 +175,7 @@ func Greedy(p *Problem) *Assignment {
 			sums[best][m+1] = sums[best][m] + ev.times[members[best][m]]
 		}
 	}
-	return Evaluate(p, ev.gpuOf, "greedy")
+	return ev.assignment(ev.gpuOf, "greedy")
 }
 
 // longestFirst returns the partitions in decreasing T_i, ties in index
@@ -257,10 +208,9 @@ const deltaDescendEvalBudget = 8_000_000
 // not per candidate. Loads are exact (int64); gpuT is float and accumulates
 // rounding residue across rejected candidates, so descents rebuild it
 // (sumTimes) on every accepted improvement — drift never crosses an accept.
-// Right after that the state is Evaluate's own (same summation order, exact
-// loads), so the objective read from it is Evaluate's Objective bit for bit;
-// Evaluate stays the allocating oracle that results are re-scored by. Not
-// safe for concurrent use; each descent owns one.
+// Right after that the state is reset's own (same summation order, exact
+// loads), so the objective read from it is Evaluate's Objective bit for bit.
+// Not safe for concurrent use; each descent owns one.
 type evaluator struct {
 	p        *Problem
 	times    []float64 // PartTimeUS table
@@ -344,6 +294,13 @@ func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
 		}
 	}
 	return linkMax(t, ev.loads, obj)
+}
+
+// assignment rebuilds the state for gpuOf (reset, no cut) and returns it
+// as an Assignment with its exact objective.
+func (ev *evaluator) assignment(gpuOf []int, method string) *Assignment {
+	obj := ev.reset(gpuOf, math.Inf(1))
+	return &Assignment{GPUOf: slices.Clone(ev.gpuOf), Method: method, Objective: obj}
 }
 
 // sumTimes sums each GPU's placed partitions' T_i, in index order.
@@ -625,7 +582,7 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 	}
 	finish := func(cut bool) (*Assignment, descentStats) {
 		st.budgetCut = cut
-		return Evaluate(p, ev.gpuOf, "local"), st
+		return ev.assignment(ev.gpuOf, "local"), st
 	}
 	pair := make([]int64, n)  // bytes the outer partition exchanges with each neighbour
 	stamp := make([]int32, n) // pair[o] is current when stamp[o] == mark

@@ -64,16 +64,73 @@ func bruteForce(p *Problem) (float64, []int) {
 	return best, bestA
 }
 
+// refEval is an independent, allocating evaluation of one assignment: the
+// referee the mappers' evaluator (and so Evaluate) is held to. It walks the
+// topology's routes afresh instead of the evaluator's cached table and keeps
+// every per-GPU time, per-link load and per-link time.
+type refEval struct {
+	objective float64
+	gpuTimes  []float64 // per GPU
+	linkTimes []float64 // per directed link
+	linkLoads []int64   // bytes per fragment per directed link
+}
+
+func refEvaluate(p *Problem, gpuOf []int) refEval {
+	t := p.Topo
+	r := refEval{
+		gpuTimes:  make([]float64, t.NumGPUs()),
+		linkTimes: make([]float64, t.NumLinks()),
+		linkLoads: make([]int64, t.NumLinks()),
+	}
+	B := int64(p.FragmentIters)
+	for i := 0; i < p.PDG.NumParts(); i++ {
+		r.gpuTimes[gpuOf[i]] += p.PartTimeUS(i)
+	}
+	addRoute := func(route []int, bytes int64) {
+		for _, l := range route {
+			r.linkLoads[l] += bytes
+		}
+	}
+	for _, e := range p.PDG.Edges {
+		gs, gd := gpuOf[e.From], gpuOf[e.To]
+		if gs == gd {
+			continue
+		}
+		if p.ViaHost {
+			addRoute(t.RouteViaHost(gs, gd), e.Bytes*B)
+		} else {
+			addRoute(t.Route(gs, gd), e.Bytes*B)
+		}
+	}
+	for i := 0; i < p.PDG.NumParts(); i++ {
+		if hb := p.PDG.HostInBytes[i] * B; hb > 0 {
+			addRoute(t.Route(topology.Host, gpuOf[i]), hb)
+		}
+		if hb := p.PDG.HostOutBytes[i] * B; hb > 0 {
+			addRoute(t.Route(gpuOf[i], topology.Host), hb)
+		}
+	}
+	r.objective = gpuMax(r.gpuTimes)
+	for l, load := range r.linkLoads {
+		if load > 0 {
+			r.linkTimes[l] = linkTimeUS(t, l, load)
+			r.objective = fmax(r.objective, r.linkTimes[l])
+		}
+	}
+	return r
+}
+
 func TestEvaluateHandComputed(t *testing.T) {
 	// One partition, one GPU: objective = max(work, host-in link, host-out link).
 	p := synth(t, []float64{100}, nil, []int64{80000}, []int64{80000}, 1)
 	a := Evaluate(p, []int{0}, "test")
+	r := refEvaluate(p, []int{0})
 	// Host link time: 10us latency + 80000B / (8GB/s = 8000 B/us) = 20us.
-	if math.Abs(a.Objective-100) > 1e-9 {
-		t.Errorf("objective = %v, want 100 (compute bound)", a.Objective)
+	if math.Abs(a.Objective-100) > 1e-9 || a.Objective != r.objective {
+		t.Errorf("objective = %v (referee %v), want 100 (compute bound)", a.Objective, r.objective)
 	}
 	var loaded int
-	for _, l := range a.LinkLoads {
+	for _, l := range r.linkLoads {
 		if l > 0 {
 			loaded++
 		}
@@ -82,8 +139,8 @@ func TestEvaluateHandComputed(t *testing.T) {
 	if loaded != 6 {
 		t.Errorf("loaded links = %d, want 6", loaded)
 	}
-	for i, lt := range a.LinkTimes {
-		if a.LinkLoads[i] > 0 && math.Abs(lt-20) > 1e-9 {
+	for i, lt := range r.linkTimes {
+		if r.linkLoads[i] > 0 && math.Abs(lt-20) > 1e-9 {
 			t.Errorf("link %d time = %v, want 20", i, lt)
 		}
 	}
@@ -222,7 +279,9 @@ func TestPrevWorkStagesThroughHost(t *testing.T) {
 	if !found {
 		t.Fatal("root uplink not found")
 	}
-	if a.LinkLoads[rootUp] == 0 {
+	q := *p
+	q.ViaHost = true
+	if refEvaluate(&q, a.GPUOf).linkLoads[rootUp] == 0 {
 		t.Errorf("via-host transfer did not load the root uplink")
 	}
 }
@@ -231,11 +290,11 @@ func TestPeerToPeerAvoidsHostLinks(t *testing.T) {
 	work := []float64{100, 100}
 	edges := []pdg.Edge{{From: 0, To: 1, Bytes: 1_000_000}}
 	p := synth(t, work, edges, nil, nil, 2)
-	a := Evaluate(p, []int{0, 1}, "p2p")
+	loads := refEvaluate(p, []int{0, 1}).linkLoads
 	tr := p.Topo
 	for _, l := range tr.Links() {
 		name := tr.LinkName(l.ID)
-		if (name == "SW1->host" || name == "host->SW1") && a.LinkLoads[l.ID] > 0 {
+		if (name == "SW1->host" || name == "host->SW1") && loads[l.ID] > 0 {
 			t.Errorf("p2p sibling transfer loaded host link %s", name)
 		}
 	}
@@ -278,10 +337,11 @@ func TestSolveQuality(t *testing.T) {
 }
 
 // TestEvaluatorMatchesEvaluate pins the mappers' allocation-free scorer,
-// rebuilt from scratch, against the full Evaluate: identical objectives (bit
-// for bit) on every assignment of a brute-forceable instance, with and
-// without via-host staging, the early return under a cut, plus the partial
-// (-1) form against placements Greedy explores.
+// rebuilt from scratch, and Evaluate, its wrapper, against the independent
+// referee refEvaluate: identical objectives (bit for bit) on every
+// assignment of a brute-forceable instance, with and without via-host
+// staging, the early return under a cut, plus the partial (-1) form against
+// placements Greedy explores.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
 	p := synth(t,
 		[]float64{9, 7, 5, 3, 2},
@@ -297,9 +357,12 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 		var rec func(i int)
 		rec = func(i int) {
 			if i == n {
-				want := Evaluate(&q, gpuOf, "ref").Objective
+				want := refEvaluate(&q, gpuOf).objective
 				if got := ev.reset(gpuOf, math.Inf(1)); got != want {
-					t.Fatalf("viaHost=%v %v: evaluator %v != Evaluate %v", viaHost, gpuOf, got, want)
+					t.Fatalf("viaHost=%v %v: evaluator %v != referee %v", viaHost, gpuOf, got, want)
+				}
+				if got := Evaluate(&q, gpuOf, "ref").Objective; got != want {
+					t.Fatalf("viaHost=%v %v: Evaluate %v != referee %v", viaHost, gpuOf, got, want)
 				}
 				// Under a cut the value may be the GPU-time bound instead,
 				// but "below the cut" must answer as the exact objective does.
@@ -397,7 +460,7 @@ func TestLinkCapBoundary(t *testing.T) {
 
 // TestDeltaEvaluatorMatchesEvaluate drives the evaluator's incremental half
 // through a deterministic pseudo-random move sequence and checks it against the
-// from-scratch Evaluate after every step. Link loads are integral, so only
+// from-scratch referee refEvaluate after every step. Link loads are integral, so only
 // the float GPU sums can drift; the tolerance is far below the local-search
 // acceptance threshold.
 func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
@@ -439,10 +502,10 @@ func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
 			de.moveTime(i, de.gpuOf[i], k)
 			de.reroute(de.loads, i, de.gpuOf[i], k)
 			de.gpuOf[i] = k
-			want := Evaluate(&q, de.gpuOf, "ref").Objective
+			want := refEvaluate(&q, de.gpuOf).objective
 			got := linkMax(q.Topo, de.loads, gpuMax(de.gpuT))
 			if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-				t.Fatalf("viaHost=%v step %d: delta %v != Evaluate %v", viaHost, step, got, want)
+				t.Fatalf("viaHost=%v step %d: delta %v != referee %v", viaHost, step, got, want)
 			}
 		}
 	}

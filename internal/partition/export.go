@@ -58,10 +58,11 @@ func ExportResult(r *Result) []artifact.Partition {
 	return out
 }
 
-// ImportResult rebuilds a partitioning over g and re-checks the cover
-// invariants (exact cover, convexity, connectivity) so a corrupted or
-// mismatched artifact cannot produce an invalid partitioning. The phase
-// trace is compile provenance and is not part of the wire form.
+// ImportResult rebuilds a partitioning over g and re-checks exact cover and
+// connectivity, so a corrupted or mismatched artifact cannot produce an
+// invalid partitioning; convexity is held by the PDG the decoder builds
+// over the result (pdg.Build rejects a cyclic quotient). The phase trace is
+// compile provenance and is not part of the wire form.
 func ImportResult(g *sdf.Graph, parts []artifact.Partition) (*Result, error) {
 	r := &Result{Graph: g}
 	for _, ap := range parts {

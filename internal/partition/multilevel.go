@@ -44,10 +44,11 @@ const (
 	DefaultRefineUnitCap = 16384
 
 	// mlFullValidateCap bounds the graph size up to which the final result
-	// gets the exact path's full convexity/connectivity validation. Above
-	// it only the exact-cover check runs: partitions are unions of coarse
-	// units that are convex and connected by construction, and every merge
-	// and move re-checked both properties at quotient granularity.
+	// gets the exact path's connectivity check (validate). Above it only
+	// the exact-cover check runs: partitions are unions of coarse units that
+	// are connected by construction, and every merge and move re-checked
+	// connectivity at quotient granularity. Convexity is never walked here:
+	// pdg.Build's acyclic-quotient check holds it for every result.
 	mlFullValidateCap = 32768
 )
 

