@@ -56,11 +56,14 @@ func BenchmarkCoarsen(b *testing.B) {
 	}
 }
 
+// BenchmarkMultilevelPartition profiles the graph and builds a fresh engine
+// in every iteration, as driver.Compile does: a shared engine would carry
+// its state from one iteration into the next.
 func BenchmarkMultilevelPartition(b *testing.B) {
 	g := benchSynthGraph(b, 10000)
-	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
 		res, err := partition.Multilevel(context.Background(), g, eng, partition.MLOptions{})
 		if err != nil {
 			b.Fatal(err)

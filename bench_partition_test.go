@@ -63,6 +63,8 @@ func BenchmarkEstimateSet_Cold(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateSet_Warm shares one engine across iterations on purpose:
+// every iteration after the first is a memo hit, the path it measures.
 func BenchmarkEstimateSet_Warm(b *testing.B) {
 	_, eng, set := benchScoringFixture(b)
 	if _, err := eng.EstimateSet(set); err != nil {

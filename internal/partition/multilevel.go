@@ -4,8 +4,9 @@
 // coarse units, so quotient-level convexity and connectivity imply the
 // original-graph properties the exact partitioner enforces; profitability
 // uses the same TW = T·Scale comparison, scored through the engine's
-// uncached path (the memo would clone a graph-capacity bitset per candidate,
-// which at 10^6 nodes is the memory hazard this path exists to avoid).
+// uncached path (the engine's memo would clone a graph-capacity bitset per
+// candidate, which at 10^6 nodes is the memory hazard this path exists to
+// avoid) behind a run-scoped memo keyed by the member list itself.
 //
 // Deviations from the exact Algorithm 1 flow, accepted for scalability and
 // refereed by the differential harness (synth.CheckMultilevel):
@@ -70,7 +71,7 @@ type MLStats struct {
 	RefinedLevels int   // levels that ran boundary refinement
 	MoveEvals     int   // candidate moves evaluated
 	Moves         int   // accepted moves
-	Estimates     int64 // uncached estimator calls made by this flow
+	Estimates     int64 // estimator requests, memo hits included
 }
 
 func (s *MLStats) String() string {
@@ -110,6 +111,20 @@ type mlState struct {
 	visit      sdf.NodeSet // unit-capacity scratch for quotient searches
 	queue      []int32
 	idxScratch []int32
+
+	// memo holds every estimate this run asked for, bucketed by
+	// sdf.HashMembers; a bucket with more than one entry is a hash
+	// collision, told apart by comparing the lists. It dies with the run:
+	// the engine outlives the compile, so a memo there would be held with it.
+	memo map[uint64][]memoEntry
+}
+
+// memoEntry is one scored member list: an owned clone, the collision-safe
+// identity, beside its verdict.
+type memoEntry struct {
+	members []sdf.NodeID
+	est     *pee.Estimate
+	err     error
 }
 
 // Multilevel partitions g through the coarsen→merge→refine flow. It is
@@ -117,7 +132,7 @@ type mlState struct {
 // evaluations, and returns a Result interchangeable with Run's (plus ML
 // provenance).
 func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptions) (*Result, error) {
-	m := &mlState{ctx: ctx, g: g, eng: eng}
+	m := &mlState{ctx: ctx, g: g, eng: eng, memo: map[uint64][]memoEntry{}}
 	if err := m.cancelled(); err != nil {
 		return nil, err
 	}
@@ -193,10 +208,19 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 func (m *mlState) cancelled() error { return m.ctx.Err() }
 
 // estimateMembers scores a sorted member list through the engine's uncached
-// path.
+// path, once per distinct list: refinement passes ask again about the same
+// P∖{u} and Q∪{u} at every level and in every pass.
 func (m *mlState) estimateMembers(members []sdf.NodeID) (*pee.Estimate, error) {
 	m.stats.Estimates++
-	return m.eng.EstimateMembers(members)
+	h := sdf.HashMembers(members)
+	for _, e := range m.memo[h] {
+		if slices.Equal(e.members, members) {
+			return e.est, e.err
+		}
+	}
+	est, err := m.eng.EstimateMembers(members)
+	m.memo[h] = append(m.memo[h], memoEntry{members: slices.Clone(members), est: est, err: err})
+	return est, err
 }
 
 // seed builds one singleton partition per unit of lvl. It returns ok=false

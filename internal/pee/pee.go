@@ -173,7 +173,7 @@ type Stats struct {
 	Queries    int64 // EstimateSet calls
 	Misses     int64 // queries that computed a fresh estimate
 	Collisions int64 // memo inserts whose 64-bit hash bucket was occupied
-	Uncached   int64 // EstimateMembers calls (scored outside the memo)
+	Uncached   int64 // EstimateMembers calls, scored outside this memo (the multilevel flow memoizes above the engine)
 }
 
 // Hits returns the memoized-query count.
@@ -258,8 +258,9 @@ func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
 // entirely outside the memo: no lookup, no stored set, no bitset at all —
 // the call is O(members + incident edges) regardless of parent graph size.
 // The multilevel partitioner uses it for coarse-candidate scoring, where
-// cloning a 10^6-capacity bitset per memo insert would dominate memory, and
-// where candidates are rarely re-queried.
+// cloning a 10^6-capacity bitset per memo insert would dominate memory. It
+// memoizes above the engine, by member list and for one run only, so every
+// call it makes scores a list it has not asked about before.
 func (e *Engine) EstimateMembers(members []sdf.NodeID) (*Estimate, error) {
 	e.uncached++
 	return e.estimate(members)
@@ -318,6 +319,12 @@ func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64
 	return tdt, tdb, texec, texec / float64(W)
 }
 
+// floorMargin keeps the computed transfer floor C1·dB/F(W) below every T
+// the model computes for this or a later W of the same S: each side is at
+// most five correctly rounded operations off the exact quotient, and 2⁻⁴⁸
+// is wider than their combined error. DESIGN.md S3 has the argument.
+const floorMargin = 1 - 0x1p-48
+
 // sweep runs the parameter selection (S, W, F) and performance model over
 // the prepared cost table: the engine's scoring core, which the tests'
 // extracted-subgraph reference shares.
@@ -329,10 +336,12 @@ func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64
 //	t(F) = (max(Tcomp, C1·D/F) + C2·D/(F+W·S)) / W
 //
 // is monotone non-increasing in F, so the minimum over F is at the largest
-// warp multiple and the first F attaining it is found by binary search —
-// and only for an (S, W) that beats the incumbent. This needs C1, C2 and
-// dBytes non-negative, which every profile of a device model satisfies.
-// DESIGN.md S3 has the argument.
+// warp multiple, and the first F attaining it is found by binary search once,
+// for the winning (S, W) only. W is not scanned to its end either: for fixed
+// S the largest F shrinks as W grows, so once the transfer floor C1·dB/F(W)
+// reaches the incumbent no later W can beat it. This needs C1, C2 and dBytes
+// non-negative, which every profile of a device model satisfies. DESIGN.md
+// S3 has both arguments.
 func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) (*Estimate, error) {
 	d := &prof.Device
 	// A partition with no shared-memory demand (zero-copy filters only) is
@@ -345,8 +354,10 @@ func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) 
 	}
 
 	maxThreads, warp := d.MaxThreadsPerBlock, d.WarpSize
-	var best Params
+	c1dB := prof.C1 * float64(dBytes) // the transfer floor's numerator
+	var best Params                   // F is set after the loop, for the winner
 	var bestTc float64
+	bestNF := 0
 	bestT := -1.0 // cycles; < 0 until a candidate exists
 	for _, S := range sVals {
 		var tc float64 // Tcomp(S), III.9
@@ -366,31 +377,35 @@ func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) 
 			if nF < 1 {
 				continue
 			}
+			if bestT >= 0 && c1dB/float64(nF*warp)*floorMargin >= bestT {
+				break
+			}
 			D := float64(dBytes) * float64(W)
-			c1D, c2D := prof.C1*D, prof.C2*D
-			_, _, _, tmin := modelCycles(tc, c1D, c2D, nF*warp, ws, W)
+			_, _, _, tmin := modelCycles(tc, prof.C1*D, prof.C2*D, nF*warp, ws, W)
 			if bestT >= 0 && !(tmin < bestT) {
 				continue
 			}
-			// Smallest k with t(k) == tmin: t is non-increasing in k, so
-			// t(k) <= tmin is false below the plateau and true on it.
-			lo, hi := 1, nF
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if _, _, _, t := modelCycles(tc, c1D, c2D, mid*warp, ws, W); t <= tmin {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-			best, bestTc, bestT = Params{S: S, W: W, F: lo * warp}, tc, tmin
+			best, bestTc, bestNF, bestT = Params{S: S, W: W}, tc, nF, tmin
 		}
 	}
 	if bestT < 0 {
 		return nil, fmt.Errorf("%w: no feasible thread configuration", ErrInfeasible)
 	}
 	D := float64(dBytes) * float64(best.W)
-	tdt, tdb, texec, t := modelCycles(bestTc, prof.C1*D, prof.C2*D, best.F, best.W*best.S, best.W)
+	c1D, c2D, ws := prof.C1*D, prof.C2*D, best.W*best.S
+	// Smallest k with t(k) == t(Fmax): t is non-increasing in k, so
+	// t(k) <= t(Fmax) is false below the plateau and true on it.
+	lo, hi := 1, bestNF
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if _, _, _, t := modelCycles(bestTc, c1D, c2D, mid*warp, ws, best.W); t <= bestT {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	best.F = lo * warp
+	tdt, tdb, texec, t := modelCycles(bestTc, c1D, c2D, best.F, ws, best.W)
 	return &Estimate{
 		Params:   best,
 		SMBytes:  smBytes,

@@ -118,6 +118,25 @@ func checkSweep(t *testing.T, prof *Profile, costs []nodeCost, sVals []int, smBy
 	return got
 }
 
+// floorCut reports whether the transfer floor cut the winner's W loop: for
+// the winner's S, some feasible W above the winner's has C1·dB/F(W) at or
+// above the winner's T.
+func floorCut(prof *Profile, est *Estimate) bool {
+	d := &prof.Device
+	S := est.Params.S
+	maxW := d.MaxThreadsPerBlock
+	if est.SMBytes > 0 {
+		maxW = int(d.SharedMemPerSM / est.SMBytes)
+	}
+	for W := est.Params.W + 1; W <= maxW && W*S < d.MaxThreadsPerBlock; W++ {
+		F := (d.MaxThreadsPerBlock - W*S) / d.WarpSize * d.WarpSize
+		if F > 0 && d.CyclesToUS(prof.C1*float64(est.DBytes)/float64(F)) >= est.TUS {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSweepMatchesBruteForce is the sweep's referee: on seeded random
 // inputs per device the pruned selection returns the very Estimate (==, and
 // the same error text) the exhaustive scan does. The draw is shaped so the
@@ -133,7 +152,7 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			t.Parallel()
 			prof := devProfile(d)
 			rng := rand.New(rand.NewSource(0x5EEB + int64(d.NumSMs)))
-			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound int
+			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound, cut int
 			for c := 0; c < cases; c++ {
 				totalCycles := logUniform(rng, 1, 1e15)
 				maxRate := float64(4 * d.MaxThreadsPerBlock)
@@ -179,9 +198,13 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				if !est.ComputeBound() {
 					ioBound++
 				}
+				if floorCut(prof, est) {
+					cut++
+				}
 			}
 			corners := map[string]int{"dBytes == 0": noIO, "partial plateau": partialPlateau,
-				"cycles > 1e14": hugeCycles, "infeasible": infeasible, "rate >= MaxThreadsPerBlock": bigRate, "I/O bound": ioBound}
+				"cycles > 1e14": hugeCycles, "infeasible": infeasible, "rate >= MaxThreadsPerBlock": bigRate, "I/O bound": ioBound,
+				"transfer floor cut the W loop": cut}
 			t.Logf("%d cases: %v", cases, corners)
 			for name, n := range corners {
 				if n < cases/1000 {
@@ -202,6 +225,7 @@ func FuzzSweep(f *testing.F) {
 	f.Add(true, uint64(5), uint8(2), 10.0, int64(48*1024+1), int64(64)) // one byte over shared memory
 	f.Add(false, uint64(6), uint8(4), 1e6, int64(48*1024), int64(4096)) // exactly one execution fits
 	f.Add(true, uint64(7), uint8(9), 1.0, int64(16), int64(1<<30))      // I/O bound to the last thread
+	f.Add(true, uint64(9), uint8(5), 1e5, int64(512), int64(4096))      // the transfer floor cuts the W loop
 	f.Fuzz(func(t *testing.T, c2070 bool, seed uint64, members uint8, totalCycles float64, smBytes, dBytes int64) {
 		if smBytes < 1 || dBytes < 0 || dBytes > 1<<40 || !(totalCycles >= 0 && totalCycles <= 1e15) {
 			t.Skip()

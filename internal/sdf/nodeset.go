@@ -98,16 +98,34 @@ func (s NodeSet) Equal(t NodeSet) bool {
 // sets collide only with ordinary 64-bit-hash probability, so callers using
 // it as a map key must keep a word-compare fallback (see pee's memo).
 func (s NodeSet) Hash() uint64 {
-	h := uint64(s.n)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
+	h := hashSeed(s.n)
 	for _, w := range s.words {
-		h ^= w
-		h ^= h >> 30
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
+		h = hashMix(h, w)
 	}
 	return h
+}
+
+// HashMembers is Hash's mix over an ascending member list, one id at a
+// time, with the same caveat: equal lists hash equally, and a map keyed by
+// it must compare the lists within a bucket.
+func HashMembers(members []NodeID) uint64 {
+	h := hashSeed(len(members))
+	for _, id := range members {
+		h = hashMix(h, uint64(id))
+	}
+	return h
+}
+
+func hashSeed(n int) uint64 { return uint64(n)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D }
+
+// hashMix folds w into h with the splitmix64 finaliser.
+func hashMix(h, w uint64) uint64 {
+	h ^= w
+	h ^= h >> 30
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 27
+	h *= 0x94D049BB133111EB
+	return h ^ h>>31
 }
 
 // ForEach calls fn for each member in ascending order.
