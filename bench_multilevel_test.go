@@ -73,8 +73,9 @@ func BenchmarkMultilevelPartition(b *testing.B) {
 }
 
 // BenchmarkExtractPartition materializes one mid-sized partition of the
-// 10^4-filter graph — what the multilevel path does once per surviving
-// partition — so the cost must follow the partition, not the parent.
+// 10^4-filter graph — what code generation and the simulator's functional
+// pass do once per kernel — so the cost must follow the partition, not the
+// parent.
 func BenchmarkExtractPartition(b *testing.B) {
 	g := benchSynthGraph(b, 10000)
 	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
@@ -83,8 +84,8 @@ func BenchmarkExtractPartition(b *testing.B) {
 		b.Fatal(err)
 	}
 	parts := res.Parts
-	sort.SliceStable(parts, func(i, j int) bool { return len(parts[i].Sub.NodeOf) < len(parts[j].Sub.NodeOf) })
-	members := parts[len(parts)/2].Sub.NodeOf
+	sort.SliceStable(parts, func(i, j int) bool { return len(parts[i].Members) < len(parts[j].Members) })
+	members := parts[len(parts)/2].Members
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -39,12 +39,12 @@ func benchScoringFixture(b *testing.B) (*sdf.Graph, *pee.Engine, sdf.NodeSet) {
 	}
 	best := res.Parts[0]
 	for _, p := range res.Parts {
-		if len(p.Sub.NodeOf) > len(best.Sub.NodeOf) {
+		if len(p.Members) > len(best.Members) {
 			best = p
 		}
 	}
 	set := sdf.NewNodeSet(g.NumNodes())
-	for _, m := range best.Sub.NodeOf {
+	for _, m := range best.Members {
 		set.Add(m)
 	}
 	return g, eng, set

@@ -34,11 +34,15 @@ func CUDA(plan *gpusim.Plan) (string, error) {
 	b.WriteString("#include <cuda_runtime.h>\n\n")
 
 	for pi, k := range plan.Kernels {
-		lay, err := smreq.Analyze(k.Sub)
+		sub, err := plan.Graph.Extract(k.Members)
 		if err != nil {
 			return "", fmt.Errorf("codegen: partition %d: %w", pi, err)
 		}
-		emitKernel(&b, plan, pi, lay)
+		lay, err := smreq.Analyze(sub)
+		if err != nil {
+			return "", fmt.Errorf("codegen: partition %d: %w", pi, err)
+		}
+		emitKernel(&b, plan, pi, sub.Sub, lay)
 	}
 	emitHostDriver(&b, plan)
 	return b.String(), nil
@@ -46,11 +50,12 @@ func CUDA(plan *gpusim.Plan) (string, error) {
 
 func kernelName(pi int) string { return fmt.Sprintf("partition%d_kernel", pi) }
 
-func emitKernel(b *strings.Builder, plan *gpusim.Plan, pi int, lay *smreq.Layout) {
+// emitKernel writes kernel pi, whose extracted graph is sub, laid out by lay.
+func emitKernel(b *strings.Builder, plan *gpusim.Plan, pi int, sub *sdf.Graph, lay *smreq.Layout) {
 	k := plan.Kernels[pi]
 	p := k.Params
 	fmt.Fprintf(b, "// ---- partition %d: nodes %s on GPU %d ----\n",
-		pi, sdf.FormatMembers(k.Sub.NodeOf), plan.GPUOf[pi])
+		pi, sdf.FormatMembers(k.Members), plan.GPUOf[pi])
 	fmt.Fprintf(b, "// parameters: S=%d compute threads/execution, W=%d executions/SM, F=%d DT threads\n",
 		p.S, p.W, p.F)
 	fmt.Fprintf(b, "// shared memory: %d bytes/execution (x%d executions)\n", k.SMBytes, p.W)
@@ -68,9 +73,9 @@ func emitKernel(b *strings.Builder, plan *gpusim.Plan, pi int, lay *smreq.Layout
 	for _, buf := range bufs {
 		switch buf.Kind {
 		case smreq.Internal:
-			e := k.Sub.Sub.Edge0(buf.Edge)
+			e := sub.Edge0(buf.Edge)
 			fmt.Fprintf(b, "  //   [%6d] chan %s->%s (%d B)\n", buf.Offset,
-				k.Sub.Sub.Node0(e.Src).Filter.Name, k.Sub.Sub.Node0(e.Dst).Filter.Name, buf.Total())
+				sub.Node0(e.Src).Filter.Name, sub.Node0(e.Dst).Filter.Name, buf.Total())
 		case smreq.PrimaryIn:
 			fmt.Fprintf(b, "  //   [%6d] input %v (%d B, double buffered)\n", buf.Offset, buf.Port, buf.Total())
 		case smreq.PrimaryOut:
@@ -86,8 +91,8 @@ func emitKernel(b *strings.Builder, plan *gpusim.Plan, pi int, lay *smreq.Layout
 	b.WriteString("      dt_stream_out(smBase, gout);\n")
 	b.WriteString("    } else {\n")
 	for _, nid := range lay.Schedule {
-		n := k.Sub.Sub.Node0(nid)
-		reps := k.Sub.Sub.Rep(nid)
+		n := sub.Node0(nid)
+		reps := sub.Rep(nid)
 		fmt.Fprintf(b, "      run_%s(smBase); // x%d firing(s)%s\n",
 			sanitize(n.Filter.Name), reps, zeroCopyNote(n.Filter))
 	}
@@ -117,7 +122,7 @@ func emitHostDriver(b *strings.Builder, plan *gpusim.Plan) {
 		g := plan.GPUOf[pi]
 		k := plan.Kernels[pi]
 		p := k.Params
-		execs := int64(plan.FragmentIters) * k.Sub.Scale
+		execs := int64(plan.FragmentIters) * k.Scale
 		fmt.Fprintf(b, "    cudaSetDevice(%d);\n", g)
 		for _, e := range plan.Deps {
 			if e.To != pi || plan.GPUOf[e.From] == g {
@@ -176,7 +181,7 @@ func Dot(plan *gpusim.Plan) string {
 	for pi, k := range plan.Kernels {
 		g := plan.GPUOf[pi]
 		fmt.Fprintf(&b, "  subgraph cluster_p%d {\n    label=\"P%d (GPU %d)\";\n    color=gray;\n", pi, pi, g)
-		for _, m := range k.Sub.NodeOf {
+		for _, m := range k.Members {
 			n := plan.Graph.Node0(m)
 			fmt.Fprintf(&b, "    n%d [label=\"%s\\nf=%d\", fillcolor=%s];\n",
 				m, n.Filter.Name, plan.Graph.Rep(m), colors[g%len(colors)])
@@ -203,7 +208,7 @@ func Report(plan *gpusim.Plan) string {
 			bound = "compute-bound"
 		}
 		fmt.Fprintf(&b, "  P%-3d gpu=%d nodes=%-3d S=%-4d W=%-3d F=%-4d SM=%6dB D=%6dB T=%8.2fus %s\n",
-			pi, plan.GPUOf[pi], len(k.Sub.NodeOf), p.S, p.W, p.F,
+			pi, plan.GPUOf[pi], len(k.Members), p.S, p.W, p.F,
 			k.SMBytes, k.IOBytes, k.TUS, bound)
 	}
 	var cut int64

@@ -163,13 +163,15 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 
 // FromArtifact rebuilds a Compiled from a decoded artifact against the
 // caller's graph — the one carrying real work functions — without running
-// any pipeline stage: partitions are re-extracted (not re-partitioned) and
-// their estimates restored verbatim, the PDG is built over them by
-// pdg.Build as in a compile — its acyclic quotient is the partitions'
-// convexity check — the assignment is re-evaluated from its placement, and
-// the plan is lowered by buildPlan. Two numbers the artifact claims are held
-// to what the decoder derives: each partition's SM bytes to a fresh analysis
-// of its subgraph (partition.Import), and the objective, bit for bit, to the
+// any pipeline stage: partitions are rebuilt from their member lists (not
+// re-partitioned, and not extracted) with their estimates restored
+// verbatim, the PDG is built over them by pdg.Build as in a compile — its
+// owner array is the exact-cover check and its acyclic quotient the
+// convexity check — each partition is checked connected, the assignment is
+// re-evaluated from its placement, and the plan is lowered by buildPlan. Two
+// numbers the artifact claims are held to what the decoder derives: each
+// partition's SM bytes to smreq.PeakBytesView over its members
+// (partition.ImportResult), and the objective, bit for bit, to the
 // evaluation of the placement — every mapper's result is such an evaluation
 // on the same problem. Stages is empty on the result, which is the
 // provenance signal that nothing was recompiled.
@@ -207,6 +209,9 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 	}
 	dg, err := pdg.Build(g, parts.Parts)
 	if err != nil {
+		return nil, err
+	}
+	if err := partition.CheckConnected(g, parts.Parts); err != nil {
 		return nil, err
 	}
 	problem := mappingProblem(opts, dg, parts.Parts)

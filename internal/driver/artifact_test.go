@@ -328,7 +328,7 @@ func TestFromArtifactRejectsMismatches(t *testing.T) {
 	// reject these. Each corrupted partition's SM bytes are re-derived, so
 	// the smBytes check passes.
 	g, c = compileApp(t, "FFT", 16, 2)
-	nodes := c.Parts.Parts[0].Sub.NodeOf
+	nodes := c.Parts.Parts[0].Members
 	if len(nodes) != 4 {
 		t.Fatalf("FFT-16's first partition has %d nodes, want the 4-node split-join", len(nodes))
 	}

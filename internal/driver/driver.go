@@ -379,7 +379,8 @@ func buildPlan(g *sdf.Graph, opts Options, prof *pee.Profile, parts []*partition
 	kernels := make([]*gpusim.Kernel, len(parts))
 	for i, p := range parts {
 		kernels[i] = &gpusim.Kernel{
-			Sub:          p.Sub,
+			Members:      p.Members,
+			Scale:        p.Scale,
 			Params:       gpusim.KernelParams{S: p.Est.Params.S, W: p.Est.Params.W, F: p.Est.Params.F},
 			SMBytes:      p.Est.SMBytes,
 			IOBytes:      p.Est.DBytes,
@@ -414,7 +415,7 @@ func buildPlan(g *sdf.Graph, opts Options, prof *pee.Profile, parts []*partition
 func fragmentTimes(parts []*partition.Partition, opts Options) []float64 {
 	out := make([]float64, len(parts))
 	for i, p := range parts {
-		execs := int64(opts.FragmentIters) * p.Sub.Scale
+		execs := int64(opts.FragmentIters) * p.Scale
 		w := int64(p.Est.Params.W)
 		blocks := (execs + w - 1) / w
 		waves := (blocks + int64(opts.Device.NumSMs) - 1) / int64(opts.Device.NumSMs)

@@ -66,7 +66,7 @@ func TestGoldenPipelineMatchesSerial(t *testing.T) {
 			continue
 		}
 		for i := range pipe.Parts.Parts {
-			if !slices.Equal(pipe.Parts.Parts[i].Sub.NodeOf, serial.Parts.Parts[i].Sub.NodeOf) {
+			if !slices.Equal(pipe.Parts.Parts[i].Members, serial.Parts.Parts[i].Members) {
 				t.Errorf("%s: partition %d differs", tc.app, i)
 			}
 		}

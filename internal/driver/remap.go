@@ -260,8 +260,8 @@ func (c *Compiled) tryRemerge(ctx context.Context, g *sdf.Graph) (remergeInfo, e
 // remergeParts greedily merges connected, convex, schedulable partition
 // pairs — cheapest merged workload first — until `target` partitions remain
 // or no pair is feasible. Returns nil when no merge was possible at all.
-// The input partitions are not modified; merged partitions carry freshly
-// extracted subgraphs and engine estimates. Each round reads adjacency from
+// The input partitions are not modified; merged partitions carry their own
+// member lists and engine estimates. Each round reads adjacency from
 // one node -> partition owner array, and every candidate union is built in
 // one scratch set and cleared again.
 func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*partition.Partition, target int) ([]*partition.Partition, error) {
@@ -275,7 +275,7 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 	convex := g.NewConvexChecker()
 	mark := func(op func(sdf.NodeID), ps ...*partition.Partition) {
 		for _, p := range ps {
-			for _, m := range p.Sub.NodeOf {
+			for _, m := range p.Members {
 				op(m)
 			}
 		}
@@ -288,7 +288,7 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 			return nil, err
 		}
 		for i, p := range live {
-			for _, m := range p.Sub.NodeOf {
+			for _, m := range p.Members {
 				owner[m] = i
 			}
 		}
@@ -298,7 +298,7 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 		bestTW := math.Inf(1)
 		for i := 0; i < len(live); i++ {
 			clear(adjacent)
-			for _, m := range live[i].Sub.NodeOf {
+			for _, m := range live[i].Members {
 				for _, v := range g.Succ(m) {
 					adjacent[owner[v]] = true
 				}
@@ -327,12 +327,8 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 			break
 		}
 		mark(union.Add, live[bi], live[bj])
-		sub, err := g.Extract(union.Members())
+		merged := &partition.Partition{Members: union.Members(), Scale: eng.ScaleOf(union), Est: bestEst}
 		mark(union.Remove, live[bi], live[bj])
-		if err != nil {
-			return nil, err
-		}
-		merged := &partition.Partition{Sub: sub, Est: bestEst}
 		live = append(live[:bj], live[bj+1:]...)
 		live[bi] = merged
 		mergedAny = true

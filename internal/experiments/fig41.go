@@ -57,11 +57,11 @@ func Fig41(cfg Config) (*Table, *Fig41Result, error) {
 		}
 		var pts []Fig41Point
 		for _, k := range c.Plan.Kernels {
-			meas := gpusim.MeasureKernel(k, c.Plan.Machine.Device, c.Plan.PerFiringCycles)
+			meas := gpusim.MeasureKernel(c.Plan, k)
 			pts = append(pts, Fig41Point{
 				App:         app.Name,
 				N:           n,
-				Partition:   sdf.FormatMembers(k.Sub.NodeOf),
+				Partition:   sdf.FormatMembers(k.Members),
 				EstimatedUS: k.TUS,
 				MeasuredUS:  meas.PerExecUS,
 			})

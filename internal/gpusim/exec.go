@@ -130,21 +130,28 @@ func run(ctx context.Context, plan *Plan, inputs [][]sdf.Token, fragments int, f
 		hostOutIdx[p] = i
 	}
 
-	// Wire up interpreters and port routing (functional mode only).
+	// Wire up interpreters and port routing (functional mode only): each
+	// kernel is extracted into a standalone graph for its interpreter, whose
+	// primary ports are the cut edges and the graph I/O it holds.
 	interps := make([]*sdf.Interp, P)
-	srcs := make([][]portSource, P)     // per kernel, per interp input index
-	sinks := make([][]portSink, P)      // per kernel, per interp output index
-	edgeDest := map[sdf.EdgeID][2]int{} // parent cut edge -> (consumer kernel, feed idx)
+	srcs := make([][]portSource, P)                  // per kernel, per interp input index
+	sinks := make([][]portSink, P)                   // per kernel, per interp output index
+	edgeDest := map[sdf.EdgeID][2]int{}              // parent cut edge -> (consumer kernel, feed idx)
+	cutOuts := make([]map[sdf.PortRef]sdf.EdgeID, P) // per kernel: sub output port -> cut edge
 	for pi, k := range plan.Kernels {
 		if !functional {
 			break
 		}
-		it, err := sdf.NewInterp(k.Sub.Sub)
+		sub, err := g.Extract(k.Members)
 		if err != nil {
 			return nil, fmt.Errorf("gpusim: partition %d: %w", pi, err)
 		}
-		interps[pi] = it
-		cutIn := k.Sub.CutInPorts()
+		it, err := sdf.NewInterp(sub.Sub)
+		if err != nil {
+			return nil, fmt.Errorf("gpusim: partition %d: %w", pi, err)
+		}
+		interps[pi], cutOuts[pi] = it, sub.CutOutPorts()
+		cutIn := sub.CutInPorts()
 		for idx, port := range it.InputPorts() {
 			if eid, ok := cutIn[port]; ok {
 				srcs[pi] = append(srcs[pi], portSource{hostIdx: -1, edge: eid})
@@ -154,7 +161,7 @@ func run(ctx context.Context, plan *Plan, inputs [][]sdf.Token, fragments int, f
 					it.Feed(idx, init)
 				}
 			} else {
-				parentPort := sdf.PortRef{Node: k.Sub.NodeOf[port.Node], Port: port.Port}
+				parentPort := sdf.PortRef{Node: k.Members[port.Node], Port: port.Port}
 				hi, ok := hostInIdx[parentPort]
 				if !ok {
 					return nil, fmt.Errorf("gpusim: partition %d input port %v matches no source", pi, port)
@@ -167,16 +174,15 @@ func run(ctx context.Context, plan *Plan, inputs [][]sdf.Token, fragments int, f
 		if !functional {
 			break
 		}
-		cutOut := k.Sub.CutOutPorts()
 		for _, port := range interps[pi].OutputPorts() {
-			if eid, ok := cutOut[port]; ok {
+			if eid, ok := cutOuts[pi][port]; ok {
 				dst, ok := edgeDest[eid]
 				if !ok {
 					return nil, fmt.Errorf("gpusim: cut edge %d has no consumer wiring", eid)
 				}
 				sinks[pi] = append(sinks[pi], portSink{hostIdx: -1, consumer: dst[0], feedIdx: dst[1]})
 			} else {
-				parentPort := sdf.PortRef{Node: k.Sub.NodeOf[port.Node], Port: port.Port}
+				parentPort := sdf.PortRef{Node: k.Members[port.Node], Port: port.Port}
 				ho, ok := hostOutIdx[parentPort]
 				if !ok {
 					return nil, fmt.Errorf("gpusim: partition %d output port %v matches no sink", pi, port)
@@ -200,8 +206,7 @@ func run(ctx context.Context, plan *Plan, inputs [][]sdf.Token, fragments int, f
 	// Static per-fragment kernel times.
 	kernelUS := make([]float64, P)
 	for pi, k := range plan.Kernels {
-		execs := int64(B) * k.Sub.Scale
-		kernelUS[pi] = KernelFragmentUS(k, plan.Machine.Device, plan.PerFiringCycles, execs)
+		kernelUS[pi] = KernelFragmentUS(plan, k, int64(B)*k.Scale)
 	}
 
 	outputs := make([][]sdf.Token, len(gOut))
@@ -213,7 +218,7 @@ func run(ctx context.Context, plan *Plan, inputs [][]sdf.Token, fragments int, f
 		}
 		for _, pi := range plan.Order {
 			k := plan.Kernels[pi]
-			execs := int64(B) * k.Sub.Scale
+			execs := int64(B) * k.Scale
 			it := interps[pi]
 			for idx, src := range srcs[pi] {
 				if src.hostIdx >= 0 {

@@ -159,8 +159,8 @@ func TestViaHostSlowerOrEqualThanP2P(t *testing.T) {
 func TestMeasureKernelDeterministic(t *testing.T) {
 	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
 	for _, k := range c.Plan.Kernels {
-		a := gpusim.MeasureKernel(k, c.Plan.Machine.Device, c.Plan.PerFiringCycles)
-		b := gpusim.MeasureKernel(k, c.Plan.Machine.Device, c.Plan.PerFiringCycles)
+		a := gpusim.MeasureKernel(c.Plan, k)
+		b := gpusim.MeasureKernel(c.Plan, k)
 		if a != b {
 			t.Errorf("MeasureKernel not deterministic: %+v vs %+v", a, b)
 		}
@@ -180,7 +180,7 @@ func TestMeasurementCorrelatesWithEstimate(t *testing.T) {
 	var pred, meas []float64
 	for _, k := range c.Plan.Kernels {
 		pred = append(pred, k.TUS)
-		meas = append(meas, gpusim.MeasureKernel(k, c.Plan.Machine.Device, c.Plan.PerFiringCycles).PerExecUS)
+		meas = append(meas, gpusim.MeasureKernel(c.Plan, k).PerExecUS)
 	}
 	for i := range pred {
 		ratio := meas[i] / pred[i]
@@ -197,14 +197,13 @@ func TestKernelFragmentScaling(t *testing.T) {
 	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
 	k := c.Plan.Kernels[0]
 	d := c.Plan.Machine.Device
-	pf := c.Plan.PerFiringCycles
-	one := gpusim.KernelFragmentUS(k, d, pf, 1)
+	one := gpusim.KernelFragmentUS(c.Plan, k, 1)
 	// Enough executions to need multiple waves: time grows.
-	many := gpusim.KernelFragmentUS(k, d, pf, int64(k.Params.W*d.NumSMs*4))
+	many := gpusim.KernelFragmentUS(c.Plan, k, int64(k.Params.W*d.NumSMs*4))
 	if many <= one {
 		t.Errorf("4-wave fragment (%v) should cost more than 1 execution (%v)", many, one)
 	}
-	if gpusim.KernelFragmentUS(k, d, pf, 0) != 0 {
+	if gpusim.KernelFragmentUS(c.Plan, k, 0) != 0 {
 		t.Errorf("zero executions should cost 0")
 	}
 }

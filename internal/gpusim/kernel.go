@@ -17,18 +17,19 @@
 //     verification.
 //
 // The package deliberately has no reference into the compiler's internals:
-// a Plan is built from plain kernel descriptions (subgraph, selected
-// parameters, I/O bytes) plus the profile annotation, not from the
-// partitioner's or the estimation engine's live structures. That is what
-// lets a serialized compile artifact (package artifact) execute here
-// without recompiling.
+// a Plan is built from plain kernel descriptions (member list, granularity
+// scale, selected parameters, I/O bytes) over the stream graph, plus the
+// profile annotation, not from the partitioner's or the estimation engine's
+// live structures. That is what lets a serialized compile artifact (package
+// artifact) execute here without recompiling. Timing reads a kernel's
+// members against the plan's graph; only the functional pass extracts each
+// kernel into a standalone graph, once per run, to wire its interpreter.
 package gpusim
 
 import (
 	"hash/fnv"
 	"math"
 
-	"streammap/internal/gpu"
 	"streammap/internal/sdf"
 )
 
@@ -45,9 +46,11 @@ type KernelParams struct {
 // everything the simulator needs, decoupled from the compiler structures
 // that produced it.
 type Kernel struct {
-	// Sub is the partition's extracted subgraph (filters, rates, schedule
-	// order and the mapping back to the parent graph).
-	Sub *sdf.Subgraph
+	// Members are the kernel's parent-graph node ids, ascending.
+	Members []sdf.NodeID
+	// Scale is the gcd of the members' parent repetition counts: one
+	// kernel execution is a parent iteration's work divided by Scale.
+	Scale int64
 	// Params are the selected launch parameters.
 	Params KernelParams
 	// SMBytes is the shared-memory footprint of one execution.
@@ -83,26 +86,26 @@ func hashUnit(name string, stream uint64) float64 {
 	return float64(h.Sum64()%1_000_000) / 1_000_000
 }
 
-// MeasureKernel simulates one wave of the kernel on the device: the ground
-// truth against which the estimation engine is validated (Figure 4.1).
-// perFiringCycles is the profile annotation, indexed by parent-graph node id.
-func MeasureKernel(k *Kernel, d gpu.Device, perFiringCycles []float64) KernelTiming {
-	p := k.Params
-	name := k.Sub.Sub.Name
+// MeasureKernel simulates one wave of one of the plan's kernels on the
+// plan's device: the ground truth against which the estimation engine is
+// validated (Figure 4.1). The kernel's identity, which seeds its jitter, is
+// the name sdf.Extract gives it: the graph's name followed by its members.
+func MeasureKernel(plan *Plan, k *Kernel) KernelTiming {
+	p, d, g := k.Params, plan.Machine.Device, plan.Graph
+	name := g.Name + sdf.FormatMembers(k.Members)
 
 	// Compute side: firings of each filter spread over min(f_i, S) threads,
 	// whole warps executing in SIMT lockstep => ceil instead of the model's
 	// smooth division, plus a small scheduling jitter.
 	var tcomp float64
-	for _, n := range k.Sub.Sub.Nodes {
-		f := k.Sub.Sub.Rep(n.ID)
+	for _, m := range k.Members {
+		f := g.Rep(m) / k.Scale
 		sUsed := int64(p.S)
 		if f < sUsed {
 			sUsed = f
 		}
 		rounds := (f + sUsed - 1) / sUsed
-		perFiring := perFiringCycles[k.Sub.NodeOf[n.ID]]
-		tcomp += float64(rounds) * perFiring
+		tcomp += float64(rounds) * plan.PerFiringCycles[m]
 	}
 	tcomp *= 1 + 0.04*hashUnit(name, 1)
 
@@ -133,14 +136,15 @@ func MeasureKernel(k *Kernel, d gpu.Device, perFiringCycles []float64) KernelTim
 	}
 }
 
-// KernelFragmentUS returns the simulated wall time for one kernel invocation
-// covering `execs` subgraph executions: blocks of W executions spread over
-// the device's SMs in waves.
-func KernelFragmentUS(k *Kernel, d gpu.Device, perFiringCycles []float64, execs int64) float64 {
+// KernelFragmentUS returns the simulated wall time for one invocation of
+// one of the plan's kernels covering `execs` kernel executions: blocks of W
+// executions spread over the device's SMs in waves.
+func KernelFragmentUS(plan *Plan, k *Kernel, execs int64) float64 {
 	if execs <= 0 {
 		return 0
 	}
-	t := MeasureKernel(k, d, perFiringCycles)
+	d := plan.Machine.Device
+	t := MeasureKernel(plan, k)
 	w := int64(k.Params.W)
 	blocks := (execs + w - 1) / w
 	waves := (blocks + int64(d.NumSMs) - 1) / int64(d.NumSMs)

@@ -184,13 +184,13 @@ func TestMultilevelRestoresNodeSet(t *testing.T) {
 	union := sdf.NewNodeSet(g.NumNodes())
 	total := 0
 	for i, p := range res.Parts {
-		for _, n := range p.Sub.NodeOf {
+		for _, n := range p.Members {
 			if union.Has(n) {
 				t.Fatalf("partition %d overlaps an earlier one", i)
 			}
 			union.Add(n)
 		}
-		total += len(p.Sub.NodeOf)
+		total += len(p.Members)
 	}
 	if !union.Equal(full) || total != g.NumNodes() {
 		t.Fatalf("union of %d partitions covers %d of %d nodes and differs from the full set",

@@ -13,40 +13,10 @@ import (
 // estimator's verdict.
 func Export(p *Partition) artifact.Partition {
 	out := artifact.Partition{Est: p.Est.Export()}
-	for _, m := range p.Sub.NodeOf {
+	for _, m := range p.Members {
 		out.Nodes = append(out.Nodes, int(m))
 	}
 	return out
-}
-
-// Import rebuilds a Partition over g from its wire form. The subgraph is
-// re-extracted deterministically from the node list; the estimate is
-// restored verbatim (never re-estimated), so a decoded partition carries
-// exactly the kernel parameters the original compilation selected. Its SM
-// requirement is held to a fresh analysis of the extracted subgraph — the one
-// the code generator runs — so wire data cannot silently disagree with what
-// codegen would use.
-func Import(g *sdf.Graph, a artifact.Partition) (*Partition, error) {
-	members, err := sdf.MembersOf(g.NumNodes(), a.Nodes)
-	if err != nil {
-		return nil, fmt.Errorf("partition: import: %w", err)
-	}
-	sub, err := g.Extract(members)
-	if err != nil {
-		return nil, fmt.Errorf("partition: import: %w", err)
-	}
-	est, err := pee.ImportEstimate(a.Est)
-	if err != nil {
-		return nil, err
-	}
-	lay, err := smreq.Analyze(sub)
-	if err != nil {
-		return nil, fmt.Errorf("partition: import: %w", err)
-	}
-	if lay.PeakBytes != est.SMBytes {
-		return nil, fmt.Errorf("partition: import: artifact says smBytes %d, the subgraph needs %d", est.SMBytes, lay.PeakBytes)
-	}
-	return &Partition{Sub: sub, Est: est}, nil
 }
 
 // ExportResult returns the wire form of a whole partitioning.
@@ -58,22 +28,39 @@ func ExportResult(r *Result) []artifact.Partition {
 	return out
 }
 
-// ImportResult rebuilds a partitioning over g and re-checks exact cover and
-// connectivity, so a corrupted or mismatched artifact cannot produce an
-// invalid partitioning; convexity is held by the PDG the decoder builds
-// over the result (pdg.Build rejects a cyclic quotient). The phase trace is
-// compile provenance and is not part of the wire form.
+// ImportResult rebuilds a partitioning over g, which must have a steady
+// state, from its wire form. Each estimate is restored verbatim (never
+// re-estimated), so a decoded partition carries exactly the kernel
+// parameters the original compilation selected; its Scale is derived from
+// its members, and its SM bytes are held to smreq.PeakBytesView over them —
+// the function that produced them — so wire data cannot silently disagree
+// with the layout code generation would emit. The structure is the
+// caller's to check, in the decoder's order: exact cover and convexity by
+// building the PDG over the result (pdg.Build), then CheckConnected — so a
+// node claimed by two partitions is named as such, not as the disconnected
+// partition it makes. The phase trace is compile provenance and is not part
+// of the wire form.
 func ImportResult(g *sdf.Graph, parts []artifact.Partition) (*Result, error) {
 	r := &Result{Graph: g}
+	var v sdf.SubView
 	for _, ap := range parts {
-		p, err := Import(g, ap)
+		members, err := sdf.MembersOf(g.NumNodes(), ap.Nodes)
+		if err != nil {
+			return nil, fmt.Errorf("partition: import: %w", err)
+		}
+		est, err := pee.ImportEstimate(ap.Est)
 		if err != nil {
 			return nil, err
 		}
-		r.Parts = append(r.Parts, p)
-	}
-	if err := validate(g, r.Parts, true); err != nil {
-		return nil, fmt.Errorf("partition: import: %w", err)
+		v.Fill(g, members)
+		sm, err := smreq.PeakBytesView(&v)
+		if err != nil {
+			return nil, fmt.Errorf("partition: import: %w", err)
+		}
+		if sm != est.SMBytes {
+			return nil, fmt.Errorf("partition: import: artifact says smBytes %d, the partition needs %d", est.SMBytes, sm)
+		}
+		r.Parts = append(r.Parts, &Partition{Members: members, Scale: v.Scale, Est: est})
 	}
 	return r, nil
 }

@@ -45,11 +45,12 @@ const (
 	DefaultRefineUnitCap = 16384
 
 	// mlFullValidateCap bounds the graph size up to which the final result
-	// gets the exact path's connectivity check (validate). Above it only
-	// the exact-cover check runs: partitions are unions of coarse units that
-	// are connected by construction, and every merge and move re-checked
-	// connectivity at quotient granularity. Convexity is never walked here:
-	// pdg.Build's acyclic-quotient check holds it for every result.
+	// gets the exact path's connectivity check (CheckConnected). Above it none
+	// runs: partitions are unions of coarse units that are connected by
+	// construction, and every merge and move re-checked connectivity at
+	// quotient granularity. Exact cover and convexity are never walked
+	// here: pdg.Build's owner array and acyclic-quotient check hold them
+	// for every result.
 	mlFullValidateCap = 32768
 )
 

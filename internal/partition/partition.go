@@ -24,27 +24,30 @@ import (
 	"streammap/internal/sdf"
 )
 
-// Partition is one selected kernel-to-be: its extracted subgraph, whose
-// ascending Sub.NodeOf is the partition's one record of its members, and
-// the estimator's verdict.
+// Partition is one selected kernel-to-be: its member list, its granularity
+// scale and the estimator's verdict. Members ascends and is owned by the
+// partition; Scale is the gcd of the members' parent repetition counts
+// (parent reps = Scale * kernel reps), the Scale sdf.Extract would record.
+// Nothing here is a copy of the graph: code generation and the simulator's
+// functional pass extract the members when they need a standalone one.
 type Partition struct {
-	Sub *sdf.Subgraph
-	Est *pee.Estimate
+	Members []sdf.NodeID
+	Scale   int64
+	Est     *pee.Estimate
 }
 
 // TWus is the partition's estimated execution time per parent-graph
 // steady-state iteration, in microseconds.
-func (p *Partition) TWus() float64 { return p.Est.TUS * float64(p.Sub.Scale) }
+func (p *Partition) TWus() float64 { return p.Est.TUS * float64(p.Scale) }
 
 // cand is a partition during Algorithm 1's search. The workload comparison
-// needs only the estimate and the granularity scale, so candidates are
-// scored without materializing subgraphs; RunCtx extracts the survivors once
-// at the end, and no cand leaves it.
+// needs only the estimate and the granularity scale; RunCtx turns the
+// survivors into Partitions once at the end, and no cand leaves it.
 type cand struct {
 	set      sdf.NodeSet
 	boundary sdf.NodeSet // nodes adjacent to set, outside it
 	est      *pee.Estimate
-	scale    int64 // Extract's Scale, known without extracting
+	scale    int64 // the partition's Scale
 }
 
 // tw is the candidate's TWus.
@@ -115,17 +118,11 @@ func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, _ int) (*Result,
 		res.CountAfterPhase[i] = len(p.compact())
 	}
 
-	// Candidates were scored without materializing subgraphs; extract the
-	// survivors once, now that the selection is final.
 	for _, c := range p.compact() {
-		sub, err := p.g.Extract(c.set.Members())
-		if err != nil {
-			return nil, err
-		}
-		res.Parts = append(res.Parts, &Partition{Sub: sub, Est: c.est})
+		res.Parts = append(res.Parts, &Partition{Members: c.set.Members(), Scale: c.scale, Est: c.est})
 	}
 
-	if err := validate(p.g, res.Parts, true); err != nil {
+	if err := CheckConnected(p.g, res.Parts); err != nil {
 		return nil, err
 	}
 	sortParts(p.g, res.Parts)
@@ -538,36 +535,24 @@ func (p *partitioner) neighborPartitions(ci int) []int {
 	return out
 }
 
-// validate checks the partitioning invariants: exact cover and, when
-// structural, that every partition is connected. Convexity is not walked
-// here: a path that leaves a partition and re-enters it is a cycle in the
-// quotient, which pdg.Build rejects, and every consumer of a Result — a
-// compile's pdg stage, driver.FromArtifact, Remap's re-merge — builds the
-// PDG over it. The connectivity check reuses one scratch set, filled with a
-// partition's members and cleared again.
-func validate(g *sdf.Graph, parts []*Partition, structural bool) error {
-	covered, set := sdf.NewNodeSet(g.NumNodes()), sdf.NewNodeSet(g.NumNodes())
+// CheckConnected checks that every partition is connected. Exact cover and
+// convexity are not walked here: a node owned twice or not at all is
+// rejected by pdg.Build's owner array, and a path that leaves a partition
+// and re-enters it is a cycle in the quotient, which pdg.Build rejects too —
+// every consumer of a Result (a compile's pdg stage, driver.FromArtifact,
+// Remap's re-merge) builds the PDG over it. The check reuses one scratch
+// set, filled with a partition's members and cleared again.
+func CheckConnected(g *sdf.Graph, parts []*Partition) error {
+	set := sdf.NewNodeSet(g.NumNodes())
 	checker := g.NewConvexChecker()
 	for _, p := range parts {
-		for _, m := range p.Sub.NodeOf {
-			if covered.Has(m) {
-				return fmt.Errorf("partition: node %d in two partitions", m)
-			}
-			covered.Add(m)
-		}
-		if !structural {
-			continue
-		}
-		for _, m := range p.Sub.NodeOf {
+		for _, m := range p.Members {
 			set.Add(m)
 		}
 		if !checker.IsConnected(set) {
-			return fmt.Errorf("partition: %s not connected", sdf.FormatMembers(p.Sub.NodeOf))
+			return fmt.Errorf("partition: %s not connected", sdf.FormatMembers(p.Members))
 		}
 		set.Reset()
-	}
-	if covered.Len() != g.NumNodes() {
-		return fmt.Errorf("partition: %d of %d nodes covered", covered.Len(), g.NumNodes())
 	}
 	return nil
 }
@@ -579,16 +564,14 @@ func sortParts(g *sdf.Graph, parts []*Partition) {
 	if err != nil {
 		return
 	}
-	pos := make(map[sdf.NodeID]int, len(order))
+	pos := make([]int32, len(order))
 	for i, id := range order {
-		pos[id] = i
+		pos[id] = int32(i)
 	}
-	first := func(p *Partition) int {
-		best := len(order)
-		for _, m := range p.Sub.NodeOf {
-			if pos[m] < best {
-				best = pos[m]
-			}
+	first := func(p *Partition) int32 {
+		best := int32(len(order))
+		for _, m := range p.Members {
+			best = min(best, pos[m])
 		}
 		return best
 	}

@@ -128,7 +128,7 @@ func TestFeedbackLoopAtomic(t *testing.T) {
 	// The joiner/body/splitter cycle must share one partition.
 	var loopPart *Partition
 	for _, p := range res.Parts {
-		for _, m := range p.Sub.NodeOf {
+		for _, m := range p.Members {
 			if g.Nodes[m].Filter.Name == "acc" {
 				loopPart = p
 			}
@@ -138,14 +138,14 @@ func TestFeedbackLoopAtomic(t *testing.T) {
 		t.Fatal("loop body not in any partition")
 	}
 	cnt := 0
-	for _, m := range loopPart.Sub.NodeOf {
+	for _, m := range loopPart.Members {
 		k := g.Nodes[m].Filter.Kind
 		if k == sdf.KindJoiner || k == sdf.KindSplitter || g.Nodes[m].Filter.Name == "acc" {
 			cnt++
 		}
 	}
 	if cnt < 3 {
-		t.Errorf("feedback loop split across partitions: %v", loopPart.Sub.NodeOf)
+		t.Errorf("feedback loop split across partitions: %v", loopPart.Members)
 	}
 }
 
@@ -274,7 +274,7 @@ func TestRunInvariantsQuick(t *testing.T) {
 		covered := sdf.NewNodeSet(g.NumNodes())
 		for _, p := range res.Parts {
 			set := sdf.NewNodeSet(g.NumNodes())
-			for _, m := range p.Sub.NodeOf {
+			for _, m := range p.Members {
 				if covered.Has(m) {
 					return false
 				}

@@ -77,13 +77,9 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("partition: prevwork produced unschedulable partition %v: %w", set, err)
 		}
-		sub, err := g.Extract(set.Members())
-		if err != nil {
-			return nil, err
-		}
-		res.Parts = append(res.Parts, &Partition{Sub: sub, Est: est})
+		res.Parts = append(res.Parts, &Partition{Members: set.Members(), Scale: eng.ScaleOf(set), Est: est})
 	}
-	if err := validate(g, res.Parts, true); err != nil {
+	if err := CheckConnected(g, res.Parts); err != nil {
 		return nil, err
 	}
 	sortParts(g, res.Parts)
@@ -119,11 +115,7 @@ func SinglePartition(g *sdf.Graph, eng *pee.Engine) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: single-partition mapping infeasible: %w", err)
 	}
-	sub, err := g.Extract(all.Members())
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Graph: g, Parts: []*Partition{{Sub: sub, Est: est}}}
+	res := &Result{Graph: g, Parts: []*Partition{{Members: all.Members(), Scale: eng.ScaleOf(all), Est: est}}}
 	for i := range res.CountAfterPhase {
 		res.CountAfterPhase[i] = 1
 	}

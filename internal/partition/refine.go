@@ -188,7 +188,7 @@ func (m *mlState) addConvex(q *quotient, Q, u int32) bool {
 }
 
 // materialize turns the surviving mlParts into the exact path's Result form:
-// extracted subgraphs in topological partition order.
+// member lists in topological partition order.
 func (m *mlState) materialize() (*Result, error) {
 	// The result gets its own copy of the stats: a pointer into m would keep
 	// the whole working state — hierarchy, unit sets, scratch — alive for as
@@ -200,14 +200,14 @@ func (m *mlState) materialize() (*Result, error) {
 		if p.dead {
 			continue
 		}
-		sub, err := m.g.Extract(p.members)
-		if err != nil {
+		// A seed part's list aliases the coarsening level's storage: the
+		// clone keeps the hierarchy from living as long as the Result.
+		parts = append(parts, &Partition{Members: slices.Clone(p.members), Scale: p.scale, Est: p.est})
+	}
+	if m.g.NumNodes() <= mlFullValidateCap {
+		if err := CheckConnected(m.g, parts); err != nil {
 			return nil, err
 		}
-		parts = append(parts, &Partition{Sub: sub, Est: p.est})
-	}
-	if err := validate(m.g, parts, m.g.NumNodes() <= mlFullValidateCap); err != nil {
-		return nil, err
 	}
 	sortParts(m.g, parts)
 	res.Parts = parts

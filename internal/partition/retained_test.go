@@ -12,10 +12,14 @@ import (
 )
 
 // maxRetainedBytesPerNode bounds what a held multilevel Result keeps live per
-// graph node: the extracted subgraphs and their member lists. A per-partition
-// structure sized by the whole graph — a bitset per partition costs
-// nodes/8 bytes each — makes the total O(nodes × partitions) and breaks it.
-const maxRetainedBytesPerNode = 400
+// graph node: the partitions' member lists and estimates, plus the caches
+// the run leaves on the graph and the engine (54 B/node in all on the graph
+// below, on a 2-core x86-64 machine under go1.24). A copied
+// graph per partition — an extracted subgraph costs several times its
+// member list — or a per-partition structure sized by the whole graph — a
+// bitset per partition costs nodes/8 bytes each, O(nodes × partitions) in
+// all — breaks it.
+const maxRetainedBytesPerNode = 100
 
 // TestMultilevelRetainedBytes measures the heap a multilevel Result keeps
 // live on the scaling sweep's 20 000-filter graph: HeapAlloc after a full

@@ -145,7 +145,7 @@ func partsOf(g *sdf.Graph, owner []int) ([]*partition.Partition, []sdf.NodeSet) 
 		for _, id := range m {
 			set.Add(id)
 		}
-		parts = append(parts, &partition.Partition{Sub: &sdf.Subgraph{NodeOf: m, Scale: 1}, Est: &pee.Estimate{}})
+		parts = append(parts, &partition.Partition{Members: m, Scale: 1, Est: &pee.Estimate{}})
 		sets = append(sets, set)
 	}
 	return parts, sets

@@ -45,9 +45,11 @@ func (p *PDG) NumParts() int { return len(p.WorkUS) }
 // T_i fed to the mapping step, before fragment scaling).
 func (p *PDG) WorkloadUS(i int) float64 { return p.WorkUS[i] }
 
-// Build constructs the PDG and verifies the quotient is acyclic (convex
+// Build constructs the PDG and verifies the partitioning: every node is
+// owned by exactly one partition, and the quotient is acyclic (convex
 // partitions of a DAG always are; feedback loops must have been collapsed by
-// the partitioner).
+// the partitioner). It is the one exact-cover and convexity check of every
+// partitioning, compiled or decoded.
 func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 	p := &PDG{
 		Graph:        g,
@@ -64,16 +66,16 @@ func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 		owner[i] = -1
 	}
 	for pi, part := range parts {
-		for _, m := range part.Sub.NodeOf {
+		for _, m := range part.Members {
 			if owner[m] != -1 {
-				return nil, fmt.Errorf("pdg: node %d owned by partitions %d and %d", m, owner[m], pi)
+				return nil, fmt.Errorf("pdg: node %d in two partitions (%d and %d)", m, owner[m], pi)
 			}
 			owner[m] = pi
 		}
 	}
 	for n, o := range owner {
 		if o == -1 {
-			return nil, fmt.Errorf("pdg: node %d not in any partition", n)
+			return nil, fmt.Errorf("pdg: node %d not covered by any partition", n)
 		}
 	}
 

@@ -13,12 +13,14 @@ type BoundaryEdge struct {
 }
 
 // Subgraph is the result of extracting an induced node set from a parent
-// graph. It is what a partition becomes: Sub is a standalone Graph whose
-// primary ports are the cut edges plus any of the parent's primary ports
-// that fell inside the set. It carries only what its consumers read — the
-// estimator, the SM layout, code generation and the simulator's port
-// binding: the node map back to the parent and the two cut-edge lists.
-// NodeOf ascends, so it is also the set's one record of its membership.
+// graph: Sub is a standalone Graph whose primary ports are the cut edges
+// plus any of the parent's primary ports that fell inside the set. A
+// partition is not one — it is its member list, scored and laid out through
+// a SubView — and a Subgraph is built only where a real graph is needed:
+// code generation's SM layout and schedule, the simulator's functional
+// pass, which runs each kernel's interpreter and binds its ports, and the
+// compile referee's from-scratch layout. It carries only what those read:
+// the node map back to the parent and the two cut-edge lists.
 type Subgraph struct {
 	Sub *Graph
 
@@ -37,8 +39,8 @@ type Subgraph struct {
 // The cost is the members and their own ports, not the parent: internal and
 // cut edges are read off each member's adjacency slice and then sorted by
 // parent edge id. That order — the order a scan of the parent's edge list
-// would produce — numbers Sub.Edges and orders CutIn/CutOut, and SM layouts,
-// artifact bytes and the simulator's port binding all depend on it.
+// would produce — numbers Sub.Edges and orders CutIn/CutOut, and generated
+// code's SM layouts and the simulator's port binding depend on it.
 func (g *Graph) Extract(members []NodeID) (*Subgraph, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")

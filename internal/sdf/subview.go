@@ -3,9 +3,11 @@ package sdf
 // SubView is an allocation-lean stand-in for Extract: it describes the
 // induced subgraph over a member list — members, normalized repetition
 // vector, granularity scale — without copying nodes or edges into a fresh
-// Graph. The scoring hot path (pee.Engine, smreq.PeakBytesView) runs
-// entirely on views; Extract remains the materializing form used for
-// accepted partitions, code generation and the simulator.
+// Graph. Every partition is scored and checked through one: the estimator
+// (pee.Engine, smreq.PeakBytesView) and the artifact decoder, which derives
+// each partition's Scale and holds its SM bytes here. Extract remains the
+// materializing form, used only by code generation, the simulator's
+// functional pass and the compile referee.
 //
 // A view borrows its member list from the caller and reuses its internal
 // buffers across Fill calls, so it is valid only until the next Fill and

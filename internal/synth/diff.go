@@ -85,8 +85,10 @@ func serialOpts(opts driver.Options) driver.Options {
 //
 //   - the partitions exactly cover the graph (every filter mapped once) and
 //     each is convex and connected;
-//   - each partition admits a valid single-appearance schedule and its
-//     kernel parameters respect the device's shared-memory and thread caps;
+//   - each partition, extracted from scratch, has the recorded scale, lays
+//     out to the recorded SM bytes and admits a valid single-appearance
+//     schedule, and its kernel parameters respect the device's
+//     shared-memory and thread caps;
 //   - the PDG's topological order is consistent with its edges;
 //   - the assignment maps every partition to a real GPU and its recorded
 //     objective reproduces under re-evaluation;
@@ -103,7 +105,7 @@ func CheckInvariants(c *driver.Compiled) error {
 	covered, set := sdf.NewNodeSet(g.NumNodes()), sdf.NewNodeSet(g.NumNodes())
 	convex := g.NewConvexChecker()
 	for i, p := range c.Parts.Parts {
-		for _, m := range p.Sub.NodeOf {
+		for _, m := range p.Members {
 			if covered.Has(m) {
 				return fmt.Errorf("node %d in more than one partition", m)
 			}
@@ -111,18 +113,27 @@ func CheckInvariants(c *driver.Compiled) error {
 			set.Add(m)
 		}
 		if !convex.IsConvex(set) {
-			return fmt.Errorf("partition %d (%s) not convex", i, sdf.FormatMembers(p.Sub.NodeOf))
+			return fmt.Errorf("partition %d (%s) not convex", i, sdf.FormatMembers(p.Members))
 		}
 		if !convex.IsConnected(set) {
-			return fmt.Errorf("partition %d (%s) not connected", i, sdf.FormatMembers(p.Sub.NodeOf))
+			return fmt.Errorf("partition %d (%s) not connected", i, sdf.FormatMembers(p.Members))
 		}
 		set.Reset()
 
-		lay, err := smreq.Analyze(p.Sub)
+		// The referee extracts the partition and lays it out from scratch,
+		// independently of the view path the compiler scored it through.
+		sub, err := g.Extract(p.Members)
 		if err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
-		if err := sdf.ValidateSchedule(p.Sub.Sub, lay.Schedule); err != nil {
+		if sub.Scale != p.Scale {
+			return fmt.Errorf("partition %d: scale %d, its extraction says %d", i, p.Scale, sub.Scale)
+		}
+		lay, err := smreq.Analyze(sub)
+		if err != nil {
+			return fmt.Errorf("partition %d: %w", i, err)
+		}
+		if err := sdf.ValidateSchedule(sub.Sub, lay.Schedule); err != nil {
 			return fmt.Errorf("partition %d: %w", i, err)
 		}
 		if lay.PeakBytes != p.Est.SMBytes {

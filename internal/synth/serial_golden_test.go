@@ -73,8 +73,8 @@ func compilationDigest(c *driver.Compiled, err error) string {
 	}
 	h := sha256.New()
 	for _, p := range c.Parts.Parts {
-		fmt.Fprintf(h, "part %v params %d/%d/%d t %016x sm %d scale %d\n", p.Sub.NodeOf,
-			p.Est.Params.S, p.Est.Params.W, p.Est.Params.F, math.Float64bits(p.Est.TUS), p.Est.SMBytes, p.Sub.Scale)
+		fmt.Fprintf(h, "part %v params %d/%d/%d t %016x sm %d scale %d\n", p.Members,
+			p.Est.Params.S, p.Est.Params.W, p.Est.Params.F, math.Float64bits(p.Est.TUS), p.Est.SMBytes, p.Scale)
 	}
 	for _, e := range c.PDG.Edges {
 		fmt.Fprintf(h, "edge %d->%d %d\n", e.From, e.To, e.Bytes)
