@@ -3,8 +3,10 @@ package streammap
 // Try-Merge scoring microbenchmarks: the partitioner's hot path is scoring
 // candidate unions against the estimation engine. EstimateSet_Cold measures
 // a miss (view construction + SM analysis + parameter sweep), Warm the
-// memoized hit path (hash + memo lookup), and TryMergeScore the repeated
-// phase-3 scan step (convexity check + warm estimate + workload compare).
+// memoized hit path (list hash + memo lookup), and TryMergeScore the
+// repeated phase-3 scan step (convexity check + member listing + warm
+// estimate + workload compare). Each feeds Estimate one reused member list,
+// as the partitioner does.
 // bench_compile_baseline.json records reference numbers; the hit path and
 // the convexity check are expected to stay allocation-free.
 
@@ -52,12 +54,12 @@ func benchScoringFixture(b *testing.B) (*sdf.Graph, *pee.Engine, sdf.NodeSet) {
 
 func BenchmarkEstimateSet_Cold(b *testing.B) {
 	g, eng, set := benchScoringFixture(b)
-	prof := eng.Prof
+	prof, members := eng.Prof, set.Members()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fresh := pee.NewEngine(g, prof)
-		if _, err := fresh.EstimateSet(set); err != nil {
+		if _, err := fresh.Estimate(members); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,13 +69,14 @@ func BenchmarkEstimateSet_Cold(b *testing.B) {
 // every iteration after the first is a memo hit, the path it measures.
 func BenchmarkEstimateSet_Warm(b *testing.B) {
 	_, eng, set := benchScoringFixture(b)
-	if _, err := eng.EstimateSet(set); err != nil {
+	members := set.Members()
+	if _, err := eng.Estimate(members); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.EstimateSet(set); err != nil {
+		if _, err := eng.Estimate(members); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +84,8 @@ func BenchmarkEstimateSet_Warm(b *testing.B) {
 
 func BenchmarkTryMergeScore(b *testing.B) {
 	g, eng, set := benchScoringFixture(b)
-	est, err := eng.EstimateSet(set)
+	members := set.Members()
+	est, err := eng.Estimate(members)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +96,8 @@ func BenchmarkTryMergeScore(b *testing.B) {
 		if !g.IsConvex(set) {
 			b.Fatal("fixture set not convex")
 		}
-		e, err := eng.EstimateSet(set)
+		members = set.AppendMembers(members[:0])
+		e, err := eng.Estimate(members)
 		if err != nil {
 			b.Fatal(err)
 		}

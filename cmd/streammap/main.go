@@ -32,8 +32,8 @@
 // /v1/remap.
 //
 // -stats prints, as one JSON line, the estimation engine's memo counters
-// (queries, hits, misses, hit rate, hash collisions) and the per-stage
-// wall-clock of the compilation before the emitted output.
+// (queries, hits, misses, hit rate) and the per-stage wall-clock of the
+// compilation before the emitted output.
 //
 // To serve compile requests over HTTP instead of compiling one-shot, run
 // the streammapd daemon (cmd/streammapd).
@@ -244,7 +244,7 @@ func emitStats(c *core.Compiled) error {
 	report := struct {
 		Engine core.EngineStats `json:"engine"`
 		Stages []stage          `json:"stages"`
-	}{Engine: core.EngineStatsOf(c.Engine.Stats())}
+	}{Engine: core.EngineStatsOf(c.Estimates)}
 	for _, s := range c.Stages {
 		report.Stages = append(report.Stages, stage{Name: s.Name, DurationNS: s.Duration.Nanoseconds(), Info: s.Info})
 	}

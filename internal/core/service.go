@@ -102,21 +102,19 @@ type ServiceStats struct {
 // EngineStats is the wire form of the estimation engine's memo counters —
 // the shape `streammap -stats` emits.
 type EngineStats struct {
-	Queries    int64   `json:"queries"`
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	HitRate    float64 `json:"hitRate"`
-	Collisions int64   `json:"collisions"`
+	Queries int64   `json:"queries"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	HitRate float64 `json:"hitRate"`
 }
 
 // EngineStatsOf converts an engine snapshot to its wire form.
 func EngineStatsOf(s pee.Stats) EngineStats {
 	return EngineStats{
-		Queries:    s.Queries,
-		Hits:       s.Hits(),
-		Misses:     s.Misses,
-		HitRate:    s.HitRate(),
-		Collisions: s.Collisions,
+		Queries: s.Queries,
+		Hits:    s.Hits(),
+		Misses:  s.Misses,
+		HitRate: s.HitRate(),
 	}
 }
 
@@ -195,7 +193,7 @@ type Service struct {
 
 	hits, misses, evictions, coalesced, encodes *obs.Counter
 	corruptQuarantined                          *obs.Counter
-	engQueries, engMisses, engCollisions        *obs.Counter
+	engQueries, engMisses                       *obs.Counter
 
 	admissionWait *obs.Histogram    // time runs spent waiting for a slot, rejections included
 	compileDur    *obs.Histogram    // full pipeline wall-clock, fresh compiles only
@@ -257,7 +255,6 @@ func (s *Service) instrument(reg *obs.Registry) {
 	s.encodes = reg.Counter("streammap_artifact_encodes_total", "Artifact export+encode runs (hits serve the stored bytes).")
 	s.engQueries = reg.Counter("streammap_engine_queries_total", "Estimation-engine memo queries across fresh compiles.")
 	s.engMisses = reg.Counter("streammap_engine_misses_total", "Estimation-engine memo misses across fresh compiles.")
-	s.engCollisions = reg.Counter("streammap_engine_collisions_total", "Estimation-engine memo collisions across fresh compiles.")
 	reg.GaugeFunc("streammap_in_flight", "Runs holding a compile slot.", func() float64 { return float64(s.inFlight.Load()) })
 	reg.GaugeFunc("streammap_queued", "Runs waiting for a compile slot.", func() float64 { return float64(s.queued.Load()) })
 	reg.GaugeFunc("streammap_cache_entries", "Entries in the in-memory table.", func() float64 { return float64(s.entries()) })
@@ -285,9 +282,8 @@ func (s *Service) Stats() ServiceStats {
 		CorruptQuarantined: s.corruptQuarantined.Value(),
 		Entries:            s.entries(),
 		Engine: EngineStatsOf(pee.Stats{
-			Queries:    s.engQueries.Value(),
-			Misses:     s.engMisses.Value(),
-			Collisions: s.engCollisions.Value(),
+			Queries: s.engQueries.Value(),
+			Misses:  s.engMisses.Value(),
 		}),
 		Coalesced: s.coalesced.Value(),
 		Encodes:   s.encodes.Value(),
@@ -539,12 +535,8 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source Gr
 	}
 	// Only fresh compiles fold their estimation-engine counters into the
 	// service-wide aggregate: a hit re-serves a result already counted.
-	if c.Engine != nil {
-		es := c.Engine.Stats()
-		s.engQueries.Add(es.Queries)
-		s.engMisses.Add(es.Misses)
-		s.engCollisions.Add(es.Collisions)
-	}
+	s.engQueries.Add(c.Estimates.Queries)
+	s.engMisses.Add(c.Estimates.Misses)
 	data, err := s.Encode(ctx, c)
 	if err != nil {
 		return nil, nil, 0, err

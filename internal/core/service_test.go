@@ -141,7 +141,7 @@ func TestServiceEngineStatsAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := EngineStatsOf(c.Engine.Stats())
+	want := EngineStatsOf(c.Estimates)
 	if want.Queries == 0 {
 		t.Fatal("compile ran no engine queries; the aggregate test is vacuous")
 	}

@@ -223,7 +223,6 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 		Graph:   g,
 		Options: opts,
 		Prof:    prof,
-		Engine:  pee.NewEngine(g, prof),
 		Parts:   parts,
 		PDG:     dg,
 		Problem: problem,

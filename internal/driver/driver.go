@@ -186,7 +186,6 @@ type Compiled struct {
 	Graph   *sdf.Graph
 	Options Options
 	Prof    *pee.Profile
-	Engine  *pee.Engine
 	Parts   *partition.Result
 	PDG     *pdg.PDG
 	Problem *mapping.Problem
@@ -195,6 +194,10 @@ type Compiled struct {
 
 	// Stages holds the per-pass timings of this compilation, in pass order.
 	Stages []StageMetric
+
+	// Estimates is the estimation engine's counters at the end of the
+	// partition pass. The engine itself, and its memo, die with the pass.
+	Estimates pee.Stats
 
 	// RemapInfo is non-nil when this result came from Remap rather than a
 	// cold compilation; Artifact() stamps it into the wire form.
@@ -261,11 +264,11 @@ func Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error)
 			return nil, err
 		}
 		m := StageMetric{Name: s.name, Duration: time.Since(start)}
-		if s.name == "partition" && c.Engine != nil {
+		if s.name == "partition" {
 			// Try-Merge scoring provenance: how hard the engine worked, and
 			// — when the multilevel path served the compile — its hierarchy
 			// and refinement trace.
-			m.Info = c.Engine.Stats().String()
+			m.Info = c.Estimates.String()
 			if c.Parts != nil && c.Parts.ML != nil {
 				m.Info = "multilevel " + c.Parts.ML.String() + "; " + m.Info
 			}
@@ -275,11 +278,9 @@ func Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error)
 	return c, nil
 }
 
-// stageProfile annotates every filter with its profiled single-thread cost
-// and builds the shared estimation engine.
+// stageProfile annotates every filter with its profiled single-thread cost.
 func stageProfile(_ context.Context, c *Compiled) error {
 	c.Prof = pee.ProfileGraph(c.Graph, c.Options.Device)
-	c.Engine = pee.NewEngine(c.Graph, c.Prof)
 	return nil
 }
 
@@ -296,24 +297,25 @@ func multilevelSelected(opts Options, g *sdf.Graph) bool {
 	return false
 }
 
-// stagePartition runs the selected partitioner on the calling goroutine.
+// stagePartition runs the selected partitioner on the calling goroutine,
+// with an estimation engine that lives for this pass only: the compile keeps
+// the engine's counters, not its memo.
 func stagePartition(ctx context.Context, c *Compiled) error {
+	eng := pee.NewEngine(c.Graph, c.Prof)
 	var err error
 	switch {
 	case multilevelSelected(c.Options, c.Graph):
-		c.Parts, err = partition.Multilevel(ctx, c.Graph, c.Engine, partition.MLOptions{})
-		return err
-	}
-	switch c.Options.Partitioner {
-	case Alg1:
-		c.Parts, err = partition.RunCtx(ctx, c.Graph, c.Engine, 1)
-	case PrevWorkPart:
-		c.Parts, err = partition.PrevWork(c.Graph, c.Engine, c.Options.Device)
-	case SinglePart:
-		c.Parts, err = partition.SinglePartition(c.Graph, c.Engine)
+		c.Parts, err = partition.Multilevel(ctx, c.Graph, eng, partition.MLOptions{})
+	case c.Options.Partitioner == Alg1:
+		c.Parts, err = partition.RunCtx(ctx, c.Graph, eng, 1)
+	case c.Options.Partitioner == PrevWorkPart:
+		c.Parts, err = partition.PrevWork(c.Graph, eng, c.Options.Device)
+	case c.Options.Partitioner == SinglePart:
+		c.Parts, err = partition.SinglePartition(c.Graph, eng)
 	default:
 		err = fmt.Errorf("driver: unknown partitioner %d", c.Options.Partitioner)
 	}
+	c.Estimates = eng.Stats()
 	return err
 }
 

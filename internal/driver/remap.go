@@ -229,7 +229,7 @@ func (i remergeInfo) String() string {
 // launches once and its internal traffic leaves the PDG entirely.
 func (c *Compiled) tryRemerge(ctx context.Context, g *sdf.Graph) (remergeInfo, error) {
 	info := remergeInfo{from: len(c.Parts.Parts), kept: c.Assign.Objective, cand: math.NaN()}
-	merged, err := remergeParts(ctx, g, c.Engine, c.Parts.Parts, c.Options.Topo.NumGPUs())
+	merged, err := remergeParts(ctx, g, pee.NewEngine(g, c.Prof), c.Parts.Parts, c.Options.Topo.NumGPUs())
 	if err != nil {
 		return info, err
 	}
@@ -263,7 +263,8 @@ func (c *Compiled) tryRemerge(ctx context.Context, g *sdf.Graph) (remergeInfo, e
 // The input partitions are not modified; merged partitions carry their own
 // member lists and engine estimates. Each round reads adjacency from
 // one node -> partition owner array, and every candidate union is built in
-// one scratch set and cleared again.
+// one scratch set, listed into one scratch slice for the engine, and
+// cleared again.
 func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*partition.Partition, target int) ([]*partition.Partition, error) {
 	if target < 1 {
 		target = 1
@@ -272,6 +273,7 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 	mergedAny := false
 	owner := make([]int, g.NumNodes())
 	union := sdf.NewNodeSet(g.NumNodes())
+	var members []sdf.NodeID
 	convex := g.NewConvexChecker()
 	mark := func(op func(sdf.NodeID), ps ...*partition.Partition) {
 		for _, p := range ps {
@@ -280,9 +282,9 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 			}
 		}
 	}
-	// The engine memoizes verdicts and errors per set: merging one pair
-	// leaves every other union unchanged, so a round re-pays only for pairs
-	// touching the freshly merged partition.
+	// The engine memoizes verdicts and errors per member list: merging one
+	// pair leaves every other union unchanged, so a round re-pays only for
+	// pairs touching the freshly merged partition.
 	for len(live) > target {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -314,8 +316,9 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 				if convex.IsConvex(union) {
 					// An error is an SM violation or unschedulable union: the
 					// pair is infeasible.
-					if est, err := eng.EstimateSet(union); err == nil {
-						if tw := est.TUS * float64(eng.ScaleOf(union)); tw < bestTW {
+					members = union.AppendMembers(members[:0])
+					if est, err := eng.Estimate(members); err == nil {
+						if tw := est.TUS * float64(eng.ScaleOf(members)); tw < bestTW {
 							bi, bj, bestEst, bestTW = i, j, est, tw
 						}
 					}
@@ -327,7 +330,8 @@ func remergeParts(ctx context.Context, g *sdf.Graph, eng *pee.Engine, parts []*p
 			break
 		}
 		mark(union.Add, live[bi], live[bj])
-		merged := &partition.Partition{Members: union.Members(), Scale: eng.ScaleOf(union), Est: bestEst}
+		own := union.Members()
+		merged := &partition.Partition{Members: own, Scale: eng.ScaleOf(own), Est: bestEst}
 		mark(union.Remove, live[bi], live[bj])
 		live = append(live[:bj], live[bj+1:]...)
 		live[bi] = merged

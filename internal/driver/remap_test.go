@@ -190,18 +190,12 @@ func TestRemapSpeed(t *testing.T) {
 		trace.Finish(0)
 		t.Logf("%s n=%d: cold %v, remap %v", tc.name, tc.n, cold, remap)
 
-		merged := false
 		for _, st := range rc.Stages {
 			switch st.Name {
-			case "remap":
-			case "remap-merge":
-				merged = true
+			case "remap", "remap-merge":
 			default:
 				t.Errorf("%s: stage %q ran during a warm remap", tc.name, st.Name)
 			}
-		}
-		if q := rc.Engine.Stats(); !merged && q.Queries+q.Uncached != 0 {
-			t.Errorf("%s: warm remap without a re-merge candidate queried the estimation engine: %v", tc.name, q)
 		}
 		spans := tracer.Snapshot().Recent[0].Spans
 		var remapSpan string

@@ -3,10 +3,10 @@
 // with bounded boundary refinement. Partitions are always unions of whole
 // coarse units, so quotient-level convexity and connectivity imply the
 // original-graph properties the exact partitioner enforces; profitability
-// uses the same TW = T·Scale comparison, scored through the engine's
-// uncached path (the engine's memo would clone a graph-capacity bitset per
-// candidate, which at 10^6 nodes is the memory hazard this path exists to
-// avoid) behind a run-scoped memo keyed by the member list itself.
+// uses the same TW = T·Scale comparison, scored through the engine's memo,
+// keyed by the member list itself: refinement passes ask again about the
+// same P∖{u} and Q∪{u} at every level and in every pass. The caller builds
+// the engine for this one run, so the memo dies with it.
 //
 // Deviations from the exact Algorithm 1 flow, accepted for scalability and
 // refereed by the differential harness (synth.CheckMultilevel):
@@ -36,7 +36,7 @@ const (
 	// level.
 	DefaultRefinePasses = 2
 	// DefaultRefineBudget caps candidate-move evaluations per level; each
-	// evaluation costs at most two uncached estimates.
+	// evaluation costs at most two estimates.
 	DefaultRefineBudget = 4096
 	// DefaultRefineUnitCap skips refinement at levels with more units than
 	// this: on million-node graphs the finest levels are too large to sweep,
@@ -63,22 +63,21 @@ type MLOptions struct {
 // MLStats is the multilevel run's provenance, attached to Result.ML and
 // surfaced through the driver's partition stage info.
 type MLStats struct {
-	Levels        int   // hierarchy depth including level 0
-	CoarsestUnits int   // unit count of the coarsest level
-	SeedLevel     int   // level the seed partitions came from (after fallback)
-	SeedParts     int   // partitions at seeding
-	MergeRounds   int   // merge sweeps across all three priority specs
-	Merges        int   // accepted merges
-	RefinedLevels int   // levels that ran boundary refinement
-	MoveEvals     int   // candidate moves evaluated
-	Moves         int   // accepted moves
-	Estimates     int64 // estimator requests, memo hits included
+	Levels        int // hierarchy depth including level 0
+	CoarsestUnits int // unit count of the coarsest level
+	SeedLevel     int // level the seed partitions came from (after fallback)
+	SeedParts     int // partitions at seeding
+	MergeRounds   int // merge sweeps across all three priority specs
+	Merges        int // accepted merges
+	RefinedLevels int // levels that ran boundary refinement
+	MoveEvals     int // candidate moves evaluated
+	Moves         int // accepted moves
 }
 
 func (s *MLStats) String() string {
-	return fmt.Sprintf("levels=%d coarsest=%d seedLevel=%d seeds=%d merges=%d/%d rounds refined=%d levels moves=%d/%d evals estimates=%d",
+	return fmt.Sprintf("levels=%d coarsest=%d seedLevel=%d seeds=%d merges=%d/%d rounds refined=%d levels moves=%d/%d evals",
 		s.Levels, s.CoarsestUnits, s.SeedLevel, s.SeedParts, s.Merges, s.MergeRounds,
-		s.RefinedLevels, s.Moves, s.MoveEvals, s.Estimates)
+		s.RefinedLevels, s.Moves, s.MoveEvals)
 }
 
 // mlPart is a partition during the multilevel flow: its units of the
@@ -112,20 +111,6 @@ type mlState struct {
 	visit      sdf.NodeSet // unit-capacity scratch for quotient searches
 	queue      []int32
 	idxScratch []int32
-
-	// memo holds every estimate this run asked for, bucketed by
-	// sdf.HashMembers; a bucket with more than one entry is a hash
-	// collision, told apart by comparing the lists. It dies with the run:
-	// the engine outlives the compile, so a memo there would be held with it.
-	memo map[uint64][]memoEntry
-}
-
-// memoEntry is one scored member list: an owned clone, the collision-safe
-// identity, beside its verdict.
-type memoEntry struct {
-	members []sdf.NodeID
-	est     *pee.Estimate
-	err     error
 }
 
 // Multilevel partitions g through the coarsen→merge→refine flow. It is
@@ -133,7 +118,7 @@ type memoEntry struct {
 // evaluations, and returns a Result interchangeable with Run's (plus ML
 // provenance).
 func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptions) (*Result, error) {
-	m := &mlState{ctx: ctx, g: g, eng: eng, memo: map[uint64][]memoEntry{}}
+	m := &mlState{ctx: ctx, g: g, eng: eng}
 	if err := m.cancelled(); err != nil {
 		return nil, err
 	}
@@ -208,22 +193,6 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 
 func (m *mlState) cancelled() error { return m.ctx.Err() }
 
-// estimateMembers scores a sorted member list through the engine's uncached
-// path, once per distinct list: refinement passes ask again about the same
-// P∖{u} and Q∪{u} at every level and in every pass.
-func (m *mlState) estimateMembers(members []sdf.NodeID) (*pee.Estimate, error) {
-	m.stats.Estimates++
-	h := sdf.HashMembers(members)
-	for _, e := range m.memo[h] {
-		if slices.Equal(e.members, members) {
-			return e.est, e.err
-		}
-	}
-	est, err := m.eng.EstimateMembers(members)
-	m.memo[h] = append(m.memo[h], memoEntry{members: slices.Clone(members), est: est, err: err})
-	return est, err
-}
-
 // seed builds one singleton partition per unit of lvl. It returns ok=false
 // when some unit is unschedulable and a finer level should be tried; at
 // level 0 (hard=true) that is a compile error matching the exact path's.
@@ -240,7 +209,7 @@ func (m *mlState) seed(lvl *CoarseLevel, hard bool) (bool, error) {
 			return false, err
 		}
 		members := lvl.Members(u)
-		est, err := m.estimateMembers(members)
+		est, err := m.eng.Estimate(members)
 		if err != nil {
 			if !hard {
 				return false, nil
@@ -354,7 +323,7 @@ func (m *mlState) mergePhase(q *quotient) error {
 						continue
 					}
 					union := mergeSorted(a.members, b.members)
-					est, err := m.estimateMembers(union)
+					est, err := m.eng.Estimate(union)
 					if err != nil {
 						continue
 					}
@@ -468,7 +437,7 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 					}
 					b, c := m.parts[neigh[x]], m.parts[neigh[y]]
 					union := mergeSorted(mergeSorted(a.members, b.members), c.members)
-					est, err := m.estimateMembers(union)
+					est, err := m.eng.Estimate(union)
 					if err != nil {
 						continue
 					}
@@ -540,7 +509,7 @@ func (m *mlState) allNodesPhase(numUnits int) error {
 	for i := range all {
 		all[i] = sdf.NodeID(i)
 	}
-	est, err := m.estimateMembers(all)
+	est, err := m.eng.Estimate(all)
 	if err != nil {
 		return nil // does not fit as one kernel; keep the multi-partition result
 	}

@@ -86,10 +86,12 @@ type partitioner struct {
 	assigned []int   // node -> index into parts, -1 if none
 
 	// Scratch reused by every Try-Merge: each candidate union is built in
-	// the one union set and convexity checks reuse the checker's traversal
-	// buffers, so the scan allocates only for accepted merges.
+	// the one union set, listed into members for the engine, and convexity
+	// checks reuse the checker's traversal buffers, so the scan allocates
+	// only for accepted merges and memo misses.
 	union     sdf.NodeSet
 	convex    *sdf.ConvexChecker
+	members   []sdf.NodeID
 	idScratch []sdf.NodeID
 }
 
@@ -137,15 +139,23 @@ func (p *partitioner) cancelled() error {
 	return nil
 }
 
+// estimate scores a node set through the engine's member-list memo and
+// returns its verdict with its granularity scale.
+func (p *partitioner) estimate(set sdf.NodeSet) (*pee.Estimate, int64, error) {
+	p.members = set.AppendMembers(p.members[:0])
+	est, err := p.eng.Estimate(p.members)
+	return est, p.eng.ScaleOf(p.members), err
+}
+
 // makePartition estimates a node set and wraps it (no subgraph extraction;
 // see cand); infeasible sets return an error. The set is referenced, not
 // copied — callers passing scratch sets must pass a durable clone.
 func (p *partitioner) makePartition(set sdf.NodeSet) (*cand, error) {
-	est, err := p.eng.EstimateSet(set)
+	est, scale, err := p.estimate(set)
 	if err != nil {
 		return nil, err
 	}
-	return &cand{set: set, est: est, scale: p.eng.ScaleOf(set)}, nil
+	return &cand{set: set, est: est, scale: scale}, nil
 }
 
 // tryMergeSets evaluates the merge criterion on a candidate union given the
@@ -156,11 +166,10 @@ func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *cand 
 	if !p.convex.IsConvex(union) {
 		return nil
 	}
-	est, err := p.eng.EstimateSet(union)
+	est, scale, err := p.estimate(union)
 	if err != nil {
 		return nil // SM violation or unschedulable: merge rejected
 	}
-	scale := p.eng.ScaleOf(union)
 	if est.TUS*float64(scale) >= combinedTW {
 		return nil
 	}

@@ -26,11 +26,13 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 	for i := range assigned {
 		assigned[i] = -1
 	}
+	var members []sdf.NodeID
 	fits := func(set sdf.NodeSet) bool {
 		// The previous work requires at least one execution to fit in SM.
 		// The engine's memoized view path scores the candidate without
 		// extracting it (the estimate of the extracted subgraph).
-		est, err := eng.EstimateSet(set)
+		members = set.AppendMembers(members[:0])
+		est, err := eng.Estimate(members)
 		if err != nil {
 			return false
 		}
@@ -73,11 +75,12 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 
 	res := &Result{Graph: g}
 	for _, set := range sets {
-		est, err := eng.EstimateSet(set)
+		members := set.Members()
+		est, err := eng.Estimate(members)
 		if err != nil {
 			return nil, fmt.Errorf("partition: prevwork produced unschedulable partition %v: %w", set, err)
 		}
-		res.Parts = append(res.Parts, &Partition{Members: set.Members(), Scale: eng.ScaleOf(set), Est: est})
+		res.Parts = append(res.Parts, &Partition{Members: members, Scale: eng.ScaleOf(members), Est: est})
 	}
 	if err := CheckConnected(g, res.Parts); err != nil {
 		return nil, err
@@ -107,15 +110,15 @@ func adjacentToSet(g *sdf.Graph, set sdf.NodeSet, id sdf.NodeID) bool {
 // of [10], the baseline of the SOSP metric). It fails if the whole graph
 // cannot fit one execution in shared memory.
 func SinglePartition(g *sdf.Graph, eng *pee.Engine) (*Result, error) {
-	all := sdf.NewNodeSet(g.NumNodes())
-	for _, n := range g.Nodes {
-		all.Add(n.ID)
+	all := make([]sdf.NodeID, g.NumNodes())
+	for i := range all {
+		all[i] = sdf.NodeID(i)
 	}
-	est, err := eng.EstimateSet(all)
+	est, err := eng.Estimate(all)
 	if err != nil {
 		return nil, fmt.Errorf("partition: single-partition mapping infeasible: %w", err)
 	}
-	res := &Result{Graph: g, Parts: []*Partition{{Members: all.Members(), Scale: eng.ScaleOf(all), Est: est}}}
+	res := &Result{Graph: g, Parts: []*Partition{{Members: all, Scale: eng.ScaleOf(all), Est: est}}}
 	for i := range res.CountAfterPhase {
 		res.CountAfterPhase[i] = 1
 	}

@@ -92,11 +92,11 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 	umem := lvl.Members(int(u))
 	pMem := subtractSorted(p.members, umem)
 	qMem := mergeSorted(qq.members, umem)
-	estP, err := m.estimateMembers(pMem)
+	estP, err := m.eng.Estimate(pMem)
 	if err != nil {
 		return false
 	}
-	estQ, err := m.estimateMembers(qMem)
+	estQ, err := m.eng.Estimate(qMem)
 	if err != nil {
 		return false
 	}

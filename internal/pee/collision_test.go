@@ -1,9 +1,9 @@
 package pee
 
-// Forced-collision test for the memo's word-compare fallback: with the hash
-// function pinned to a constant, every set lands in one bucket, so only the
-// NodeSet.Equal scan keeps entries apart. Distinct sets must still return
-// their own estimates and the collision counter must advance.
+// Forced-collision test for the memo's list-compare fallback: with the hash
+// function pinned to a constant, every member list lands in one bucket, so
+// only comparing the stored lists keeps entries apart. Distinct lists must
+// still return their own estimates on query and on re-query.
 
 import (
 	"testing"
@@ -13,9 +13,9 @@ import (
 )
 
 func TestMemoCollisionFallback(t *testing.T) {
-	orig := setHash
-	setHash = func(sdf.NodeSet) uint64 { return 42 }
-	defer func() { setHash = orig }()
+	orig := listHash
+	listHash = func([]sdf.NodeID) uint64 { return 42 }
+	defer func() { listHash = orig }()
 
 	g, err := sdf.Flatten("p", sdf.Pipe("p",
 		sdf.F(work("a", 4, 10)),
@@ -26,41 +26,40 @@ func TestMemoCollisionFallback(t *testing.T) {
 	}
 	e := NewEngine(g, ProfileGraph(g, gpu.M2090()))
 
-	sets := []sdf.NodeSet{
-		sdf.SingletonSet(g.NumNodes(), 0),
-		sdf.SingletonSet(g.NumNodes(), 1),
-		sdf.SingletonSet(g.NumNodes(), 2),
-	}
-	ests := make([]*Estimate, len(sets))
-	for i, s := range sets {
-		est, err := e.EstimateSet(s)
+	lists := [][]sdf.NodeID{{0}, {1}, {2}, {0, 1, 2}}
+	ests := make([]*Estimate, len(lists))
+	scratch := make([]sdf.NodeID, 0, 3)
+	for i, l := range lists {
+		// The engine must own what it stores: the caller's slice is reused.
+		scratch = append(scratch[:0], l...)
+		est, err := e.Estimate(scratch)
 		if err != nil {
-			t.Fatalf("set %v: %v", s, err)
+			t.Fatalf("list %v: %v", l, err)
 		}
 		ests[i] = est
 	}
-	// All three hashed to bucket 42: inserts 2 and 3 are collisions.
-	if st := e.Stats(); st.Collisions != 2 {
-		t.Fatalf("collisions = %d, want 2", st.Collisions)
-	}
 	// Re-querying must hit the right entry despite the shared bucket.
-	for i, s := range sets {
-		est, err := e.EstimateSet(s)
+	for i, l := range lists {
+		est, err := e.Estimate(l)
 		if err != nil {
-			t.Fatalf("requery set %v: %v", s, err)
+			t.Fatalf("requery list %v: %v", l, err)
 		}
 		if est != ests[i] {
-			t.Fatalf("set %v returned a different entry on re-query", s)
+			t.Fatalf("list %v returned a different entry on re-query", l)
 		}
 	}
 	// The three filters have different Ops, so their compute times must
-	// differ — shared entries would indicate misattribution.
-	if ests[0] == ests[1] || ests[1] == ests[2] ||
-		ests[0].TcompUS == ests[1].TcompUS || ests[1].TcompUS == ests[2].TcompUS {
-		t.Fatalf("distinct sets share estimates under forced collisions: %+v %+v %+v",
-			ests[0], ests[1], ests[2])
+	// differ, and the whole pipeline computes longer than any one filter —
+	// shared entries would indicate misattribution.
+	for i := range ests {
+		for j := i + 1; j < len(ests); j++ {
+			if ests[i] == ests[j] || ests[i].TcompUS == ests[j].TcompUS {
+				t.Fatalf("lists %v and %v share estimates under forced collisions: %+v %+v",
+					lists[i], lists[j], ests[i], ests[j])
+			}
+		}
 	}
-	if st := e.Stats(); st.Queries != 6 || st.Misses != 3 || st.Hits() != 3 {
-		t.Fatalf("stats %+v, want 6 queries / 3 misses / 3 hits", e.Stats())
+	if st := e.Stats(); st.Queries != 8 || st.Misses != 4 || st.Hits() != 4 {
+		t.Fatalf("stats %+v, want 8 queries / 4 misses / 4 hits", st)
 	}
 }

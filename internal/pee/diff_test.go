@@ -2,7 +2,7 @@ package pee_test
 
 // Differential property test for the hash-keyed memo: over synthetic graphs
 // from the same generator the corpus uses, the engine's hash-keyed,
-// view-scored EstimateSet must return byte-identical estimates to a
+// view-scored Estimate must return byte-identical estimates to a
 // reference memo keyed on the collision-free NodeSet.String form and scored
 // through Extract + EstimateSubgraph — the pre-refactor path. A divergence
 // would mean either the view scoring drifted from the materialized scoring
@@ -97,7 +97,7 @@ func TestHashMemoMatchesStringKeyedReference(t *testing.T) {
 		eng := pee.NewEngine(g, prof)
 		ref := &refEstimate{g: g, prof: prof, memo: map[string]refEntry{}}
 		for _, set := range candidateSets(t, g) {
-			got, gotErr := eng.EstimateSet(set)
+			got, gotErr := eng.Estimate(set.Members())
 			want, wantErr := ref.estimate(set)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d set %v: error mismatch: engine %v, reference %v", seed, set, gotErr, wantErr)
@@ -114,14 +114,11 @@ func TestHashMemoMatchesStringKeyedReference(t *testing.T) {
 		}
 		// Scoring twice from a warm memo must be stable too.
 		for _, set := range candidateSets(t, g) {
-			got, gotErr := eng.EstimateSet(set)
+			got, gotErr := eng.Estimate(set.Members())
 			want, wantErr := ref.estimate(set)
 			if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && !estimatesEqual(got, want)) {
 				t.Fatalf("seed %d set %v: warm re-query diverged", seed, set)
 			}
-		}
-		if st := eng.Stats(); st.Collisions != 0 {
-			t.Logf("seed %d: %d genuine 64-bit hash collisions (fallback compare engaged)", seed, st.Collisions)
 		}
 	}
 }
@@ -139,7 +136,7 @@ func TestScaleOfMatchesExtract(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if got := eng.ScaleOf(set); got != sub.Scale {
+		if got := eng.ScaleOf(set.Members()); got != sub.Scale {
 			t.Fatalf("set %v: ScaleOf %d != Extract scale %d", set, got, sub.Scale)
 		}
 	}

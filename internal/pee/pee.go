@@ -22,6 +22,7 @@ package pee
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"streammap/internal/gpu"
@@ -113,14 +114,15 @@ type Estimate struct {
 // data-transfer time (the classification driving partitioning phase 3).
 func (e *Estimate) ComputeBound() bool { return e.TcompUS >= e.TdtUS }
 
-// Engine estimates subgraphs against one profile, memoizing by node set.
-// It is not safe for concurrent use: each compile owns its engine and
-// queries it from one goroutine.
+// Engine estimates subgraphs against one profile, memoizing by member list.
+// It is not safe for concurrent use. An engine lives for one partitioning
+// run, on that run's goroutine, and no long-lived struct holds one, so the
+// memo dies with the run that filled it.
 //
-// The hot path is allocation-lean: queries key on sdf.NodeSet.Hash (no
-// string key is built), hits return after a word-compare against the stored
-// set, and misses score the candidate through a reused sdf.SubView instead
-// of materializing the subgraph with Extract.
+// The hot path is allocation-lean: queries key on sdf.HashMembers (no string
+// key is built), hits return after comparing the stored list, and misses
+// score the candidate through a reused sdf.SubView instead of materializing
+// the subgraph with Extract.
 type Engine struct {
 	Graph *sdf.Graph
 	Prof  *Profile
@@ -129,38 +131,39 @@ type Engine struct {
 	// plain slices instead of calling into the graph.
 	rep []int64 // parent repetition vector, indexed by node id
 
-	// memo buckets entries by set hash; a bucket with more than one entry is
-	// a hash collision, disambiguated by the word-compare in bucketFind.
-	memo                                  map[uint64][]*memoEntry
-	queries, misses, collisions, uncached int64
+	// memo buckets entries by list hash; a bucket with more than one entry
+	// is a hash collision, told apart by comparing the lists.
+	memo            map[uint64][]memoEntry
+	queries, misses int64
 
 	scratch estScratch
 }
 
+// memoEntry is one scored member list: an owned clone, the collision-safe
+// identity, beside its verdict.
 type memoEntry struct {
-	set sdf.NodeSet // owned clone; the collision-safe identity
-	est *Estimate
-	err error
+	members []sdf.NodeID
+	est     *Estimate
+	err     error
 }
 
-// estScratch is the scoring workspace: a memo miss's member list, the
-// subgraph view plus the sweep's candidate buffers.
+// estScratch is the scoring workspace: the subgraph view plus the sweep's
+// candidate buffers.
 type estScratch struct {
-	ids   []sdf.NodeID
 	view  sdf.SubView
 	costs []nodeCost
 	sVals []int
 }
 
-// setHash is the memo hash function, a var so the collision-fallback test
-// can force every set into one bucket.
-var setHash = sdf.NodeSet.Hash
+// listHash is the memo hash function, a var so the collision test can force
+// every list into one bucket.
+var listHash = sdf.HashMembers
 
 // NewEngine returns an estimation engine for the profiled graph. The graph
 // must have a steady state (ProfileGraph's precondition too): the engine
 // snapshots the repetition vector for the scoring hot path.
 func NewEngine(g *sdf.Graph, prof *Profile) *Engine {
-	e := &Engine{Graph: g, Prof: prof, memo: map[uint64][]*memoEntry{}}
+	e := &Engine{Graph: g, Prof: prof, memo: map[uint64][]memoEntry{}}
 	e.rep = make([]int64, g.NumNodes())
 	for _, n := range g.Nodes {
 		e.rep[n.ID] = g.Rep(n.ID)
@@ -170,10 +173,12 @@ func NewEngine(g *sdf.Graph, prof *Profile) *Engine {
 
 // Stats is the engine's instrumentation snapshot.
 type Stats struct {
-	Queries    int64 // EstimateSet calls
-	Misses     int64 // queries that computed a fresh estimate
-	Collisions int64 // memo inserts whose 64-bit hash bucket was occupied
-	Uncached   int64 // EstimateMembers calls, scored outside this memo (the multilevel flow memoizes above the engine)
+	Queries int64 // Estimate calls
+	Misses  int64 // queries that computed a fresh estimate
+	// Uncached is always zero: every estimate goes through the memo. The
+	// field survives only because the frozen bench/compile.go reads it, and
+	// the next change to the benchmark drops it.
+	Uncached int64
 }
 
 // Hits returns the memoized-query count.
@@ -189,81 +194,51 @@ func (s Stats) HitRate() float64 {
 
 // String renders the snapshot for reports and stage provenance.
 func (s Stats) String() string {
-	out := fmt.Sprintf("queries=%d hits=%d misses=%d hitRate=%.3f collisions=%d",
-		s.Queries, s.Hits(), s.Misses, s.HitRate(), s.Collisions)
-	if s.Uncached > 0 {
-		out += fmt.Sprintf(" uncached=%d", s.Uncached)
-	}
-	return out
+	return fmt.Sprintf("queries=%d hits=%d misses=%d hitRate=%.3f", s.Queries, s.Hits(), s.Misses, s.HitRate())
 }
 
 // Stats returns the engine's instrumentation counters.
-func (e *Engine) Stats() Stats {
-	return Stats{Queries: e.queries, Misses: e.misses, Collisions: e.collisions, Uncached: e.uncached}
-}
+func (e *Engine) Stats() Stats { return Stats{Queries: e.queries, Misses: e.misses} }
 
-// ScaleOf returns the granularity scale Extract would record for set: the
-// gcd of the members' parent repetition counts (parent reps = Scale * sub
-// reps). It reads the engine's precomputed repetition table and allocates
-// nothing, letting the partitioner compare workloads without extracting.
-func (e *Engine) ScaleOf(set sdf.NodeSet) int64 {
+// ScaleOf returns the granularity scale Extract would record for an
+// ascending member list: the gcd of the members' parent repetition counts
+// (parent reps = Scale * sub reps). It reads the engine's precomputed
+// repetition table and allocates nothing, letting the partitioner compare
+// workloads without extracting.
+func (e *Engine) ScaleOf(members []sdf.NodeID) int64 {
 	var g int64
-	set.ForEach(func(id sdf.NodeID) {
+	for _, id := range members {
 		a, b := g, e.rep[id]
 		for b != 0 {
 			a, b = b, a%b
 		}
 		g = a
-	})
+	}
 	if g == 0 {
 		return 1
 	}
 	return g
 }
 
-// bucketFind scans a bucket for the entry matching set exactly.
-func bucketFind(bucket []*memoEntry, set sdf.NodeSet) *memoEntry {
-	for _, m := range bucket {
-		if m.set.Equal(set) {
-			return m
+// Estimate estimates the partition given as an ascending member list of the
+// parent graph, once per distinct list: the memo stores an owned clone, so
+// the caller may reuse its slice. The hit path performs no allocation. A
+// miss scores the members through the view path, which reproduces scoring
+// the extracted subgraph bit for bit: the same member order drives the same
+// cost summation, the same SM and I/O byte totals feed the same parameter
+// sweep, and the same infeasibility conditions yield the same errors.
+func (e *Engine) Estimate(members []sdf.NodeID) (*Estimate, error) {
+	e.queries++
+	h := listHash(members)
+	for _, m := range e.memo[h] {
+		if slices.Equal(m.members, members) {
+			return m.est, m.err
 		}
 	}
-	return nil
-}
-
-// EstimateSet estimates the partition given as a node set of the parent
-// graph. The hit path performs no allocation. A miss scores the set's
-// members through the view path, which reproduces scoring the extracted
-// subgraph bit for bit: the same member order drives the same cost
-// summation, the same SM and I/O byte totals feed the same parameter sweep,
-// and the same infeasibility conditions yield the same errors.
-func (e *Engine) EstimateSet(set sdf.NodeSet) (*Estimate, error) {
-	e.queries++
-	h := setHash(set)
-	if m := bucketFind(e.memo[h], set); m != nil {
-		return m.est, m.err
-	}
 	e.misses++
-	if len(e.memo[h]) > 0 {
-		e.collisions++
-	}
-	entry := &memoEntry{set: set.Clone()}
-	e.scratch.ids = set.AppendMembers(e.scratch.ids[:0])
-	entry.est, entry.err = e.estimate(e.scratch.ids)
-	e.memo[h] = append(e.memo[h], entry)
-	return entry.est, entry.err
-}
-
-// EstimateMembers scores an ascending member list like EstimateSet but
-// entirely outside the memo: no lookup, no stored set, no bitset at all —
-// the call is O(members + incident edges) regardless of parent graph size.
-// The multilevel partitioner uses it for coarse-candidate scoring, where
-// cloning a 10^6-capacity bitset per memo insert would dominate memory. It
-// memoizes above the engine, by member list and for one run only, so every
-// call it makes scores a list it has not asked about before.
-func (e *Engine) EstimateMembers(members []sdf.NodeID) (*Estimate, error) {
-	e.uncached++
-	return e.estimate(members)
+	est, err := e.estimate(members)
+	e.memo[h] = append(e.memo[h], memoEntry{members: slices.Clone(members), est: est, err: err})
+	return est, err
 }
 
 // nodeCost is one member's contribution to Tcomp: t_i in cycles and the

@@ -127,11 +127,10 @@ func TestInfeasibleSubgraph(t *testing.T) {
 func TestEngineMemoizes(t *testing.T) {
 	g, _ := sdf.Flatten("p", sdf.Pipe("p", sdf.F(work("a", 4, 10)), sdf.F(work("b", 4, 10))))
 	e := NewEngine(g, ProfileGraph(g, gpu.M2090()))
-	set := sdf.SingletonSet(g.NumNodes(), 0)
-	if _, err := e.EstimateSet(set); err != nil {
+	if _, err := e.Estimate([]sdf.NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.EstimateSet(set.Clone()); err != nil {
+	if _, err := e.Estimate([]sdf.NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()

@@ -93,30 +93,18 @@ func (s NodeSet) Equal(t NodeSet) bool {
 	return true
 }
 
-// Hash returns a 64-bit identity of the set's contents: a splitmix64-style
-// mix of every word plus the capacity. Equal sets hash equally; distinct
-// sets collide only with ordinary 64-bit-hash probability, so callers using
-// it as a map key must keep a word-compare fallback (see pee's memo).
-func (s NodeSet) Hash() uint64 {
-	h := hashSeed(s.n)
-	for _, w := range s.words {
-		h = hashMix(h, w)
-	}
-	return h
-}
-
-// HashMembers is Hash's mix over an ascending member list, one id at a
-// time, with the same caveat: equal lists hash equally, and a map keyed by
-// it must compare the lists within a bucket.
+// HashMembers returns a 64-bit identity of an ascending member list: a
+// splitmix64-style mix of the length and then each id in turn. Equal lists
+// hash equally; distinct lists collide only with ordinary 64-bit-hash
+// probability, so a map keyed by it must compare the lists within a bucket
+// (see pee's memo).
 func HashMembers(members []NodeID) uint64 {
-	h := hashSeed(len(members))
+	h := uint64(len(members))*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
 	for _, id := range members {
 		h = hashMix(h, uint64(id))
 	}
 	return h
 }
-
-func hashSeed(n int) uint64 { return uint64(n)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D }
 
 // hashMix folds w into h with the splitmix64 finaliser.
 func hashMix(h, w uint64) uint64 {

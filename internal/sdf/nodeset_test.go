@@ -219,28 +219,23 @@ func TestNodeSetInPlaceOps(t *testing.T) {
 	}
 }
 
-func TestNodeSetHash(t *testing.T) {
-	a := NewNodeSet(200)
-	b := NewNodeSet(200)
-	for _, id := range []NodeID{0, 64, 128, 199} {
-		a.Add(id)
-		b.Add(id)
+func TestHashMembers(t *testing.T) {
+	a := []NodeID{0, 64, 128, 199}
+	b := append([]NodeID(nil), a...)
+	if HashMembers(a) != HashMembers(b) {
+		t.Fatal("equal lists hash differently")
 	}
-	if a.Hash() != b.Hash() {
-		t.Fatal("equal sets hash differently")
+	if HashMembers(a) == HashMembers([]NodeID{0, 128, 199}) {
+		t.Fatal("distinct lists share a hash (astronomically unlikely)")
 	}
-	b.Remove(64)
-	if a.Hash() == b.Hash() {
-		t.Fatal("distinct sets share a hash (astronomically unlikely)")
-	}
-	// Hash must cover capacity too: {} over n=64 vs n=128 are different sets.
-	if NewNodeSet(64).Hash() == NewNodeSet(128).Hash() {
-		t.Fatal("empty sets of different capacity share a hash")
+	// The length is mixed in: the empty list and {0} are different lists.
+	if HashMembers(nil) == HashMembers([]NodeID{0}) {
+		t.Fatal("[] and [0] share a hash")
 	}
 	// Sanity: distinct singletons spread over many buckets.
 	buckets := map[uint64]bool{}
 	for i := 0; i < 200; i++ {
-		buckets[SingletonSet(200, NodeID(i)).Hash()%64] = true
+		buckets[HashMembers([]NodeID{NodeID(i)})%64] = true
 	}
 	if len(buckets) < 32 {
 		t.Fatalf("singleton hashes hit only %d of 64 buckets", len(buckets))
@@ -261,16 +256,16 @@ func BenchmarkNodeSetLen(b *testing.B) {
 	_ = total
 }
 
-func BenchmarkNodeSetHash(b *testing.B) {
-	s := NewNodeSet(1024)
+func BenchmarkHashMembers(b *testing.B) {
+	var members []NodeID
 	for i := 0; i < 1024; i += 7 {
-		s.Add(NodeID(i))
+		members = append(members, NodeID(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var h uint64
 	for i := 0; i < b.N; i++ {
-		h ^= s.Hash()
+		h ^= HashMembers(members)
 	}
 	_ = h
 }

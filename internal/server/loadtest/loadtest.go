@@ -507,12 +507,10 @@ func (r *Result) fprintMetrics(w io.Writer) {
 		count(d, "streammap_cache_hits_total", tierLabel("memory")), count(d, "streammap_cache_hits_total", tierLabel("disk")),
 		count(d, "streammap_coalesced_total"), count(d, "streammap_rejected_total"))
 	engine := pee.Stats{
-		Queries:    count(d, "streammap_engine_queries_total"),
-		Misses:     count(d, "streammap_engine_misses_total"),
-		Collisions: count(d, "streammap_engine_collisions_total"),
+		Queries: count(d, "streammap_engine_queries_total"),
+		Misses:  count(d, "streammap_engine_misses_total"),
 	}
-	fmt.Fprintf(w, "  engine: %d queries at %.1f%% hit rate, %d collisions\n",
-		engine.Queries, engine.HitRate()*100, engine.Collisions)
+	fmt.Fprintf(w, "  engine: %d queries at %.1f%% hit rate\n", engine.Queries, engine.HitRate()*100)
 	line := func(label, name string, labels ...obs.Label) {
 		n, _ := d.Get(name+"_count", labels...)
 		if n <= 0 {

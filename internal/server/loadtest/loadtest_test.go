@@ -61,16 +61,16 @@ func TestReportDeterministic(t *testing.T) {
 	// scrapes, not the totals of a daemon that served other runs before.
 	quiet.MetricsBefore = obs.Samples{
 		"streammap_cache_misses_total": 7, `streammap_cache_hits_total{tier="memory"}`: 90,
-		"streammap_engine_queries_total": 1000, "streammap_engine_misses_total": 400, "streammap_engine_collisions_total": 2,
+		"streammap_engine_queries_total": 1000, "streammap_engine_misses_total": 400,
 	}
 	quiet.MetricsAfter = obs.Samples{
 		"streammap_cache_misses_total": 10, `streammap_cache_hits_total{tier="memory"}`: 97, "streammap_coalesced_total": 1,
-		"streammap_engine_queries_total": 1500, "streammap_engine_misses_total": 450, "streammap_engine_collisions_total": 2,
+		"streammap_engine_queries_total": 1500, "streammap_engine_misses_total": 450,
 	}
 	buf.Reset()
 	quiet.Fprint(&buf)
 	want += `  server: +3 compiles, +7 memory hits, +0 disk hits, +1 coalesced, +0 rejected
-  engine: 500 queries at 90.0% hit rate, 0 collisions
+  engine: 500 queries at 90.0% hit rate
   metrics (server-side, this run):
 `
 	if got := buf.String(); got != want {

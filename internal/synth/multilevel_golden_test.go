@@ -57,8 +57,8 @@ func multilevelGoldenInstances(t *testing.T) []goldenInstance {
 
 // TestMultilevelGolden holds the multilevel path to
 // testdata/multilevel_golden.json: per instance, the digest of the whole
-// compilation and the MLStats line (levels, merges, moves, evaluations,
-// estimates). A refactor of the multilevel partitioner that means to keep
+// compilation and the MLStats line (levels, merges, moves, evaluations)
+// followed by the engine's query count. A refactor of the multilevel partitioner that means to keep
 // every verdict keeps both; a change that means to move a plan says so and
 // replaces the entry with what this test prints.
 func TestMultilevelGolden(t *testing.T) {
@@ -82,7 +82,7 @@ func TestMultilevelGolden(t *testing.T) {
 		c, err := driver.Compile(context.Background(), g, in.opts)
 		got := mlGoldenEntry{Digest: compilationDigest(c, err)}
 		if err == nil && c.Parts.ML != nil {
-			got.ML = c.Parts.ML.String()
+			got.ML = fmt.Sprintf("%s estimates=%d", c.Parts.ML, c.Estimates.Queries)
 		}
 		if got != want[in.name] {
 			t.Errorf("%s: got %+v, recorded %+v", in.name, got, want[in.name])
