@@ -111,6 +111,7 @@ type mlState struct {
 	visit      sdf.NodeSet // unit-capacity scratch for quotient searches
 	queue      []int32
 	idxScratch []int32
+	pBuf, qBuf []sdf.NodeID // tryMove's candidate member lists
 }
 
 // Multilevel partitions g through the coarsen→merge→refine flow. It is
@@ -322,7 +323,7 @@ func (m *mlState) mergePhase(q *quotient) error {
 					if m.extPath(q, ci, pi, -1) || m.extPath(q, pi, ci, -1) {
 						continue
 					}
-					union := mergeSorted(a.members, b.members)
+					union := mergeSorted(nil, a.members, b.members)
 					est, err := m.eng.Estimate(union)
 					if err != nil {
 						continue
@@ -436,7 +437,7 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 						continue
 					}
 					b, c := m.parts[neigh[x]], m.parts[neigh[y]]
-					union := mergeSorted(mergeSorted(a.members, b.members), c.members)
+					union := mergeSorted(nil, mergeSorted(nil, a.members, b.members), c.members)
 					est, err := m.eng.Estimate(union)
 					if err != nil {
 						continue
@@ -467,7 +468,7 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 func (m *mlState) absorb(np *mlPart, pi int32) {
 	c := m.parts[pi]
 	c.dead = true
-	np.units = mergeSorted(np.units, c.units)
+	np.units = mergeSorted(nil, np.units, c.units)
 	np.minPos = min(np.minPos, c.minPos)
 	np.maxPos = max(np.maxPos, c.maxPos)
 	self := int32(len(m.parts) - 1)
@@ -480,7 +481,7 @@ func (m *mlState) commitMerge(ci, pi int32, union []sdf.NodeID, est *pee.Estimat
 	a, b := m.parts[ci], m.parts[pi]
 	a.dead, b.dead = true, true
 	np := &mlPart{
-		units:   mergeSorted(a.units, b.units),
+		units:   mergeSorted(nil, a.units, b.units),
 		members: union,
 		est:     est,
 		scale:   sc,
@@ -539,9 +540,10 @@ func (m *mlState) allNodesPhase(numUnits int) error {
 	return nil
 }
 
-// mergeSorted merges two ascending slices into a fresh slice.
-func mergeSorted[T int32 | sdf.NodeID](a, b []T) []T {
-	out := make([]T, 0, len(a)+len(b))
+// mergeSorted merges two ascending slices into dst's storage (nil for a
+// fresh slice).
+func mergeSorted[T int32 | sdf.NodeID](dst, a, b []T) []T {
+	out := slices.Grow(dst[:0], len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -556,9 +558,10 @@ func mergeSorted[T int32 | sdf.NodeID](a, b []T) []T {
 	return append(out, b[j:]...)
 }
 
-// subtractSorted returns a \ b for ascending slices (b ⊆ a in our usage).
-func subtractSorted(a, b []sdf.NodeID) []sdf.NodeID {
-	out := make([]sdf.NodeID, 0, len(a)-len(b))
+// subtractSorted returns a \ b for ascending slices (b ⊆ a in our usage)
+// in dst's storage.
+func subtractSorted(dst, a, b []sdf.NodeID) []sdf.NodeID {
+	out := slices.Grow(dst[:0], len(a)-len(b))
 	j := 0
 	for _, x := range a {
 		for j < len(b) && b[j] < x {

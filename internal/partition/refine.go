@@ -89,9 +89,12 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 		return false
 	}
 	p, qq := m.parts[P], m.parts[Q]
+	// The candidate lists live in reused buffers (the memo clones what it
+	// keeps); only an accepted move takes copies.
 	umem := lvl.Members(int(u))
-	pMem := subtractSorted(p.members, umem)
-	qMem := mergeSorted(qq.members, umem)
+	m.pBuf = subtractSorted(m.pBuf, p.members, umem)
+	m.qBuf = mergeSorted(m.qBuf, qq.members, umem)
+	pMem, qMem := m.pBuf, m.qBuf
 	estP, err := m.eng.Estimate(pMem)
 	if err != nil {
 		return false
@@ -115,7 +118,7 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 
 	i, _ := slices.BinarySearch(p.units, u)
 	p.units = slices.Delete(p.units, i, i+1)
-	p.members, p.est, p.scale, p.tw = pMem, estP, scP, twP
+	p.members, p.est, p.scale, p.tw = slices.Clone(pMem), estP, scP, twP
 	p.minPos, p.maxPos = int32(q.n), -1
 	for _, x := range p.units {
 		p.minPos = min(p.minPos, q.topoPos[x])
@@ -123,7 +126,7 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 	}
 	j, _ := slices.BinarySearch(qq.units, u)
 	qq.units = slices.Insert(qq.units, j, u)
-	qq.members, qq.est, qq.scale, qq.tw = qMem, estQ, scQ, twQ
+	qq.members, qq.est, qq.scale, qq.tw = slices.Clone(qMem), estQ, scQ, twQ
 	qq.minPos = min(qq.minPos, q.topoPos[u])
 	qq.maxPos = max(qq.maxPos, q.topoPos[u])
 	m.unitPart[u] = Q

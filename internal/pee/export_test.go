@@ -24,7 +24,8 @@ func EstimateSubgraph(s *sdf.Subgraph, prof *Profile) (*Estimate, error) {
 		sVals = appendCandidates(sVals, f, d)
 	}
 	sVals = finishCandidates(sVals, d)
-	return sweep(prof, costs, sVals, lay.PeakBytes, subgraphIOBytes(s))
+	sc := &estScratch{costs: costs, sVals: sVals}
+	return sc.sweep(prof, lay.PeakBytes, subgraphIOBytes(s))
 }
 
 // subgraphIOBytes returns the primary input plus output traffic, in bytes,

@@ -153,6 +153,7 @@ type estScratch struct {
 	view  sdf.SubView
 	costs []nodeCost
 	sVals []int
+	tcomp []float64 // Tcomp per candidate S, parallel to sVals
 }
 
 // listHash is the memo hash function, a var so the collision test can force
@@ -300,9 +301,34 @@ func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64
 // is wider than their combined error. DESIGN.md S3 has the argument.
 const floorMargin = 1 - 0x1p-48
 
+// floorStart returns the first W in 1..wEnd whose compute floor fl(tc/W) is
+// at most lim, or wEnd+1 when there is none. The floor does not grow with
+// W, so the W it skips are a prefix of the range.
+func floorStart(tc, lim float64, wEnd int) int {
+	if tc <= lim {
+		return 1
+	}
+	if tc/float64(wEnd) > lim {
+		return wEnd + 1
+	}
+	// tc/lim is +Inf when lim is 0 and may exceed wEnd: clamp it before
+	// converting, then settle on the exact first W.
+	W := wEnd
+	if x := tc / lim; x < float64(wEnd) {
+		W = max(int(x), 1)
+	}
+	for W > 1 && tc/float64(W-1) <= lim {
+		W--
+	}
+	for tc/float64(W) > lim {
+		W++
+	}
+	return W
+}
+
 // sweep runs the parameter selection (S, W, F) and performance model over
-// the prepared cost table: the engine's scoring core, which the tests'
-// extracted-subgraph reference shares.
+// the prepared cost table and candidate S values: the engine's scoring core,
+// which the tests' extracted-subgraph reference shares.
 //
 // The selection is the minimum of T (III.12) over every (S, W, F), ties
 // going to the first candidate in S-then-W-then-F order. F is not scanned:
@@ -312,15 +338,18 @@ const floorMargin = 1 - 0x1p-48
 //
 // is monotone non-increasing in F, so the minimum over F is at the largest
 // warp multiple, and the first F attaining it is found by binary search once,
-// for the winning (S, W) only. W is not scanned to its end either: for fixed
-// S the largest F shrinks as W grows, so once the transfer floor C1·dB/F(W)
-// reaches the incumbent no later W can beat it. This needs C1, C2 and dBytes
-// non-negative, which every profile of a device model satisfies. DESIGN.md
-// S3 has both arguments.
-func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) (*Estimate, error) {
+// for the winning (S, W) only. Nor is every W scanned. A first pass bounds
+// the optimum from above by U, the best T at the W where each S's compute
+// floor Tcomp/W meets its transfer floor C1·dB/F(W); each S's scan then
+// starts at the first W whose compute floor is at most min(U, incumbent),
+// as t ≥ fl(Tcomp/W) for every F. It stops once the transfer floor reaches
+// the incumbent: for fixed S the largest F shrinks as W grows, so no later W
+// can beat it. This needs C1, C2 and dBytes non-negative, which every
+// profile of a device model satisfies. DESIGN.md S3 has the arguments.
+func (sc *estScratch) sweep(prof *Profile, smBytes, dBytes int64) (*Estimate, error) {
 	d := &prof.Device
 	// A partition with no shared-memory demand (zero-copy filters only) is
-	// bounded by the thread cap alone: the W·S break below ends the loop.
+	// bounded by the thread cap alone.
 	maxW := d.MaxThreadsPerBlock
 	if smBytes > 0 {
 		if maxW = int(d.SharedMemPerSM / smBytes); maxW < 1 {
@@ -329,48 +358,75 @@ func sweep(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) 
 	}
 
 	maxThreads, warp := d.MaxThreadsPerBlock, d.WarpSize
+	// wEnd is the last feasible W of an S: W·S leaves F at least one warp.
+	wEnd := func(S int) int { return min(maxW, (maxThreads-warp)/S) }
+	// tAt is T at the largest F, the W's best over F.
+	tAt := func(tc float64, S, W int) float64 {
+		D := float64(dBytes) * float64(W)
+		_, _, _, t := modelCycles(tc, prof.C1*D, prof.C2*D, (maxThreads-W*S)/warp*warp, W*S, W)
+		return t
+	}
 	c1dB := prof.C1 * float64(dBytes) // the transfer floor's numerator
-	var best Params                   // F is set after the loop, for the winner
-	var bestTc float64
-	bestNF := 0
-	bestT := -1.0 // cycles; < 0 until a candidate exists
-	for _, S := range sVals {
-		var tc float64 // Tcomp(S), III.9
-		for _, nc := range costs {
+
+	// Pass 1: Tcomp(S) (III.9), summed once per S, and U. The floors meet
+	// where tc·(MaxThreadsPerBlock − W·S) = C1·dB·W with F unrounded, and
+	// U is the least T at that W. Any feasible W would do: U only has to
+	// be the T of a real candidate.
+	tcomp := sc.tcomp[:0]
+	U := -1.0
+	for _, S := range sc.sVals {
+		var tc float64
+		for _, nc := range sc.costs {
 			par := nc.f
 			if int64(S) < par {
 				par = int64(S)
 			}
 			tc += nc.cycles / float64(par)
 		}
-		for W := 1; W <= maxW; W++ {
-			ws := W * S
-			if ws >= maxThreads {
-				break
-			}
-			nF := (maxThreads - ws) / warp // F = k·warp, k in 1..nF
-			if nF < 1 {
-				continue
-			}
-			if bestT >= 0 && c1dB/float64(nF*warp)*floorMargin >= bestT {
-				break
-			}
-			D := float64(dBytes) * float64(W)
-			_, _, _, tmin := modelCycles(tc, prof.C1*D, prof.C2*D, nF*warp, ws, W)
-			if bestT >= 0 && !(tmin < bestT) {
-				continue
-			}
-			best, bestTc, bestNF, bestT = Params{S: S, W: W}, tc, nF, tmin
+		tcomp = append(tcomp, tc)
+		end := wEnd(S)
+		if end < 1 {
+			continue
+		}
+		// The quotient may pass end, or be NaN when tc and dBytes are both
+		// 0: clamp it before converting.
+		W := end
+		if x := tc * float64(maxThreads) / (c1dB + tc*float64(S)); x < float64(end) {
+			W = max(int(x), 1)
+		}
+		if t := tAt(tc, S, W); U < 0 || t < U {
+			U = t
 		}
 	}
-	if bestT < 0 {
+	sc.tcomp = tcomp
+	if U < 0 {
 		return nil, fmt.Errorf("%w: no feasible thread configuration", ErrInfeasible)
+	}
+
+	// Pass 2: the ordered scan. It keeps the first candidate attaining
+	// the minimum, and U guarantees it reaches one.
+	var best Params // F is set after the loop, for the winner
+	var bestTc float64
+	bestT := -1.0 // cycles; < 0 until a candidate exists
+	for i, S := range sc.sVals {
+		tc, end, lim := tcomp[i], wEnd(S), U
+		if bestT >= 0 {
+			lim = min(lim, bestT)
+		}
+		for W := floorStart(tc, lim, end); W <= end; W++ {
+			if bestT >= 0 && c1dB/float64((maxThreads-W*S)/warp*warp)*floorMargin >= bestT {
+				break
+			}
+			if tmin := tAt(tc, S, W); bestT < 0 || tmin < bestT {
+				best, bestTc, bestT = Params{S: S, W: W}, tc, tmin
+			}
+		}
 	}
 	D := float64(dBytes) * float64(best.W)
 	c1D, c2D, ws := prof.C1*D, prof.C2*D, best.W*best.S
 	// Smallest k with t(k) == t(Fmax): t is non-increasing in k, so
 	// t(k) <= t(Fmax) is false below the plateau and true on it.
-	lo, hi := 1, bestNF
+	lo, hi := 1, (maxThreads-ws)/warp
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if _, _, _, t := modelCycles(bestTc, c1D, c2D, mid*warp, ws, best.W); t <= bestT {
@@ -420,7 +476,7 @@ func (e *Engine) estimate(members []sdf.NodeID) (*Estimate, error) {
 	}
 	sVals = finishCandidates(sVals, d)
 	sc.costs, sc.sVals = costs, sVals
-	return sweep(prof, costs, sVals, smBytes, dBytes)
+	return sc.sweep(prof, smBytes, dBytes)
 }
 
 // Sample is one calibration observation: a kernel run with known parameters

@@ -19,22 +19,10 @@ func sweepBrute(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes in
 	if maxW < 1 {
 		return nil, fmt.Errorf("%w: need %d bytes, have %d", ErrInfeasible, smBytes, d.SharedMemPerSM)
 	}
-	tcomp := func(S int) float64 {
-		var c float64
-		for _, nc := range costs {
-			par := nc.f
-			if int64(S) < par {
-				par = int64(S)
-			}
-			c += nc.cycles / float64(par)
-		}
-		return c
-	}
-
 	best := Estimate{TUS: -1}
 	bestCycles := -1.0
 	for _, S := range sVals {
-		tc := tcomp(S)
+		tc := tcompOf(costs, S)
 		for W := 1; W <= maxW; W++ {
 			if W*S >= d.MaxThreadsPerBlock {
 				break
@@ -73,6 +61,19 @@ func sweepBrute(prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes in
 	return &best, nil
 }
 
+// tcompOf is Tcomp(S) (III.9), summed in member order.
+func tcompOf(costs []nodeCost, S int) float64 {
+	var c float64
+	for _, nc := range costs {
+		par := nc.f
+		if int64(S) < par {
+			par = int64(S)
+		}
+		c += nc.cycles / float64(par)
+	}
+	return c
+}
+
 // devProfile is a profile as ProfileGraph derives it, without a graph.
 func devProfile(d gpu.Device) *Profile {
 	return &Profile{Device: d, C1: d.GMCyclesPerTokenPerF / 4, C2: d.SwapCyclesPerToken / 4}
@@ -101,7 +102,8 @@ func sweepMembers(rng *rand.Rand, d *gpu.Device, n int, maxRate, totalCycles flo
 // the agreed estimate (nil when both report the same error).
 func checkSweep(t *testing.T, prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) *Estimate {
 	t.Helper()
-	got, gotErr := sweep(prof, costs, sVals, smBytes, dBytes)
+	sc := &estScratch{costs: costs, sVals: sVals}
+	got, gotErr := sc.sweep(prof, smBytes, dBytes)
 	want, wantErr := sweepBrute(prof, costs, sVals, smBytes, dBytes)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 		t.Fatalf("costs=%v sm=%d d=%d: err %v, brute force %v", costs, smBytes, dBytes, gotErr, wantErr)
@@ -137,6 +139,22 @@ func floorCut(prof *Profile, est *Estimate) bool {
 	return false
 }
 
+// floorSkip reports whether the compute floor had a W to skip: some feasible
+// (S, W) has fl(Tcomp(S)/W) above the selected T. W = 1 has each S's
+// highest floor, so it is the one to test.
+func floorSkip(prof *Profile, costs []nodeCost, sVals []int, est *Estimate) bool {
+	d := &prof.Device
+	p := est.Params
+	D := float64(est.DBytes) * float64(p.W)
+	_, _, _, t := modelCycles(tcompOf(costs, p.S), prof.C1*D, prof.C2*D, p.F, p.W*p.S, p.W)
+	for _, S := range sVals {
+		if S+d.WarpSize <= d.MaxThreadsPerBlock && tcompOf(costs, S) > t {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSweepMatchesBruteForce is the sweep's referee: on seeded random
 // inputs per device the pruned selection returns the very Estimate (==, and
 // the same error text) the exhaustive scan does. The draw is shaped so the
@@ -152,7 +170,7 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 			t.Parallel()
 			prof := devProfile(d)
 			rng := rand.New(rand.NewSource(0x5EEB + int64(d.NumSMs)))
-			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound, cut int
+			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound, cut, skip int
 			for c := 0; c < cases; c++ {
 				totalCycles := logUniform(rng, 1, 1e15)
 				maxRate := float64(4 * d.MaxThreadsPerBlock)
@@ -201,10 +219,13 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				if floorCut(prof, est) {
 					cut++
 				}
+				if floorSkip(prof, costs, sVals, est) {
+					skip++
+				}
 			}
 			corners := map[string]int{"dBytes == 0": noIO, "partial plateau": partialPlateau,
 				"cycles > 1e14": hugeCycles, "infeasible": infeasible, "rate >= MaxThreadsPerBlock": bigRate, "I/O bound": ioBound,
-				"transfer floor cut the W loop": cut}
+				"transfer floor cut the W loop": cut, "compute floor skipped a W": skip}
 			t.Logf("%d cases: %v", cases, corners)
 			for name, n := range corners {
 				if n < cases/1000 {
@@ -226,6 +247,7 @@ func FuzzSweep(f *testing.F) {
 	f.Add(false, uint64(6), uint8(4), 1e6, int64(48*1024), int64(4096)) // exactly one execution fits
 	f.Add(true, uint64(7), uint8(9), 1.0, int64(16), int64(1<<30))      // I/O bound to the last thread
 	f.Add(true, uint64(9), uint8(5), 1e5, int64(512), int64(4096))      // the transfer floor cuts the W loop
+	f.Add(false, uint64(10), uint8(6), 1e9, int64(64), int64(64))       // the compute floor skips the S = 1 climb
 	f.Fuzz(func(t *testing.T, c2070 bool, seed uint64, members uint8, totalCycles float64, smBytes, dBytes int64) {
 		if smBytes < 1 || dBytes < 0 || dBytes > 1<<40 || !(totalCycles >= 0 && totalCycles <= 1e15) {
 			t.Skip()
@@ -248,7 +270,8 @@ func TestSweepZeroSharedMemory(t *testing.T) {
 	prof := devProfile(d)
 	costs := []nodeCost{{cycles: 16, f: 1}, {cycles: 16, f: 1}}
 	sVals := finishCandidates(appendCandidates(appendCandidates(nil, 1, &d), 1, &d), &d)
-	got, err := sweep(prof, costs, sVals, 0, 8)
+	sc := &estScratch{costs: costs, sVals: sVals}
+	got, err := sc.sweep(prof, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,25 +290,38 @@ func TestSweepZeroSharedMemory(t *testing.T) {
 
 var sweepSink *Estimate
 
-// BenchmarkSweep is the parameter selection alone on a typical multilevel
-// candidate: seven members, 600 B of shared memory, 2 KB of I/O.
+// BenchmarkSweep is the parameter selection alone on two multilevel-sized
+// candidates of seven members: a typical one (600 B of shared memory, 2 KB
+// of I/O) and a compute-bound one (10⁶ cycles per firing, 64 B of each),
+// where each S's best W is its last, so a scan from W = 1 visits every W.
 func BenchmarkSweep(b *testing.B) {
-	d := gpu.M2090()
-	prof := devProfile(d)
-	var costs []nodeCost
-	var sVals []int
-	for _, f := range []int64{1, 2, 4, 8, 8, 4, 2} {
-		costs = append(costs, nodeCost{cycles: float64(f) * 200, f: f})
-		sVals = appendCandidates(sVals, f, &d)
-	}
-	sVals = finishCandidates(sVals, &d)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est, err := sweep(prof, costs, sVals, 600, 2048)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweepSink = est
+	for _, bc := range []struct {
+		name            string
+		perFiring       float64
+		smBytes, dBytes int64
+	}{
+		{"typical", 200, 600, 2048},
+		{"compute-bound", 1e6, 64, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			d := gpu.M2090()
+			prof := devProfile(d)
+			var costs []nodeCost
+			var sVals []int
+			for _, f := range []int64{1, 2, 4, 8, 8, 4, 2} {
+				costs = append(costs, nodeCost{cycles: float64(f) * bc.perFiring, f: f})
+				sVals = appendCandidates(sVals, f, &d)
+			}
+			sc := &estScratch{costs: costs, sVals: finishCandidates(sVals, &d)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est, err := sc.sweep(prof, bc.smBytes, bc.dBytes)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sweepSink = est
+			}
+		})
 	}
 }
