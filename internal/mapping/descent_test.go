@@ -265,14 +265,18 @@ func sameDescent(t *testing.T, what string, p *Problem, seed []int) descentStats
 // assignment projected onto fewer GPUs.
 func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 	// mixed reports whether descents, taken together, both rejected
-	// candidates on the time bound and scored survivors' links.
+	// candidates on the time bound and scored survivors' links, and met both
+	// kinds of swap-scan event: a survivor scored to an accept, and a
+	// rejected swap whose undo left a rounding residue in gpuT.
 	mixed := func(sts []descentStats) bool {
-		var filtered, scored int
+		var filtered, scored, accepts, residues int
 		for _, st := range sts {
 			filtered += st.timeRejected
 			scored += st.candidates - st.timeRejected
+			accepts += st.accepts
+			residues += st.residues
 		}
-		return filtered > 0 && scored > 0
+		return filtered > 0 && scored > 0 && accepts > 0 && residues > 0
 	}
 	// Partition times are sized per mode so GPU times and link times
 	// compete: staging through the host triples the traffic on its links.
@@ -294,7 +298,7 @@ func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 				sts = append(sts, st)
 			}
 			if !mixed(sts) {
-				t.Errorf("converging: %+v exercise only one side of the filter", sts)
+				t.Errorf("converging: %+v miss a side of the filter or a kind of event", sts)
 			}
 
 			cut := descentProblem(t, 2000, 4, m.cutMaxUS, 0xD15C)
@@ -310,7 +314,7 @@ func TestDescendDeltaMatchesUnfiltered(t *testing.T) {
 				}
 			}
 			if len(sts) == 0 || !mixed(sts) {
-				t.Errorf("budget-cut descents %+v, want at least one, filtering and scoring", sts)
+				t.Errorf("budget-cut descents %+v, want at least one, filtering, scoring and meeting both kinds of event", sts)
 			}
 
 			// The remap path: a 4-GPU local optimum folded onto 2 GPUs, small

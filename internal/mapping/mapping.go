@@ -191,26 +191,22 @@ func longestFirst(times []float64) []int {
 	return order
 }
 
-// deltaDescendEvalBudget caps candidate evaluations per descent. Small
-// instances converge long before it; in the multilevel regime the swap
-// neighborhood is millions of candidates per sweep and the sweep count until
-// quiescence is unbounded, so each seed gets a fixed evaluation allowance (a
-// count, not a clock: the result stays deterministic and
-// machine-independent). At ~2k partitions this is a few full sweeps, which
-// is where nearly all of the improvement lands.
+// deltaDescendEvalBudget caps candidate evaluations per descent: a count,
+// not a clock, so results are machine-independent. Small instances converge
+// long before it; at 1406 partitions a swap sweep is ~7·10⁵ candidates and the
+// round-robin and block seeds are still accepting when it cuts them.
 const deltaDescendEvalBudget = 8_000_000
 
 // evaluator is the mappers' working scorer: it holds the per-GPU times and
-// per-link loads of one assignment (gpuOf), rebuilt from scratch by reset
-// and updated incrementally by the two independent halves of a
-// single-partition move: the O(1) time update of the two GPUs, and reroute,
-// O(deg(i)·route), which the descent runs once per row of its move table,
-// not per candidate. Loads are exact (int64); gpuT is float and accumulates
-// rounding residue across rejected candidates, so descents rebuild it
-// (sumTimes) on every accepted improvement — drift never crosses an accept.
-// Right after that the state is reset's own (same summation order, exact
-// loads), so the objective read from it is Evaluate's Objective bit for bit.
-// Not safe for concurrent use; each descent owns one.
+// per-link loads of one assignment (gpuOf), rebuilt from scratch by reset and
+// updated incrementally by the two independent halves of a single-partition
+// move: the O(1) time update of the two GPUs, and reroute, O(deg(i)·route),
+// which the descent runs once per row of its move table, not per candidate.
+// Loads are exact (int64); gpuT is float and accumulates rounding residue
+// across rejected candidates, so the descent restores reset's index-order
+// folds on every accept: drift never crosses one, and the state is then
+// reset's own, so the objective read from it is Evaluate's Objective bit for
+// bit. Not safe for concurrent use; each descent owns one.
 type evaluator struct {
 	p        *Problem
 	times    []float64 // PartTimeUS table
@@ -269,7 +265,12 @@ func newEvaluator(p *Problem) *evaluator {
 // move partitions passes math.Inf(1), which always yields the exact objective.
 func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
 	copy(ev.gpuOf, gpuOf)
-	ev.sumTimes()
+	clear(ev.gpuT) // each GPU's placed partitions' T_i, folded in index order
+	for i, k := range ev.gpuOf {
+		if k >= 0 {
+			ev.gpuT[k] += ev.times[i]
+		}
+	}
 	obj := gpuMax(ev.gpuT)
 	if obj >= cut {
 		return obj
@@ -301,16 +302,6 @@ func (ev *evaluator) reset(gpuOf []int, cut float64) float64 {
 func (ev *evaluator) assignment(gpuOf []int, method string) *Assignment {
 	obj := ev.reset(gpuOf, math.Inf(1))
 	return &Assignment{GPUOf: slices.Clone(ev.gpuOf), Method: method, Objective: obj}
-}
-
-// sumTimes sums each GPU's placed partitions' T_i, in index order.
-func (ev *evaluator) sumTimes() {
-	clear(ev.gpuT)
-	for i, k := range ev.gpuOf {
-		if k >= 0 {
-			ev.gpuT[k] += ev.times[i]
-		}
-	}
 }
 
 // addLoad adds bytes (negative to subtract) to every link of a route.
@@ -460,6 +451,7 @@ type descentStats struct {
 	candidates   int  // moves and swaps scored
 	timeRejected int  // of those, rejected by the per-GPU time bound alone
 	accepts      int  // improvements adopted
+	residues     int  // rejected swaps whose undo changed gpuT
 	budgetCut    bool // stopped by deltaDescendEvalBudget, not by convergence
 }
 
@@ -468,24 +460,24 @@ type descentStats struct {
 func descent(ctx context.Context, p *Problem, seed string, gpuOf []int) *Assignment {
 	_, span := obs.StartSpan(ctx, "map.descent")
 	a, st := descendDelta(ctx, p, gpuOf)
-	span.Notef("seed=%s candidates=%d time_rejected=%d accepts=%d budget_cut=%t",
-		seed, st.candidates, st.timeRejected, st.accepts, st.budgetCut)
+	span.Notef("seed=%s candidates=%d time_rejected=%d accepts=%d residues=%d budget_cut=%t",
+		seed, st.candidates, st.timeRejected, st.accepts, st.residues, st.budgetCut)
 	span.End()
 	return a
 }
 
-// descendDelta is the mapper's one descent, at every instance size: rounds
-// of single-partition moves, then pairwise swaps, each candidate accepted
-// when it lowers the objective by more than 1e-9, under the
-// deltaDescendEvalBudget allowance. A candidate's O(1) per-GPU time updates
-// come first — the largest GPU time bounds the objective from below — and
-// only survivors have their load change, summed from the maintained move
-// rows, held to the link caps. A rejected candidate's time updates are
-// undone in the order a whole-move undo would apply them: the rounding
-// residue they leave in gpuT is what later candidates are scored against.
-// So the descent visits exactly the assignments an unfiltered one would;
-// DESIGN.md S5 has the argument, the test-only descendDeltaUnfiltered and
-// descendRescan are the referees.
+// descendDelta is the mapper's one descent, at every instance size: rounds of
+// single-partition moves, then pairwise swaps, each candidate accepted when it
+// lowers the objective by more than 1e-9, under the deltaDescendEvalBudget
+// allowance. A candidate's O(1) per-GPU time updates come first — the largest
+// GPU time bounds the objective from below — and only survivors have their
+// load change, summed from the maintained move rows, held to the link caps. A
+// rejected candidate's time updates are undone in the order a whole-move undo
+// would apply them: the rounding residue they leave in gpuT is what later
+// candidates are scored against. Swaps are scanned from event to event
+// (scanSwaps). So the descent visits exactly the assignments an unfiltered
+// one would; DESIGN.md S5 has the argument, the test-only
+// descendDeltaUnfiltered and descendRescan are the referees.
 func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, descentStats) {
 	n := p.PDG.NumParts()
 	g := p.Topo.NumGPUs()
@@ -510,16 +502,6 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 		}
 	}
 	rows := make([]int64, n*g*2*C)
-	// at returns row x's change on link l, x a move from GPU a to b.
-	at := func(x, a, b, l int) int64 {
-		if s := slot[a*L+l]; s >= 0 {
-			return rows[2*C*x+int(s)]
-		}
-		if s := slot[b*L+l]; s >= 0 {
-			return rows[2*C*x+C+int(s)]
-		}
-		return 0
-	}
 	delta := make([]int64, L) // the load change of the candidate being tried
 	addRow := func(x, a, b int) {
 		r := rows[2*C*x:][:2*C]
@@ -544,8 +526,10 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 			}
 		}
 	}
+	members := make([][]int, g) // GPU -> its partitions, ascending
 	for i := 0; i < n; i++ {
 		refresh(i)
+		members[ev.gpuOf[i]] = append(members[ev.gpuOf[i]], i)
 	}
 	// fits reports whether every link stays below its cap with delta added.
 	// A rejected delta is cleared, and hot becomes the link it failed on.
@@ -560,29 +544,71 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 		}
 		return true
 	}
-	// accept adopts the candidate ev.gpuOf and delta now hold: after it the
-	// state is reset's, and the rows of the moved partitions and their PDG
-	// neighbours are re-routed.
-	accept := func(moved ...int) {
+	folds := slices.Clone(ev.gpuT) // GPU -> its members' T_i folded in index order
+	// accept adopts the candidate ev.gpuOf and delta now hold, a move between
+	// GPUs ga and gb: the rows of the moved partitions and their PDG
+	// neighbours are re-routed and ga and gb refolded, so the state is reset's.
+	accept := func(ga, gb int, moved ...int) {
 		st.accepts++
 		for l, d := range delta {
 			ev.loads[l] += d
 		}
 		clear(delta)
-		ev.sumTimes()
-		cur = linkMax(p.Topo, ev.loads, gpuMax(ev.gpuT))
-		ev.setCaps(cur - 1e-9)
 		for _, i := range moved {
+			from, to := ga+gb-ev.gpuOf[i], ev.gpuOf[i]
+			x, _ := slices.BinarySearch(members[from], i)
+			members[from] = slices.Delete(members[from], x, x+1)
+			x, _ = slices.BinarySearch(members[to], i)
+			members[to] = slices.Insert(members[to], x, i)
 			refresh(i)
 			for _, ei := range ev.incident[i] {
 				e := &p.PDG.Edges[ei]
 				refresh(e.From + e.To - i)
 			}
 		}
+		for _, k := range [...]int{ga, gb} {
+			f := 0.0
+			for _, m := range members[k] {
+				f += ev.times[m]
+			}
+			folds[k] = f
+		}
+		copy(ev.gpuT, folds)
+		cur = linkMax(p.Topo, ev.loads, gpuMax(ev.gpuT))
+		ev.setCaps(cur - 1e-9)
 	}
 	finish := func(cut bool) (*Assignment, descentStats) {
 		st.budgetCut = cut
 		return ev.assignment(ev.gpuOf, "local"), st
+	}
+	// next aims tg at i's swaps from the state as it is and scans from j on.
+	tg := make([]swapTarget, g)
+	next := func(i, j int) int {
+		gi, ti, thr := ev.gpuOf[i], ev.times[i], cur-1e-9
+		above := 0 // GPUs other than gi at or above thr
+		for k, t := range ev.gpuT {
+			if k != gi && t >= thr {
+				above++
+			}
+		}
+		for k, t := range ev.gpuT {
+			x := swapTarget{t: t, b: t + ti, reached: above > 1 || above == 1 && t < thr || 0 >= thr, hot: ev.loads[hot]}
+			r := rows[2*C*(i*g+k):] // row(i, k): chain[gi] first
+			if s := slot[gi*L+hot]; s >= 0 {
+				x.hot += r[s]
+			} else if s := slot[k*L+hot]; s >= 0 {
+				x.hot += r[C+int(s)]
+			}
+			if s := slot[k*L+hot]; s >= 0 {
+				x.off, x.mask = int(s), -1
+			} else if s := slot[gi*L+hot]; s >= 0 {
+				x.off, x.mask = C+int(s), -1
+			}
+			tg[k] = x
+		}
+		j, st.candidates, st.timeRejected = scanSwaps(ev.gpuOf, ev.times, rows[2*C*gi:], 2*C*g, tg, j, gi,
+			ev.gpuT[gi], ev.gpuT[gi]-ti, ti, thr, ev.caps[hot], st.candidates, st.timeRejected)
+		return j
 	}
 	pair := make([]int64, n)  // bytes the outer partition exchanges with each neighbour
 	stamp := make([]int32, n) // pair[o] is current when stamp[o] == mark
@@ -605,7 +631,7 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 					st.timeRejected++
 				} else if addRow(i*g+k, old, k); fits() {
 					ev.gpuOf[i] = k
-					accept(i)
+					accept(old, k, i)
 					improved = true
 					continue
 				}
@@ -629,11 +655,8 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 				}
 				pair[o] += e.Bytes * int64(p.FragmentIters)
 			}
-			for j := i + 1; j < n; j++ {
+			for j := next(i, i+1); j < n; j = next(i, j+1) {
 				gi, gj := ev.gpuOf[i], ev.gpuOf[j]
-				if gi == gj {
-					continue
-				}
 				st.candidates++
 				thr := cur - 1e-9
 				// i's time leaves gi for gj, then j's gj for gi (undone: j's
@@ -644,7 +667,7 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 				a, b := ev.gpuT[gi]-ti+tj, ev.gpuT[gj]+ti-tj
 				if reaches(ev.gpuT, gi, a, gj, b, thr) {
 					st.timeRejected++
-				} else if ev.loads[hot]+at(i*g+gj, gi, gj, hot)+at(j*g+gi, gj, gi, hot) < ev.caps[hot] {
+				} else if x := &tg[gj]; x.hot+rows[2*C*(j*g+gi)+x.off]&x.mask < ev.caps[hot] {
 					addRow(i*g+gj, gi, gj)
 					addRow(j*g+gi, gj, gi)
 					if stamp[j] == mark {
@@ -655,12 +678,16 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 					}
 					if fits() {
 						ev.gpuOf[i], ev.gpuOf[j] = gj, gi
-						accept(i, j)
+						accept(gi, gj, i, j)
 						improved = true
 						continue
 					}
 				}
-				ev.gpuT[gi], ev.gpuT[gj] = a-tj+ti, b+tj-ti
+				ua, ub := a-tj+ti, b+tj-ti
+				if math.Float64bits(ua) != math.Float64bits(ev.gpuT[gi]) || math.Float64bits(ub) != math.Float64bits(ev.gpuT[gj]) {
+					st.residues++
+				}
+				ev.gpuT[gi], ev.gpuT[gj] = ua, ub
 			}
 		}
 		if !improved {
@@ -671,6 +698,42 @@ func descendDelta(ctx context.Context, p *Problem, gpuOf []int) (*Assignment, de
 		}
 	}
 	return finish(false)
+}
+
+// swapTarget is what a swap of the outer partition i, on GPU gi, with a
+// partner on GPU k reads of the state, fixed between two events.
+type swapTarget struct {
+	t, b    float64 // gpuT[k], and fl(gpuT[k] + T_i)
+	reached bool    // a GPU other than gi and k, or 0, reaches the threshold
+	hot     int64   // loads[hot] + row(i, k)[hot]
+	off     int     // the hot link's offset in row(j, gi) for j on k,
+	mask    int64   // and -1, or 0 if that row does not hold it
+}
+
+// scanSwaps walks i's swap partners from j on (i on GPU gi, gpuT[gi] = gT,
+// T_i = ti, a0 = fl(gT − ti), rows from gi's on) to the first event — its
+// undo changes gpuT, or it passes the time bound and the hot-link test — and
+// returns it, or len(gpuOf), with cands and rejected counting the rest.
+func scanSwaps(gpuOf []int, times []float64, rows []int64, stride int, tg []swapTarget,
+	j, gi int, gT, a0, ti, thr float64, capHot int64, cands, rejected int) (int, int, int) {
+	for ; j < len(gpuOf); j++ {
+		gj := gpuOf[j]
+		if gj == gi {
+			continue
+		}
+		x, tj := &tg[gj], times[j]
+		a, b := a0+tj, x.b-tj
+		if math.Float64bits(a-tj+ti) != math.Float64bits(gT) || math.Float64bits(b+tj-ti) != math.Float64bits(x.t) {
+			break
+		}
+		if x.reached || a >= thr || b >= thr {
+			rejected++
+		} else if x.hot+rows[j*stride+x.off]&x.mask < capHot {
+			break
+		}
+		cands++
+	}
+	return j, cands, rejected
 }
 
 // PrevWork is the previous work's mapper: workload balancing only (LPT on
