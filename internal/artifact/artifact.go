@@ -14,16 +14,17 @@
 //   - content-addressed: the graph fingerprint and the normalized options
 //     are baked in, so a decoded artifact can be validated against the
 //     request that looks it up.
-//   - minimal: it carries only what its decoder cannot derive — the graph,
-//     the options, the profile, each partition's node list and estimate,
-//     and the placement with its objective. driver.FromArtifact (and
-//     driver.Rehydrate, over a structural twin rebuilt from the embedded
-//     GraphSpec) re-extracts the partitions, rebuilds the PDG, re-evaluates
-//     the placement and lowers the plan, the same way a compile does.
+//   - minimal: it carries only what its decoder cannot derive — the graph
+//     (each rate declared once, on its port), the options, each partition's
+//     node list and estimate, and the placement with its objective.
+//     driver.FromArtifact (and driver.Rehydrate, over a structural twin
+//     rebuilt from the embedded GraphSpec) re-profiles the graph, rebuilds
+//     the partitions and the PDG, re-evaluates the placement and lowers the
+//     plan, the same way a compile does.
 //
-// The encoding is deterministic JSON: no maps, struct fields in declaration
-// order, float64 values round-tripping exactly through Go's shortest-form
-// formatting. It holds nothing that depends on the run that produced it —
+// The encoding is deterministic compact JSON: no maps, struct fields in
+// declaration order, float64 values round-tripping exactly through Go's
+// shortest-form formatting. It holds nothing that depends on the run that produced it —
 // no clock, no counter, no worker count — so a key determines its bytes:
 // any two compilations of one (graph, device, topology, options) encode
 // identically, and byte equality (Equal) is the one comparison there is.
@@ -40,7 +41,7 @@ import (
 // FormatVersion is the current encoding version. Bump it on any change to
 // the wire schema or to the meaning of an existing field; decoders reject
 // artifacts from other versions, and the disk cache recompiles over them.
-const FormatVersion = 4
+const FormatVersion = 5
 
 // Options is the wire form of the normalized compile options that produced
 // the artifact. Workers is deliberately absent: it changes wall-clock,
@@ -59,13 +60,6 @@ type Options struct {
 	// Alg1 compiles switch to the multilevel path (-1 = never); normalized
 	// options never hold zero, so every artifact carries it.
 	MultilevelThreshold int `json:"multilevelThreshold,omitempty"`
-}
-
-// Profile is the wire form of the per-filter profiling annotation.
-type Profile struct {
-	C1              float64   `json:"c1"`
-	C2              float64   `json:"c2"`
-	PerFiringCycles []float64 `json:"perFiringCycles"`
 }
 
 // Estimate is the wire form of the estimation engine's verdict for one
@@ -141,7 +135,6 @@ type Artifact struct {
 	Graph sdf.GraphSpec `json:"graph"`
 
 	Options    Options     `json:"options"`
-	Profile    Profile     `json:"profile"`
 	Partitions []Partition `json:"partitions"`
 	Assignment Assignment  `json:"assignment"`
 
@@ -169,12 +162,8 @@ func (a *Artifact) Validate() error {
 	if P == 0 {
 		return fmt.Errorf("artifact: no partitions")
 	}
-	n := len(a.Graph.Nodes)
-	if n == 0 {
+	if len(a.Graph.Nodes) == 0 {
 		return fmt.Errorf("artifact: empty graph")
-	}
-	if len(a.Profile.PerFiringCycles) != n {
-		return fmt.Errorf("artifact: %d per-firing costs for %d nodes", len(a.Profile.PerFiringCycles), n)
 	}
 	for i, p := range a.Partitions {
 		if len(p.Nodes) == 0 {

@@ -3,6 +3,7 @@ package artifact_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,14 +160,32 @@ func TestEqualSharedPair(t *testing.T) {
 	}
 }
 
+// patch returns the golden encoding with its first old replaced by new,
+// and fails the test if there is no old to replace: a patch that did not
+// take would pass a rejection test for the wrong reason.
+func patch(t *testing.T, old, new string) []byte {
+	t.Helper()
+	golden := readGolden(t)
+	if !bytes.Contains(golden, []byte(old)) {
+		t.Fatalf("the golden encoding has no %s to replace", old)
+	}
+	return bytes.Replace(golden, []byte(old), []byte(new), 1)
+}
+
 func TestDecodeRejectsVersionMismatch(t *testing.T) {
-	data := bytes.Replace(readGolden(t), []byte(`"format": 4`), []byte(`"format": 999`), 1)
+	data := patch(t, fmt.Sprintf(`{"format":%d,`, artifact.FormatVersion), `{"format":999,`)
 	_, err := artifact.Decode(data)
 	if err == nil {
 		t.Fatal("expected version-mismatch error")
 	}
 	if !errors.Is(err, artifact.ErrVersion) {
 		t.Errorf("error %v is not ErrVersion", err)
+	}
+	// Another version's schema may differ anywhere; its version still
+	// reports itself ahead of the field it breaks.
+	data = bytes.Replace(data, []byte(`"fragmentIters":`), []byte(`"fragmentIters":"x","was":`), 1)
+	if _, err := artifact.Decode(data); !errors.Is(err, artifact.ErrVersion) {
+		t.Errorf("another version with a mistyped field: error %v is not ErrVersion", err)
 	}
 }
 
@@ -182,13 +201,16 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 func TestDecodeRejectsCorruptSections(t *testing.T) {
 	cases := []struct{ name, old, new string }{
 		{"garbage", "{", "<"},
-		{"negative fragment size", `"fragmentIters": `, `"fragmentIters": -`},
-		{"empty partitions", `"partitions": [`, `"zzz": [`},
+		{"negative fragment size", `"fragmentIters":`, `"fragmentIters":-`},
+		{"mistyped fragment size", `"fragmentIters":`, `"fragmentIters":"x","was":`},
+		{"empty partitions", `"partitions":[`, `"zzz":[`},
 	}
 	for _, c := range cases {
-		data := bytes.Replace(readGolden(t), []byte(c.old), []byte(c.new), 1)
-		if _, err := artifact.Decode(data); err == nil {
+		_, err := artifact.Decode(patch(t, c.old, c.new))
+		if err == nil {
 			t.Errorf("%s not rejected", c.name)
+		} else if errors.Is(err, artifact.ErrVersion) {
+			t.Errorf("%s reported as a version mismatch: %v", c.name, err)
 		}
 	}
 }
@@ -213,7 +235,6 @@ func TestValidateCatchesSemanticCorruption(t *testing.T) {
 		{"zero kernel parameter", func(a *artifact.Artifact) { a.Partitions[0].Est.W = 0 }},
 		{"short assignment", func(a *artifact.Artifact) { a.Assignment.GPUOf = a.Assignment.GPUOf[1:] }},
 		{"gpu out of range", func(a *artifact.Artifact) { a.Assignment.GPUOf[0] = len(a.Options.Topo.GPUNodes) }},
-		{"short profile", func(a *artifact.Artifact) { a.Profile.PerFiringCycles = a.Profile.PerFiringCycles[1:] }},
 		{"zero FragmentIters", func(a *artifact.Artifact) { a.Options.FragmentIters = 0 }},
 	} {
 		a := decode()

@@ -11,40 +11,37 @@ import (
 // are misses — but callers that care can errors.Is against this.
 var ErrVersion = errors.New("artifact: format version mismatch")
 
-// Encode serializes the artifact deterministically: equal artifacts encode
-// to equal bytes. The encoding carries FormatVersion whatever a.Format
-// says; the receiver is only read, so one artifact may be encoded (and
-// compared, see Equal) from many goroutines at once.
+// Encode serializes the artifact deterministically as compact JSON: equal
+// artifacts encode to equal bytes. The encoding carries FormatVersion
+// whatever a.Format says; the receiver is only read, so one artifact may be
+// encoded (and compared, see Equal) from many goroutines at once.
 func (a *Artifact) Encode() ([]byte, error) {
 	stamped := *a
 	stamped.Format = FormatVersion
 	if err := stamped.Validate(); err != nil {
 		return nil, fmt.Errorf("artifact: refusing to encode an inconsistent artifact: %w", err)
 	}
-	data, err := json.MarshalIndent(&stamped, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return json.Marshal(&stamped)
 }
 
-// Decode parses and validates an encoded artifact. It rejects other format
-// versions (wrapping ErrVersion), truncated or corrupt input, and
-// internally inconsistent artifacts.
+// Decode parses and validates an encoded artifact in one pass. It rejects
+// other format versions (wrapping ErrVersion), truncated or corrupt input,
+// and internally inconsistent artifacts.
 func Decode(data []byte) (*Artifact, error) {
-	// Probe the version first so a mismatch reports itself rather than
-	// surfacing as an arbitrary field error.
-	var probe struct {
-		Format int `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	a := &Artifact{}
+	err := json.Unmarshal(data, a)
+	// json.Unmarshal checks the syntax before it fills anything, and past a
+	// field of the wrong type it goes on filling the rest. So a malformed
+	// document is corrupt, and a well-formed one of another version reports
+	// its version rather than whichever field its schema changed.
+	var syntax *json.SyntaxError
+	if errors.As(err, &syntax) {
 		return nil, fmt.Errorf("artifact: corrupt encoding: %w", err)
 	}
-	if probe.Format != FormatVersion {
-		return nil, fmt.Errorf("%w: artifact has version %d, this build reads %d", ErrVersion, probe.Format, FormatVersion)
+	if a.Format != FormatVersion {
+		return nil, fmt.Errorf("%w: artifact has version %d, this build reads %d", ErrVersion, a.Format, FormatVersion)
 	}
-	a := &Artifact{}
-	if err := json.Unmarshal(data, a); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("artifact: corrupt encoding: %w", err)
 	}
 	if err := a.Validate(); err != nil {

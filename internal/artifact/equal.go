@@ -2,14 +2,16 @@ package artifact
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 )
 
 // Equal reports (as an error) the first difference between two artifacts,
 // and nil when they are the same artifact. The encoding is deterministic and
 // complete, so there is nothing to compare but its bytes: float fields match
-// bit for bit or not at all, and no section is exempt. A mismatch names the
-// first line of the indented JSON that differs.
+// bit for bit or not at all, and no section is exempt. Only on a mismatch
+// are the two encodings indented, and the report names the first line that
+// differs.
 func Equal(a, b *Artifact) error {
 	ae, err := a.Encode()
 	if err != nil {
@@ -22,9 +24,16 @@ func Equal(a, b *Artifact) error {
 	if bytes.Equal(ae, be) {
 		return nil
 	}
-	// Neither encoding is a prefix of the other (both close the top-level
-	// object on their last line), so line i exists on both sides.
-	al, bl := bytes.Split(ae, []byte("\n")), bytes.Split(be, []byte("\n"))
+	var ai, bi bytes.Buffer
+	if err := json.Indent(&ai, ae, "", " "); err != nil {
+		return err
+	}
+	if err := json.Indent(&bi, be, "", " "); err != nil {
+		return err
+	}
+	// Neither indented encoding is a prefix of the other (both close the
+	// top-level object on their last line), so line i exists on both sides.
+	al, bl := bytes.Split(ai.Bytes(), []byte("\n")), bytes.Split(bi.Bytes(), []byte("\n"))
 	i := 0
 	for bytes.Equal(al[i], bl[i]) {
 		i++

@@ -4,12 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"streammap/internal/artifact"
 	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/sdf"
@@ -132,7 +134,7 @@ func TestServiceDiskVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := strings.Replace(string(data), `"format": 4`, `"format": 999`, 1)
+	stale := strings.Replace(string(data), fmt.Sprintf(`{"format":%d,`, artifact.FormatVersion), `{"format":999,`, 1)
 	if stale == string(data) {
 		t.Fatal("could not stamp a stale version")
 	}

@@ -136,12 +136,12 @@ func ImportOptions(w artifact.Options) (Options, error) {
 
 // Artifact exports the compilation as a versioned, self-contained,
 // serializable artifact: the graph's structural description, the normalized
-// options, the profile, the partitions with their kernel parameters and the
-// assignment with its objective, in wire form, with no reference into
-// compiler internals. Nothing the decoder derives from the rest is exported
-// — no SM layout, no scale, no PDG, no plan, no per-link loads — and nothing
-// of the run either (c.Stages, the worker count): two compilations of one
-// key export the same artifact. The artifact round-trips through
+// options, the partitions with their kernel parameters and the assignment
+// with its objective, in wire form, with no reference into compiler
+// internals. Nothing the decoder derives from the rest is exported — no
+// profile, no SM layout, no scale, no PDG, no plan, no per-link loads — and
+// nothing of the run either (c.Stages, the worker count): two compilations
+// of one key export the same artifact. The artifact round-trips through
 // Encode/Decode, and FromArtifact (or Rehydrate) turns it back into a
 // Compiled without recompiling. The error is always nil.
 func (c *Compiled) Artifact() (*artifact.Artifact, error) {
@@ -150,7 +150,6 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 		Fingerprint: c.Graph.Fingerprint(),
 		Graph:       sdf.ExportGraph(c.Graph),
 		Options:     ExportOptions(c.Options),
-		Profile:     c.Prof.Export(),
 		Partitions:  partition.ExportResult(c.Parts),
 		Assignment:  c.Assign.Export(),
 	}
@@ -163,15 +162,16 @@ func (c *Compiled) Artifact() (*artifact.Artifact, error) {
 
 // FromArtifact rebuilds a Compiled from a decoded artifact against the
 // caller's graph — the one carrying real work functions — without running
-// any pipeline stage: partitions are rebuilt from their member lists (not
-// re-partitioned, and not extracted) with their estimates restored
-// verbatim, the PDG is built over them by pdg.Build as in a compile — its
-// owner array is the exact-cover check and its acyclic quotient the
-// convexity check — each partition is checked connected, the assignment is
-// re-evaluated from its placement, and the plan is lowered by buildPlan. Two
-// numbers the artifact claims are held to what the decoder derives: each
-// partition's SM bytes to smreq.PeakBytesView over its members
-// (partition.ImportResult), and the objective, bit for bit, to the
+// any pipeline stage but the profile, which is pee.ProfileGraph of the
+// graph and the device as in a compile: partitions are rebuilt from their
+// member lists (not re-partitioned, and not extracted) with their estimates
+// restored verbatim, the PDG is built over them by pdg.Build as in a
+// compile — its owner array is the exact-cover check and its acyclic
+// quotient the convexity check — each partition is checked connected, the
+// assignment is re-evaluated from its placement, and the plan is lowered by
+// buildPlan. Two numbers the artifact claims are held to what the decoder
+// derives: each partition's SM bytes to smreq.PeakBytesView over its
+// members (partition.ImportResult), and the objective, bit for bit, to the
 // evaluation of the placement — every mapper's result is such an evaluation
 // on the same problem. Stages is empty on the result, which is the
 // provenance signal that nothing was recompiled.
@@ -199,10 +199,7 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 			return nil, err
 		}
 	}
-	prof, err := pee.ImportProfile(opts.Device, a.Profile, g.NumNodes())
-	if err != nil {
-		return nil, err
-	}
+	prof := pee.ProfileGraph(g, opts.Device)
 	parts, err := partition.ImportResult(g, a.Partitions)
 	if err != nil {
 		return nil, err

@@ -40,9 +40,9 @@ type RemapOptions struct {
 
 // Remap re-targets a compiled artifact onto a degraded topology — GPUs
 // removed, links throttled (topology.Degrade) — without recompiling. The
-// profile and partitions are reused verbatim from the artifact (Rehydrate
-// rebuilds the PDG over them): they are functions of the graph and the
-// device, not of the interconnect, so a device falling off the bus
+// partitions are reused verbatim from the artifact (Rehydrate re-profiles
+// the graph and rebuilds the PDG over them): they are functions of the graph
+// and the device, not of the interconnect, so a device falling off the bus
 // invalidates only the partition-to-GPU mapping.
 // Only the mapping stage re-runs against the surviving devices — warm-
 // started from the pre-failure assignment when opts.GPUMap is given, the

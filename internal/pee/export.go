@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"streammap/internal/artifact"
-	"streammap/internal/gpu"
 )
 
 // Export returns the estimate's wire form (package pee's explicit
@@ -30,26 +29,5 @@ func ImportEstimate(a artifact.Estimate) (*Estimate, error) {
 		SMBytes: a.SMBytes, DBytes: a.DBytes,
 		TcompUS: a.TcompUS, TdtUS: a.TdtUS, TdbUS: a.TdbUS,
 		TexecUS: a.TexecUS, TUS: a.TUS, LaunchUS: a.LaunchUS,
-	}, nil
-}
-
-// Export returns the profile's wire form. The device is carried by the
-// artifact's options section, not duplicated here.
-func (p *Profile) Export() artifact.Profile {
-	return artifact.Profile{
-		C1: p.C1, C2: p.C2,
-		PerFiringCycles: append([]float64(nil), p.PerFiringCycles...),
-	}
-}
-
-// ImportProfile rebuilds a Profile from its wire form for the given device.
-func ImportProfile(d gpu.Device, a artifact.Profile, numNodes int) (*Profile, error) {
-	if len(a.PerFiringCycles) != numNodes {
-		return nil, fmt.Errorf("pee: import: %d per-firing costs for %d nodes", len(a.PerFiringCycles), numNodes)
-	}
-	return &Profile{
-		Device: d,
-		C1:     a.C1, C2: a.C2,
-		PerFiringCycles: append([]float64(nil), a.PerFiringCycles...),
 	}, nil
 }

@@ -95,10 +95,12 @@ func (g *Graph) canonical(buf []byte) []byte {
 	return c
 }
 
-// canonical is the same walk over a graph's wire form: the spec carries
-// exactly the fields Graph.canonical hashes, in the same order, so a spec
-// and the graph ImportGraph builds from it encode to the same bytes.
-// TestSpecDigestMatchesGraph and FuzzSpecDigest hold the two walks equal.
+// canonical is the same walk over a graph's wire form, so a spec and the
+// graph ImportGraph builds from it encode to the same bytes
+// (TestSpecDigestMatchesGraph and FuzzSpecDigest hold them equal). Edge
+// rates come from the ports, as ConnectDelayed reads them; on an unvalidated
+// spec an edge joining a missing node or port writes rates of 0, which no
+// importable graph has (its rates are positive).
 func (spec *GraphSpec) canonical(buf []byte) []byte {
 	c := canon(buf)
 	c.str(spec.Name)
@@ -129,9 +131,10 @@ func (spec *GraphSpec) canonical(buf []byte) []byte {
 		c.int(e.SrcPort)
 		c.int(e.Dst)
 		c.int(e.DstPort)
-		c.int(e.Push)
-		c.int(e.Pop)
-		c.int(e.Peek)
+		push, in, _ := spec.edgeRates(e)
+		c.int(push)
+		c.int(in.Pop)
+		c.int(in.Peek)
 		c.toks(e.Initial)
 	}
 	return c

@@ -16,19 +16,14 @@ var identityCases = []struct {
 	{"ops", func(s *GraphSpec) { s.Nodes[0].Filter.Ops++ }},
 	{"zero copy", func(s *GraphSpec) { s.Nodes[2].Filter.ZeroCopy = false }},
 	{"pop and push rate", func(s *GraphSpec) {
-		// Rates live on both the filter and the edge; ImportGraph demands
-		// they agree, so the mutation moves both ends of edge 1 (win -> zc).
+		// Rates live on the ports; the graph stays balanced if both ends
+		// of edge 1 (win -> zc) move together.
 		s.Nodes[1].Filter.Outputs = []int{4}
 		s.Nodes[2].Filter.Inputs = []PortSpec{{Pop: 4, Peek: 4}}
 		s.Nodes[2].Filter.Outputs = []int{4}
 		s.Nodes[3].Filter.Inputs = []PortSpec{{Pop: 12, Peek: 12}}
-		s.Edges[1].Push, s.Edges[1].Pop, s.Edges[1].Peek = 4, 4, 4
-		s.Edges[2].Push, s.Edges[2].Pop, s.Edges[2].Peek = 4, 12, 12
 	}},
-	{"peek", func(s *GraphSpec) {
-		s.Nodes[1].Filter.Inputs = []PortSpec{{Pop: 1, Peek: 3}}
-		s.Edges[0].Peek = 3
-	}},
+	{"peek", func(s *GraphSpec) { s.Nodes[1].Filter.Inputs = []PortSpec{{Pop: 1, Peek: 3}} }},
 	{"filter init state", func(s *GraphSpec) { s.Nodes[1].Filter.Init = []Token{1, 3} }},
 	{"filter init length", func(s *GraphSpec) { s.Nodes[1].Filter.Init = []Token{1, 2, 0} }},
 	{"edge delay tokens", func(s *GraphSpec) { s.Edges[0].Initial = []Token{9, 8, 6} }},

@@ -7,7 +7,7 @@ import (
 
 // This file is the sdf package's explicit export/import form: a plain-data
 // structural description of a graph that survives serialization. The spec
-// captures exactly the fields Fingerprint hashes, so
+// determines every field Fingerprint hashes, so
 // ImportGraph(ExportGraph(g)).Fingerprint() == g.Fingerprint().
 //
 // Work-function closures are not serializable; an imported graph is a
@@ -39,15 +39,12 @@ type NodeSpec struct {
 	Pipe   int        `json:"pipe"`
 }
 
-// EdgeSpec is the wire form of one channel.
+// EdgeSpec is the wire form of one channel; its rates are its two ports'.
 type EdgeSpec struct {
 	Src     int     `json:"src"`
 	SrcPort int     `json:"srcPort"`
 	Dst     int     `json:"dst"`
 	DstPort int     `json:"dstPort"`
-	Push    int     `json:"push"`
-	Pop     int     `json:"pop"`
-	Peek    int     `json:"peek"`
 	Initial []Token `json:"initial,omitempty"`
 }
 
@@ -80,7 +77,6 @@ func ExportGraph(g *Graph) GraphSpec {
 		spec.Edges = append(spec.Edges, EdgeSpec{
 			Src: int(e.Src), SrcPort: e.SrcPort,
 			Dst: int(e.Dst), DstPort: e.DstPort,
-			Push: e.Push, Pop: e.Pop, Peek: e.Peek,
 			Initial: append([]Token(nil), e.Initial...),
 		})
 	}
@@ -109,26 +105,30 @@ func ImportGraph(spec GraphSpec) (*Graph, error) {
 			return nil, fmt.Errorf("sdf: import: node %d assigned id %d", i, id)
 		}
 	}
-	for i, es := range spec.Edges {
-		if es.Src < 0 || es.Src >= len(spec.Nodes) || es.Dst < 0 || es.Dst >= len(spec.Nodes) {
-			return nil, fmt.Errorf("sdf: import: edge %d has out-of-range endpoint", i)
-		}
-		src, dst := spec.Nodes[es.Src].Filter, spec.Nodes[es.Dst].Filter
-		if es.SrcPort < 0 || es.SrcPort >= len(src.Outputs) || es.DstPort < 0 || es.DstPort >= len(dst.Inputs) {
-			return nil, fmt.Errorf("sdf: import: edge %d references a missing port", i)
-		}
-		// ConnectDelayed derives the rates from the filter declarations, so a
-		// spec whose edge rates disagree with its filters must be rejected
-		// here, not silently corrected.
-		if es.Push != src.Outputs[es.SrcPort] || es.Pop != dst.Inputs[es.DstPort].Pop || es.Peek != dst.Inputs[es.DstPort].Peek {
-			return nil, fmt.Errorf("sdf: import: edge %d rates (%d,%d,%d) disagree with its filter declarations",
-				i, es.Push, es.Pop, es.Peek)
+	for i := range spec.Edges {
+		es := &spec.Edges[i]
+		if _, _, ok := spec.edgeRates(es); !ok {
+			return nil, fmt.Errorf("sdf: import: edge %d joins a missing node or port", i)
 		}
 		b.ConnectDelayed(NodeID(es.Src), es.SrcPort, NodeID(es.Dst), es.DstPort, es.Initial)
 	}
 	// Builder.Graph re-validates the wired structure and solves the balance
 	// equations, so the twin has the same steady state as the original.
 	return b.Graph()
+}
+
+// edgeRates returns the rates of the two ports an edge joins — its source's
+// output and its destination's input — and false, with zero rates, when
+// either node or port is missing from the spec.
+func (spec *GraphSpec) edgeRates(e *EdgeSpec) (push int, in PortSpec, ok bool) {
+	if e.Src < 0 || e.Src >= len(spec.Nodes) || e.Dst < 0 || e.Dst >= len(spec.Nodes) {
+		return 0, PortSpec{}, false
+	}
+	outs, ins := spec.Nodes[e.Src].Filter.Outputs, spec.Nodes[e.Dst].Filter.Inputs
+	if e.SrcPort < 0 || e.SrcPort >= len(outs) || e.DstPort < 0 || e.DstPort >= len(ins) {
+		return 0, PortSpec{}, false
+	}
+	return outs[e.SrcPort], ins[e.DstPort], true
 }
 
 // MembersOf returns the ascending member list, over a graph of `size` nodes,

@@ -52,28 +52,33 @@ func TestGraphSpecRoundTripPreservesFingerprint(t *testing.T) {
 	}
 }
 
+// TestImportGraphRejectsCorruptSpecs: an edge whose endpoint or port is
+// out of range is rejected by ImportGraph, and SpecDigest — which runs on
+// request bodies before anything validates them — walks it without
+// panicking.
 func TestImportGraphRejectsCorruptSpecs(t *testing.T) {
 	base := ExportGraph(specGraph(t))
-
-	bad := base
-	bad.Edges = append([]EdgeSpec(nil), base.Edges...)
-	bad.Edges[0].Push = 999
-	if _, err := ImportGraph(bad); err == nil {
-		t.Error("mismatched edge rate not rejected")
-	}
-
-	bad = base
-	bad.Edges = append([]EdgeSpec(nil), base.Edges...)
-	bad.Edges[0].Dst = 99
-	if _, err := ImportGraph(bad); err == nil {
-		t.Error("out-of-range endpoint not rejected")
-	}
-
-	bad = base
-	bad.Edges = append([]EdgeSpec(nil), base.Edges...)
-	bad.Edges[0].SrcPort = 5
-	if _, err := ImportGraph(bad); err == nil {
-		t.Error("missing port not rejected")
+	n := len(base.Nodes)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(e *EdgeSpec)
+	}{
+		{"negative src", func(e *EdgeSpec) { e.Src = -1 }},
+		{"src past the nodes", func(e *EdgeSpec) { e.Src = n }},
+		{"negative dst", func(e *EdgeSpec) { e.Dst = -1 }},
+		{"dst past the nodes", func(e *EdgeSpec) { e.Dst = 99 }},
+		{"negative srcPort", func(e *EdgeSpec) { e.SrcPort = -1 }},
+		{"srcPort past the outputs", func(e *EdgeSpec) { e.SrcPort = 5 }},
+		{"negative dstPort", func(e *EdgeSpec) { e.DstPort = -1 }},
+		{"dstPort past the inputs", func(e *EdgeSpec) { e.DstPort = 1 }},
+	} {
+		bad := base
+		bad.Edges = append([]EdgeSpec(nil), base.Edges...)
+		tc.corrupt(&bad.Edges[0])
+		SpecDigest(&bad)
+		if _, err := ImportGraph(bad); err == nil {
+			t.Errorf("%s: not rejected", tc.name)
+		}
 	}
 }
 

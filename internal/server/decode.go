@@ -527,15 +527,9 @@ func (s *scanner) edge(g *sdf.GraphSpec) bool {
 			bit, field = 2, &e.Dst
 		case "dstPort":
 			bit, field = 3, &e.DstPort
-		case "push":
-			bit, field = 4, &e.Push
-		case "pop":
-			bit, field = 5, &e.Pop
-		case "peek":
-			bit, field = 6, &e.Peek
 		case "initial":
 			e.Initial, ok = s.floats(e.Initial)
-			return 7, ok
+			return 4, ok
 		default:
 			return 0, false
 		}

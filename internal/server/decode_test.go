@@ -132,6 +132,7 @@ func decoderSeeds(t testing.TB) []struct {
 		{"empty object", []byte(`{}`), true},
 		{"unknown field", withUnknownMember([]byte(canon)), false},
 		{"unknown filter field", sub(`"kind":4`, `"kind":4,"colour":"red"`), false},
+		{"edge rates of format 4", sub(`"dstPort":0,"initial"`, `"dstPort":0,"push":3,"pop":1,"peek":4,"initial"`), false},
 		{"duplicated nodes", sub(`"edges":`, `"nodes":[],"edges":`), false},
 		{"duplicated pipe", sub(`"pipe":0`, `"pipe":5,"pipe":0`), false},
 		{"case-variant key", sub(`"name":"src"`, `"Name":"src"`), false},

@@ -43,8 +43,8 @@ func closeServer(t *testing.T, s *Server) {
 func TestLateImportErrorsAreBadRequests(t *testing.T) {
 	canon := string(marshalRequest(t, refGraph(t)))
 	sub := substituter(t, canon)
-	// Two branches of one split-join with different gains: every edge agrees
-	// with its filters, the balance equations have no solution.
+	// Two branches of one split-join with different gains: every edge joins
+	// ports that exist, the balance equations have no solution.
 	port := []sdf.PortSpec{{Pop: 1, Peek: 1}}
 	unbalanced := NewRequest(refGraph(t), refOpts())
 	unbalanced.Graph = sdf.GraphSpec{
@@ -58,12 +58,12 @@ func TestLateImportErrorsAreBadRequests(t *testing.T) {
 			{Filter: sdf.FilterSpec{Name: "sink", Kind: int(sdf.KindSink), Ops: 1, Inputs: []sdf.PortSpec{{Pop: 2, Peek: 2}}}},
 		},
 		Edges: []sdf.EdgeSpec{
-			{Src: 0, Dst: 1, Push: 1, Pop: 1, Peek: 1},
-			{Src: 1, SrcPort: 0, Dst: 2, Push: 1, Pop: 1, Peek: 1},
-			{Src: 1, SrcPort: 1, Dst: 3, Push: 1, Pop: 1, Peek: 1},
-			{Src: 2, Dst: 4, DstPort: 0, Push: 2, Pop: 1, Peek: 1},
-			{Src: 3, Dst: 4, DstPort: 1, Push: 1, Pop: 1, Peek: 1},
-			{Src: 4, Dst: 5, Push: 2, Pop: 2, Peek: 2},
+			{Src: 0, Dst: 1},
+			{Src: 1, SrcPort: 0, Dst: 2},
+			{Src: 1, SrcPort: 1, Dst: 3},
+			{Src: 2, Dst: 4, DstPort: 0},
+			{Src: 3, Dst: 4, DstPort: 1},
+			{Src: 4, Dst: 5},
 		},
 	}
 	unbalancedBody, err := json.Marshal(unbalanced)
@@ -78,13 +78,12 @@ func TestLateImportErrorsAreBadRequests(t *testing.T) {
 		name string
 		body []byte
 	}{
-		{"edge rates disagree with the filters", sub(`"push":3,"pop":1,"peek":4`, `"push":999,"pop":1,"peek":4`)},
 		{"out-of-range endpoint", sub(`"dst":1,`, `"dst":99,`)},
+		{"negative endpoint", sub(`"src":0,`, `"src":-1,`)},
 		{"missing port", sub(`"srcPort":0,"dst":1`, `"srcPort":5,"dst":1`)},
+		{"missing input port", sub(`"dst":1,"dstPort":0`, `"dst":1,"dstPort":3`)},
 		{"rate-inconsistent graph", unbalancedBody},
-		{"negative pop", []byte(strings.NewReplacer(
-			`"inputs":[{"pop":6,"peek":6}]`, `"inputs":[{"pop":-6,"peek":6}]`,
-			`"push":2,"pop":6,"peek":6`, `"push":2,"pop":-6,"peek":6`).Replace(canon))},
+		{"negative pop", sub(`"inputs":[{"pop":6,"peek":6}]`, `"inputs":[{"pop":-6,"peek":6}]`)},
 	} {
 		// Twice as sent, once through json.Unmarshal, then a herd: a bad
 		// body is rejected every time, alone or coalesced.

@@ -372,7 +372,7 @@ func compileBody(ctx context.Context, cl *client.Client, req server.CompileReque
 
 // sameBytes holds a served body to its reference encoding: a key determines
 // its bytes, so equality is bytes.Equal and neither side is decoded. A
-// mismatch is placed by byte and by line of the indented JSON.
+// mismatch is placed by byte.
 func sameBytes(ref, body []byte) error {
 	if bytes.Equal(ref, body) {
 		return nil
@@ -381,8 +381,7 @@ func sameBytes(ref, body []byte) error {
 	for i < len(ref) && i < len(body) && ref[i] == body[i] {
 		i++
 	}
-	return fmt.Errorf("the %d bytes served part from the reference's %d at byte %d (line %d)",
-		len(body), len(ref), i, 1+bytes.Count(ref[:i], []byte("\n")))
+	return fmt.Errorf("the %d bytes served part from the reference's %d at byte %d", len(body), len(ref), i)
 }
 
 // remapServed feeds one compile response, as served, back through

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -45,6 +46,40 @@ func TestSpecDigestMatchesGraph(t *testing.T) {
 			if err := specDigestAgrees(g); err != nil {
 				t.Error(err)
 			}
+		}
+	}
+}
+
+// TestIdentityPinned holds the identity of two graphs to values recorded
+// before the wire form stopped carrying edge rates. TestSpecDigestMatchesGraph
+// proves the spec and graph walks agree; this proves neither moved, so every
+// cache key, stored artifact name and fingerprint stays what it was.
+func TestIdentityPinned(t *testing.T) {
+	des, _ := apps.ByName("DES")
+	for _, tc := range []struct {
+		build       func() (*sdf.Graph, error)
+		digest      string
+		fingerprint uint64
+	}{
+		{func() (*sdf.Graph, error) { return apps.BuildGraph(des, 4) },
+			"be93bb3eca6b86385eb7b1805e57df8e356adf396a99ccc59dd5bf2943ba4316", 16791274567862691696},
+		{func() (*sdf.Graph, error) { return BuildGraph(GraphParams{Seed: 0xBEEF, Filters: 300, PeekProb: 0.3}) },
+			"1e86f12ca56afe18d1649b06a6d1ca53d697a466b50e66fca6aeb1d92efe927a", 2560731059366363568},
+	} {
+		g, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := g.Digest()
+		if got := hex.EncodeToString(d[:]); got != tc.digest {
+			t.Errorf("%s: Digest %s, pinned %s", g.Name, got, tc.digest)
+		}
+		if got := g.Fingerprint(); got != tc.fingerprint {
+			t.Errorf("%s: Fingerprint %d, pinned %d", g.Name, got, tc.fingerprint)
+		}
+		spec := sdf.ExportGraph(g)
+		if sdf.SpecDigest(&spec) != d {
+			t.Errorf("%s: SpecDigest differs from the pinned Digest", g.Name)
 		}
 	}
 }

@@ -30,14 +30,14 @@
 //	c, err := svc.Compile(ctx, g, opts) // safe from any number of goroutines
 //
 // Compilations export as versioned, self-contained artifacts that outlive
-// the process: Compiled.Artifact() captures the profile, the partitions
-// with their kernel parameters and the assignment with its objective in a
+// the process: Compiled.Artifact() captures the graph, the partitions with
+// their kernel parameters and the assignment with its objective in a
 // stable encoding stamped with the graph fingerprint and normalized
-// options; what follows from those (SM layouts, the partition dependence
-// graph, link loads, the executable plan) is re-derived on decode, by the
-// same code a compile runs. An artifact encodes to deterministic bytes,
-// decodes on any machine, and executes on the simulator without
-// recompiling:
+// options; what follows from those (the profile, SM layouts, the partition
+// dependence graph, link loads, the executable plan) is re-derived on
+// decode, by the same code a compile runs. An artifact encodes to
+// deterministic bytes, decodes on any machine, and executes on the
+// simulator without recompiling:
 //
 //	a, err := c.Artifact()
 //	data, err := a.Encode()                  // persist / ship
