@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/mapping"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
@@ -35,8 +35,8 @@ func benchCompileWorkload(b *testing.B, name string, n int) *sdf.Graph {
 	return g
 }
 
-func benchCompileOptions(workers int) core.Options {
-	return core.Options{
+func benchCompileOptions(workers int) driver.Options {
+	return driver.Options{
 		Topo:       topology.PairedTree(4),
 		MapOptions: mapping.Options{TimeBudget: 2 * time.Second},
 		Workers:    workers,
@@ -47,7 +47,7 @@ func BenchmarkCompile_Serial(b *testing.B) {
 	g := benchCompileWorkload(b, "DES", 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.CompileCtx(context.Background(), g, benchCompileOptions(1))
+		c, err := driver.Compile(context.Background(), g, benchCompileOptions(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func benchCompilePipeline(b *testing.B, g *sdf.Graph) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.CompileCtx(context.Background(), g, benchCompileOptions(workers))
+		c, err := driver.Compile(context.Background(), g, benchCompileOptions(workers))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 	"sort"
 	"testing"
 
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/mapping"
 	"streammap/internal/partition"
@@ -101,10 +101,10 @@ func BenchmarkExtractPartition(b *testing.B) {
 func BenchmarkMultilevelCompile(b *testing.B) {
 	g := benchSynthGraph(b, 10000)
 	opts := benchCompileOptions(0)
-	opts.Partitioner = core.MultilevelPart
+	opts.Partitioner = driver.MultilevelPart
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.CompileCtx(context.Background(), g, opts)
+		c, err := driver.Compile(context.Background(), g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func benchMappingProblem(b *testing.B) *mapping.Problem {
 	b.Helper()
 	g := benchSynthGraph(b, 10000)
 	opts := benchCompileOptions(0)
-	opts.Partitioner = core.MultilevelPart
-	c, err := core.CompileCtx(context.Background(), g, opts)
+	opts.Partitioner = driver.MultilevelPart
+	c, err := driver.Compile(context.Background(), g, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

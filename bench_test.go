@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/experiments"
 	"streammap/internal/gpusim"
 	"streammap/internal/mapping"
@@ -214,7 +214,7 @@ func BenchmarkExactMap(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(bc.gpus), Mapper: core.PrevWorkMap})
+			c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(bc.gpus), Mapper: driver.PrevWorkMap})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -239,7 +239,7 @@ func BenchmarkSimulatorDES16x4GPU(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(4)})
+	c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(4)})
 	if err != nil {
 		b.Fatal(err)
 	}

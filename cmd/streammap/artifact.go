@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"streammap/internal/artifact"
-	"streammap/internal/core"
 	"streammap/internal/driver"
 	"streammap/internal/gpusim"
 	"streammap/internal/sdf"
@@ -15,7 +14,7 @@ import (
 
 // emitArtifact encodes the compilation and writes it to path ("-" or empty
 // means stdout).
-func emitArtifact(c *core.Compiled, path string) error {
+func emitArtifact(c *driver.Compiled, path string) error {
 	a, err := c.Artifact()
 	if err != nil {
 		return err
@@ -34,7 +33,7 @@ func emitArtifact(c *core.Compiled, path string) error {
 // emitRequest writes the streammapd wire request for compiling g under
 // opts — the body to POST to /v1/compile — without compiling anything
 // locally.
-func emitRequest(g *sdf.Graph, opts core.Options, path string) error {
+func emitRequest(g *sdf.Graph, opts driver.Options, path string) error {
 	data, err := json.MarshalIndent(server.NewRequest(g, opts), "", " ")
 	if err != nil {
 		return err

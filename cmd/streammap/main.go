@@ -1,7 +1,6 @@
 // Command streammap is the compiler driver: it maps a benchmark stream
 // graph onto a simulated multi-GPU machine and emits a report, generated
-// CUDA-like source, Graphviz, or a simulated execution. Batch mode compiles
-// many graphs concurrently through the core.Service compile cache.
+// CUDA-like source, Graphviz, or a simulated execution.
 //
 // Usage:
 //
@@ -11,8 +10,6 @@
 //	streammap -exec file.artifact.json [-fragments 64]
 //	streammap -remap file.artifact.json -drop-gpus "2,3" [-throttle "1:4:-"]
 //	          [-fragments 64] [-artifact-out degraded.artifact.json]
-//	streammap -batch "DES:8:4,FFT:64:2,DES:8:4" [-batch-workers 8]
-//	streammap -batch all
 //	streammap -synth 50 [-synth-seed S] [-synth-filters 28] [-synth-gpus 8]
 //	          [-synth-check]
 //
@@ -32,7 +29,8 @@
 // /v1/remap.
 //
 // -stats prints, as one JSON line, the estimation engine's memo counters
-// (queries, hits, misses, hit rate) and the per-stage wall-clock of the
+// (queries, hits, misses, hit rate), the multilevel partitioner's counters
+// when that path served the compile, and the per-stage wall-clock of the
 // compilation before the emitted output.
 //
 // To serve compile requests over HTTP instead of compiling one-shot, run
@@ -50,11 +48,11 @@
 //	streammap -app DCT -n 14 -gpus 4 -emit run
 //	streammap -app DES -n 8 -gpus 4 -emit artifact -artifact-out des.artifact.json
 //	streammap -exec des.artifact.json -fragments 128
-//	streammap -batch all -gpus 4
 //	streammap -synth 100 -synth-seed 0xC0FFEE -synth-check
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,8 +62,10 @@ import (
 	"streammap/internal/apps"
 	"streammap/internal/codegen"
 	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
+	"streammap/internal/partition"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
 )
@@ -84,14 +84,12 @@ func main() {
 	throttle := flag.String("throttle", "", `comma-separated link derates "node:bandwidthGBs:latencyUS", "-" keeps a value, e.g. "1:4:-" (with -remap)`)
 	fragments := flag.Int("fragments", 64, "fragments for -emit run and -exec")
 	device := flag.String("device", "m2090", "m2090 or c2070")
-	batch := flag.String("batch", "", `batch mode: comma-separated app[:n[:gpus]] specs, or "all"; compiles concurrently through the compile service`)
-	batchWorkers := flag.Int("batch-workers", 0, "concurrent compilations in batch mode (default GOMAXPROCS)")
 	synthN := flag.Int("synth", 0, "synth mode: compile this many generated scenarios through the compile service")
 	synthSeed := flag.String("synth-seed", "1", "corpus seed for -synth (decimal or 0x hex)")
 	synthFilters := flag.Int("synth-filters", 28, "max filters per generated graph in -synth mode")
 	synthGPUs := flag.Int("synth-gpus", 8, "max GPUs per generated topology in -synth mode")
 	synthCheck := flag.Bool("synth-check", false, "run the differential harness (one worker vs. concurrent) on every generated scenario")
-	stats := flag.Bool("stats", false, "print estimation-engine cache counters and per-stage timings as JSON after compiling")
+	stats := flag.Bool("stats", false, "print estimation-engine cache counters, multilevel counters and per-stage timings as JSON after compiling")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
 		fmt.Fprintf(out, "Usage of %s:\n", os.Args[0])
@@ -124,17 +122,9 @@ func main() {
 			seed:      seed,
 			filters:   *synthFilters,
 			gpus:      *synthGPUs,
-			workers:   *batchWorkers,
 			check:     *synthCheck,
 		}); err != nil {
 			fail("synth: %v", err)
-		}
-		return
-	}
-
-	if *batch != "" {
-		if err := runBatch(*batch, *gpus, *batchWorkers, *device); err != nil {
-			fail("batch: %v", err)
 		}
 		return
 	}
@@ -148,7 +138,7 @@ func main() {
 		fail("build: %v", err)
 	}
 
-	opts := core.Options{Topo: topology.PairedTree(*gpus)}
+	opts := driver.Options{Topo: topology.PairedTree(*gpus)}
 	switch *device {
 	case "m2090":
 		opts.Device = gpu.M2090()
@@ -159,19 +149,19 @@ func main() {
 	}
 	switch *partitioner {
 	case "alg1":
-		opts.Partitioner = core.Alg1
+		opts.Partitioner = driver.Alg1
 	case "prev":
-		opts.Partitioner = core.PrevWorkPart
+		opts.Partitioner = driver.PrevWorkPart
 	case "single":
-		opts.Partitioner = core.SinglePart
+		opts.Partitioner = driver.SinglePart
 	default:
 		fail("unknown partitioner %q", *partitioner)
 	}
 	switch *mapper {
 	case "ilp":
-		opts.Mapper = core.ILPMapper
+		opts.Mapper = driver.ILPMapper
 	case "prev":
-		opts.Mapper = core.PrevWorkMap
+		opts.Mapper = driver.PrevWorkMap
 	default:
 		fail("unknown mapper %q", *mapper)
 	}
@@ -185,7 +175,7 @@ func main() {
 		return
 	}
 
-	c, err := core.Compile(g, opts)
+	c, err := driver.Compile(context.Background(), g, opts)
 	if err != nil {
 		fail("compile: %v", err)
 	}
@@ -233,20 +223,21 @@ func main() {
 }
 
 // emitStats prints the compilation's counters as one machine-readable
-// JSON line: the estimation engine section (core.EngineStats), plus the
-// per-stage wall-clock (name, durationNS, info).
-func emitStats(c *core.Compiled) error {
+// JSON line: the estimation engine section (core.EngineStats), the
+// multilevel partitioner's counters (omitted when the exact path ran), and
+// the per-stage wall-clock (name, durationNS).
+func emitStats(c *driver.Compiled) error {
 	type stage struct {
 		Name       string `json:"name"`
 		DurationNS int64  `json:"durationNS"`
-		Info       string `json:"info,omitempty"`
 	}
 	report := struct {
-		Engine core.EngineStats `json:"engine"`
-		Stages []stage          `json:"stages"`
-	}{Engine: core.EngineStatsOf(c.Estimates)}
+		Engine     core.EngineStats   `json:"engine"`
+		Multilevel *partition.MLStats `json:"multilevel,omitempty"`
+		Stages     []stage            `json:"stages"`
+	}{Engine: core.EngineStatsOf(c.Estimates), Multilevel: c.Parts.ML}
 	for _, s := range c.Stages {
-		report.Stages = append(report.Stages, stage{Name: s.Name, DurationNS: s.Duration.Nanoseconds(), Info: s.Info})
+		report.Stages = append(report.Stages, stage{Name: s.Name, DurationNS: s.Duration.Nanoseconds()})
 	}
 	data, err := json.Marshal(report)
 	if err != nil {

@@ -46,7 +46,7 @@ func runRemap(path, dropGPUs, throttles string, fragments int, outPath string) e
 		len(a.Options.Topo.GPUNodes), degraded.NumGPUs(), len(c.Parts.Parts),
 		a.Assignment.Objective, c.Assign.Objective)
 	for _, s := range c.Stages {
-		fmt.Printf("  stage %-11s %8.2f ms  %s\n", s.Name, float64(s.Duration.Microseconds())/1e3, s.Info)
+		fmt.Printf("  stage %-11s %8.2f ms\n", s.Name, float64(s.Duration.Microseconds())/1e3)
 	}
 	res, err := gpusim.RunTiming(c.Plan, fragments)
 	if err != nil {

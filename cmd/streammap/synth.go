@@ -17,7 +17,6 @@ type synthFlags struct {
 	seed      uint64
 	filters   int
 	gpus      int
-	workers   int
 	check     bool
 }
 
@@ -40,7 +39,7 @@ func runSynth(f synthFlags) error {
 		return err
 	}
 
-	svc := core.NewService(core.ServiceConfig{MaxConcurrent: f.workers})
+	svc := core.NewService(core.ServiceConfig{})
 	type outcome struct {
 		nodes, parts int
 		tmax         float64

@@ -1,22 +1,23 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/topology"
 )
 
-func compileDES(t *testing.T, gpus int) *core.Compiled {
+func compileDES(t *testing.T, gpus int) *driver.Compiled {
 	t.Helper()
 	app, _ := apps.ByName("DES")
 	g, err := apps.BuildGraph(app, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(gpus)})
+	c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(gpus)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package codegen
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/topology"
 )
 
@@ -18,7 +19,7 @@ func TestGoldenOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(2)})
+	c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

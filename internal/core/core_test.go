@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
@@ -22,7 +24,7 @@ func TestCompileDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(g, Options{})
+	c, err := driver.Compile(context.Background(), g, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +43,13 @@ func TestCompileDefaults(t *testing.T) {
 }
 
 func TestCompileAllVariants(t *testing.T) {
-	for _, pk := range []PartitionerKind{Alg1, PrevWorkPart, SinglePart} {
-		for _, mk := range []MapperKind{ILPMapper, PrevWorkMap} {
+	for _, pk := range []driver.PartitionerKind{driver.Alg1, driver.PrevWorkPart, driver.SinglePart} {
+		for _, mk := range []driver.MapperKind{driver.ILPMapper, driver.PrevWorkMap} {
 			g, err := sdf.Flatten("toy", toy())
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, err := Compile(g, Options{
+			c, err := driver.Compile(context.Background(), g, driver.Options{
 				Topo:        topology.PairedTree(2),
 				Partitioner: pk,
 				Mapper:      mk,
@@ -55,7 +57,7 @@ func TestCompileAllVariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("partitioner %d mapper %d: %v", pk, mk, err)
 			}
-			if c.Plan.ViaHost != (mk == PrevWorkMap) {
+			if c.Plan.ViaHost != (mk == driver.PrevWorkMap) {
 				t.Errorf("ViaHost should follow the mapper kind")
 			}
 		}
@@ -69,13 +71,13 @@ func TestCompileRejectsBadOptions(t *testing.T) {
 	}
 	bad := gpu.M2090()
 	bad.NumSMs = 0
-	if _, err := Compile(g, Options{Device: bad}); err == nil {
+	if _, err := driver.Compile(context.Background(), g, driver.Options{Device: bad}); err == nil {
 		t.Error("invalid device accepted")
 	}
-	if _, err := Compile(g, Options{Partitioner: PartitionerKind(99)}); err == nil {
+	if _, err := driver.Compile(context.Background(), g, driver.Options{Partitioner: driver.PartitionerKind(99)}); err == nil {
 		t.Error("unknown partitioner accepted")
 	}
-	if _, err := Compile(g, Options{Mapper: MapperKind(99)}); err == nil {
+	if _, err := driver.Compile(context.Background(), g, driver.Options{Mapper: driver.MapperKind(99)}); err == nil {
 		t.Error("unknown mapper accepted")
 	}
 }
@@ -85,7 +87,7 @@ func TestFragmentTimesWaveLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(g, Options{FragmentIters: 64})
+	c, err := driver.Compile(context.Background(), g, driver.Options{FragmentIters: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestInputNeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(g, Options{FragmentIters: 8})
+	c, err := driver.Compile(context.Background(), g, driver.Options{FragmentIters: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestExecuteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Compile(g, Options{Topo: topology.PairedTree(2), FragmentIters: 4})
+	c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(2), FragmentIters: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

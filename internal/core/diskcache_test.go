@@ -33,8 +33,8 @@ func cacheGraph(t *testing.T, name string) *sdf.Graph {
 	return g
 }
 
-func cacheOpts() core.Options {
-	return core.Options{Topo: topology.PairedTree(2), Workers: 2}
+func cacheOpts() driver.Options {
+	return driver.Options{Topo: topology.PairedTree(2), Workers: 2}
 }
 
 // artifactFiles lists the cache entries on disk.

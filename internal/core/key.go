@@ -25,14 +25,14 @@ import (
 // zero-value request and its explicit-default twin share one identity,
 // Workers never splits it, and bytes written by another format version are
 // never looked up.
-func KeyOf(g *sdf.Graph, opts Options) (string, error) {
+func KeyOf(g *sdf.Graph, opts driver.Options) (string, error) {
 	b, err := keyBytes(g.Digest(), opts)
 	return string(b), err
 }
 
 // keyBytes is the one key function: digest is the graph's structural
 // identity, from sdf.Graph.Digest or sdf.SpecDigest.
-func keyBytes(digest [sha256.Size]byte, opts Options) ([]byte, error) {
+func keyBytes(digest [sha256.Size]byte, opts driver.Options) ([]byte, error) {
 	ob, err := json.Marshal(driver.ExportOptions(driver.Normalized(opts)))
 	if err != nil {
 		return nil, err
@@ -52,14 +52,14 @@ func KeyHash(key string) string { return keyHash([]byte(key)) }
 
 // HashOf is KeyHash(KeyOf(g, opts)) without the key's round trip through a
 // string: what a caller that only routes by the hash asks for.
-func HashOf(g *sdf.Graph, opts Options) (string, error) {
+func HashOf(g *sdf.Graph, opts driver.Options) (string, error) {
 	return hashed(keyBytes(g.Digest(), opts))
 }
 
 // HashOfSpec is HashOf for a graph still in its wire form: the hash
 // ImportGraph(*spec) would key to, without building it. A spec ImportGraph
 // rejects hashes to a key no compilation has.
-func HashOfSpec(spec *sdf.GraphSpec, opts Options) (string, error) {
+func HashOfSpec(spec *sdf.GraphSpec, opts driver.Options) (string, error) {
 	return hashed(keyBytes(sdf.SpecDigest(spec), opts))
 }
 

@@ -13,7 +13,7 @@ import (
 	"streammap/internal/topology"
 )
 
-func hashOf(t *testing.T, g *sdf.Graph, opts Options) string {
+func hashOf(t *testing.T, g *sdf.Graph, opts driver.Options) string {
 	t.Helper()
 	hash, err := HashOf(g, opts)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestHashOfSpecMatchesHashOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero := Options{Topo: topology.PairedTree(2)}
+	zero := driver.Options{Topo: topology.PairedTree(2)}
 	want := hashOf(t, g, zero)
 	if hashOf(t, g, driver.Normalized(zero)) != want {
 		t.Error("explicit defaults key differently from the zero value")
@@ -69,7 +69,7 @@ func TestKeyHashSensitivity(t *testing.T) {
 		return g
 	}
 	g := build(8)
-	base := Options{Topo: topology.PairedTree(2)}
+	base := driver.Options{Topo: topology.PairedTree(2)}
 	want := hashOf(t, g, base)
 
 	if hashOf(t, build(8), base) != want {
@@ -91,16 +91,16 @@ func TestKeyHashSensitivity(t *testing.T) {
 
 	slower := gpu.M2090()
 	slower.NumSMs--
-	for name, mutate := range map[string]func(*Options){
-		"device":               func(o *Options) { o.Device = slower },
-		"topology":             func(o *Options) { o.Topo = topology.PairedTree(4) },
-		"fragment iters":       func(o *Options) { o.FragmentIters = 64 },
-		"partitioner":          func(o *Options) { o.Partitioner = SinglePart },
-		"mapper":               func(o *Options) { o.Mapper = PrevWorkMap },
-		"ilp max parts":        func(o *Options) { o.MapOptions = mapping.Options{ILPMaxParts: 3} },
-		"ilp budget":           func(o *Options) { o.MapOptions = mapping.Options{TimeBudget: time.Second} },
-		"force ilp":            func(o *Options) { o.MapOptions = mapping.Options{ForceILP: true} },
-		"multilevel threshold": func(o *Options) { o.MultilevelThreshold = MultilevelOff },
+	for name, mutate := range map[string]func(*driver.Options){
+		"device":               func(o *driver.Options) { o.Device = slower },
+		"topology":             func(o *driver.Options) { o.Topo = topology.PairedTree(4) },
+		"fragment iters":       func(o *driver.Options) { o.FragmentIters = 64 },
+		"partitioner":          func(o *driver.Options) { o.Partitioner = driver.SinglePart },
+		"mapper":               func(o *driver.Options) { o.Mapper = driver.PrevWorkMap },
+		"ilp max parts":        func(o *driver.Options) { o.MapOptions = mapping.Options{ILPMaxParts: 3} },
+		"ilp budget":           func(o *driver.Options) { o.MapOptions = mapping.Options{TimeBudget: time.Second} },
+		"force ilp":            func(o *driver.Options) { o.MapOptions = mapping.Options{ForceILP: true} },
+		"multilevel threshold": func(o *driver.Options) { o.MultilevelThreshold = driver.MultilevelOff },
 	} {
 		o := base
 		mutate(&o)

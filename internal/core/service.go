@@ -126,7 +126,7 @@ var (
 )
 
 // entry is one slot of the table: in flight until done closes, then either
-// failed (err) or the encoded artifact, with the live *Compiled beside it
+// failed (err) or the encoded artifact, with the live *driver.Compiled beside it
 // once a library caller has needed one.
 type entry struct {
 	key  string
@@ -135,7 +135,7 @@ type entry struct {
 	err  error
 
 	once sync.Once // guards rehydrating c from data
-	c    *Compiled
+	c    *driver.Compiled
 	cerr error
 }
 
@@ -158,7 +158,7 @@ type tier struct {
 // the one every later hit, every store and every peer is handed. It is
 // safe for concurrent use.
 //
-// Compile returns the same *Compiled to every caller with an equal key;
+// Compile returns the same *driver.Compiled to every caller with an equal key;
 // treat compiled results as immutable (copy the Plan before mutating it, as
 // the experiments do).
 type Service struct {
@@ -171,7 +171,7 @@ type Service struct {
 
 	// compileFn runs one compilation; driver.Compile in production, a seam
 	// for tests that need a compile to block or fail on cue.
-	compileFn func(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error)
+	compileFn func(ctx context.Context, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error)
 
 	// steadyMu serializes lazy steady-state computation: concurrent first
 	// requests may share one *Graph, and Graph.Steady mutates it.
@@ -299,7 +299,7 @@ func (s *Service) Stats() ServiceStats {
 // run in this process — a persistent-tier hit, bytes a server request or a
 // peer left in the table — is rebuilt from its encoding on first use; its
 // Stages are empty, since no pass ran here and the encoding carries none.
-func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
+func (s *Service) Compile(ctx context.Context, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error) {
 	hash, err := HashOf(g, opts)
 	if err != nil {
 		return nil, err
@@ -337,7 +337,7 @@ type GraphSource func() (*sdf.Graph, error)
 // joins a run, drops it. The run is detached, so it may call source after
 // a call whose ctx ended has returned — but never after a return with ctx
 // still live, which means the run is over.
-func (s *Service) Encoded(ctx context.Context, hash string, source GraphSource, opts Options) ([]byte, error) {
+func (s *Service) Encoded(ctx context.Context, hash string, source GraphSource, opts driver.Options) ([]byte, error) {
 	e, err := s.resolve(ctx, hash, nil, source, opts)
 	if err != nil {
 		return nil, err
@@ -346,10 +346,10 @@ func (s *Service) Encoded(ctx context.Context, hash string, source GraphSource, 
 }
 
 // resolve returns hash's finished entry. The graph comes one of two ways: g
-// in hand marks a library caller, who will want the *Compiled — a run it
+// in hand marks a library caller, who will want the *driver.Compiled — a run it
 // leads keeps the pipeline's own result and only accepts stored bytes it
 // can rebuild one from; otherwise source builds it if the run must compile.
-func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts Options) (*entry, error) {
+func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts driver.Options) (*entry, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func (s *Service) resolve(ctx context.Context, hash string, g *sdf.Graph, source
 		return nil, err
 	}
 	if !hit {
-		go s.run(ctx, e, true, func(ctx context.Context) ([]byte, *Compiled, int, error) {
+		go s.run(ctx, e, true, func(ctx context.Context) ([]byte, *driver.Compiled, int, error) {
 			return s.fill(ctx, hash, g, source, opts)
 		})
 	}
@@ -376,7 +376,7 @@ func (s *Service) Flight(ctx context.Context, key string, fn func(ctx context.Co
 		return nil, err
 	}
 	if !hit {
-		go s.run(ctx, e, false, func(ctx context.Context) ([]byte, *Compiled, int, error) {
+		go s.run(ctx, e, false, func(ctx context.Context) ([]byte, *driver.Compiled, int, error) {
 			release, err := s.admit(ctx)
 			if err != nil {
 				return nil, nil, 0, err
@@ -466,7 +466,7 @@ func (s *Service) evictLocked() {
 // keep it, and how many leading tiers to write the bytes to. Persisting
 // happens after the waiters are released: the tiers are best-effort and
 // never sit on the response path.
-func (s *Service) run(ctx context.Context, e *entry, retain bool, work func(context.Context) ([]byte, *Compiled, int, error)) {
+func (s *Service) run(ctx context.Context, e *entry, retain bool, work func(context.Context) ([]byte, *driver.Compiled, int, error)) {
 	defer s.finished()
 	var upto int
 	func() {
@@ -490,8 +490,8 @@ func (s *Service) run(ctx context.Context, e *entry, retain bool, work func(cont
 // them, else a compilation under an admission slot. A library caller's g
 // vets what the tiers return; without one the graph is built from source,
 // and only for the compilation.
-func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts Options) ([]byte, *Compiled, int, error) {
-	var c *Compiled
+func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source GraphSource, opts driver.Options) ([]byte, *driver.Compiled, int, error) {
+	var c *driver.Compiled
 	library := g != nil
 	accept := func([]byte) error { return nil }
 	if library {
@@ -549,7 +549,7 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source Gr
 
 // Encode exports and encodes one compilation, counted in
 // ServiceStats.Encodes.
-func (s *Service) Encode(ctx context.Context, c *Compiled) ([]byte, error) {
+func (s *Service) Encode(ctx context.Context, c *driver.Compiled) ([]byte, error) {
 	_, span := obs.StartSpan(ctx, "artifact.encode")
 	defer span.End()
 	s.encodes.Inc()
@@ -603,7 +603,7 @@ func (s *Service) ensureSteady(g *sdf.Graph) error {
 // partitions re-extracted, estimates/PDG/assignment restored verbatim, plan
 // reassembled — without running any pipeline stage. FromArtifact rejects
 // bytes compiled from another graph or under other options.
-func (s *Service) rehydrate(data []byte, g *sdf.Graph, opts Options) (*Compiled, error) {
+func (s *Service) rehydrate(data []byte, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error) {
 	if err := s.ensureSteady(g); err != nil {
 		return nil, err
 	}

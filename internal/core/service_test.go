@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"streammap/internal/apps"
+	"streammap/internal/driver"
 	"streammap/internal/mapping"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
 )
 
-func serviceOpts(gpus int) Options {
-	return Options{
+func serviceOpts(gpus int) driver.Options {
+	return driver.Options{
 		Topo:       topology.PairedTree(gpus),
 		MapOptions: mapping.Options{TimeBudget: 300 * time.Millisecond},
 	}
@@ -66,7 +67,7 @@ func TestServiceConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const N = 64
-	results := make([]*Compiled, N)
+	results := make([]*driver.Compiled, N)
 	errs := make([]error, N)
 	var wg sync.WaitGroup
 	for i := 0; i < N; i++ {
@@ -170,7 +171,7 @@ func TestServiceCancelledWaiterReturnsPromptly(t *testing.T) {
 	started := make(chan struct{})
 	block := make(chan struct{})
 	real := s.compileFn
-	s.compileFn = func(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error) {
+	s.compileFn = func(ctx context.Context, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error) {
 		close(started)
 		<-block
 		return real(ctx, g, opts)
@@ -222,11 +223,11 @@ func TestServiceNormalizesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := s.Compile(context.Background(), g, Options{})
+	c1, err := s.Compile(context.Background(), g, driver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.Compile(context.Background(), g, Options{
+	c2, err := s.Compile(context.Background(), g, driver.Options{
 		Topo:          topology.PairedTree(1),
 		FragmentIters: 512,
 		Workers:       3, // must not split the key either
@@ -247,7 +248,7 @@ func TestServiceDoesNotCacheErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := serviceOpts(2)
-	bad.Partitioner = PartitionerKind(99)
+	bad.Partitioner = driver.PartitionerKind(99)
 	if _, err := s.Compile(context.Background(), g, bad); err == nil {
 		t.Fatal("unknown partitioner accepted")
 	}

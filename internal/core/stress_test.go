@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/sdf"
 	"streammap/internal/synth"
 )
@@ -35,14 +36,14 @@ func TestServiceRaceStress(t *testing.T) {
 
 	svc := core.NewService(core.ServiceConfig{MaxEntries: 64, MaxConcurrent: 4})
 	const goroutines = 16
-	results := make([][]*core.Compiled, goroutines)
+	results := make([][]*driver.Compiled, goroutines)
 	errs := make([]error, goroutines)
 	var wg sync.WaitGroup
 	for gid := 0; gid < goroutines; gid++ {
 		wg.Add(1)
 		go func(gid int) {
 			defer wg.Done()
-			results[gid] = make([]*core.Compiled, len(corpus))
+			results[gid] = make([]*driver.Compiled, len(corpus))
 			for k := range corpus {
 				i := (k + gid) % len(corpus)
 				c, err := svc.Compile(context.Background(), graphs[i], corpus[i].Opts)

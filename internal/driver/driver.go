@@ -13,8 +13,8 @@
 // partition) runs Algorithm 1 on the calling goroutine against the
 // compile's own estimation engine (package pee).
 //
-// Package core re-exports this package's types; core.Service adds the
-// caching compile service on top.
+// Callers compile through this package directly (Compile); core.Service
+// adds the caching compile service on top.
 package driver
 
 import (
@@ -172,13 +172,11 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// StageMetric records one pass's wall-clock cost plus optional provenance
-// detail (the partition pass reports the estimation engine's cache
-// counters).
+// StageMetric records one pass's wall-clock cost. What a pass did, as
+// opposed to how long it took, is noted on its stage.* span.
 type StageMetric struct {
 	Name     string
 	Duration time.Duration
-	Info     string
 }
 
 // Compiled is the full result of the mapping flow.
@@ -263,17 +261,7 @@ func Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error)
 		if err != nil {
 			return nil, err
 		}
-		m := StageMetric{Name: s.name, Duration: time.Since(start)}
-		if s.name == "partition" {
-			// Try-Merge scoring provenance: how hard the engine worked, and
-			// — when the multilevel path served the compile — its hierarchy
-			// and refinement trace.
-			m.Info = c.Estimates.String()
-			if c.Parts != nil && c.Parts.ML != nil {
-				m.Info = "multilevel " + c.Parts.ML.String() + "; " + m.Info
-			}
-		}
-		c.Stages = append(c.Stages, m)
+		c.Stages = append(c.Stages, StageMetric{Name: s.name, Duration: time.Since(start)})
 	}
 	return c, nil
 }
@@ -299,7 +287,9 @@ func multilevelSelected(opts Options, g *sdf.Graph) bool {
 
 // stagePartition runs the selected partitioner on the calling goroutine,
 // with an estimation engine that lives for this pass only: the compile keeps
-// the engine's counters, not its memo.
+// the engine's counters, not its memo. The stage's span notes how hard the
+// engine worked and, when the multilevel path served the compile, its
+// hierarchy and refinement counters.
 func stagePartition(ctx context.Context, c *Compiled) error {
 	eng := pee.NewEngine(c.Graph, c.Prof)
 	var err error
@@ -316,6 +306,11 @@ func stagePartition(ctx context.Context, c *Compiled) error {
 		err = fmt.Errorf("driver: unknown partitioner %d", c.Options.Partitioner)
 	}
 	c.Estimates = eng.Stats()
+	if err == nil && c.Parts.ML != nil {
+		obs.SpanFrom(ctx).Notef("multilevel %v; %v", c.Parts.ML, c.Estimates)
+	} else {
+		obs.SpanFrom(ctx).Notef("%v", c.Estimates)
+	}
 	return err
 }
 

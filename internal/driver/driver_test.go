@@ -3,12 +3,14 @@ package driver
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"streammap/internal/apps"
 	"streammap/internal/gpusim"
 	"streammap/internal/mapping"
+	"streammap/internal/obs"
 	"streammap/internal/topology"
 )
 
@@ -127,5 +129,42 @@ func TestCompileCancelled(t *testing.T) {
 	cancel()
 	if _, err := Compile(ctx, g, Options{}); err == nil {
 		t.Error("cancelled compile succeeded")
+	}
+}
+
+// TestPartitionSpanNote: the partition pass notes its provenance on its
+// span, not on the stage record — the engine's counters always, and the
+// multilevel counters only when that path served the compile.
+func TestPartitionSpanNote(t *testing.T) {
+	app, _ := apps.ByName("DES")
+	for _, tc := range []struct {
+		part       PartitionerKind
+		multilevel bool
+	}{{Alg1, false}, {MultilevelPart, true}} {
+		g, err := apps.BuildGraph(app, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := obs.NewTracer(obs.TracerConfig{})
+		ctx, trace := tracer.StartRequest(context.Background(), "", "compile")
+		if _, err := Compile(ctx, g, Options{Partitioner: tc.part}); err != nil {
+			t.Fatal(err)
+		}
+		trace.Finish(0)
+		note, found := "", false
+		for _, sp := range tracer.Snapshot().Recent[0].Spans {
+			if sp.Name == "stage.partition" {
+				note, found = sp.Note, true
+			}
+		}
+		if !found {
+			t.Fatalf("partitioner %d: no stage.partition span", tc.part)
+		}
+		if !strings.Contains(note, "queries=") {
+			t.Errorf("partitioner %d: note %q carries no engine counters", tc.part, note)
+		}
+		if strings.Contains(note, "levels=") != tc.multilevel {
+			t.Errorf("partitioner %d: note %q, want multilevel counters %v", tc.part, note, tc.multilevel)
+		}
 	}
 }

@@ -94,15 +94,10 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 		span.End()
 		return nil, err
 	}
-	m := StageMetric{
-		Name:     "remap",
-		Duration: time.Since(start),
-		Info: fmt.Sprintf("%s; gpus %d->%d; parts %d; objective %g -> %g",
-			mode, len(a.Options.Topo.GPUNodes), degraded.NumGPUs(), len(c.Parts.Parts), from, c.Assign.Objective),
-	}
-	span.SetNote(m.Info)
+	span.Notef("%s; gpus %d->%d; parts %d; objective %g -> %g",
+		mode, len(a.Options.Topo.GPUNodes), degraded.NumGPUs(), len(c.Parts.Parts), from, c.Assign.Objective)
 	span.End()
-	c.Stages = append(c.Stages, m)
+	c.Stages = append(c.Stages, StageMetric{Name: "remap", Duration: time.Since(start)})
 
 	// The re-merge candidate is a repair for degradation-induced
 	// oversubscription: it is scored only when partitions outnumber the
@@ -120,9 +115,9 @@ func Remap(ctx context.Context, a *artifact.Artifact, degraded *topology.Tree, o
 			return nil, err
 		}
 		remerged = info.adopted
-		span.SetNote(info.String())
+		span.Notef("%v", info)
 		span.End()
-		c.Stages = append(c.Stages, StageMetric{Name: "remap-merge", Duration: time.Since(start), Info: info.String()})
+		c.Stages = append(c.Stages, StageMetric{Name: "remap-merge", Duration: time.Since(start)})
 	}
 
 	c.Plan = buildPlan(g, dopts, c.Prof, c.Parts.Parts, c.PDG, c.Assign.GPUOf)
@@ -201,7 +196,8 @@ func warmRemap(ctx context.Context, p *mapping.Problem, a *artifact.Artifact, gp
 	return warm, nil
 }
 
-// remergeInfo reports how the re-merge candidate fared, for stage provenance.
+// remergeInfo reports how the re-merge candidate fared, for the
+// stage.remap-merge span's note.
 type remergeInfo struct {
 	from, to int
 	adopted  bool

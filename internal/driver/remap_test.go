@@ -98,6 +98,26 @@ func TestRemapMatchesColdCompile(t *testing.T) {
 	}
 }
 
+// tracedRemap runs driver.Remap under a fresh trace and returns the result
+// with its stage.remap span's note.
+func tracedRemap(t *testing.T, a *artifact.Artifact, degraded *topology.Tree, opts driver.RemapOptions) (*driver.Compiled, string) {
+	t.Helper()
+	tracer := obs.NewTracer(obs.TracerConfig{})
+	ctx, trace := tracer.StartRequest(context.Background(), "", "remap")
+	c, err := driver.Remap(ctx, a, degraded, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Finish(0)
+	for _, sp := range tracer.Snapshot().Recent[0].Spans {
+		if sp.Name == "stage.remap" {
+			return c, sp.Note
+		}
+	}
+	t.Fatal("no stage.remap span")
+	return nil, ""
+}
+
 // TestRemapProvenance: the stage record of a remap must prove that profile,
 // partition, pdg and map did NOT run — only "remap" (and "remap-merge" when
 // a candidate was scored) may appear — and RemapInfo must point back at the
@@ -108,10 +128,7 @@ func TestRemapProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := driver.Remap(context.Background(), a, degraded, driver.RemapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, note := tracedRemap(t, a, degraded, driver.RemapOptions{})
 	if len(c.Stages) == 0 {
 		t.Fatal("remap recorded no stages")
 	}
@@ -123,8 +140,8 @@ func TestRemapProvenance(t *testing.T) {
 	if c.StageDuration("remap") == 0 {
 		t.Error("no remap stage recorded")
 	}
-	if !strings.Contains(c.Stages[0].Info, "gpus 4->2") {
-		t.Errorf("remap stage info %q does not record the device loss", c.Stages[0].Info)
+	if !strings.Contains(note, "gpus 4->2") {
+		t.Errorf("stage.remap note %q does not record the device loss", note)
 	}
 	info := c.RemapInfo
 	if info == nil {
@@ -240,12 +257,9 @@ func TestRemapWarmStartQuality(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := driver.Remap(context.Background(), a, degraded, driver.RemapOptions{GPUMap: gpuMap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(warm.Stages[0].Info, "warm") {
-				t.Fatalf("survival map given but stage info %q reports no warm start", warm.Stages[0].Info)
+			warm, note := tracedRemap(t, a, degraded, driver.RemapOptions{GPUMap: gpuMap})
+			if !strings.Contains(note, "warm") {
+				t.Fatalf("survival map given but stage.remap note %q reports no warm start", note)
 			}
 			app, _ := apps.ByName(tc.name)
 			g, err := apps.BuildGraph(app, tc.n)

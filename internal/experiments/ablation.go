@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/mapping"
@@ -34,7 +34,7 @@ func Ablations(cfg Config) (*Table, []AblationRow, error) {
 	}{
 		{"DES", 12, 4}, {"FMRadio", 12, 4}, {"DCT", 14, 4}, {"BitonicRec", 32, 4},
 	}
-	rows, err := parMap(cfg, len(cases), func(i int) (AblationRow, error) {
+	rows, err := parMap(len(cases), func(i int) (AblationRow, error) {
 		cs := cases[i]
 		app, ok := apps.ByName(cs.app)
 		if !ok {
@@ -44,7 +44,7 @@ func Ablations(cfg Config) (*Table, []AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		c, err := compileApp(g, cs.gpus, core.Alg1, core.ILPMapper, gpu.M2090())
+		c, err := compileApp(g, cs.gpus, driver.Alg1, driver.ILPMapper, gpu.M2090())
 		if err != nil {
 			return AblationRow{}, err
 		}

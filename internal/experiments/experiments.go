@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -15,7 +16,7 @@ import (
 	"sync/atomic"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/sdf"
@@ -26,62 +27,39 @@ import (
 type Config struct {
 	// Fragments per measured run.
 	Fragments int
-	// Quick trims the N sweeps to three sizes per app (first, middle, last)
-	// for test/bench-friendly runtimes.
-	Quick bool
-	// Tiny trims further to the two smallest sweep points (unit tests).
+	// Tiny trims every N sweep to its first and middle sizes, and the
+	// scaling sweep to four small cells (unit tests).
 	Tiny bool
 	// ScaleMax caps the scaling sweep's large-graph cells by filter count
 	// (default 1e5; set 1e6 for the million-filter cell, whose compile
-	// allocates 1.6 GB and holds 0.4 GB live, ~18 s on a 2-core Xeon).
+	// allocates 1.26 GB and takes ≈ 4.7 s on a 2-core Xeon).
 	ScaleMax int
-	// Workers bounds how many independent table/figure cells run
-	// concurrently. 0 selects GOMAXPROCS; 1 is fully serial. Cell results
-	// are collected by index, so row order never depends on scheduling,
-	// and cell *values* are deterministic: the exact mapper's budget is a
-	// node count, not a clock.
-	Workers int
 }
 
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// parMap evaluates cell(0..n-1) on a bounded worker pool and returns the
-// results in index order; the error reported is the lowest-index one, so a
-// failure is deterministic regardless of scheduling.
-func parMap[T any](cfg Config, n int, cell func(i int) (T, error)) ([]T, error) {
+// parMap evaluates cell(0..n-1) on GOMAXPROCS workers and returns the
+// results in index order, so row order never depends on scheduling; the
+// error reported is the lowest-index one, so a failure is deterministic
+// too. Cell values are deterministic as well: the exact mapper's budget is
+// a node count, not a clock.
+func parMap[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	w := cfg.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			out[i], errs[i] = cell(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= n {
-						return
-					}
-					out[i], errs[i] = cell(i)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := min(runtime.GOMAXPROCS(0), n); k > 0; k-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				out[i], errs[i] = cell(i)
+			}
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -97,17 +75,9 @@ func Default() Config {
 	return Config{Fragments: 64}
 }
 
-// Quick returns the trimmed configuration.
-func Quick() Config {
-	c := Default()
-	c.Quick = true
-	return c
-}
-
 // Tiny returns the smallest useful configuration (unit tests).
 func Tiny() Config {
 	c := Default()
-	c.Quick = true
 	c.Tiny = true
 	c.Fragments = 48
 	return c
@@ -124,10 +94,7 @@ func (c Config) sizes(app apps.App, compare bool) []int {
 	if c.Tiny {
 		return []int{s[0], s[len(s)/2]}
 	}
-	if !c.Quick || len(s) <= 3 {
-		return s
-	}
-	return []int{s[0], s[len(s)/2], s[len(s)-1]}
+	return s
 }
 
 // Table is a printable experiment result.
@@ -204,9 +171,9 @@ func input(n int64, mod int) []sdf.Token {
 // 1: the experiments' parallelism is cell-granular (parMap), and nesting a
 // per-compile worker pool under every concurrent cell would oversubscribe
 // the CPU without adding coverage.
-func compileApp(g *sdf.Graph, gpus int, part core.PartitionerKind, mapper core.MapperKind,
-	dev gpu.Device) (*core.Compiled, error) {
-	return core.Compile(g, core.Options{
+func compileApp(g *sdf.Graph, gpus int, part driver.PartitionerKind, mapper driver.MapperKind,
+	dev gpu.Device) (*driver.Compiled, error) {
+	return driver.Compile(context.Background(), g, driver.Options{
 		Device:      dev,
 		Topo:        topology.PairedTree(gpus),
 		Partitioner: part,
@@ -217,7 +184,7 @@ func compileApp(g *sdf.Graph, gpus int, part core.PartitionerKind, mapper core.M
 
 // measure executes a compiled plan (timing only) and returns the
 // steady-state time per fragment in microseconds.
-func measure(c *core.Compiled, fragments int) (float64, error) {
+func measure(c *driver.Compiled, fragments int) (float64, error) {
 	res, err := gpusim.RunTiming(c.Plan, fragments)
 	if err != nil {
 		return 0, err

@@ -169,14 +169,14 @@ func TestScalingSweepTinyShape(t *testing.T) {
 		if r.Partitions < 1 {
 			t.Errorf("%d-filter cell has %d partitions", r.Filters, r.Partitions)
 		}
-		if r.SerialMS <= 0 || r.PipeMS <= 0 {
+		if r.ExactMS <= 0 {
 			t.Errorf("cell (%d, %d) reports non-positive compile latency", r.Filters, r.GPUs)
 		}
 		if r.PerFragUS <= 0 {
 			t.Errorf("cell (%d, %d) reports non-positive throughput", r.Filters, r.GPUs)
 		}
 	}
-	if !strings.Contains(tbl.String(), "speedup") {
-		t.Error("table missing speedup column")
+	if !strings.Contains(tbl.String(), "exact(ms)") {
+		t.Error("table missing exact(ms) column")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/pee"
@@ -45,13 +45,13 @@ func Fig41(cfg Config) (*Table, *Fig41Result, error) {
 			cells = append(cells, cell{app, n})
 		}
 	}
-	points, err := parMap(cfg, len(cells), func(i int) ([]Fig41Point, error) {
+	points, err := parMap(len(cells), func(i int) ([]Fig41Point, error) {
 		app, n := cells[i].app, cells[i].n
 		g, err := buildApp(app, n)
 		if err != nil {
 			return nil, err
 		}
-		c, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090())
+		c, err := compileApp(g, 1, driver.Alg1, driver.ILPMapper, gpu.M2090())
 		if err != nil {
 			return nil, fmt.Errorf("fig4.1 %s N=%d: %w", app.Name, n, err)
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/sdf"
 )
@@ -43,7 +43,7 @@ func Fig42(cfg Config) (*Table, []Fig42Row, error) {
 			cells = append(cells, cell{app, n})
 		}
 	}
-	rows, err := parMap(cfg, len(cells), func(i int) (Fig42Row, error) {
+	rows, err := parMap(len(cells), func(i int) (Fig42Row, error) {
 		app, n := cells[i].app, cells[i].n
 		g, err := buildApp(app, n)
 		if err != nil {
@@ -52,7 +52,7 @@ func Fig42(cfg Config) (*Table, []Fig42Row, error) {
 		row := Fig42Row{App: app.Name, N: n}
 		var base float64
 		for gpus := 1; gpus <= 4; gpus++ {
-			c, err := compileApp(g, gpus, core.Alg1, core.ILPMapper, gpu.M2090())
+			c, err := compileApp(g, gpus, driver.Alg1, driver.ILPMapper, gpu.M2090())
 			if err != nil {
 				return row, fmt.Errorf("fig4.2 %s N=%d G=%d: %w", app.Name, n, gpus, err)
 			}
@@ -66,7 +66,7 @@ func Fig42(cfg Config) (*Table, []Fig42Row, error) {
 			}
 			row.SpeedupG[gpus] = base / t
 		}
-		if pc, err := compileApp(g, 1, core.PrevWorkPart, core.PrevWorkMap, gpu.M2090()); err == nil {
+		if pc, err := compileApp(g, 1, driver.PrevWorkPart, driver.PrevWorkMap, gpu.M2090()); err == nil {
 			row.PrevParts = len(pc.Parts.Parts)
 		}
 		return row, nil

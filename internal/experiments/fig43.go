@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 )
 
@@ -36,7 +36,7 @@ func Fig43(cfg Config) (*Table, []Fig43Row, error) {
 			cells = append(cells, cell{app, n})
 		}
 	}
-	rows, err := parMap(cfg, len(cells), func(i int) (Fig43Row, error) {
+	rows, err := parMap(len(cells), func(i int) (Fig43Row, error) {
 		app, n := cells[i].app, cells[i].n
 		g, err := buildApp(app, n)
 		if err != nil {
@@ -48,7 +48,7 @@ func Fig43(cfg Config) (*Table, []Fig43Row, error) {
 		// whole graph exceeds shared memory the baseline is infeasible;
 		// those rows report the our/prev ratio only.
 		var spsg float64
-		if c, err := compileApp(g, 1, core.SinglePart, core.ILPMapper, gpu.M2090()); err == nil {
+		if c, err := compileApp(g, 1, driver.SinglePart, driver.ILPMapper, gpu.M2090()); err == nil {
 			if t, err := measure(c, cfg.Fragments); err == nil {
 				spsg = t
 				row.SPSGOK = true
@@ -56,7 +56,7 @@ func Fig43(cfg Config) (*Table, []Fig43Row, error) {
 		}
 
 		for gpus := 1; gpus <= 4; gpus++ {
-			co, err := compileApp(g, gpus, core.Alg1, core.ILPMapper, gpu.M2090())
+			co, err := compileApp(g, gpus, driver.Alg1, driver.ILPMapper, gpu.M2090())
 			if err != nil {
 				return row, fmt.Errorf("fig4.3 %s N=%d G=%d (ours): %w", app.Name, n, gpus, err)
 			}
@@ -64,7 +64,7 @@ func Fig43(cfg Config) (*Table, []Fig43Row, error) {
 			if err != nil {
 				return row, err
 			}
-			cp, err := compileApp(g, gpus, core.PrevWorkPart, core.PrevWorkMap, gpu.M2090())
+			cp, err := compileApp(g, gpus, driver.PrevWorkPart, driver.PrevWorkMap, gpu.M2090())
 			if err != nil {
 				return row, fmt.Errorf("fig4.3 %s N=%d G=%d (prev): %w", app.Name, n, gpus, err)
 			}

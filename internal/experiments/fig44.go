@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 )
 
@@ -38,7 +39,7 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 		row      Fig44Row
 		feasible bool
 	}
-	cellRows, err := parMap(cfg, len(cases), func(i int) (cellResult, error) {
+	cellRows, err := parMap(len(cases), func(i int) (cellResult, error) {
 		cs := cases[i]
 		app, ok := apps.ByName(cs.name)
 		if !ok {
@@ -51,7 +52,7 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 		var sosp [2]float64
 		var spsgT [2]float64
 		for di, dev := range devices {
-			sc, err := core.Compile(g, optionsFor(dev, 1, core.SinglePart))
+			sc, err := driver.Compile(context.Background(), g, optionsFor(dev, 1, driver.SinglePart))
 			if err != nil {
 				return cellResult{}, nil // SPSG infeasible: skip the row
 			}
@@ -59,7 +60,7 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 			if err != nil {
 				return cellResult{}, err
 			}
-			mc, err := core.Compile(g, optionsFor(dev, 4, core.Alg1))
+			mc, err := driver.Compile(context.Background(), g, optionsFor(dev, 4, driver.Alg1))
 			if err != nil {
 				return cellResult{}, err
 			}
@@ -108,12 +109,12 @@ func Fig44(cfg Config) (*Table, []Fig44Row, error) {
 	return t, rows, nil
 }
 
-func optionsFor(dev gpu.Device, gpus int, part core.PartitionerKind) core.Options {
-	return core.Options{
+func optionsFor(dev gpu.Device, gpus int, part driver.PartitionerKind) driver.Options {
+	return driver.Options{
 		Device:      dev,
 		Topo:        topologyFor(gpus),
 		Partitioner: part,
-		Mapper:      core.ILPMapper,
+		Mapper:      driver.ILPMapper,
 		Workers:     1, // cell-granular parallelism; see compileApp
 	}
 }

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
 
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/mapping"
@@ -14,9 +15,8 @@ import (
 )
 
 // scalingExactCap is the largest filter count at which the exact Algorithm 1
-// legs (one worker and concurrent) still run: beyond it Try-Merge's quadratic
-// candidate scan dominates the sweep, and the multilevel path is the only
-// column.
+// leg still runs: beyond it Try-Merge's quadratic candidate scan dominates
+// the sweep, and the multilevel path is the only column.
 const scalingExactCap = 2000
 
 // ScalingRow is one cell of the synthetic scaling sweep.
@@ -24,10 +24,8 @@ type ScalingRow struct {
 	Filters    int // requested size
 	Nodes      int // actual flattened node count
 	GPUs       int
-	Partitions int     // exact path (0 when the exact legs are skipped)
-	SerialMS   float64 // Compile wall clock at Workers 1
-	PipeMS     float64 // concurrent pipeline wall clock
-	Speedup    float64 // SerialMS / PipeMS
+	Partitions int     // exact path (0 when the exact leg is skipped)
+	ExactMS    float64 // exact compile wall clock
 	TmaxUS     float64 // mapping objective
 	PerFragUS  float64 // simulated steady-state time per fragment
 
@@ -39,32 +37,27 @@ type ScalingRow struct {
 }
 
 // ScalingSweep compiles a family of generated stream graphs of growing size
-// onto machines of growing GPU count and reports compile latency (the
-// pipeline at Workers 1 vs. at its default vs. multilevel) and simulated
-// throughput. Graphs come from the synth generator under fixed seeds;
+// onto machines of growing GPU count and reports compile latency (exact
+// vs. multilevel) and simulated throughput. Graphs come from the synth generator under fixed seeds;
 // topologies are the paper's paired PCIe trees so the GPU-count axis varies
 // only in width. Cells run serially — unlike the paper-figure experiments —
 // because the latencies being measured would be distorted by co-running
 // cells.
 //
-// Up to scalingExactCap filters each cell is differential three ways: the
-// concurrent run's artifacts must be identical to the one-worker run's, and the
-// multilevel plan's simulated throughput is reported as a ratio against the
-// exact plan's. Beyond the cap only the multilevel column runs — that is the
-// regime the multilevel path exists for — up to cfg.ScaleMax filters
-// (default 1e5; pass -scale-max 1000000 for the million-filter cell).
+// Up to scalingExactCap filters each cell also compiles on the exact path,
+// and the multilevel plan's simulated throughput is reported as a ratio
+// against the exact plan's. Beyond the cap only the multilevel column runs —
+// that is the regime the multilevel path exists for — up to cfg.ScaleMax
+// filters (default 1e5; pass -scale-max 1000000 for the million-filter
+// cell).
 func ScalingSweep(cfg Config) (*Table, []ScalingRow, error) {
 	sizes := []int{16, 48, 96, 192, 384}
 	gpus := []int{1, 2, 4, 8}
 	huge := []int{1000, 10000, 100000, 1000000}
-	switch {
-	case cfg.Tiny:
+	if cfg.Tiny {
 		sizes = []int{12, 32}
 		gpus = []int{1, 4}
 		huge = nil
-	case cfg.Quick:
-		sizes = []int{16, 96, 384}
-		huge = []int{1000}
 	}
 	scaleMax := cfg.ScaleMax
 	if scaleMax <= 0 {
@@ -97,10 +90,10 @@ func ScalingSweep(cfg Config) (*Table, []ScalingRow, error) {
 
 	tbl := &Table{
 		Title:  "Scaling — synthetic graphs: compile latency and throughput vs. size and GPU count",
-		Header: []string{"filters", "nodes", "gpus", "parts", "serial(ms)", "pipeline(ms)", "speedup", "us/frag", "ml-parts", "ml(ms)", "ml-alloc(MB)", "ml-us/frag", "ratio"},
+		Header: []string{"filters", "nodes", "gpus", "parts", "exact(ms)", "us/frag", "ml-parts", "ml(ms)", "ml-alloc(MB)", "ml-us/frag", "ratio"},
 		Notes: []string{
 			"graphs: synth.BuildGraph (seeded, skewed work); topology: PairedTree",
-			fmt.Sprintf("exact legs (serial = Workers 1, pipeline = default workers) run up to %d filters and assert identical artifacts", scalingExactCap),
+			fmt.Sprintf("the exact leg (Algorithm 1, multilevel switch off) runs up to %d filters", scalingExactCap),
 			"ml columns: forced multilevel coarsen->partition->refine path; ratio = ml-us/frag / us/frag",
 		},
 	}
@@ -115,7 +108,7 @@ func ScalingSweep(cfg Config) (*Table, []ScalingRow, error) {
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprint(r.Filters), fmt.Sprint(r.Nodes), fmt.Sprint(r.GPUs),
 			map[bool]string{true: fmt.Sprint(r.Partitions), false: "-"}[exact],
-			dash(r.SerialMS, exact), dash(r.PipeMS, exact), dash(r.Speedup, exact), dash(r.PerFragUS, exact),
+			dash(r.ExactMS, exact), dash(r.PerFragUS, exact),
 			fmt.Sprint(r.MLParts), f2(r.MLMS), f1(r.MLAllocMB), f2(r.MLPerFragUS),
 			dash(r.Ratio, exact),
 		})
@@ -131,7 +124,7 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 		MaxOps:   512,
 		SkewWork: true,
 	}
-	opts := core.Options{
+	opts := driver.Options{
 		Device: gpu.M2090(),
 		Topo:   topology.PairedTree(gpus),
 		// The differential corpus's mapping options.
@@ -141,44 +134,24 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 
 	if filters <= scalingExactCap {
 		exactOpts := opts
-		exactOpts.MultilevelThreshold = core.MultilevelOff
-		gSerial, err := synth.BuildGraph(gp)
+		exactOpts.MultilevelThreshold = driver.MultilevelOff
+		g, err := synth.BuildGraph(gp)
 		if err != nil {
 			return ScalingRow{}, err
 		}
 		t0 := time.Now()
-		serialOpts := exactOpts
-		serialOpts.Workers = 1
-		serial, err := core.Compile(gSerial, serialOpts)
+		exact, err := driver.Compile(context.Background(), g, exactOpts)
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		row.SerialMS = float64(time.Since(t0).Microseconds()) / 1e3
-
-		gPipe, err := synth.BuildGraph(gp)
+		row.ExactMS = float64(time.Since(t0).Microseconds()) / 1e3
+		res, err := gpusim.RunTiming(exact.Plan, cfg.Fragments)
 		if err != nil {
 			return ScalingRow{}, err
 		}
-		t0 = time.Now()
-		pipe, err := core.Compile(gPipe, exactOpts)
-		if err != nil {
-			return ScalingRow{}, err
-		}
-		row.PipeMS = float64(time.Since(t0).Microseconds()) / 1e3
-
-		if err := core.Equivalent(serial, pipe); err != nil {
-			return ScalingRow{}, fmt.Errorf("pipeline diverged from serial: %w", err)
-		}
-		res, err := gpusim.RunTiming(pipe.Plan, cfg.Fragments)
-		if err != nil {
-			return ScalingRow{}, err
-		}
-		row.Partitions = len(pipe.Parts.Parts)
-		row.TmaxUS = pipe.Assign.Objective
+		row.Partitions = len(exact.Parts.Parts)
+		row.TmaxUS = exact.Assign.Objective
 		row.PerFragUS = res.PerFragmentUS
-		if row.PipeMS > 0 {
-			row.Speedup = row.SerialMS / row.PipeMS
-		}
 	}
 
 	// Multilevel leg: always forced, so the column exists at every size and
@@ -191,12 +164,12 @@ func scalingCell(cfg Config, filters, gpus int) (ScalingRow, error) {
 		return ScalingRow{}, err
 	}
 	mlOpts := opts
-	mlOpts.Partitioner = core.MultilevelPart
+	mlOpts.Partitioner = driver.MultilevelPart
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	ml, err := core.Compile(gML, mlOpts)
+	ml, err := driver.Compile(context.Background(), gML, mlOpts)
 	if err != nil {
 		return ScalingRow{}, fmt.Errorf("multilevel: %w", err)
 	}

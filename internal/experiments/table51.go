@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/sjopt"
 	"streammap/internal/topology"
@@ -49,7 +49,7 @@ func Table51(cfg Config) (*Table, []Table51Row, error) {
 			cells = append(cells, cell{cs.app, n})
 		}
 	}
-	rows, err := parMap(cfg, len(cells), func(i int) (Table51Row, error) {
+	rows, err := parMap(len(cells), func(i int) (Table51Row, error) {
 		cs := cells[i]
 		app, ok := apps.ByName(cs.app)
 		if !ok {
@@ -63,7 +63,7 @@ func Table51(cfg Config) (*Table, []Table51Row, error) {
 		if err != nil {
 			return Table51Row{}, err
 		}
-		co, err := compileApp(g, 1, core.Alg1, core.ILPMapper, gpu.M2090())
+		co, err := compileApp(g, 1, driver.Alg1, driver.ILPMapper, gpu.M2090())
 		if err != nil {
 			return Table51Row{}, err
 		}
@@ -71,7 +71,7 @@ func Table51(cfg Config) (*Table, []Table51Row, error) {
 		if err != nil {
 			return Table51Row{}, err
 		}
-		ce, err := compileApp(enh, 1, core.Alg1, core.ILPMapper, gpu.M2090())
+		ce, err := compileApp(enh, 1, driver.Alg1, driver.ILPMapper, gpu.M2090())
 		if err != nil {
 			return Table51Row{}, err
 		}

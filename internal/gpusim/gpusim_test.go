@@ -1,10 +1,11 @@
 package gpusim_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/gpusim"
 	"streammap/internal/pee"
@@ -28,13 +29,13 @@ func seq(n int64) []sdf.Token {
 	return out
 }
 
-func compile(t *testing.T, s sdf.Stream, gpus int, kind core.PartitionerKind, mapper core.MapperKind) *core.Compiled {
+func compile(t *testing.T, s sdf.Stream, gpus int, kind driver.PartitionerKind, mapper driver.MapperKind) *driver.Compiled {
 	t.Helper()
 	g, err := sdf.Flatten("app", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(g, core.Options{
+	c, err := driver.Compile(context.Background(), g, driver.Options{
 		Topo:        topology.PairedTree(gpus),
 		Partitioner: kind,
 		Mapper:      mapper,
@@ -57,7 +58,7 @@ func hotSJ() sdf.Stream {
 }
 
 func TestFunctionalEquivalenceWithReference(t *testing.T) {
-	c := compile(t, hotSJ(), 2, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 2, driver.Alg1, driver.ILPMapper)
 	const fragments = 3
 	in := seq(c.InputNeed(0, fragments))
 
@@ -93,7 +94,7 @@ func TestFunctionalEquivalenceWithReference(t *testing.T) {
 
 func TestMultiGPUFasterThanSingleForParallelWork(t *testing.T) {
 	run := func(gpus int) float64 {
-		c := compile(t, hotSJ(), gpus, core.Alg1, core.ILPMapper)
+		c := compile(t, hotSJ(), gpus, driver.Alg1, driver.ILPMapper)
 		const fragments = 8
 		in := seq(c.InputNeed(0, fragments))
 		res, err := c.Execute([][]sdf.Token{in}, fragments)
@@ -110,7 +111,7 @@ func TestMultiGPUFasterThanSingleForParallelWork(t *testing.T) {
 }
 
 func TestPipeliningOverlapsFragments(t *testing.T) {
-	c := compile(t, hotSJ(), 2, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 2, driver.Alg1, driver.ILPMapper)
 	const fragments = 8
 	in := seq(c.InputNeed(0, fragments))
 	res, err := c.Execute([][]sdf.Token{in}, fragments)
@@ -138,7 +139,7 @@ func TestPipeliningOverlapsFragments(t *testing.T) {
 
 func TestViaHostSlowerOrEqualThanP2P(t *testing.T) {
 	// Same assignment, via-host vs p2p execution of a communicating app.
-	c := compile(t, hotSJ(), 2, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 2, driver.Alg1, driver.ILPMapper)
 	const fragments = 8
 	in := seq(c.InputNeed(0, fragments))
 	p2p, err := c.Execute([][]sdf.Token{in}, fragments)
@@ -157,7 +158,7 @@ func TestViaHostSlowerOrEqualThanP2P(t *testing.T) {
 }
 
 func TestMeasureKernelDeterministic(t *testing.T) {
-	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 1, driver.Alg1, driver.ILPMapper)
 	for _, k := range c.Plan.Kernels {
 		a := gpusim.MeasureKernel(c.Plan, k)
 		b := gpusim.MeasureKernel(c.Plan, k)
@@ -176,7 +177,7 @@ func TestMeasureKernelDeterministic(t *testing.T) {
 func TestMeasurementCorrelatesWithEstimate(t *testing.T) {
 	// The estimator should predict the simulator well (the Fig 4.1 claim):
 	// check relative error across the partitions of a mixed app.
-	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 1, driver.Alg1, driver.ILPMapper)
 	var pred, meas []float64
 	for _, k := range c.Plan.Kernels {
 		pred = append(pred, k.TUS)
@@ -194,7 +195,7 @@ func TestMeasurementCorrelatesWithEstimate(t *testing.T) {
 }
 
 func TestKernelFragmentScaling(t *testing.T) {
-	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 1, driver.Alg1, driver.ILPMapper)
 	k := c.Plan.Kernels[0]
 	d := c.Plan.Machine.Device
 	one := gpusim.KernelFragmentUS(c.Plan, k, 1)
@@ -209,7 +210,7 @@ func TestKernelFragmentScaling(t *testing.T) {
 }
 
 func TestPrevWorkPipelineRuns(t *testing.T) {
-	c := compile(t, hotSJ(), 2, core.PrevWorkPart, core.PrevWorkMap)
+	c := compile(t, hotSJ(), 2, driver.PrevWorkPart, driver.PrevWorkMap)
 	const fragments = 4
 	in := seq(c.InputNeed(0, fragments))
 	res, err := c.Execute([][]sdf.Token{in}, fragments)
@@ -233,14 +234,14 @@ func TestPrevWorkPipelineRuns(t *testing.T) {
 }
 
 func TestInsufficientInputRejected(t *testing.T) {
-	c := compile(t, hotSJ(), 1, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 1, driver.Alg1, driver.ILPMapper)
 	if _, err := c.Execute([][]sdf.Token{{1, 2, 3}}, 4); err == nil {
 		t.Fatal("expected input-shortage error")
 	}
 }
 
 func TestGPUBusyConservation(t *testing.T) {
-	c := compile(t, hotSJ(), 2, core.Alg1, core.ILPMapper)
+	c := compile(t, hotSJ(), 2, driver.Alg1, driver.ILPMapper)
 	const fragments = 5
 	in := seq(c.InputNeed(0, fragments))
 	res, err := c.Execute([][]sdf.Token{in}, fragments)
@@ -270,7 +271,7 @@ func TestDeviceScalingG1VsG2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.Compile(g, core.Options{Device: d, Topo: topology.PairedTree(1)})
+		c, err := driver.Compile(context.Background(), g, driver.Options{Device: d, Topo: topology.PairedTree(1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,11 @@
 package lang
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/sdf"
 	"streammap/internal/topology"
 )
@@ -55,7 +56,7 @@ func TestParsedProgramCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := core.Compile(g, core.Options{Topo: topology.PairedTree(2)})
+	c, err := driver.Compile(context.Background(), g, driver.Options{Topo: topology.PairedTree(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,17 +61,17 @@ type MLOptions struct {
 }
 
 // MLStats is the multilevel run's provenance, attached to Result.ML and
-// surfaced through the driver's partition stage info.
+// surfaced as the stage.partition span's note and by streammap -stats.
 type MLStats struct {
-	Levels        int // hierarchy depth including level 0
-	CoarsestUnits int // unit count of the coarsest level
-	SeedLevel     int // level the seed partitions came from (after fallback)
-	SeedParts     int // partitions at seeding
-	MergeRounds   int // merge sweeps across all three priority specs
-	Merges        int // accepted merges
-	RefinedLevels int // levels that ran boundary refinement
-	MoveEvals     int // candidate moves evaluated
-	Moves         int // accepted moves
+	Levels        int `json:"levels"`        // hierarchy depth including level 0
+	CoarsestUnits int `json:"coarsestUnits"` // unit count of the coarsest level
+	SeedLevel     int `json:"seedLevel"`     // level the seed partitions came from (after fallback)
+	SeedParts     int `json:"seedParts"`     // partitions at seeding
+	MergeRounds   int `json:"mergeRounds"`   // merge sweeps across all three priority specs
+	Merges        int `json:"merges"`        // accepted merges
+	RefinedLevels int `json:"refinedLevels"` // levels that ran boundary refinement
+	MoveEvals     int `json:"moveEvals"`     // candidate moves evaluated
+	Moves         int `json:"moves"`         // accepted moves
 }
 
 func (s *MLStats) String() string {

@@ -294,7 +294,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	defer call.release()
 	_, span := obs.StartSpan(r.Context(), "request.decode")
 	how, err := call.decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
-	var opts core.Options
+	var opts driver.Options
 	if err != nil {
 		err = fmt.Errorf("decoding request: %w", err)
 	} else if opts, err = driver.ImportOptions(call.req.Options); err != nil {

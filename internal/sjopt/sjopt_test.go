@@ -1,10 +1,11 @@
 package sjopt
 
 import (
+	"context"
 	"testing"
 
 	"streammap/internal/apps"
-	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/gpu"
 	"streammap/internal/pee"
 	"streammap/internal/sdf"
@@ -121,7 +122,7 @@ func TestEliminationSpeedsUpSingleGPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	perFrag := func(gr *sdf.Graph) float64 {
-		c, err := core.Compile(gr, core.Options{Topo: topology.PairedTree(1)})
+		c, err := driver.Compile(context.Background(), gr, driver.Options{Topo: topology.PairedTree(1)})
 		if err != nil {
 			t.Fatal(err)
 		}

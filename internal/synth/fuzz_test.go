@@ -18,6 +18,7 @@ func FuzzBuildGraph(f *testing.F) {
 	f.Add(uint64(1), uint16(8), uint8(4), uint8(3), uint8(6), uint8(0))
 	f.Add(uint64(0xDEADBEEF), uint16(64), uint8(2), uint8(1), uint8(1), uint8(1))
 	f.Add(uint64(42), uint16(300), uint8(5), uint8(4), uint8(16), uint8(3))
+	f.Add(uint64(31603), uint16(458), uint8(5), uint8(4), uint8(3), uint8(0)) // needs the ladder's last rung
 	f.Fuzz(func(t *testing.T, seed uint64, filters uint16, width, depth, rate, flags uint8) {
 		p := GraphParams{
 			Seed:     seed,
@@ -62,6 +63,7 @@ func FuzzSpecDigest(f *testing.F) {
 	f.Add(uint64(1), uint16(8), uint8(4), uint8(3), uint8(6), uint8(0))
 	f.Add(uint64(0xDEADBEEF), uint16(64), uint8(2), uint8(1), uint8(1), uint8(1))
 	f.Add(uint64(42), uint16(300), uint8(5), uint8(4), uint8(16), uint8(3))
+	f.Add(uint64(31603), uint16(458), uint8(5), uint8(4), uint8(3), uint8(0)) // needs the ladder's last rung
 	f.Fuzz(func(t *testing.T, seed uint64, filters uint16, width, depth, rate, flags uint8) {
 		g, err := BuildGraph(GraphParams{
 			Seed:     seed,

@@ -139,9 +139,14 @@ func (g *graphGen) bumpAmp(gn ratio) {
 // BuildStream generates the structural composition for the parameters.
 // Identical parameters yield an identical stream.
 func BuildStream(p GraphParams) sdf.Stream {
-	p = p.withDefaults()
+	return buildStream(p.withDefaults(), false)
+}
+
+// buildStream is BuildStream on defaulted parameters, with unitGain forcing
+// every filter and split-join below the root to preserve its token rate.
+func buildStream(p GraphParams, unitGain bool) sdf.Stream {
 	g := &graphGen{p: p, r: newRNG(p.Seed), amp: 1}
-	s, _, _ := g.stream(p.Filters, 0, true, false)
+	s, _, _ := g.stream(p.Filters, 0, true, unitGain)
 	return s
 }
 
@@ -162,8 +167,9 @@ func BuildGraph(p GraphParams) (*sdf.Graph, error) {
 	p = p.withDefaults()
 	try := p
 	name := fmt.Sprintf("synth%d_f%d", p.Seed, p.Filters)
+	unitGain := false
 	for attempt := 0; ; attempt++ {
-		g, err := sdf.Flatten(name, BuildStream(try))
+		g, err := sdf.Flatten(name, buildStream(try, unitGain))
 		if err == nil {
 			tame := true
 			for _, n := range g.Nodes {
@@ -177,7 +183,7 @@ func BuildGraph(p GraphParams) (*sdf.Graph, error) {
 			}
 			err = fmt.Errorf("repetition vector exceeds %d", int64(maxRep))
 		}
-		if attempt >= 4 {
+		if attempt >= 5 {
 			return nil, fmt.Errorf("synth: seed %d: %w", p.Seed, err)
 		}
 		try.Seed = try.Seed ^ (0x6C62272E07BB0142 << uint(attempt))
@@ -190,11 +196,16 @@ func BuildGraph(p GraphParams) (*sdf.Graph, error) {
 		case 2:
 			try.MaxRate = 2
 			try.RateChangeProb = -1
-		default:
-			// All rates 1: the repetition vector is all ones, so this rung
-			// always terminates the ladder.
+		case 3:
+			// All rates 1. Duplicate split-joins still multiply tokens by
+			// their width, so a nest of them can still blow up.
 			try.MaxRate = 1
 			try.RateChangeProb = -1
+		default:
+			// All rates 1 under unit gain, which also rules out duplicate
+			// split-joins: every token rate is 1, so the repetition vector
+			// is all ones and this rung always terminates the ladder.
+			unitGain = true
 		}
 	}
 }

@@ -121,19 +121,20 @@ var (
 	NewTopology = topology.NewBuilder
 )
 
-// Compilation.
+// Compilation: the flow's types (package driver) and the compile service
+// (package core).
 type (
 	// Options configures the mapping flow.
-	Options = core.Options
+	Options = driver.Options
 	// Compiled is the result: partitions, assignment, executable plan, and
 	// per-stage pipeline timings.
-	Compiled = core.Compiled
+	Compiled = driver.Compiled
 	// PartitionerKind selects the partitioning algorithm.
-	PartitionerKind = core.PartitionerKind
+	PartitionerKind = driver.PartitionerKind
 	// MapperKind selects the mapper.
-	MapperKind = core.MapperKind
+	MapperKind = driver.MapperKind
 	// StageMetric is one pipeline pass's recorded wall-clock cost.
-	StageMetric = core.StageMetric
+	StageMetric = driver.StageMetric
 	// Service is a concurrent compile service with an LRU result cache.
 	Service = core.Service
 	// ServiceConfig tunes a Service.
@@ -142,29 +143,29 @@ type (
 	ServiceStats = core.ServiceStats
 )
 
-// Partitioner and mapper choices.
+// Partitioner and mapper choices (package driver).
 const (
 	// Alg1 is the paper's four-phase partitioning heuristic.
-	Alg1 = core.Alg1
+	Alg1 = driver.Alg1
 	// PrevWorkPartitioner merges until the shared-memory limit ([7]).
-	PrevWorkPartitioner = core.PrevWorkPart
+	PrevWorkPartitioner = driver.PrevWorkPart
 	// SinglePartition maps the whole graph as one kernel ([10]).
-	SinglePartition = core.SinglePart
+	SinglePartition = driver.SinglePart
 	// ILPMapper is the communication-aware mapping of §3.2.2.
-	ILPMapper = core.ILPMapper
+	ILPMapper = driver.ILPMapper
 	// PrevWorkMapper is workload-only balancing with host staging.
-	PrevWorkMapper = core.PrevWorkMap
+	PrevWorkMapper = driver.PrevWorkMap
 )
 
 // Compile runs the full mapping flow on a stream graph.
 func Compile(g *Graph, opts Options) (*Compiled, error) {
-	return core.Compile(g, opts)
+	return driver.Compile(context.Background(), g, opts)
 }
 
 // CompileCtx is Compile under a context: cancellation aborts between
 // pipeline stages and inside the partition and map passes.
 func CompileCtx(ctx context.Context, g *Graph, opts Options) (*Compiled, error) {
-	return core.CompileCtx(ctx, g, opts)
+	return driver.Compile(ctx, g, opts)
 }
 
 // NewService returns a concurrent compile service: many goroutines may
