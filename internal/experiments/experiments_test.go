@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -178,5 +179,8 @@ func TestScalingSweepTinyShape(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "exact(ms)") {
 		t.Error("table missing exact(ms) column")
+	}
+	if ml := slices.Index(tbl.Header, "ml(ms)"); ml < 0 || slices.Index(tbl.Header, "steady(ms)") != ml+1 {
+		t.Errorf("header %v: want steady(ms) right after ml(ms)", tbl.Header)
 	}
 }

@@ -137,7 +137,7 @@ func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions, maxUnitBytes int64) (*Co
 func sccLevel(g *sdf.Graph) *CoarseLevel {
 	n := g.NumNodes()
 	sccOf := make([]int32, n)
-	sccs := stronglyConnected(g)
+	sccs := g.StronglyConnected()
 	for si, scc := range sccs {
 		for _, id := range scc {
 			sccOf[id] = int32(si)
@@ -168,7 +168,7 @@ func sccLevel(g *sdf.Graph) *CoarseLevel {
 	for id := 0; id < n; id++ {
 		u := unitOf[id]
 		l.nodeCount[u]++
-		l.scale[u] = gcd64(l.scale[u], g.Rep(sdf.NodeID(id)))
+		l.scale[u] = sdf.GCD(l.scale[u], g.Rep(sdf.NodeID(id)))
 	}
 	for _, e := range g.Edges {
 		if ua := unitOf[e.Src]; ua == unitOf[e.Dst] {
@@ -246,14 +246,14 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 			}
 			nodes += int64(cur.nodeCount[a])
 			by += cur.internal[a]
-			sc = gcd64(sc, cur.scale[a])
+			sc = sdf.GCD(sc, cur.scale[a])
 		}
 		if !ok || j == -1 || j == s || leader[j] != -1 || len(q.preds(j)) != len(arms) {
 			continue
 		}
 		nodes += int64(cur.nodeCount[j])
 		by += cur.internal[j]
-		sc = gcd64(sc, cur.scale[j])
+		sc = sdf.GCD(sc, cur.scale[j])
 		for _, a := range arms {
 			by += q.bytesBetween(s, a) + q.bytesBetween(a, j)
 		}
@@ -297,7 +297,7 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 			}
 			nodes := int64(cur.nodeCount[u]) + int64(cur.nodeCount[v])
 			by := cur.internal[u] + cur.internal[v] + q.bytesBetween(u, v)
-			sc := gcd64(cur.scale[u], cur.scale[v])
+			sc := sdf.GCD(cur.scale[u], cur.scale[v])
 			if !fits(nodes, by, sc) {
 				continue
 			}
@@ -346,7 +346,7 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 	for u := 0; u < U; u++ {
 		nu := newOf[u]
 		nl.nodeCount[nu] += cur.nodeCount[u]
-		nl.scale[nu] = gcd64(nl.scale[nu], cur.scale[u])
+		nl.scale[nu] = sdf.GCD(nl.scale[nu], cur.scale[u])
 		nl.internal[nu] += cur.internal[u]
 	}
 	// Cross-unit bytes that became internal to a merged supernode.
@@ -482,12 +482,4 @@ func buildQuotient(g *sdf.Graph, unitOf []int32, numUnits int) (*quotient, error
 		return nil, fmt.Errorf("partition: coarsening quotient has a cycle (%d of %d units ordered)", len(order), numUnits)
 	}
 	return q, nil
-}
-
-// gcd64 returns gcd(a, b) with gcd(0, x) == x.
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

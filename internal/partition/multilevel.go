@@ -328,7 +328,7 @@ func (m *mlState) mergePhase(q *quotient) error {
 					if err != nil {
 						continue
 					}
-					sc := gcd64(a.scale, b.scale)
+					sc := sdf.GCD(a.scale, b.scale)
 					tw := est.TUS * float64(sc)
 					if tw >= a.tw+b.tw {
 						continue
@@ -442,7 +442,7 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 					if err != nil {
 						continue
 					}
-					sc := gcd64(gcd64(a.scale, b.scale), c.scale)
+					sc := sdf.GCD(sdf.GCD(a.scale, b.scale), c.scale)
 					tw := est.TUS * float64(sc)
 					if tw >= a.tw+b.tw+c.tw {
 						continue
@@ -518,7 +518,7 @@ func (m *mlState) allNodesPhase(numUnits int) error {
 	var combined float64
 	for _, p := range m.parts {
 		if !p.dead {
-			sc = gcd64(sc, p.scale)
+			sc = sdf.GCD(sc, p.scale)
 			combined += p.tw
 		}
 	}

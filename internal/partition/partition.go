@@ -82,8 +82,9 @@ type partitioner struct {
 	eng *pee.Engine
 	ctx context.Context
 
-	parts    []*cand // live partitions (nil holes compacted lazily)
-	assigned []int   // node -> index into parts, -1 if none
+	parts    []*cand   // live partitions (nil holes compacted lazily)
+	tws      []float64 // parts[i].tw(), the key of every merge scan's sort
+	assigned []int     // node -> index into parts, -1 if none
 
 	// Scratch reused by every Try-Merge: each candidate union is built in
 	// the one union set, listed into members for the engine, and convexity
@@ -176,12 +177,6 @@ func (p *partitioner) tryMergeSets(union sdf.NodeSet, combinedTW float64) *cand 
 	return &cand{set: union.Clone(), est: est, scale: scale}
 }
 
-// connected reports whether an edge links the two partitions: some node of
-// b lies on a's incrementally maintained boundary.
-func (p *partitioner) connected(a, b *cand) bool {
-	return a.boundary.Intersects(b.set)
-}
-
 // computeBoundary fills pt.boundary: every node adjacent (either direction)
 // to a member but outside the set.
 func (p *partitioner) computeBoundary(pt *cand) {
@@ -212,6 +207,7 @@ func (p *partitioner) install(merged *cand, victims ...int) int {
 	}
 	p.computeBoundary(merged)
 	p.parts = append(p.parts, merged)
+	p.tws = append(p.tws, merged.tw())
 	idx := len(p.parts) - 1
 	merged.set.ForEach(func(n sdf.NodeID) { p.assigned[n] = idx })
 	return idx
@@ -243,7 +239,7 @@ func (p *partitioner) compact() []*cand {
 // (feedback loop) into an atomic partition; the quotient of convex
 // partitions must be acyclic for pipelined execution.
 func (p *partitioner) phase0SCC() error {
-	for _, scc := range stronglyConnected(p.g) {
+	for _, scc := range p.g.StronglyConnected() {
 		if len(scc) < 2 {
 			continue
 		}
@@ -401,23 +397,24 @@ func (p *partitioner) phase3BoundMerging() error {
 				return err
 			}
 			mergedAny := false
-			cands := p.liveIndices(func(pt *cand) bool {
-				return !spec.candIO || !pt.est.ComputeBound()
+			// Ascending execution time: smaller workloads merge first. The
+			// parts change only at a merge, which restarts the scan, so one
+			// partner order serves every candidate of the scan.
+			partners := p.liveIndices(func(pt *cand) bool {
+				return !spec.partnerIO || !pt.est.ComputeBound()
 			})
-			// Ascending execution time: smaller workloads merge first.
-			sort.Slice(cands, func(a, b int) bool {
-				return p.parts[cands[a]].tw() < p.parts[cands[b]].tw()
-			})
+			p.sortByTW(partners)
+			cands := partners
+			if spec.candIO != spec.partnerIO {
+				cands = p.liveIndices(func(pt *cand) bool {
+					return !spec.candIO || !pt.est.ComputeBound()
+				})
+				p.sortByTW(cands)
+			}
 			for _, ci := range cands {
 				if p.parts[ci] == nil {
 					continue
 				}
-				partners := p.liveIndices(func(pt *cand) bool {
-					return !spec.partnerIO || !pt.est.ComputeBound()
-				})
-				sort.Slice(partners, func(a, b int) bool {
-					return p.parts[partners[a]].tw() < p.parts[partners[b]].tw()
-				})
 				for _, pi := range partners {
 					if err := p.cancelled(); err != nil {
 						return err
@@ -426,8 +423,8 @@ func (p *partitioner) phase3BoundMerging() error {
 						continue
 					}
 					a, b := p.parts[ci], p.parts[pi]
-					if !p.connected(a, b) {
-						continue
+					if !a.boundary.Intersects(b.set) {
+						continue // no edge links the two
 					}
 					p.union.CopyFrom(a.set)
 					p.union.UnionWith(b.set)
@@ -449,8 +446,13 @@ func (p *partitioner) phase3BoundMerging() error {
 	return nil
 }
 
+// sortByTW orders partition indices by ascending TW.
+func (p *partitioner) sortByTW(idx []int) {
+	sort.Slice(idx, func(a, b int) bool { return p.tws[idx[a]] < p.tws[idx[b]] })
+}
+
 func (p *partitioner) liveIndices(keep func(*cand) bool) []int {
-	var out []int
+	out := make([]int, 0, len(p.parts))
 	for i, pt := range p.parts {
 		if pt != nil && keep(pt) {
 			out = append(out, i)
@@ -585,56 +587,4 @@ func sortParts(g *sdf.Graph, parts []*Partition) {
 		return best
 	}
 	sort.SliceStable(parts, func(a, b int) bool { return first(parts[a]) < first(parts[b]) })
-}
-
-// stronglyConnected returns Tarjan's SCCs of the graph.
-func stronglyConnected(g *sdf.Graph) [][]sdf.NodeID {
-	n := g.NumNodes()
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []sdf.NodeID
-	var out [][]sdf.NodeID
-	next := 0
-
-	var strong func(v sdf.NodeID)
-	strong = func(v sdf.NodeID) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range g.Succ(v) {
-			if index[w] == -1 {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []sdf.NodeID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			out = append(out, scc)
-		}
-	}
-	for _, nd := range g.Nodes {
-		if index[nd.ID] == -1 {
-			strong(nd.ID)
-		}
-	}
-	return out
 }

@@ -39,6 +39,8 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 		return est.SMBytes <= d.SharedMemPerSM
 	}
 
+	convex := g.NewConvexChecker()
+	next := sdf.NewNodeSet(g.NumNodes())
 	var sets []sdf.NodeSet
 	for _, id := range order {
 		if assigned[id] != -1 {
@@ -57,12 +59,12 @@ func PrevWork(g *sdf.Graph, eng *pee.Engine, d gpu.Device) (*Result, error) {
 				if assigned[cand] != -1 || !adjacentToSet(g, cur, cand) {
 					continue
 				}
-				next := cur.Clone()
+				next.CopyFrom(cur)
 				next.Add(cand)
-				if !g.IsConvex(next) || !fits(next) {
+				if !convex.IsConvex(next) || !fits(next) {
 					continue
 				}
-				cur = next
+				cur.Add(cand)
 				assigned[cand] = len(sets)
 				grew = true
 			}

@@ -106,10 +106,10 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 	var scP int64
 	for _, x := range p.units {
 		if x != u {
-			scP = gcd64(scP, lvl.scale[x])
+			scP = sdf.GCD(scP, lvl.scale[x])
 		}
 	}
-	scQ := gcd64(qq.scale, lvl.scale[u])
+	scQ := sdf.GCD(qq.scale, lvl.scale[u])
 	twP := estP.TUS * float64(scP)
 	twQ := estQ.TUS * float64(scQ)
 	if twP+twQ >= p.tw+qq.tw {

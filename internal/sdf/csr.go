@@ -1,6 +1,7 @@
 package sdf
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -22,6 +23,8 @@ type adjacency struct {
 	outE    []EdgeID
 	inOff   []int32
 	inE     []EdgeID
+
+	rank atomic.Pointer[[]int32] // per-node SCC rank, built by sccRank on first use
 }
 
 // succOf returns node id's distinct successors, ascending. The slice aliases
@@ -130,6 +133,71 @@ func buildAdjacency(g *Graph) *adjacency {
 	a.succ = fill(a.succOff, a.outEdgesOf, func(e *Edge) NodeID { return e.Dst })
 	a.pred = fill(a.predOff, a.inEdgesOf, func(e *Edge) NodeID { return e.Src })
 	return a
+}
+
+// StronglyConnected returns Tarjan's strongly connected components of g,
+// each a node list, in the order Tarjan completes them: a component comes
+// after every component it reaches, so the list is a reverse topological
+// order of the condensation.
+func (g *Graph) StronglyConnected() [][]NodeID {
+	a := g.adj()
+	n := len(g.Nodes)
+	index := make([]int, n) // visit number from 1; 0: not visited yet
+	low := make([]int, n)   // n+1 once the node's component is out
+	var stack []NodeID
+	var out [][]NodeID
+	visited := 0
+	var strong func(v NodeID)
+	strong = func(v NodeID) {
+		visited++
+		index[v], low[v] = visited, visited
+		stack = append(stack, v)
+		for _, w := range a.succOf(v) {
+			if index[w] == 0 {
+				strong(w)
+			}
+			low[v] = min(low[v], low[w])
+		}
+		if low[v] == index[v] {
+			i := len(stack) - 1
+			for stack[i] != v {
+				i--
+			}
+			scc := slices.Clone(stack[i:])
+			slices.Reverse(scc) // the order Tarjan pops them in
+			for _, w := range scc {
+				low[w] = n + 1
+			}
+			stack = stack[:i]
+			out = append(out, scc)
+		}
+	}
+	for v := range n {
+		if index[v] == 0 {
+			strong(NodeID(v))
+		}
+	}
+	return out
+}
+
+// sccRank returns each node's component's position in a topological order
+// of the components: ranks never fall along an edge, and are equal exactly
+// within a component. Built on first use and cached on the adjacency index,
+// so only convexity queries pay for them.
+func (g *Graph) sccRank() []int32 {
+	a := g.adj()
+	if r := a.rank.Load(); r != nil {
+		return *r
+	}
+	sccs := g.StronglyConnected()
+	rank := make([]int32, len(g.Nodes))
+	for i, scc := range sccs {
+		for _, v := range scc {
+			rank[v] = int32(len(sccs) - 1 - i)
+		}
+	}
+	a.rank.Store(&rank)
+	return rank
 }
 
 // adjPointer is the cache slot type; declared separately so graph.go's struct

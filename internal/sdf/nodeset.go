@@ -3,6 +3,7 @@ package sdf
 import (
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -151,32 +152,10 @@ func (s NodeSet) String() string { return FormatMembers(s.Members()) }
 func FormatMembers(ids []NodeID) string {
 	parts := make([]string, len(ids))
 	for i, m := range ids {
-		parts[i] = itoa(int(m))
+		parts[i] = strconv.Itoa(int(m))
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // IsConnected reports whether the members of set form a weakly connected
@@ -190,70 +169,54 @@ func (g *Graph) IsConnected(set NodeSet) bool {
 // Try-Merge scan, a result's validation) allocate nothing. Not safe for
 // concurrent use; the partitioner holds one.
 type ConvexChecker struct {
-	g              *Graph
-	fromSet, toSet NodeSet
-	stack          []NodeID
+	g     *Graph
+	rank  []int32 // the graph's SCC ranks, fetched by the first IsConvex
+	seen  NodeSet
+	stack []NodeID
 }
 
 // NewConvexChecker returns a reusable checker for g.
 func (g *Graph) NewConvexChecker() *ConvexChecker {
-	n := len(g.Nodes)
-	return &ConvexChecker{g: g, fromSet: NewNodeSet(n), toSet: NewNodeSet(n)}
+	return &ConvexChecker{g: g, seen: NewNodeSet(len(g.Nodes))}
 }
 
 // IsConvex reports whether set is convex in c's graph; see Graph.IsConvex.
+//
+// The set is not convex iff some path leaves it and re-enters it through
+// non-members only. SCC ranks never fall along an edge, so every node of
+// such a path ranks at most the member it re-enters, hence at most the
+// set's highest member rank. One forward search from the set, through
+// non-members no higher than that rank, therefore meets every such path,
+// and it stops at the first edge back into the set.
 func (c *ConvexChecker) IsConvex(set NodeSet) bool {
-	// An external node x violates convexity iff x is reachable from the set
-	// and the set is reachable from x. Compute "reachable from set" forward
-	// and "reaches set" backward over external nodes only at the boundary.
+	if c.rank == nil {
+		c.rank = c.g.sccRank()
+	}
 	adj := c.g.adj()
-	c.fromSet.Reset() // external nodes reachable from some member
-	c.toSet.Reset()   // external nodes that reach some member
-	stack := c.stack[:0]
-	set.ForEach(func(m NodeID) {
-		for _, v := range adj.succOf(m) {
-			if !set.Has(v) && !c.fromSet.Has(v) {
-				c.fromSet.Add(v)
-				stack = append(stack, v)
-			}
-		}
-	})
+	stack := set.AppendMembers(c.stack[:0])
+	top := int32(-1)
+	for _, m := range stack {
+		top = max(top, c.rank[m])
+	}
+	c.seen.Reset()
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, v := range adj.succOf(u) {
-			if set.Has(v) {
-				continue // re-entry is detected via toSet below
-			}
-			if !c.fromSet.Has(v) {
-				c.fromSet.Add(v)
-				stack = append(stack, v)
-			}
-		}
-	}
-	set.ForEach(func(m NodeID) {
-		for _, v := range adj.predOf(m) {
-			if !set.Has(v) && !c.toSet.Has(v) {
-				c.toSet.Add(v)
-				stack = append(stack, v)
-			}
-		}
-	})
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj.predOf(u) {
-			if set.Has(v) {
-				continue
-			}
-			if !c.toSet.Has(v) {
-				c.toSet.Add(v)
-				stack = append(stack, v)
+			switch {
+			case !set.Has(v):
+				if c.rank[v] <= top && !c.seen.Has(v) {
+					c.seen.Add(v)
+					stack = append(stack, v)
+				}
+			case !set.Has(u):
+				c.stack = stack[:0]
+				return false // u was reached from the set and leads back in
 			}
 		}
 	}
 	c.stack = stack[:0]
-	return !c.fromSet.Intersects(c.toSet)
+	return true
 }
 
 // IsConnected reports whether set is weakly connected in c's graph; see
@@ -270,7 +233,7 @@ func (c *ConvexChecker) IsConnected(set NodeSet) bool {
 			first = m
 		}
 	})
-	seen := c.fromSet
+	seen := c.seen
 	seen.Reset()
 	seen.Add(first)
 	stack := append(c.stack[:0], first)

@@ -1,6 +1,7 @@
 package sdf
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +154,101 @@ func TestIsConvex(t *testing.T) {
 	if !g.IsConvex(half) {
 		t.Errorf("{split,b0} should be convex")
 	}
+}
+
+// TwoSidedConvex is the referee for ConvexChecker.IsConvex: the unbounded
+// search it replaced. It collects every non-member reachable from the set
+// and every non-member that reaches it, each through non-members only, out
+// to the sinks and the sources, and calls the set convex iff no node is in
+// both. FuzzIsConvex (package sdf_test) holds the two to the same verdict.
+func TwoSidedConvex(g *Graph, set NodeSet) bool {
+	adj := g.adj()
+	walk := func(next func(NodeID) []NodeID) NodeSet {
+		seen := NewNodeSet(len(g.Nodes))
+		var stack []NodeID
+		visit := func(v NodeID) {
+			if !set.Has(v) && !seen.Has(v) {
+				seen.Add(v)
+				stack = append(stack, v)
+			}
+		}
+		set.ForEach(func(m NodeID) {
+			for _, v := range next(m) {
+				visit(v)
+			}
+		})
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range next(u) {
+				visit(v)
+			}
+		}
+		return seen
+	}
+	return !walk(adj.succOf).Intersects(walk(adj.predOf))
+}
+
+// TestIsConvexFeedbackLoop: a path around a feedback loop stays inside one
+// strongly connected component, so every node on it has the same rank; the
+// search must pass nodes ranked equal to the set's highest member.
+func TestIsConvexFeedbackLoop(t *testing.T) {
+	g := mustGraph(t, "fb", Pipe("p", F(addOne()),
+		LoopOf("loop", RoundRobinJoiner([]int{1, 1}), F(Identity(2)),
+			RoundRobinSplitter([]int{1, 1}), F(Identity(1)), []Token{0}),
+		F(double())))
+	byKind := map[Kind][]NodeID{}
+	for _, n := range g.Nodes {
+		byKind[n.Filter.Kind] = append(byKind[n.Filter.Kind], n.ID)
+	}
+	join, split := byKind[KindJoiner][0], byKind[KindSplitter][0]
+	set := NewNodeSet(g.NumNodes())
+	set.Add(join)
+	set.Add(split)
+	// join -> body -> split leaves the set and re-enters it.
+	if g.IsConvex(set) || TwoSidedConvex(g, set) {
+		t.Errorf("{joiner, splitter} without the loop body should not be convex")
+	}
+	for _, id := range byKind[KindIdentity] {
+		set.Add(id)
+	}
+	if !g.IsConvex(set) || !TwoSidedConvex(g, set) {
+		t.Errorf("the whole loop should be convex")
+	}
+}
+
+// TestConvexRanksShared: the SCC ranks are built lazily and cached on the
+// graph, so checkers on several goroutines may race to build them. Run
+// under -race; every checker must still give the referee's verdicts.
+func TestConvexRanksShared(t *testing.T) {
+	g := mustGraph(t, "fb", Pipe("p", F(addOne()),
+		LoopOf("loop", RoundRobinJoiner([]int{1, 1}), F(Identity(2)),
+			RoundRobinSplitter([]int{1, 1}), F(Identity(1)), []Token{0}),
+		F(double())))
+	var sets []NodeSet
+	var want []bool
+	for a := range g.NumNodes() {
+		for b := range g.NumNodes() {
+			set := SingletonSet(g.NumNodes(), NodeID(a))
+			set.Add(NodeID(b))
+			sets = append(sets, set)
+			want = append(want, TwoSidedConvex(g, set))
+		}
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			checker := g.NewConvexChecker()
+			for i, set := range sets {
+				if got := checker.IsConvex(set); got != want[i] {
+					t.Errorf("%v: IsConvex = %v, want %v", set, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Property: on a random series-parallel-ish chain graph, any contiguous

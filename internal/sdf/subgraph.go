@@ -119,7 +119,7 @@ func (g *Graph) Extract(members []NodeID) (*Subgraph, error) {
 	var gcd int64
 	for i, pid := range members {
 		rep[i] = g.Rep(pid)
-		gcd = gcd64(gcd, rep[i])
+		gcd = GCD(gcd, rep[i])
 	}
 	for i := range rep {
 		rep[i] /= gcd
@@ -131,22 +131,6 @@ func (g *Graph) Extract(members []NodeID) (*Subgraph, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
-		return 1
-	}
-	return a
 }
 
 // CutInPorts returns, sorted by subgraph port order, the set of sub primary

@@ -208,7 +208,7 @@ func extractWholeGraph(g *Graph, set NodeSet) (*Subgraph, error) {
 	var gcd int64
 	for i, pid := range members {
 		reps[i] = g.Rep(pid)
-		gcd = gcd64(gcd, reps[i])
+		gcd = GCD(gcd, reps[i])
 	}
 	rep := make([]int64, len(members))
 	for i := range reps {

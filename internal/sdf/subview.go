@@ -46,7 +46,7 @@ func (v *SubView) Fill(g *Graph, members []NodeID) {
 		v.pos[pid] = int32(i)
 		r := g.Rep(pid)
 		v.rep[i] = r
-		gcd = gcd64(gcd, r)
+		gcd = GCD(gcd, r)
 	}
 	for i := range v.rep {
 		v.rep[i] /= gcd
