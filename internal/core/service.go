@@ -173,10 +173,6 @@ type Service struct {
 	// for tests that need a compile to block or fail on cue.
 	compileFn func(ctx context.Context, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error)
 
-	// steadyMu serializes lazy steady-state computation: concurrent first
-	// requests may share one *Graph, and Graph.Steady mutates it.
-	steadyMu sync.Mutex
-
 	mu      sync.Mutex
 	lru     *list.List // of *entry, most recent at front
 	table   map[string]*list.Element
@@ -512,9 +508,6 @@ func (s *Service) fill(ctx context.Context, hash string, g *sdf.Graph, source Gr
 			return nil, nil, 0, err
 		}
 	}
-	if err := s.ensureSteady(g); err != nil {
-		return nil, nil, 0, err
-	}
 	release, err := s.admit(ctx)
 	if err != nil {
 		return nil, nil, 0, err
@@ -587,26 +580,11 @@ func (s *Service) admit(ctx context.Context) (release func(), err error) {
 	}, nil
 }
 
-// ensureSteady lazily computes g's steady state under the service's lock:
-// concurrent first requests may share one *Graph, and Graph.Steady
-// mutates it.
-func (s *Service) ensureSteady(g *sdf.Graph) error {
-	s.steadyMu.Lock()
-	defer s.steadyMu.Unlock()
-	if g.HasSteady() {
-		return nil
-	}
-	return g.Steady()
-}
-
 // rehydrate decodes an encoded artifact and rebuilds a Compiled from it —
-// partitions re-extracted, estimates/PDG/assignment restored verbatim, plan
+// partitions rebuilt from their member lists, the PDG built over them, plan
 // reassembled — without running any pipeline stage. FromArtifact rejects
 // bytes compiled from another graph or under other options.
 func (s *Service) rehydrate(data []byte, g *sdf.Graph, opts driver.Options) (*driver.Compiled, error) {
-	if err := s.ensureSteady(g); err != nil {
-		return nil, err
-	}
 	a, err := artifact.Decode(data)
 	if err != nil {
 		return nil, err

@@ -194,11 +194,6 @@ func FromArtifact(g *sdf.Graph, a *artifact.Artifact, opts Options) (*Compiled, 
 	if want, got := ExportOptions(opts), a.Options; !reflect.DeepEqual(want, got) {
 		return nil, fmt.Errorf("driver: artifact was compiled under different options (%+v) than requested (%+v)", got, want)
 	}
-	if !g.HasSteady() {
-		if err := g.Steady(); err != nil {
-			return nil, err
-		}
-	}
 	prof := pee.ProfileGraph(g, opts.Device)
 	parts, err := partition.ImportResult(g, a.Partitions)
 	if err != nil {

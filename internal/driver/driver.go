@@ -244,11 +244,6 @@ func Compile(ctx context.Context, g *sdf.Graph, opts Options) (*Compiled, error)
 	if err := opts.Topo.Validate(); err != nil {
 		return nil, err
 	}
-	if !g.HasSteady() {
-		if err := g.Steady(); err != nil {
-			return nil, err
-		}
-	}
 	c := &Compiled{Graph: g, Options: opts}
 	for _, s := range pipeline() {
 		if err := ctx.Err(); err != nil {

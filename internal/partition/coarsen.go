@@ -110,8 +110,7 @@ func (c *Coarsening) Coarsest() *CoarseLevel { return c.Levels[len(c.Levels)-1] 
 // opts.CoreSize, no contraction applies, or DefaultMaxLevels is hit.
 // maxUnitBytes caps a supernode's estimated per-iteration internal buffer
 // bytes, the proxy for its shared-memory footprint (0: uncapped); Multilevel
-// passes the device's shared memory so seed units stay schedulable. The graph
-// must have a steady state.
+// passes the device's shared memory so seed units stay schedulable.
 func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions, maxUnitBytes int64) (*Coarsening, error) {
 	opts = opts.withDefaults()
 	c := &Coarsening{G: g, Levels: []*CoarseLevel{sccLevel(g)}}

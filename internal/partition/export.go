@@ -28,18 +28,17 @@ func ExportResult(r *Result) []artifact.Partition {
 	return out
 }
 
-// ImportResult rebuilds a partitioning over g, which must have a steady
-// state, from its wire form. Each estimate is restored verbatim (never
-// re-estimated), so a decoded partition carries exactly the kernel
-// parameters the original compilation selected; its Scale is derived from
-// its members, and its SM bytes are held to smreq.PeakBytesView over them —
-// the function that produced them — so wire data cannot silently disagree
-// with the layout code generation would emit. The structure is the
-// caller's to check, in the decoder's order: exact cover and convexity by
-// building the PDG over the result (pdg.Build), then CheckConnected — so a
-// node claimed by two partitions is named as such, not as the disconnected
-// partition it makes. The phase trace is compile provenance and is not part
-// of the wire form.
+// ImportResult rebuilds a partitioning over g from its wire form. Each
+// estimate is restored verbatim (never re-estimated), so a decoded partition
+// carries exactly the kernel parameters the original compilation selected;
+// its Scale is derived from its members, and its SM bytes are held to
+// smreq.PeakBytesView over them — the function that produced them — so wire
+// data cannot silently disagree with the layout code generation would emit.
+// The structure is the caller's to check, in the decoder's order: exact
+// cover and convexity by building the PDG over the result (pdg.Build), then
+// CheckConnected — so a node claimed by two partitions is named as such, not
+// as the disconnected partition it makes. The phase trace is compile
+// provenance and is not part of the wire form.
 func ImportResult(g *sdf.Graph, parts []artifact.Partition) (*Result, error) {
 	r := &Result{Graph: g}
 	var v sdf.SubView

@@ -145,30 +145,31 @@ func Synthetic(workUS []float64, edges []Edge, hostIn, hostOut []int64) (*PDG, e
 	return p, nil
 }
 
+// topoOrder returns the lexicographically smallest topological order of the
+// partitions: Kahn's algorithm popping the smallest ready index off a heap,
+// over per-partition out-lists, in O(E log P).
 func (p *PDG) topoOrder() ([]int, error) {
 	n := p.NumParts()
 	indeg := make([]int, n)
+	out := make([][]int, n)
 	for _, e := range p.Edges {
 		indeg[e.To]++
+		out[e.From] = append(out[e.From], e.To)
 	}
-	var queue []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+	ready := make(sdf.MinHeap[int], 0, n)
+	for i, d := range indeg {
+		if d == 0 {
+			ready.Push(i)
 		}
 	}
-	var order []int
-	for len(queue) > 0 {
-		sort.Ints(queue)
-		v := queue[0]
-		queue = queue[1:]
+	order := make([]int, 0, n)
+	for len(ready) > 0 {
+		v := ready.Pop()
 		order = append(order, v)
-		for _, e := range p.Edges {
-			if e.From == v {
-				indeg[e.To]--
-				if indeg[e.To] == 0 {
-					queue = append(queue, e.To)
-				}
+		for _, w := range out[v] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				ready.Push(w)
 			}
 		}
 	}

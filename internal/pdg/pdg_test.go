@@ -2,6 +2,10 @@ package pdg
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"streammap/internal/gpu"
@@ -92,6 +96,84 @@ func TestSyntheticTopoAndCycle(t *testing.T) {
 	}
 	if _, err := Synthetic([]float64{1, 2}, []Edge{{From: 0, To: 1}, {From: 1, To: 0}}, nil, nil); err == nil {
 		t.Error("cyclic PDG should fail")
+	}
+}
+
+// topoOrderSortPerPop is topoOrder as it was: Kahn's algorithm that sorts
+// the ready queue at every pop and scans every edge for each popped
+// partition, O(P·E). It is the referee for the heap's order.
+func topoOrderSortPerPop(n int, edges []Edge) ([]int, error) {
+	indeg := make([]int, n)
+	for _, e := range edges {
+		indeg[e.To]++
+	}
+	var queue []int
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			queue = append(queue, i)
+		}
+	}
+	var order []int
+	for len(queue) > 0 {
+		sort.Ints(queue)
+		v := queue[0]
+		queue = queue[1:]
+		order = append(order, v)
+		for _, e := range edges {
+			if e.From == v {
+				indeg[e.To]--
+				if indeg[e.To] == 0 {
+					queue = append(queue, e.To)
+				}
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("cycle")
+	}
+	return order, nil
+}
+
+// TestTopoOrderMatchesSortPerPop holds the heap's order to the sort-per-pop
+// referee on random Synthetic PDGs: DAGs with parallel edges under a random
+// relabelling (so the smallest ready index is rarely the next in edge
+// order), and every fourth one with a reversed edge, which closes a cycle
+// both must reject.
+func TestTopoOrderMatchesSortPerPop(t *testing.T) {
+	r := rand.New(rand.NewSource(0x70B0))
+	var cyclic int
+	const trials = 2000
+	for trial := range trials {
+		n := 1 + r.Intn(40)
+		perm := r.Perm(n)
+		var edges []Edge
+		for range r.Intn(3 * n) {
+			a, b := r.Intn(n), r.Intn(n)
+			if a == b {
+				continue
+			}
+			edges = append(edges, Edge{From: perm[min(a, b)], To: perm[max(a, b)]})
+		}
+		if trial%4 == 3 && len(edges) > 0 {
+			e := edges[r.Intn(len(edges))]
+			edges = append(edges, Edge{From: e.To, To: e.From})
+		}
+		want, wantErr := topoOrderSortPerPop(n, edges)
+		p, err := Synthetic(make([]float64, n), edges, nil, nil)
+		switch {
+		case wantErr != nil:
+			cyclic++
+			if err == nil {
+				t.Fatalf("trial %d: cyclic PDG accepted with order %v", trial, p.Topo)
+			}
+		case err != nil:
+			t.Fatalf("trial %d: %v", trial, err)
+		case !slices.Equal(p.Topo, want):
+			t.Fatalf("trial %d: order %v, want %v", trial, p.Topo, want)
+		}
+	}
+	if cyclic == 0 || cyclic == trials {
+		t.Fatalf("%d of %d trials cyclic: the draw covers only one side", cyclic, trials)
 	}
 }
 

@@ -160,8 +160,7 @@ type estScratch struct {
 // every list into one bucket.
 var listHash = sdf.HashMembers
 
-// NewEngine returns an estimation engine for the profiled graph. The graph
-// must have a steady state (ProfileGraph's precondition too): the engine
+// NewEngine returns an estimation engine for the profiled graph. The engine
 // snapshots the repetition vector for the scoring hot path.
 func NewEngine(g *sdf.Graph, prof *Profile) *Engine {
 	e := &Engine{Graph: g, Prof: prof, memo: map[uint64][]memoEntry{}}

@@ -10,7 +10,8 @@ import (
 // integer repetition vector on the graph. For every edge (u,v) the solution
 // satisfies rep[u]*push == rep[v]*pop; the graph is inconsistent (no
 // steady-state schedule exists) if the equations conflict on some cycle or
-// undirected loop.
+// undirected loop. Builder.Graph calls it, so a built graph already has its
+// vector: a second call re-solves and stores the same one.
 //
 // Each weakly connected component is walked from its lowest node id at rate
 // 1, and every other node's rate is a reduced int64 fraction of it; DESIGN

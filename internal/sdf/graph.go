@@ -53,14 +53,16 @@ type PortRef struct {
 }
 
 // Graph is a stream graph: filters (nodes) connected by FIFO channels
-// (edges). Use a Builder or the structural API in build.go to construct one,
-// then Steady to compute the repetition vector.
+// (edges). Every Graph is steady by construction: Builder.Graph (behind
+// Flatten and ImportGraph) validates it and solves its balance equations
+// before returning it, and Extract sets a subgraph's vector itself. Steady
+// re-solves them.
 type Graph struct {
 	Name  string
 	Nodes []*Node
 	Edges []*Edge
 
-	rep []int64 // repetition vector; nil until Steady succeeds
+	rep []int64 // repetition vector
 
 	adjCache   adjPointer   // lazily built CSR adjacency index (csr.go)
 	identCache identPointer // memoized Fingerprint/Digest (fingerprint.go)
@@ -79,16 +81,8 @@ func (g *Graph) Node0(id NodeID) *Node { return g.Nodes[id] }
 func (g *Graph) Edge0(id EdgeID) *Edge { return g.Edges[id] }
 
 // Rep returns the steady-state repetition count of node id (the paper's
-// firing rate f_i). Steady must have been called.
-func (g *Graph) Rep(id NodeID) int64 {
-	if g.rep == nil {
-		panic("sdf: Rep called before Steady")
-	}
-	return g.rep[id]
-}
-
-// HasSteady reports whether the repetition vector has been computed.
-func (g *Graph) HasSteady() bool { return g.rep != nil }
+// firing rate f_i).
+func (g *Graph) Rep(id NodeID) int64 { return g.rep[id] }
 
 // EdgeTokens returns the number of tokens traversing edge e during one
 // steady-state iteration: rep(src) * push (== rep(dst) * pop).
@@ -161,16 +155,16 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 		}
 		indeg[e.Dst]++
 	}
-	queue := make(minIDHeap, 0, len(g.Nodes))
+	queue := make(MinHeap[NodeID], 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if indeg[n.ID] == 0 {
-			queue.push(n.ID)
+			queue.Push(n.ID)
 		}
 	}
 	order := make([]NodeID, 0, len(g.Nodes))
 	for len(queue) > 0 {
 		// Pop the smallest id for determinism.
-		id := queue.pop()
+		id := queue.Pop()
 		order = append(order, id)
 		for _, eid := range g.OutEdges(id) {
 			e := g.Edges[eid]
@@ -179,7 +173,7 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 			}
 			indeg[e.Dst]--
 			if indeg[e.Dst] == 0 {
-				queue.push(e.Dst)
+				queue.Push(e.Dst)
 			}
 		}
 	}
@@ -189,12 +183,13 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	return order, nil
 }
 
-// minIDHeap is a binary min-heap of node ids. TopoOrder's "pop the smallest
-// ready id" rule used to be a linear scan, which made the whole ordering
-// quadratic; the heap keeps the identical output order at O((N+E) log N).
-type minIDHeap []NodeID
+// MinHeap is a binary min-heap of ids. Popping the smallest ready id off it
+// gives TopoOrder and the PDG's order, the lexicographically smallest
+// topological order, at O((N+E) log N).
+type MinHeap[T ~int] []T
 
-func (h *minIDHeap) push(id NodeID) {
+// Push adds id.
+func (h *MinHeap[T]) Push(id T) {
 	q := append(*h, id)
 	i := len(q) - 1
 	for i > 0 {
@@ -208,7 +203,8 @@ func (h *minIDHeap) push(id NodeID) {
 	*h = q
 }
 
-func (h *minIDHeap) pop() NodeID {
+// Pop removes and returns the smallest id.
+func (h *MinHeap[T]) Pop() T {
 	q := *h
 	top := q[0]
 	last := len(q) - 1
@@ -238,13 +234,7 @@ func (h *minIDHeap) pop() NodeID {
 // one full iteration (its consumer can complete an iteration before any
 // producer firing).
 func (g *Graph) edgeBreaksCycle(e *Edge) bool {
-	if len(e.Initial) == 0 {
-		return false
-	}
-	if g.rep == nil {
-		return true // be permissive before Steady; Steady itself uses this
-	}
-	return int64(len(e.Initial)) >= g.Rep(e.Dst)*int64(e.Pop)
+	return len(e.Initial) > 0 && int64(len(e.Initial)) >= g.Rep(e.Dst)*int64(e.Pop)
 }
 
 // Validate checks structural invariants: ports wired consistently, rates
@@ -283,8 +273,8 @@ func (g *Graph) Validate() error {
 }
 
 // Builder assembles a Graph node by node. The structural API in build.go is
-// the usual entry point; Builder is the low-level escape hatch (used by the
-// DSL elaborator and by tests).
+// the usual entry point; Builder is the low-level one (ImportGraph, sjopt
+// and tests use it). Graph is its one exit.
 type Builder struct {
 	g *Graph
 }

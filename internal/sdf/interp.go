@@ -43,13 +43,9 @@ type Interp struct {
 	outIndex map[PortRef]int
 }
 
-// NewInterp prepares an interpreter. The graph must have a steady state.
+// NewInterp prepares an interpreter. Every Graph is steady, so the error is
+// always nil.
 func NewInterp(g *Graph) (*Interp, error) {
-	if !g.HasSteady() {
-		if err := g.Steady(); err != nil {
-			return nil, err
-		}
-	}
 	it := &Interp{
 		g:        g,
 		chans:    make([]*fifo, len(g.Edges)),

@@ -32,9 +32,9 @@ type Subgraph struct {
 
 // Extract builds the induced subgraph over members, a strictly ascending
 // list of parent node ids; a parent node's sub id is its position in it.
-// The parent graph must have a steady state. The sub repetition vector is
-// the parent's restricted vector divided by its gcd, so one sub iteration is
-// the minimal self-consistent unit of work; Scale records the ratio.
+// The sub repetition vector is the parent's restricted vector divided by its
+// gcd, so one sub iteration is the minimal self-consistent unit of work;
+// Scale records the ratio.
 //
 // The cost is the members and their own ports, not the parent: internal and
 // cut edges are read off each member's adjacency slice and then sorted by
@@ -44,9 +44,6 @@ type Subgraph struct {
 func (g *Graph) Extract(members []NodeID) (*Subgraph, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")
-	}
-	if !g.HasSteady() {
-		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
 	}
 	for i, pid := range members {
 		if pid < 0 || int(pid) >= len(g.Nodes) || i > 0 && pid <= members[i-1] {

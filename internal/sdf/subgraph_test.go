@@ -162,9 +162,6 @@ func extractWholeGraph(g *Graph, set NodeSet) (*Subgraph, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")
 	}
-	if !g.HasSteady() {
-		return nil, fmt.Errorf("sdf: Extract: parent graph has no steady state")
-	}
 	s := &Subgraph{}
 	subOf := make(map[NodeID]NodeID, len(members))
 	sub := &Graph{Name: g.Name + set.String()}
@@ -240,6 +237,13 @@ func sameExtraction(got, want *Subgraph) error {
 	}
 	if got.Scale != want.Scale || !slices.Equal(got.Sub.rep, want.Sub.rep) {
 		return fmt.Errorf("scale %d reps %v, want %d %v", got.Scale, got.Sub.rep, want.Scale, want.Sub.rep)
+	}
+	// Extract is one of the two places a Graph is born: its vector must
+	// hold as Builder.Graph's does, a count of at least 1 per node.
+	for id := range got.Sub.Nodes {
+		if r := got.Sub.Rep(NodeID(id)); r < 1 {
+			return fmt.Errorf("sub node %d fires %d times per iteration", id, r)
+		}
 	}
 	if len(got.Sub.Nodes) != len(want.Sub.Nodes) {
 		return fmt.Errorf("%d sub nodes, want %d", len(got.Sub.Nodes), len(want.Sub.Nodes))

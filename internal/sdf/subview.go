@@ -26,10 +26,9 @@ type SubView struct {
 
 // Fill populates the view for members, ascending parent node ids, over g,
 // reusing v's buffers; the view reads members until the next Fill. The cost
-// is the members, not the parent. The parent graph must have a steady state
-// and members must be non-empty — the same preconditions Extract enforces
-// with errors; Fill's callers (the estimation engine) check them once per
-// query.
+// is the members, not the parent. members must be non-empty — the
+// precondition Extract enforces with an error; Fill's caller (the estimation
+// engine) checks it once per query.
 func (v *SubView) Fill(g *Graph, members []NodeID) {
 	v.G = g
 	v.members = members
