@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"streammap/internal/obs"
 )
 
 // Config is a node's static view of its fleet. Membership is configured,
@@ -32,12 +35,12 @@ type Config struct {
 	Replicas int
 	// ProbeTimeout bounds one per-peer /healthz probe (default 500ms).
 	ProbeTimeout time.Duration
-	// DownCooldown is how long a peer that failed a proxy or fetch stays
-	// routed around before being optimistically revived (default 2s).
+	// DownCooldown is how long a peer whose circuit opened stays out of
+	// the ring and refused before it rejoins and is probed (default 2s).
 	DownCooldown time.Duration
-	// BreakerFailures is how many consecutive transport/integrity failures
-	// a peer is granted before its circuit opens and it is marked down
-	// (default 3). One flaky response must not rebuild the ring.
+	// BreakerFailures is how many consecutive failed peer operations open
+	// a peer's circuit (default 3). One flaky response must not rebuild
+	// the ring.
 	BreakerFailures int
 	// PeerRetries is the extra attempts granted to one peer fetch or proxy
 	// after its first failure (default 1; negative disables retries).
@@ -71,6 +74,15 @@ func (c Config) withDefaults() Config {
 	if c.DownCooldown <= 0 {
 		c.DownCooldown = 2 * time.Second
 	}
+	if c.BreakerFailures <= 0 {
+		c.BreakerFailures = 3
+	}
+	if c.PeerRetries == 0 {
+		c.PeerRetries = 1
+	}
+	if c.RetryBackoff <= 0 {
+		c.RetryBackoff = 10 * time.Millisecond
+	}
 	return c
 }
 
@@ -78,25 +90,53 @@ func (c Config) withDefaults() Config {
 // name one node.
 func normURL(u string) string { return strings.TrimRight(strings.TrimSpace(u), "/") }
 
-// Membership tracks which members of a static fleet are currently routed
-// to. The full set never changes; the alive set shrinks when a peer fails
-// (MarkDown) and recovers after Config.DownCooldown. Every alive-set
-// transition rebuilds the ring; the keyspace fraction that changed owners
-// is accumulated (scaled to per-mille) as the RingMoves counter, so
-// /metrics can show how much of the keyspace churned, not just how often.
+// Membership is the one record of which members of a static fleet are
+// routed to, and of each peer's health. The full set never changes; each
+// peer has a circuit:
+//
+//	closed    — requests flow; consecutive failures are counted, and the
+//	            BreakerFailures-th opens the circuit.
+//	open      — the peer is out of the ring and its requests are refused
+//	            locally (no dial, no timeout burn) for DownCooldown.
+//	half-open — once the cooldown lapses the peer is back in the ring and
+//	            exactly one probe request is let through; success closes
+//	            the circuit, failure reopens it for a fresh cooldown.
+//
+// Only transport-level failures are fed to Failure. A peer that answers
+// HTTP with bytes that fail verification has a data problem, not a
+// liveness one, and routing around it would churn the keyspace without
+// fixing anything. A healthy "I don't have it" (404) is a Success.
+//
+// Every alive-set transition rebuilds the ring; the keyspace fraction
+// that changed owners is accumulated (scaled to per-mille) as the
+// RingMoves counter, so /metrics can show how much of the keyspace
+// churned, not just how often.
 type Membership struct {
 	cfg Config
 
-	mu        sync.Mutex
-	ring      *Ring
-	downUntil map[string]time.Time
-	ringMoves int64 // accumulated moved keyspace, in 1/1000ths
+	mu     sync.Mutex
+	ring   *Ring
+	health map[string]*peerHealth
+	opens  int64 // circuit-open transitions, reopens included
+	// ringMoves is the accumulated moved keyspace, in 1/1000ths.
+	ringMoves int64
 
-	// now is a clock seam for tests.
+	// now is the clock seam (SetClock); every decision reads it once.
 	now func() time.Time
-	// log receives membership transitions (peer down, peer revived); set
-	// via SetLogger, defaults to discard.
+	// log receives circuit transitions (opened, cooldown lapsed); set via
+	// SetLogger, defaults to discard.
 	log *slog.Logger
+}
+
+// peerHealth is one peer's circuit. The circuit is open while fails is at
+// least BreakerFailures. downUntil is the end of the latest cooldown: a
+// peer other than self with a non-zero downUntil is out of the ring, and
+// the first ring read at or after that instant zeroes it and routes to
+// the peer again.
+type peerHealth struct {
+	fails     int
+	downUntil time.Time
+	probing   bool // the one half-open probe is in flight
 }
 
 // NewMembership validates cfg and returns the node's membership view.
@@ -124,17 +164,17 @@ func NewMembership(cfg Config) (*Membership, error) {
 	sort.Strings(peers)
 	cfg.Peers = slices.Compact(peers)
 	m := &Membership{
-		cfg:       cfg,
-		downUntil: map[string]time.Time{},
-		now:       time.Now,
-		log:       slog.New(slog.DiscardHandler),
+		cfg:    cfg,
+		health: map[string]*peerHealth{},
+		now:    time.Now,
+		log:    slog.New(slog.DiscardHandler),
 	}
 	m.ring = NewRing(cfg.Peers, cfg.Replicas)
 	return m, nil
 }
 
-// SetLogger routes membership transition records (peer marked down, peer
-// revived) to l. Nil restores the discard default.
+// SetLogger routes circuit transition records (circuit opened, cooldown
+// lapsed) to l. Nil restores the discard default.
 func (m *Membership) SetLogger(l *slog.Logger) {
 	if l == nil {
 		l = slog.New(slog.DiscardHandler)
@@ -144,12 +184,12 @@ func (m *Membership) SetLogger(l *slog.Logger) {
 	m.mu.Unlock()
 }
 
-// Config returns the (normalized) configuration the membership was built
-// from.
+// Config returns the (normalized, defaulted) configuration the
+// membership was built from.
 func (m *Membership) Config() Config { return m.cfg }
 
-// SetClock replaces the membership's time source — the seam the chaos
-// tier uses to skew cooldown revival, and tests use to pin it. Nil
+// SetClock replaces the membership's time source — the one clock every
+// cooldown decision reads; the chaos tier skews it and tests pin it. Nil
 // restores time.Now.
 func (m *Membership) SetClock(now func() time.Time) {
 	if now == nil {
@@ -175,10 +215,10 @@ func (m *Membership) Peers() []string {
 	return peers
 }
 
-// Owner returns the member currently owning key, after reviving any peers
-// whose down-cooldown has lapsed. Self is always a ring member: a node
-// never routes away its own keys just because its peers think poorly of
-// it.
+// Owner returns the member currently owning key, after routing to any
+// peer again whose cooldown has lapsed. Self is always a ring member: a
+// node never routes away its own keys just because its peers think poorly
+// of it.
 func (m *Membership) Owner(key string) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -194,22 +234,65 @@ func (m *Membership) Alive() []string {
 	return m.ring.Nodes()
 }
 
-// MarkDown routes around a peer for the configured cooldown — called when
-// a proxy or artifact fetch to it fails. Marking self down is a no-op.
-func (m *Membership) MarkDown(url string) {
-	url = normURL(url)
-	if url == m.cfg.SelfURL {
-		return
-	}
+// Allow reports whether a request to url may proceed. An open circuit
+// whose cooldown has lapsed admits exactly one half-open probe; callers
+// must follow every allowed request with Success or Failure so the probe
+// slot is released.
+func (m *Membership) Allow(url string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, already := m.downUntil[url]
-	m.downUntil[url] = m.now().Add(m.cfg.DownCooldown)
-	m.rebuildLocked()
-	if !already {
-		m.log.Warn("peer marked down; routing around it",
-			slog.String("peer", url), slog.Duration("cooldown", m.cfg.DownCooldown))
+	p := m.peerLocked(normURL(url))
+	if p.fails < m.cfg.BreakerFailures {
+		return true
 	}
+	if p.probing || m.now().Before(p.downUntil) {
+		return false
+	}
+	p.probing = true // half-open: this caller is the probe
+	return true
+}
+
+// Success records a successful request to url, closing its circuit. A
+// peer still inside its cooldown stays out of the ring until it lapses.
+func (m *Membership) Success(url string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := m.peerLocked(normURL(url))
+	p.fails = 0
+	p.probing = false
+}
+
+// Failure records a failed request to url. It reports whether this
+// failure opened the circuit (or reopened it, from a failed half-open
+// probe); that transition starts a fresh cooldown, takes the peer out of
+// the ring and is logged against ctx's trace. Self never leaves the ring.
+func (m *Membership) Failure(ctx context.Context, url string) (opened bool) {
+	url = normURL(url)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := m.peerLocked(url)
+	p.fails++
+	if !p.probing && p.fails != m.cfg.BreakerFailures {
+		return false
+	}
+	p.probing = false
+	inRing := p.downUntil.IsZero() && url != m.cfg.SelfURL
+	p.downUntil = m.now().Add(m.cfg.DownCooldown)
+	m.opens++
+	if inRing {
+		m.rebuildLocked()
+	}
+	m.log.LogAttrs(ctx, slog.LevelWarn, "peer circuit opened; routing around it",
+		slog.String("peer", url), slog.Duration("cooldown", m.cfg.DownCooldown), obs.TraceAttr(ctx))
+	return true
+}
+
+// Opens returns how many times any circuit opened, reopens from a failed
+// half-open probe included.
+func (m *Membership) Opens() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.opens
 }
 
 // RingMoves returns the accumulated keyspace movement over every
@@ -221,14 +304,25 @@ func (m *Membership) RingMoves() int64 {
 	return m.ringMoves
 }
 
-// reviveLocked drops lapsed cooldowns and rebuilds the ring when any
-// peer came back.
+// peerLocked returns the health record of the peer at normalized url.
+func (m *Membership) peerLocked(url string) *peerHealth {
+	p, ok := m.health[url]
+	if !ok {
+		p = &peerHealth{}
+		m.health[url] = p
+	}
+	return p
+}
+
+// reviveLocked routes to every peer again whose cooldown has lapsed —
+// the instant Allow starts admitting its probe — and rebuilds the ring
+// when any came back.
 func (m *Membership) reviveLocked() {
 	changed := false
 	now := m.now()
-	for url, until := range m.downUntil {
-		if now.After(until) {
-			delete(m.downUntil, url)
+	for url, p := range m.health {
+		if url != m.cfg.SelfURL && !p.downUntil.IsZero() && !now.Before(p.downUntil) {
+			p.downUntil = time.Time{}
 			changed = true
 			m.log.Info("peer cooldown lapsed; routing to it again", slog.String("peer", url))
 		}
@@ -243,7 +337,7 @@ func (m *Membership) reviveLocked() {
 func (m *Membership) rebuildLocked() {
 	alive := make([]string, 0, len(m.cfg.Peers))
 	for _, p := range m.cfg.Peers {
-		if _, down := m.downUntil[p]; !down {
+		if h := m.health[p]; p == m.cfg.SelfURL || h == nil || h.downUntil.IsZero() {
 			alive = append(alive, p)
 		}
 	}

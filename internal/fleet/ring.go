@@ -15,11 +15,12 @@
 //     pointed at one DirStore (shared filesystem) warm-starts new nodes
 //     from every compile the fleet has ever finished.
 //
-//   - Membership: the static peer set plus liveness. Peers are configured
-//     up front (-peers); gossip is out of scope. A peer that fails a
-//     proxy or fetch is routed around for a cooldown, then optimistically
-//     revived; every alive-set transition rebuilds the ring and the moved
-//     keyspace fraction is tracked as the ring_moves counter.
+//   - Membership: the static peer set plus each peer's health. Peers are
+//     configured up front (-peers); gossip is out of scope. Each peer has
+//     a circuit: consecutive failed fetches or proxies open it, which
+//     routes around the peer for a cooldown; then it is revived and
+//     probed once. Every alive-set transition rebuilds the ring and the
+//     moved keyspace fraction is tracked as the ring_moves counter.
 //
 // See DESIGN.md S17.
 package fleet

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -32,11 +31,11 @@ import (
 //  4. a one-hop proxy of the full compile request to the owner, marked
 //     with headerForwarded so it can never cycle; the owner compiles
 //     (and persists to the shared store), this node caches the response;
-//  5. local fallback: the owner is unreachable — its failures feed a
-//     per-peer circuit breaker (bounded retries with decorrelated-jitter
-//     backoff first), an opening circuit marks it down and routes around
-//     it for a cooldown, and this node compiles the key itself. Degraded
-//     means slower, never unavailable.
+//  5. local fallback: the owner is unreachable — its failures feed its
+//     circuit in the membership (bounded retries with decorrelated-jitter
+//     backoff first), an opening circuit routes around it for a cooldown,
+//     and this node compiles the key itself. Degraded means slower, never
+//     unavailable.
 //
 // See DESIGN.md S17.
 
@@ -84,13 +83,13 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // locally.
 //
 // Failure discipline (see DESIGN.md S18): transport failures are retried
-// within the breaker's bounded budget with decorrelated-jitter backoff;
-// exhausting the budget feeds the per-peer circuit breaker, and only an
-// opening circuit marks the owner down in the ring — one flaky response
-// never rebuilds the ring. Integrity failures (wrong or absent content
-// hash) are counted as peerBadBytes and fall through; they never mark the
-// owner down. Every peer hop below shares one context deadline derived
-// from the request's timeout budget.
+// within a bounded budget with decorrelated-jitter backoff (retryPeer);
+// exhausting the budget feeds the owner's circuit, and only an opening
+// circuit takes the owner out of the ring — one flaky response never
+// rebuilds the ring. Integrity failures (wrong or absent content hash) are
+// counted as peerBadBytes and fall through; they never mark the owner
+// down. Every peer hop below shares one context deadline derived from the
+// request's timeout budget.
 func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, hash string, call *compileCall) bool {
 	// Local read-through: a previously fetched or proxied hot key is
 	// served from this node's own caches, owner untouched.
@@ -118,7 +117,7 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 
 	// Open circuit: we already know the owner is unhealthy — skip the
 	// dial (and its timeout burn) and serve locally at once.
-	if !s.breaker.Allow(owner) {
+	if !s.fleetM.Allow(owner) {
 		_, span := obs.StartSpan(r.Context(), "fleet.breaker")
 		span.Notef("open: skipping %s", owner)
 		span.End()
@@ -131,25 +130,29 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 
 	fctx, fetchSpan := obs.StartSpan(ctx, "fleet.fetch")
 	fetchSpan.SetNote(owner)
-	if body, ok, ownerUp := s.peerFetch(fctx, owner, hash); ok {
+	var body []byte
+	var fetched bool
+	if !s.retryPeer(fctx, owner, func() (up bool) {
+		body, fetched, up = s.peerFetch(fctx, owner, hash)
+		return up
+	}) {
+		fetchSpan.Notef("%s unreachable", owner)
 		fetchSpan.End()
-		s.breaker.Success(owner)
+		return false
+	}
+	// The owner answered HTTP — with the bytes, without them, or with
+	// bytes that failed verification: a liveness success either way, closed
+	// out before the proxy makes its own attempt.
+	s.fleetM.Success(owner)
+	if fetched {
+		fetchSpan.End()
 		s.met.peerHits.Inc()
 		s.writeArtifact(r.Context(), w, body)
 		return true
-	} else if !ownerUp {
-		fetchSpan.Notef("%s unreachable", owner)
-		fetchSpan.End()
-		s.peerFailed(ctx, owner)
-		return false
 	}
 	fetchSpan.Notef("%s: miss", owner)
 	fetchSpan.End()
 
-	// The owner answered HTTP (it just lacks the bytes, or sent bytes that
-	// failed verification): close out this breaker attempt as a liveness
-	// success before the proxy makes its own.
-	s.breaker.Success(owner)
 	pctx, proxySpan := obs.StartSpan(ctx, "fleet.proxy")
 	proxySpan.SetNote(owner)
 	handled := s.proxyCompile(w, r.WithContext(pctx), owner, hash, call)
@@ -157,29 +160,27 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 	return handled
 }
 
-// peerFailed closes out a failed peer interaction: it feeds the circuit
-// breaker, and an opening circuit marks the peer down in the ring and is
-// logged — the one transition that changes where the fleet routes.
-func (s *Server) peerFailed(ctx context.Context, owner string) {
-	if s.breaker.Failure(owner) {
-		s.fleetM.MarkDown(owner)
-		s.log.LogAttrs(ctx, slog.LevelWarn, "peer circuit opened",
-			slog.String("peer", owner), obs.TraceAttr(ctx))
-	}
-}
-
-// retrySleep blocks for one decorrelated-jitter backoff — uniform in
-// [base, 3*base), the same discipline the client uses for 429s — or until
-// ctx ends, reporting false when it did.
-func (s *Server) retrySleep(ctx context.Context) bool {
-	base := s.breaker.Backoff()
-	d := base + time.Duration(rand.Int63n(int64(2*base)))
-	select {
-	case <-time.After(d):
-		return true
-	case <-ctx.Done():
+// retryPeer runs attempt until it reaches owner over HTTP and reports
+// whether it did. A transport failure is retried within the fleet's
+// PeerRetries budget, each retry after one decorrelated-jitter backoff —
+// uniform in [RetryBackoff, 3*RetryBackoff), the discipline the client
+// uses for 429s. A failure that uses up the budget, or a ctx that ends
+// during a backoff, is fed to the owner's circuit.
+func (s *Server) retryPeer(ctx context.Context, owner string, attempt func() bool) bool {
+	cfg := s.fleetM.Config()
+	for n := 0; !attempt(); n++ {
+		if n < cfg.PeerRetries {
+			select {
+			case <-time.After(cfg.RetryBackoff + time.Duration(rand.Int63n(int64(2*cfg.RetryBackoff)))):
+				s.met.peerRetries.Inc()
+				continue
+			case <-ctx.Done():
+			}
+		}
+		s.fleetM.Failure(ctx, owner)
 		return false
 	}
+	return true
 }
 
 // writeArtifact writes a cache-served artifact body (see writeBody).
@@ -200,26 +201,12 @@ func (s *Server) verifiedPeerBody(resp *http.Response, body []byte) bool {
 	return true
 }
 
-// peerFetch asks owner for the encoded artifact of a key hash, retrying
-// transport failures within the breaker's budget. ok means verified bytes
-// were fetched and ingested; ownerUp=false means the owner did not answer
-// HTTP on any attempt (as opposed to answering 404/500, which is a
+// peerFetch asks owner once for the encoded artifact of a key hash. ok
+// means verified bytes were fetched and ingested; ownerUp=false means the
+// owner did not answer HTTP (as opposed to answering 404/500, which is a
 // healthy owner without the bytes, or answering with bytes that failed
 // verification, which is a healthy owner counted under peerBadBytes).
 func (s *Server) peerFetch(ctx context.Context, owner, hash string) (body []byte, ok, ownerUp bool) {
-	for attempt := 0; ; attempt++ {
-		data, ok, up := s.peerFetchOnce(ctx, owner, hash)
-		if ok || up {
-			return data, ok, true
-		}
-		if attempt >= s.breaker.Retries() || !s.retrySleep(ctx) {
-			return nil, false, false
-		}
-		s.met.peerRetries.Inc()
-	}
-}
-
-func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string) (body []byte, ok, ownerUp bool) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/artifact/"+hash, nil)
 	if err != nil {
 		return nil, false, true
@@ -247,9 +234,9 @@ func (s *Server) peerFetchOnce(ctx context.Context, owner, hash string) (body []
 
 // proxyCompile forwards the verbatim compile request to the owner and
 // relays its response, caching a 200 body locally so the next request for
-// this key is a local hit. Transport failures are retried within the
-// breaker's budget; exhausting it feeds the breaker (and marks the owner
-// down only if the circuit opened). A 200 body is verified against the
+// this key is a local hit. Transport failures are retried (retryPeer);
+// exhausting the budget feeds the owner's circuit, as does a response
+// stream that dies mid-read. A 200 body is verified against the
 // content hash the owner stamps on forwarded responses before it reaches
 // the client: a corrupted relay is peerBadBytes plus a local fallback,
 // never a served poison. Reports false (nothing written) when the caller
@@ -259,10 +246,10 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, has
 	// has arrived, so this one is never reused.
 	call.shared = true
 	var resp *http.Response
-	for attempt := 0; ; attempt++ {
+	if !s.retryPeer(r.Context(), owner, func() bool {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+"/v1/compile", bytes.NewReader(call.body))
 		if err != nil {
-			return false
+			return true // never sent: no liveness signal, and resp stays nil
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(headerForwarded, s.fleetM.Self())
@@ -272,14 +259,9 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, has
 			req.Header.Set(obs.TraceHeader, hv)
 		}
 		resp, err = s.peerHTTP.Do(req)
-		if err == nil {
-			break
-		}
-		if attempt >= s.breaker.Retries() || !s.retrySleep(r.Context()) {
-			s.peerFailed(r.Context(), owner)
-			return false
-		}
-		s.met.peerRetries.Inc()
+		return err == nil
+	}) || resp == nil {
+		return false
 	}
 	defer resp.Body.Close()
 	body, err := readBounded(resp.Body, s.cfg.MaxBodyBytes)
@@ -287,10 +269,10 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, has
 		// The owner accepted the request and then the stream died — likely
 		// mid-compile. Retrying a possibly expensive compile from scratch is
 		// worse than falling back locally (the service coalesces).
-		s.peerFailed(r.Context(), owner)
+		s.fleetM.Failure(r.Context(), owner)
 		return false
 	}
-	s.breaker.Success(owner)
+	s.fleetM.Success(owner)
 	if resp.StatusCode == http.StatusOK {
 		if !s.verifiedPeerBody(resp, body) {
 			return false

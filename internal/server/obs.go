@@ -108,10 +108,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		m.peerBadBytes = reg.Counter("streammap_fleet_peer_bad_bytes_total", "Peer responses that failed integrity verification.")
 		m.peerRetries = reg.Counter("streammap_fleet_peer_retries_total", "Extra peer attempts after a first transport failure.")
 		m.breakerSkips = reg.Counter("streammap_fleet_breaker_skips_total", "Non-owned requests that skipped peer I/O on an open circuit.")
-		// The breaker and the membership own the rest; they are read, not
-		// copied.
+		// The membership owns the rest; it is read, not copied.
 		reg.CounterFunc("streammap_fleet_breaker_opens_total", "Circuit-open transitions across all peers.",
-			func() float64 { return float64(s.breaker.Opens()) })
+			func() float64 { return float64(s.fleetM.Opens()) })
 		reg.CounterFunc("streammap_fleet_ring_moves_permille", "Accumulated keyspace fraction that changed owners, in 1/1000ths.",
 			func() float64 { return float64(s.fleetM.RingMoves()) })
 		reg.GaugeFunc("streammap_fleet_peers_alive", "Fleet members currently routed to.",

@@ -79,7 +79,7 @@ type Config struct {
 	Fleet fleet.Config
 	// Faults, when non-nil, threads deterministic fault injection through
 	// the peer transport (refusals, latency, corrupted/truncated bodies)
-	// and the membership/breaker clocks (skew), and is passed down to the
+	// and the membership clock (skew), and is passed down to the
 	// service's disk tier. Chaos-tier testing only; nil in production,
 	// where every seam is a no-op. See DESIGN.md S18.
 	Faults *faultinject.Injector
@@ -114,9 +114,9 @@ type Server struct {
 	cfg Config
 	svc *core.Service
 
-	// Fleet state: nil membership means single-node serving.
+	// Fleet state: nil membership means single-node serving. The
+	// membership owns every peer's health: liveness and circuit.
 	fleetM   *fleet.Membership
-	breaker  *fleet.Breaker
 	peerHTTP *http.Client
 
 	draining atomic.Bool
@@ -171,12 +171,6 @@ func New(cfg Config) *Server {
 			panic(fmt.Sprintf("server: fleet config: %v", err))
 		}
 		s.fleetM = m
-		s.breaker = fleet.NewBreaker(fleet.BreakerConfig{
-			Failures: cfg.Fleet.BreakerFailures,
-			Cooldown: m.Config().DownCooldown,
-			Retries:  cfg.Fleet.PeerRetries,
-			Backoff:  cfg.Fleet.RetryBackoff,
-		})
 		// Peer calls ride the caller's request context for cancellation;
 		// the client timeout is a backstop against a peer that accepts and
 		// stalls. The fault injector's transport wrapper is identity when
@@ -186,20 +180,14 @@ func New(cfg Config) *Server {
 			Transport: cfg.Faults.Transport(nil),
 		}
 		if cfg.Faults != nil {
-			// Chaos tier: cooldown revival on both the ring and the breaker
-			// reads a skewed clock.
+			// Chaos tier: every cooldown decision reads a skewed clock.
 			s.fleetM.SetClock(cfg.Faults.Clock(nil))
-			s.breaker.SetClock(cfg.Faults.Clock(nil))
 		}
 		s.fleetM.SetLogger(s.log)
 	}
 	s.met = newServerMetrics(s)
 	return s
 }
-
-// Breaker exposes the per-peer circuit breaker (nil outside fleet mode) —
-// tests and the chaos harness read its open count.
-func (s *Server) Breaker() *fleet.Breaker { return s.breaker }
 
 // Service exposes the underlying compile service (tests and embedders).
 func (s *Server) Service() *core.Service { return s.svc }

@@ -113,12 +113,8 @@ var (
 	M2090 = gpu.M2090
 	// C2070 is the previous work's GPU.
 	C2070 = gpu.C2070
-	// FourGPUTree is the paper's Figure 3.3 machine.
-	FourGPUTree = topology.FourGPUTree
 	// PairedTree builds a machine with g GPUs attached pairwise.
 	PairedTree = topology.PairedTree
-	// NewTopology starts a custom PCIe tree.
-	NewTopology = topology.NewBuilder
 )
 
 // Compilation: the flow's types (package driver) and the compile service
