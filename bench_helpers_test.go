@@ -13,7 +13,7 @@ type pdgEdge = pdg.Edge
 // newSynthProblem builds a mapping problem over synthetic workloads for the
 // ILP micro-benchmark.
 func newSynthProblem(work []float64, edges []pdgEdge, gpus int) *mapping.Problem {
-	g, err := pdg.Synthetic(work, edges, nil, nil)
+	g, err := pdg.Synthetic(len(work), edges, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -21,6 +21,7 @@ func newSynthProblem(work []float64, edges []pdgEdge, gpus int) *mapping.Problem
 		PDG:           g,
 		Topo:          topology.PairedTree(gpus),
 		FragmentIters: 1,
+		TimesUS:       work, // one iteration per fragment, no launch cost
 	}
 }
 

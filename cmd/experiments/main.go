@@ -1,47 +1,41 @@
 // Command experiments regenerates the paper's tables and figures on the
-// simulated platform, and runs the serving load-test benchmark.
+// simulated platform, and runs the serving fleet rigs.
 //
 // Usage:
 //
 //	experiments [-exp all|fig4.1|fig4.2|fig4.3|fig4.4|table5.1|ablation|scaling] [-fragments N] [-scale-max N]
-//	experiments -exp loadtest [-server-url URL] [-requests 200] [-rps 100]
-//	            [-fleet 16] [-mix hot|unique|mixed|nodeloss|multinode|chaos]
-//	            [-seed S] [-verify] [-fault-spec SPEC]
+//	experiments -exp loadtest -mix multinode|chaos [-requests 200] [-fleet 16]
+//	            [-seed S] [-fault-spec SPEC]
 //
 // Runs sweep every N of every application; -exp all takes about 6 s on a
 // 2-core Xeon.
 //
-// -exp loadtest replays a seeded synthetic compile workload against a
-// streammapd server (started in-process on a loopback port when
-// -server-url is empty) and reports throughput, latency percentiles and
-// the server's cache/coalescing deltas. The nodeloss mix additionally
-// fails a device halfway through the run and feeds every subsequent
-// compile back through /v1/remap, asserting each in-flight request still
-// gets a valid degraded plan. The multinode mix instead brings up a
-// 3-node serving fleet over one shared artifact store, kills one node
-// mid-run and re-adds it cold, asserting the fleet-wide hit rate survives
-// the churn and the rejoining node warm-starts from the store. The chaos
-// mix brings up the same 3-node fleet with deterministic fault injection
-// on every seam (peer transport, disk tier, shared store, clocks),
-// crashes one node, tears its persistent entries mid-file and restarts
-// it — then exits nonzero unless every response was a 200 or 429 and
-// every served body was byte for byte a clean local compile's encoding
-// (-fault-spec overrides the default fault mix). These mixes are
-// excluded from -exp all: they benchmark the serving layer, not the paper.
+// -exp loadtest runs one of the two fleet rigs of internal/server/loadtest;
+// -requests is the traffic per phase and -fleet the client workers. The
+// multinode mix brings up a 3-node serving fleet over one shared artifact
+// store, kills one node mid-run and re-adds it cold, asserting the
+// fleet-wide hit rate survives the churn and the rejoining node
+// warm-starts from the store. The chaos mix brings up the same 3-node
+// fleet with deterministic fault injection on every seam (peer transport,
+// disk tier, shared store, clocks), crashes one node, tears its persistent
+// entries mid-file and restarts it — then exits nonzero unless every
+// response was a 200 or 429 and every served body was byte for byte a
+// clean local compile's encoding (-fault-spec overrides the default fault
+// mix). Any other -mix exits 2. Single-node serving is measured by
+// `bash bench/run.sh -workload serve-hot|serve-disk|serve-mixed`. The rigs
+// are excluded from -exp all: they exercise the serving layer, not the
+// paper.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"time"
 
 	"streammap/internal/experiments"
 	"streammap/internal/faultinject"
-	"streammap/internal/server"
-	"streammap/internal/server/client"
 	"streammap/internal/server/loadtest"
 )
 
@@ -49,78 +43,30 @@ func main() {
 	exp := flag.String("exp", "all", "which experiment: all, fig4.1, fig4.2, fig4.3, fig4.4, table5.1, ablation, scaling, loadtest")
 	fragments := flag.Int("fragments", 0, "override fragments per measurement")
 	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; the 1000000 cell's compile allocates 1.26 GB)")
-	serverURL := flag.String("server-url", "", "loadtest: target server (empty = start one in-process)")
-	requests := flag.Int("requests", 200, "loadtest: total requests")
-	rps := flag.Float64("rps", 100, "loadtest: target request rate (0 = unpaced)")
+	requests := flag.Int("requests", 200, "loadtest: requests per phase")
 	fleet := flag.Int("fleet", 16, "loadtest: concurrent client workers")
-	mix := flag.String("mix", "mixed", "loadtest: traffic mix (hot, unique, mixed, nodeloss, multinode, chaos)")
+	mix := flag.String("mix", "multinode", "loadtest: fleet rig (multinode, chaos)")
 	seed := flag.Uint64("seed", 1, "loadtest: workload seed")
-	verify := flag.Bool("verify", false, "loadtest: check served artifacts against local compiles")
 	faultSpec := flag.String("fault-spec", "", "loadtest chaos mix: fault-injection spec (empty = the default chaos mix)")
 	flag.Parse()
 
-	if *exp == "loadtest" && loadtest.Mix(*mix) == loadtest.MixChaos {
-		spec, err := faultinject.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadtest: -fault-spec: %v\n", err)
+	if *exp == "loadtest" {
+		var err error
+		switch *mix {
+		case "multinode":
+			err = runMultiNode(loadtest.MultiNodeParams{Seed: *seed, RequestsPerPhase: *requests, Workers: *fleet})
+		case "chaos":
+			spec, perr := faultinject.Parse(*faultSpec)
+			if perr != nil {
+				fmt.Fprintf(os.Stderr, "loadtest: -fault-spec: %v\n", perr)
+				os.Exit(2)
+			}
+			err = runChaos(loadtest.ChaosParams{Seed: *seed, RequestsPerPhase: *requests, Workers: *fleet, Spec: spec})
+		default:
+			fmt.Fprintf(os.Stderr, "loadtest: unknown -mix %q (multinode or chaos)\n", *mix)
 			os.Exit(2)
 		}
-		res, err := loadtest.RunChaos(context.Background(), loadtest.ChaosParams{
-			Seed:             *seed,
-			RequestsPerPhase: *requests,
-			Workers:          *fleet,
-			Spec:             spec,
-		})
-		if res != nil {
-			res.Fprint(os.Stdout)
-		}
-		if err == nil && !res.Availability() {
-			err = fmt.Errorf("non-429 errors under chaos")
-		}
-		if err == nil && len(res.EquivalenceFailures) > 0 {
-			err = fmt.Errorf("%d served artifacts differ from clean local compiles", len(res.EquivalenceFailures))
-		}
-		if err == nil && res.Faults.Total() == 0 {
-			err = fmt.Errorf("the fault schedule fired nothing")
-		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "loadtest" && loadtest.Mix(*mix) == loadtest.MixMultiNode {
-		// The multinode mix owns its servers (it kills and re-adds one),
-		// so it cannot target -server-url.
-		res, err := loadtest.RunMultiNode(context.Background(), loadtest.MultiNodeParams{
-			Seed:             *seed,
-			RequestsPerPhase: *requests,
-			Workers:          *fleet,
-		})
-		if res != nil {
-			res.Fprint(os.Stdout)
-		}
-		if err == nil && !res.RejoinOK {
-			err = fmt.Errorf("re-added node did not warm-start from the shared store")
-		}
-		if err == nil && (res.Steady.Errors > 0 || res.Churn.Errors > 0) {
-			err = fmt.Errorf("requests failed during the run")
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "loadtest" {
-		if err := runLoadtest(*serverURL, loadtest.Params{
-			Seed:     *seed,
-			Requests: *requests,
-			RPS:      *rps,
-			Fleet:    *fleet,
-			Mix:      loadtest.Mix(*mix),
-			Verify:   *verify,
-		}); err != nil {
 			fmt.Fprintf(os.Stderr, "loadtest: %v\n", err)
 			os.Exit(1)
 		}
@@ -170,26 +116,41 @@ func main() {
 	}
 }
 
-// runLoadtest drives the load-test harness against url, or against an
-// in-process server on a loopback port when url is empty — the zero-setup
-// path for benchmarking the serving stack on one machine.
-func runLoadtest(url string, p loadtest.Params) error {
-	if url == "" {
-		ts := httptest.NewServer(server.New(server.Config{}).Handler())
-		defer ts.Close()
-		url = ts.URL
-		fmt.Printf("loadtest: started in-process server at %s\n", url)
+// runMultiNode runs the fleet churn rig and fails unless every request
+// succeeded and the re-added node warm-started from the shared store.
+func runMultiNode(p loadtest.MultiNodeParams) error {
+	res, err := loadtest.RunMultiNode(context.Background(), p)
+	if res != nil {
+		res.Fprint(os.Stdout)
 	}
-	res, err := loadtest.Run(context.Background(), client.New(url), p)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
+	case !res.RejoinOK:
+		return fmt.Errorf("re-added node did not warm-start from the shared store")
+	case res.Steady.Errors > 0 || res.Churn.Errors > 0:
+		return fmt.Errorf("requests failed during the run")
 	}
-	res.Fprint(os.Stdout)
-	if res.Errors > 0 {
-		return fmt.Errorf("%d requests failed with non-429 errors (first: %s)", res.Errors, res.FirstError)
+	return nil
+}
+
+// runChaos runs the fault-injection rig and fails unless every response
+// was a 200 or a 429, every 200 was a clean compile's bytes, and the fault
+// schedule fired.
+func runChaos(p loadtest.ChaosParams) error {
+	res, err := loadtest.RunChaos(context.Background(), p)
+	if res != nil {
+		res.Fprint(os.Stdout)
 	}
-	if len(res.VerifyErrors) > 0 {
-		return fmt.Errorf("%d served artifacts differ from local compiles", len(res.VerifyErrors))
+	switch {
+	case err != nil:
+		return err
+	case !res.Availability():
+		return fmt.Errorf("non-429 errors under chaos")
+	case len(res.EquivalenceFailures) > 0:
+		return fmt.Errorf("%d served artifacts differ from clean local compiles", len(res.EquivalenceFailures))
+	case res.Faults.Total() == 0:
+		return fmt.Errorf("the fault schedule fired nothing")
 	}
 	return nil
 }

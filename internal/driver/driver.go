@@ -333,8 +333,6 @@ func mappingProblem(opts Options, dg *pdg.PDG, parts []*partition.Partition) *ma
 		PDG:           dg,
 		Topo:          opts.Topo,
 		FragmentIters: opts.FragmentIters,
-		NumSMs:        opts.Device.NumSMs,
-		LaunchUS:      opts.Device.KernelLaunchUS,
 		ViaHost:       opts.Mapper == PrevWorkMap,
 		TimesUS:       fragmentTimes(parts, opts),
 	}

@@ -342,6 +342,6 @@ func (m *Membership) rebuildLocked() {
 		}
 	}
 	next := NewRing(alive, m.cfg.Replicas)
-	m.ringMoves += int64(m.ring.MovedFraction(next, 0) * 1000)
+	m.ringMoves += int64(m.ring.MovedFraction(next) * 1000)
 	m.ring = next
 }

@@ -444,7 +444,7 @@ func (m *oldMembership) rebuild() {
 		}
 	}
 	next := NewRing(alive, m.replicas)
-	m.ringMoves += int64(m.ring.MovedFraction(next, 0) * 1000)
+	m.ringMoves += int64(m.ring.MovedFraction(next) * 1000)
 	m.ring = next
 }
 
@@ -471,7 +471,7 @@ func FuzzPeerHealth(f *testing.F) {
 	members := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
 	keys := testKeys(64)
 	f.Fuzz(func(t *testing.T, failures uint8, ops []byte) {
-		// Each circuit transition rebuilds the ring and samples its moved
+		// Each circuit transition rebuilds the ring and measures its moved
 		// keyspace, the cost of one step; a long sequence adds nothing a
 		// short one cannot reach.
 		ops = ops[:min(len(ops), 128)]

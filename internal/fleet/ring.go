@@ -29,6 +29,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -106,23 +108,66 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].node
 }
 
-// MovedFraction estimates the fraction of the keyspace whose owner
-// differs between r and other, by probing samples deterministic keys
-// (1024 when samples <= 0). Consistent hashing bounds this to ~1/N per
-// single membership change; the Membership layer accumulates it as the
-// ring_moves stat.
-func (r *Ring) MovedFraction(other *Ring, samples int) float64 {
-	if samples <= 0 {
-		samples = 1024
-	}
-	moved := 0
-	for i := 0; i < samples; i++ {
-		k := fmt.Sprintf("ring-probe-%d", i)
-		if r.Owner(k) != other.Owner(k) {
-			moved++
+// MovedFraction is the exact fraction of the keyspace whose owner differs
+// between r and other: one merge over both rings' sorted points, summing
+// the arcs whose owners differ, over 2^64. Consistent hashing bounds it to
+// ~1/N per single membership change; the Membership layer accumulates it
+// as the ring_moves stat.
+func (r *Ring) MovedFraction(other *Ring) float64 {
+	a, b := r.points, other.points
+	if len(a) == 0 || len(b) == 0 {
+		if len(a) == len(b) {
+			return 0
 		}
+		return 1 // every key's owner is "" on one side only
 	}
-	return float64(moved) / float64(samples)
+	// The moved arc lengths sum to at most 2^64, one past uint64: carry
+	// counts the overflow.
+	var moved, carry uint64
+	add := func(n uint64) {
+		var c uint64
+		moved, c = bits.Add64(moved, n, 0)
+		carry += c
+	}
+	// The wrap arc, past the last point of either ring and round to the
+	// first, belongs to each ring's first point. Its length is first-last
+	// modulo 2^64, except that one shared position makes it the whole
+	// circle.
+	first := min(a[0].hash, b[0].hash)
+	last := max(a[len(a)-1].hash, b[len(b)-1].hash)
+	if a[0].node != b[0].node {
+		if first == last {
+			return 1
+		}
+		add(first - last)
+	}
+	// Every other arc runs from one point of either ring to the next; in
+	// each ring its owner is that ring's first point at or after the arc's
+	// end (the first point on a wrap).
+	prev := first
+	for i, j := 0, 0; ; {
+		for i < len(a) && a[i].hash <= prev {
+			i++
+		}
+		for j < len(b) && b[j].hash <= prev {
+			j++
+		}
+		if i == len(a) && j == len(b) {
+			break
+		}
+		next, ownA, ownB := uint64(math.MaxUint64), a[0].node, b[0].node
+		if i < len(a) {
+			next, ownA = a[i].hash, a[i].node
+		}
+		if j < len(b) {
+			next, ownB = min(next, b[j].hash), b[j].node
+		}
+		if ownA != ownB {
+			add(next - prev)
+		}
+		prev = next
+	}
+	return float64(carry) + math.Ldexp(float64(moved), -64)
 }
 
 // pointHash places virtual node v of a member on the ring.

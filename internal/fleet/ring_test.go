@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 )
@@ -136,17 +137,56 @@ func TestRingEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRingMovedFraction cross-checks the sampled estimator against the
-// exhaustive count the movement tests compute.
+// TestRingMovedFraction holds the merge to the movement a leave causes: a
+// 1-of-4 leave moves about a quarter of the keyspace, and exactly the arcs
+// the leaver owned, summed here from the old ring's points alone.
 func TestRingMovedFraction(t *testing.T) {
 	nodes := nodeNames(4)
 	before := NewRing(nodes, 0)
 	after := NewRing(nodes[:3], 0)
-	frac := before.MovedFraction(after, 4096)
+	frac := before.MovedFraction(after)
 	if frac < 0.10 || frac > 0.40 {
 		t.Errorf("moved fraction %.3f after 1-of-4 leave, want ~0.25", frac)
 	}
-	if self := before.MovedFraction(before, 0); self != 0 {
+	if self := before.MovedFraction(before); self != 0 {
 		t.Errorf("ring moved %.3f of keys against itself", self)
+	}
+
+	for n := 2; n <= 5; n++ {
+		for _, leaver := range nodeNames(n) {
+			full := NewRing(nodeNames(n), 0)
+			var rest []string
+			for _, m := range nodeNames(n) {
+				if m != leaver {
+					rest = append(rest, m)
+				}
+			}
+			// Point k owns the arc from point k-1 (exclusive) to itself;
+			// point 0's arc wraps round from the last point.
+			owned := new(big.Int)
+			for k, p := range full.points {
+				if p.node != leaver {
+					continue
+				}
+				arc := new(big.Int).SetUint64(p.hash)
+				if k > 0 {
+					arc.Sub(arc, new(big.Int).SetUint64(full.points[k-1].hash))
+				} else {
+					arc.Add(arc, new(big.Int).Lsh(big.NewInt(1), 64))
+					arc.Sub(arc, new(big.Int).SetUint64(full.points[len(full.points)-1].hash))
+				}
+				owned.Add(owned, arc)
+			}
+			want, _ := new(big.Float).Quo(new(big.Float).SetInt(owned), new(big.Float).SetMantExp(big.NewFloat(1), 64)).Float64()
+			if got := full.MovedFraction(NewRing(rest, 0)); got != want {
+				t.Errorf("%d nodes, %s leaves: moved %v, its arcs are %v of the keyspace", n, leaver, got, want)
+			}
+			if got := NewRing(rest, 0).MovedFraction(full); got != want {
+				t.Errorf("%d nodes, %s joins: moved %v, its arcs are %v of the keyspace", n, leaver, got, want)
+			}
+		}
+	}
+	if got := NewRing([]string{"a"}, 0).MovedFraction(NewRing([]string{"b"}, 0)); got != 1 {
+		t.Errorf("every key changed owners, moved %v", got)
 	}
 }

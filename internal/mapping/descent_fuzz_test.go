@@ -26,14 +26,14 @@ func descentFuzzProblem(tb testing.TB, seed uint64) *mapping.Problem {
 	tree := drawTree(tb, r, seed, 2+r.Intn(7))
 	n := 2 + r.Intn(39)
 	maxUS := []float64{4, 15, 40}[r.Intn(3)]
+	work := make([]float64, n)
 	g := &pdg.PDG{
-		WorkUS:       make([]float64, n),
 		HostInBytes:  make([]int64, n),
 		HostOutBytes: make([]int64, n),
 		Topo:         make([]int, n),
 	}
-	for i := range g.WorkUS {
-		g.WorkUS[i] = float64(1+r.Intn(100_000)) / 100_000 * maxUS
+	for i := range work {
+		work[i] = float64(1+r.Intn(100_000)) / 100_000 * maxUS
 		g.Topo[i] = i
 		if r.Intn(4) == 0 {
 			g.HostInBytes[i] = int64(r.Intn(200_000))
@@ -67,9 +67,11 @@ func descentFuzzProblem(tb testing.TB, seed uint64) *mapping.Problem {
 			edge(j, i)
 		}
 	}
+	b := 1 + r.Intn(3)
+	launch := float64(r.Intn(2)) * 0.5
 	return &mapping.Problem{
 		PDG: g, Topo: tree,
-		FragmentIters: 1 + r.Intn(3), LaunchUS: float64(r.Intn(2)) * 0.5,
+		FragmentIters: b, TimesUS: mapping.PartTimes(work, b, launch),
 		ViaHost: r.Intn(2) == 0,
 	}
 }

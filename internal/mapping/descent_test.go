@@ -230,7 +230,7 @@ func descentProblem(t *testing.T, n, gpus int, maxUS float64, seed uint64) *Prob
 		}
 	}
 	p := synth(t, work, edges, hostIn, hostOut, gpus)
-	p.FragmentIters = 4
+	p.FragmentIters, p.TimesUS = 4, partTimes(work, 4, 0)
 	return p
 }
 

@@ -52,13 +52,15 @@ func exactProblem(tb testing.TB, seed uint64) *mapping.Problem {
 			}
 		}
 	}
-	g, err := pdg.Synthetic(work, edges, hostIn, hostOut)
+	g, err := pdg.Synthetic(len(work), edges, hostIn, hostOut)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	b := 1 + r.Intn(3)
+	launch := float64(r.Intn(2)) * 4
 	return &mapping.Problem{
 		PDG: g, Topo: tree,
-		FragmentIters: 1 + r.Intn(3), LaunchUS: float64(r.Intn(2)) * 4,
+		FragmentIters: b, TimesUS: mapping.PartTimes(work, b, launch),
 		ViaHost: r.Intn(2) == 0,
 	}
 }
@@ -260,11 +262,11 @@ func truncatedProblem(t *testing.T) *mapping.Problem {
 			edges = append(edges, pdg.Edge{From: i - 1, To: i, Bytes: int64(50000 * (i%5 + 1))})
 		}
 	}
-	g, err := pdg.Synthetic(work, edges, nil, nil)
+	g, err := pdg.Synthetic(len(work), edges, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &mapping.Problem{PDG: g, Topo: topology.PairedTree(4), FragmentIters: 4}
+	return &mapping.Problem{PDG: g, Topo: topology.PairedTree(4), FragmentIters: 4, TimesUS: mapping.PartTimes(work, 4, 0)}
 }
 
 // TestExactBudgetDeterministic: a search cut short by its node budget is a

@@ -48,3 +48,6 @@ func ExactSearch(ctx context.Context, p *Problem, incumbent float64, budgetNodes
 	gpuOf := s.run()
 	return gpuOf, ExactStats{s.st.nodes, s.st.timeCut, s.st.linkCut, s.st.symmetrySkips, s.st.closed, s.st.improved}
 }
+
+// PartTimes is partTimes for the external tests.
+var PartTimes = partTimes

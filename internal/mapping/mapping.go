@@ -33,39 +33,21 @@ type Problem struct {
 	Topo *topology.Tree
 
 	// FragmentIters is B: parent-graph steady-state iterations per pipeline
-	// fragment. Workloads and transfers are scaled by B.
+	// fragment. Transfers are scaled by B.
 	FragmentIters int
-
-	// NumSMs is the number of streaming multiprocessors per GPU; a fragment's
-	// blocks spread across them, dividing the per-SM workload estimate.
-	// Zero means 1.
-	NumSMs int
-
-	// LaunchUS is the fixed per-kernel-invocation overhead added to each
-	// partition's per-fragment time.
-	LaunchUS float64
 
 	// ViaHost forces all inter-GPU transfers through the host (the previous
 	// work's execution model) instead of peer-to-peer.
 	ViaHost bool
 
-	// TimesUS, when set, overrides the derived per-fragment partition times
-	// with exact estimates (e.g., the wave-quantized kernel-time law the
-	// execution engine follows). Indexed like the PDG's partitions.
+	// TimesUS is T_i per partition: its busy time per fragment (a B-iteration
+	// fragment's kernel time under the wave-quantized law the execution
+	// engine follows, launch included). Indexed like the PDG's partitions.
 	TimesUS []float64
 }
 
 // PartTimeUS returns T_i: partition i's estimated busy time per fragment.
-func (p *Problem) PartTimeUS(i int) float64 {
-	if p.TimesUS != nil {
-		return p.TimesUS[i]
-	}
-	sms := p.NumSMs
-	if sms <= 0 {
-		sms = 1
-	}
-	return p.PDG.WorkloadUS(i)*float64(p.FragmentIters)/float64(sms) + p.LaunchUS
-}
+func (p *Problem) PartTimeUS(i int) float64 { return p.TimesUS[i] }
 
 // Assignment is a full mapping with its exact objective.
 type Assignment struct {

@@ -15,7 +15,7 @@ import (
 // synth builds a Problem over the 4-GPU paper topology.
 func synth(t *testing.T, work []float64, edges []pdg.Edge, hostIn, hostOut []int64, gpus int) *Problem {
 	t.Helper()
-	g, err := pdg.Synthetic(work, edges, hostIn, hostOut)
+	g, err := pdg.Synthetic(len(work), edges, hostIn, hostOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,18 @@ func synth(t *testing.T, work []float64, edges []pdg.Edge, hostIn, hostOut []int
 		PDG:           g,
 		Topo:          topology.PairedTree(gpus),
 		FragmentIters: 1,
-		LaunchUS:      0,
+		TimesUS:       partTimes(work, 1, 0),
 	}
+}
+
+// partTimes is T_i of partitions with the given per-iteration work: B
+// iterations of it plus one launch.
+func partTimes(work []float64, b int, launch float64) []float64 {
+	times := make([]float64, len(work))
+	for i, w := range work {
+		times[i] = w*float64(b) + launch
+	}
+	return times
 }
 
 // solve is SolveCtx under a live context.
@@ -312,11 +322,11 @@ func TestSolveQuality(t *testing.T) {
 		for i, c := range conn {
 			edges = append(edges, pdg.Edge{From: i, To: i + 1, Bytes: int64(c) * 1000})
 		}
-		g, err := pdg.Synthetic(work, edges, nil, nil)
+		g, err := pdg.Synthetic(len(work), edges, nil, nil)
 		if err != nil {
 			return false
 		}
-		p := &Problem{PDG: g, Topo: topology.PairedTree(3), FragmentIters: 2, LaunchUS: 5}
+		p := &Problem{PDG: g, Topo: topology.PairedTree(3), FragmentIters: 2, TimesUS: partTimes(work, 2, 5)}
 		a, err := solve(p, Options{TimeBudget: 2 * time.Second})
 		if err != nil {
 			return false
@@ -487,7 +497,7 @@ func TestDeltaEvaluatorMatchesEvaluate(t *testing.T) {
 		}
 	}
 	p := synth(t, work, edges, hostIn, hostOut, 4)
-	p.FragmentIters = 8
+	p.FragmentIters, p.TimesUS = 8, partTimes(work, 8, 0)
 	for _, viaHost := range []bool{false, true} {
 		q := *p
 		q.ViaHost = viaHost

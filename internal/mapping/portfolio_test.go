@@ -20,11 +20,11 @@ func synthProblem(t *testing.T, nParts, gpus int) *Problem {
 			edges = append(edges, pdg.Edge{From: i - 1, To: i, Bytes: int64(50000 * (i%5 + 1))})
 		}
 	}
-	g, err := pdg.Synthetic(work, edges, nil, nil)
+	g, err := pdg.Synthetic(len(work), edges, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Problem{PDG: g, Topo: topology.PairedTree(gpus), FragmentIters: 4}
+	return &Problem{PDG: g, Topo: topology.PairedTree(gpus), FragmentIters: 4, TimesUS: partTimes(work, 4, 0)}
 }
 
 // TestSolveCtxMatchesSolve: with a live context the portfolio at eight

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -130,7 +129,7 @@ func isNameStart(c byte) bool {
 }
 
 // canonicalName re-renders a sample name's label block with keys sorted,
-// so Get/Quantile lookups (which render labels canonically) match samples
+// so Get lookups (which render labels canonically) match samples
 // whose exposition order differs — histogram buckets render le last, but
 // canonically le sorts among the other keys.
 func canonicalName(name string) string {
@@ -162,83 +161,6 @@ func (s Samples) Delta(before Samples) Samples {
 func (s Samples) Get(name string, labels ...Label) (float64, bool) {
 	v, ok := s[name+renderLabels(labels)]
 	return v, ok
-}
-
-// bucketPoint is one cumulative bucket of a histogram sample set.
-type bucketPoint struct {
-	le  float64
-	cum float64
-}
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram's
-// observations from its cumulative _bucket samples — the standard
-// histogram_quantile linear interpolation. labels select the series
-// (every label except le must match exactly). ok is false when the
-// series is absent or empty.
-func (s Samples) Quantile(name string, q float64, labels ...Label) (float64, bool) {
-	want := map[string]string{}
-	for _, l := range labels {
-		want[l.Key] = l.Value
-	}
-	var pts []bucketPoint
-	prefix := name + "_bucket{"
-	for k, v := range s {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		ls := parseLabels(k[len(prefix)-1:])
-		if len(ls) != len(want)+1 {
-			continue
-		}
-		match := true
-		for lk, lv := range want {
-			if ls[lk] != lv {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		le, err := parseLE(ls["le"])
-		if err != nil {
-			continue
-		}
-		pts = append(pts, bucketPoint{le: le, cum: v})
-	}
-	if len(pts) == 0 {
-		return 0, false
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].le < pts[j].le })
-	total := pts[len(pts)-1].cum
-	if total <= 0 {
-		return 0, false
-	}
-	rank := q * total
-	for i, p := range pts {
-		if p.cum >= rank {
-			lo, cumLo := 0.0, 0.0
-			if i > 0 {
-				lo, cumLo = pts[i-1].le, pts[i-1].cum
-			}
-			hi := p.le
-			if math.IsInf(hi, 1) { // +Inf bucket: report the highest finite bound
-				return lo, true
-			}
-			if p.cum == cumLo {
-				return hi, true
-			}
-			return lo + (hi-lo)*(rank-cumLo)/(p.cum-cumLo), true
-		}
-	}
-	return pts[len(pts)-1].le, true
-}
-
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
 }
 
 // parseLabels parses a rendered {k="v",...} label block. It handles the

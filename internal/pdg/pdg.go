@@ -1,15 +1,16 @@
 // Package pdg builds the Partition Dependence Graph of §3.2.2 (Figure 3.4):
 // the quotient of the stream graph under a partitioning. Nodes are
-// partitions annotated with their estimated workload; an edge (p_i, p_j)
-// exists when the stream graph connects the two partitions, weighted by
-// D_ij — the total bytes per parent-graph steady-state iteration crossing
-// the cut. Host I/O (the primary inputs and outputs of the application) is
-// tracked per partition, since that traffic loads the PCIe tree too.
+// partitions; an edge (p_i, p_j) exists when the stream graph connects the
+// two partitions, weighted by D_ij — the total bytes per parent-graph
+// steady-state iteration crossing the cut. Host I/O (the primary inputs
+// and outputs of the application) is tracked per partition, since that
+// traffic loads the PCIe tree too.
 package pdg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"streammap/internal/partition"
 	"streammap/internal/sdf"
@@ -17,20 +18,14 @@ import (
 
 // Edge is one PDG edge with aggregated weight.
 type Edge struct {
-	From, To  int   // partition indices
-	Bytes     int64 // bytes per parent steady-state iteration (D_ij)
-	StreamCut []sdf.EdgeID
+	From, To int   // partition indices
+	Bytes    int64 // bytes per parent steady-state iteration (D_ij)
 }
 
-// PDG is the partition dependence graph.
+// PDG is the partition dependence graph. The partitions' workloads stay
+// with the partitions: the mapping problem carries each one's T_i.
 type PDG struct {
-	Graph *sdf.Graph
-	Parts []*partition.Partition
 	Edges []Edge
-
-	// WorkUS is T_i per partition: estimated execution time per parent
-	// steady-state iteration, in microseconds.
-	WorkUS []float64
 
 	HostInBytes  []int64 // per partition: primary input bytes / parent iteration
 	HostOutBytes []int64 // per partition: primary output bytes / parent iteration
@@ -39,11 +34,7 @@ type PDG struct {
 }
 
 // NumParts returns the partition count P.
-func (p *PDG) NumParts() int { return len(p.WorkUS) }
-
-// WorkloadUS returns partition i's estimated time per parent iteration (the
-// T_i fed to the mapping step, before fragment scaling).
-func (p *PDG) WorkloadUS(i int) float64 { return p.WorkUS[i] }
+func (p *PDG) NumParts() int { return len(p.HostInBytes) }
 
 // Build constructs the PDG and verifies the partitioning: every node is
 // owned by exactly one partition, and the quotient is acyclic (convex
@@ -52,14 +43,8 @@ func (p *PDG) WorkloadUS(i int) float64 { return p.WorkUS[i] }
 // partitioning, compiled or decoded.
 func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 	p := &PDG{
-		Graph:        g,
-		Parts:        parts,
-		WorkUS:       make([]float64, len(parts)),
 		HostInBytes:  make([]int64, len(parts)),
 		HostOutBytes: make([]int64, len(parts)),
-	}
-	for i, part := range parts {
-		p.WorkUS[i] = part.TWus()
 	}
 	owner := make([]int, g.NumNodes())
 	for i := range owner {
@@ -79,39 +64,38 @@ func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 		}
 	}
 
-	type key struct{ from, to int }
-	agg := map[key]*Edge{}
-	var order []key
+	// Cut edges sorted by (from, to), then each run of one pair summed.
+	var cut []Edge
 	for _, e := range g.Edges {
-		fi, ti := owner[e.Src], owner[e.Dst]
-		if fi == ti {
+		if fi, ti := owner[e.Src], owner[e.Dst]; fi != ti {
+			cut = append(cut, Edge{From: fi, To: ti, Bytes: g.EdgeBytes(e)})
+		}
+	}
+	slices.SortFunc(cut, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	for _, e := range cut {
+		if n := len(p.Edges); n > 0 && p.Edges[n-1].From == e.From && p.Edges[n-1].To == e.To {
+			p.Edges[n-1].Bytes += e.Bytes
 			continue
 		}
-		k := key{fi, ti}
-		ed, ok := agg[k]
-		if !ok {
-			ed = &Edge{From: fi, To: ti}
-			agg[k] = ed
-			order = append(order, k)
-		}
-		ed.Bytes += g.EdgeBytes(e)
-		ed.StreamCut = append(ed.StreamCut, e.ID)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].from != order[b].from {
-			return order[a].from < order[b].from
-		}
-		return order[a].to < order[b].to
-	})
-	for _, k := range order {
-		p.Edges = append(p.Edges, *agg[k])
+		p.Edges = append(p.Edges, e)
 	}
 
-	for _, port := range g.InputPorts() {
-		p.HostInBytes[owner[port.Node]] += g.PortTokens(port, true) * sdf.TokenBytes
-	}
-	for _, port := range g.OutputPorts() {
-		p.HostOutBytes[owner[port.Node]] += g.PortTokens(port, false) * sdf.TokenBytes
+	for _, n := range g.Nodes {
+		for port, in := range n.Filter.Inputs {
+			if n.In(port) == -1 {
+				p.HostInBytes[owner[n.ID]] += g.Rep(n.ID) * int64(in.Pop) * sdf.TokenBytes
+			}
+		}
+		for port, push := range n.Filter.Outputs {
+			if n.Out(port) == -1 {
+				p.HostOutBytes[owner[n.ID]] += g.Rep(n.ID) * int64(push) * sdf.TokenBytes
+			}
+		}
 	}
 
 	topo, err := p.topoOrder()
@@ -122,20 +106,20 @@ func Build(g *sdf.Graph, parts []*partition.Partition) (*PDG, error) {
 	return p, nil
 }
 
-// Synthetic builds a PDG directly from workloads and edges, without a stream
-// graph behind it. Used by tests and by standalone mapping experiments.
-func Synthetic(workUS []float64, edges []Edge, hostIn, hostOut []int64) (*PDG, error) {
+// Synthetic builds a PDG of n partitions directly from edges, without a
+// stream graph behind it. Used by tests and by standalone mapping
+// experiments; nil host I/O means none.
+func Synthetic(n int, edges []Edge, hostIn, hostOut []int64) (*PDG, error) {
 	p := &PDG{
-		WorkUS:       append([]float64(nil), workUS...),
 		Edges:        append([]Edge(nil), edges...),
 		HostInBytes:  append([]int64(nil), hostIn...),
 		HostOutBytes: append([]int64(nil), hostOut...),
 	}
 	if p.HostInBytes == nil {
-		p.HostInBytes = make([]int64, len(workUS))
+		p.HostInBytes = make([]int64, n)
 	}
 	if p.HostOutBytes == nil {
-		p.HostOutBytes = make([]int64, len(workUS))
+		p.HostOutBytes = make([]int64, n)
 	}
 	topo, err := p.topoOrder()
 	if err != nil {

@@ -48,13 +48,9 @@ func TestBuildChainPDG(t *testing.T) {
 	if p.NumParts() != len(parts) {
 		t.Errorf("NumParts = %d, want %d", p.NumParts(), len(parts))
 	}
-	// Every partition has positive workload; host I/O lands on the
-	// partitions holding the primary ports.
+	// Host I/O lands on the partitions holding the primary ports.
 	var hostIn, hostOut int64
 	for i := 0; i < p.NumParts(); i++ {
-		if p.WorkloadUS(i) <= 0 {
-			t.Errorf("partition %d has non-positive workload", i)
-		}
 		hostIn += p.HostInBytes[i]
 		hostOut += p.HostOutBytes[i]
 	}
@@ -87,14 +83,14 @@ func TestBuildRejectsPartialCover(t *testing.T) {
 }
 
 func TestSyntheticTopoAndCycle(t *testing.T) {
-	p, err := Synthetic([]float64{1, 2, 3}, []Edge{{From: 0, To: 1}, {From: 1, To: 2}}, nil, nil)
+	p, err := Synthetic(3, []Edge{{From: 0, To: 1}, {From: 1, To: 2}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Topo) != 3 || p.Topo[0] != 0 {
 		t.Errorf("topo = %v", p.Topo)
 	}
-	if _, err := Synthetic([]float64{1, 2}, []Edge{{From: 0, To: 1}, {From: 1, To: 0}}, nil, nil); err == nil {
+	if _, err := Synthetic(2, []Edge{{From: 0, To: 1}, {From: 1, To: 0}}, nil, nil); err == nil {
 		t.Error("cyclic PDG should fail")
 	}
 }
@@ -159,7 +155,7 @@ func TestTopoOrderMatchesSortPerPop(t *testing.T) {
 			edges = append(edges, Edge{From: e.To, To: e.From})
 		}
 		want, wantErr := topoOrderSortPerPop(n, edges)
-		p, err := Synthetic(make([]float64, n), edges, nil, nil)
+		p, err := Synthetic(n, edges, nil, nil)
 		switch {
 		case wantErr != nil:
 			cyclic++
@@ -178,7 +174,7 @@ func TestTopoOrderMatchesSortPerPop(t *testing.T) {
 }
 
 func TestTotalCutBytes(t *testing.T) {
-	p, err := Synthetic([]float64{1, 1}, []Edge{{From: 0, To: 1, Bytes: 100}}, nil, nil)
+	p, err := Synthetic(2, []Edge{{From: 0, To: 1, Bytes: 100}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,8 @@ func startFleetNodes(t *testing.T, n int, mutate func(i int, cfg *server.Config)
 			Fleet: fleet.Config{
 				SelfURL: urls[i],
 				Peers:   urls,
-				// Tests observe MarkDown effects; keep them from expiring
-				// mid-assertion.
+				// Tests observe an opened circuit's effects; keep them
+				// from expiring mid-assertion.
 				DownCooldown: time.Hour,
 			},
 		}
@@ -306,7 +306,7 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	if opens, retries := fleet("breaker_opens_total"), fleet("peer_retries_total"); opens != 1 || retries != 0 {
 		t.Fatalf("breaker counters wrong: %d opens, %d retries", opens, retries)
 	}
-	// A third of a 3-node keyspace changed owners (within sampling slack).
+	// About a third of a 3-node keyspace changed owners.
 	if moves := fleet("ring_moves_permille"); moves < 200 || moves > 500 {
 		t.Fatalf("ring moves %d outside ~1/3 keyspace for one lost node of three", moves)
 	}

@@ -20,18 +20,6 @@ import (
 	"streammap/internal/synth"
 )
 
-// MixChaos is the fault-injection scenario: a multi-node fleet serving
-// known-key traffic while a deterministic, seeded fault schedule refuses
-// peer connections, delays and corrupts peer responses, tears and
-// corrupts disk and store writes, and skews the membership clocks — then
-// one node is crashed, its persistent entries are truncated mid-file, and
-// it restarts on the same directories. The acceptance bar is absolute:
-// every response is either a 200 whose body is, byte for byte, the
-// encoding of a clean local compile, or a 429 — never an error, never
-// wrong bytes.
-// Like multinode it owns its servers, so it runs through RunChaos.
-const MixChaos Mix = "chaos"
-
 // ChaosParams configures one chaos run.
 type ChaosParams struct {
 	Seed  uint64

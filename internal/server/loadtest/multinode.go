@@ -14,12 +14,6 @@ import (
 	"streammap/internal/synth"
 )
 
-// MixMultiNode is the fleet-serving scenario: several in-process nodes
-// sharing a consistent-hash ring and a content-addressed store, with one
-// node killed and re-added mid-run. Unlike the single-server mixes it
-// owns its servers, so it runs through RunMultiNode rather than Run.
-const MixMultiNode Mix = "multinode"
-
 // MultiNodeParams configures one fleet churn run.
 type MultiNodeParams struct {
 	Seed  uint64

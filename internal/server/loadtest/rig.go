@@ -1,8 +1,30 @@
+// Package loadtest holds the two fleet rigs: in-process streammapd fleets
+// whose members listen on real loopback sockets, so peers reach each other
+// over HTTP exactly as separate processes would, replaying seeded
+// known-key compile traffic through a pool of client workers.
+//
+//   - RunMultiNode: several nodes sharing a consistent-hash ring and a
+//     content-addressed store, with one node killed and re-added cold
+//     mid-run. The fleet-wide hit rate must survive the churn, and the
+//     rejoining node must warm-start from the store.
+//   - RunChaos: the same fleet with a deterministic, seeded fault schedule
+//     on every seam (peer transport, disk tier, shared store, membership
+//     clocks), plus a crash that tears the victim's persistent entries
+//     mid-file before it restarts on the same directories. Every response
+//     must be a 429 or a 200 whose body is, byte for byte, the encoding of
+//     a clean local compile.
+//
+// Both rigs own their servers. Single-node serving is measured by the
+// benchmark harness (bench/: serve-hot, serve-disk, serve-mixed) and held
+// to local compiles by internal/server's tests.
 package loadtest
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -12,7 +34,10 @@ import (
 	"time"
 
 	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/fleet"
+	"streammap/internal/obs"
+	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
 	"streammap/internal/synth"
@@ -236,3 +261,84 @@ func (r *fleetRig) phase(n int, draw func(i int) (node, key int)) []fleetRespons
 	wg.Wait()
 	return out
 }
+
+// compileBody posts req to cl's server over cl's transport and returns the
+// response body as served: the rigs hold it to a reference encoding with
+// sameBytes, so nothing decodes it. Failures take the client's shapes (a
+// 429 is *client.Throttled).
+func compileBody(ctx context.Context, cl *client.Client, req server.CompileRequest) ([]byte, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.BaseURL+"/v1/compile", bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hc := cl.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	resp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	switch {
+	case err != nil || resp.StatusCode == http.StatusOK:
+		return body, err
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return nil, &client.Throttled{Message: string(body)}
+	default:
+		return nil, &client.StatusError{Status: resp.StatusCode, Message: string(body)}
+	}
+}
+
+// sameBytes holds a served body to its reference encoding: a key determines
+// its bytes, so equality is bytes.Equal and neither side is decoded. A
+// mismatch is placed by byte.
+func sameBytes(ref, body []byte) error {
+	if bytes.Equal(ref, body) {
+		return nil
+	}
+	i := 0
+	for i < len(ref) && i < len(body) && ref[i] == body[i] {
+		i++
+	}
+	return fmt.Errorf("the %d bytes served part from the reference's %d at byte %d", len(body), len(ref), i)
+}
+
+// localArtifact compiles a wire request locally and encodes it — the bytes
+// a server must answer that request with.
+func localArtifact(ctx context.Context, req server.CompileRequest) ([]byte, error) {
+	g, err := sdf.ImportGraph(req.Graph)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := driver.ImportOptions(req.Options)
+	if err != nil {
+		return nil, err
+	}
+	opts.Workers = 2
+	c, err := driver.Compile(ctx, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	a, err := c.Artifact()
+	if err != nil {
+		return nil, err
+	}
+	return a.Encode()
+}
+
+// count reads one counter sample as the integer it is; an absent series
+// counts zero.
+func count(m obs.Samples, name string, labels ...obs.Label) int64 {
+	v, _ := m.Get(name, labels...)
+	return int64(v)
+}
+
+func routeLabel(v string) obs.Label { return obs.Label{Key: "route", Value: v} }
+func tierLabel(v string) obs.Label  { return obs.Label{Key: "tier", Value: v} }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,6 @@ import (
 	"streammap/internal/sdf"
 	"streammap/internal/server"
 	"streammap/internal/server/client"
-	"streammap/internal/server/loadtest"
 	"streammap/internal/synth"
 	"streammap/internal/topology"
 )
@@ -512,10 +512,123 @@ func TestServerStatsEndpoint(t *testing.T) {
 		t.Errorf("process_start_time_seconds = %g, %v; want a moment ago (uptime is now minus it)", start, ok)
 	}
 	stopServer(t, srv, ts) // the latency record is written after the response
-	p50, ok := srv.Metrics().Quantile("streammap_request_duration_seconds", 0.50, route("compile"))
-	if timed := counter(t, srv, "streammap_request_duration_seconds_count", route("compile")); timed != 3 || !ok || p50 <= 0 {
-		t.Errorf("latency record after 3 requests: %d samples, p50 %gs (%v)", timed, p50, ok)
+	sum, ok := srv.Metrics().Get("streammap_request_duration_seconds_sum", route("compile"))
+	if timed := counter(t, srv, "streammap_request_duration_seconds_count", route("compile")); timed != 3 || !ok || sum <= 0 {
+		t.Errorf("latency record after 3 requests: %d samples, %gs in all (%v)", timed, sum, ok)
 	}
+}
+
+// loadTally counts one replay's outcomes: a 429 is shed load, anything
+// but a 200 or a 429 an error.
+type loadTally struct {
+	mu                  sync.Mutex
+	sent, ok, throttled int
+	errors              []string
+}
+
+// add records one response and reports whether it was a 200.
+func (l *loadTally) add(status int, body []byte, err error) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sent++
+	switch {
+	case err != nil:
+		l.errors = append(l.errors, err.Error())
+	case status == http.StatusOK:
+		l.ok++
+		return true
+	case status == http.StatusTooManyRequests:
+		l.throttled++
+	default:
+		l.errors = append(l.errors, fmt.Sprintf("%d: %s", status, body))
+	}
+	return false
+}
+
+// postBody posts one JSON body and returns the response as served.
+func postBody(url string, body []byte) (int, []byte, error) {
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, got, err
+}
+
+// synthTraffic is a seeded compile workload over synth's corpus: the
+// first hot scenarios are the hot set, the hottest of them drawn ~70% of
+// the time, and with mixed, half the requests are each a scenario of their
+// own. It returns the offered sequence of scenario indices and each
+// referenced scenario's request body.
+func synthTraffic(t *testing.T, seed uint64, hot, n int, mixed bool) ([]int, map[int][]byte) {
+	t.Helper()
+	corpus, err := synth.Corpus(synth.CorpusParams{Seed: seed, Scenarios: hot + n, MaxFilters: 12, MaxGPUs: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := synth.NewRand(seed ^ 0xA5A5A5A5A5A5A5A5)
+	seq, next := make([]int, n), hot
+	for i := range seq {
+		switch {
+		case mixed && rng.Intn(2) == 1:
+			seq[i], next = next, next+1
+		case rng.Intn(100) < 70:
+			seq[i] = 0
+		default:
+			seq[i] = rng.Intn(hot)
+		}
+	}
+	bodies := map[int][]byte{}
+	for _, k := range seq {
+		if bodies[k] != nil {
+			continue
+		}
+		g, err := corpus[k].BuildGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies[k], err = json.Marshal(server.NewRequest(g, corpus[k].Opts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return seq, bodies
+}
+
+// replay posts bodies[k] to baseURL's /v1/compile for each k of seq, from
+// unpaced workers, and returns the tally and each scenario's first 200
+// body. onOK, when set, runs in the worker on every 200; pos is the
+// request's place in seq.
+func replay(baseURL string, seq []int, bodies map[int][]byte, workers int, onOK func(pos int, body []byte)) (*loadTally, map[int][]byte) {
+	tally, served := &loadTally{}, map[int][]byte{}
+	feed := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for pos := range feed {
+				status, body, err := postBody(baseURL+"/v1/compile", bodies[seq[pos]])
+				if !tally.add(status, body, err) {
+					continue
+				}
+				tally.mu.Lock()
+				if served[seq[pos]] == nil {
+					served[seq[pos]] = body
+				}
+				tally.mu.Unlock()
+				if onOK != nil {
+					onOK(pos, body)
+				}
+			}
+		}()
+	}
+	for pos := range seq {
+		feed <- pos
+	}
+	close(feed)
+	wg.Wait()
+	return tally, served
 }
 
 // TestEndToEndLoadTest is the acceptance run: >= 200 requests of mixed
@@ -529,48 +642,185 @@ func TestEndToEndLoadTest(t *testing.T) {
 		t.Skip("load test skipped in -short mode")
 	}
 	srv, cl := startServer(t, server.Config{
-		// Queue deep enough that pacing, not shedding, shapes the run; the
-		// shedding path has its own test above.
+		// Queue deep enough that the offered load, not shedding, shapes
+		// the run; the shedding path has its own test above.
 		MaxQueue: 512,
 	})
-	res, err := loadtest.Run(context.Background(), cl, loadtest.Params{
-		Seed:       0xBEEF,
-		Requests:   220,
-		RPS:        0, // unpaced: the fleet offers as hard as it can
-		Fleet:      24,
-		Mix:        loadtest.MixMixed,
-		MaxFilters: 12,
-		Verify:     true,
+	seq, bodies := synthTraffic(t, 0xBEEF, 4, 220, true)
+	res, served := replay(cl.BaseURL, seq, bodies, 24, nil)
+	t.Logf("sent %d: %d ok, %d throttled, %d errors, %d unique graphs", res.sent, res.ok, res.throttled, len(res.errors), len(bodies))
+
+	if res.sent != 220 {
+		t.Errorf("sent %d requests, want 220", res.sent)
+	}
+	if len(res.errors) > 0 {
+		t.Errorf("%d non-429 errors (first: %s), want 0", len(res.errors), res.errors[0])
+	}
+	if res.ok+res.throttled != res.sent {
+		t.Errorf("accounting: %d ok + %d throttled != %d sent", res.ok, res.throttled, res.sent)
+	}
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses > int64(len(bodies)) {
+		t.Errorf("pipeline ran %d times for %d unique graphs: a coalesced or cached request recompiled",
+			misses, len(bodies))
+	}
+	if len(served) == 0 {
+		t.Error("verification covered zero artifacts")
+	}
+	for k, body := range served {
+		if local := localCompile(t, bodies[k]); !bytes.Equal(local, body) {
+			t.Errorf("scenario %d: served artifact (%d bytes) differs from the local compile's (%d bytes)", k, len(body), len(local))
+		}
+	}
+	if res.throttled > 0 && counter(t, srv, "streammap_rejected_total") == 0 {
+		t.Errorf("clients saw %d throttles but the server counted none", res.throttled)
+	}
+}
+
+// TestRemapUnderLoad is the degraded-serving acceptance run: hot traffic
+// against a live server, a device failure halfway through, and from then
+// on every served artifact of two or more GPUs is also re-targeted through
+// /v1/remap with its last GPU removed while compiles continue. No request
+// may fail, every remap must answer the bytes of a local warm remap of the
+// same artifact, and the server's stage histograms must show no partition
+// or map pass beyond the run's fresh compiles.
+func TestRemapUnderLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("remap load test skipped in -short mode")
+	}
+	srv := server.New(server.Config{MaxQueue: 512})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { stopServer(t, srv, ts) })
+	seq, bodies := synthTraffic(t, 0xFA11, 4, 60, false)
+
+	type remapped struct{ artifact, served []byte }
+	var (
+		remaps   = &loadTally{}
+		mu       sync.Mutex
+		answered []remapped
+	)
+	res, _ := replay(ts.URL, seq, bodies, 12, func(pos int, body []byte) {
+		if pos < len(seq)/2 {
+			return
+		}
+		a, err := artifact.Decode(body)
+		if err != nil {
+			remaps.add(0, nil, err)
+			return
+		}
+		gpus := len(a.Options.Topo.GPUNodes)
+		if gpus < 2 {
+			return
+		}
+		req, err := json.Marshal(server.RemapRequest{
+			Artifact:    body,
+			Degradation: topology.Degradation{RemoveGPUs: []int{gpus - 1}},
+		})
+		if err != nil {
+			remaps.add(0, nil, err)
+			return
+		}
+		status, served, err := postBody(ts.URL+"/v1/remap", req)
+		if remaps.add(status, served, err) {
+			mu.Lock()
+			answered = append(answered, remapped{body, served})
+			mu.Unlock()
+		}
 	})
+	stopServer(t, srv, ts) // every handler has returned: the histograms are final
+	t.Logf("%d compiles sent, %d remaps after the device loss", res.sent, remaps.sent)
+
+	if errs := append(res.errors, remaps.errors...); len(errs) > 0 {
+		t.Errorf("%d requests failed after the device loss (first: %s); every request must still get a valid plan", len(errs), errs[0])
+	}
+	if res.ok+res.throttled != res.sent {
+		t.Errorf("accounting: %d ok + %d throttled != %d sent", res.ok, res.throttled, res.sent)
+	}
+	if remaps.sent == 0 {
+		t.Fatal("the device failure produced no remap traffic; the seed's hot set must contain multi-GPU scenarios")
+	}
+	want := map[string][]byte{} // per served artifact, the local warm remap's bytes
+	for _, r := range answered {
+		w, ok := want[string(r.artifact)]
+		if !ok {
+			w = localRemap(t, r.artifact)
+			want[string(r.artifact)] = w
+		}
+		if !bytes.Equal(w, r.served) {
+			t.Errorf("served remap (%d bytes) is not the local warm remap's bytes (%d)", len(r.served), len(w))
+		}
+	}
+	if remaps.ok != remaps.sent {
+		t.Errorf("only %d of %d remaps returned a plan", remaps.ok, remaps.sent)
+	}
+	if served := counter(t, srv, "streammap_http_requests_total", route("remap")); served != int64(remaps.sent) {
+		t.Errorf("server counted %d remap requests, clients issued %d", served, remaps.sent)
+	}
+	if served := counter(t, srv, "streammap_http_requests_total", route("compile")); served != int64(res.sent) {
+		t.Errorf("server counted %d compile requests, clients issued %d", served, res.sent)
+	}
+	compiles := counter(t, srv, "streammap_compile_seconds_count")
+	for _, st := range []string{"partition", "map"} {
+		if n := counter(t, srv, "streammap_stage_duration_seconds_count", obs.Label{Key: "stage", Value: st}); n != compiles {
+			t.Errorf("%d %s passes ran for %d fresh compiles: a remap re-ran the pipeline", n, st, compiles)
+		}
+	}
+}
+
+// localCompile is what /v1/compile must answer for a request body: the
+// local compile's encoding.
+func localCompile(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var req server.CompileRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	g, err := sdf.ImportGraph(req.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	res.Fprint(&out)
-	t.Logf("\n%s", out.String())
+	opts, err := driver.ImportOptions(req.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 2
+	c, err := driver.Compile(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encoded(t, c)
+}
 
-	if res.Sent != 220 {
-		t.Errorf("sent %d requests, want 220", res.Sent)
+// encoded is a compile's artifact, encoded.
+func encoded(t *testing.T, c *driver.Compiled) []byte {
+	t.Helper()
+	a, err := c.Artifact()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Errors > 0 {
-		t.Errorf("%d non-429 errors (first: %s), want 0", res.Errors, res.FirstError)
+	data, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.OK+res.Throttled != res.Sent {
-		t.Errorf("accounting: %d ok + %d throttled != %d sent", res.OK, res.Throttled, res.Sent)
+	return data
+}
+
+// localRemap is what /v1/remap must answer for an artifact with its last
+// GPU removed: the local warm remap's encoding.
+func localRemap(t *testing.T, body []byte) []byte {
+	t.Helper()
+	a, err := artifact.Decode(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if misses := counter(t, srv, "streammap_cache_misses_total"); misses > int64(res.Unique) {
-		t.Errorf("pipeline ran %d times for %d unique graphs: a coalesced or cached request recompiled",
-			misses, res.Unique)
+	degraded, gpuMap, err := driver.Degrade(a, topology.Degradation{RemoveGPUs: []int{len(a.Options.Topo.GPUNodes) - 1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Verified == 0 {
-		t.Error("verification covered zero artifacts")
+	c, err := driver.Remap(context.Background(), a, degraded, driver.RemapOptions{GPUMap: gpuMap})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.VerifyErrors) > 0 {
-		t.Errorf("%d served artifacts differ from local compiles: %v", len(res.VerifyErrors), res.VerifyErrors[0])
-	}
-	if res.Throttled > 0 && counter(t, srv, "streammap_rejected_total") == 0 {
-		t.Errorf("clients saw %d throttles but the server counted none", res.Throttled)
-	}
+	return encoded(t, c)
 }
 
 // TestServerRemapEndpoint: a served artifact fed back through /v1/remap

@@ -173,7 +173,7 @@ func CheckInvariants(c *driver.Compiled) error {
 		pos[pi] = i
 	}
 	for _, e := range c.PDG.Edges {
-		if e.Bytes <= 0 || len(e.StreamCut) == 0 {
+		if e.Bytes <= 0 {
 			return fmt.Errorf("pdg edge %d->%d has no traffic behind it", e.From, e.To)
 		}
 		if pos[e.From] >= pos[e.To] {
