@@ -146,9 +146,6 @@ type Artifact struct {
 	Remap *RemapInfo `json:"remap,omitempty"`
 }
 
-// NumPartitions returns the partition count.
-func (a *Artifact) NumPartitions() int { return len(a.Partitions) }
-
 // Validate checks the artifact's internal consistency: version, section
 // sizes and index ranges. Decode calls it. The partitions' node lists are
 // the decoder's to check: driver.FromArtifact re-extracts them

@@ -294,7 +294,7 @@ func TestRemapWarmStartQuality(t *testing.T) {
 // record names remap-merge — and the adopted result must stay valid.
 func TestRemapRemerge(t *testing.T) {
 	a := remapArtifact(t, "DES", 4)
-	if a.NumPartitions() < 2 {
+	if len(a.Partitions) < 2 {
 		t.Skip("needs a multi-partition compilation")
 	}
 	degraded, _, err := driver.Degrade(a, topology.Degradation{RemoveGPUs: []int{1, 2, 3}})
@@ -309,9 +309,9 @@ func TestRemapRemerge(t *testing.T) {
 	if merge == 0 {
 		t.Error("partitions outnumber the survivor but no remap-merge stage ran")
 	}
-	if c.RemapInfo.Remerged && len(c.Parts.Parts) >= a.NumPartitions() {
+	if c.RemapInfo.Remerged && len(c.Parts.Parts) >= len(a.Partitions) {
 		t.Errorf("re-merge adopted but partition count did not drop (%d -> %d)",
-			a.NumPartitions(), len(c.Parts.Parts))
+			len(a.Partitions), len(c.Parts.Parts))
 	}
 	if got := len(c.Assign.GPUOf); got != len(c.Parts.Parts) {
 		t.Fatalf("assignment covers %d of %d partitions", got, len(c.Parts.Parts))

@@ -13,9 +13,10 @@
 // site names the seam (e.g. "peer:10.0.0.3:8372", "disk") and n is the
 // site's own call counter. Concurrency can reorder which *request* draws
 // the n-th decision (and cache state can change how many draws a run
-// makes), but each site's fault schedule is pinned by the seed — what the
-// chaos loadtest and CI assert is that the hardening bars (zero non-429
-// errors, bit-equivalent artifacts) hold under it. See DESIGN.md S18.
+// makes), but each site's fault schedule is pinned by the seed — what
+// internal/server's TestChaosMix asserts is that the hardening bars (zero
+// non-429 errors, bit-equivalent artifacts) hold under it. See DESIGN.md
+// S18.
 package faultinject
 
 import (
@@ -93,22 +94,6 @@ type Stats struct {
 	Torn      int64 `json:"torn"`      // writes aborted before rename
 	BadFiles  int64 `json:"badFiles"`  // writes committed with partial content
 	NoSpace   int64 `json:"noSpace"`   // writes failed with ENOSPC
-}
-
-// Total sums every fired fault.
-func (s Stats) Total() int64 {
-	return s.Refused + s.Delayed + s.Corrupted + s.Truncated + s.Torn + s.BadFiles + s.NoSpace
-}
-
-// Add accumulates other into s (for fleet-wide summaries).
-func (s *Stats) Add(other Stats) {
-	s.Refused += other.Refused
-	s.Delayed += other.Delayed
-	s.Corrupted += other.Corrupted
-	s.Truncated += other.Truncated
-	s.Torn += other.Torn
-	s.BadFiles += other.BadFiles
-	s.NoSpace += other.NoSpace
 }
 
 // Injector draws fault decisions. A nil *Injector is valid and means

@@ -69,7 +69,7 @@ func TestNewNilWhenDisabled(t *testing.T) {
 	if in.Clock(nil) == nil {
 		t.Fatal("nil Clock(nil) must still return a usable clock")
 	}
-	if st := in.Stats(); st.Total() != 0 {
+	if st := in.Stats(); st != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", st)
 	}
 }

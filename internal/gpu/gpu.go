@@ -76,12 +76,6 @@ func C2070() Device {
 	return d
 }
 
-// ComputeThroughput returns a relative measure of peak compute rate
-// (SMs x cores x clock), used in §4.0.5-style scaling arguments.
-func (d Device) ComputeThroughput() float64 {
-	return float64(d.NumSMs) * float64(d.CoresPerSM) * d.CoreClockMHz
-}
-
 // CyclesToUS converts core cycles to microseconds on this device.
 func (d Device) CyclesToUS(cycles float64) float64 { return cycles / d.CoreClockMHz }
 

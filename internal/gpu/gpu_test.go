@@ -6,7 +6,9 @@ func TestDeviceScalingMatchesPaper(t *testing.T) {
 	g1, g2 := C2070(), M2090()
 	// §4.0.5: M2090 has ~29% more compute throughput and ~23% more memory
 	// bandwidth than C2070.
-	comp := g2.ComputeThroughput() / g1.ComputeThroughput()
+	// Peak compute rate is SMs x cores x clock.
+	peak := func(d Device) float64 { return float64(d.NumSMs) * float64(d.CoresPerSM) * d.CoreClockMHz }
+	comp := peak(g2) / peak(g1)
 	if comp < 1.28 || comp > 1.31 {
 		t.Errorf("compute throughput ratio = %.3f, want ~1.29", comp)
 	}

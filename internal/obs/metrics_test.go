@@ -57,7 +57,7 @@ func TestExpositionGolden(t *testing.T) {
 }
 
 // TestExpositionParsesBack: the exposition must round-trip through our
-// own parser — the same property the loadtest harness and CI rely on.
+// own parser — the same property the benchmark harness and CI rely on.
 func TestExpositionParsesBack(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenRegistry().WriteText(&buf); err != nil {

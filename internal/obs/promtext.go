@@ -11,8 +11,8 @@ import (
 )
 
 // Prometheus text exposition (version 0.0.4): what GET /metrics serves,
-// and the parsing half every reader goes through — the loadtest harness
-// and the benchmark turn two scrapes into deltas, and in-process readers
+// and the parsing half every reader goes through — the benchmark harness
+// turns two scrapes into deltas, and in-process readers
 // (server.Server.Metrics) parse the same rendering. The renderer is
 // deterministic — families sorted by name, series by label string, label
 // keys sorted within a series — so a golden-file test can pin the output

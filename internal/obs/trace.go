@@ -245,8 +245,8 @@ func (c TracerConfig) withDefaults() TracerConfig {
 }
 
 // Tracer mints trace/span IDs and retains completed traces: a ring of the
-// most recent plus the slowest seen, so a loadtest's worst requests are
-// still inspectable after thousands of fast ones. Nil-safe: a nil Tracer
+// most recent plus the slowest seen, so the worst requests of a loaded run
+// are still inspectable after thousands of fast ones. Nil-safe: a nil Tracer
 // makes StartRequest a pass-through.
 type Tracer struct {
 	cfg    TracerConfig

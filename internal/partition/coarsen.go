@@ -59,16 +59,6 @@ type CoarseLevel struct {
 	mem    []sdf.NodeID
 }
 
-// UnitNodeCount returns the number of original nodes inside unit u.
-func (l *CoarseLevel) UnitNodeCount(u int) int { return int(l.nodeCount[u]) }
-
-// UnitScale returns the gcd of the repetition counts of u's members.
-func (l *CoarseLevel) UnitScale(u int) int64 { return l.scale[u] }
-
-// UnitInternalBytes returns the parent-iteration bytes carried by edges with
-// both endpoints inside u.
-func (l *CoarseLevel) UnitInternalBytes(u int) int64 { return l.internal[u] }
-
 // Members returns unit u's original node ids, ascending. The member index is
 // built on first use and shared by all units of the level; the returned
 // slice aliases it and must not be written.

@@ -44,3 +44,13 @@ func (p *QuotientProbe) RemoveOK(P, u int32) bool { return p.m.removeOK(p.q, P, 
 
 // AddConvex is refinement's verdict on adding unit u to partition Q.
 func (p *QuotientProbe) AddConvex(Q, u int32) bool { return p.m.addConvex(p.q, Q, u) }
+
+// UnitNodeCount returns the number of original nodes inside unit u.
+func (l *CoarseLevel) UnitNodeCount(u int) int { return int(l.nodeCount[u]) }
+
+// UnitScale returns the gcd of the repetition counts of u's members.
+func (l *CoarseLevel) UnitScale(u int) int64 { return l.scale[u] }
+
+// UnitInternalBytes returns the parent-iteration bytes carried by edges with
+// both endpoints inside u.
+func (l *CoarseLevel) UnitInternalBytes(u int) int64 { return l.internal[u] }

@@ -67,16 +67,6 @@ type Result struct {
 	ML *MLStats
 }
 
-// TotalTWus sums the per-iteration workload of all partitions (the quantity
-// Algorithm 1 greedily minimizes).
-func (r *Result) TotalTWus() float64 {
-	var t float64
-	for _, p := range r.Parts {
-		t += p.TWus()
-	}
-	return t
-}
-
 type partitioner struct {
 	g   *sdf.Graph
 	eng *pee.Engine

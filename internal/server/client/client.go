@@ -243,8 +243,7 @@ func (c *Client) Healthz(ctx context.Context) error {
 
 // Metrics scrapes and parses the server's /metrics exposition. The
 // returned samples key on the full sample name (labels included); two
-// scrapes Delta into the traffic between them — how the loadtest
-// harness builds its per-tier latency report.
+// scrapes Delta into the traffic between them.
 func (c *Client) Metrics(ctx context.Context) (obs.Samples, error) {
 	body, err := c.get(ctx, "/metrics")
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -600,6 +601,11 @@ func synthTraffic(t *testing.T, seed uint64, hot, n int, mixed bool) ([]int, map
 // body. onOK, when set, runs in the worker on every 200; pos is the
 // request's place in seq.
 func replay(baseURL string, seq []int, bodies map[int][]byte, workers int, onOK func(pos int, body []byte)) (*loadTally, map[int][]byte) {
+	return replayTo(func(int) string { return baseURL }, seq, bodies, workers, onOK)
+}
+
+// replayTo is replay with request pos sent to the server at baseURL(pos).
+func replayTo(baseURL func(pos int) string, seq []int, bodies map[int][]byte, workers int, onOK func(pos int, body []byte)) (*loadTally, map[int][]byte) {
 	tally, served := &loadTally{}, map[int][]byte{}
 	feed := make(chan int)
 	var wg sync.WaitGroup
@@ -608,7 +614,7 @@ func replay(baseURL string, seq []int, bodies map[int][]byte, workers int, onOK 
 		go func() {
 			defer wg.Done()
 			for pos := range feed {
-				status, body, err := postBody(baseURL+"/v1/compile", bodies[seq[pos]])
+				status, body, err := postBody(baseURL(pos)+"/v1/compile", bodies[seq[pos]])
 				if !tally.add(status, body, err) {
 					continue
 				}
@@ -877,7 +883,14 @@ func TestServerRemapEndpoint(t *testing.T) {
 	if p, m := stageRuns("partition"), stageRuns("map"); p != partitions || m != maps {
 		t.Errorf("served remap re-ran pipeline stages: partition %d -> %d, map %d -> %d observations", partitions, p, maps, m)
 	}
-	stages := stageSpans(handlerTraces(t, srv).Recent[0]) // newest first: the remap
+	// Found by name, not as the newest: the compile's trace can finish
+	// after its client held the response, and so after the remap's.
+	recent := handlerTraces(t, srv).Recent
+	i := slices.IndexFunc(recent, func(tr *obs.TraceRecord) bool { return tr.Name == "remap" })
+	if i < 0 {
+		t.Fatal("no remap trace retained")
+	}
+	stages := stageSpans(recent[i])
 	delete(stages, "stage.remap-merge")
 	if len(stages) != 1 || stages["stage.remap"] != 1 {
 		t.Errorf("served remap's trace has stage spans %v, want stage.remap alone", stages)

@@ -407,25 +407,6 @@ func (t *Tree) Carries(l Link, src, dst int) bool {
 	return t.underLink(l, dst) && !t.underLink(l, src)
 }
 
-// DTList returns the source-destination pairs whose traffic loads directed
-// link l — the paper's dtlist(l). Endpoints range over all GPUs and Host.
-func (t *Tree) DTList(l Link) []Pair {
-	endpoints := make([]int, 0, t.NumGPUs()+1)
-	endpoints = append(endpoints, Host)
-	for g := 0; g < t.NumGPUs(); g++ {
-		endpoints = append(endpoints, g)
-	}
-	var out []Pair
-	for _, s := range endpoints {
-		for _, d := range endpoints {
-			if s != d && t.Carries(l, s, d) {
-				out = append(out, Pair{s, d})
-			}
-		}
-	}
-	return out
-}
-
 // Route returns the directed link ids on the path src -> dst (peer-to-peer
 // through the lowest common ancestor; either endpoint may be Host). An empty
 // route means src == dst. The slice is the tree's cached table entry
