@@ -61,7 +61,8 @@
 //
 // (keys: seed, peer-refuse, latency, corrupt, truncate, torn-write,
 // corrupt-file, enospc, skew). An empty spec injects nothing and costs
-// nothing. See DESIGN.md S18.
+// nothing. At shutdown the daemon logs one "faults injected" line with the
+// counts of what fired. See DESIGN.md S18.
 //
 // Observability: -log-level (debug|info|warn|error) and -log-format
 // (text|json) shape the structured log on stderr; debug level logs one
@@ -220,7 +221,13 @@ func main() {
 			logger.Error("drain incomplete", "err", err)
 			os.Exit(1)
 		}
-		if err := srv.Close(ctx); err != nil {
+		err := srv.Close(ctx)
+		if faults != nil {
+			// What the chaos tier fired over the daemon's life, background
+			// writes included.
+			logger.Warn("faults injected", "stats", faults.Stats())
+		}
+		if err != nil {
 			os.Exit(1) // Close logged what was abandoned
 		}
 		m := srv.Metrics() // keyed by series as /metrics spells them

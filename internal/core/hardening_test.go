@@ -184,10 +184,11 @@ func TestDirStoreInjectedENOSPC(t *testing.T) {
 func encodedOf(t *testing.T, s *core.Service, name string) []byte {
 	t.Helper()
 	spec, opts := sdf.ExportGraph(cacheGraph(t, name)), cacheOpts()
-	hash, err := core.HashOfSpec(&spec, opts)
+	ob, err := core.OptionsKey(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hash := core.HashOfSpec(&spec, ob)
 	data, err := s.Encoded(context.Background(), hash, func() (*sdf.Graph, error) { return sdf.ImportGraph(spec) }, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,9 @@ import (
 // which fleet node owns it and the /v1/artifact/{key} peer-fetch route all
 // use KeyHash(KeyOf(g, opts)), computed once where the request enters and
 // passed down. A library caller derives it from the graph in hand (HashOf),
-// the server from the request's wire form (HashOfSpec); both go through
-// keyBytes, and sdf's identity referee holds the two digests equal.
+// the server from the request's wire form (HashOfSpec, with the options
+// keyed once by OptionsKey); both go through keyBytes, and sdf's identity
+// referee holds the two digests equal.
 
 // KeyOf names a compilation: the artifact format version, the SHA-256 of
 // the graph's canonical structure (memoized on the graph) and the
@@ -26,24 +27,30 @@ import (
 // Workers never splits it, and bytes written by another format version are
 // never looked up.
 func KeyOf(g *sdf.Graph, opts driver.Options) (string, error) {
-	b, err := keyBytes(g.Digest(), opts)
-	return string(b), err
+	ob, err := OptionsKey(opts)
+	if err != nil {
+		return "", err
+	}
+	return string(keyBytes(g.Digest(), ob)), nil
 }
 
-// keyBytes is the one key function: digest is the graph's structural
-// identity, from sdf.Graph.Digest or sdf.SpecDigest.
-func keyBytes(digest [sha256.Size]byte, opts driver.Options) ([]byte, error) {
-	ob, err := json.Marshal(driver.ExportOptions(driver.Normalized(opts)))
-	if err != nil {
-		return nil, err
-	}
-	b := make([]byte, 0, 8+2*len(digest)+len(ob))
+// OptionsKey is the options' part of a key: their normalized wire form, which
+// a caller that meets the same options again may keep.
+func OptionsKey(opts driver.Options) ([]byte, error) {
+	return json.Marshal(driver.ExportOptions(opts))
+}
+
+// keyBytes is the one key layout: digest is the graph's structural
+// identity, from sdf.Graph.Digest or sdf.SpecDigest, and optionsKey is
+// OptionsKey's.
+func keyBytes(digest [sha256.Size]byte, optionsKey []byte) []byte {
+	b := make([]byte, 0, 8+2*len(digest)+len(optionsKey))
 	b = append(b, 'v')
 	b = strconv.AppendInt(b, artifact.FormatVersion, 10)
 	b = append(b, '|')
 	b = hex.AppendEncode(b, digest[:])
 	b = append(b, '|')
-	return append(b, ob...), nil
+	return append(b, optionsKey...)
 }
 
 // KeyHash is the content address of a key: 32 hex characters, filesystem-
@@ -53,21 +60,18 @@ func KeyHash(key string) string { return keyHash([]byte(key)) }
 // HashOf is KeyHash(KeyOf(g, opts)) without the key's round trip through a
 // string: what a caller that only routes by the hash asks for.
 func HashOf(g *sdf.Graph, opts driver.Options) (string, error) {
-	return hashed(keyBytes(g.Digest(), opts))
-}
-
-// HashOfSpec is HashOf for a graph still in its wire form: the hash
-// ImportGraph(*spec) would key to, without building it. A spec ImportGraph
-// rejects hashes to a key no compilation has.
-func HashOfSpec(spec *sdf.GraphSpec, opts driver.Options) (string, error) {
-	return hashed(keyBytes(sdf.SpecDigest(spec), opts))
-}
-
-func hashed(key []byte, err error) (string, error) {
+	ob, err := OptionsKey(opts)
 	if err != nil {
 		return "", err
 	}
-	return keyHash(key), nil
+	return keyHash(keyBytes(g.Digest(), ob)), nil
+}
+
+// HashOfSpec is HashOf for a graph still in its wire form and options keyed
+// by OptionsKey: the hash ImportGraph(*spec) would key to, without building
+// it. A spec ImportGraph rejects hashes to a key no compilation has.
+func HashOfSpec(spec *sdf.GraphSpec, optionsKey []byte) string {
+	return keyHash(keyBytes(sdf.SpecDigest(spec), optionsKey))
 }
 
 func keyHash(key []byte) string {

@@ -24,8 +24,12 @@ func hashOf(t *testing.T, g *sdf.Graph, opts driver.Options) string {
 	}
 	// The server's derivation, from the wire form alone, is the same key.
 	spec := sdf.ExportGraph(g)
-	if fromSpec, err := HashOfSpec(&spec, opts); err != nil || fromSpec != hash {
-		t.Fatalf("HashOfSpec %s (%v) disagrees with HashOf %s", fromSpec, err, hash)
+	ob, err := OptionsKey(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromSpec := HashOfSpec(&spec, ob); fromSpec != hash {
+		t.Fatalf("HashOfSpec %s disagrees with HashOf %s", fromSpec, hash)
 	}
 	return hash
 }

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/maphash"
 	"io"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"streammap/internal/artifact"
+	"streammap/internal/core"
+	"streammap/internal/driver"
 	"streammap/internal/sdf"
 )
 
@@ -37,6 +43,11 @@ type compileCall struct {
 	// allocation.
 	names []byte
 	refs  []nameRef
+
+	// The server's options table, scan's entry for the options (nil: decoded).
+	table   *optionsTable
+	known   *optionsEntry
+	options []byte
 
 	// shared is set once something that can outlive the handler holds body
 	// or req — a peer transport sending body on, a detached run that may
@@ -75,10 +86,11 @@ type importError struct{ err error }
 func (e importError) Error() string { return "importing graph: " + e.err.Error() }
 func (e importError) Unwrap() error { return e.err }
 
-// Which decoder answered a request: the request.decode span's note.
+// Which decoder answered and where the options came from: request.decode's note.
 const (
-	byScan     = "scan"
-	byFallback = "fallback"
+	byScan     = "scan options=imported"
+	byTable    = "scan options=reused"
+	byFallback = "fallback options=imported"
 )
 
 // decode reads the request body into c.body and decodes it into c.req,
@@ -127,10 +139,10 @@ func readBody(r io.Reader, buf []byte, declared int64) ([]byte, error) {
 // not in the scanner's grammar: an unknown, duplicate or case-variant key,
 // a string with an escape or a non-ASCII byte, null, an integer field that
 // is not a plain integer of at most 18 digits, malformed JSON, an options
-// value json.Unmarshal rejects.
+// value json.Unmarshal rejects. Options the table knows are not decoded.
 func (c *compileCall) scan() bool {
 	s := scanner{b: c.body, c: c}
-	c.names, c.refs = c.names[:0], c.refs[:0]
+	c.names, c.refs, c.known = c.names[:0], c.refs[:0], nil
 	g := &c.req.Graph
 	g.Name, g.Nodes, g.Edges = "", g.Nodes[:0], g.Edges[:0]
 	c.req.Options = artifact.Options{}
@@ -151,7 +163,9 @@ func (c *compileCall) scan() bool {
 	if s.ws(); !ok || s.i != len(s.b) {
 		return false
 	}
-	if options != nil && json.Unmarshal(options, &c.req.Options) != nil {
+	if c.known, c.options = c.table.get(options), options; c.known != nil {
+		c.req.Options = c.known.wire
+	} else if options != nil && json.Unmarshal(options, &c.req.Options) != nil {
 		return false
 	}
 
@@ -165,6 +179,47 @@ func (c *compileCall) scan() bool {
 		start = ref.end
 	}
 	return true
+}
+
+// optionsTable maps options bodies, byte for byte, to their imported options
+// and key bytes: direct-mapped, bounded, successes only (DESIGN.md S14).
+type optionsTable struct {
+	slots [256]atomic.Pointer[optionsEntry]
+}
+
+var optionsSeed = maphash.MakeSeed()
+
+// optionsEntry is never written once stored: opts.Topo is read-only after
+// topology.Import, and the handler sets Workers on its own copy of opts.
+type optionsEntry struct {
+	raw  []byte
+	wire artifact.Options
+	opts driver.Options
+	key  []byte // core.OptionsKey(opts)
+}
+
+// get returns the entry for raw, or nil; a nil table knows nothing.
+func (t *optionsTable) get(raw []byte) *optionsEntry {
+	if t != nil {
+		if e := t.slots[maphash.Bytes(optionsSeed, raw)%uint64(len(t.slots))].Load(); e != nil && bytes.Equal(e.raw, raw) {
+			return e
+		}
+	}
+	return nil
+}
+
+// add imports and keys the options of c's request, and stores the entry
+// when the scanner carved their bytes out of the body.
+func (t *optionsTable) add(c *compileCall, how string) (e *optionsEntry, err error) {
+	e = &optionsEntry{wire: c.req.Options}
+	if e.opts, err = driver.ImportOptions(e.wire); err != nil {
+		return nil, fmt.Errorf("importing options: %w", err)
+	}
+	if e.key, err = core.OptionsKey(e.opts); err == nil && how == byScan {
+		e.raw = bytes.Clone(c.options)
+		t.slots[maphash.Bytes(optionsSeed, e.raw)%uint64(len(t.slots))].Store(e)
+	}
+	return e, err
 }
 
 // scanner is a cursor over one request body. Every method skips leading

@@ -372,6 +372,7 @@ func mapperSpans(t *testing.T, tr *obs.TraceRecord) {
 // disk tier, builds its graph, waits for a slot, runs the pipeline and
 // encodes once; a table hit and a disk-tier hit after a restart touch
 // neither the graph nor admission nor the pipeline nor the encoder. The
+// second request to one server finds its options in the options table. The
 // requests go through the handler (handlerCompile), so each trace is
 // finished before it is read.
 func TestSpanSequencePerOutcome(t *testing.T) {
@@ -391,7 +392,7 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 			t.Errorf("%s spans:\n got %v\nwant %v", what, got, want)
 		}
 	}
-	head := []string{"request.decode/scan", "key/"}
+	head := []string{"request.decode/scan options=imported", "key/"}
 
 	srv1 := server.New(server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	t.Cleanup(func() { closeNow(t, srv1) })
@@ -400,7 +401,7 @@ func TestSpanSequencePerOutcome(t *testing.T) {
 		"cache.memory/miss", "cache.disk/miss", "graph.import/", "admission.wait/", "compile/", "artifact.encode/", "response.write/"))
 	mapperSpans(t, handlerTraces(t, srv1).Recent[0])
 	handlerCompile(t, srv1, body)
-	expect("table hit", newest(srv1), append(head[:2:2], "cache.memory/hit", "response.write/"))
+	expect("table hit", newest(srv1), []string{"request.decode/scan options=reused", "key/", "cache.memory/hit", "response.write/"})
 	closeNow(t, srv1)
 
 	srv2, _ := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})

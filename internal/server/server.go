@@ -127,6 +127,8 @@ type Server struct {
 	tracer *obs.Tracer
 	log    *slog.Logger
 	met    *serverMetrics
+
+	options optionsTable
 }
 
 // New returns a compile server over a fresh core.Service. An invalid
@@ -280,13 +282,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// was handed them (call.shared).
 	call := callPool.Get().(*compileCall)
 	defer call.release()
+	call.table = &s.options
 	_, span := obs.StartSpan(r.Context(), "request.decode")
 	how, err := call.decode(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
-	var opts driver.Options
 	if err != nil {
 		err = fmt.Errorf("decoding request: %w", err)
-	} else if opts, err = driver.ImportOptions(call.req.Options); err != nil {
-		err = fmt.Errorf("importing options: %w", err)
+	} else if call.known == nil {
+		call.known, err = s.options.add(call, how)
+	} else {
+		how = byTable
 	}
 	span.SetNote(how)
 	span.End()
@@ -297,6 +301,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	opts := call.known.opts
 	opts.Workers = s.cfg.CompileWorkers
 	// The request's one identity, derived from its wire form and passed
 	// down: it routes the request through the ring and names it in the
@@ -305,12 +310,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// bytes the node holds is one that was built and compiled before, and
 	// any other is checked where the service builds it (call.graph).
 	_, span = obs.StartSpan(r.Context(), "key")
-	hash, err := core.HashOfSpec(&call.req.Graph, opts)
+	hash := core.HashOfSpec(&call.req.Graph, call.known.key)
 	span.End()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
 
 	// Fleet routing: a request for a key another node owns is served from
 	// the local cache, fetched from the owner, proxied, or redirected —
