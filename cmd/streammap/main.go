@@ -10,8 +10,6 @@
 //	streammap -exec file.artifact.json [-fragments 64]
 //	streammap -remap file.artifact.json -drop-gpus "2,3" [-throttle "1:4:-"]
 //	          [-fragments 64] [-artifact-out degraded.artifact.json]
-//	streammap -synth 50 [-synth-seed S] [-synth-filters 28] [-synth-gpus 8]
-//	          [-synth-check]
 //
 // -emit artifact serializes the compilation as a versioned, self-contained
 // artifact (to -artifact-out, default stdout); -exec decodes such a file
@@ -36,11 +34,6 @@
 // To serve compile requests over HTTP instead of compiling one-shot, run
 // the streammapd daemon (cmd/streammapd).
 //
-// Synth mode compiles a seeded corpus of randomly generated stream graphs
-// on randomly generated PCIe topologies through the compile service; with
-// -synth-check every scenario also runs the differential harness (the
-// pipeline at one worker vs. concurrent, plus structural invariants).
-//
 // Examples:
 //
 //	streammap -app FFT -n 256 -gpus 4 -emit report
@@ -48,7 +41,6 @@
 //	streammap -app DCT -n 14 -gpus 4 -emit run
 //	streammap -app DES -n 8 -gpus 4 -emit artifact -artifact-out des.artifact.json
 //	streammap -exec des.artifact.json -fragments 128
-//	streammap -synth 100 -synth-seed 0xC0FFEE -synth-check
 package main
 
 import (
@@ -84,11 +76,6 @@ func main() {
 	throttle := flag.String("throttle", "", `comma-separated link derates "node:bandwidthGBs:latencyUS", "-" keeps a value, e.g. "1:4:-" (with -remap)`)
 	fragments := flag.Int("fragments", 64, "fragments for -emit run and -exec")
 	device := flag.String("device", "m2090", "m2090 or c2070")
-	synthN := flag.Int("synth", 0, "synth mode: compile this many generated scenarios through the compile service")
-	synthSeed := flag.String("synth-seed", "1", "corpus seed for -synth (decimal or 0x hex)")
-	synthFilters := flag.Int("synth-filters", 28, "max filters per generated graph in -synth mode")
-	synthGPUs := flag.Int("synth-gpus", 8, "max GPUs per generated topology in -synth mode")
-	synthCheck := flag.Bool("synth-check", false, "run the differential harness (one worker vs. concurrent) on every generated scenario")
 	stats := flag.Bool("stats", false, "print estimation-engine cache counters, multilevel counters and per-stage timings as JSON after compiling")
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
@@ -108,23 +95,6 @@ func main() {
 	if *remapFile != "" {
 		if err := runRemap(*remapFile, *dropGPUs, *throttle, *fragments, *artifactOut); err != nil {
 			fail("remap: %v", err)
-		}
-		return
-	}
-
-	if *synthN > 0 {
-		seed, err := parseSeed(*synthSeed)
-		if err != nil {
-			fail("synth: %v", err)
-		}
-		if err := runSynth(synthFlags{
-			scenarios: *synthN,
-			seed:      seed,
-			filters:   *synthFilters,
-			gpus:      *synthGPUs,
-			check:     *synthCheck,
-		}); err != nil {
-			fail("synth: %v", err)
 		}
 		return
 	}

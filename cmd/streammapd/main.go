@@ -10,7 +10,7 @@
 //	           [-max-inflight N] [-max-queue N] [-timeout 60s]
 //	           [-compile-workers N] [-drain-timeout 15s] [-port-file FILE]
 //	           [-self-url URL] [-peers URL,URL,...] [-store-dir DIR]
-//	           [-fleet-redirect] [-fault-spec SPEC]
+//	           [-fault-spec SPEC]
 //	           [-log-level info] [-log-format text] [-debug-addr ADDR]
 //
 // Endpoints:
@@ -36,8 +36,8 @@
 // answered from the fleet's caches wherever the key lives. -store-dir
 // points every node at one shared content-addressed artifact directory
 // (NFS or any shared mount), which also warm-starts nodes that join
-// later. -fleet-redirect answers non-owned keys with a 307 to the owner
-// instead of proxying server-side. See DESIGN.md S17.
+// later. A node that does not own a key fetches the owner's artifact
+// bytes or proxies the request to it. See DESIGN.md S17.
 //
 // Example (3-node fleet on one host):
 //
@@ -106,7 +106,6 @@ func main() {
 	selfURL := flag.String("self-url", "", "fleet: this node's advertised base URL (required with -peers)")
 	peers := flag.String("peers", "", "fleet: comma-separated base URLs of every member, self included")
 	storeDir := flag.String("store-dir", "", "shared content-addressed artifact store directory (fleet warm starts)")
-	fleetRedirect := flag.Bool("fleet-redirect", false, "fleet: answer non-owned keys with 307 to the owner instead of proxying")
 	faultSpec := flag.String("fault-spec", "", "chaos tier: seeded fault-injection spec, e.g. 'seed=7,peer-refuse=0.1,torn-write=0.1' (empty = no injection)")
 	logLevel := flag.String("log-level", "info", "log verbosity: debug, info, warn or error (debug logs every request with its trace ID)")
 	logFormat := flag.String("log-format", "text", "log encoding on stderr: text or json")
@@ -144,9 +143,8 @@ func main() {
 			fatalf("-peers requires -self-url (this node's own entry in the list)")
 		}
 		fleetCfg = fleet.Config{
-			SelfURL:  *selfURL,
-			Peers:    strings.Split(*peers, ","),
-			Redirect: *fleetRedirect,
+			SelfURL: *selfURL,
+			Peers:   strings.Split(*peers, ","),
 		}
 		if !fleetCfg.Enabled() {
 			fatalf("-peers must name at least one member besides -self-url")
@@ -164,8 +162,7 @@ func main() {
 		Logger:         logger,
 	})
 	if fleetCfg.Enabled() {
-		logger.Info("fleet member joining",
-			"self", *selfURL, "peers", len(fleetCfg.Peers), "redirect", *fleetRedirect)
+		logger.Info("fleet member joining", "self", *selfURL, "peers", len(fleetCfg.Peers))
 	}
 
 	if *debugAddr != "" {

@@ -95,37 +95,42 @@ func ExportOptions(opts Options) artifact.Options {
 // ImportOptions inverts ExportOptions: it rebuilds compile options from
 // their wire form, re-deriving the topology tree and parsing the kind
 // names. The result is normalized — ExportOptions(ImportOptions(w)) == w
-// for any w that ExportOptions produced. Workers is not on the wire (it
-// never changes the result); the zero value selects GOMAXPROCS, and
-// callers that want a different pool bound set it afterwards.
+// for any w that ExportOptions produced. A zero wire field selects the
+// default its zero Options field does: an unnamed device, a topology with
+// no nodes, and an empty partitioner or mapper name. Workers is not on the
+// wire (it never changes the result); the zero value selects GOMAXPROCS,
+// and callers that want a different pool bound set it afterwards.
 func ImportOptions(w artifact.Options) (Options, error) {
-	if err := w.Device.Validate(); err != nil {
-		return Options{}, err
-	}
-	topo, err := topology.Import(w.Topo)
-	if err != nil {
-		return Options{}, err
-	}
-	part, err := ParsePartitionerKind(w.Partitioner)
-	if err != nil {
-		return Options{}, err
-	}
-	mapper, err := ParseMapperKind(w.Mapper)
-	if err != nil {
-		return Options{}, err
-	}
 	opts := Options{
 		Device:        w.Device,
-		Topo:          topo,
 		FragmentIters: w.FragmentIters,
-		Partitioner:   part,
-		Mapper:        mapper,
 		MapOptions: mapping.Options{
 			ILPMaxParts: w.ILPMaxParts,
 			TimeBudget:  time.Duration(w.ILPBudgetNS),
 			ForceILP:    w.ForceILP,
 		},
 		MultilevelThreshold: w.MultilevelThreshold,
+	}
+	var err error
+	if w.Device.Name != "" {
+		if err = w.Device.Validate(); err != nil {
+			return Options{}, err
+		}
+	}
+	if len(w.Topo.Parents) > 0 {
+		if opts.Topo, err = topology.Import(w.Topo); err != nil {
+			return Options{}, err
+		}
+	}
+	if w.Partitioner != "" {
+		if opts.Partitioner, err = ParsePartitionerKind(w.Partitioner); err != nil {
+			return Options{}, err
+		}
+	}
+	if w.Mapper != "" {
+		if opts.Mapper, err = ParseMapperKind(w.Mapper); err != nil {
+			return Options{}, err
+		}
 	}
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {

@@ -81,10 +81,16 @@ func TestImportOptionsRoundTrip(t *testing.T) {
 			t.Errorf("case %d: re-export %+v != original wire %+v", i, back, wire)
 		}
 	}
+	// Zero wire fields select the defaults, as zero Options fields do.
+	if got, err := driver.ImportOptions(artifact.Options{}); err != nil {
+		t.Errorf("zero wire options: %v", err)
+	} else if back, want := driver.ExportOptions(got), driver.ExportOptions(driver.Options{}); !reflect.DeepEqual(back, want) {
+		t.Errorf("zero wire options import as %+v, want the defaults %+v", back, want)
+	}
 	for name, mutate := range map[string]func(*artifact.Options){
 		"partitioner": func(w *artifact.Options) { w.Partitioner = "nope" },
 		"mapper":      func(w *artifact.Options) { w.Mapper = "nope" },
-		"topology":    func(w *artifact.Options) { w.Topo = topology.Spec{} },
+		"topology":    func(w *artifact.Options) { w.Topo.GPUNodes = nil },
 		"device":      func(w *artifact.Options) { w.Device.NumSMs = -1 },
 	} {
 		w := driver.ExportOptions(driver.Options{})

@@ -26,10 +26,6 @@ type Config struct {
 	SelfURL string
 	// Peers lists every fleet member's base URL, self included.
 	Peers []string
-	// Redirect answers non-owned compile requests with a 307 to the owner
-	// instead of proxying server-side. Clients must opt in to following
-	// it (client.Config.FollowRedirect).
-	Redirect bool
 	// Replicas is the virtual-node count per member (DefaultReplicas
 	// when 0).
 	Replicas int

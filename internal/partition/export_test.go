@@ -54,3 +54,7 @@ func (l *CoarseLevel) UnitScale(u int) int64 { return l.scale[u] }
 // UnitInternalBytes returns the parent-iteration bytes carried by edges with
 // both endpoints inside u.
 func (l *CoarseLevel) UnitInternalBytes(u int) int64 { return l.internal[u] }
+
+// TWus is the partition's estimated execution time per parent-graph
+// steady-state iteration, in microseconds.
+func (p *Partition) TWus() float64 { return p.Est.TUS * float64(p.Scale) }

@@ -36,10 +36,6 @@ type Partition struct {
 	Est     *pee.Estimate
 }
 
-// TWus is the partition's estimated execution time per parent-graph
-// steady-state iteration, in microseconds.
-func (p *Partition) TWus() float64 { return p.Est.TUS * float64(p.Scale) }
-
 // cand is a partition during Algorithm 1's search. The workload comparison
 // needs only the estimate and the granularity scale; RunCtx turns the
 // survivors into Partitions once at the end, and no cand leaves it.

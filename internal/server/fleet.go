@@ -22,16 +22,14 @@ import (
 //
 //  1. its own caches — a hot key that was fetched or proxied before is
 //     served locally, which is how hot keys replicate beyond their owner;
-//  2. redirect (307) to the owner, when configured — the cheap path for
-//     clients that opted into following it;
-//  3. a peer artifact fetch: GET {owner}/v1/artifact/{hash} returns raw
+//  2. a peer artifact fetch: GET {owner}/v1/artifact/{hash} returns raw
 //     encoded artifact bytes if the owner has them cached in any tier.
 //     The body is accepted on its mandatory SHA-256 content-hash header
 //     alone — never decoded — and ingested into the local caches;
-//  4. a one-hop proxy of the full compile request to the owner, marked
+//  3. a one-hop proxy of the full compile request to the owner, marked
 //     with headerForwarded so it can never cycle; the owner compiles
 //     (and persists to the shared store), this node caches the response;
-//  5. local fallback: the owner is unreachable — its failures feed its
+//  4. local fallback: the owner is unreachable — its failures feed its
 //     circuit in the membership (bounded retries with decorrelated-jitter
 //     backoff first), an opening circuit routes around it for a cooldown,
 //     and this node compiles the key itself. Degraded means slower, never
@@ -104,17 +102,6 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 	localSpan.SetNote("miss")
 	localSpan.End()
 
-	if s.fleetM.Config().Redirect {
-		_, span := obs.StartSpan(r.Context(), "fleet.redirect")
-		span.SetNote(owner)
-		s.met.redirects.Inc()
-		w.Header().Set("Location", owner+"/v1/compile")
-		w.WriteHeader(http.StatusTemporaryRedirect)
-		fmt.Fprintf(w, "key %s is owned by %s\n", hash, owner)
-		span.End()
-		return true
-	}
-
 	// Open circuit: we already know the owner is unhealthy — skip the
 	// dial (and its timeout burn) and serve locally at once.
 	if !s.fleetM.Allow(owner) {
@@ -163,8 +150,8 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 // retryPeer runs attempt until it reaches owner over HTTP and reports
 // whether it did. A transport failure is retried within the fleet's
 // PeerRetries budget, each retry after one decorrelated-jitter backoff —
-// uniform in [RetryBackoff, 3*RetryBackoff), the discipline the client
-// uses for 429s. A failure that uses up the budget, or a ctx that ends
+// uniform in [RetryBackoff, 3*RetryBackoff), so the retries of requests
+// that failed together do not arrive together. A failure that uses up the budget, or a ctx that ends
 // during a backoff, is fed to the owner's circuit.
 func (s *Server) retryPeer(ctx context.Context, owner string, attempt func() bool) bool {
 	cfg := s.fleetM.Config()

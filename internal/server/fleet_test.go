@@ -21,7 +21,6 @@ import (
 	"streammap/internal/obs"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
-	"streammap/internal/server/client"
 	"streammap/internal/topology"
 )
 
@@ -30,7 +29,6 @@ type fleetNode struct {
 	srv *server.Server
 	ts  *httptest.Server
 	url string
-	cl  *client.Client
 }
 
 // startFleetNodes brings up n servers that know each other as one fleet.
@@ -62,7 +60,7 @@ func startFleetNodes(t *testing.T, n int, mutate func(i int, cfg *server.Config)
 		tss[i].Config.Handler = srv.Handler()
 		tss[i].Start()
 		t.Cleanup(func() { stopServer(t, srv, tss[i]) })
-		nodes[i] = &fleetNode{srv: srv, ts: tss[i], url: urls[i], cl: client.New(urls[i])}
+		nodes[i] = &fleetNode{srv: srv, ts: tss[i], url: urls[i]}
 	}
 	return nodes
 }
@@ -120,7 +118,7 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 	ctx := context.Background()
 	req := server.NewRequest(g, opts)
 
-	want, err := nodes[0].cl.Compile(ctx, req)
+	want, err := postJSON(ctx, nodes[0].url+"/v1/compile", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 		t.Fatalf("owner should compile its own key locally: %d compiles, %d proxied", misses, proxied)
 	}
 
-	got, err := nodes[1].cl.Compile(ctx, req)
+	got, err := postJSON(ctx, nodes[1].url+"/v1/compile", req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 	}
 
 	// The fetched copy replicated the key: next time it's a local answer.
-	if _, err := nodes[1].cl.Compile(ctx, req); err != nil {
+	if _, err := postJSON(ctx, nodes[1].url+"/v1/compile", req); err != nil {
 		t.Fatal(err)
 	}
 	if hits := counter(t, nodes[1].srv, "streammap_fleet_local_hits_total"); hits != 1 {
@@ -162,7 +160,7 @@ func TestFleetProxyColdKey(t *testing.T) {
 	ctx := context.Background()
 	req := server.NewRequest(g, opts)
 
-	if _, err := nodes[2].cl.Compile(ctx, req); err != nil {
+	if _, err := postJSON(ctx, nodes[2].url+"/v1/compile", req); err != nil {
 		t.Fatal(err)
 	}
 	proxier, owner := nodes[2].srv, nodes[0].srv
@@ -174,7 +172,7 @@ func TestFleetProxyColdKey(t *testing.T) {
 	}
 
 	// The proxied answer was ingested: the key is now local on the proxier.
-	if _, err := nodes[2].cl.Compile(ctx, req); err != nil {
+	if _, err := postJSON(ctx, nodes[2].url+"/v1/compile", req); err != nil {
 		t.Fatal(err)
 	}
 	if hits := counter(t, proxier, "streammap_fleet_local_hits_total"); hits != 1 {
@@ -226,57 +224,11 @@ func TestFleetForwardedRequestsNeverHopAgain(t *testing.T) {
 	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 1 {
 		t.Fatalf("forwarded request was not compiled locally: %d compiles", misses)
 	}
-	if proxied, redirects, hits := counter(t, srv, "streammap_fleet_proxied_total"), counter(t, srv, "streammap_fleet_redirects_total"),
-		counter(t, srv, "streammap_fleet_peer_hits_total"); proxied != 0 || redirects != 0 || hits != 0 {
-		t.Fatalf("forwarded request hopped again: %d proxied, %d redirects, %d peer hits", proxied, redirects, hits)
+	if proxied, hits := counter(t, srv, "streammap_fleet_proxied_total"), counter(t, srv, "streammap_fleet_peer_hits_total"); proxied != 0 || hits != 0 {
+		t.Fatalf("forwarded request hopped again: %d proxied, %d peer hits", proxied, hits)
 	}
 	if requests := counter(t, nodes[0].srv, "streammap_http_requests_total", route("compile")); requests != 0 {
 		t.Fatalf("owner saw %d requests for a forwarded-elsewhere key", requests)
-	}
-}
-
-// TestFleetRedirectMode: with Redirect on, a non-owner answers 307
-// naming the owner's compile route, and a client with FollowRedirect
-// lands there end to end.
-func TestFleetRedirectMode(t *testing.T) {
-	nodes := startFleetNodes(t, 3, func(_ int, cfg *server.Config) { cfg.Fleet.Redirect = true })
-	g, opts := graphOwnedBy(t, nodes, 1)
-	req := server.NewRequest(g, opts)
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Raw request, redirects unfollowed: inspect the 307 itself.
-	hreq, err := http.NewRequest(http.MethodPost, nodes[0].url+"/v1/compile", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	resp, err := noFollow.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect-mode non-owner answered %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != nodes[1].url+"/v1/compile" {
-		t.Fatalf("Location %q does not name the owner %q", loc, nodes[1].url)
-	}
-	if redirects := counter(t, nodes[0].srv, "streammap_fleet_redirects_total"); redirects != 1 {
-		t.Fatalf("redirect not counted: %d redirects", redirects)
-	}
-
-	// The opt-in client follows the hop and gets the artifact.
-	cl := client.New(nodes[0].url)
-	cl.Config.FollowRedirect = true
-	if _, err := cl.Compile(context.Background(), req); err != nil {
-		t.Fatalf("redirect-following client failed: %v", err)
-	}
-	if misses := counter(t, nodes[1].srv, "streammap_cache_misses_total"); misses != 1 {
-		t.Fatalf("owner did not serve the redirected compile: %d compiles", misses)
 	}
 }
 
@@ -293,7 +245,7 @@ func TestFleetOwnerDownFallback(t *testing.T) {
 	g, opts := graphOwnedBy(t, nodes, 0)
 	nodes[0].ts.Close()
 
-	if _, err := nodes[1].cl.Compile(context.Background(), server.NewRequest(g, opts)); err != nil {
+	if _, err := postJSON(context.Background(), nodes[1].url+"/v1/compile", server.NewRequest(g, opts)); err != nil {
 		t.Fatalf("request failed with one node down: %v", err)
 	}
 	fleet := func(series string) int64 { return counter(t, nodes[1].srv, "streammap_fleet_"+series) }
@@ -371,7 +323,7 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 	// Two failures: tolerated. The owner stays in the ring — one flaky
 	// moment must not churn a third of the keyspace.
 	for i := 0; i < 2; i++ {
-		if _, err := nodes[1].cl.Compile(ctx, server.NewRequest(graphs[i], opts)); err != nil {
+		if _, err := postJSON(ctx, nodes[1].url+"/v1/compile", server.NewRequest(graphs[i], opts)); err != nil {
 			t.Fatalf("request %d failed: %v", i, err)
 		}
 	}
@@ -381,7 +333,7 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 	}
 
 	// Third consecutive failure opens the circuit and marks the peer down.
-	if _, err := nodes[1].cl.Compile(ctx, server.NewRequest(graphs[2], opts)); err != nil {
+	if _, err := postJSON(ctx, nodes[1].url+"/v1/compile", server.NewRequest(graphs[2], opts)); err != nil {
 		t.Fatal(err)
 	}
 	if opens, alive := fleet("breaker_opens_total"), fleet("peers_alive"); opens != 1 || alive != 2 {
@@ -393,7 +345,7 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 	// longer burns a dial. Re-request graphs[3] against the rebuilt ring:
 	// wherever it lands, no new breaker transition may occur, and any
 	// residual routing to the dead owner must be a skip, not an attempt.
-	if _, err := nodes[1].cl.Compile(ctx, server.NewRequest(graphs[3], opts)); err != nil {
+	if _, err := postJSON(ctx, nodes[1].url+"/v1/compile", server.NewRequest(graphs[3], opts)); err != nil {
 		t.Fatal(err)
 	}
 	if opens := fleet("breaker_opens_total"); opens != 1 {
@@ -465,7 +417,7 @@ func TestFleetHealthzPeers(t *testing.T) {
 func TestFleetArtifactEndpoint(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 0)
-	if _, err := nodes[0].cl.Compile(context.Background(), server.NewRequest(g, opts)); err != nil {
+	if _, err := postJSON(context.Background(), nodes[0].url+"/v1/compile", server.NewRequest(g, opts)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -503,8 +455,8 @@ func TestFleetArtifactEndpoint(t *testing.T) {
 // no streammap_fleet_* series — single-node deployments are unchanged —
 // in process and over the wire.
 func TestFleetSeriesAbsentSingleNode(t *testing.T) {
-	srv, cl := startServer(t, server.Config{})
-	scraped, err := cl.Metrics(context.Background())
+	srv, base := startServer(t, server.Config{})
+	scraped, err := scrape(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +523,7 @@ func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 
 			nodes := []*fleetNode{{url: self}, {url: owner.URL}}
 			g, opts := graphOwnedBy(t, nodes, 1)
-			served, err := client.New(self).Compile(context.Background(), server.NewRequest(g, opts))
+			served, err := postJSON(context.Background(), self+"/v1/compile", server.NewRequest(g, opts))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ type serverMetrics struct {
 
 	// How this node answered requests for keys another member owns, and
 	// what its peers cost it. Nil (no-ops) outside fleet mode.
-	proxied, redirects, peerHits, localHits, forwarded *obs.Counter
+	proxied, peerHits, localHits, forwarded            *obs.Counter
 	fallbacks, peerBadBytes, peerRetries, breakerSkips *obs.Counter
 }
 
@@ -100,7 +100,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	if s.fleetM != nil {
 		m.proxied = reg.Counter("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.")
-		m.redirects = reg.Counter("streammap_fleet_redirects_total", "Non-owned requests answered 307.")
 		m.peerHits = reg.Counter("streammap_fleet_peer_hits_total", "Non-owned requests served via peer artifact fetch.")
 		m.localHits = reg.Counter("streammap_fleet_local_hits_total", "Non-owned requests served from this node's own caches.")
 		m.forwarded = reg.Counter("streammap_fleet_forwarded_total", "Requests a peer proxied here.")

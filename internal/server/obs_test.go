@@ -73,8 +73,7 @@ func spanNames(tr *obs.TraceRecord) map[string]int {
 // through the handler directly (handlerCompile), so the responses' class
 // and duration are recorded before the scrape.
 func TestMetricsEndpoint(t *testing.T) {
-	srv, cl := startServer(t, server.Config{})
-	ctx := context.Background()
+	srv, base := startServer(t, server.Config{})
 	body, err := json.Marshal(server.NewRequest(appGraph(t, "DES", 8), testOpts(2)))
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +84,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		handlerCompile(t, srv, b)
 	}
 
-	resp, err := http.Get(cl.BaseURL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("Content-Type %q, want the 0.0.4 text exposition", ct)
 	}
 
-	sm, err := cl.Metrics(ctx)
+	sm, err := scrape(base)
 	if err != nil {
 		t.Fatalf("scrape did not parse: %v", err)
 	}
@@ -214,7 +213,7 @@ func TestTracesEndpoint(t *testing.T) {
 func TestFleetProxySharesTraceID(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 1)
-	if _, err := nodes[0].cl.Compile(context.Background(), server.NewRequest(g, opts)); err != nil {
+	if _, err := postJSON(context.Background(), nodes[0].url+"/v1/compile", server.NewRequest(g, opts)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -286,11 +285,11 @@ func TestFleetMetricsPerNode(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 1)
 	ctx := context.Background()
-	if _, err := nodes[0].cl.Compile(ctx, server.NewRequest(g, opts)); err != nil {
+	if _, err := postJSON(ctx, nodes[0].url+"/v1/compile", server.NewRequest(g, opts)); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range nodes {
-		sm, err := n.cl.Metrics(ctx)
+		sm, err := scrape(n.url)
 		if err != nil {
 			t.Fatalf("node%d scrape: %v", i, err)
 		}
@@ -298,14 +297,14 @@ func TestFleetMetricsPerNode(t *testing.T) {
 			t.Errorf("node%d peers_alive = %g, %v; want 3", i, alive, ok)
 		}
 	}
-	sm0, err := nodes[0].cl.Metrics(ctx)
+	sm0, err := scrape(nodes[0].url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := sm0.Get("streammap_fleet_proxied_total"); v != 1 {
 		t.Errorf("entry node proxied_total = %g, want 1", v)
 	}
-	sm1, err := nodes[1].cl.Metrics(ctx)
+	sm1, err := scrape(nodes[1].url)
 	if err != nil {
 		t.Fatal(err)
 	}

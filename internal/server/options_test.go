@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,8 +98,8 @@ func TestOptionsTableServesAsImported(t *testing.T) {
 		}
 		return strings.Replace(canon, old, new, 1)
 	}
-	// The zero options and the absent member do not import (their device
-	// is not valid), unlike their explicit-default twin.
+	// The zero options and the absent member key as their explicit-default
+	// twin (TestZeroOptionsSelectDefaults).
 	cases := []struct{ name, options string }{
 		{"explicit-default twin", optionsText(t, driver.Options{})},
 		{"zero options", "{}"},
@@ -131,16 +132,8 @@ func TestOptionsTableServesAsImported(t *testing.T) {
 				first = last
 			}
 		}
-		// The whole-body fallback bypasses the table, and must not inherit
-		// the entry a scan found for the body posted before it.
-		post(s, withOptions(t, canon))
-		fallback := post(s, withUnknownMember(body))
-		for i, rec := range []*httptest.ResponseRecorder{first, last, fallback} {
-			if rec.Code != status || rec.Body.String() != answer {
-				t.Errorf("%s: %s answered %d (%d bytes), a fresh server %d (%d bytes)",
-					tc.name, []string{"post 1", "post 20", "the fallback"}[i], rec.Code, rec.Body.Len(), status, len(answer))
-			}
-		}
+		// Read the table before the next post: that body may hash to the
+		// same slot and take it.
 		var raw []byte
 		if tc.options != "" {
 			raw = []byte(tc.options)
@@ -153,6 +146,16 @@ func TestOptionsTableServesAsImported(t *testing.T) {
 		case hash != "" && core.HashOfSpec(&graph, e.key) != hash:
 			t.Errorf("%s: the stored options key to another hash than HashOfSpec's %s", tc.name, hash)
 		}
+		// The whole-body fallback bypasses the table, and must not inherit
+		// the entry a scan found for the body posted before it.
+		post(s, withOptions(t, canon))
+		fallback := post(s, withUnknownMember(body))
+		for i, rec := range []*httptest.ResponseRecorder{first, last, fallback} {
+			if rec.Code != status || rec.Body.String() != answer {
+				t.Errorf("%s: %s answered %d (%d bytes), a fresh server %d (%d bytes)",
+					tc.name, []string{"post 1", "post 20", "the fallback"}[i], rec.Code, rec.Body.Len(), status, len(answer))
+			}
+		}
 		if hash != "" {
 			if got, ok := s.svc.EncodedByHash(t.Context(), hash); !ok || string(got) != answer {
 				t.Errorf("%s: the server holds no %s, or other bytes under it", tc.name, hash)
@@ -162,6 +165,47 @@ func TestOptionsTableServesAsImported(t *testing.T) {
 	// Every repeat keyed to a compiled key: one compile per distinct key.
 	if st := s.svc.Stats(); st.Misses != int64(len(keys)) {
 		t.Errorf("%d compiles for %d distinct keys", st.Misses, len(keys))
+	}
+}
+
+// TestZeroOptionsSelectDefaults: a zero wire field selects the default a
+// zero driver.Options field does. Zero options, an absent options member
+// and the explicit defaults with any one field left out are each answered
+// as the explicit defaults are: 200, the same key, the same bytes, and one
+// compile among them all.
+func TestZeroOptionsSelectDefaults(t *testing.T) {
+	twin := optionsText(t, driver.Options{})
+	status, answer, hash := reference(t, withOptions(t, twin))
+	if status != http.StatusOK {
+		t.Fatalf("the explicit defaults answered %d: %s", status, answer)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(twin), &fields); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]string{"zero options": "{}", "options left out": ""}
+	for name := range fields {
+		rest := maps.Clone(fields)
+		delete(rest, name)
+		b, err := json.Marshal(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases["without "+name] = string(b)
+	}
+	s := New(Config{})
+	defer closeServer(t, s)
+	for name, options := range cases {
+		body := withOptions(t, options)
+		if st, _, h := reference(t, body); st != http.StatusOK || h != hash {
+			t.Errorf("%s: a fresh server answers %d, key %s; want 200, key %s", name, st, h, hash)
+		}
+		if rec := post(s, body); rec.Code != http.StatusOK || rec.Body.String() != answer {
+			t.Errorf("%s: answered %d (%d bytes), the explicit defaults 200 (%d bytes)", name, rec.Code, rec.Body.Len(), len(answer))
+		}
+	}
+	if st := s.svc.Stats(); st.Misses != 1 {
+		t.Errorf("%d compiles for one key", st.Misses)
 	}
 }
 

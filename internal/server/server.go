@@ -18,8 +18,7 @@
 // In fleet mode (Config.Fleet) N servers act as one cache: a
 // consistent-hash ring assigns every key an owner, non-owned requests
 // are answered from local caches, fetched from the owner as raw
-// artifact bytes, proxied one hop, or redirected — see fleet.go and
-// DESIGN.md S17.
+// artifact bytes, or proxied one hop — see fleet.go and DESIGN.md S17.
 //
 // /healthz reports liveness (503 while draining) and, in a fleet,
 // per-peer reachability; /metrics is the node's one read-out of its
@@ -314,8 +313,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	span.End()
 
 	// Fleet routing: a request for a key another node owns is served from
-	// the local cache, fetched from the owner, proxied, or redirected —
-	// unless it was already forwarded once (one hop, never a cycle).
+	// the local cache, fetched from the owner, or proxied — unless it was already forwarded once (one hop, never a cycle).
 	if s.fleetM != nil && !forwarded {
 		if owner := s.fleetM.Owner(hash); owner != s.fleetM.Self() {
 			if s.routeToOwner(w, r, owner, hash, call) {

@@ -24,17 +24,77 @@ import (
 	"streammap/internal/obs"
 	"streammap/internal/sdf"
 	"streammap/internal/server"
-	"streammap/internal/server/client"
 	"streammap/internal/synth"
 	"streammap/internal/topology"
 )
 
-func startServer(t *testing.T, cfg server.Config) (*server.Server, *client.Client) {
+// startServer starts one server on a loopback listener and returns it
+// with its base URL.
+func startServer(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { stopServer(t, srv, ts) })
-	return srv, client.New(ts.URL)
+	return srv, ts.URL
+}
+
+// wireError is a non-200 answer: its status, its Retry-After header and
+// its message.
+type wireError struct {
+	status     int
+	retryAfter string
+	msg        string
+}
+
+func (e *wireError) Error() string {
+	return fmt.Sprintf("server answered %d (Retry-After %q): %s", e.status, e.retryAfter, e.msg)
+}
+
+// postJSON posts req as JSON to url and decodes a 200 answer as the
+// artifact it is; any other answer is a *wireError.
+func postJSON(ctx context.Context, url string, req any) (*artifact.Artifact, error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, &wireError{resp.StatusCode, resp.Header.Get("Retry-After"), string(bytes.TrimSpace(body))}
+	}
+	return artifact.Decode(body)
+}
+
+// scrape reads baseURL's /metrics exposition through obs.ParseText.
+func scrape(baseURL string) (obs.Samples, error) {
+	status, body, err := get(baseURL + "/metrics")
+	if err != nil || status != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics answered %d %q: %v", status, body, err)
+	}
+	return obs.ParseText(body)
+}
+
+// get is one GET: the status and body as served.
+func get(url string) (int, []byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
 }
 
 // stopServer shuts one test server down the way streammapd does: stop
@@ -125,7 +185,7 @@ func testOpts(gpus int) driver.Options {
 // local compile's artifact does — over the paper apps and a handful of
 // synthetic scenarios.
 func TestWireGoldenRoundTrip(t *testing.T) {
-	_, cl := startServer(t, server.Config{})
+	_, base := startServer(t, server.Config{})
 	ctx := context.Background()
 
 	type instance struct {
@@ -161,7 +221,7 @@ func TestWireGoldenRoundTrip(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		served, err := cl.Compile(ctx, server.NewRequest(tc.g, tc.opts))
+		served, err := postJSON(ctx, base+"/v1/compile", server.NewRequest(tc.g, tc.opts))
 		if err != nil {
 			t.Fatalf("%s: served compile: %v", tc.name, err)
 		}
@@ -184,7 +244,7 @@ func TestWireGoldenRoundTrip(t *testing.T) {
 // flight without consuming slots or queue space — and the pipeline must
 // run exactly once.
 func TestServerCoalescesThunderingHerd(t *testing.T) {
-	srv, cl := startServer(t, server.Config{MaxInFlight: 1, MaxQueue: 1})
+	srv, base := startServer(t, server.Config{MaxInFlight: 1, MaxQueue: 1})
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
 
@@ -195,7 +255,7 @@ func TestServerCoalescesThunderingHerd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = cl.Compile(context.Background(), req)
+			_, errs[i] = postJSON(context.Background(), base+"/v1/compile", req)
 		}(i)
 	}
 	wg.Wait()
@@ -227,7 +287,7 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	srv := server.New(server.Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { stopServer(t, srv, ts) })
-	cl := client.New(ts.URL)
+	base := ts.URL
 	corpus, err := synth.Corpus(synth.CorpusParams{Seed: 7, Scenarios: 12, MaxFilters: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -246,26 +306,26 @@ func TestServerShedsLoadWith429(t *testing.T) {
 		mu        sync.Mutex
 		ok        int
 		throttled int
-		retry     time.Duration
+		retry     string
 	)
 	for i := range reqs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := cl.Compile(context.Background(), reqs[i])
+			_, err := postJSON(context.Background(), base+"/v1/compile", reqs[i])
 			mu.Lock()
 			defer mu.Unlock()
 			if err == nil {
 				ok++
 				return
 			}
-			d, is := client.IsThrottled(err)
-			if !is {
-				t.Errorf("request %d: %v, want success or Throttled", i, err)
+			var we *wireError
+			if !errors.As(err, &we) || we.status != http.StatusTooManyRequests {
+				t.Errorf("request %d: %v, want success or 429", i, err)
 				return
 			}
 			throttled++
-			retry = d
+			retry = we.retryAfter
 		}(i)
 	}
 	wg.Wait()
@@ -275,8 +335,8 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	if ok == 0 {
 		t.Fatal("every request was throttled; admission must still serve the slot holder")
 	}
-	if retry != 3*time.Second {
-		t.Errorf("Retry-After hint %s, want the configured 3s", retry)
+	if retry != "3" {
+		t.Errorf("Retry-After hint %q, want the configured 3s", retry)
 	}
 	if rejected := counter(t, srv, "streammap_rejected_total"); rejected != int64(throttled) {
 		t.Errorf("the server counted %d rejected, clients saw %d", rejected, throttled)
@@ -334,17 +394,17 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 		}
 	}
 
-	restarted, cl := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
+	restarted, base := startServer(t, server.Config{Service: core.ServiceConfig{CacheDir: dir}})
 	all = append(all, restarted)
-	answers["disk hit after restart"] = postCompile(t, cl.BaseURL, body)
+	answers["disk hit after restart"] = postCompile(t, base, body)
 	if hits, misses := counter(t, restarted, "streammap_cache_hits_total", tier("disk")), counter(t, restarted, "streammap_cache_misses_total"); hits != 1 || misses != 0 {
 		t.Errorf("restarted server: %d disk hits / %d compiles, want 1 / 0", hits, misses)
 	}
 
-	second, cl := startServer(t, server.Config{Service: core.ServiceConfig{
+	second, base := startServer(t, server.Config{Service: core.ServiceConfig{
 		CacheDir: t.TempDir(), Shared: fleet.NewDirStore(storeDir)}})
 	all = append(all, second)
-	answers["store hit on a second node"] = postCompile(t, cl.BaseURL, body)
+	answers["store hit on a second node"] = postCompile(t, base, body)
 	if hits, misses := counter(t, second, "streammap_cache_hits_total", tier("store")), counter(t, second, "streammap_cache_misses_total"); hits != 1 || misses != 0 {
 		t.Errorf("second node: %d store hits / %d compiles, want 1 / 0", hits, misses)
 	}
@@ -373,8 +433,7 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 // TestServerRejectsBadRequests: malformed payloads answer 400 with a
 // diagnostic, not 500, and never reach the pipeline.
 func TestServerRejectsBadRequests(t *testing.T) {
-	srv, cl := startServer(t, server.Config{})
-	base := cl.BaseURL
+	srv, base := startServer(t, server.Config{})
 
 	post := func(body string) *http.Response {
 		t.Helper()
@@ -388,8 +447,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp := post("{not json"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON answered %d, want 400", resp.StatusCode)
 	}
-	if resp := post(`{"graph":{"name":"empty"},"options":{}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty graph answered %d, want 400", resp.StatusCode)
+	// Zero options select the defaults, so the graph is what is refused.
+	resp := post(`{"graph":{"name":"empty"},"options":{}}`)
+	if msg, err := io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusBadRequest || !strings.HasPrefix(string(msg), "importing graph") {
+		t.Errorf("empty graph answered %d %q (%v), want 400 importing graph", resp.StatusCode, msg, err)
 	}
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
@@ -417,7 +478,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 // divided by zero inside the partitioner's workers and took the process
 // with it. The daemon must answer it with an artifact and stay up.
 func TestServerCompilesZeroSharedMemoryGraph(t *testing.T) {
-	_, cl := startServer(t, server.Config{})
+	_, base := startServer(t, server.Config{})
 	src := sdf.NewSource("ZeroCopySource", 4, 4, nil)
 	src.ZeroCopy = true
 	g, err := sdf.Flatten("zero-sm", sdf.Pipe("p", sdf.F(src), sdf.F(sdf.NewSink("Sink", 4, 4, nil))))
@@ -431,7 +492,7 @@ func TestServerCompilesZeroSharedMemoryGraph(t *testing.T) {
 	if !bytes.Contains(body, []byte(`"zeroCopy":true`)) {
 		t.Fatalf("request does not carry the zero-copy flag: %s", body)
 	}
-	a, err := artifact.Decode(postCompile(t, cl.BaseURL, body))
+	a, err := artifact.Decode(postCompile(t, base, body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +503,7 @@ func TestServerCompilesZeroSharedMemoryGraph(t *testing.T) {
 	if !zero {
 		t.Error("no partition with zero shared-memory demand: the request no longer exercises the case")
 	}
-	resp, err := http.Get(cl.BaseURL + "/healthz")
+	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,21 +517,29 @@ func TestServerCompilesZeroSharedMemoryGraph(t *testing.T) {
 // new compile requests are refused, which is how a load balancer is told
 // to stop routing here before shutdown.
 func TestServerHealthzAndDrain(t *testing.T) {
-	srv, cl := startServer(t, server.Config{})
-	if err := cl.Healthz(context.Background()); err != nil {
-		t.Fatalf("healthz: %v", err)
+	srv, base := startServer(t, server.Config{})
+	healthz := func() int {
+		t.Helper()
+		status, _, err := get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status
+	}
+	if status := healthz(); status != http.StatusOK {
+		t.Fatalf("healthz answered %d", status)
 	}
 	srv.SetDraining(true)
-	if err := cl.Healthz(context.Background()); err == nil {
+	if healthz() == http.StatusOK {
 		t.Error("draining server still answers healthy")
 	}
 	g := appGraph(t, "DES", 8)
-	if _, err := cl.Compile(context.Background(), server.NewRequest(g, testOpts(2))); err == nil {
+	if _, err := postJSON(context.Background(), base+"/v1/compile", server.NewRequest(g, testOpts(2))); err == nil {
 		t.Error("draining server accepted a compile")
 	}
 	srv.SetDraining(false)
-	if err := cl.Healthz(context.Background()); err != nil {
-		t.Errorf("undrained server unhealthy: %v", err)
+	if status := healthz(); status != http.StatusOK {
+		t.Errorf("undrained server unhealthy: %d", status)
 	}
 }
 
@@ -481,11 +550,11 @@ func TestServerStatsEndpoint(t *testing.T) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { stopServer(t, srv, ts) })
-	cl := client.New(ts.URL)
+	base := ts.URL
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
 	for i := 0; i < 3; i++ {
-		if _, err := cl.Compile(context.Background(), req); err != nil {
+		if _, err := postJSON(context.Background(), base+"/v1/compile", req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -647,13 +716,13 @@ func TestEndToEndLoadTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
 	}
-	srv, cl := startServer(t, server.Config{
+	srv, base := startServer(t, server.Config{
 		// Queue deep enough that the offered load, not shedding, shapes
 		// the run; the shedding path has its own test above.
 		MaxQueue: 512,
 	})
 	seq, bodies := synthTraffic(t, 0xBEEF, 4, 220, true)
-	res, served := replay(cl.BaseURL, seq, bodies, 24, nil)
+	res, served := replay(base, seq, bodies, 24, nil)
 	t.Logf("sent %d: %d ok, %d throttled, %d errors, %d unique graphs", res.sent, res.ok, res.throttled, len(res.errors), len(bodies))
 
 	if res.sent != 220 {
@@ -835,10 +904,10 @@ func localRemap(t *testing.T, body []byte) []byte {
 // the remap stage and no pipeline stage; malformed or stale degradations
 // answer 400.
 func TestServerRemapEndpoint(t *testing.T) {
-	srv, cl := startServer(t, server.Config{})
+	srv, base := startServer(t, server.Config{})
 	ctx := context.Background()
 	g := appGraph(t, "DES", 8)
-	a, err := cl.Compile(ctx, server.NewRequest(g, testOpts(4)))
+	a, err := postJSON(ctx, base+"/v1/compile", server.NewRequest(g, testOpts(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,13 +993,13 @@ func TestServerRemapEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = cl.Remap(ctx, breq)
-		var se *client.StatusError
-		if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
-			t.Errorf("%s: answered %v, want StatusError 400", name, err)
+		_, err = postJSON(ctx, base+"/v1/remap", breq)
+		var we *wireError
+		if !errors.As(err, &we) || we.status != http.StatusBadRequest {
+			t.Errorf("%s: answered %v, want 400", name, err)
 		}
 	}
-	raw, err := http.Post(cl.BaseURL+"/v1/remap", "application/json", strings.NewReader(`{"artifact":{"format":999}}`))
+	raw, err := http.Post(base+"/v1/remap", "application/json", strings.NewReader(`{"artifact":{"format":999}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,6 @@ type RemapRequest struct {
 	Degradation topology.Degradation `json:"degradation"`
 }
 
-// NewRemapRequest builds the wire request for re-targeting a through d.
-func NewRemapRequest(a *artifact.Artifact, d topology.Degradation) (RemapRequest, error) {
-	b, err := a.Encode()
-	if err != nil {
-		return RemapRequest{}, err
-	}
-	return RemapRequest{Artifact: b, Degradation: d}, nil
-}
-
 // remapKey is the coalescing identity of a remap: the SHA-256 of the
 // artifact's bytes as sent plus the canonical wire form of the
 // degradation. Clients that feed one compile response back through one

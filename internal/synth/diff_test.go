@@ -16,27 +16,36 @@ const corpusSize = 200
 // TestDifferentialCorpus is the headline harness: a seeded corpus of
 // scenarios — random graphs on random hierarchical topologies across
 // devices, partitioners, mappers and fragment sizes — each compiled through
-// both flows and cross-checked. Scenarios are sharded over parallel
-// subtests; each shard is independent, so failures name their scenario.
+// both flows and cross-checked. Two corpora run, on two seeds; the second
+// (its shards' names carry its seed) is the fixed one CI ran through the
+// command line. Scenarios are sharded over parallel subtests; each shard is
+// independent, so failures name their scenario.
 func TestDifferentialCorpus(t *testing.T) {
-	corpus, err := Corpus(CorpusParams{Seed: 0x5EED, Scenarios: corpusSize, MaxFilters: 28, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	shards := runtime.GOMAXPROCS(0)
 	if shards > 8 {
 		shards = 8
 	}
-	for s := 0; s < shards; s++ {
-		s := s
-		t.Run(corpus[s].Name[:4], func(t *testing.T) {
-			t.Parallel()
-			for i := s; i < len(corpus); i += shards {
-				if err := Check(context.Background(), corpus[i]); err != nil {
-					t.Error(err)
+	for _, in := range []struct {
+		prefix string
+		params CorpusParams
+	}{
+		{"", CorpusParams{Seed: 0x5EED, Scenarios: corpusSize, MaxFilters: 28, Workers: 2}},
+		{"0xC1-", CorpusParams{Seed: 0xC1, Scenarios: 50, MaxFilters: 28, MaxGPUs: 8, Workers: 2}},
+	} {
+		corpus, err := Corpus(in.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < shards; s++ {
+			t.Run(in.prefix+corpus[s].Name[:4], func(t *testing.T) {
+				t.Parallel()
+				for i := s; i < len(corpus); i += shards {
+					if err := Check(context.Background(), corpus[i]); err != nil {
+						t.Error(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -472,18 +472,6 @@ func (t *Tree) computeRouteViaHost(src, dst int) []int {
 	return append(up[:len(up):len(up)], down...)
 }
 
-// TransferUS returns the uncontended time for one transfer of `bytes` over a
-// route at the tree's nominal (default) link parameters: latency plus
-// bytes/bandwidth (the route is pipelined cut-through, so length does not
-// multiply the bandwidth term). Heterogeneity-aware consumers cost each
-// link with LinkBandwidthGBs/LinkLatencyUS instead.
-func (t *Tree) TransferUS(bytes int64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return t.LatencyUS + float64(bytes)/(t.BandwidthGBs*1e3) // GB/s == bytes/ns == 1e3 bytes/us
-}
-
 // Validate sanity-checks the tree.
 func (t *Tree) Validate() error {
 	if t.BandwidthGBs <= 0 || t.LatencyUS < 0 {
