@@ -15,13 +15,12 @@
 //
 // Endpoints:
 //
-//	POST /v1/compile         graph spec + options -> versioned artifact encoding
-//	POST /v1/remap           artifact + degradation -> re-targeted artifact
-//	GET  /v1/artifact/{key}  raw artifact bytes by key hash (fleet peer fetch)
-//	GET  /healthz            liveness (503 while draining; fleet peer states)
-//	GET  /metrics            every counter and latency histogram of the node,
-//	                         Prometheus text exposition (see DESIGN.md S19)
-//	GET  /debug/traces       recent + slowest request traces as JSON
+//	POST /v1/compile    graph spec + options -> versioned artifact encoding
+//	POST /v1/remap      artifact + degradation -> re-targeted artifact
+//	GET  /healthz       liveness (503 while draining; fleet peer states)
+//	GET  /metrics       every counter and latency histogram of the node,
+//	                    Prometheus text exposition (see DESIGN.md S19)
+//	GET  /debug/traces  recent + slowest request traces as JSON
 //
 // -addr with port 0 binds an ephemeral port; the bound address is logged
 // and, with -port-file, written to a file (for scripts and CI). On
@@ -36,8 +35,8 @@
 // answered from the fleet's caches wherever the key lives. -store-dir
 // points every node at one shared content-addressed artifact directory
 // (NFS or any shared mount), which also warm-starts nodes that join
-// later. A node that does not own a key fetches the owner's artifact
-// bytes or proxies the request to it. See DESIGN.md S17.
+// later. A node that does not own a key answers it from its own caches
+// or proxies the request one hop to the owner. See DESIGN.md S17.
 //
 // Example (3-node fleet on one host):
 //
@@ -131,8 +130,12 @@ func main() {
 	}
 
 	svcCfg := core.ServiceConfig{
-		MaxEntries: *cacheEntries,
-		CacheDir:   *cacheDir,
+		MaxEntries:    *cacheEntries,
+		MaxConcurrent: *maxInFlight,
+		MaxQueue:      *maxQueue,
+		CacheDir:      *cacheDir,
+		Faults:        faults,
+		Logger:        logger,
 	}
 	if *storeDir != "" {
 		svcCfg.Shared = fleet.NewDirStore(*storeDir).WithFaults(faults)
@@ -153,13 +156,9 @@ func main() {
 
 	srv := server.New(server.Config{
 		Service:        svcCfg,
-		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
 		RequestTimeout: *timeout,
 		CompileWorkers: *compileWorkers,
 		Fleet:          fleetCfg,
-		Faults:         faults,
-		Logger:         logger,
 	})
 	if fleetCfg.Enabled() {
 		logger.Info("fleet member joining", "self", *selfURL, "peers", len(fleetCfg.Peers))

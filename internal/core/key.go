@@ -12,13 +12,13 @@ import (
 )
 
 // The cache identity. One compilation has one name everywhere: the
-// service's table, the persistent stores' filenames, the ring that decides
-// which fleet node owns it and the /v1/artifact/{key} peer-fetch route all
-// use KeyHash(KeyOf(g, opts)), computed once where the request enters and
-// passed down. A library caller derives it from the graph in hand (HashOf),
-// the server from the request's wire form (HashOfSpec, with the options
-// keyed once by OptionsKey); both go through keyBytes, and sdf's identity
-// referee holds the two digests equal.
+// service's table, the persistent stores' filenames and the ring that
+// decides which fleet node owns it all use KeyHash(KeyOf(g, opts)),
+// computed once where the request enters and passed down. A library
+// caller derives it from the graph in hand (HashOf), the server from the
+// request's wire form (HashOfSpec, with the options keyed once by
+// OptionsKey); both go through keyBytes, and sdf's identity referee holds
+// the two digests equal.
 
 // KeyOf names a compilation: the artifact format version, the SHA-256 of
 // the graph's canonical structure (memoized on the graph) and the

@@ -106,7 +106,7 @@ func (s *Service) EncodedByHash(ctx context.Context, hash string) ([]byte, bool)
 // the content hash its sender declared, as if they had been compiled here:
 // into the table, and into this node's private disk tier. This is what
 // makes hot keys replicate — the first request for a foreign key pays one
-// peer fetch, every later one is a local hit. The shared store is not
+// proxied compile, every later one is a local hit. The shared store is not
 // written: the key's owner already did that.
 func (s *Service) Ingest(hash string, data []byte) {
 	s.install(hash, data, s.tiers[:s.private])

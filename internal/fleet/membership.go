@@ -38,7 +38,7 @@ type Config struct {
 	// a peer's circuit (default 3). One flaky response must not rebuild
 	// the ring.
 	BreakerFailures int
-	// PeerRetries is the extra attempts granted to one peer fetch or proxy
+	// PeerRetries is the extra attempts granted to one proxied request
 	// after its first failure (default 1; negative disables retries).
 	PeerRetries int
 	// RetryBackoff is the base delay between those attempts; the serving

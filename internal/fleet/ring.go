@@ -17,7 +17,7 @@
 //
 //   - Membership: the static peer set plus each peer's health. Peers are
 //     configured up front (-peers); gossip is out of scope. Each peer has
-//     a circuit: consecutive failed fetches or proxies open it, which
+//     a circuit: consecutive failed proxied requests open it, which
 //     routes around the peer for a cooldown; then it is revived and
 //     probed once. Every alive-set transition rebuilds the ring and the
 //     moved keyspace fraction is tracked as the ring_moves counter.

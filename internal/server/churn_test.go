@@ -79,7 +79,7 @@ func fleetCorpus(t *testing.T, nodes []*fleetNode, seed uint64, hot, maxFilters 
 }
 
 // toNonOwner is the warm-up draw: request k is hot key k, offered to a
-// node that does not own it, so the fleet path (proxy or fetch) fills the
+// node that does not own it, so the fleet path (the proxy) fills the
 // owner and the shared store in one pass.
 func toNonOwner(rng *synth.Rand, owner []int) func(int) (node, key int) {
 	return func(k int) (int, int) {
@@ -296,12 +296,12 @@ func chaosMix(t *testing.T, workers, maxFilters int) {
 		cfg.Service = core.ServiceConfig{
 			CacheDir: filepath.Join(dir, fmt.Sprintf("node%d-disk", i)),
 			Shared:   fleet.NewDirStore(storeDir).WithFaults(injs[i]),
+			Faults:   injs[i],
 		}
 		// Short cooldown so breaker reopen/half-open and ring revival all
 		// cycle within the run, under skewed clocks.
 		cfg.Fleet.DownCooldown = 750 * time.Millisecond
 		cfg.Fleet.RetryBackoff = time.Millisecond
-		cfg.Faults = injs[i]
 		cfgs[i] = *cfg
 	})
 	bodies, owner, victim := fleetCorpus(t, nodes, seed, hot, maxFilters)
@@ -333,8 +333,8 @@ func chaosMix(t *testing.T, workers, maxFilters int) {
 	rng := synth.NewRand(seed ^ 0xC4A05C4A05C4A05)
 	anyNode := toAnyBut(rng, -1, hot) // every node is up whenever it draws
 
-	// Warm-up offers every key to a non-owner, so the fleet paths (fetch,
-	// proxy, store write) run under injection from the first request; then
+	// Warm-up offers every key to a non-owner, so the fleet paths (proxy,
+	// store write) run under injection from the first request; then
 	// known keys across every node while the injectors refuse, delay,
 	// corrupt, tear and skew.
 	phase("warmup", hot, toNonOwner(rng, owner))

@@ -20,20 +20,18 @@ import (
 // every node routes identically with no coordination. A node receiving a
 // request for a key it does not own tries, in order:
 //
-//  1. its own caches — a hot key that was fetched or proxied before is
-//     served locally, which is how hot keys replicate beyond their owner;
-//  2. a peer artifact fetch: GET {owner}/v1/artifact/{hash} returns raw
-//     encoded artifact bytes if the owner has them cached in any tier.
-//     The body is accepted on its mandatory SHA-256 content-hash header
-//     alone — never decoded — and ingested into the local caches;
-//  3. a one-hop proxy of the full compile request to the owner, marked
-//     with headerForwarded so it can never cycle; the owner compiles
-//     (and persists to the shared store), this node caches the response;
-//  4. local fallback: the owner is unreachable — its failures feed its
-//     circuit in the membership (bounded retries with decorrelated-jitter
-//     backoff first), an opening circuit routes around it for a cooldown,
-//     and this node compiles the key itself. Degraded means slower, never
-//     unavailable.
+//  1. its own caches — a hot key that was proxied before is served
+//     locally, which is how hot keys replicate beyond their owner;
+//  2. a one-hop proxy of the full compile request to the owner, marked
+//     with headerForwarded so it can never cycle; the owner answers from
+//     its table or tiers or compiles (and persists to the shared store),
+//     and this node verifies and caches the response;
+//  3. local fallback: the owner is unavailable — its transport failures
+//     feed its circuit in the membership (bounded retries with
+//     decorrelated-jitter backoff first), an opening circuit routes around
+//     it for a cooldown, a draining owner answers 503 for a key it would
+//     have to compile, and this node compiles the key itself. Degraded
+//     means slower, never unavailable.
 //
 // See DESIGN.md S17.
 
@@ -42,10 +40,10 @@ const (
 	// proxying node's URL). Forwarded requests are always served locally —
 	// one hop, never a cycle.
 	headerForwarded = "X-Streammap-Forwarded"
-	// headerContentHash carries the SHA-256 of an artifact body sent to a
-	// peer (/v1/artifact responses, forwarded compile responses). It is
-	// mandatory: the receiving peer accepts the bytes on it alone, and
-	// treats a wrong or absent hash as peerBadBytes.
+	// headerContentHash carries the SHA-256 of the artifact body of a
+	// forwarded compile's response. It is mandatory: the proxying peer
+	// accepts the bytes on it alone, and treats a wrong or absent hash as
+	// peerBadBytes.
 	headerContentHash = "X-Streammap-Content-Hash"
 	// headerProbe marks a /healthz request from a fleet peer. A probed
 	// node answers its own state without probing ITS peers — otherwise
@@ -60,25 +58,10 @@ func contentHash(body []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// handleArtifact serves the raw encoded artifact bytes for a key hash
-// from this node's caches — the table, then the persistent tiers — without
-// ever running a pipeline stage. 404 means "not cached here", which a
-// fetching peer treats as "proxy the compile instead". Serving continues
-// while draining: the route is read-only and peers may be mid-fetch.
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.svc.EncodedByHash(r.Context(), r.PathValue("key"))
-	if !ok {
-		http.Error(w, "artifact not cached on this node", http.StatusNotFound)
-		return
-	}
-	w.Header().Set(headerContentHash, contentHash(body))
-	s.writeArtifact(r.Context(), w, body)
-}
-
 // routeToOwner answers a compile request whose key belongs to owner. It
 // reports whether the response was written; false means the owner could
-// not be reached (or its circuit is open) and the caller should serve
-// locally.
+// not serve it (unreachable, open circuit, draining, bad bytes) and the
+// caller should serve locally.
 //
 // Failure discipline (see DESIGN.md S18): transport failures are retried
 // within a bounded budget with decorrelated-jitter backoff (retryPeer);
@@ -86,11 +69,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // circuit takes the owner out of the ring — one flaky response never
 // rebuilds the ring. Integrity failures (wrong or absent content hash) are
 // counted as peerBadBytes and fall through; they never mark the owner
-// down. Every peer hop below shares one context deadline derived from the
+// down. The proxy runs under one context deadline derived from the
 // request's timeout budget.
 func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, hash string, call *compileCall) bool {
-	// Local read-through: a previously fetched or proxied hot key is
-	// served from this node's own caches, owner untouched.
+	// Local read-through: a previously proxied hot key is served from this
+	// node's own caches, owner untouched.
 	lctx, localSpan := obs.StartSpan(r.Context(), "fleet.local")
 	if body, ok := s.svc.EncodedByHash(lctx, hash); ok {
 		localSpan.SetNote("hit")
@@ -114,32 +97,6 @@ func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, owner, has
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-
-	fctx, fetchSpan := obs.StartSpan(ctx, "fleet.fetch")
-	fetchSpan.SetNote(owner)
-	var body []byte
-	var fetched bool
-	if !s.retryPeer(fctx, owner, func() (up bool) {
-		body, fetched, up = s.peerFetch(fctx, owner, hash)
-		return up
-	}) {
-		fetchSpan.Notef("%s unreachable", owner)
-		fetchSpan.End()
-		return false
-	}
-	// The owner answered HTTP — with the bytes, without them, or with
-	// bytes that failed verification: a liveness success either way, closed
-	// out before the proxy makes its own attempt.
-	s.fleetM.Success(owner)
-	if fetched {
-		fetchSpan.End()
-		s.met.peerHits.Inc()
-		s.writeArtifact(r.Context(), w, body)
-		return true
-	}
-	fetchSpan.Notef("%s: miss", owner)
-	fetchSpan.End()
-
 	pctx, proxySpan := obs.StartSpan(ctx, "fleet.proxy")
 	proxySpan.SetNote(owner)
 	handled := s.proxyCompile(w, r.WithContext(pctx), owner, hash, call)
@@ -176,49 +133,6 @@ func (s *Server) writeArtifact(ctx context.Context, w http.ResponseWriter, body 
 	s.writeBody(ctx, w, http.StatusOK, body)
 }
 
-// verifiedPeerBody reports whether a peer's artifact body matches the
-// content hash the peer declared for it; a wrong or absent hash is counted
-// as peerBadBytes (never a liveness signal). The hash is the whole check:
-// the bytes are not decoded on this side of the fleet.
-func (s *Server) verifiedPeerBody(resp *http.Response, body []byte) bool {
-	if resp.Header.Get(headerContentHash) != contentHash(body) {
-		s.met.peerBadBytes.Inc()
-		return false
-	}
-	return true
-}
-
-// peerFetch asks owner once for the encoded artifact of a key hash. ok
-// means verified bytes were fetched and ingested; ownerUp=false means the
-// owner did not answer HTTP (as opposed to answering 404/500, which is a
-// healthy owner without the bytes, or answering with bytes that failed
-// verification, which is a healthy owner counted under peerBadBytes).
-func (s *Server) peerFetch(ctx context.Context, owner, hash string) (body []byte, ok, ownerUp bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/artifact/"+hash, nil)
-	if err != nil {
-		return nil, false, true
-	}
-	if hv := obs.HeaderValue(ctx); hv != "" {
-		req.Header.Set(obs.TraceHeader, hv)
-	}
-	resp, err := s.peerHTTP.Do(req)
-	if err != nil {
-		return nil, false, false
-	}
-	defer resp.Body.Close()
-	data, err := readBounded(resp.Body, s.cfg.MaxBodyBytes)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		// A body cut short mid-read is indistinguishable from oversize here;
-		// both are a miss from a peer that did answer HTTP.
-		return nil, false, true
-	}
-	if !s.verifiedPeerBody(resp, data) {
-		return nil, false, true
-	}
-	s.svc.Ingest(hash, data)
-	return data, true, true
-}
-
 // proxyCompile forwards the verbatim compile request to the owner and
 // relays its response, caching a 200 body locally so the next request for
 // this key is a local hit. Transport failures are retried (retryPeer);
@@ -226,8 +140,9 @@ func (s *Server) peerFetch(ctx context.Context, owner, hash string) (body []byte
 // stream that dies mid-read. A 200 body is verified against the
 // content hash the owner stamps on forwarded responses before it reaches
 // the client: a corrupted relay is peerBadBytes plus a local fallback,
-// never a served poison. Reports false (nothing written) when the caller
-// should serve locally.
+// never a served poison. A 503 (the owner is draining or closing) is not
+// relayed either: the key is served here. Reports false (nothing written)
+// when the caller should serve locally.
 func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, hash string, call *compileCall) bool {
 	// A transport may still be reading a request body after its response
 	// has arrived, so this one is never reused.
@@ -260,12 +175,18 @@ func (s *Server) proxyCompile(w http.ResponseWriter, r *http.Request, owner, has
 		return false
 	}
 	s.fleetM.Success(owner)
-	if resp.StatusCode == http.StatusOK {
-		if !s.verifiedPeerBody(resp, body) {
+	switch resp.StatusCode {
+	case http.StatusOK:
+		// The hash is the whole check: the bytes are not decoded on this
+		// side of the fleet. A mismatch is never a liveness signal.
+		if resp.Header.Get(headerContentHash) != contentHash(body) {
+			s.met.peerBadBytes.Inc()
 			return false
 		}
 		// Replicate: the next request for this key is a local hit.
 		s.svc.Ingest(hash, body)
+	case http.StatusServiceUnavailable:
+		return false
 	}
 	s.met.proxied.Inc()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {

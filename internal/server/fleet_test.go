@@ -3,8 +3,6 @@ package server_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -29,6 +27,9 @@ type fleetNode struct {
 	srv *server.Server
 	ts  *httptest.Server
 	url string
+	// requests counts what the listener handed the node, peers' hops
+	// included (until a rebind replaces the server).
+	requests atomic.Int64
 }
 
 // startFleetNodes brings up n servers that know each other as one fleet.
@@ -57,10 +58,15 @@ func startFleetNodes(t *testing.T, n int, mutate func(i int, cfg *server.Config)
 			mutate(i, &cfg)
 		}
 		srv := server.New(cfg)
-		tss[i].Config.Handler = srv.Handler()
+		node := &fleetNode{srv: srv, ts: tss[i], url: urls[i]}
+		h := srv.Handler()
+		tss[i].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			node.requests.Add(1)
+			h.ServeHTTP(w, r)
+		})
 		tss[i].Start()
 		t.Cleanup(func() { stopServer(t, srv, tss[i]) })
-		nodes[i] = &fleetNode{srv: srv, ts: tss[i], url: urls[i]}
+		nodes[i] = node
 	}
 	return nodes
 }
@@ -92,26 +98,36 @@ func keyHashOf(t *testing.T, g *sdf.Graph, opts driver.Options) string {
 	return hash
 }
 
-// graphOwnedBy scans graph sizes until one's key lands on nodes[want],
-// so tests can aim a request at a chosen owner deterministically.
-func graphOwnedBy(t *testing.T, nodes []*fleetNode, want int) (*sdf.Graph, driver.Options) {
+// graphsOwnedBy scans graph sizes until n keys land on nodes[want], so
+// tests can aim requests at a chosen owner deterministically.
+func graphsOwnedBy(t *testing.T, nodes []*fleetNode, want, n int) ([]*sdf.Graph, driver.Options) {
 	t.Helper()
 	opts := testOpts(2)
 	ring := fleetRing(t, nodes)
-	for size := 2; size <= 64; size++ {
+	var graphs []*sdf.Graph
+	for size := 2; size <= 128 && len(graphs) < n; size++ {
 		g := appGraph(t, "DES", size)
 		if ring.Owner(keyHashOf(t, g, opts)) == nodes[want].url {
-			return g, opts
+			graphs = append(graphs, g)
 		}
 	}
-	t.Fatal("no graph size in [2,64] hashed to the wanted owner")
-	return nil, opts
+	if len(graphs) < n {
+		t.Fatalf("only %d keys owned by node %d in sizes [2,128], want %d", len(graphs), want, n)
+	}
+	return graphs, opts
+}
+
+// graphOwnedBy is graphsOwnedBy's first key.
+func graphOwnedBy(t *testing.T, nodes []*fleetNode, want int) (*sdf.Graph, driver.Options) {
+	t.Helper()
+	graphs, opts := graphsOwnedBy(t, nodes, want, 1)
+	return graphs[0], opts
 }
 
 // TestFleetPeerArtifactFetch: a key compiled on its owner is served to a
-// request arriving at any other node via peer artifact fetch — no
-// pipeline stage runs on the non-owner, and the fetched copy makes the
-// key a local hit from then on.
+// request arriving at any other node through one proxied compile that the
+// owner answers from its table — no pipeline stage runs on either node
+// again, and the relayed copy makes the key a local hit from then on.
 func TestFleetPeerArtifactFetch(t *testing.T) {
 	nodes := startFleetNodes(t, 3, nil)
 	g, opts := graphOwnedBy(t, nodes, 0)
@@ -131,16 +147,16 @@ func TestFleetPeerArtifactFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := driver.EquivalentArtifacts(want, got); err != nil {
-		t.Fatalf("peer-fetched artifact differs from owner's: %v", err)
+		t.Fatalf("relayed artifact differs from owner's: %v", err)
 	}
-	if hits, proxied := counter(t, nodes[1].srv, "streammap_fleet_peer_hits_total"), counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); hits != 1 || proxied != 0 {
-		t.Fatalf("expected one peer hit, no proxy: %d peer hits, %d proxied", hits, proxied)
+	if proxied := counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); proxied != 1 {
+		t.Fatalf("expected one proxied request: %d proxied", proxied)
 	}
-	if misses := counter(t, nodes[1].srv, "streammap_cache_misses_total"); misses != 0 {
-		t.Fatalf("non-owner ran the pipeline (%d misses) for a fleet-cached key", misses)
+	if owner, entry := counter(t, nodes[0].srv, "streammap_cache_misses_total"), counter(t, nodes[1].srv, "streammap_cache_misses_total"); owner != 1 || entry != 0 {
+		t.Fatalf("%d compiles on the owner, %d on the entry node; want the owner's one", owner, entry)
 	}
 
-	// The fetched copy replicated the key: next time it's a local answer.
+	// The relayed copy replicated the key: next time it's a local answer.
 	if _, err := postJSON(ctx, nodes[1].url+"/v1/compile", req); err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +210,92 @@ func TestFleetProxyColdKey(t *testing.T) {
 	}
 }
 
+// TestFleetOneOwnerRequestPerMiss: a non-owner's miss costs the key's
+// owner exactly one request, whether the owner must compile the key or
+// already holds it, and a repeat costs it none — the relayed copy is a
+// local hit. The owner's listener counts what it is handed, and a request
+// reaches it before the relay of its answer does, so the counts are exact.
+func TestFleetOneOwnerRequestPerMiss(t *testing.T) {
+	nodes := startFleetNodes(t, 2, nil)
+	graphs, opts := graphsOwnedBy(t, nodes, 0, 2)
+	cold, held := graphs[0], graphs[1]
+	owner, entry := nodes[0], nodes[1]
+	ctx := context.Background()
+	if _, err := postJSON(ctx, owner.url+"/v1/compile", server.NewRequest(held, opts)); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, step := range []struct {
+		name string
+		g    *sdf.Graph
+		want int64
+	}{
+		{"cold key", cold, 1},
+		{"key the owner holds", held, 1},
+		{"repeat of the cold key", cold, 0},
+		{"repeat of the held key", held, 0},
+	} {
+		before := owner.requests.Load()
+		if _, err := postJSON(ctx, entry.url+"/v1/compile", server.NewRequest(step.g, opts)); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := owner.requests.Load() - before; got != step.want {
+			t.Errorf("%s: the owner was asked %d times, want %d", step.name, got, step.want)
+		}
+	}
+	if misses := counter(t, owner.srv, "streammap_cache_misses_total"); misses != 2 {
+		t.Errorf("owner ran %d compiles for two keys", misses)
+	}
+	fleet := func(series string) int64 { return counter(t, entry.srv, "streammap_fleet_"+series) }
+	if proxied, local, misses := fleet("proxied_total"), fleet("local_hits_total"), counter(t, entry.srv, "streammap_cache_misses_total"); proxied != 2 || local != 2 || misses != 0 {
+		t.Errorf("entry node: %d proxied, %d local hits, %d compiles; want 2, 2, 0", proxied, local, misses)
+	}
+}
+
+// TestFleetDrainingOwner: a draining owner still answers a forwarded
+// compile for a key it holds, so the client gets the owner's bytes and no
+// node compiles. A key it would have to compile it refuses with 503, and
+// that refusal is never relayed: the proxying node falls back and compiles
+// the key itself, answering a 200 with the bytes of a fresh compile.
+func TestFleetDrainingOwner(t *testing.T) {
+	nodes := startFleetNodes(t, 2, nil)
+	graphs, opts := graphsOwnedBy(t, nodes, 0, 2)
+	var bodies [2][]byte
+	for i, g := range graphs {
+		b, err := json.Marshal(server.NewRequest(g, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = b
+	}
+	held, cold := bodies[0], bodies[1]
+	owner, entry := nodes[0], nodes[1]
+	fromOwner := postCompile(t, owner.url, held)
+	owner.srv.SetDraining(true)
+
+	if got := postCompile(t, entry.url, held); !bytes.Equal(got, fromOwner) {
+		t.Error("a held key served through a draining owner is not the owner's bytes")
+	}
+	fleet := func(series string) int64 { return counter(t, entry.srv, "streammap_fleet_"+series) }
+	if compiles := counter(t, owner.srv, "streammap_cache_misses_total") + counter(t, entry.srv, "streammap_cache_misses_total"); compiles != 1 || fleet("proxied_total") != 1 {
+		t.Fatalf("held key: %d compiles fleet-wide and %d proxied, want the owner's first compile only and 1",
+			compiles, fleet("proxied_total"))
+	}
+
+	if got := postCompile(t, entry.url, cold); !bytes.Equal(got, localCompile(t, cold)) {
+		t.Error("a cold key's fallback answer is not the bytes of a fresh compile")
+	}
+	if fallbacks, misses := fleet("fallbacks_total"), counter(t, entry.srv, "streammap_cache_misses_total"); fallbacks != 1 || misses != 1 {
+		t.Errorf("cold key: %d fallbacks, %d compiles on the entry node; want 1, 1", fallbacks, misses)
+	}
+	if misses := counter(t, owner.srv, "streammap_cache_misses_total"); misses != 1 {
+		t.Errorf("the draining owner compiled (%d compiles)", misses)
+	}
+	if alive, opens := fleet("peers_alive"), fleet("breaker_opens_total"); alive != 2 || opens != 0 {
+		t.Errorf("a draining owner was taken for a dead one: %d alive, %d opens", alive, opens)
+	}
+}
+
 // TestFleetForwardedRequestsNeverHopAgain: a request already carrying the
 // forwarded marker is served where it lands, even by a node that does not
 // own the key — the one-hop guarantee that makes routing cycle-free.
@@ -224,8 +326,8 @@ func TestFleetForwardedRequestsNeverHopAgain(t *testing.T) {
 	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 1 {
 		t.Fatalf("forwarded request was not compiled locally: %d compiles", misses)
 	}
-	if proxied, hits := counter(t, srv, "streammap_fleet_proxied_total"), counter(t, srv, "streammap_fleet_peer_hits_total"); proxied != 0 || hits != 0 {
-		t.Fatalf("forwarded request hopped again: %d proxied, %d peer hits", proxied, hits)
+	if proxied := counter(t, srv, "streammap_fleet_proxied_total"); proxied != 0 {
+		t.Fatalf("forwarded request hopped again: %d proxied", proxied)
 	}
 	if requests := counter(t, nodes[0].srv, "streammap_http_requests_total", route("compile")); requests != 0 {
 		t.Fatalf("owner saw %d requests for a forwarded-elsewhere key", requests)
@@ -306,17 +408,7 @@ func TestFleetBreakerAbsorbsFailures(t *testing.T) {
 	})
 	// Four distinct keys all owned by node 0, so every request below
 	// exercises the dead owner's circuit.
-	ring, opts := fleetRing(t, nodes), testOpts(2)
-	var graphs []*sdf.Graph
-	for size := 2; size <= 128 && len(graphs) < 4; size++ {
-		g := appGraph(t, "DES", size)
-		if ring.Owner(keyHashOf(t, g, opts)) == nodes[0].url {
-			graphs = append(graphs, g)
-		}
-	}
-	if len(graphs) < 4 {
-		t.Fatalf("only %d keys owned by node 0 in sizes [2,128]", len(graphs))
-	}
+	graphs, opts := graphsOwnedBy(t, nodes, 0, 4)
 	nodes[0].ts.Close()
 	ctx := context.Background()
 
@@ -412,45 +504,6 @@ func TestFleetHealthzPeers(t *testing.T) {
 	}
 }
 
-// TestFleetArtifactEndpoint: the peer-fetch route serves verifiable raw
-// artifact bytes for cached keys and 404 for everything else.
-func TestFleetArtifactEndpoint(t *testing.T) {
-	nodes := startFleetNodes(t, 3, nil)
-	g, opts := graphOwnedBy(t, nodes, 0)
-	if _, err := postJSON(context.Background(), nodes[0].url+"/v1/compile", server.NewRequest(g, opts)); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(nodes[0].url + "/v1/artifact/" + keyHashOf(t, g, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached artifact answered %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(body)
-	if got := resp.Header.Get("X-Streammap-Content-Hash"); got != hex.EncodeToString(sum[:]) {
-		t.Fatalf("content hash header %q does not match body", got)
-	}
-	if _, err := artifact.Decode(body); err != nil {
-		t.Fatalf("artifact endpoint served undecodable bytes: %v", err)
-	}
-
-	resp2, err := http.Get(nodes[0].url + "/v1/artifact/feedfeedfeedfeedfeedfeedfeedfeed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown key answered %d, want 404", resp2.StatusCode)
-	}
-}
-
 // TestFleetSeriesAbsentSingleNode: without fleet config the exposition has
 // no streammap_fleet_* series — single-node deployments are unchanged —
 // in process and over the wire.
@@ -471,10 +524,10 @@ func TestFleetSeriesAbsentSingleNode(t *testing.T) {
 
 // TestFleetPeerBodiesNeedTheirHash: a peer's artifact body is accepted on
 // its content-hash header alone, so the header is mandatory. An owner that
-// answers the fetch and the proxied compile with well-formed artifact bytes
-// but a wrong or absent hash is healthy (no breaker trip, not marked down)
-// and not believed: each bad body is counted as peerBadBytes and the
-// request is compiled locally instead.
+// answers the proxied compile with well-formed artifact bytes but a wrong
+// or absent hash is healthy (no breaker trip, not marked down) and not
+// believed: the bad body is counted as peerBadBytes and the request is
+// compiled locally instead.
 func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 	for name, stamp := range map[string]func(h http.Header){
 		"absent": func(http.Header) {},
@@ -496,17 +549,13 @@ func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var fetches, proxies atomic.Int64
+			var proxies atomic.Int64
 			owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				switch {
-				case strings.HasPrefix(r.URL.Path, "/v1/artifact/"):
-					fetches.Add(1)
-				case r.URL.Path == "/v1/compile":
-					proxies.Add(1)
-				default:
+				if r.URL.Path != "/v1/compile" {
 					http.NotFound(w, r)
 					return
 				}
+				proxies.Add(1)
 				stamp(w.Header())
 				w.Header().Set("Content-Type", "application/json")
 				w.Write(wellFormed)
@@ -531,12 +580,11 @@ func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 				t.Fatal("the unverified peer body reached the client")
 			}
 			fleet := func(series string) int64 { return counter(t, srv, "streammap_fleet_"+series) }
-			if bad := fleet("peer_bad_bytes_total"); fetches.Load() != 1 || proxies.Load() != 1 || bad != 2 {
-				t.Fatalf("owner saw %d fetches / %d proxies, node counted %d bad bodies; want 1 / 1 / 2",
-					fetches.Load(), proxies.Load(), bad)
+			if bad := fleet("peer_bad_bytes_total"); proxies.Load() != 1 || bad != 1 {
+				t.Fatalf("owner saw %d proxies, node counted %d bad bodies; want 1 / 1", proxies.Load(), bad)
 			}
-			if fallbacks, misses, hits, proxied := fleet("fallbacks_total"), counter(t, srv, "streammap_cache_misses_total"), fleet("peer_hits_total"), fleet("proxied_total"); fallbacks != 1 || misses != 1 || hits != 0 || proxied != 0 {
-				t.Fatalf("expected a local-compile fallback: %d fallbacks, %d compiles, %d peer hits, %d proxied", fallbacks, misses, hits, proxied)
+			if fallbacks, misses, proxied := fleet("fallbacks_total"), counter(t, srv, "streammap_cache_misses_total"), fleet("proxied_total"); fallbacks != 1 || misses != 1 || proxied != 0 {
+				t.Fatalf("expected a local-compile fallback: %d fallbacks, %d compiles, %d proxied", fallbacks, misses, proxied)
 			}
 			if alive, opens := fleet("peers_alive"), fleet("breaker_opens_total"); alive != 2 || opens != 0 {
 				t.Fatalf("an integrity failure was treated as a liveness failure: %d alive, %d opens", alive, opens)
@@ -547,8 +595,8 @@ func TestFleetPeerBodiesNeedTheirHash(t *testing.T) {
 
 // TestArtifactResponsesDeclareLength: every route that answers with an
 // artifact has the whole body in hand and says how long it is — compile
-// (postCompile checks it wherever it is used), remap, the peer-fetch
-// route, and a proxied relay.
+// (postCompile checks it wherever it is used), remap, the owner's answer
+// to a forwarded compile, and the proxied relay of it.
 func TestArtifactResponsesDeclareLength(t *testing.T) {
 	nodes := startFleetNodes(t, 2, nil)
 	g, opts := graphOwnedBy(t, nodes, 0)
@@ -578,9 +626,15 @@ func TestArtifactResponsesDeclareLength(t *testing.T) {
 	if proxied := counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); proxied != 1 {
 		t.Fatalf("expected a proxied relay: %d proxied", proxied)
 	}
-	resp, err := http.Get(nodes[0].url + "/v1/artifact/" + keyHashOf(t, g, opts))
-	if fetched := declared("artifact route", resp, err); !bytes.Equal(fetched, relayed) {
-		t.Error("the peer-fetch route and the relay disagree on the bytes")
+	freq, err := http.NewRequest(http.MethodPost, nodes[0].url+"/v1/compile", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freq.Header.Set("Content-Type", "application/json")
+	freq.Header.Set("X-Streammap-Forwarded", "test")
+	resp, err := http.DefaultClient.Do(freq)
+	if forwarded := declared("forwarded compile", resp, err); !bytes.Equal(forwarded, relayed) {
+		t.Error("the owner's forwarded answer and the relay disagree on the bytes")
 	}
 
 	a, err := artifact.Decode(relayed)

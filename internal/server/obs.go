@@ -18,9 +18,8 @@ import (
 
 // serverMetrics holds the instruments the request path records into.
 type serverMetrics struct {
-	reqCompile  *obs.Counter
-	reqRemap    *obs.Counter
-	reqArtifact *obs.Counter
+	reqCompile *obs.Counter
+	reqRemap   *obs.Counter
 
 	durCompile *obs.Histogram
 	durRemap   *obs.Histogram
@@ -38,7 +37,7 @@ type serverMetrics struct {
 
 	// How this node answered requests for keys another member owns, and
 	// what its peers cost it. Nil (no-ops) outside fleet mode.
-	proxied, peerHits, localHits, forwarded            *obs.Counter
+	proxied, localHits, forwarded                      *obs.Counter
 	fallbacks, peerBadBytes, peerRetries, breakerSkips *obs.Counter
 }
 
@@ -53,8 +52,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Requests received by route.", obs.Label{Key: "route", Value: "compile"}),
 		reqRemap: reg.Counter("streammap_http_requests_total",
 			"Requests received by route.", obs.Label{Key: "route", Value: "remap"}),
-		reqArtifact: reg.Counter("streammap_http_requests_total",
-			"Requests received by route.", obs.Label{Key: "route", Value: "artifact"}),
 		durCompile: reg.Histogram("streammap_request_duration_seconds",
 			"Request wall-clock by route, all outcomes.", nil, obs.Label{Key: "route", Value: "compile"}),
 		durRemap: reg.Histogram("streammap_request_duration_seconds",
@@ -65,7 +62,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Compile request bodies decoded by encoding/json because the request scanner declined them."),
 		respClass: map[string]*obs.Counter{},
 	}
-	for _, route := range []string{"compile", "remap", "artifact"} {
+	for _, route := range []string{"compile", "remap"} {
 		for _, class := range respClasses {
 			m.respClass[route+"/"+class] = reg.Counter("streammap_http_responses_total",
 				"Responses written by route and status class.",
@@ -100,7 +97,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	if s.fleetM != nil {
 		m.proxied = reg.Counter("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.")
-		m.peerHits = reg.Counter("streammap_fleet_peer_hits_total", "Non-owned requests served via peer artifact fetch.")
 		m.localHits = reg.Counter("streammap_fleet_local_hits_total", "Non-owned requests served from this node's own caches.")
 		m.forwarded = reg.Counter("streammap_fleet_forwarded_total", "Requests a peer proxied here.")
 		m.fallbacks = reg.Counter("streammap_fleet_fallbacks_total", "Non-owned requests compiled locally because the owner was unreachable.")
@@ -141,8 +137,6 @@ func (m *serverMetrics) request(route string) {
 		m.reqCompile.Inc()
 	case "remap":
 		m.reqRemap.Inc()
-	case "artifact":
-		m.reqArtifact.Inc()
 	}
 }
 

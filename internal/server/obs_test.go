@@ -227,7 +227,7 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 		t.Errorf("the entry node's trace claims an upstream parent %q", entry.ParentSpan)
 	}
 	names := spanNames(entry)
-	for _, want := range []string{"fleet.local", "fleet.fetch", "fleet.proxy"} {
+	for _, want := range []string{"fleet.local", "fleet.proxy"} {
 		if names[want] == 0 {
 			t.Errorf("entry-node trace has no %q span (spans: %v)", want, names)
 		}
@@ -269,8 +269,7 @@ func TestFleetProxySharesTraceID(t *testing.T) {
 		t.Errorf("owner's trace has no stage.* spans (spans: %v)", fnames)
 	}
 
-	// One request, one story: every trace retained anywhere shares the ID
-	// (the owner also saw the entry node's artifact-fetch probe).
+	// One request, one story: every trace retained anywhere shares the ID.
 	for _, tr := range snap1.Recent {
 		if tr.ID != entry.ID {
 			t.Errorf("owner retains a foreign trace %s (%s), want only %s", tr.ID, tr.Name, entry.ID)

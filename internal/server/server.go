@@ -11,14 +11,14 @@
 // the graph to core.Service, which owns the rest of the path: a known key
 // is answered from the table or a persistent tier with the stored bytes,
 // concurrent duplicates join one run, and only a run that will execute the
-// pipeline builds the graph and queues for one of the MaxInFlight slots —
-// beyond MaxQueue waiters the server sheds load with 429 + Retry-After
-// instead of collapsing.
+// pipeline builds the graph and queues for one of the service's
+// MaxConcurrent slots — beyond its MaxQueue waiters the server sheds load
+// with 429 + Retry-After instead of collapsing.
 //
 // In fleet mode (Config.Fleet) N servers act as one cache: a
-// consistent-hash ring assigns every key an owner, non-owned requests
-// are answered from local caches, fetched from the owner as raw
-// artifact bytes, or proxied one hop — see fleet.go and DESIGN.md S17.
+// consistent-hash ring assigns every key an owner, and non-owned requests
+// are answered from local caches or proxied one hop to the owner — see
+// fleet.go and DESIGN.md S17.
 //
 // /healthz reports liveness (503 while draining) and, in a fleet,
 // per-peer reachability; /metrics is the node's one read-out of its
@@ -40,22 +40,22 @@ import (
 	"streammap/internal/artifact"
 	"streammap/internal/core"
 	"streammap/internal/driver"
-	"streammap/internal/faultinject"
 	"streammap/internal/fleet"
 	"streammap/internal/obs"
 )
 
 // Config tunes a compile server.
 type Config struct {
-	// Service configures the underlying compile service. Its MaxConcurrent
-	// and MaxQueue are set from MaxInFlight and MaxQueue below.
+	// Service configures the underlying compile service, and through it the
+	// node: its MaxConcurrent pipeline slots (default GOMAXPROCS; hits and
+	// coalesced joiners take none) and MaxQueue waiters (default
+	// 4*MaxConcurrent, beyond which requests are shed with 429) are the
+	// node's admission bound; its Faults injector also drives the peer
+	// transport and the membership clock (DESIGN.md S18); its Logger
+	// receives the server's records too, each stamped with the request's
+	// trace ID (nil discards, DESIGN.md S19). Metrics is always the
+	// server's registry, so one /metrics covers the node.
 	Service core.ServiceConfig
-	// MaxInFlight bounds the pipeline runs in progress (default
-	// GOMAXPROCS). Hits and coalesced joiners don't consume slots.
-	MaxInFlight int
-	// MaxQueue bounds runs waiting for a slot; beyond it requests are
-	// rejected with 429 (default 4*MaxInFlight).
-	MaxQueue int
 	// RequestTimeout caps one request's wall-clock from admission to
 	// artifact (default 60s). Expiry answers 504; the underlying
 	// compilation still completes and populates the cache (core.Service
@@ -72,28 +72,20 @@ type Config struct {
 	// Fleet, when enabled (SelfURL + at least one other peer), turns this
 	// node into a member of a consistent-hash serving fleet: compile
 	// requests for keys another node owns are answered from the local
-	// cache when possible and otherwise fetched from or proxied to the
-	// owner; /v1/artifact/{key} serves raw artifact bytes to peers. See
+	// cache when possible and otherwise proxied to the owner. See
 	// DESIGN.md S17.
 	Fleet fleet.Config
-	// Faults, when non-nil, threads deterministic fault injection through
-	// the peer transport (refusals, latency, corrupted/truncated bodies)
-	// and the membership clock (skew), and is passed down to the
-	// service's disk tier. Chaos-tier testing only; nil in production,
-	// where every seam is a no-op. See DESIGN.md S18.
-	Faults *faultinject.Injector
-	// Logger receives the server's structured log records (request debug
-	// lines, fleet transitions, cache quarantines), each stamped with the
-	// request's trace ID. Nil discards. See DESIGN.md S19.
-	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = runtime.GOMAXPROCS(0)
+	if c.Service.MaxConcurrent <= 0 {
+		c.Service.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxInFlight
+	if c.Service.MaxQueue <= 0 {
+		c.Service.MaxQueue = 4 * c.Service.MaxConcurrent
+	}
+	if c.Service.Logger == nil {
+		c.Service.Logger = slog.New(slog.DiscardHandler)
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -135,36 +127,20 @@ type Server struct {
 // start, never a request-time condition.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Service.Faults == nil {
-		// One injector drives every seam in the node unless the service was
-		// handed its own.
-		cfg.Service.Faults = cfg.Faults
-	}
-	log := cfg.Logger
-	if log == nil {
-		log = slog.New(slog.DiscardHandler)
-	}
+	// The service shares the server's registry and logger so one /metrics
+	// exposition and one log stream cover the whole node.
 	reg := obs.NewRegistry()
+	cfg.Service.Metrics = reg
 	node := ""
 	if cfg.Fleet.Enabled() {
 		node = cfg.Fleet.SelfURL
 	}
-	// The service shares the server's registry and logger so one /metrics
-	// exposition and one log stream cover the whole node.
-	if cfg.Service.Metrics == nil {
-		cfg.Service.Metrics = reg
-	}
-	if cfg.Service.Logger == nil {
-		cfg.Service.Logger = log
-	}
-	// One admission bound for the node: the service owns the slots.
-	cfg.Service.MaxConcurrent, cfg.Service.MaxQueue = cfg.MaxInFlight, cfg.MaxQueue
 	s := &Server{
 		cfg:    cfg,
 		svc:    core.NewService(cfg.Service),
 		reg:    reg,
 		tracer: obs.NewTracer(obs.TracerConfig{Node: node}),
-		log:    log,
+		log:    cfg.Service.Logger,
 	}
 	if cfg.Fleet.Enabled() {
 		m, err := fleet.NewMembership(cfg.Fleet)
@@ -176,13 +152,14 @@ func New(cfg Config) *Server {
 		// the client timeout is a backstop against a peer that accepts and
 		// stalls. The fault injector's transport wrapper is identity when
 		// injection is off.
+		faults := cfg.Service.Faults
 		s.peerHTTP = &http.Client{
 			Timeout:   cfg.RequestTimeout,
-			Transport: cfg.Faults.Transport(nil),
+			Transport: faults.Transport(nil),
 		}
-		if cfg.Faults != nil {
+		if faults != nil {
 			// Chaos tier: every cooldown decision reads a skewed clock.
-			s.fleetM.SetClock(cfg.Faults.Clock(nil))
+			s.fleetM.SetClock(faults.Clock(nil))
 		}
 		s.fleetM.SetLogger(s.log)
 	}
@@ -195,8 +172,10 @@ func (s *Server) Service() *core.Service { return s.svc }
 
 // SetDraining flips the drain flag: while set, /healthz answers 503 so
 // load balancers stop routing here, and new compile requests are refused
-// with 503. In-flight requests are unaffected — pair with
-// http.Server.Shutdown, which already waits for them.
+// with 503 — all but a peer's forwarded compile that this node can answer
+// from its table or tiers, which it serves without compiling. In-flight
+// requests are unaffected — pair with http.Server.Shutdown, which already
+// waits for them.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Close is the last step of a shutdown, after the listener has stopped
@@ -217,17 +196,15 @@ func (s *Server) Close(ctx context.Context) error {
 
 // Handler returns the server's routes:
 //
-//	POST /v1/compile         CompileRequest -> encoded artifact
-//	POST /v1/remap           RemapRequest -> encoded artifact for the degraded machine
-//	GET  /v1/artifact/{key}  raw encoded artifact bytes by key hash (peer fetch)
-//	GET  /healthz            liveness (503 while draining; fleet peer states)
-//	GET  /metrics            Prometheus text exposition
-//	GET  /debug/traces       retained request traces (recent + slowest)
+//	POST /v1/compile    CompileRequest -> encoded artifact
+//	POST /v1/remap      RemapRequest -> encoded artifact for the degraded machine
+//	GET  /healthz       liveness (503 while draining; fleet peer states)
+//	GET  /metrics       Prometheus text exposition
+//	GET  /debug/traces  retained request traces (recent + slowest)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/compile", s.traced("compile", s.handleCompile))
 	mux.HandleFunc("POST /v1/remap", s.traced("remap", s.handleRemap))
-	mux.HandleFunc("GET /v1/artifact/{key}", s.traced("artifact", s.handleArtifact))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", s.handleTraces)
@@ -268,9 +245,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if forwarded {
 		s.met.forwarded.Inc()
 	}
-	if s.draining.Load() {
-		s.met.errs.Inc()
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+	draining := s.draining.Load()
+	if draining && !forwarded {
+		s.fail(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 
@@ -304,25 +281,38 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	opts.Workers = s.cfg.CompileWorkers
 	// The request's one identity, derived from its wire form and passed
 	// down: it routes the request through the ring and names it in the
-	// service's table, the persistent tiers and the peer-fetch route. No
-	// graph is built for it, and none is validated: a spec that keys to
-	// bytes the node holds is one that was built and compiled before, and
-	// any other is checked where the service builds it (call.graph).
+	// service's table and the persistent tiers. No graph is built for it,
+	// and none is validated: a spec that keys to bytes the node holds is one
+	// that was built and compiled before, and any other is checked where
+	// the service builds it (call.graph).
 	_, span = obs.StartSpan(r.Context(), "key")
 	hash := core.HashOfSpec(&call.req.Graph, call.known.key)
 	span.End()
 
+	if draining {
+		// A peer's forwarded request: answered from what this node holds,
+		// never compiled — the proxying node compiles it instead.
+		body, ok := s.svc.EncodedByHash(r.Context(), hash)
+		if !ok {
+			s.fail(w, http.StatusServiceUnavailable, errDraining)
+			return
+		}
+		s.respond(w, r, forwarded, body, nil)
+		return
+	}
+
 	// Fleet routing: a request for a key another node owns is served from
-	// the local cache, fetched from the owner, or proxied — unless it was already forwarded once (one hop, never a cycle).
+	// the local cache or proxied to the owner — unless it was already
+	// forwarded once (one hop, never a cycle).
 	if s.fleetM != nil && !forwarded {
 		if owner := s.fleetM.Owner(hash); owner != s.fleetM.Self() {
 			if s.routeToOwner(w, r, owner, hash, call) {
 				return
 			}
-			// Owner unreachable: serve locally rather than fail. The result
+			// Owner unavailable: serve locally rather than fail. The result
 			// still lands in the shared store, so the fleet converges.
 			s.met.fallbacks.Inc()
-			s.log.LogAttrs(r.Context(), slog.LevelWarn, "owner unreachable; compiling locally",
+			s.log.LogAttrs(r.Context(), slog.LevelWarn, "owner unavailable; compiling locally",
 				slog.String("owner", owner), obs.TraceAttr(r.Context()))
 		}
 	}
@@ -346,8 +336,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // not a cache key.
 func (s *Server) handleRemap(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.met.errs.Inc()
-		http.Error(w, "server is draining", http.StatusServiceUnavailable)
+		s.fail(w, http.StatusServiceUnavailable, errDraining)
 		return
 	}
 
@@ -412,7 +401,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, forwarded bool,
 		status = http.StatusTooManyRequests
 		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		err = fmt.Errorf("compile queue full (%d in flight, %d queued)", s.cfg.MaxInFlight, s.cfg.MaxQueue)
+		err = fmt.Errorf("compile queue full (%d in flight, %d queued)", s.cfg.Service.MaxConcurrent, s.cfg.Service.MaxQueue)
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled), errors.Is(err, core.ErrClosed):
@@ -440,7 +429,11 @@ func (s *Server) writeBody(ctx context.Context, w http.ResponseWriter, status in
 	span.End()
 }
 
-// fail answers a request that never reached the service (malformed input).
+// errDraining refuses work this node will not take while it drains.
+var errDraining = errors.New("server is draining")
+
+// fail answers a request that never reached the service (malformed input,
+// or work refused while draining).
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	s.met.errs.Inc()
 	http.Error(w, err.Error(), status)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -244,7 +245,7 @@ func TestWireGoldenRoundTrip(t *testing.T) {
 // flight without consuming slots or queue space — and the pipeline must
 // run exactly once.
 func TestServerCoalescesThunderingHerd(t *testing.T) {
-	srv, base := startServer(t, server.Config{MaxInFlight: 1, MaxQueue: 1})
+	srv, base := startServer(t, server.Config{Service: core.ServiceConfig{MaxConcurrent: 1, MaxQueue: 1}})
 	g := appGraph(t, "DES", 8)
 	req := server.NewRequest(g, testOpts(2))
 
@@ -278,13 +279,13 @@ func TestServerCoalescesThunderingHerd(t *testing.T) {
 	}
 }
 
-// TestServerShedsLoadWith429: distinct requests beyond MaxInFlight +
+// TestServerShedsLoadWith429: distinct requests beyond MaxConcurrent +
 // MaxQueue are rejected with 429 and a Retry-After hint rather than piling
 // up, and the survivors still compile correctly. A 429 is latency the client
 // observed (its admission wait), so the shed requests are in the latency
 // record too: it holds every request received, not just the ones served.
 func TestServerShedsLoadWith429(t *testing.T) {
-	srv := server.New(server.Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 3 * time.Second})
+	srv := server.New(server.Config{Service: core.ServiceConfig{MaxConcurrent: 1, MaxQueue: 1}, RetryAfter: 3 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { stopServer(t, srv, ts) })
 	base := ts.URL
@@ -330,7 +331,7 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	}
 	wg.Wait()
 	if throttled == 0 {
-		t.Fatalf("no request was throttled (%d ok) with MaxInFlight=1 MaxQueue=1 and %d distinct concurrent requests", ok, len(reqs))
+		t.Fatalf("no request was throttled (%d ok) with MaxConcurrent=1 MaxQueue=1 and %d distinct concurrent requests", ok, len(reqs))
 	}
 	if ok == 0 {
 		t.Fatal("every request was throttled; admission must still serve the slot holder")
@@ -348,10 +349,54 @@ func TestServerShedsLoadWith429(t *testing.T) {
 	}
 }
 
+// TestServerAdmissionIsTheServices: the node's admission bound is its
+// service's MaxConcurrent and MaxQueue, as configured, and its series are
+// on /metrics even when the caller handed the service a registry of its
+// own. Two held runs fill the one slot and the one queue place, so a
+// compile beyond them is shed with 429 at once, without compiling.
+func TestServerAdmissionIsTheServices(t *testing.T) {
+	srv, base := startServer(t, server.Config{Service: core.ServiceConfig{
+		MaxConcurrent: 1, MaxQueue: 1, Metrics: obs.NewRegistry()}})
+	svc := srv.Service()
+	held, release := make(chan struct{}, 2), make(chan struct{})
+	var wg sync.WaitGroup
+	hold := func(key string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			svc.Flight(context.Background(), key, func(context.Context) ([]byte, error) {
+				held <- struct{}{}
+				<-release
+				return nil, nil
+			})
+		}()
+	}
+	defer wg.Wait()
+	defer close(release)
+	hold("hold/running")
+	<-held
+	hold("hold/queued")
+	for st := svc.Stats(); st.InFlight+st.Queued < 2; st = svc.Stats() {
+		runtime.Gosched()
+	}
+	if inFlight, queued := counter(t, srv, "streammap_in_flight"), counter(t, srv, "streammap_queued"); inFlight != 1 || queued != 1 {
+		t.Fatalf("/metrics shows %d in flight and %d queued, want the configured 1 and 1", inFlight, queued)
+	}
+
+	_, err := postJSON(context.Background(), base+"/v1/compile", server.NewRequest(appGraph(t, "DES", 8), testOpts(2)))
+	var we *wireError
+	if !errors.As(err, &we) || we.status != http.StatusTooManyRequests {
+		t.Fatalf("a compile beyond one slot and one queue place got %v, want 429", err)
+	}
+	if misses := counter(t, srv, "streammap_cache_misses_total"); misses != 0 {
+		t.Errorf("a shed request compiled (%d misses)", misses)
+	}
+}
+
 // TestServerDiskTierAcrossRestart is the byte-identity referee of the
 // serving path: for one key, the fresh response, a table hit, a disk-tier
-// hit after a restart, a shared-store hit on a second node and a peer
-// fetch through a fleet are the same bytes — the one encoding the one
+// hit after a restart, a shared-store hit on a second node and a proxy to
+// the owner through a fleet are the same bytes — the one encoding the one
 // fresh compile produced. The tier counters, not missing provenance, say
 // that no pipeline ran: exactly one compile and one encode happen over
 // the whole test.
@@ -409,9 +454,9 @@ func TestServerDiskTierAcrossRestart(t *testing.T) {
 		t.Errorf("second node: %d store hits / %d compiles, want 1 / 0", hits, misses)
 	}
 
-	answers["peer fetch"] = postCompile(t, nodes[1].url, body)
-	if hits := counter(t, nodes[1].srv, "streammap_fleet_peer_hits_total"); hits != 1 {
-		t.Errorf("non-owner counted %d peer hits, want 1", hits)
+	answers["proxy to the owner"] = postCompile(t, nodes[1].url, body)
+	if proxied := counter(t, nodes[1].srv, "streammap_fleet_proxied_total"); proxied != 1 {
+		t.Errorf("non-owner counted %d proxied requests, want 1", proxied)
 	}
 	all = append(all, nodes[0].srv, nodes[1].srv)
 
@@ -719,7 +764,7 @@ func TestEndToEndLoadTest(t *testing.T) {
 	srv, base := startServer(t, server.Config{
 		// Queue deep enough that the offered load, not shedding, shapes
 		// the run; the shedding path has its own test above.
-		MaxQueue: 512,
+		Service: core.ServiceConfig{MaxQueue: 512},
 	})
 	seq, bodies := synthTraffic(t, 0xBEEF, 4, 220, true)
 	res, served := replay(base, seq, bodies, 24, nil)
@@ -762,7 +807,7 @@ func TestRemapUnderLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remap load test skipped in -short mode")
 	}
-	srv := server.New(server.Config{MaxQueue: 512})
+	srv := server.New(server.Config{Service: core.ServiceConfig{MaxQueue: 512}})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { stopServer(t, srv, ts) })
 	seq, bodies := synthTraffic(t, 0xFA11, 4, 60, false)
