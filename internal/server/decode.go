@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -18,14 +17,16 @@ import (
 
 // The front of POST /v1/compile. A daemon mostly hands known artifacts
 // back, so what a request costs before its key exists is what a hit costs:
-// the body is read into memory the previous request used, and a scanner
-// written for this one schema fills a CompileRequest whose slices are the
-// previous request's too. encoding/json stays the definition of the wire
-// contract: anything outside the narrow grammar the scanner knows — which
-// covers what encoding/json emits for these types, in any key order and
-// with any whitespace — is "not mine" and is decoded by json.Unmarshal
-// instead, and FuzzDecodeRequest holds the two equal wherever the scanner
-// does answer. See DESIGN.md S14.
+// the body is read into memory the previous request used and decoded in
+// one pass into a CompileRequest whose slices are the previous request's
+// too. This file reads the envelope and carves the options out; the graph
+// is sdf's decoder's (GraphSpec.ScanJSON), the one artifacts reach through
+// json.Unmarshal. encoding/json stays the definition of the wire contract:
+// anything outside the narrow grammar the scan knows — which covers what
+// encoding/json emits for these types, in any key order and with any
+// whitespace — is "not mine", and the whole body is decoded by
+// json.Unmarshal instead. FuzzDecodeRequest holds the two equal wherever
+// the scan does answer. See DESIGN.md S14.
 
 // maxPooledBody bounds what a compileCall may keep between requests: one
 // that served a larger body is dropped, so the pool holds a handful of
@@ -38,12 +39,6 @@ type compileCall struct {
 	body []byte
 	req  CompileRequest
 
-	// The scanner's strings: their bytes back to back in names, and which
-	// field each belongs to, so that the whole request's names cost one
-	// allocation.
-	names []byte
-	refs  []nameRef
-
 	// The server's options table, scan's entry for the options (nil: decoded).
 	table   *optionsTable
 	known   *optionsEntry
@@ -54,10 +49,6 @@ type compileCall struct {
 	// still import req's graph. Such a call is never pooled again.
 	shared bool
 }
-
-// nameRef places one scanned string: names[previous end:end] is the filter
-// name of Nodes[node], or the graph's own name when node is -1.
-type nameRef struct{ node, end int }
 
 var callPool = sync.Pool{New: func() any { return new(compileCall) }}
 
@@ -134,49 +125,54 @@ func readBody(r io.Reader, buf []byte, declared int64) ([]byte, error) {
 	}
 }
 
-// scan decodes c.body into c.req in one pass, reusing c.req's slices. It
-// reports false — leaving c.req in no particular state — when the body is
-// not in the scanner's grammar: an unknown, duplicate or case-variant key,
-// a string with an escape or a non-ASCII byte, null, an integer field that
-// is not a plain integer of at most 18 digits, malformed JSON, an options
-// value json.Unmarshal rejects. Options the table knows are not decoded.
+// scan decodes c.body into c.req in one pass, reusing c.req's slices: it
+// reads the envelope, hands the graph to sdf's scanner where it starts and
+// carves the options out by bracket depth. It reports false — leaving c.req
+// in no particular state — when the body is not in the grammar: an unknown,
+// duplicate or case-variant key, a graph sdf's scanner declines, malformed
+// JSON, an options value json.Unmarshal rejects. Options the table knows are
+// not decoded.
 func (c *compileCall) scan() bool {
-	s := scanner{b: c.body, c: c}
-	c.names, c.refs, c.known = c.names[:0], c.refs[:0], nil
+	s := envelope{b: c.body}
 	g := &c.req.Graph
 	g.Name, g.Nodes, g.Edges = "", g.Nodes[:0], g.Edges[:0]
-	c.req.Options = artifact.Options{}
+	c.req.Options, c.known = artifact.Options{}, nil
 
 	var options []byte
-	ok := s.object(func(key []byte) (bit uint, ok bool) {
+	if !s.eat('{') {
+		return false
+	}
+	for first, seen := true, [2]bool{}; !s.eat('}'); first = false {
+		if !first && !s.eat(',') {
+			return false
+		}
+		key, ok := s.str()
+		if !ok || !s.eat(':') {
+			return false
+		}
 		switch string(key) {
 		case "graph":
-			return 0, s.graph(g)
+			s.i, ok = g.ScanJSON(s.b, s.i)
+			ok, seen[0] = ok && !seen[0], true
 		case "options":
 			// Carved out, not scanned: a few hundred bytes whose schema
 			// belongs to three other packages.
 			options, ok = s.rawObject()
-			return 1, ok
+			ok, seen[1] = ok && !seen[1], true
+		default:
+			return false
 		}
-		return 0, false
-	})
-	if s.ws(); !ok || s.i != len(s.b) {
+		if !ok {
+			return false
+		}
+	}
+	if s.ws(); s.i != len(s.b) {
 		return false
 	}
 	if c.known, c.options = c.table.get(options), options; c.known != nil {
 		c.req.Options = c.known.wire
 	} else if options != nil && json.Unmarshal(options, &c.req.Options) != nil {
 		return false
-	}
-
-	all, start := string(c.names), 0
-	for _, ref := range c.refs {
-		if ref.node < 0 {
-			g.Name = all[start:ref.end]
-		} else {
-			g.Nodes[ref.node].Filter.Name = all[start:ref.end]
-		}
-		start = ref.end
 	}
 	return true
 }
@@ -222,26 +218,21 @@ func (t *optionsTable) add(c *compileCall, how string) (e *optionsEntry, err err
 	return e, err
 }
 
-// scanner is a cursor over one request body. Every method skips leading
-// whitespace, consumes what it names and reports whether it was there.
-type scanner struct {
+// envelope is a cursor over one request body's top-level object. Every
+// method skips leading whitespace, consumes what it names and reports
+// whether it was there.
+type envelope struct {
 	b []byte
 	i int
-	c *compileCall
 }
 
-func (s *scanner) ws() {
-	for s.i < len(s.b) && s.b[s.i] <= ' ' {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
+func (s *envelope) ws() {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+		s.i++
 	}
 }
 
-func (s *scanner) eat(ch byte) bool {
+func (s *envelope) eat(ch byte) bool {
 	if s.ws(); s.i < len(s.b) && s.b[s.i] == ch {
 		s.i++
 		return true
@@ -249,186 +240,24 @@ func (s *scanner) eat(ch byte) bool {
 	return false
 }
 
-// more steps to the next element of an object or array whose opener has
-// been consumed: it takes the closer (more false), or the comma every
-// element but the first must follow.
-func (s *scanner) more(first bool, closer byte) (more, ok bool) {
-	if s.eat(closer) {
-		return false, true
-	}
-	return true, first || s.eat(',')
-}
-
-// object consumes an object, calling member with each key met to consume
-// its value and number it (unknown keys, and known ones in another case,
-// it refuses); a number met twice is a duplicate member and fails.
-func (s *scanner) object(member func(key []byte) (uint, bool)) bool {
-	if !s.eat('{') {
-		return false
-	}
-	var seen uint
-	for first := true; ; first = false {
-		more, ok := s.more(first, '}')
-		if !ok || !more {
-			return ok
-		}
-		key, ok := s.str()
-		if !ok || !s.eat(':') {
-			return false
-		}
-		bit, ok := member(key)
-		if !ok || seen&(1<<bit) != 0 {
-			return false
-		}
-		seen |= 1 << bit
-	}
-}
-
-// array consumes an array, calling elem to consume each element.
-func (s *scanner) array(elem func() bool) bool {
-	if !s.eat('[') {
-		return false
-	}
-	for first := true; ; first = false {
-		more, ok := s.more(first, ']')
-		if !ok || !more {
-			return ok
-		}
-		if !elem() {
-			return false
-		}
-	}
-}
-
-// plain marks the bytes a scanned string may hold: printable ASCII but for
-// the quote that ends it and the backslash that would start an escape.
-var plain = func() (t [256]bool) {
-	for ch := 0x20; ch < 0x80; ch++ {
-		t[ch] = ch != '"' && ch != '\\'
-	}
-	return t
-}()
-
-// str consumes a string of plain bytes and returns them; they alias the
-// body.
-func (s *scanner) str() ([]byte, bool) {
+// str consumes a string and returns the bytes between its quotes. Keys are
+// only compared with names that need no escape, so an escape, read raw,
+// can only fail to match.
+func (s *envelope) str() ([]byte, bool) {
 	if !s.eat('"') {
 		return nil, false
 	}
-	start := s.i
-	for s.i < len(s.b) && plain[s.b[s.i]] {
-		s.i++
-	}
-	if s.i == len(s.b) || s.b[s.i] != '"' {
+	n := bytes.IndexByte(s.b[s.i:], '"')
+	if n < 0 {
 		return nil, false
 	}
-	s.i++
-	return s.b[start : s.i-1], true
-}
-
-// name consumes a string and books it for node's filter (-1: the graph).
-func (s *scanner) name(node int) bool {
-	b, ok := s.str()
-	if ok {
-		s.c.names = append(s.c.names, b...)
-		s.c.refs = append(s.c.refs, nameRef{node, len(s.c.names)})
-	}
-	return ok
-}
-
-// digits consumes a run of decimal digits and returns how many.
-func (s *scanner) digits() int {
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
-		s.i++
-	}
-	return s.i - start
-}
-
-// integer consumes the JSON integer "-"? ("0" | [1-9][0-9]*).
-func (s *scanner) integer() (text []byte, ok bool) {
-	s.ws()
-	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
-	}
-	first := s.i
-	n := s.digits()
-	return s.b[start:s.i], n == 1 || (n > 1 && s.b[first] != '0')
-}
-
-// int64 consumes an integer of at most 18 digits — so it cannot overflow —
-// with no fraction or exponent: what follows must be the comma or closer
-// the caller looks for next.
-func (s *scanner) int64() (int64, bool) {
-	text, ok := s.integer()
-	if !ok {
-		return 0, false
-	}
-	neg := text[0] == '-'
-	if neg {
-		text = text[1:]
-	}
-	if len(text) > 18 {
-		return 0, false
-	}
-	var v int64
-	for _, d := range text {
-		v = v*10 + int64(d-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
-// int is int64 for an int field; where int is narrower, a value that does
-// not fit is json.Unmarshal's to refuse.
-func (s *scanner) int() (int, bool) {
-	v, ok := s.int64()
-	return int(v), ok && int64(int(v)) == v
-}
-
-// float consumes any JSON number and converts it as encoding/json does.
-func (s *scanner) float() (float64, bool) {
-	text, ok := s.integer()
-	if !ok {
-		return 0, false
-	}
-	start := s.i - len(text)
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		if s.i++; s.digits() == 0 {
-			return 0, false
-		}
-	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		if s.i++; s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
-		}
-		if s.digits() == 0 {
-			return 0, false
-		}
-	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
-	return f, err == nil
-}
-
-func (s *scanner) bool() (v, ok bool) {
-	s.ws()
-	switch rest := s.b[s.i:]; {
-	case len(rest) >= 4 && string(rest[:4]) == "true":
-		s.i += 4
-		return true, true
-	case len(rest) >= 5 && string(rest[:5]) == "false":
-		s.i += 5
-		return false, true
-	}
-	return false, false
+	s.i += n + 1
+	return s.b[s.i-n-1 : s.i-1], true
 }
 
 // rawObject consumes one object and returns its bytes, finding its end by
 // bracket depth alone: whether they are valid is json.Unmarshal's to say.
-func (s *scanner) rawObject() ([]byte, bool) {
+func (s *envelope) rawObject() ([]byte, bool) {
 	if !s.eat('{') {
 		return nil, false
 	}
@@ -458,137 +287,4 @@ func (s *scanner) rawObject() ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ints and floats consume an array of numbers into dst's memory.
-func (s *scanner) ints(dst []int) ([]int, bool) {
-	dst = dst[:0]
-	ok := s.array(func() bool {
-		v, ok := s.int()
-		dst = append(dst, v)
-		return ok
-	})
-	return dst, ok
-}
-
-func (s *scanner) floats(dst []sdf.Token) ([]sdf.Token, bool) {
-	dst = dst[:0]
-	ok := s.array(func() bool {
-		v, ok := s.float()
-		dst = append(dst, v)
-		return ok
-	})
-	return dst, ok
-}
-
-func (s *scanner) graph(g *sdf.GraphSpec) bool {
-	return s.object(func(key []byte) (uint, bool) {
-		switch string(key) {
-		case "name":
-			return 0, s.name(-1)
-		case "nodes":
-			return 1, s.array(func() bool { return s.node(g) })
-		case "edges":
-			return 2, s.array(func() bool { return s.edge(g) })
-		}
-		return 0, false
-	})
-}
-
-// node consumes the next node of g into the slot after the last, keeping
-// the slices of whichever node last lived there.
-func (s *scanner) node(g *sdf.GraphSpec) bool {
-	if len(g.Nodes) < cap(g.Nodes) {
-		g.Nodes = g.Nodes[:len(g.Nodes)+1]
-	} else {
-		g.Nodes = append(g.Nodes, sdf.NodeSpec{})
-	}
-	index := len(g.Nodes) - 1
-	n := &g.Nodes[index]
-	f := &n.Filter
-	*n = sdf.NodeSpec{Filter: sdf.FilterSpec{Inputs: f.Inputs[:0], Outputs: f.Outputs[:0], Init: f.Init[:0]}}
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "filter":
-			return 0, s.filter(f, index)
-		case "pipe":
-			n.Pipe, ok = s.int()
-			return 1, ok
-		}
-		return 0, false
-	})
-}
-
-func (s *scanner) filter(f *sdf.FilterSpec, index int) bool {
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "name":
-			bit, ok = 0, s.name(index)
-		case "kind":
-			bit = 1
-			f.Kind, ok = s.int()
-		case "ops":
-			bit = 2
-			f.Ops, ok = s.int64()
-		case "zeroCopy":
-			bit = 3
-			f.ZeroCopy, ok = s.bool()
-		case "inputs":
-			bit, ok = 4, s.array(func() bool { return s.port(f) })
-		case "outputs":
-			bit = 5
-			f.Outputs, ok = s.ints(f.Outputs)
-		case "init":
-			bit = 6
-			f.Init, ok = s.floats(f.Init)
-		}
-		return bit, ok
-	})
-}
-
-func (s *scanner) port(f *sdf.FilterSpec) bool {
-	var p sdf.PortSpec
-	ok := s.object(func(key []byte) (bit uint, ok bool) {
-		switch string(key) {
-		case "pop":
-			bit = 0
-			p.Pop, ok = s.int()
-		case "peek":
-			bit = 1
-			p.Peek, ok = s.int()
-		}
-		return bit, ok
-	})
-	f.Inputs = append(f.Inputs, p)
-	return ok
-}
-
-func (s *scanner) edge(g *sdf.GraphSpec) bool {
-	if len(g.Edges) < cap(g.Edges) {
-		g.Edges = g.Edges[:len(g.Edges)+1]
-	} else {
-		g.Edges = append(g.Edges, sdf.EdgeSpec{})
-	}
-	e := &g.Edges[len(g.Edges)-1]
-	*e = sdf.EdgeSpec{Initial: e.Initial[:0]}
-	return s.object(func(key []byte) (bit uint, ok bool) {
-		var field *int
-		switch string(key) {
-		case "src":
-			bit, field = 0, &e.Src
-		case "srcPort":
-			bit, field = 1, &e.SrcPort
-		case "dst":
-			bit, field = 2, &e.Dst
-		case "dstPort":
-			bit, field = 3, &e.DstPort
-		case "initial":
-			e.Initial, ok = s.floats(e.Initial)
-			return 4, ok
-		default:
-			return 0, false
-		}
-		*field, ok = s.int()
-		return bit, ok
-	})
 }

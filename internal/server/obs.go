@@ -99,7 +99,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		m.proxied = reg.Counter("streammap_fleet_proxied_total", "Non-owned requests proxied to their owner.")
 		m.localHits = reg.Counter("streammap_fleet_local_hits_total", "Non-owned requests served from this node's own caches.")
 		m.forwarded = reg.Counter("streammap_fleet_forwarded_total", "Requests a peer proxied here.")
-		m.fallbacks = reg.Counter("streammap_fleet_fallbacks_total", "Non-owned requests compiled locally because the owner was unreachable.")
+		m.fallbacks = reg.Counter("streammap_fleet_fallbacks_total", "Non-owned requests compiled locally: the owner was unreachable, its bytes failed their content hash, or it answered 503 (draining).")
 		m.peerBadBytes = reg.Counter("streammap_fleet_peer_bad_bytes_total", "Peer responses that failed integrity verification.")
 		m.peerRetries = reg.Counter("streammap_fleet_peer_retries_total", "Extra peer attempts after a first transport failure.")
 		m.breakerSkips = reg.Counter("streammap_fleet_breaker_skips_total", "Non-owned requests that skipped peer I/O on an open circuit.")
