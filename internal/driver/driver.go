@@ -5,13 +5,14 @@
 //
 // Each pass is a named, timed, cancellable stage sharing one
 // context.Context; per-stage wall-clock metrics are recorded on the result.
-// One pass is parallel, in its independent units only: the mapper runs
-// local search's seed descents side by side (package mapping) and commits
-// serially in a fixed order, so the artifacts are bit-identical at any
-// worker count: Workers=1 is the serial reference the differential harness
-// compares against (see DESIGN.md S9, S10). The partitioner (package
-// partition) runs Algorithm 1 on the calling goroutine against the
-// compile's own estimation engine (package pee).
+// Two passes are parallel, in their independent units only, and commit
+// serially in a fixed order: the mapper runs local search's seed descents
+// side by side (package mapping), and Algorithm 1 (package partition)
+// evaluates one merge scan's candidate groups side by side against the
+// compile's own estimation engine (package pee), committing the scan's
+// first profitable merge. So the artifacts are bit-identical at any worker
+// count: Workers=1 is the serial reference the differential harness
+// compares against (see DESIGN.md S4, S10).
 //
 // Callers compile through this package directly (Compile); core.Service
 // adds the caching compile service on top.
@@ -93,10 +94,10 @@ type Options struct {
 	// and artifact options.
 	MultilevelThreshold int
 
-	// Workers bounds the worker pool of the mapper's seed descents, the
-	// one parallel pass. 0 selects GOMAXPROCS; 1 runs every pass serially.
-	// The result is identical either way — workers only change wall-clock
-	// time.
+	// Workers bounds the goroutines of the two parallel passes: the
+	// mapper's seed descents and Algorithm 1's merge scans. 0 selects
+	// GOMAXPROCS; 1 runs every pass serially. The result is identical
+	// either way — workers only change wall-clock time.
 	Workers int
 }
 
@@ -280,8 +281,9 @@ func multilevelSelected(opts Options, g *sdf.Graph) bool {
 	return false
 }
 
-// stagePartition runs the selected partitioner on the calling goroutine,
-// with an estimation engine that lives for this pass only: the compile keeps
+// stagePartition runs the selected partitioner (Algorithm 1's scans on up
+// to Options.Workers goroutines, the rest on the calling goroutine), with
+// an estimation engine that lives for this pass only: the compile keeps
 // the engine's counters, not its memo. The stage's span notes how hard the
 // engine worked and, when the multilevel path served the compile, its
 // hierarchy and refinement counters.
@@ -292,7 +294,7 @@ func stagePartition(ctx context.Context, c *Compiled) error {
 	case multilevelSelected(c.Options, c.Graph):
 		c.Parts, err = partition.Multilevel(ctx, c.Graph, eng, partition.MLOptions{})
 	case c.Options.Partitioner == Alg1:
-		c.Parts, err = partition.RunCtx(ctx, c.Graph, eng, 1)
+		c.Parts, err = partition.RunCtx(ctx, c.Graph, eng, c.Options.Workers)
 	case c.Options.Partitioner == PrevWorkPart:
 		c.Parts, err = partition.PrevWork(c.Graph, eng, c.Options.Device)
 	case c.Options.Partitioner == SinglePart:

@@ -1,6 +1,33 @@
 package partition
 
-import "streammap/internal/sdf"
+import (
+	"context"
+
+	"streammap/internal/pee"
+	"streammap/internal/sdf"
+)
+
+// phase4OffCaller runs Algorithm 1 through phase 3, then phase 4's first
+// scan, and returns how many of its groups a goroutine other than the
+// caller evaluated, and how many groups it had.
+func phase4OffCaller(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) (off, groups int, err error) {
+	p := newPartitioner(ctx, g, eng, workers)
+	for _, phase := range []func() error{p.phase0SCC, p.phase1, p.phase2Remaining, p.phase3BoundMerging} {
+		if err := phase(); err != nil {
+			return 0, 0, err
+		}
+	}
+	groups, eval := p.tripleScan()
+	if _, err := p.scan(groups, eval); err != nil {
+		return 0, 0, err
+	}
+	for _, r := range p.recs[:groups] {
+		if r.w != nil && r.w != p.ws[0] {
+			off++
+		}
+	}
+	return off, groups, nil
+}
 
 // QuotientProbe holds one level's quotient and a fixed assignment of its
 // units to partitions, and answers the multilevel path's structural checks

@@ -18,6 +18,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"streammap/internal/pee"
@@ -75,27 +76,31 @@ type partitioner struct {
 	// Scratch reused by every Try-Merge: each candidate union is built in
 	// the one union set, listed into members for the engine, and convexity
 	// checks reuse the checker's traversal buffers, so the scan allocates
-	// only for accepted merges and memo misses.
+	// only for accepted merges and memo misses. The caller's scan worker
+	// shares the union and the checker; the others are built on first use.
 	union     sdf.NodeSet
 	convex    *sdf.ConvexChecker
 	members   []sdf.NodeID
 	idScratch []sdf.NodeID
+	workers   int
+	ws        []*scanWorker
+	recs      []groupRec
+
+	// Phase 3's lists, reused by every scan: partners and candidates in
+	// TW order, and each partition's positions in them.
+	partners, cands []int
+	at              [][2]int
 }
 
-// RunCtx executes Algorithm 1 on the calling goroutine: the paper's greedy
-// scan restarts on the first profitable merge, so it has no independent
-// units to spread. The context cancels the run between phases and between
-// merge rounds. The last argument is unused; it survives only because the
-// frozen bench/compile.go passes it, and the next benchmark PR drops it.
-func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, _ int) (*Result, error) {
-	n := g.NumNodes()
-	p := &partitioner{g: g, eng: eng, ctx: ctx, assigned: make([]int, n),
-		union: sdf.NewNodeSet(n), convex: g.NewConvexChecker()}
-	for i := range p.assigned {
-		p.assigned[i] = -1
-	}
+// RunCtx executes Algorithm 1. Its commits are serial, in the paper's
+// order: each phase-3 and phase-4 scan restarts on its first profitable
+// merge. One scan's candidates are evaluated on up to workers goroutines,
+// the caller included (scan), with the same result, engine Stats and memo
+// as a serial scan at any worker count. The context cancels the run
+// between phases and between a scan's groups.
+func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) (*Result, error) {
+	p := newPartitioner(ctx, g, eng, workers)
 	res := &Result{Graph: g}
-
 	phases := []func() error{p.phase0SCC, p.phase1, p.phase2Remaining, p.phase3BoundMerging, p.phase4Simultaneous}
 	for i, phase := range phases {
 		if err := p.cancelled(); err != nil {
@@ -116,6 +121,18 @@ func RunCtx(ctx context.Context, g *sdf.Graph, eng *pee.Engine, _ int) (*Result,
 	}
 	sortParts(p.g, res.Parts)
 	return res, nil
+}
+
+// newPartitioner prepares a run with no partition yet.
+func newPartitioner(ctx context.Context, g *sdf.Graph, eng *pee.Engine, workers int) *partitioner {
+	n := g.NumNodes()
+	p := &partitioner{g: g, eng: eng, ctx: ctx, assigned: make([]int, n),
+		union: sdf.NewNodeSet(n), convex: g.NewConvexChecker(), workers: max(workers, 1)}
+	p.ws = []*scanWorker{{union: p.union, convex: p.convex}}
+	for i := range p.assigned {
+		p.assigned[i] = -1
+	}
+	return p
 }
 
 // cancelled reports a context cancellation, if any.
@@ -382,63 +399,91 @@ func (p *partitioner) phase3BoundMerging() error {
 			if err := p.cancelled(); err != nil {
 				return err
 			}
-			mergedAny := false
 			// Ascending execution time: smaller workloads merge first. The
 			// parts change only at a merge, which restarts the scan, so one
 			// partner order serves every candidate of the scan.
-			partners := p.liveIndices(func(pt *cand) bool {
+			partners := p.liveIndices(p.partners[:0], func(pt *cand) bool {
 				return !spec.partnerIO || !pt.est.ComputeBound()
 			})
 			p.sortByTW(partners)
 			cands := partners
 			if spec.candIO != spec.partnerIO {
-				cands = p.liveIndices(func(pt *cand) bool {
+				cands = p.liveIndices(p.cands[:0], func(pt *cand) bool {
 					return !spec.candIO || !pt.est.ComputeBound()
 				})
 				p.sortByTW(cands)
+				p.cands = cands
 			}
-			for _, ci := range cands {
-				if p.parts[ci] == nil {
-					continue
-				}
-				for _, pi := range partners {
-					if err := p.cancelled(); err != nil {
-						return err
-					}
-					if pi == ci || p.parts[pi] == nil || p.parts[ci] == nil {
-						continue
-					}
-					a, b := p.parts[ci], p.parts[pi]
-					if !a.boundary.Intersects(b.set) {
-						continue // no edge links the two
-					}
-					p.union.CopyFrom(a.set)
-					p.union.UnionWith(b.set)
-					if merged := p.tryMergeSets(p.union, a.tw()+b.tw()); merged != nil {
-						p.install(merged, ci, pi)
-						mergedAny = true
-						break
-					}
-				}
-				if mergedAny {
-					break // restart scan with updated lists, as in the paper
-				}
+			// at[i]: partition i's position among the partners, and its
+			// group (position among the candidates), or -1.
+			at := slices.Grow(p.at[:0], len(p.parts))[:len(p.parts)]
+			for i := range at {
+				at[i] = [2]int{-1, -1}
 			}
-			if !mergedAny {
+			for i, pi := range partners {
+				at[pi][0] = i
+			}
+			for g, ci := range cands {
+				at[ci][1] = g
+			}
+			p.partners, p.at = partners, at
+			m, err := p.scan(len(cands), func(w *scanWorker, g int) *merge {
+				ci := cands[g]
+				a := p.parts[ci]
+				// ci's neighbours among the partners, in partner order.
+				w.adj = w.adj[:0]
+				for _, j := range p.neighborPartitions(ci) {
+					if at[j][0] >= 0 {
+						w.adj = append(w.adj, at[j][0])
+					}
+				}
+				slices.Sort(w.adj)
+				for _, i := range w.adj {
+					pi := partners[i]
+					if w.abandoned() {
+						return nil
+					}
+					b := p.parts[pi]
+					w.union.CopyFrom(a.set)
+					w.union.UnionWith(b.set)
+					// pi's own group, when earlier, tried this very union,
+					// at the same combined TW, and did not merge.
+					if merged := w.try(p, a.tw()+b.tw(), at[pi][1] >= 0 && at[pi][1] < g); merged != nil {
+						return &merge{merged, []int{ci, pi}}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if m == nil {
 				break
 			}
+			p.install(m.part, m.victims...) // restart scan with updated lists, as in the paper
 		}
 	}
 	return nil
 }
 
-// sortByTW orders partition indices by ascending TW.
+// sortByTW orders partition indices by ascending TW. Identical filters
+// give equal TW, and the order of ties is part of the result: it must
+// stay sort.Slice's (TestSortByTWMatchesSortSlice).
 func (p *partitioner) sortByTW(idx []int) {
-	sort.Slice(idx, func(a, b int) bool { return p.tws[idx[a]] < p.tws[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int {
+		if p.tws[a] < p.tws[b] {
+			return -1
+		}
+		if p.tws[a] > p.tws[b] {
+			return 1
+		}
+		return 0
+	})
 }
 
-func (p *partitioner) liveIndices(keep func(*cand) bool) []int {
-	out := make([]int, 0, len(p.parts))
+// liveIndices appends to out the indices of the live partitions keep
+// accepts, ascending.
+func (p *partitioner) liveIndices(out []int, keep func(*cand) bool) []int {
 	for i, pt := range p.parts {
 		if pt != nil && keep(pt) {
 			out = append(out, i)
@@ -457,40 +502,14 @@ func (p *partitioner) phase4Simultaneous() error {
 		if err := p.cancelled(); err != nil {
 			return err
 		}
-		mergedAny := false
-		live := p.liveIndices(func(*cand) bool { return true })
-		for _, ci := range live {
-			if p.parts[ci] == nil {
-				continue
-			}
-			neigh := p.neighborPartitions(ci)
-			for x := 0; x < len(neigh) && !mergedAny; x++ {
-				for y := x + 1; y < len(neigh); y++ {
-					if err := p.cancelled(); err != nil {
-						return err
-					}
-					qi, ri := neigh[x], neigh[y]
-					if p.parts[qi] == nil || p.parts[ri] == nil || p.parts[ci] == nil {
-						continue
-					}
-					a, b, c := p.parts[ci], p.parts[qi], p.parts[ri]
-					p.union.CopyFrom(a.set)
-					p.union.UnionWith(b.set)
-					p.union.UnionWith(c.set)
-					if merged := p.tryMergeSets(p.union, a.tw()+b.tw()+c.tw()); merged != nil {
-						p.install(merged, ci, qi, ri)
-						mergedAny = true
-						break
-					}
-				}
-			}
-			if mergedAny {
-				break
-			}
+		m, err := p.scan(p.tripleScan())
+		if err != nil {
+			return err
 		}
-		if !mergedAny {
+		if m == nil {
 			break
 		}
+		p.install(m.part, m.victims...)
 	}
 
 	// (2) all nodes at once.
@@ -505,11 +524,37 @@ func (p *partitioner) phase4Simultaneous() error {
 			combined += pt.tw()
 		}
 		if merged := p.tryMergeSets(all, combined); merged != nil {
-			idxs := p.liveIndices(func(*cand) bool { return true })
+			idxs := p.liveIndices(nil, func(*cand) bool { return true })
 			p.install(merged, idxs...)
 		}
 	}
 	return nil
+}
+
+// tripleScan is one phase-4 scan. Group g is the g-th union the serial scan
+// tries: a live partition with two of its neighbours. One union per group,
+// because a hub partition's neighbour pairs can be most of a scan
+// (FMRadio-32 has two hubs of 528 pairs each).
+func (p *partitioner) tripleScan() (int, scanEval) {
+	var triples [][3]int
+	for _, ci := range p.liveIndices(nil, func(*cand) bool { return true }) {
+		neigh := p.neighborPartitions(ci)
+		for x, qi := range neigh {
+			for _, ri := range neigh[x+1:] {
+				triples = append(triples, [3]int{ci, qi, ri})
+			}
+		}
+	}
+	return len(triples), func(w *scanWorker, g int) *merge {
+		a, b, c := p.parts[triples[g][0]], p.parts[triples[g][1]], p.parts[triples[g][2]]
+		w.union.CopyFrom(a.set)
+		w.union.UnionWith(b.set)
+		w.union.UnionWith(c.set)
+		if merged := w.try(p, a.tw()+b.tw()+c.tw(), false); merged != nil {
+			return &merge{merged, triples[g][:]}
+		}
+		return nil
+	}
 }
 
 // neighborPartitions returns indices of partitions adjacent to parts[ci],

@@ -2,6 +2,9 @@ package partition
 
 import (
 	"context"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -312,9 +315,9 @@ func appGraph(t *testing.T, name string, n int) *sdf.Graph {
 
 // TestPartitionerEngineWork pins the engine work Algorithm 1 does on the
 // paper apps, exactly (the values measured before phase 1 lost its chain
-// fan-out): the scan asks the engine only what it must, so speculative
-// scoring of any kind — such as the Try-Merge prewarm PR 21 deleted —
-// moves these counts.
+// fan-out), at every worker bound: a scan settles only what the serial
+// scan asks, so speculative scoring that leaks into the engine — such as
+// a Try-Merge prewarm of every eligible union — moves these counts.
 func TestPartitionerEngineWork(t *testing.T) {
 	for _, tc := range []struct {
 		app  string
@@ -327,12 +330,31 @@ func TestPartitionerEngineWork(t *testing.T) {
 		{"BitonicRec", 64, pee.Stats{Queries: 1900, Misses: 1540}},
 	} {
 		g := appGraph(t, tc.app, tc.n)
-		eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
-		if _, err := RunCtx(context.Background(), g, eng, 1); err != nil {
-			t.Fatalf("%s-%d: %v", tc.app, tc.n, err)
+		for _, workers := range []int{1, 2, 8} {
+			eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
+			if _, err := RunCtx(context.Background(), g, eng, workers); err != nil {
+				t.Fatalf("%s-%d at %d workers: %v", tc.app, tc.n, workers, err)
+			}
+			if got := eng.Stats(); got != tc.want {
+				t.Errorf("%s-%d at %d workers: the engine reads %v, want %v", tc.app, tc.n, workers, got, tc.want)
+			}
 		}
-		if got := eng.Stats(); got != tc.want {
-			t.Errorf("%s-%d: the engine reads %v, want %v", tc.app, tc.n, got, tc.want)
+	}
+}
+
+// TestScanClaimsOffCaller keeps the parallel path alive: phase 4's first
+// scan on DCT-30 walks past the gate without a merge, so at two workers the
+// helper evaluates at least the group it was started on.
+func TestScanClaimsOffCaller(t *testing.T) {
+	g := appGraph(t, "DCT", 30)
+	eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))
+	for _, workers := range []int{1, 2} {
+		off, groups, err := phase4OffCaller(context.Background(), g, eng, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if groups <= scanGate || (off > 0) != (workers > 1) {
+			t.Errorf("%d workers: %d of the scan's %d groups were evaluated off the caller", workers, off, groups)
 		}
 	}
 }
@@ -344,5 +366,28 @@ func TestRunCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunCtx(ctx, g, engineFor(t, g), 1); err == nil {
 		t.Error("cancelled run succeeded")
+	}
+}
+
+// TestSortByTWMatchesSortSlice holds phase 3's restart order to the
+// sort.Slice order it had: on tie-heavy TW lists of up to 300 partitions,
+// slices.SortFunc must leave the very same permutation, or a scan would
+// try its candidates in another order.
+func TestSortByTWMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x7157))
+	for c := 0; c < 20_000; c++ {
+		n := 1 + rng.Intn(300)
+		p := &partitioner{tws: make([]float64, n)}
+		distinct := 1 + rng.Intn(n)
+		for i := range p.tws {
+			p.tws[i] = float64(rng.Intn(distinct))
+		}
+		got := rng.Perm(n)
+		want := slices.Clone(got)
+		sort.Slice(want, func(a, b int) bool { return p.tws[want[a]] < p.tws[want[b]] })
+		p.sortByTW(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%d partitions, %d distinct TW: SortFunc %v, sort.Slice %v", n, distinct, got, want)
+		}
 	}
 }

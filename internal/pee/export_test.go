@@ -15,16 +15,14 @@ func EstimateSubgraph(s *sdf.Subgraph, prof *Profile) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := make([]nodeCost, 0, s.Sub.NumNodes())
-	var sVals []int
+	sc := &Scorer{costs: make([]nodeCost, 0, s.Sub.NumNodes())}
 	for _, n := range s.Sub.Nodes {
 		f := s.Sub.Rep(n.ID)
 		parent := s.NodeOf[n.ID]
-		costs = append(costs, nodeCost{cycles: float64(f) * prof.PerFiringCycles[parent], f: f})
-		sVals = appendCandidates(sVals, f, d)
+		sc.costs = append(sc.costs, nodeCost{cycles: float64(f) * prof.PerFiringCycles[parent], f: f})
+		sc.markCandidate(f, d)
 	}
-	sVals = finishCandidates(sVals, d)
-	sc := &estScratch{costs: costs, sVals: sVals}
+	sc.finishCandidates(d)
 	return sc.sweep(prof, lay.PeakBytes, subgraphIOBytes(s))
 }
 

@@ -22,8 +22,8 @@ package pee
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"streammap/internal/gpu"
 	"streammap/internal/sdf"
@@ -115,9 +115,9 @@ type Estimate struct {
 func (e *Estimate) ComputeBound() bool { return e.TcompUS >= e.TdtUS }
 
 // Engine estimates subgraphs against one profile, memoizing by member list.
-// It is not safe for concurrent use. An engine lives for one partitioning
-// run, on that run's goroutine, and no long-lived struct holds one, so the
-// memo dies with the run that filled it.
+// Only Peek is safe for concurrent use, and only while nothing calls
+// Estimate or Settle. An engine lives for one partitioning run, and no
+// long-lived struct holds one, so the memo dies with the run that filled it.
 //
 // The hot path is allocation-lean: queries key on sdf.HashMembers (no string
 // key is built), hits return after comparing the stored list, and misses
@@ -136,7 +136,7 @@ type Engine struct {
 	memo            map[uint64][]memoEntry
 	queries, misses int64
 
-	scratch estScratch
+	scorer Scorer
 }
 
 // memoEntry is one scored member list: an owned clone, the collision-safe
@@ -147,11 +147,12 @@ type memoEntry struct {
 	err     error
 }
 
-// estScratch is the scoring workspace: the subgraph view plus the sweep's
-// candidate buffers.
-type estScratch struct {
+// Scorer is one goroutine's scoring workspace: the subgraph view plus the
+// sweep's candidate buffers.
+type Scorer struct {
 	view  sdf.SubView
 	costs []nodeCost
+	sBits []uint64 // candidate S values being marked, a bitset over [0, MaxThreadsPerBlock)
 	sVals []int
 	tcomp []float64 // Tcomp per candidate S, parallel to sVals
 }
@@ -222,23 +223,49 @@ func (e *Engine) ScaleOf(members []sdf.NodeID) int64 {
 
 // Estimate estimates the partition given as an ascending member list of the
 // parent graph, once per distinct list: the memo stores an owned clone, so
-// the caller may reuse its slice. The hit path performs no allocation. A
-// miss scores the members through the view path, which reproduces scoring
-// the extracted subgraph bit for bit: the same member order drives the same
-// cost summation, the same SM and I/O byte totals feed the same parameter
-// sweep, and the same infeasibility conditions yield the same errors.
+// the caller may reuse its slice. A miss scores the members through the view
+// path, which reproduces scoring the extracted subgraph bit for bit: the
+// same member order drives the same cost summation, the same SM and I/O byte
+// totals feed the same parameter sweep, and the same infeasibility
+// conditions yield the same errors.
 func (e *Engine) Estimate(members []sdf.NodeID) (*Estimate, error) {
+	est, err := e.Peek(&e.scorer, members)
+	return e.Settle(members, est, err)
+}
+
+// Peek answers a query as Estimate would, from the memo or by scoring the
+// members in s, but counts and stores nothing, so goroutines with their own
+// Scorers may Peek at once while nothing calls Estimate or Settle.
+func (e *Engine) Peek(s *Scorer, members []sdf.NodeID) (*Estimate, error) {
+	if m := e.find(listHash(members), members); m != nil {
+		return m.est, m.err
+	}
+	return e.score(s, members)
+}
+
+// Settle counts one query Peek answered with (est, err), as Estimate counts
+// it: a hit returns the memo's verdict, a miss stores this one. Settling the
+// queries of a serial scan in its order leaves Stats and the memo as that
+// scan's Estimate calls would.
+func (e *Engine) Settle(members []sdf.NodeID, est *Estimate, err error) (*Estimate, error) {
 	e.queries++
 	h := listHash(members)
-	for _, m := range e.memo[h] {
-		if slices.Equal(m.members, members) {
-			return m.est, m.err
-		}
+	if m := e.find(h, members); m != nil {
+		return m.est, m.err
 	}
 	e.misses++
-	est, err := e.estimate(members)
 	e.memo[h] = append(e.memo[h], memoEntry{members: slices.Clone(members), est: est, err: err})
 	return est, err
+}
+
+// find returns the memo entry for members, or nil.
+func (e *Engine) find(h uint64, members []sdf.NodeID) *memoEntry {
+	for i, m := range e.memo[h] {
+		if slices.Equal(m.members, members) {
+			return &e.memo[h][i]
+		}
+	}
+	return nil
 }
 
 // nodeCost is one member's contribution to Tcomp: t_i in cycles and the
@@ -248,35 +275,37 @@ type nodeCost struct {
 	f      int64
 }
 
-// appendCandidates accumulates one member's candidate S value: its firing
-// rate when it fits in a block, else the largest warp-aligned S.
-func appendCandidates(sVals []int, f int64, d *gpu.Device) []int {
+// markCandidate marks one member's candidate S value: its firing rate when
+// it fits in a block, else the largest warp-aligned S.
+func (sc *Scorer) markCandidate(f int64, d *gpu.Device) {
+	s := d.MaxThreadsPerBlock - d.WarpSize
 	if f < int64(d.MaxThreadsPerBlock) {
-		return append(sVals, int(f))
+		s = int(f)
 	}
-	return append(sVals, d.MaxThreadsPerBlock-d.WarpSize)
+	if n := (d.MaxThreadsPerBlock + 63) / 64; len(sc.sBits) < n {
+		sc.sBits = make([]uint64, n)
+	}
+	if s >= 1 {
+		sc.sBits[s/64] |= 1 << (s % 64)
+	}
 }
 
-// finishCandidates adds the warp-multiple candidates, then sorts,
-// deduplicates and range-filters in place — the same candidate set the
-// older map-backed construction produced, without the per-call map.
-func finishCandidates(sVals []int, d *gpu.Device) []int {
-	sVals = append(sVals, 1)
+// finishCandidates marks the warp-multiple candidates, then lists every
+// marked S ascending into sVals and clears the marks: the sorted, distinct
+// set in [1, MaxThreadsPerBlock), in time linear in the members.
+func (sc *Scorer) finishCandidates(d *gpu.Device) {
+	sc.markCandidate(1, d)
 	for s := d.WarpSize; s <= d.MaxThreadsPerBlock/2; s *= 2 {
-		sVals = append(sVals, s)
+		sc.markCandidate(int64(s), d)
 	}
-	sort.Ints(sVals)
-	out := sVals[:0]
-	for i, v := range sVals {
-		if v < 1 || v >= d.MaxThreadsPerBlock {
-			continue
+	out := sc.sVals[:0]
+	for i, w := range sc.sBits {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
 		}
-		if i > 0 && sVals[i-1] == v {
-			continue
-		}
-		out = append(out, v)
+		sc.sBits[i] = 0
 	}
-	return out
+	sc.sVals = out
 }
 
 // modelCycles evaluates III.8–III.12 in cycles for one (S, W, F): c1D and
@@ -297,7 +326,9 @@ func modelCycles(tc, c1D, c2D float64, F, ws, W int) (tdt, tdb, texec, t float64
 // floorMargin keeps the computed transfer floor C1·dB/F(W) below every T
 // the model computes for this or a later W of the same S: each side is at
 // most five correctly rounded operations off the exact quotient, and 2⁻⁴⁸
-// is wider than their combined error. DESIGN.md S3 has the argument.
+// is wider than their combined error. The plateau skip uses it for the same
+// reason: two computed T of one F-plateau are each five roundings off the
+// exact ones. DESIGN.md S3 has both arguments.
 const floorMargin = 1 - 0x1p-48
 
 // floorStart returns the first W in 1..wEnd whose compute floor fl(tc/W) is
@@ -343,9 +374,11 @@ func floorStart(tc, lim float64, wEnd int) int {
 // starts at the first W whose compute floor is at most min(U, incumbent),
 // as t ≥ fl(Tcomp/W) for every F. It stops once the transfer floor reaches
 // the incumbent: for fixed S the largest F shrinks as W grows, so no later W
-// can beat it. This needs C1, C2 and dBytes non-negative, which every
-// profile of a device model satisfies. DESIGN.md S3 has the arguments.
-func (sc *estScratch) sweep(prof *Profile, smBytes, dBytes int64) (*Estimate, error) {
+// can beat it. And on a run of W sharing one largest F, where T does not
+// increase, it scores the run's last two W and skips the rest when the last
+// is clearly the least. This needs C1, C2 and dBytes non-negative, which
+// every profile of a device model satisfies. DESIGN.md S3 has the arguments.
+func (sc *Scorer) sweep(prof *Profile, smBytes, dBytes int64) (*Estimate, error) {
 	d := &prof.Device
 	// A partition with no shared-memory demand (zero-copy filters only) is
 	// bounded by the thread cap alone.
@@ -412,11 +445,28 @@ func (sc *estScratch) sweep(prof *Profile, smBytes, dBytes int64) (*Estimate, er
 		if bestT >= 0 {
 			lim = min(lim, bestT)
 		}
+		plateauEnd := 0 // the last W of the F-plateau the scan is in
 		for W := floorStart(tc, lim, end); W <= end; W++ {
-			if bestT >= 0 && c1dB/float64((maxThreads-W*S)/warp*warp)*floorMargin >= bestT {
+			F := (maxThreads - W*S) / warp * warp
+			if bestT >= 0 && c1dB/float64(F)*floorMargin >= bestT {
 				break
 			}
-			if tmin := tAt(tc, S, W); bestT < 0 || tmin < bestT {
+			tmin := -1.0 // T is never negative
+			if W > plateauEnd {
+				// W opens a run of W sharing F, along which T does not
+				// increase: when the run's last T is clearly below the one
+				// before it, it is below every earlier one too.
+				plateauEnd = min(end, (maxThreads-F)/S)
+				if plateauEnd-W >= 2 {
+					if last := tAt(tc, S, plateauEnd); tAt(tc, S, plateauEnd-1)*floorMargin > last {
+						W, tmin = plateauEnd, last
+					}
+				}
+			}
+			if tmin < 0 {
+				tmin = tAt(tc, S, W)
+			}
+			if bestT < 0 || tmin < bestT {
 				best, bestTc, bestT = Params{S: S, W: W}, tc, tmin
 			}
 		}
@@ -449,15 +499,16 @@ func (sc *estScratch) sweep(prof *Profile, smBytes, dBytes int64) (*Estimate, er
 	}, nil
 }
 
-// estimate scores the induced subgraph over an ascending member list through
-// the reused view and scratch buffers. Member order equals the extracted
-// subgraph's node order (both ascend by parent id), so the cost summation —
-// and with it every float of the model — matches scoring the extracted form.
-func (e *Engine) estimate(members []sdf.NodeID) (*Estimate, error) {
+// score scores the induced subgraph over an ascending member list through
+// sc's view and buffers; it only reads the engine. Member order equals the
+// extracted subgraph's node order (both ascend by parent id), so the cost
+// summation — and with it every float of the model — matches scoring the
+// extracted form.
+func (e *Engine) score(sc *Scorer, members []sdf.NodeID) (*Estimate, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("sdf: Extract: empty set")
 	}
-	sc, v, prof := &e.scratch, &e.scratch.view, e.Prof
+	v, prof := &sc.view, e.Prof
 	d := &prof.Device
 	v.Fill(e.Graph, members)
 	smBytes, err := smreq.PeakBytesView(v)
@@ -467,14 +518,13 @@ func (e *Engine) estimate(members []sdf.NodeID) (*Estimate, error) {
 	dBytes := v.IOBytesPerIteration()
 
 	costs := sc.costs[:0]
-	sVals := sc.sVals[:0]
 	for i, pid := range v.Members() {
 		f := v.RepAt(i)
 		costs = append(costs, nodeCost{cycles: float64(f) * prof.PerFiringCycles[pid], f: f})
-		sVals = appendCandidates(sVals, f, d)
+		sc.markCandidate(f, d)
 	}
-	sVals = finishCandidates(sVals, d)
-	sc.costs, sc.sVals = costs, sVals
+	sc.costs = costs
+	sc.finishCandidates(d)
 	return sc.sweep(prof, smBytes, dBytes)
 }
 

@@ -88,21 +88,21 @@ func logUniform(rng *rand.Rand, lo, hi float64) float64 {
 // from 1 to maxRate and a total around totalCycles — and the candidate S
 // values exactly as Engine.estimate derives them.
 func sweepMembers(rng *rand.Rand, d *gpu.Device, n int, maxRate, totalCycles float64) ([]nodeCost, []int) {
-	var costs []nodeCost
-	var sVals []int
+	sc := &Scorer{}
 	for i := 0; i < n; i++ {
 		f := int64(logUniform(rng, 1, maxRate))
-		costs = append(costs, nodeCost{cycles: totalCycles / float64(n) * rng.Float64(), f: f})
-		sVals = appendCandidates(sVals, f, d)
+		sc.costs = append(sc.costs, nodeCost{cycles: totalCycles / float64(n) * rng.Float64(), f: f})
+		sc.markCandidate(f, d)
 	}
-	return costs, finishCandidates(sVals, d)
+	sc.finishCandidates(d)
+	return sc.costs, sc.sVals
 }
 
 // checkSweep holds sweep to the brute-force scan on one input and returns
 // the agreed estimate (nil when both report the same error).
 func checkSweep(t *testing.T, prof *Profile, costs []nodeCost, sVals []int, smBytes, dBytes int64) *Estimate {
 	t.Helper()
-	sc := &estScratch{costs: costs, sVals: sVals}
+	sc := &Scorer{costs: costs, sVals: sVals}
 	got, gotErr := sc.sweep(prof, smBytes, dBytes)
 	want, wantErr := sweepBrute(prof, costs, sVals, smBytes, dBytes)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -155,6 +155,35 @@ func floorSkip(prof *Profile, costs []nodeCost, sVals []int, est *Estimate) bool
 	return false
 }
 
+// plateauSkipped reports whether the sweep reached the winner by skipping
+// the interior of its W-plateau, the run of W that share the winner's
+// largest F: the winner is the run's last W, the scan entered the run at
+// least two W before it (no later than the compute floor of the winner's T
+// lets it start), and the run's last two T are clearly apart.
+func plateauSkipped(prof *Profile, costs []nodeCost, est *Estimate) bool {
+	d := &prof.Device
+	p, M, warp := est.Params, d.MaxThreadsPerBlock, d.WarpSize
+	maxW := M
+	if est.SMBytes > 0 {
+		maxW = int(d.SharedMemPerSM / est.SMBytes)
+	}
+	end, F := min(maxW, (M-warp)/p.S), (M-p.W*p.S)/warp*warp
+	if p.W != min(end, (M-F)/p.S) {
+		return false
+	}
+	first := p.W
+	for first > 1 && (M-(first-1)*p.S)/warp*warp == F {
+		first--
+	}
+	tc := tcompOf(costs, p.S)
+	t := func(W int) float64 {
+		D := float64(est.DBytes) * float64(W)
+		_, _, _, t := modelCycles(tc, prof.C1*D, prof.C2*D, F, W*p.S, W)
+		return t
+	}
+	return p.W-max(first, floorStart(tc, t(p.W), end)) >= 2 && t(p.W-1)*floorMargin > t(p.W)
+}
+
 // TestSweepMatchesBruteForce is the sweep's referee: on seeded random
 // inputs per device the pruned selection returns the very Estimate (==, and
 // the same error text) the exhaustive scan does. The draw is shaped so the
@@ -168,10 +197,13 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 	for _, d := range []gpu.Device{gpu.M2090(), gpu.C2070()} {
 		t.Run(d.Name, func(t *testing.T) {
 			t.Parallel()
-			prof := devProfile(d)
+			// Free buffer swaps (C2 = 0) leave an I/O-bound T exactly flat
+			// along a W-plateau, so only rounding orders its W there.
+			devProf, freeSwaps := devProfile(d), &Profile{Device: d, C1: devProfile(d).C1}
 			rng := rand.New(rand.NewSource(0x5EEB + int64(d.NumSMs)))
-			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound, cut, skip int
+			var noIO, partialPlateau, hugeCycles, infeasible, bigRate, ioBound, cut, skip, plateau int
 			for c := 0; c < cases; c++ {
+				prof := devProf
 				totalCycles := logUniform(rng, 1, 1e15)
 				maxRate := float64(4 * d.MaxThreadsPerBlock)
 				smBytes := int64(logUniform(rng, 256, 96*1024))
@@ -187,6 +219,8 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 					dBytes = 4 * int64(logUniform(rng, 1, 64))
 				case 2: // footprints so small that only the thread cap bounds W
 					smBytes = int64(logUniform(rng, 4, 256))
+				case 3:
+					prof = freeSwaps
 				}
 				costs, sVals := sweepMembers(rng, &d, 1+rng.Intn(10), maxRate, totalCycles)
 				est := checkSweep(t, prof, costs, sVals, smBytes, dBytes)
@@ -222,10 +256,13 @@ func TestSweepMatchesBruteForce(t *testing.T) {
 				if floorSkip(prof, costs, sVals, est) {
 					skip++
 				}
+				if plateauSkipped(prof, costs, est) {
+					plateau++
+				}
 			}
 			corners := map[string]int{"dBytes == 0": noIO, "partial plateau": partialPlateau,
 				"cycles > 1e14": hugeCycles, "infeasible": infeasible, "rate >= MaxThreadsPerBlock": bigRate, "I/O bound": ioBound,
-				"transfer floor cut the W loop": cut, "compute floor skipped a W": skip}
+				"transfer floor cut the W loop": cut, "compute floor skipped a W": skip, "W-plateau interior skipped": plateau}
 			t.Logf("%d cases: %v", cases, corners)
 			for name, n := range corners {
 				if n < cases/1000 {
@@ -248,6 +285,7 @@ func FuzzSweep(f *testing.F) {
 	f.Add(true, uint64(7), uint8(9), 1.0, int64(16), int64(1<<30))      // I/O bound to the last thread
 	f.Add(true, uint64(9), uint8(5), 1e5, int64(512), int64(4096))      // the transfer floor cuts the W loop
 	f.Add(false, uint64(10), uint8(6), 1e9, int64(64), int64(64))       // the compute floor skips the S = 1 climb
+	f.Add(false, uint64(11), uint8(0), 10.0, int64(16), int64(64))      // S = 1 jumps to W = 32, its first plateau's end
 	f.Fuzz(func(t *testing.T, c2070 bool, seed uint64, members uint8, totalCycles float64, smBytes, dBytes int64) {
 		if smBytes < 1 || dBytes < 0 || dBytes > 1<<40 || !(totalCycles >= 0 && totalCycles <= 1e15) {
 			t.Skip()
@@ -269,8 +307,11 @@ func TestSweepZeroSharedMemory(t *testing.T) {
 	d := gpu.M2090()
 	prof := devProfile(d)
 	costs := []nodeCost{{cycles: 16, f: 1}, {cycles: 16, f: 1}}
-	sVals := finishCandidates(appendCandidates(appendCandidates(nil, 1, &d), 1, &d), &d)
-	sc := &estScratch{costs: costs, sVals: sVals}
+	sc := &Scorer{costs: costs}
+	sc.markCandidate(1, &d)
+	sc.markCandidate(1, &d)
+	sc.finishCandidates(&d)
+	sVals := sc.sVals
 	got, err := sc.sweep(prof, 0, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -306,13 +347,12 @@ func BenchmarkSweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			d := gpu.M2090()
 			prof := devProfile(d)
-			var costs []nodeCost
-			var sVals []int
+			sc := &Scorer{}
 			for _, f := range []int64{1, 2, 4, 8, 8, 4, 2} {
-				costs = append(costs, nodeCost{cycles: float64(f) * bc.perFiring, f: f})
-				sVals = appendCandidates(sVals, f, &d)
+				sc.costs = append(sc.costs, nodeCost{cycles: float64(f) * bc.perFiring, f: f})
+				sc.markCandidate(f, &d)
 			}
-			sc := &estScratch{costs: costs, sVals: finishCandidates(sVals, &d)}
+			sc.finishCandidates(&d)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -24,7 +24,8 @@ type adjacency struct {
 	inOff   []int32
 	inE     []EdgeID
 
-	rank atomic.Pointer[[]int32] // per-node SCC rank, built by sccRank on first use
+	rank    atomic.Pointer[[]int32] // per-node SCC rank, built by sccRank on first use
+	acyclic atomic.Bool             // set by a StronglyConnected that found no directed cycle
 }
 
 // succOf returns node id's distinct successors, ascending. The slice aliases
@@ -138,7 +139,9 @@ func buildAdjacency(g *Graph) *adjacency {
 // StronglyConnected returns Tarjan's strongly connected components of g,
 // each a node list, in the order Tarjan completes them: a component comes
 // after every component it reaches, so the list is a reverse topological
-// order of the condensation.
+// order of the condensation. When every component is one node without a
+// self-loop, the graph has no directed cycle, and the adjacency index
+// remembers it for SubView.Acyclic.
 func (g *Graph) StronglyConnected() [][]NodeID {
 	a := g.adj()
 	n := len(g.Nodes)
@@ -146,13 +149,14 @@ func (g *Graph) StronglyConnected() [][]NodeID {
 	low := make([]int, n)   // n+1 once the node's component is out
 	var stack []NodeID
 	var out [][]NodeID
-	visited := 0
+	visited, selfLoop := 0, false
 	var strong func(v NodeID)
 	strong = func(v NodeID) {
 		visited++
 		index[v], low[v] = visited, visited
 		stack = append(stack, v)
 		for _, w := range a.succOf(v) {
+			selfLoop = selfLoop || w == v
 			if index[w] == 0 {
 				strong(w)
 			}
@@ -176,6 +180,9 @@ func (g *Graph) StronglyConnected() [][]NodeID {
 		if index[v] == 0 {
 			strong(NodeID(v))
 		}
+	}
+	if len(out) == n && !selfLoop {
+		a.acyclic.Store(true)
 	}
 	return out
 }

@@ -16,3 +16,14 @@ func HandOvers(decode func()) (n int) {
 	decode()
 	return n
 }
+
+// Intersects reports whether s and t share a member: the two-sided
+// convexity referee's test, which production no longer needs.
+func (s NodeSet) Intersects(t NodeSet) bool {
+	for i := range s.words {
+		if s.words[i]&t.words[i] != 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -71,16 +71,6 @@ func (s NodeSet) UnionWith(t NodeSet) {
 	}
 }
 
-// Intersects reports whether s and t share a member.
-func (s NodeSet) Intersects(t NodeSet) bool {
-	for i := range s.words {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports set equality.
 func (s NodeSet) Equal(t NodeSet) bool {
 	if s.n != t.n {

@@ -89,8 +89,12 @@ func (v *SubView) edgeBreaksCycle(e *Edge) bool {
 
 // Acyclic reports whether the induced subgraph admits a topological order
 // under the same delay-token rule Graph.TopoOrder applies — i.e. whether
-// Extract(members).Sub.TopoOrder() would succeed.
+// Extract(members).Sub.TopoOrder() would succeed. It is true without a
+// walk once StronglyConnected has found the parent free of directed cycles.
 func (v *SubView) Acyclic() bool {
+	if v.G.adj().acyclic.Load() {
+		return true
+	}
 	n := len(v.members)
 	if cap(v.indeg) < n {
 		v.indeg = make([]int32, n)

@@ -77,6 +77,47 @@ func TestSubViewMatchesExtract(t *testing.T) {
 	}
 }
 
+// TestAcyclicLearnedFromSCC: once StronglyConnected has run, a graph with no
+// directed cycle answers Acyclic without walking, and a graph with a
+// feedback loop still walks; every answer still agrees with Extract.
+func TestAcyclicLearnedFromSCC(t *testing.T) {
+	loop := mustGraph(t, "fb", Pipe("p", F(addOne()),
+		LoopOf("loop", RoundRobinJoiner([]int{1, 1}), F(Identity(2)),
+			RoundRobinSplitter([]int{1, 1}), F(Identity(1)), []Token{0}),
+		F(double())))
+	for _, g := range append(viewGraphs(t), loop) {
+		g.StronglyConnected()
+		if g.adj().acyclic.Load() != (g != loop) {
+			t.Fatalf("%s: learned acyclic %v", g.Name, g.adj().acyclic.Load())
+		}
+		var v SubView
+		for a := range g.NumNodes() {
+			for b := a; b < g.NumNodes(); b++ {
+				members := []NodeID{NodeID(a)}
+				if b > a {
+					members = append(members, NodeID(b))
+				}
+				sub, err := g.Extract(members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.Fill(g, members)
+				if _, err := sub.Sub.TopoOrder(); v.Acyclic() != (err == nil) {
+					t.Fatalf("%s %v: view acyclic %v, sub topo err %v", g.Name, members, v.Acyclic(), err)
+				}
+			}
+		}
+		all := make([]NodeID, g.NumNodes())
+		for i := range all {
+			all[i] = NodeID(i)
+		}
+		_, err := g.TopoOrder()
+		if v.Fill(g, all); v.Acyclic() != (err == nil) {
+			t.Fatalf("%s: whole-graph view acyclic %v, topological order error %v", g.Name, v.Acyclic(), err)
+		}
+	}
+}
+
 // TestSubViewReuse checks that one view instance refilled across sets keeps
 // no stale state: its membership test included, which reads positions a
 // previous fill left behind.
