@@ -12,8 +12,7 @@ import (
 	"streammap/internal/server"
 )
 
-// emitArtifact encodes the compilation and writes it to path ("-" or empty
-// means stdout).
+// emitArtifact encodes the compilation and writes it to path.
 func emitArtifact(c *driver.Compiled, path string) error {
 	a, err := c.Artifact()
 	if err != nil {
@@ -23,24 +22,24 @@ func emitArtifact(c *driver.Compiled, path string) error {
 	if err != nil {
 		return err
 	}
-	if path == "" || path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return writeOut(data, path)
 }
 
 // emitRequest writes the streammapd wire request for compiling g under
-// opts — the body to POST to /v1/compile — without compiling anything
-// locally.
+// opts — the body to POST to /v1/compile, as json.Marshal writes it, so the
+// daemon reads it on its fast path — without compiling anything locally.
 func emitRequest(g *sdf.Graph, opts driver.Options, path string) error {
-	data, err := json.MarshalIndent(server.NewRequest(g, opts), "", " ")
+	data, err := json.Marshal(server.NewRequest(g, opts))
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
+	return writeOut(data, path)
+}
+
+// writeOut writes data to path ("-" or empty means stdout).
+func writeOut(data []byte, path string) error {
 	if path == "" || path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err := os.Stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

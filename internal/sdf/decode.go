@@ -3,21 +3,21 @@ package sdf
 import (
 	"encoding/binary"
 	"encoding/json"
-	"slices"
 	"strconv"
 	"sync"
 )
 
 // The JSON decoder of GraphSpec, shared by compile requests and artifacts.
-// encoding/json stays the definition of the wire form: a scanner written
-// for this one schema answers what encoding/json emits for these types — in
-// any key order, with any whitespace — and everything else is "not mine",
-// decoded by json.Unmarshal instead; where it answers, it answers as
-// json.Unmarshal does (FuzzGraphSpecJSON). Each node and edge is first read
-// on an in-order path: its members in the order json.Marshal writes them,
-// each key matched as a literal with its quotes and colon (`,"kind":`). At
-// the first byte that path does not expect, the object is read again from
-// its start by the any-order member loop. See DESIGN.md S14.
+// encoding/json stays the definition of the wire form. The fast path reads
+// exactly the bytes json.Marshal writes for a GraphSpec: every object's
+// members in the encoder's order, each key matched as a literal with its
+// quotes and colon (`,"kind":`), no whitespace. At the first byte it does
+// not expect it declines, and json.Unmarshal decodes the whole value
+// instead; where it answers, it answers as json.Unmarshal does
+// (FuzzGraphSpecJSON). Every request and artifact the project writes is
+// json.Marshal output, so the fast path serves all of that traffic; a
+// reordered, indented or hand-written body gets the same answer, only more
+// slowly. See DESIGN.md S14.
 
 // graphJSON is GraphSpec without its decoder: what json.Unmarshal fills
 // when the scanner declines.
@@ -39,24 +39,20 @@ func (g *GraphSpec) UnmarshalJSON(data []byte) error {
 // whitespace, into g, reusing g's node, edge, port and token slices, and
 // returns the index just past it; the names of the graph and its filters
 // cost one allocation, and nothing in g aliases data. It reports false —
-// g then in no particular state — when the value is outside the scanner's
-// grammar: an unknown, duplicate or case-variant key, a string with an
-// escape or a non-ASCII byte, null anywhere but as a list, an integer field
-// that is not a plain integer of at most 18 digits, malformed JSON. The
-// caller then decodes with json.Unmarshal.
+// g then in no particular state — when the value is not as json.Marshal
+// writes it: a member out of order, unknown, repeated or in another case,
+// whitespace inside it, a string with an escape or a non-ASCII byte, null
+// anywhere but as a list, an integer field that is not a plain integer of
+// at most 18 digits, malformed JSON. The caller then decodes with
+// json.Unmarshal.
 func (g *GraphSpec) ScanJSON(data []byte, i int) (end int, ok bool) {
 	s := scanners.Get().(*scanner)
 	s.b, s.i, s.names, s.refs = data, i, s.names[:0], s.refs[:0]
 	g.Name, g.Nodes, g.Edges = "", g.Nodes[:0], g.Edges[:0]
-	if ok = s.object(graphKeys, func(k int) bool {
-		switch k {
-		case 0:
-			return s.name(-1)
-		case 1:
-			return s.array(func() bool { return s.node(g) })
-		}
-		return s.array(func() bool { return s.edge(g) })
-	}); ok {
+	s.ws()
+	if ok = s.is(&litName) && s.name(-1) &&
+		s.is(&litNodes) && s.array(func() bool { return s.node(g) }) &&
+		s.is(&litEdges) && s.array(func() bool { return s.edge(g) }) && s.is(&litClose); ok {
 		all, start := string(s.names), 0
 		for _, ref := range s.refs {
 			if ref.node < 0 {
@@ -74,8 +70,8 @@ func (g *GraphSpec) ScanJSON(data []byte, i int) (end int, ok bool) {
 
 // scanner is a cursor over one graph value, with the names met so far back
 // to back in names and which field each belongs to in refs. Its methods
-// consume what they name and report whether it was there; punctuation
-// skips the whitespace before it, and values are read only after that.
+// consume what they name and report whether it was there; none skips
+// whitespace.
 type scanner struct {
 	b     []byte
 	i     int
@@ -89,10 +85,6 @@ type nameRef struct{ node, end int }
 
 var scanners = sync.Pool{New: func() any { return new(scanner) }}
 
-// handOverHook, when set, is called each time a node or an edge leaves the
-// in-order path; tests use it to pin which bodies stay on that path.
-var handOverHook func()
-
 // ws skips whitespace and returns the new position; any byte above the
 // space ends it at once.
 func (s *scanner) ws() int {
@@ -103,7 +95,7 @@ func (s *scanner) ws() int {
 }
 
 func (s *scanner) eat(ch byte) bool {
-	if s.ws() < len(s.b) && s.b[s.i] == ch {
+	if s.i < len(s.b) && s.b[s.i] == ch {
 		s.i++
 		return true
 	}
@@ -141,12 +133,12 @@ var (
 	litPeek, litOutputs, litInit        = newLiteral(`,"peek":`), newLiteral(`,"outputs":`), newLiteral(`,"init":`)
 	litPipe, litSrc, litSrcPort         = newLiteral(`},"pipe":`), newLiteral(`{"src":`), newLiteral(`,"srcPort":`)
 	litDst, litDstPort, litInitial      = newLiteral(`,"dst":`), newLiteral(`,"dstPort":`), newLiteral(`,"initial":`)
+	litNodes, litEdges                  = newLiteral(`,"nodes":`), newLiteral(`,"edges":`)
 	litClose, litNull                   = newLiteral(`}`), newLiteral(`null`)
 	litTrue, litFalse                   = newLiteral(`true`), newLiteral(`false`)
 )
 
-// is consumes l if the input continues with exactly it; whitespace is not
-// skipped.
+// is consumes l if the input continues with exactly it.
 func (s *scanner) is(l *literal) bool {
 	if b := s.b[s.i:]; len(b) >= 16 {
 		if binary.LittleEndian.Uint64(b)&l.mask[0] != l.word[0] || binary.LittleEndian.Uint64(b[8:])&l.mask[1] != l.word[1] {
@@ -159,68 +151,24 @@ func (s *scanner) is(l *literal) bool {
 	return true
 }
 
-// more steps to the next element of an object or array whose opener has
-// been consumed: it takes the closer (more false), or the comma every
-// element but the first must follow, and the whitespace after it.
-func (s *scanner) more(first bool, closer byte) (more, ok bool) {
-	if s.eat(closer) {
-		return false, true
-	}
-	ok = first || s.eat(',')
-	s.ws()
-	return true, ok
-}
-
-// The members of each object, in the order encoding/json writes them.
-var (
-	graphKeys  = []string{"name", "nodes", "edges"}
-	nodeKeys   = []string{"filter", "pipe"}
-	filterKeys = []string{"name", "kind", "ops", "zeroCopy", "inputs", "outputs", "init"}
-	portKeys   = []string{"pop", "peek"}
-	edgeKeys   = []string{"src", "srcPort", "dst", "dstPort", "initial"}
-)
-
-// object is the any-order member loop: it consumes an object, calling
-// member with the index in keys of each key met to consume its value. An
-// unknown key, a known one in another case and a member met twice refuse
-// the object.
-func (s *scanner) object(keys []string, member func(k int) bool) bool {
-	if !s.eat('{') {
-		return false
-	}
-	var seen uint
-	for first := true; ; first = false {
-		more, ok := s.more(first, '}')
-		if !ok || !more {
-			return ok
-		}
-		key, ok := s.str()
-		k := slices.Index(keys, string(key))
-		if !ok || k < 0 || seen&(1<<k) != 0 || !s.eat(':') {
-			return false
-		}
-		seen |= 1 << k
-		if s.ws(); !member(k) {
-			return false
-		}
-	}
-}
-
 // array consumes an array, calling elem to consume each element, or the
 // null encoding/json writes for a nil list.
 func (s *scanner) array(elem func() bool) bool {
 	if !s.eat('[') {
 		return s.is(&litNull)
 	}
-	for first := true; ; first = false {
-		more, ok := s.more(first, ']')
-		if !ok || !more {
-			return ok
+	if s.eat(']') {
+		return true
+	}
+	for elem() {
+		if s.eat(']') {
+			return true
 		}
-		if !elem() {
+		if !s.eat(',') {
 			return false
 		}
 	}
+	return false
 }
 
 // plain marks the bytes a scanned string may hold: printable ASCII but for
@@ -232,31 +180,22 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// str consumes a string of plain bytes and returns them; they alias the
-// input.
-func (s *scanner) str() ([]byte, bool) {
+// name consumes a string of plain bytes and books it for node's filter
+// (-1: the graph).
+func (s *scanner) name(node int) bool {
 	if !s.eat('"') {
-		return nil, false
+		return false
 	}
 	start := s.i
 	for s.i < len(s.b) && plain[s.b[s.i]] {
 		s.i++
 	}
-	if s.i == len(s.b) || s.b[s.i] != '"' {
-		return nil, false
+	if !s.eat('"') {
+		return false
 	}
-	s.i++
-	return s.b[start : s.i-1], true
-}
-
-// name consumes a string and books it for node's filter (-1: the graph).
-func (s *scanner) name(node int) bool {
-	b, ok := s.str()
-	if ok {
-		s.names = append(s.names, b...)
-		s.refs = append(s.refs, nameRef{node, len(s.names)})
-	}
-	return ok
+	s.names = append(s.names, s.b[start:s.i-1]...)
+	s.refs = append(s.refs, nameRef{node, len(s.names)})
+	return true
 }
 
 // atoi reads the JSON integer "-"? ("0" | [1-9][0-9]*) at b[i:], on a local
@@ -279,26 +218,21 @@ func atoi(b []byte, i int) (v int64, end int, ok bool) {
 	return v, i, n == 1 || n > 1 && n <= 18 && b[start] != '0'
 }
 
-func (s *scanner) int64() (v int64, ok bool) {
-	v, s.i, ok = atoi(s.b, s.i)
-	return v, ok
+// int consumes an integer; where int is narrower than int64, a value that
+// does not fit is json.Unmarshal's to refuse.
+func (s *scanner) int() (v int, ok bool) {
+	x, i, ok := atoi(s.b, s.i)
+	s.i, v = i, int(x)
+	return v, ok && int64(v) == x
 }
 
-// field consumes l and then an integer into *v (nil l: the integer alone);
-// where int is narrower than int64, a value that does not fit is
-// json.Unmarshal's to refuse.
-func (s *scanner) field(l *literal, v *int) bool {
-	if l != nil && !s.is(l) {
+// field consumes l and then an integer into *v.
+func (s *scanner) field(l *literal, v *int) (ok bool) {
+	if !s.is(l) {
 		return false
 	}
-	x, i, ok := atoi(s.b, s.i)
-	s.i, *v = i, int(x)
-	return ok && int64(*v) == x
-}
-
-func (s *scanner) int() (v int, ok bool) {
-	ok = s.field(nil, &v)
-	return v, ok
+	*v, ok = s.int()
+	return ok
 }
 
 // digits returns the end of the run of decimal digits at b[i:].
@@ -364,53 +298,21 @@ func next[E any](list *[]E) *E {
 	return &(*list)[len(*list)-1]
 }
 
-// handOver runs inOrder over the object at s.i; where it stops short, it
-// rewinds the input and the names booked since and runs anyOrder from the
-// object's start. reset empties the object before each.
-func (s *scanner) handOver(reset func(), inOrder, anyOrder func() bool) bool {
-	i, names, refs := s.i, len(s.names), len(s.refs)
-	if reset(); inOrder() {
-		return true
-	}
-	if handOverHook != nil {
-		handOverHook()
-	}
-	s.i, s.names, s.refs = i, s.names[:names], s.refs[:refs]
-	reset()
-	return anyOrder()
-}
-
-// node consumes the next node of g into the slot after the last, keeping
-// the slices of whichever node last lived there.
-func (s *scanner) node(g *GraphSpec) bool {
+// node consumes the next node of g, its filter and its ports, into the
+// slot after the last, keeping the slices of whichever node last lived
+// there.
+func (s *scanner) node(g *GraphSpec) (ok bool) {
 	n, index := next(&g.Nodes), len(g.Nodes)-1
 	f := &n.Filter
-	return s.handOver(func() {
-		// Zeroed, then given its slices back: a literal that kept them would
-		// be built aside and copied.
-		in, out, init := f.Inputs[:0], f.Outputs[:0], f.Init[:0]
-		*n = NodeSpec{}
-		f.Inputs, f.Outputs, f.Init = in, out, init
-	}, func() bool {
-		return s.nodeInOrder(n, index)
-	}, func() bool {
-		return s.object(nodeKeys, func(k int) bool {
-			if k == 0 {
-				return s.filter(f, index)
-			}
-			return s.field(nil, &n.Pipe)
-		})
-	})
-}
-
-// nodeInOrder is a node, its filter and its ports as json.Marshal writes
-// them.
-func (s *scanner) nodeInOrder(n *NodeSpec, index int) (ok bool) {
-	f := &n.Filter
+	// Zeroed, then given its slices back: a literal that kept them would be
+	// built aside and copied.
+	in, out, init := f.Inputs[:0], f.Outputs[:0], f.Init[:0]
+	*n = NodeSpec{}
+	f.Inputs, f.Outputs, f.Init = in, out, init
 	if !s.is(&litFilter) || !s.is(&litName) || !s.name(index) || !s.field(&litKind, &f.Kind) || !s.is(&litOps) {
 		return false
 	}
-	if f.Ops, ok = s.int64(); ok && s.is(&litZeroCopy) {
+	if f.Ops, s.i, ok = atoi(s.b, s.i); ok && s.is(&litZeroCopy) {
 		f.ZeroCopy, ok = s.bool()
 	}
 	if ok && s.is(&litInputs) {
@@ -428,52 +330,15 @@ func (s *scanner) nodeInOrder(n *NodeSpec, index int) (ok bool) {
 	return ok && s.field(&litPipe, &n.Pipe) && s.is(&litClose)
 }
 
-func (s *scanner) filter(f *FilterSpec, index int) bool {
-	return s.object(filterKeys, func(k int) (ok bool) {
-		switch k {
-		case 0:
-			return s.name(index)
-		case 1:
-			return s.field(nil, &f.Kind)
-		case 2:
-			f.Ops, ok = s.int64()
-		case 3:
-			f.ZeroCopy, ok = s.bool()
-		case 4:
-			return s.array(func() bool {
-				p := next(&f.Inputs)
-				*p = PortSpec{}
-				return s.object(portKeys, func(k int) bool { return s.field(nil, [...]*int{&p.Pop, &p.Peek}[k]) })
-			})
-		case 5:
-			f.Outputs, ok = list(s, f.Outputs, s.int)
-		default:
-			f.Init, ok = list(s, f.Init, s.float)
-		}
-		return ok
-	})
-}
-
 // edge consumes the next edge of g as node does a node.
 func (s *scanner) edge(g *GraphSpec) bool {
 	e := next(&g.Edges)
-	return s.handOver(func() {
-		initial := e.Initial[:0]
-		*e = EdgeSpec{Initial: initial}
-	}, func() bool {
-		ok := s.field(&litSrc, &e.Src) && s.field(&litSrcPort, &e.SrcPort) &&
-			s.field(&litDst, &e.Dst) && s.field(&litDstPort, &e.DstPort)
-		if ok && s.is(&litInitial) {
-			e.Initial, ok = list(s, e.Initial, s.float)
-		}
-		return ok && s.is(&litClose)
-	}, func() bool {
-		return s.object(edgeKeys, func(k int) (ok bool) {
-			if k < 4 {
-				return s.field(nil, [...]*int{&e.Src, &e.SrcPort, &e.Dst, &e.DstPort}[k])
-			}
-			e.Initial, ok = list(s, e.Initial, s.float)
-			return ok
-		})
-	})
+	initial := e.Initial[:0]
+	*e = EdgeSpec{Initial: initial}
+	ok := s.field(&litSrc, &e.Src) && s.field(&litSrcPort, &e.SrcPort) &&
+		s.field(&litDst, &e.Dst) && s.field(&litDstPort, &e.DstPort)
+	if ok && s.is(&litInitial) {
+		e.Initial, ok = list(s, e.Initial, s.float)
+	}
+	return ok && s.is(&litClose)
 }

@@ -8,15 +8,6 @@ func DecodeReference(data []byte, g *GraphSpec) error {
 	return json.Unmarshal(data, (*graphJSON)(g))
 }
 
-// HandOvers runs decode and returns how many nodes and edges it read the
-// any-order way.
-func HandOvers(decode func()) (n int) {
-	handOverHook = func() { n++ }
-	defer func() { handOverHook = nil }()
-	decode()
-	return n
-}
-
 // Intersects reports whether s and t share a member: the two-sided
 // convexity referee's test, which production no longer needs.
 func (s NodeSet) Intersects(t NodeSet) bool {

@@ -22,11 +22,11 @@ import (
 // too. This file reads the envelope and carves the options out; the graph
 // is sdf's decoder's (GraphSpec.ScanJSON), the one artifacts reach through
 // json.Unmarshal. encoding/json stays the definition of the wire contract:
-// anything outside the narrow grammar the scan knows — which covers what
-// encoding/json emits for these types, in any key order and with any
-// whitespace — is "not mine", and the whole body is decoded by
-// json.Unmarshal instead. FuzzDecodeRequest holds the two equal wherever
-// the scan does answer. See DESIGN.md S14.
+// the scan reads exactly what json.Marshal writes for a CompileRequest —
+// graph, then options, no whitespace but after the closing brace — and
+// anything else, a reordered or indented body among it, is decoded whole
+// by json.Unmarshal instead. FuzzDecodeRequest holds the two equal
+// wherever the scan does answer. See DESIGN.md S14.
 
 // maxPooledBody bounds what a compileCall may keep between requests: one
 // that served a larger body is dropped, so the pool holds a handful of
@@ -125,48 +125,40 @@ func readBody(r io.Reader, buf []byte, declared int64) ([]byte, error) {
 	}
 }
 
-// scan decodes c.body into c.req in one pass, reusing c.req's slices: it
-// reads the envelope, hands the graph to sdf's scanner where it starts and
-// carves the options out by bracket depth. It reports false — leaving c.req
-// in no particular state — when the body is not in the grammar: an unknown,
-// duplicate or case-variant key, a graph sdf's scanner declines, malformed
-// JSON, an options value json.Unmarshal rejects. Options the table knows are
-// not decoded.
-func (c *compileCall) scan() bool {
-	s := envelope{b: c.body}
-	g := &c.req.Graph
-	g.Name, g.Nodes, g.Edges = "", g.Nodes[:0], g.Edges[:0]
-	c.req.Options, c.known = artifact.Options{}, nil
+// The envelope as json.Marshal writes a CompileRequest around its graph
+// and options.
+var (
+	graphKey   = []byte(`{"graph":`)
+	optionsKey = []byte(`,"options":`)
+)
 
-	var options []byte
-	if !s.eat('{') {
+// scan decodes c.body into c.req in one pass, reusing c.req's slices: it
+// reads the envelope in json.Marshal's order, hands the graph to sdf's
+// scanner and carves the options out by bracket depth. It reports false —
+// leaving c.req in no particular state — when the body is not as
+// json.Marshal writes it: members in another order, missing, unknown or
+// repeated, a graph sdf's scanner declines, malformed JSON, an options
+// value json.Unmarshal rejects. Options the table knows are not decoded.
+func (c *compileCall) scan() bool {
+	b := c.body
+	c.req.Options, c.known = artifact.Options{}, nil
+	if !bytes.HasPrefix(b, graphKey) {
 		return false
 	}
-	for first, seen := true, [2]bool{}; !s.eat('}'); first = false {
-		if !first && !s.eat(',') {
-			return false
-		}
-		key, ok := s.str()
-		if !ok || !s.eat(':') {
-			return false
-		}
-		switch string(key) {
-		case "graph":
-			s.i, ok = g.ScanJSON(s.b, s.i)
-			ok, seen[0] = ok && !seen[0], true
-		case "options":
-			// Carved out, not scanned: a few hundred bytes whose schema
-			// belongs to three other packages.
-			options, ok = s.rawObject()
-			ok, seen[1] = ok && !seen[1], true
-		default:
-			return false
-		}
-		if !ok {
-			return false
-		}
+	i, ok := c.req.Graph.ScanJSON(b, len(graphKey))
+	if !ok {
+		return false
 	}
-	if s.ws(); s.i != len(s.b) {
+	var options []byte
+	if bytes.HasPrefix(b[i:], optionsKey) {
+		// Carved out, not scanned: a few hundred bytes whose schema belongs
+		// to three other packages.
+		if options, ok = rawObject(b[i+len(optionsKey):]); !ok {
+			return false
+		}
+		i += len(optionsKey) + len(options)
+	}
+	if i == len(b) || b[i] != '}' || len(bytes.TrimLeft(b[i+1:], " \t\r\n")) != 0 {
 		return false
 	}
 	if c.known, c.options = c.table.get(options), options; c.known != nil {
@@ -218,70 +210,25 @@ func (t *optionsTable) add(c *compileCall, how string) (e *optionsEntry, err err
 	return e, err
 }
 
-// envelope is a cursor over one request body's top-level object. Every
-// method skips leading whitespace, consumes what it names and reports
-// whether it was there.
-type envelope struct {
-	b []byte
-	i int
-}
-
-func (s *envelope) ws() {
-	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
-		s.i++
-	}
-}
-
-func (s *envelope) eat(ch byte) bool {
-	if s.ws(); s.i < len(s.b) && s.b[s.i] == ch {
-		s.i++
-		return true
-	}
-	return false
-}
-
-// str consumes a string and returns the bytes between its quotes. Keys are
-// only compared with names that need no escape, so an escape, read raw,
-// can only fail to match.
-func (s *envelope) str() ([]byte, bool) {
-	if !s.eat('"') {
+// rawObject returns the object b starts with, finding its end by bracket
+// depth alone: whether it is valid is json.Unmarshal's to say.
+func rawObject(b []byte) ([]byte, bool) {
+	if len(b) == 0 || b[0] != '{' {
 		return nil, false
 	}
-	n := bytes.IndexByte(s.b[s.i:], '"')
-	if n < 0 {
-		return nil, false
-	}
-	s.i += n + 1
-	return s.b[s.i-n-1 : s.i-1], true
-}
-
-// rawObject consumes one object and returns its bytes, finding its end by
-// bracket depth alone: whether they are valid is json.Unmarshal's to say.
-func (s *envelope) rawObject() ([]byte, bool) {
-	if !s.eat('{') {
-		return nil, false
-	}
-	start, depth := s.i-1, 1
-	for s.i < len(s.b) {
-		ch := s.b[s.i]
-		s.i++
-		switch ch {
+	depth := 0
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
 		case '{', '[':
 			depth++
 		case '}', ']':
 			if depth--; depth == 0 {
-				return s.b[start:s.i], true
+				return b[:i+1], true
 			}
 		case '"':
-			for closed := false; !closed; s.i++ {
-				if s.i >= len(s.b) {
-					return nil, false
-				}
-				switch s.b[s.i] {
-				case '\\':
-					s.i++
-				case '"':
-					closed = true
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
 				}
 			}
 		}

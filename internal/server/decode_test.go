@@ -116,20 +116,45 @@ func decoderSeeds(t testing.TB) []struct {
 	if err := json.Indent(&spaced, []byte(canon), "\t ", "\r\n  "); err != nil {
 		t.Fatal(err)
 	}
+	indented, err := json.MarshalIndent(NewRequest(refGraph(t), refOpts()), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	graph, options := canon[len(`{"graph":`):strings.Index(canon, `,"options":`)], string(generic.Options)
+	// A map's keys are written sorted: "inputs" before "kind" before "name".
+	var sorted struct {
+		Name  string `json:"name"`
+		Nodes []struct {
+			Filter map[string]json.RawMessage `json:"filter"`
+			Pipe   int                        `json:"pipe"`
+		} `json:"nodes"`
+		Edges json.RawMessage `json:"edges"`
+	}
+	if err := json.Unmarshal([]byte(graph), &sorted); err != nil {
+		t.Fatal(err)
+	}
+	sortedFilters, err := json.Marshal(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seeds := []struct {
 		name string
 		body []byte
 		scan bool
 	}{
 		{"canonical", []byte(canon), true},
-		{"keys reordered", reordered, true},
-		{"extra whitespace", append([]byte(" \n"), append(spaced.Bytes(), '\t', '\n')...), true},
+		{"keys reordered", reordered, false},
+		{"extra whitespace", append([]byte(" \n"), append(spaced.Bytes(), '\t', '\n')...), false},
+		{"indented (MarshalIndent)", indented, false},
+		{"options first", []byte(`{"options":` + options + `,"graph":` + graph + `}`), false},
+		{"filter keys sorted", []byte(`{"graph":` + string(sortedFilters) + `,"options":` + options + `}`), false},
+		{"trailing newline", []byte(canon + "\n"), true},
 		{"minus zero int", sub(`"pipe":0`, `"pipe":-0`), true},
 		{"minus zero token", sub(`"initial":[9,`, `"initial":[-0,`), true},
 		{"exponent token", sub(`"initial":[9,`, `"initial":[9E+0,`), true},
-		{"empty lists spelled out", sub(`"kind":4,`, `"kind":4,"inputs":[],"init":[],`), true},
+		{"empty lists spelled out", sub(`"kind":4,`, `"kind":4,"inputs":[],"init":[],`), false},
 		{"no options", []byte(`{"graph":{"name":"g","nodes":[],"edges":[]}}`), true},
-		{"empty object", []byte(`{}`), true},
+		{"empty object", []byte(`{}`), false},
 		{"unknown field", withUnknownMember([]byte(canon)), false},
 		{"unknown filter field", sub(`"kind":4`, `"kind":4,"colour":"red"`), false},
 		{"edge rates of format 4", sub(`"dstPort":0,"initial"`, `"dstPort":0,"push":3,"pop":1,"peek":4,"initial"`), false},
@@ -259,6 +284,50 @@ func TestDecodeReusesWithoutResidue(t *testing.T) {
 			t.Fatal("the buffered body is not the body sent")
 		}
 	}
+}
+
+// TestDeclinedBodiesServeTheSameBytes posts the canonical body and three
+// twins the scan declines — indented as json.MarshalIndent writes it,
+// options before graph, and every filter's keys sorted — to one server. All
+// four are one request, so all four are answered with one artifact's bytes;
+// exactly the three twins go to json.Unmarshal, and their request.decode
+// notes say so.
+func TestDeclinedBodiesServeTheSameBytes(t *testing.T) {
+	bodies := map[string][]byte{}
+	for _, seed := range decoderSeeds(t) {
+		bodies[seed.name] = seed.body
+	}
+	s := New(Config{})
+	defer closeServer(t, s)
+	var want []byte
+	for _, name := range []string{"canonical", "indented (MarshalIndent)", "options first", "filter keys sorted"} {
+		before := s.met.decodeFallback.Value()
+		rec := post(s, bodies[name])
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: answered %d: %s", name, rec.Code, rec.Body)
+		}
+		if want == nil {
+			want = rec.Body.Bytes()
+		} else if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("%s: answered other bytes than the canonical body", name)
+		}
+		moved, note := s.met.decodeFallback.Value()-before, decodeNote(t, s)
+		if declined := name != "canonical"; declined && (moved != 1 || note != byFallback) || !declined && (moved != 0 || note == byFallback) {
+			t.Errorf("%s: decode_fallback moved by %d and request.decode noted %q", name, moved, note)
+		}
+	}
+}
+
+// decodeNote returns the request.decode note of s's newest trace.
+func decodeNote(t *testing.T, s *Server) string {
+	t.Helper()
+	for _, sp := range s.tracer.Snapshot().Recent[0].Spans {
+		if sp.Name == "request.decode" {
+			return sp.Note
+		}
+	}
+	t.Fatal("the newest trace has no request.decode span")
+	return ""
 }
 
 // verdictServer is the one server the fuzz target posts to.

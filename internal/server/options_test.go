@@ -31,7 +31,7 @@ func withOptions(t testing.TB, options string) []byte {
 	if options == "" {
 		return []byte(fmt.Sprintf(`{"graph":%s}`, graph))
 	}
-	return []byte(fmt.Sprintf(`{"options":%s,"graph":%s}`, options, graph))
+	return []byte(fmt.Sprintf(`{"graph":%s,"options":%s}`, graph, options))
 }
 
 // optionsText is opts' wire form as NewRequest sends it.
