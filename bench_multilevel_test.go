@@ -46,6 +46,7 @@ func benchSynthGraph(b *testing.B, filters int) *sdf.Graph {
 
 func BenchmarkCoarsen(b *testing.B) {
 	g := benchSynthGraph(b, 100000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := partition.BuildCoarsening(g, partition.CoarsenOptions{}, 0)
@@ -62,6 +63,7 @@ func BenchmarkCoarsen(b *testing.B) {
 // its state from one iteration into the next.
 func BenchmarkMultilevelPartition(b *testing.B) {
 	g := benchSynthGraph(b, 10000)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := pee.NewEngine(g, pee.ProfileGraph(g, gpu.M2090()))

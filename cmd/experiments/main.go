@@ -21,7 +21,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "which experiment: all, fig4.1, fig4.2, fig4.3, fig4.4, table5.1, ablation, scaling")
 	fragments := flag.Int("fragments", 0, "override fragments per measurement")
-	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; the 1000000 cell's compile allocates 1.26 GB)")
+	scaleMax := flag.Int("scale-max", 0, "scaling: largest filter count to sweep (default 100000; the 1000000 cell's compile allocates 976 MB)")
 	flag.Parse()
 
 	cfg := experiments.Default()

@@ -11,7 +11,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"streammap/internal/sdf"
 )
@@ -51,9 +51,10 @@ type CoarseLevel struct {
 	// aliases UnitOf.
 	Parent []int32
 
-	nodeCount []int32 // original nodes per unit
-	scale     []int64 // gcd of member repetition counts per unit
-	internal  []int64 // parent-iteration bytes on intra-unit edges
+	nodeCount []int32   // original nodes per unit
+	scale     []int64   // gcd of member repetition counts per unit
+	internal  []int64   // parent-iteration bytes on intra-unit edges
+	q         *quotient // the units' cross-unit DAG, built with the level
 
 	memOff []int32
 	mem    []sdf.NodeID
@@ -103,13 +104,17 @@ func (c *Coarsening) Coarsest() *CoarseLevel { return c.Levels[len(c.Levels)-1] 
 // passes the device's shared memory so seed units stay schedulable.
 func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions, maxUnitBytes int64) (*Coarsening, error) {
 	opts = opts.withDefaults()
-	c := &Coarsening{G: g, Levels: []*CoarseLevel{sccLevel(g)}}
+	l0, err := sccLevel(g)
+	if err != nil {
+		return nil, err
+	}
+	c := &Coarsening{G: g, Levels: []*CoarseLevel{l0}}
 	for len(c.Levels) < DefaultMaxLevels {
 		cur := c.Coarsest()
 		if cur.NumUnits <= opts.CoreSize {
 			break
 		}
-		next, err := contract(g, cur, maxUnitBytes)
+		next, err := contract(cur, maxUnitBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +128,7 @@ func BuildCoarsening(g *sdf.Graph, opts CoarsenOptions, maxUnitBytes int64) (*Co
 
 // sccLevel builds level 0: every strongly connected component is one unit,
 // numbered ascending by smallest member node id for determinism.
-func sccLevel(g *sdf.Graph) *CoarseLevel {
+func sccLevel(g *sdf.Graph) (*CoarseLevel, error) {
 	n := g.NumNodes()
 	sccOf := make([]int32, n)
 	sccs := g.StronglyConnected()
@@ -132,10 +137,7 @@ func sccLevel(g *sdf.Graph) *CoarseLevel {
 			sccOf[id] = int32(si)
 		}
 	}
-	sccUnit := make([]int32, len(sccs))
-	for i := range sccUnit {
-		sccUnit[i] = -1
-	}
+	sccUnit := slices.Repeat([]int32{-1}, len(sccs))
 	unitOf := make([]int32, n)
 	var next int32
 	for id := 0; id < n; id++ {
@@ -159,27 +161,29 @@ func sccLevel(g *sdf.Graph) *CoarseLevel {
 		l.nodeCount[u]++
 		l.scale[u] = sdf.GCD(l.scale[u], g.Rep(sdf.NodeID(id)))
 	}
-	for _, e := range g.Edges {
-		if ua := unitOf[e.Src]; ua == unitOf[e.Dst] {
-			l.internal[ua] += g.EdgeBytes(e)
+	var err error
+	l.q, err = newQuotient(l.NumUnits, len(g.Edges), func(cross func(from, to int32, b int64)) {
+		for _, e := range g.Edges {
+			if ua, ub := unitOf[e.Src], unitOf[e.Dst]; ua == ub {
+				l.internal[ua] += g.EdgeBytes(e)
+			} else {
+				cross(ua, ub, g.EdgeBytes(e))
+			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return l
+	return l, nil
 }
 
 // contract runs one diamond-then-chains matching round over the level's
 // quotient graph and returns the next coarser level, or nil when nothing
 // contracted.
-func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel, error) {
-	q, err := buildQuotient(g, cur.UnitOf, cur.NumUnits)
-	if err != nil {
-		return nil, err
-	}
+func contract(cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel, error) {
+	q := cur.q
 	U := cur.NumUnits
-	leader := make([]int32, U) // smallest unit id of the group; -1 ungrouped
-	for i := range leader {
-		leader[i] = -1
-	}
+	leader := slices.Repeat([]int32{-1}, U) // smallest unit id of the group; -1 ungrouped
 	groups := 0
 
 	// fits applies the supernode caps: original-node count and the
@@ -249,18 +253,10 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 		if !fits(nodes, by, sc) {
 			continue
 		}
-		min := s
+		lead := min(s, j, slices.Min(arms))
+		leader[s], leader[j] = lead, lead
 		for _, a := range arms {
-			if a < min {
-				min = a
-			}
-		}
-		if j < min {
-			min = j
-		}
-		leader[s], leader[j] = min, min
-		for _, a := range arms {
-			leader[a] = min
+			leader[a] = lead
 		}
 		groups++
 	}
@@ -290,11 +286,7 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 			if !fits(nodes, by, sc) {
 				continue
 			}
-			min := u
-			if v < min {
-				min = v
-			}
-			leader[u], leader[v] = min, min
+			leader[u], leader[v] = min(u, v), min(u, v)
 			groups++
 		}
 	}
@@ -303,22 +295,17 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 		return nil, nil
 	}
 
-	// Renumber: new units ascend by smallest constituent unit id.
+	// Renumber: new units ascend by smallest constituent unit id, the
+	// group's leader, which the scan meets first.
 	newOf := make([]int32, U)
-	for i := range newOf {
-		newOf[i] = -1
-	}
 	var next int32
-	for u := int32(0); u < int32(U); u++ {
-		m := leader[u]
-		if m == -1 {
-			m = u
-		}
-		if newOf[m] == -1 {
-			newOf[m] = next
+	for u := range int32(U) {
+		if l := leader[u]; l != -1 && l < u {
+			newOf[u] = newOf[l]
+		} else {
+			newOf[u] = next
 			next++
 		}
-		newOf[u] = newOf[m]
 	}
 
 	nl := &CoarseLevel{
@@ -338,13 +325,23 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 		nl.scale[nu] = sdf.GCD(nl.scale[nu], cur.scale[u])
 		nl.internal[nu] += cur.internal[u]
 	}
-	// Cross-unit bytes that became internal to a merged supernode.
-	for u := int32(0); u < int32(U); u++ {
-		for i := q.succOff[u]; i < q.succOff[u+1]; i++ {
-			if v := q.succTo[i]; newOf[u] == newOf[v] {
-				nl.internal[newOf[u]] += q.succB[i]
+	// A cross edge of the next level is one of this level's whose ends got
+	// different parents; the rest became internal to a merged supernode.
+	var err error
+	nl.q, err = newQuotient(nl.NumUnits, len(q.succTo), func(cross func(from, to int32, b int64)) {
+		for u := range int32(U) {
+			nu := newOf[u]
+			for i := q.succOff[u]; i < q.succOff[u+1]; i++ {
+				if nv := newOf[q.succTo[i]]; nu == nv {
+					nl.internal[nu] += q.succB[i]
+				} else {
+					cross(nu, nv, q.succB[i])
+				}
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return nl, nil
 }
@@ -354,7 +351,6 @@ func contract(g *sdf.Graph, cur *CoarseLevel, maxUnitBytes int64) (*CoarseLevel,
 // deterministic topological position per unit (used to prune convexity
 // searches: along any path positions strictly increase).
 type quotient struct {
-	n        int
 	succOff  []int32
 	succTo   []int32
 	succB    []int64
@@ -384,91 +380,94 @@ func (q *quotient) bytesBetween(a, b int32) int64 {
 	return 0
 }
 
-// buildQuotient aggregates g's cross-unit edges into the quotient DAG.
-func buildQuotient(g *sdf.Graph, unitOf []int32, numUnits int) (*quotient, error) {
-	type cross struct {
-		from, to int32
-		b        int64
-	}
-	var xs []cross
-	for _, e := range g.Edges {
-		ua, ub := unitOf[e.Src], unitOf[e.Dst]
-		if ua != ub {
-			xs = append(xs, cross{ua, ub, g.EdgeBytes(e)})
-		}
-	}
-	sort.Slice(xs, func(i, j int) bool {
-		if xs[i].from != xs[j].from {
-			return xs[i].from < xs[j].from
-		}
-		return xs[i].to < xs[j].to
+// newQuotient builds the quotient over n units from one level's cross
+// edges: walk calls cross once for each, in any order, and m bounds their
+// number (the edge count of the level below), so every buffer is sized
+// once. Two counting sorts, by target and then stably by source, put the
+// edges in (from, to) order, where duplicate pairs sum their bytes.
+func newQuotient(n, m int, walk func(cross func(from, to int32, b int64))) (*quotient, error) {
+	from, to, by := make([]int32, 0, m), make([]int32, 0, m), make([]int64, 0, m)
+	walk(func(f, t int32, b int64) {
+		from, to, by = append(from, f), append(to, t), append(by, b)
 	})
-	q := &quotient{n: numUnits, succOff: make([]int32, numUnits+1)}
-	for i := 0; i < len(xs); {
-		j := i
-		var b int64
-		for j < len(xs) && xs[j].from == xs[i].from && xs[j].to == xs[i].to {
-			b += xs[j].b
-			j++
-		}
-		q.succTo = append(q.succTo, xs[i].to)
-		q.succB = append(q.succB, b)
-		q.succOff[xs[i].from+1]++
-		i = j
+	order := countingSort(from, n, countingSort(to, n, nil))
+
+	q := &quotient{
+		succOff: make([]int32, n+1),
+		succTo:  make([]int32, 0, len(order)),
+		succB:   make([]int64, 0, len(order)),
+		predOff: make([]int32, n+1),
+		topoPos: make([]int32, n),
 	}
-	for i := 1; i <= numUnits; i++ {
+	for k, i := range order {
+		if last := len(q.succB) - 1; k > 0 && from[i] == from[order[k-1]] && to[i] == to[order[k-1]] {
+			q.succB[last] += by[i]
+			continue
+		}
+		q.succTo = append(q.succTo, to[i])
+		q.succB = append(q.succB, by[i])
+		q.succOff[from[i]+1]++
+		q.predOff[to[i]+1]++
+	}
+	for i := 1; i <= n; i++ {
 		q.succOff[i] += q.succOff[i-1]
-	}
-	// Pred CSR from the distinct succ pairs, re-sorted by (to, from).
-	type pair struct{ from, to int32 }
-	ps := make([]pair, len(q.succTo))
-	k := 0
-	for u := int32(0); u < int32(numUnits); u++ {
-		for i := q.succOff[u]; i < q.succOff[u+1]; i++ {
-			ps[k] = pair{u, q.succTo[i]}
-			k++
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].to != ps[j].to {
-			return ps[i].to < ps[j].to
-		}
-		return ps[i].from < ps[j].from
-	})
-	q.predOff = make([]int32, numUnits+1)
-	q.predFrom = make([]int32, len(ps))
-	for i, p := range ps {
-		q.predFrom[i] = p.from
-		q.predOff[p.to+1]++
-	}
-	for i := 1; i <= numUnits; i++ {
 		q.predOff[i] += q.predOff[i-1]
 	}
+	// Pred CSR, filled in source order: each bucket ascends.
+	q.predFrom = make([]int32, len(q.succTo))
+	next := slices.Clone(q.predOff[:n])
+	for u := range int32(n) {
+		for _, v := range q.succs(u) {
+			q.predFrom[next[v]] = u
+			next[v]++
+		}
+	}
 
-	// Topological positions (Kahn's algorithm; the order slice is its own
+	// Topological positions (Kahn's algorithm; the topo slice is its own
 	// queue). They only prune convexity searches, and any topological order
 	// keeps positions increasing along edges. The quotient of an SCC
 	// condensation — and of any convexity-preserving contraction of it — is
 	// acyclic; failing here means a construction bug.
-	indeg := make([]int32, numUnits)
-	order := make([]int32, 0, numUnits)
-	for u := int32(0); u < int32(numUnits); u++ {
+	indeg := next
+	topo := make([]int32, 0, n)
+	for u := range int32(n) {
 		if indeg[u] = q.predOff[u+1] - q.predOff[u]; indeg[u] == 0 {
-			order = append(order, u)
+			topo = append(topo, u)
 		}
 	}
-	q.topoPos = make([]int32, numUnits)
-	for i := 0; i < len(order); i++ {
-		u := order[i]
+	for i := 0; i < len(topo); i++ {
+		u := topo[i]
 		q.topoPos[u] = int32(i)
 		for _, v := range q.succs(u) {
 			if indeg[v]--; indeg[v] == 0 {
-				order = append(order, v)
+				topo = append(topo, v)
 			}
 		}
 	}
-	if len(order) != numUnits {
-		return nil, fmt.Errorf("partition: coarsening quotient has a cycle (%d of %d units ordered)", len(order), numUnits)
+	if len(topo) != n {
+		return nil, fmt.Errorf("partition: coarsening quotient has a cycle (%d of %d units ordered)", len(topo), n)
 	}
 	return q, nil
+}
+
+// countingSort returns the positions of keys, taken in idx's order (0, 1,
+// ... when idx is nil), stably sorted by key; every key is below n.
+func countingSort(keys []int32, n int, idx []int32) []int32 {
+	off := make([]int32, n+1)
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	out := make([]int32, len(keys))
+	for i := range keys {
+		j := int32(i)
+		if idx != nil {
+			j = idx[i]
+		}
+		out[off[keys[j]]] = j
+		off[keys[j]]++
+	}
+	return out
 }

@@ -106,7 +106,8 @@ type mlState struct {
 	// index: the one record of which partition holds a unit. It only ever
 	// names live partitions.
 	unitPart []int32
-	level    int // the working level
+	level    int       // the working level
+	q        *quotient // its quotient
 
 	visit      sdf.NodeSet // unit-capacity scratch for quotient searches
 	queue      []int32
@@ -153,20 +154,17 @@ func Multilevel(ctx context.Context, g *sdf.Graph, eng *pee.Engine, opts MLOptio
 	m.stats.SeedParts = len(m.parts)
 
 	lvl := c.Levels[seedLevel]
-	q, err := buildQuotient(g, lvl.UnitOf, lvl.NumUnits)
-	if err != nil {
-		return nil, err
-	}
+	m.q = lvl.q
 	m.visit = sdf.NewNodeSet(lvl.NumUnits)
 	for i, p := range m.parts {
-		p.minPos = q.topoPos[i]
-		p.maxPos = q.topoPos[i]
+		p.minPos = m.q.topoPos[i]
+		p.maxPos = m.q.topoPos[i]
 	}
-	if err := m.mergePhase(q); err != nil {
+	if err := m.mergePhase(); err != nil {
 		return nil, err
 	}
 	afterMerge := m.liveCount()
-	if err := m.threeWayPhase(q); err != nil {
+	if err := m.threeWayPhase(); err != nil {
 		return nil, err
 	}
 	if err := m.allNodesPhase(lvl.NumUnits); err != nil {
@@ -271,7 +269,7 @@ func (m *mlState) sortByTW(idx []int32) {
 // quotient neighbour of units, in discovery order. unitPart names only live
 // partitions, so every result is live. The slice is scratch, valid until
 // the next call.
-func (m *mlState) adjacentParts(q *quotient, units []int32, self int32) []int32 {
+func (m *mlState) adjacentParts(units []int32, self int32) []int32 {
 	out := m.idxScratch[:0]
 	add := func(v int32) {
 		if idx := m.unitPart[v]; idx != self && !slices.Contains(out, idx) {
@@ -279,10 +277,10 @@ func (m *mlState) adjacentParts(q *quotient, units []int32, self int32) []int32 
 		}
 	}
 	for _, u := range units {
-		for _, v := range q.succs(u) {
+		for _, v := range m.q.succs(u) {
 			add(v)
 		}
-		for _, v := range q.preds(u) {
+		for _, v := range m.q.preds(u) {
 			add(v)
 		}
 	}
@@ -293,7 +291,7 @@ func (m *mlState) adjacentParts(q *quotient, units []int32, self int32) []int32 
 // mergePhase runs the three IO-bound-first rounds of Algorithm 1's phase 3
 // over whole partitions at coarse granularity, sweeping until no merge is
 // accepted.
-func (m *mlState) mergePhase(q *quotient) error {
+func (m *mlState) mergePhase() error {
 	specs := []struct{ candIO, partnerIO bool }{
 		{true, true},   // within the IO-bound list
 		{true, false},  // IO-bound against everything
@@ -313,14 +311,14 @@ func (m *mlState) mergePhase(q *quotient) error {
 				if err := m.cancelled(); err != nil {
 					return err
 				}
-				neigh := m.adjacentParts(q, a.units, ci)
+				neigh := m.adjacentParts(a.units, ci)
 				m.sortByTW(neigh)
 				for _, pi := range neigh {
 					b := m.parts[pi]
 					if spec.partnerIO && b.est.ComputeBound() {
 						continue
 					}
-					if m.extPath(q, ci, pi, -1) || m.extPath(q, pi, ci, -1) {
+					if m.extPath(ci, pi, -1) || m.extPath(pi, ci, -1) {
 						continue
 					}
 					union := mergeSorted(nil, a.members, b.members)
@@ -355,7 +353,8 @@ func (m *mlState) mergePhase(q *quotient) error {
 // increase along every edge, so bounds set where no unit can still lead to a
 // stop prune without changing the answer. This is the one search behind
 // every quotient convexity check; stop and pass are disjoint in each.
-func (m *mlState) reaches(q *quotient, starts []int32, fwd bool, lo, hi int32, direct bool, stop, pass func(int32) bool) bool {
+func (m *mlState) reaches(starts []int32, fwd bool, lo, hi int32, direct bool, stop, pass func(int32) bool) bool {
+	q := m.q
 	next := q.succs
 	if !fwd {
 		next = q.preds
@@ -396,8 +395,8 @@ func (m *mlState) reaches(q *quotient, starts []int32, fwd bool, lo, hi int32, d
 // entering it is not external — it is neither followed nor counted as a hit
 // (its own pair checks cover it). Nothing at or beyond to's max position
 // can reach to.
-func (m *mlState) extPath(q *quotient, from, to, excl int32) bool {
-	return m.reaches(q, m.parts[from].units, true, -1, m.parts[to].maxPos, false,
+func (m *mlState) extPath(from, to, excl int32) bool {
+	return m.reaches(m.parts[from].units, true, -1, m.parts[to].maxPos, false,
 		func(v int32) bool { return m.unitPart[v] == to },
 		func(v int32) bool { p := m.unitPart[v]; return p != from && p != to && p != excl })
 }
@@ -407,10 +406,10 @@ func (m *mlState) extPath(q *quotient, from, to, excl int32) bool {
 // back to itself is ruled out by that part's own convexity), so checking the
 // six ordered pairs — each with the third part counted as interior — is
 // exact.
-func (m *mlState) tripleConvex(q *quotient, a, b, c int32) bool {
-	return !m.extPath(q, a, b, c) && !m.extPath(q, b, a, c) &&
-		!m.extPath(q, a, c, b) && !m.extPath(q, c, a, b) &&
-		!m.extPath(q, b, c, a) && !m.extPath(q, c, b, a)
+func (m *mlState) tripleConvex(a, b, c int32) bool {
+	return !m.extPath(a, b, c) && !m.extPath(b, a, c) &&
+		!m.extPath(a, c, b) && !m.extPath(c, a, b) &&
+		!m.extPath(b, c, a) && !m.extPath(c, b, a)
 }
 
 // threeWayPhase mirrors Algorithm 1's simultaneous phase at coarse
@@ -418,7 +417,7 @@ func (m *mlState) tripleConvex(q *quotient, a, b, c int32) bool {
 // pairwise criterion fails but the three-way one holds — the move that
 // collapses split-join fan-outs. Restarts the scan after each accepted
 // merge, as the exact phase does.
-func (m *mlState) threeWayPhase(q *quotient) error {
+func (m *mlState) threeWayPhase() error {
 	for {
 		mergedAny := false
 		for ci := int32(0); ci < int32(len(m.parts)) && !mergedAny; ci++ {
@@ -429,11 +428,11 @@ func (m *mlState) threeWayPhase(q *quotient) error {
 			if err := m.cancelled(); err != nil {
 				return err
 			}
-			neigh := m.adjacentParts(q, a.units, ci)
+			neigh := m.adjacentParts(a.units, ci)
 			slices.Sort(neigh)
 			for x := 0; x < len(neigh) && !mergedAny; x++ {
 				for y := x + 1; y < len(neigh); y++ {
-					if !m.tripleConvex(q, ci, neigh[x], neigh[y]) {
+					if !m.tripleConvex(ci, neigh[x], neigh[y]) {
 						continue
 					}
 					b, c := m.parts[neigh[x]], m.parts[neigh[y]]

@@ -15,10 +15,7 @@ import (
 func (m *mlState) refine(level int) error {
 	lvl := m.c.Levels[level]
 	U := lvl.NumUnits
-	q, err := buildQuotient(m.g, lvl.UnitOf, U)
-	if err != nil {
-		return err
-	}
+	q := lvl.q
 	m.visit = sdf.NewNodeSet(U)
 
 	// Partitions are unions of working-level units, which are unions of
@@ -37,7 +34,7 @@ func (m *mlState) refine(level int) error {
 	for u, v := range up {
 		up[u] = m.unitPart[v]
 	}
-	m.unitPart, m.level = up, level
+	m.unitPart, m.level, m.q = up, level, q
 	for _, p := range m.parts {
 		p.units = p.units[:0]
 		p.minPos, p.maxPos = int32(U), -1
@@ -60,7 +57,7 @@ func (m *mlState) refine(level int) error {
 			if len(m.parts[P].units) < 2 {
 				continue // moving the last unit would empty the partition
 			}
-			targets := m.adjacentParts(q, []int32{u}, P)
+			targets := m.adjacentParts([]int32{u}, P)
 			slices.Sort(targets)
 			for _, Q := range targets {
 				if budget <= 0 {
@@ -68,7 +65,7 @@ func (m *mlState) refine(level int) error {
 				}
 				budget--
 				m.stats.MoveEvals++
-				if m.tryMove(q, lvl, u, P, Q) {
+				if m.tryMove(lvl, u, P, Q) {
 					moves++
 					m.stats.Moves++
 					break
@@ -84,8 +81,9 @@ func (m *mlState) refine(level int) error {
 
 // tryMove evaluates moving unit u from partition P to adjacent partition Q
 // and commits it when structurally sound and TW-profitable.
-func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
-	if !m.removeOK(q, P, u) || !m.addConvex(q, Q, u) {
+func (m *mlState) tryMove(lvl *CoarseLevel, u, P, Q int32) bool {
+	q := m.q
+	if !m.removeOK(P, u) || !m.addConvex(Q, u) {
 		return false
 	}
 	p, qq := m.parts[P], m.parts[Q]
@@ -119,7 +117,7 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 	i, _ := slices.BinarySearch(p.units, u)
 	p.units = slices.Delete(p.units, i, i+1)
 	p.members, p.est, p.scale, p.tw = slices.Clone(pMem), estP, scP, twP
-	p.minPos, p.maxPos = int32(q.n), -1
+	p.minPos, p.maxPos = int32(lvl.NumUnits), -1
 	for _, x := range p.units {
 		p.minPos = min(p.minPos, q.topoPos[x])
 		p.maxPos = max(p.maxPos, q.topoPos[x])
@@ -138,8 +136,8 @@ func (m *mlState) tryMove(q *quotient, lvl *CoarseLevel, u, P, Q int32) bool {
 // new violation must route through u — it exists iff u both reaches P\{u}
 // forward and is reached from P\{u} backward, through units outside P (a
 // direct edge to/from u counts: u itself is the offending intermediate).
-func (m *mlState) removeOK(q *quotient, P, u int32) bool {
-	p := m.parts[P]
+func (m *mlState) removeOK(P, u int32) bool {
+	q, p := m.q, m.parts[P]
 	// Weak connectivity of P \ {u}.
 	start := p.units[0]
 	if start == u {
@@ -174,19 +172,19 @@ func (m *mlState) removeOK(q *quotient, P, u int32) bool {
 	in := func(v int32) bool { return m.unitPart[v] == P }
 	out := func(v int32) bool { return m.unitPart[v] != P }
 	us := []int32{u}
-	return !m.reaches(q, us, true, -1, p.maxPos, true, in, out) ||
-		!m.reaches(q, us, false, p.minPos, int32(q.n), true, in, out)
+	return !m.reaches(us, true, -1, p.maxPos, true, in, out) ||
+		!m.reaches(us, false, p.minPos, int32(len(q.topoPos)), true, in, out)
 }
 
 // addConvex reports whether Q ∪ {u} is convex: no path from u to Q or from
 // Q to u through units outside both (direct adjacency is fine). u is not in
 // Q, and a path into u ends at u's own position.
-func (m *mlState) addConvex(q *quotient, Q, u int32) bool {
+func (m *mlState) addConvex(Q, u int32) bool {
 	qq := m.parts[Q]
 	out := func(v int32) bool { return m.unitPart[v] != Q }
-	return !m.reaches(q, []int32{u}, true, -1, qq.maxPos, false,
+	return !m.reaches([]int32{u}, true, -1, qq.maxPos, false,
 		func(v int32) bool { return m.unitPart[v] == Q }, out) &&
-		!m.reaches(q, qq.units, true, -1, q.topoPos[u], false,
+		!m.reaches(qq.units, true, -1, m.q.topoPos[u], false,
 			func(v int32) bool { return v == u }, out)
 }
 
